@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 from repro.errors import CatalogError, TypeMismatchError
@@ -32,6 +33,14 @@ _PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
 }
 
 
+_EXACT_TYPES: dict[DataType, type] = {
+    DataType.INT: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOL: bool,
+}
+
+
 class StorageStructure(enum.Enum):
     """Physical storage structures, as in Ingres' MODIFY statement."""
 
@@ -54,6 +63,12 @@ class Column:
             raise CatalogError(
                 f"varchar column {self.name!r} needs a positive max_length"
             )
+
+    @cached_property
+    def exact_type(self) -> type | None:
+        """The Python type whose instances :meth:`check_value` returns
+        unchanged and unexamined (None for VARCHAR: length matters)."""
+        return _EXACT_TYPES.get(self.data_type)
 
     def check_value(self, value: Any) -> Any:
         """Validate and coerce ``value`` for this column; return it.
@@ -140,9 +155,14 @@ class TableSchema:
                 f"table {self.name!r} has {len(self.columns)} columns, "
                 f"row has {len(row)} values"
             )
-        return tuple(
-            column.check_value(value) for column, value in zip(self.columns, row)
-        )
+        # A value whose type is exactly the column's needs no coercion
+        # and no further check; everything else (NULLs, ints for FLOAT,
+        # bools, varchar lengths, mismatches) goes through check_value.
+        return tuple([
+            value if type(value) is column.exact_type
+            else column.check_value(value)
+            for column, value in zip(self.columns, row)
+        ])
 
     def key_positions(self) -> tuple[int, ...]:
         """Ordinal positions of the primary key columns."""

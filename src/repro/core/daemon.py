@@ -72,6 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import Session
 
 
+# The two halves of a pending ``(encoded_seq, row)`` pair.
+_SEQ, _ROW = itemgetter(0), itemgetter(1)
+
+
 @dataclass(frozen=True)
 class PollStats:
     """Outcome of one daemon poll."""
@@ -630,7 +634,7 @@ class StorageDaemon:
             # Ascending *encoded* seq: shard interleaves, but every
             # per-shard subsequence is ascending, so a crash mid-append
             # still persists a clean per-shard prefix for recovery.
-            rows.sort(key=itemgetter(0))
+            rows.sort(key=_SEQ)
         written = 0
         done: set[str] = set()  # staticcheck: allocfree(per-flush-accumulator)
         try:
@@ -640,10 +644,7 @@ class StorageDaemon:
                 # mid-append persists a clean prefix; recovery resumes
                 # after the highest persisted seq.
                 written += workload_db.append(
-                    table,
-                    [row for _seq, row in rows],  # staticcheck: allocfree(flush-batch-is-the-product)
-                    now,
-                    seqs=[seq for seq, _row in rows])  # staticcheck: allocfree(flush-batch-is-the-product)
+                    table, map(_ROW, rows), now, seqs=map(_SEQ, rows))
                 done.add(table)
             purged = workload_db.purge_older_than(
                 now - self.config.retention_s)

@@ -20,11 +20,17 @@ schemas are unchanged (the shard survives inside ``src_seq``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.core.monitor import IntegratedMonitor
-from repro.core.sharding import ShardedMonitor, encode_seq, monitor_shards
+from repro.core.sharding import (
+    SHARD_STRIDE,
+    ShardedMonitor,
+    encode_seq,
+    monitor_shards,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
@@ -92,6 +98,8 @@ STATISTICS_SCHEMA = TableSchema("ima_statistics", (
     _int("physical_reads"), _int("physical_writes"),
 ))
 
+_SEQ = itemgetter(0)
+
 IMA_TABLE_NAMES = (
     "ima_statements", "ima_workload", "ima_references", "ima_tables",
     "ima_attributes", "ima_indexes", "ima_statistics", "ima_plans",
@@ -114,115 +122,72 @@ def register_ima_tables(database: "Database",
     source = monitored_database if monitored_database is not None else database
     shards = monitor_shards(monitor)
 
-    def statements_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id, r.text_hash, r.text,
-             r.frequency, r.first_seen, r.last_seen)
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.statements.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
+    def publish(schema: TableSchema, buffer_name: str,
+                make_row: Callable[[int, int, Any], tuple]) -> None:
+        """Register ``schema`` over every shard's ``buffer_name`` ring;
+        ``make_row(encoded_seq, shard_id, record)`` builds one row."""
+        buffers = [getattr(shard, buffer_name) for shard in shards]
 
-    def workload_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id, r.text_hash, r.session_id,
-             r.timestamp, r.optimize_time_s,
-             r.execute_time_s, r.wallclock_s, r.estimated_io, r.estimated_cpu,
-             r.actual_io, r.actual_cpu, r.logical_reads, r.physical_reads,
-             r.tuples_processed, r.rows_returned, r.used_indexes,
-             r.monitor_time_s)
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.workload.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
+        def rows(min_seq: int = 0) -> list[tuple]:
+            """Rows with ``seq > min_seq`` (an encoded seq; per shard it
+            decodes to the local floor the ring filters on itself)."""
+            found = [
+                make_row(encode_seq(seq, shard_id), shard_id, record)
+                for shard_id, buffer in enumerate(buffers)
+                for seq, record in buffer.snapshot(
+                    (min_seq - shard_id) // SHARD_STRIDE)
+            ]
+            found.sort(key=_SEQ)
+            return found
 
-    def references_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id, r.text_hash, r.object_type,
-             r.object_name, r.table_name, r.frequency)
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.references.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
+        database.register_virtual_table(
+            schema, rows, floor_column="seq",
+            row_count=lambda: sum(len(buffer) for buffer in buffers))
 
-    def tables_rows() -> list[tuple]:
-        rows: list[tuple] = []
-        for shard_id, shard in enumerate(shards):
-            for seq, record in shard.tables.snapshot():
-                structure = ""
-                pages = overflow = row_count = 0
-                has_stats = 0
-                if source.catalog.has_table(record.table_name):
-                    entry = source.catalog.table(record.table_name)
-                    has_stats = int(entry.statistics is not None)
-                    if not entry.is_virtual:
-                        storage = source.storage_for(record.table_name)
-                        structure = entry.structure.value
-                        pages = storage.page_count
-                        overflow = storage.overflow_page_count
-                        row_count = storage.row_count
-                rows.append((encode_seq(seq, shard_id), shard_id,
-                             record.table_name, record.frequency,
-                             structure, pages, overflow, row_count,
-                             has_stats))
-        rows.sort(key=lambda row: row[0])
-        return rows
+    def table_row(seq: int, shard_id: int, record: Any) -> tuple:
+        structure = ""
+        pages = overflow = row_count = has_stats = 0
+        if source.catalog.has_table(record.table_name):
+            entry = source.catalog.table(record.table_name)
+            has_stats = int(entry.statistics is not None)
+            if not entry.is_virtual:
+                storage = source.storage_for(record.table_name)
+                structure = entry.structure.value
+                pages = storage.page_count
+                overflow = storage.overflow_page_count
+                row_count = storage.row_count
+        return (seq, shard_id, record.table_name, record.frequency,
+                structure, pages, overflow, row_count, has_stats)
 
-    def attributes_rows() -> list[tuple]:
-        rows: list[tuple] = []
-        for shard_id, shard in enumerate(shards):
-            for seq, record in shard.attributes.snapshot():
-                has_histogram = 0
-                if source.catalog.has_table(record.table_name):
-                    stats = source.catalog.table(record.table_name).statistics
-                    if stats is not None:
-                        column = stats.column(record.attribute_name)
-                        has_histogram = int(
-                            column is not None
-                            and column.histogram is not None)
-                rows.append((encode_seq(seq, shard_id), shard_id,
-                             record.table_name, record.attribute_name,
-                             record.frequency, has_histogram))
-        rows.sort(key=lambda row: row[0])
-        return rows
+    def attribute_row(seq: int, shard_id: int, record: Any) -> tuple:
+        has_histogram = 0
+        if source.catalog.has_table(record.table_name):
+            stats = source.catalog.table(record.table_name).statistics
+            if stats is not None:
+                column = stats.column(record.attribute_name)
+                has_histogram = int(
+                    column is not None and column.histogram is not None)
+        return (seq, shard_id, record.table_name, record.attribute_name,
+                record.frequency, has_histogram)
 
-    def indexes_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id, r.index_name,
-             r.table_name, r.frequency)
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.indexes.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
-
-    def statistics_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id) + r.as_row()
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.statistics.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
-
-    def plans_rows() -> list[tuple]:
-        rows = [
-            (encode_seq(seq, shard_id), shard_id, r.text_hash,
-             r.estimated_cost, r.plan_text, r.captured_at)
-            for shard_id, shard in enumerate(shards)
-            for seq, r in shard.plans.snapshot()
-        ]
-        rows.sort(key=lambda row: row[0])
-        return rows
-
-    database.register_virtual_table(STATEMENTS_SCHEMA, statements_rows)
-    database.register_virtual_table(WORKLOAD_SCHEMA, workload_rows)
-    database.register_virtual_table(REFERENCES_SCHEMA, references_rows)
-    database.register_virtual_table(TABLES_SCHEMA, tables_rows)
-    database.register_virtual_table(ATTRIBUTES_SCHEMA, attributes_rows)
-    database.register_virtual_table(INDEXES_SCHEMA, indexes_rows)
-    database.register_virtual_table(STATISTICS_SCHEMA, statistics_rows)
-    database.register_virtual_table(PLANS_SCHEMA, plans_rows)
+    publish(STATEMENTS_SCHEMA, "statements", lambda seq, shard_id, r: (
+        seq, shard_id, r.text_hash, r.text, r.frequency, r.first_seen,
+        r.last_seen))
+    publish(WORKLOAD_SCHEMA, "workload", lambda seq, shard_id, r: (
+        seq, shard_id, r.text_hash, r.session_id, r.timestamp,
+        r.optimize_time_s, r.execute_time_s, r.wallclock_s, r.estimated_io,
+        r.estimated_cpu, r.actual_io, r.actual_cpu, r.logical_reads,
+        r.physical_reads, r.tuples_processed, r.rows_returned,
+        r.used_indexes, r.monitor_time_s))
+    publish(REFERENCES_SCHEMA, "references", lambda seq, shard_id, r: (
+        seq, shard_id, r.text_hash, r.object_type, r.object_name,
+        r.table_name, r.frequency))
+    publish(TABLES_SCHEMA, "tables", table_row)
+    publish(ATTRIBUTES_SCHEMA, "attributes", attribute_row)
+    publish(INDEXES_SCHEMA, "indexes", lambda seq, shard_id, r: (
+        seq, shard_id, r.index_name, r.table_name, r.frequency))
+    publish(STATISTICS_SCHEMA, "statistics", lambda seq, shard_id, r: (
+        seq, shard_id) + r.as_row())
+    publish(PLANS_SCHEMA, "plans", lambda seq, shard_id, r: (
+        seq, shard_id, r.text_hash, r.estimated_cost, r.plan_text,
+        r.captured_at))

@@ -18,7 +18,8 @@ daemon that died mid-flush resumes without duplicating or losing rows.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable
 
 from repro import faultsim
 from repro.catalog.schema import Column, DataType, StorageStructure, TableSchema
@@ -118,6 +119,9 @@ TABLE_SOURCES = {
 }
 
 
+_EMPTY = (math.inf, 0)  # retention watermark of a table never appended to
+
+
 class WorkloadDatabase:
     """Owns the workload database and its append/retention operations."""
 
@@ -128,6 +132,11 @@ class WorkloadDatabase:
         self.clock = clock or SystemClock()
         self.database = Database(name, self.config, self.clock)
         self._journal: "TuningJournal | None" = None
+        # Retention watermark: per table, the oldest ``captured_at`` it
+        # holds and the row count that was true for.  A count that no
+        # longer matches (rows written around ``append``, a failed
+        # append, a restart) makes the next purge scan and re-derive it.
+        self._oldest: dict[str, tuple[float, int]] = {}
         for schema in WORKLOAD_TABLES:
             self.database.create_table(schema)
 
@@ -149,24 +158,32 @@ class WorkloadDatabase:
     # -- appends ------------------------------------------------------------
 
     # staticcheck: domain(seqs=src_seq)
-    def append(self, table_name: str, rows: list[tuple],
-               captured_at: float, seqs: list[int] | None = None) -> int:
+    def append(self, table_name: str, rows: Iterable[tuple],
+               captured_at: float, seqs: Iterable[int] | None = None) -> int:
         """Append snapshot ``rows`` (without their seq column) stamped
         with ``captured_at``; returns the number of rows written.
 
         ``seqs`` supplies each row's source IMA sequence number for the
         trailing ``src_seq`` column (0 when the caller has none).  The
-        daemon passes them in ascending order so a crash mid-append
-        persists a prefix — recovery via :meth:`load_high_water` then
-        resumes exactly after the last persisted row.
+        daemon passes them in ascending order and the whole batch goes
+        to one :meth:`Database.insert_rows`, which stores the rows in
+        order and stops at the first one it cannot store — so a crash
+        mid-append persists a prefix, and recovery via
+        :meth:`load_high_water` resumes exactly after the last
+        persisted row.
         """
         faultsim.fire("workload_db.append", error=MonitorError,
                       clock=self.clock)
-        for index, row in enumerate(rows):
-            seq = seqs[index] if seqs is not None else 0
-            self.database.insert_row(
-                table_name, (captured_at,) + row + (seq,))
-        return len(rows)
+        storage = self.database.storage_for(table_name)
+        oldest, counted = self._oldest.get(table_name, _EMPTY)
+        known = counted == storage.row_count
+        written = self.database.insert_rows(
+            table_name, ((captured_at, *row, seq) for row, seq
+                         in zip(rows, repeat(0) if seqs is None else seqs)))
+        if known:  # a failed append leaves the count, hence the mark, stale
+            self._oldest[table_name] = (min(oldest, captured_at),
+                                        storage.row_count)
+        return written
 
     # staticcheck: domain(src_seq)
     def load_high_water(self) -> dict[str, int]:
@@ -236,11 +253,20 @@ class WorkloadDatabase:
         removed = 0
         for schema in WORKLOAD_TABLES:
             storage = self.database.storage_for(schema.name)
-            victims = [rowid for rowid, row in storage.scan()
-                       if row[0] < cutoff]
+            oldest, counted = self._oldest.get(schema.name, _EMPTY)
+            if counted == storage.row_count and oldest >= cutoff:
+                continue  # nothing due: no page of the table is touched
+            victims = []
+            oldest = math.inf
+            for rowid, row in storage.scan():
+                if row[0] < cutoff:
+                    victims.append(rowid)
+                elif row[0] < oldest:
+                    oldest = row[0]
             for rowid in victims:
                 self.database.delete_row(schema.name, rowid)
             removed += len(victims)
+            self._oldest[schema.name] = (oldest, storage.row_count)
             if victims:
                 self._maybe_compact(schema.name)
         return removed

@@ -11,7 +11,7 @@ the IMA mechanism that exposes in-memory monitor data over plain SQL.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import (
@@ -44,7 +44,13 @@ from repro.storage.disk import DiskManager
 from repro.storage.table_storage import TableStorage
 from repro.engine.triggers import TriggerManager
 
-VirtualTableProvider = Callable[[], list[tuple]]
+VirtualTableProvider = Callable[..., list[tuple]]
+
+
+class _VirtualTable(NamedTuple):
+    provider: VirtualTableProvider
+    row_count: Callable[[], int] | None
+    floor_column: str | None
 
 
 class Database:
@@ -61,7 +67,7 @@ class Database:
         self.triggers = TriggerManager()
         self._storages: dict[str, TableStorage] = {}
         self._index_storages: dict[str, BTreeStorage] = {}
-        self._virtual_providers: dict[str, VirtualTableProvider] = {}
+        self._virtual_tables: dict[str, _VirtualTable] = {}
         self.schema_version = 0
         """Bumped on every DDL/statistics change; plan caches key their
         entries on it so stale plans are recompiled."""
@@ -81,15 +87,26 @@ class Database:
         return entry
 
     def register_virtual_table(self, schema: TableSchema,
-                               provider: VirtualTableProvider) -> TableEntry:
+                               provider: VirtualTableProvider,
+                               row_count: Callable[[], int] | None = None,
+                               floor_column: str | None = None,
+                               ) -> TableEntry:
         """Register an in-memory (IMA-style) virtual table.
 
         The provider is called at scan time and must return the current
-        rows; no storage or disk access is involved.
+        rows; no storage or disk access is involved.  ``row_count``
+        answers the optimizer's "how many rows" without building them
+        (default: the provider is called and its rows counted).  A
+        table whose rows carry an ever-increasing integer column may
+        name it as ``floor_column``: a scan filtered by a top-level
+        ``floor_column > N`` then calls ``provider(N)``, which may
+        leave out any row at or below ``N`` — the scan still evaluates
+        its whole predicate on what comes back.
         """
         self.schema_version += 1
         entry = self.catalog.create_table(schema, is_virtual=True)
-        self._virtual_providers[schema.name.lower()] = provider
+        self._virtual_tables[schema.name.lower()] = _VirtualTable(
+            provider, row_count, floor_column)
         return entry
 
     def drop_table(self, name: str) -> None:
@@ -99,7 +116,7 @@ class Database:
             self.drop_index(index.name)
         self.catalog.drop_table(name)
         if entry.is_virtual:
-            self._virtual_providers.pop(name.lower(), None)
+            self._virtual_tables.pop(name.lower(), None)
             return
         storage = self._storages.pop(name.lower())
         storage.drop()
@@ -171,7 +188,7 @@ class Database:
         storage = self._storages[table_name.lower()]
         checked = entry.schema.check_row(row)
         self._check_unique_indexes(entry, checked, exclude_rowid=None)
-        rowid = storage.insert(checked)
+        rowid = storage.insert_checked(checked)
         maintained: list[BTreeStorage] = []
         try:
             for index in self.catalog.indexes_on(table_name):
@@ -185,8 +202,48 @@ class Database:
                 index_storage.delete(rowid)
             storage.delete(rowid)
             raise
-        self.triggers.fire_on_insert(table_name, checked, self.clock.now())
+        if self.triggers.triggers_on(table_name):
+            self.triggers.fire_on_insert(table_name, checked,
+                                         self.clock.now())
         return rowid
+
+    def insert_rows(self, table_name: str, rows: Iterable[tuple]) -> int:
+        """Insert ``rows`` in order; returns how many were inserted.
+
+        The batch form of :meth:`insert_row` for append-mostly tables
+        (the workload DB): every row is validated once and handed to
+        the storage layer, which fills heap pages directly.  ``rows``
+        is consumed lazily and an exception — a row that fails
+        validation, one no page can hold, a failed write-back — leaves
+        exactly the rows before it inserted.  Triggers fire once per
+        inserted row, in order, after the rows are stored.  A table
+        with secondary indexes takes one :meth:`insert_row` per row.
+        """
+        entry = self.catalog.table(table_name)
+        if entry.is_virtual or self.catalog.indexes_on(table_name):
+            inserted = 0
+            for row in rows:
+                self.insert_row(table_name, row)
+                inserted += 1
+            return inserted
+        storage = self._storages[table_name.lower()]
+        check_row = entry.schema.check_row
+        if not self.triggers.triggers_on(table_name):
+            return storage.insert_many_checked(map(check_row, rows))
+        handed: list[tuple] = []
+
+        def recorded() -> Iterator[tuple]:
+            for row in rows:
+                handed.append(check_row(row))
+                yield handed[-1]
+
+        before = storage.row_count
+        try:
+            return storage.insert_many_checked(recorded())
+        finally:
+            now = self.clock.now()
+            for checked in handed[:storage.row_count - before]:
+                self.triggers.fire_on_insert(table_name, checked, now)
 
     def delete_row(self, table_name: str, rowid: int) -> tuple:
         entry = self.catalog.table(table_name)
@@ -266,7 +323,9 @@ class Database:
     def table_info(self, name: str) -> TableInfo:
         entry = self.catalog.table(name)
         if entry.is_virtual:
-            rows = len(self._virtual_providers[name.lower()]())
+            virtual = self._virtual_tables[name.lower()]
+            rows = virtual.row_count() if virtual.row_count is not None \
+                else len(virtual.provider())
             return TableInfo(
                 name=entry.schema.name,
                 schema=entry.schema,
@@ -344,15 +403,24 @@ class Database:
             raise UnknownObjectError(
                 f"index {index_name!r} does not exist") from None
 
-    def virtual_rows(self, table_name: str) -> list[tuple]:
+    def virtual_rows(self, table_name: str,
+                     lower_bounds: Mapping[str, int] | None = None,
+                     ) -> list[tuple]:
+        """Current rows of a virtual table.  ``lower_bounds`` maps a
+        column to an integer every wanted row exceeds in that column;
+        the bound on the table's ``floor_column`` (if both exist) goes
+        to the provider as a pre-filter."""
         try:
-            return self._virtual_providers[table_name.lower()]()
+            virtual = self._virtual_tables[table_name.lower()]
         except KeyError:
             raise UnknownObjectError(
                 f"virtual table {table_name!r} does not exist") from None
+        if lower_bounds and virtual.floor_column in lower_bounds:
+            return virtual.provider(lower_bounds[virtual.floor_column])
+        return virtual.provider()
 
     def is_virtual_table(self, table_name: str) -> bool:
-        return table_name.lower() in self._virtual_providers
+        return table_name.lower() in self._virtual_tables
 
     # -- size accounting ---------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol
+from typing import Any, Iterator, Mapping, Protocol
 
 from repro.errors import ExecutionError
 from repro.execution.evaluator import compile_predicate
@@ -13,6 +13,8 @@ from repro.optimizer.plans import (
     KeyCondition,
     SeqScanPlan,
 )
+from repro.optimizer.predicates import split_conjuncts
+from repro.sql import ast_nodes as ast
 from repro.storage.btree import BTreeStorage
 from repro.storage.table_storage import TableStorage
 
@@ -24,7 +26,9 @@ class StorageCatalog(Protocol):
 
     def index_storage_for(self, index_name: str) -> BTreeStorage: ...
 
-    def virtual_rows(self, table_name: str) -> list[tuple]: ...
+    def virtual_rows(self, table_name: str,
+                     lower_bounds: Mapping[str, int] | None = None,
+                     ) -> list[tuple]: ...
 
     def is_virtual_table(self, table_name: str) -> bool: ...
 
@@ -69,12 +73,30 @@ def key_bounds(conditions: tuple[KeyCondition, ...]) -> tuple[
     return lo, hi, lo_inclusive, hi_inclusive
 
 
+def lower_bounds(filter_expr: ast.Expression | None) -> dict[str, int]:
+    """Column -> the largest integer literal ``N`` among the filter's
+    top-level ``column > N`` conjuncts: every row the filter accepts
+    exceeds it (a scan filter references one table only, so the column
+    name is enough)."""
+    bounds: dict[str, int] = {}
+    for conjunct in split_conjuncts(filter_expr):
+        if (isinstance(conjunct, ast.BinaryOp) and conjunct.op == ">"
+                and isinstance(conjunct.left, ast.ColumnRef)
+                and isinstance(conjunct.right, ast.Literal)
+                and type(conjunct.right.value) is int):
+            name, bound = conjunct.left.name, conjunct.right.value
+            bounds[name] = max(bound, bounds.get(name, bound))
+    return bounds
+
+
 def seq_scan(plan: SeqScanPlan, catalog: StorageCatalog,
              counters: Counters) -> Iterator[tuple]:
     predicate = compile_predicate(plan.filter_expr, plan.scope)
     if catalog.is_virtual_table(plan.table_name):
-        source: Iterator[tuple] = iter(catalog.virtual_rows(plan.table_name))
-        for row in source:
+        # The bounds only spare the provider building rows the
+        # predicate below would reject; the result is the same.
+        for row in catalog.virtual_rows(plan.table_name,
+                                        lower_bounds(plan.filter_expr)):
             counters.tuples += 1
             if predicate(row):
                 yield row

@@ -126,11 +126,11 @@ class BufferPool:
 
     # staticcheck: guarded-by(_lock)
     def _admit(self, page_id: int, page: _Page,
-               dirty: bool) -> list[tuple[int, bytes]]:
+               dirty: bool) -> list[tuple[int, _Page, bytes]]:
         """Install ``page``, evicting to capacity; return the dirty
-        victims ``(page_id, serialized bytes)`` the caller must write
-        back *after releasing the latch*."""
-        writebacks: list[tuple[int, bytes]] = []
+        victims ``(page_id, page, serialized bytes)`` the caller must
+        write back *after releasing the latch*."""
+        writebacks: list[tuple[int, _Page, bytes]] = []
         if page_id in self._frames:
             self._frames[page_id] = page
             self._frames.move_to_end(page_id)
@@ -145,7 +145,7 @@ class BufferPool:
         return writebacks
 
     # staticcheck: guarded-by(_lock)
-    def _evict_one(self) -> tuple[int, bytes] | None:
+    def _evict_one(self) -> tuple[int, _Page, bytes] | None:
         """Evict the LRU frame; return its write-back work, if dirty.
 
         Serialization happens here, under the latch, so the snapshot is
@@ -156,14 +156,30 @@ class BufferPool:
         if victim_id in self._dirty:
             self._dirty.discard(victim_id)
             self._writebacks += 1
-            return victim_id, victim.to_bytes()
+            return victim_id, victim, victim.to_bytes()
         return None
 
-    def _write_back(self, writebacks: list[tuple[int, bytes]]) -> None:
+    def _write_back(self,
+                    writebacks: list[tuple[int, _Page, bytes]]) -> None:
         """Perform deferred page writes.  Must be called *without* the
-        latch held — that is the whole point of deferring them."""
-        for page_id, raw in writebacks:
-            self.disk.write(page_id, raw)
+        latch held — that is the whole point of deferring them.
+
+        If a write fails, the pages not yet written are the only copy
+        of their rows: they go back into the cache, dirty, before the
+        error propagates (the pool may sit over capacity until the next
+        admission evicts it back down)."""
+        written = 0
+        try:
+            for page_id, _page, raw in writebacks:
+                self.disk.write(page_id, raw)
+                written += 1
+        except BaseException:
+            with self._lock:
+                for page_id, page, _raw in writebacks[written:]:
+                    # A copy admitted meanwhile is newer: keep it.
+                    self._frames.setdefault(page_id, page)
+                    self._dirty.add(page_id)
+            raise
 
     def flush_all(self) -> int:
         """Write back every dirty page; return how many were written.
@@ -177,7 +193,7 @@ class BufferPool:
             writebacks = []
             for page_id in list(self._dirty):
                 page = self._frames[page_id]
-                writebacks.append((page_id, page.to_bytes()))
+                writebacks.append((page_id, page, page.to_bytes()))
                 self._writebacks += 1
             self._dirty.clear()
         self._write_back(writebacks)
@@ -195,7 +211,8 @@ class BufferPool:
         with self._lock:
             writebacks = []
             for page_id in list(self._dirty):
-                writebacks.append((page_id, self._frames[page_id].to_bytes()))
+                page = self._frames[page_id]
+                writebacks.append((page_id, page, page.to_bytes()))
                 self._writebacks += 1
             self._dirty.clear()
             self._frames.clear()

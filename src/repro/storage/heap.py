@@ -85,27 +85,56 @@ class HeapStorage:
     def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
         """Append a row; allocates a new (possibly overflow) page if the
         current last page is full."""
-        if rowid in self._rowid_to_page:
-            raise StorageError(f"duplicate rowid {rowid}")
-        if row_size(self.schema, row) > self._fill_capacity:
-            raise StorageError(
-                f"row of {row_size(self.schema, row)} bytes exceeds the "
-                f"usable page capacity {self._fill_capacity}"
-            )
+        self.insert_many(((rowid, row),))
+
+    def insert_many(self,
+                    entries: Iterable[tuple[int, tuple[Any, ...]]]) -> int:
+        """Append ``(rowid, row)`` entries in order, a page at a time;
+        returns how many were stored.
+
+        Each row is sized once; the last page is loaded once and filled
+        until a row no longer fits, then the next page is allocated, so
+        pages pack exactly as one :meth:`insert` per row would pack
+        them.  Every page touched is handed back to the pool once.  If
+        an entry is rejected (or a write-back fails while a page is
+        admitted) the exception propagates and exactly the entries
+        before it stay stored — the workload DB's crash-prefix
+        guarantee rests on this.
+        """
+        page_id = -1
+        page: HeapPage | None = None
         if self._page_ids:
-            last_id = self._page_ids[-1]
-            page = self._load(last_id)
-            if page.fits(row):
-                page.insert(rowid, row)
-                self._pool.put(last_id, page)
-                self._rowid_to_page[rowid] = last_id
+            page_id = self._page_ids[-1]
+            page = self._load(page_id)
+        stored = 0
+        unsaved = False
+        rowid_to_page = self._rowid_to_page
+        fill_capacity = self._fill_capacity
+        schema = self.schema
+        try:
+            for rowid, row in entries:
+                if rowid in rowid_to_page:
+                    raise StorageError(f"duplicate rowid {rowid}")
+                size = row_size(schema, row)
+                if size > fill_capacity:
+                    raise StorageError(
+                        f"row of {size} bytes exceeds the "
+                        f"usable page capacity {fill_capacity}"
+                    )
+                if page is None or not page.has_room(size):
+                    if page is not None and unsaved:
+                        unsaved = False
+                        self._pool.put(page_id, page)
+                    page_id, page = self._new_page()
+                page.insert(rowid, row, size)
+                unsaved = True
+                rowid_to_page[rowid] = page_id
                 self._row_count += 1
-                return
-        page_id, page = self._new_page()
-        page.insert(rowid, row)
-        self._pool.put(page_id, page)
-        self._rowid_to_page[rowid] = page_id
-        self._row_count += 1
+                stored += 1
+        finally:
+            if page is not None and unsaved:
+                self._pool.put(page_id, page)
+        return stored
 
     def fetch(self, rowid: int) -> tuple[Any, ...]:
         """Read one row by rowid (one page access)."""
@@ -150,8 +179,7 @@ class HeapStorage:
         """Load (rowid, row) pairs into an empty heap."""
         if self._page_ids:
             raise StorageError("bulk_load requires an empty heap")
-        for rowid, row in entries:
-            self.insert(rowid, row)
+        self.insert_many(entries)
 
     def drop(self) -> None:
         """Free every page of this heap."""

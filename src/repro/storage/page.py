@@ -37,18 +37,28 @@ class HeapPage:
         self.entries: dict[int, tuple[Any, ...]] = {}
         self.used_bytes = _HEADER.size
 
+    def has_room(self, size: int) -> bool:
+        """True if a row of ``size`` serialized bytes fits into the
+        remaining free space (the one page-fit rule: single-row and
+        batch inserts both come through here)."""
+        return self.used_bytes + _ROWID.size + size <= self.capacity
+
     def fits(self, row: tuple[Any, ...]) -> bool:
         """True if ``row`` fits into the remaining free space."""
-        needed = _ROWID.size + row_size(self.schema, row)
-        return self.used_bytes + needed <= self.capacity
+        return self.has_room(row_size(self.schema, row))
 
-    def insert(self, rowid: int, row: tuple[Any, ...]) -> None:
+    def insert(self, rowid: int, row: tuple[Any, ...],
+               size: int | None = None) -> None:
+        """Add an entry; ``size`` is ``row_size(schema, row)`` when the
+        caller has already computed it."""
+        if size is None:
+            size = row_size(self.schema, row)
         if rowid in self.entries:
             raise PageError(f"duplicate rowid {rowid} on heap page")
-        if not self.fits(row):
+        if not self.has_room(size):
             raise PageError("row does not fit on heap page")
         self.entries[rowid] = row
-        self.used_bytes += _ROWID.size + row_size(self.schema, row)
+        self.used_bytes += _ROWID.size + size
 
     def delete(self, rowid: int) -> tuple[Any, ...]:
         try:
@@ -97,10 +107,11 @@ class HeapPage:
         pos = _HEADER.size
         for _ in range(count):
             (rowid,) = _ROWID.unpack_from(data, pos)
-            pos += _ROWID.size
-            row, pos = unpack_row(schema, data, pos)
+            row, pos = unpack_row(schema, data, pos + _ROWID.size)
             page.entries[rowid] = row
-            page.used_bytes += _ROWID.size + row_size(schema, row)
+        # Every entry is rowid + packed row, so the bytes consumed are
+        # the bytes used: no need to size each decoded row again.
+        page.used_bytes = pos
         return page
 
 
@@ -172,11 +183,10 @@ class LeafPage:
         pos = _HEADER.size
         for _ in range(count):
             (rowid,) = _ROWID.unpack_from(data, pos)
-            pos += _ROWID.size
-            row, pos = unpack_row(schema, data, pos)
+            row, pos = unpack_row(schema, data, pos + _ROWID.size)
             page.rowids.append(rowid)
             page.rows.append(row)
-            page.used_bytes += _ROWID.size + row_size(schema, row)
+        page.used_bytes = pos  # rowid + packed row per entry, as above
         return page
 
 
@@ -254,8 +264,7 @@ class InternalPage:
         for _ in range(key_count):
             key, pos = unpack_row(key_schema, data, pos)
             page.keys.append(key)
-            page.used_bytes += _CHILD.size + row_size(key_schema, key)
-        page.used_bytes += _CHILD.size
+        page.used_bytes = pos  # header + children + packed keys
         return page
 
 

@@ -8,7 +8,8 @@ compacts away heap holes and overflow chains.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from itertools import count
+from typing import Any, Iterable, Iterator
 
 from repro.catalog.schema import StorageStructure, TableSchema
 from repro.config import StorageConfig
@@ -138,13 +139,22 @@ class TableStorage:
 
     def insert(self, row: tuple[Any, ...]) -> int:
         """Validate and store ``row``; returns the assigned rowid."""
-        rowid = self._next_rowid
-        self.insert_with_rowid(rowid, row)
-        return rowid
+        return self.insert_checked(self.schema.check_row(row))
 
     def insert_with_rowid(self, rowid: int, row: tuple[Any, ...]) -> None:
-        """Store ``row`` under an explicit rowid (undo/replication path)."""
-        checked = self.schema.check_row(row)
+        """Validate and store ``row`` under an explicit rowid
+        (undo/replication path)."""
+        self._store_row(rowid, self.schema.check_row(row))
+
+    def insert_checked(self, row: tuple[Any, ...]) -> int:
+        """Store a row ``schema.check_row`` already returned (callers
+        that need the checked row themselves validate once, not twice);
+        returns the assigned rowid."""
+        rowid = self._next_rowid
+        self._store_row(rowid, row)
+        return rowid
+
+    def _store_row(self, rowid: int, checked: tuple[Any, ...]) -> None:
         key = self._primary_key(checked)
         if key is not None and key in self._pk_map:
             raise StorageError(
@@ -155,6 +165,31 @@ class TableStorage:
             self._pk_map[key] = rowid
         self._next_rowid = max(self._next_rowid, rowid + 1)
         self.modifications_since_stats += 1
+
+    def insert_many_checked(self, rows: Iterable[tuple[Any, ...]]) -> int:
+        """Store already-checked rows in order; returns how many.
+
+        A heap without a primary key — where a row's place depends on
+        nothing but the rows before it — is appended a page at a time
+        (see :meth:`HeapStorage.insert_many`); any other table takes
+        one :meth:`insert_checked` per row.  Rowids are the same either
+        way.  ``rows`` is consumed lazily, so an exception from it or
+        from the store leaves exactly the rows before it stored.
+        """
+        store = self._store
+        if not isinstance(store, HeapStorage) or self._key_positions:
+            stored = 0
+            for row in rows:
+                self.insert_checked(row)
+                stored += 1
+            return stored
+        before = store.row_count
+        try:
+            return store.insert_many(zip(count(self._next_rowid), rows))
+        finally:
+            stored = store.row_count - before
+            self._next_rowid += stored
+            self.modifications_since_stats += stored
 
     def delete(self, rowid: int) -> tuple[Any, ...]:
         row = self._store.delete(rowid)
@@ -177,7 +212,8 @@ class TableStorage:
                 )
         self._store.update(rowid, checked)
         if new_key is not None and new_key != old_key:
-            self._pk_map.pop(old_key, None)
+            if old_key is not None:
+                self._pk_map.pop(old_key, None)
             self._pk_map[new_key] = rowid
         self.modifications_since_stats += 1
 

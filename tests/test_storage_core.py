@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import faultsim
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.config import StorageConfig
-from repro.errors import BufferPoolError, PageError
+from repro.errors import BufferPoolError, PageError, StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager, ScopedIoMeter
 from repro.storage.page import HeapPage, InternalPage, LeafPage, page_kind
@@ -181,6 +182,39 @@ class TestPages:
         assert restored.children == [100, 200, 300]
         assert restored.keys == [(5, 1), (9, 2)]
 
+    def test_decoded_pages_account_the_bytes_they_were_read_from(self, schema):
+        # from_bytes takes used_bytes from the decode offset instead of
+        # re-sizing every row: same bytes, for every DataType, NULLs
+        # and multi-byte text included.
+        rows = [(1, "héllo", 2.5, True, "日本語テキスト"),
+                (2, None, None, None, None),
+                (-(2 ** 62), "", -0.0, False, ""),
+                (4, "x" * 50, 7, True, "ü" * 300)]
+        sized = sum(8 + row_size(schema, row) for row in rows)
+        heap = HeapPage(schema, 4096)
+        leaf = LeafPage(schema, 4096)
+        for rowid, row in enumerate(rows):
+            heap.insert(rowid, row)
+            leaf.insert_at(rowid, rowid, row)
+        for page, kind in ((heap, HeapPage), (leaf, LeafPage)):
+            restored = kind.from_bytes(page.to_bytes(), schema, 4096)
+            assert restored.used_bytes == page.used_bytes
+            assert restored.used_bytes == len(page.to_bytes())
+            assert restored.used_bytes - kind(schema, 4096).used_bytes == sized
+        key_schema = TableSchema("k", (
+            Column("name", DataType.VARCHAR, 50), Column("w", DataType.FLOAT),
+            Column("ok", DataType.BOOL), Column("_rowid", DataType.INT)))
+        keys = [("é", 1.5, True, 1), (None, None, None, 2)]
+        internal = InternalPage(key_schema, 4096)
+        internal.children.append(100)
+        for position, key in enumerate(keys):
+            internal.insert_child(position, key, 200 + position)
+        restored = InternalPage.from_bytes(internal.to_bytes(), key_schema, 4096)
+        assert restored.used_bytes == len(internal.to_bytes())
+        # header + one child per key + the leading child + the keys
+        assert restored.used_bytes == InternalPage(key_schema, 4096).used_bytes \
+            + 8 * (len(keys) + 1) + sum(row_size(key_schema, k) for k in keys)
+
     def test_page_kind(self, schema):
         heap = HeapPage(schema, 4096)
         assert page_kind(heap.to_bytes()) == HeapPage.kind
@@ -226,6 +260,28 @@ class TestBufferPool:
         loader = lambda raw: HeapPage.from_bytes(raw, schema, 4096)
         restored = pool.get(ids[0], loader)
         assert restored.get(0)[0] == 0
+
+    def test_failed_write_back_keeps_the_only_copy(self, schema):
+        # A page that could not be written back is the only copy of its
+        # rows: it must return to the cache, dirty, not vanish.
+        disk = DiskManager()
+        pool = BufferPool(disk, 2)
+        ids = [disk.allocate() for _ in range(3)]
+        loader = lambda raw: HeapPage.from_bytes(raw, schema, 4096)
+        for i, page_id in enumerate(ids[:2]):
+            page = HeapPage(schema, 4096)
+            page.insert(i, (i, "x", 1.0, True, ""))
+            pool.put_new(page_id, page)
+        faultsim.arm_from_spec("disk.write:once")
+        with pytest.raises(StorageError):
+            pool.put_new(ids[2], HeapPage(schema, 4096))  # evicts ids[0]
+        assert pool.get(ids[0], loader).get(0)[0] == 0
+        with pytest.raises(StorageError):
+            faultsim.arm_from_spec("disk.write:once")
+            pool.flush_all()
+        assert pool.flush_all() == 3  # still dirty, all of them
+        pool.clear()
+        assert [len(pool.get(page_id, loader)) for page_id in ids] == [1, 1, 0]
 
     def test_put_readmits_after_eviction(self, schema):
         disk = DiskManager()

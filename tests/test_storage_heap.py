@@ -131,3 +131,56 @@ class TestBulkAndDrop:
         fill(heap, 120)
         pool.clear()
         assert len(dict(heap.scan())) == 120
+
+
+class TestInsertMany:
+    """The batch path must be indistinguishable from one insert per row."""
+
+    ROWS = [(i, "é" * (1 + 37 * i % 190)) for i in range(300)]
+
+    def _pages(self, heap, pool):
+        pool.flush_all()
+        return [heap._load(page_id).to_bytes() for page_id in heap.page_ids()]
+
+    def test_same_pages_as_row_at_a_time(self, schema):
+        from repro.storage.buffer_pool import BufferPool
+        from repro.storage.disk import DiskManager
+        built = []
+        for bulk in (False, True):
+            disk = DiskManager()
+            pool = BufferPool(disk, capacity=64)
+            heap = HeapStorage(schema, disk, pool, main_pages=2)
+            heap.insert(1000, (1000, "already here"))
+            entries = [(row[0], row) for row in self.ROWS]
+            if bulk:
+                assert heap.insert_many(iter(entries)) == len(entries)
+            else:
+                for rowid, row in entries:
+                    heap.insert(rowid, row)
+            built.append((self._pages(heap, pool), heap.page_count,
+                          heap.overflow_page_count, heap.row_count,
+                          disk.total_bytes, dict(heap.scan())))
+        assert built[0] == built[1]
+        assert built[0][1] > 3  # the batch really spanned pages
+
+    def test_one_pool_put_per_page_touched(self, schema, disk, pool):
+        heap = HeapStorage(schema, disk, pool, main_pages=2)
+        puts = []
+        real_put = pool.put
+        pool.put = lambda page_id, page: (puts.append(page_id),
+                                          real_put(page_id, page))
+        heap.insert_many((row[0], row) for row in self.ROWS)
+        assert sorted(puts) == sorted(heap.page_ids())
+
+    def test_rejected_row_leaves_exactly_the_prefix(self, heap):
+        entries = [(row[0], row) for row in self.ROWS]
+        entries[120] = (120, (120, "y" * 5000))  # no page can hold it
+        with pytest.raises(StorageError):
+            heap.insert_many(entries)
+        assert [rowid for rowid, _row in heap.scan()] == list(range(120))
+        assert heap.row_count == 120
+        entries[130] = (5, self.ROWS[5])  # duplicate rowid
+        with pytest.raises(StorageError):
+            heap.insert_many(entries[121:])
+        assert [rowid for rowid, _row in heap.scan()] == \
+            list(range(120)) + list(range(121, 130))
