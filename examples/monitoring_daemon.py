@@ -18,6 +18,7 @@ from repro.core.alerts import (
     install_standard_alerts,
 )
 from repro.core.analyzer.reports import locks_diagram
+from repro.core.analyzer.workload_view import view_from_workload_db
 from repro.errors import ReproError
 
 RUN_SECONDS = 3.0
@@ -101,11 +102,8 @@ def main() -> None:
           f"{sorted({a.trigger_name for a in alerts})}")
 
     print("\nlocks diagram (from the persisted statistics):")
-    statistics_rows = [
-        row for _rowid, row in
-        setup.workload_db.database.storage_for("wl_statistics").scan()
-    ]
-    print(locks_diagram(statistics_rows).render(width=40))
+    samples = view_from_workload_db(setup.workload_db).statistics
+    print(locks_diagram(samples).render(width=40))
 
     total = session.execute("select sum(balance) from account").scalar()
     print(f"\ninvariant check: total balance = {total} (expected 2000)")

@@ -24,8 +24,8 @@ from repro.core.analyzer.trends import (
 )
 from repro.core.analyzer.workload_view import (
     WorkloadView,
+    fold,
     view_from_monitor,
-    view_from_workload_db,
 )
 from repro.core.monitor import IntegratedMonitor
 from repro.core.workload_db import WorkloadDatabase
@@ -47,6 +47,11 @@ class AnalysisReport:
     predictions: list[Prediction] = field(default_factory=list)
     duration_s: float = 0.0
     statements_analyzed: int = 0
+    templates_analyzed: int = 0
+    """Distinct statement shapes the index advisor reasoned over."""
+    whatif_calls: int = 0
+    rows_folded: int = 0
+    """Workload-DB rows this scan read to build its view."""
 
     @property
     def recommendations(self) -> list[Recommendation]:
@@ -60,7 +65,9 @@ class AnalysisReport:
             "=" * 72,
             "ANALYZER REPORT",
             "=" * 72,
-            f"statements analyzed: {self.statements_analyzed} "
+            f"statements analyzed: {self.statements_analyzed} in "
+            f"{self.templates_analyzed} templates, {self.whatif_calls} "
+            f"what-if calls, {self.rows_folded} rows read "
             f"(analysis took {self.duration_s:.1f}s)",
             "",
             f"statements with significant cost divergence: "
@@ -119,23 +126,17 @@ class Analyzer:
         """
         faultsim.fire("analyzer.scan", error=AnalyzerError,
                       clock=self.database.clock)
-        view = view_from_workload_db(workload_db)
-        statistics_rows = [
-            row for _rowid, row in
-            workload_db.database.storage_for("wl_statistics").scan()
-        ]
-        return self._analyze(view, statistics_rows, top_statements)
+        view, rows = fold(workload_db)
+        return self._analyze(view, top_statements, rows)
 
     def analyze_monitor(self, monitor: IntegratedMonitor,
                         top_statements: int = 10) -> AnalysisReport:
         """Ad-hoc analysis of the live in-memory monitor window."""
         view = view_from_monitor(monitor, self.database)
-        statistics_rows = [record.as_row()
-                           for record in monitor.statistics.values()]
-        return self._analyze(view, statistics_rows, top_statements)
+        return self._analyze(view, top_statements, 0)
 
-    def _analyze(self, view: WorkloadView, statistics_rows: list[tuple],
-                 top_statements: int) -> AnalysisReport:
+    def _analyze(self, view: WorkloadView, top_statements: int,
+                 rows_folded: int) -> AnalysisReport:
         started = self.database.clock.monotonic()
         findings = run_rules(view, self.database, self.rule_config)
         advisor = IndexAdvisor(self.database, self.advisor_config)
@@ -145,8 +146,7 @@ class Analyzer:
         }
         diagram = cost_diagram(list(view.statements.values()),
                                virtual_costs, top=top_statements)
-        trends = trends_from_statistics(statistics_rows) \
-            if statistics_rows else {}
+        trends = trends_from_statistics(view.statistics)
         predictions = predict_threshold_crossings(trends, self.thresholds) \
             if self.thresholds else []
         return AnalysisReport(
@@ -154,9 +154,12 @@ class Analyzer:
             findings=findings,
             index_recommendations=advice.recommendations,
             cost_diagram=diagram,
-            locks_diagram=locks_diagram(statistics_rows),
+            locks_diagram=locks_diagram(view.statistics),
             trends=trends,
             predictions=predictions,
             duration_s=self.database.clock.monotonic() - started,
             statements_analyzed=len(view.statements),
+            templates_analyzed=advice.templates,
+            whatif_calls=advice.whatif_calls,
+            rows_folded=rows_folded,
         )

@@ -1,18 +1,20 @@
 """The virtual-index advisor.
 
-For each recorded SELECT the advisor generates candidate indexes from
-the statement's sargable and join columns, registers them as *virtual*
-indexes, and lets the engine's own optimizer decide whether it would
-use them (the paper's requirement ii).  A candidate earns a vote each
-time it appears in a statement's improved plan, weighted by the
-statement's recorded frequency; the recommended set is the voted
-candidates — matching the paper's presumption that "an index that was
-recommended for many statements is more useful".
+Recorded SELECTs are grouped by shape (their text with the literals
+taken out), and for each such template the advisor generates candidate
+indexes from the sargable and join columns of its most expensive
+member, registers them as *virtual* indexes, and lets the engine's own
+optimizer decide whether it would use them (the paper's requirement
+ii).  A candidate the improved plan uses earns the template's votes —
+the summed recorded frequency of its members; the recommended set is
+the voted candidates — matching the paper's presumption that "an index
+that was recommended for many statements is more useful".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import IndexDef
@@ -22,7 +24,7 @@ from repro.core.analyzer.recommendations import (
     RecommendationKind,
 )
 from repro.core.analyzer.workload_view import StatementProfile
-from repro.errors import ReproError
+from repro.errors import CatalogError, ReproError
 from repro.optimizer.predicates import (
     BindingResolver,
     classify_conjuncts,
@@ -72,6 +74,11 @@ class AdvisorResult:
     benefits: dict[CandidateKey, float] = field(default_factory=dict)
     recommendations: list[Recommendation] = field(default_factory=list)
     skipped_statements: int = 0
+    skipped_candidates: int = 0
+    """Candidates the catalog refused (the rest were still costed)."""
+    templates: int = 0
+    """Distinct statement shapes among the advisable profiles."""
+    whatif_calls: int = 0
 
 
 class IndexAdvisor:
@@ -86,12 +93,19 @@ class IndexAdvisor:
 
     # -- candidate generation ------------------------------------------------
 
-    def candidates_for(self, statement_text: str) -> list[IndexDef]:
-        """Candidate indexes for one SELECT, from its predicate columns."""
-        statement = parse_statement(statement_text)
+    def candidates_for(self, statement: str | ast.Statement) -> list[IndexDef]:
+        """Candidate indexes for one SELECT (text or parsed), from its
+        predicate columns."""
+        return self._candidates(statement)[0]
+
+    def _candidates(self, statement: str | ast.Statement,
+                    ) -> tuple[list[IndexDef], int]:
+        """The candidates, and how many more the catalog refused."""
+        if isinstance(statement, str):
+            statement = parse_statement(statement)
         if not isinstance(statement, ast.SelectStatement) \
                 or statement.from_table is None:
-            return []
+            return [], 0
         bindings: dict[str, str] = {statement.from_table.binding:
                                     statement.from_table.table_name}
         for join in statement.joins:
@@ -99,10 +113,10 @@ class IndexAdvisor:
         binding_columns = {}
         for binding, table in bindings.items():
             if not self._database.catalog.has_table(table):
-                return []
+                return [], 0
             entry = self._database.catalog.table(table)
             if entry.is_virtual:
-                return []
+                return [], 0
             binding_columns[binding] = entry.schema.column_names
         resolver = BindingResolver(binding_columns)
         conjuncts = [resolver.qualify(c)
@@ -131,7 +145,10 @@ class IndexAdvisor:
 
         def add(binding: str, columns: tuple[str, ...]) -> None:
             table = bindings[binding]
-            trimmed = columns[: self.config.max_index_width]
+            # A join column that is also a point-predicate column shows
+            # up twice in ``joins[:1] + eqs``: keep its first position.
+            trimmed = tuple(dict.fromkeys(columns))[
+                : self.config.max_index_width]
             key = (table.lower(), trimmed)
             if trimmed and key not in seen:
                 seen.add(key)
@@ -154,8 +171,14 @@ class IndexAdvisor:
             if ranges and not eqs:
                 add(binding, ranges[:1])
 
-        keys = keys[: self.config.max_candidates_per_statement]
-        return [self._definition(table, columns) for table, columns in keys]
+        definitions = []
+        refused = 0
+        for table, columns in keys[: self.config.max_candidates_per_statement]:
+            try:
+                definitions.append(self._definition(table, columns))
+            except CatalogError:
+                refused += 1
+        return definitions, refused
 
     @staticmethod
     def _classify_sargable(predicate: ast.Expression, binding: str,
@@ -204,54 +227,64 @@ class IndexAdvisor:
                                 self._engine_config)
 
     def advise(self, profiles: list[StatementProfile]) -> AdvisorResult:
-        """Run what-if analysis over a workload and vote on candidates."""
+        """Run what-if analysis over a workload and vote on candidates.
+
+        One parse, one candidate set and one what-if run per shape, on
+        the member with the highest total actual cost; its outcome
+        stands for every member, weighted by their summed frequency.
+        """
         result = AdvisorResult()
         reasons: dict[CandidateKey, list[int]] = {}
+        templates: dict[str, list[StatementProfile]] = {}
         for profile in profiles:
-            if not profile.text:
+            if profile.text:
+                templates.setdefault(profile.shape, []).append(profile)
+            else:
                 result.skipped_statements += 1
-                continue
+        result.templates = len(templates)
+        for members in templates.values():
+            representative = max(members,
+                                 key=attrgetter("total_actual_cost"))
             try:
-                candidates = self.candidates_for(profile.text)
+                statement = parse_statement(representative.text)
+                candidates, refused = self._candidates(statement)
+                result.skipped_candidates += refused
                 if not candidates:
-                    result.skipped_statements += 1
+                    result.skipped_statements += len(members)
                     continue
-                name_to_key: dict[str, CandidateKey] = {
-                    d.name: (d.table_name, d.column_names)
-                    for d in candidates
-                }
+                result.whatif_calls += 1
                 outcome = what_if_optimize(
-                    self._database, profile.text, candidates,
+                    self._database, statement, candidates,
                     self._engine_config)
             except ReproError:
-                result.skipped_statements += 1
+                result.skipped_statements += len(members)
                 continue
-            used_keys: list[CandidateKey] = []
+            name_to_key: dict[str, CandidateKey] = {
+                d.name: (d.table_name, d.column_names) for d in candidates
+            }
             improvement = outcome.benefit / outcome.baseline_cost \
                 if outcome.baseline_cost > 0 else 0.0
             counted = improvement >= self.config.min_benefit_ratio
-            if counted:
-                for name in outcome.virtual_indexes_used:
-                    key = name_to_key.get(name)
-                    if key is None:
-                        continue
-                    used_keys.append(key)
-                    weight = max(1, profile.frequency)
-                    result.votes[key] = result.votes.get(key, 0) + weight
-                    result.benefits[key] = (result.benefits.get(key, 0.0)
-                                            + outcome.benefit
-                                            * max(1, profile.frequency))
-                    reasons.setdefault(key, []).append(profile.text_hash)
-            result.per_statement.append(StatementAdvice(
-                text_hash=profile.text_hash,
-                text=profile.text,
-                frequency=profile.frequency,
-                actual_cost=profile.avg_actual_cost,
+            used_keys = tuple(
+                name_to_key[name] for name in outcome.virtual_indexes_used
+                if name in name_to_key) if counted else ()
+            weight = sum(max(1, member.frequency) for member in members)
+            for key in used_keys:
+                result.votes[key] = result.votes.get(key, 0) + weight
+                result.benefits[key] = (result.benefits.get(key, 0.0)
+                                        + outcome.benefit * weight)
+                reasons.setdefault(key, []).extend(
+                    member.text_hash for member in members)
+            result.per_statement.extend(StatementAdvice(
+                text_hash=member.text_hash,
+                text=member.text,
+                frequency=member.frequency,
+                actual_cost=member.avg_actual_cost,
                 estimated_cost=outcome.baseline_cost,
                 virtual_estimated_cost=(outcome.hypothetical_cost if counted
                                         else outcome.baseline_cost),
-                virtual_indexes_used=tuple(used_keys),
-            ))
+                virtual_indexes_used=used_keys,
+            ) for member in members)
         for key, votes in sorted(result.votes.items(),
                                  key=lambda item: (-item[1], item[0])):
             if votes < self.config.min_votes:

@@ -3,19 +3,27 @@
 The analyzer does not consume raw workload-DB rows directly; this
 module folds the history into per-statement aggregates (executions,
 average actual/estimated costs, referenced objects) that the rules and
-the index advisor operate on.
-
-The view can be built from a :class:`WorkloadDatabase` (the normal
-path: analyze what the daemon persisted) or straight from a live
-:class:`IntegratedMonitor` (ad-hoc analysis of the in-memory window).
+the index advisor operate on.  There is one fold, a handler per
+``wl_*`` table: :func:`fold` feeds it the persisted rows (the normal
+path: analyze what the daemon persisted), :func:`view_from_monitor`
+the live monitor's records (ad-hoc analysis of the in-memory window).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core import records
+from repro.core.ima import attribute_facts, table_facts
 from repro.core.monitor import IntegratedMonitor
 from repro.core.workload_db import WorkloadDatabase
+from repro.sql.lexer import statement_shape
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.database import Database
 
 
 @dataclass
@@ -35,6 +43,12 @@ class StatementProfile:
     used_indexes: set[str] = field(default_factory=set)
     referenced_tables: set[str] = field(default_factory=set)
     referenced_attributes: set[tuple[str, str]] = field(default_factory=set)
+
+    @cached_property
+    def shape(self) -> str:
+        """The template the index advisor groups literal variants
+        under; lexed once, when first asked for."""
+        return statement_shape(self.text)
 
     @property
     def avg_actual_cost(self) -> float:
@@ -92,6 +106,8 @@ class WorkloadView:
         field(default_factory=set)
     plans: dict[int, str] = field(default_factory=dict)
     """Captured plan text per statement hash (expensive statements)."""
+    statistics: list[tuple] = field(default_factory=list)
+    """System-statistics samples as recorded: ``(ts, *STATISTIC_FIELDS)``."""
 
     def top_statements(self, count: int = 10,
                        by: str = "total") -> list[StatementProfile]:
@@ -107,31 +123,45 @@ class WorkloadView:
                 if profile.text.lstrip().lower().startswith("select")]
 
 
-def view_from_workload_db(workload_db: WorkloadDatabase) -> WorkloadView:
-    """Fold the persisted history into a :class:`WorkloadView`."""
-    view = WorkloadView()
-    database = workload_db.database
+@dataclass
+class _Fold:
+    """One pass of rows (``wl_*`` layout: ``captured_at`` first) into a
+    new view, for the length of one scan.  Statements and executions
+    are fed before references: they create the profile a reference row
+    attaches to."""
 
-    # Statements: keep the newest capture per hash.
-    newest: dict[int, tuple] = {}
-    for _rowid, row in database.storage_for("wl_statements").scan():
-        captured_at, text_hash = row[0], row[1]
-        current = newest.get(text_hash)
-        if current is None or captured_at >= current[0]:
-            newest[text_hash] = row
-    for text_hash, row in newest.items():
-        view.statements[text_hash] = StatementProfile(
-            text_hash=text_hash, text=row[2], frequency=row[3],
-        )
+    view: WorkloadView = field(default_factory=WorkloadView)
+    newest: dict[tuple[str, Any], float] = field(default_factory=dict)
+    """``captured_at`` of the row kept, per newest-wins table and key."""
 
-    for _rowid, row in database.storage_for("wl_workload").scan():
+    def _takes_over(self, table: str, key: Any, captured_at: float) -> bool:
+        """Whether this row is at least as new as the one kept for
+        ``key``; if so it is the one kept from now on."""
+        if captured_at < self.newest.get((table, key), captured_at):
+            return False
+        self.newest[table, key] = captured_at
+        return True
+
+    def _profile(self, text_hash: int) -> StatementProfile:
+        profile = self.view.statements.get(text_hash)
+        if profile is None:
+            profile = self.view.statements[text_hash] = StatementProfile(
+                text_hash=text_hash, text="")
+        return profile
+
+    def statement(self, row: tuple) -> None:
+        captured_at, text_hash, text, frequency = row[:4]
+        if self._takes_over("wl_statements", text_hash, captured_at):
+            profile = self._profile(text_hash)
+            profile.text = text
+            profile.frequency = frequency
+
+    def execution(self, row: tuple) -> None:
         (_captured, text_hash, _session, _ts, _opt, _exec, wallclock,
          est_io, est_cpu, act_io, act_cpu, _lr, _pr, _tp, _rr,
          used_indexes, monitor_s) = row[:17]
-        profile = view.statements.get(text_hash)
-        if profile is None:
-            profile = StatementProfile(text_hash=text_hash, text="")
-            view.statements[text_hash] = profile
+        profile = self.view.statements.get(text_hash) \
+            or self._profile(text_hash)
         profile.executions += 1
         profile.total_actual_io += act_io
         profile.total_actual_cpu += act_cpu
@@ -142,111 +172,88 @@ def view_from_workload_db(workload_db: WorkloadDatabase) -> WorkloadView:
         if used_indexes:
             profile.used_indexes.update(used_indexes.split(","))
 
-    for _rowid, row in database.storage_for("wl_references").scan():
-        (_captured, text_hash, object_type, object_name, table_name,
-         _freq) = row[:6]
-        profile = view.statements.get(text_hash)
+    def reference(self, row: tuple) -> None:
+        _captured, text_hash, object_type, object_name = row[:4]
+        profile = self.view.statements.get(text_hash)
         if profile is None:
-            continue
+            return
         if object_type == "table":
             profile.referenced_tables.add(object_name)
         elif object_type == "attribute":
             table, _, column = object_name.partition(".")
             profile.referenced_attributes.add((table, column))
 
-    newest_tables: dict[str, tuple] = {}
-    for _rowid, row in database.storage_for("wl_tables").scan():
-        captured_at, table_name = row[0], row[1]
-        current = newest_tables.get(table_name)
-        if current is None or captured_at >= current[0]:
-            newest_tables[table_name] = row
-    for table_name, row in newest_tables.items():
-        view.tables[table_name] = TableProfile(
-            table_name=table_name, frequency=row[2], structure=row[3],
-            data_pages=row[4], overflow_pages=row[5], row_count=row[6],
-            has_statistics=bool(row[7]),
-        )
+    def table(self, row: tuple) -> None:
+        (captured_at, table_name, frequency, structure, data_pages,
+         overflow_pages, row_count, has_statistics) = row[:8]
+        if self._takes_over("wl_tables", table_name, captured_at):
+            self.view.tables[table_name] = TableProfile(
+                table_name, frequency, structure, data_pages,
+                overflow_pages, row_count, bool(has_statistics))
 
-    newest_plans: dict[int, tuple] = {}
-    for _rowid, row in database.storage_for("wl_plans").scan():
-        captured_at, text_hash = row[0], row[1]
-        current = newest_plans.get(text_hash)
-        if current is None or captured_at >= current[0]:
-            newest_plans[text_hash] = row
-    for text_hash, row in newest_plans.items():
-        view.plans[text_hash] = row[3]
-
-    newest_attrs: dict[tuple[str, str], tuple] = {}
-    for _rowid, row in database.storage_for("wl_attributes").scan():
-        captured_at, table_name, attribute = row[0], row[1], row[2]
+    def attribute(self, row: tuple) -> None:
+        captured_at, table_name, attribute, _frequency, has_histogram = row[:5]
         key = (table_name, attribute)
-        current = newest_attrs.get(key)
-        if current is None or captured_at >= current[0]:
-            newest_attrs[key] = row
-    for (table_name, attribute), row in newest_attrs.items():
-        if not row[4]:  # has_histogram
-            view.attributes_without_histograms.add((table_name, attribute))
-    return view
+        if self._takes_over("wl_attributes", key, captured_at):
+            if has_histogram:
+                self.view.attributes_without_histograms.discard(key)
+            else:
+                self.view.attributes_without_histograms.add(key)
+
+    def plan(self, row: tuple) -> None:
+        captured_at, text_hash, _estimated_cost, plan_text = row[:4]
+        if self._takes_over("wl_plans", text_hash, captured_at):
+            self.view.plans[text_hash] = plan_text
+
+    def sample(self, row: tuple) -> None:
+        # Without the capture stamp in front and the source seq behind.
+        self.view.statistics.append(row[1:14])
+
+
+def _fields_of(record_type: Any) -> Callable[[Any, Any], tuple]:
+    """A monitor record's fields, which are its ``wl_*`` columns."""
+    getter = attrgetter(*(f.name for f in fields(record_type)))
+    return lambda record, _database: getter(record)
+
+
+# Per workload table, in the order a fold reads them: how a row folds,
+# and the ``wl_*`` columns of the monitor record it is persisted from.
+_FOLDS: tuple[tuple[str, Callable[[_Fold, tuple], None],
+                    Callable[[Any, Any], tuple]], ...] = (
+    ("wl_statements", _Fold.statement, _fields_of(records.StatementRecord)),
+    ("wl_workload", _Fold.execution, _fields_of(records.WorkloadRecord)),
+    ("wl_references", _Fold.reference, _fields_of(records.ReferenceRecord)),
+    ("wl_tables", _Fold.table, table_facts),
+    ("wl_attributes", _Fold.attribute, attribute_facts),
+    ("wl_plans", _Fold.plan, _fields_of(records.PlanRecord)),
+    ("wl_statistics", _Fold.sample, _fields_of(records.StatisticsRecord)),
+)
+
+
+def fold(workload_db: WorkloadDatabase) -> tuple[WorkloadView, int]:
+    """The view of the persisted history, and the number of rows read
+    to build it (every row of every ``wl_*`` table)."""
+    state = _Fold()
+    rows = 0
+    for name, apply, _ in _FOLDS:
+        for _rowid, row in workload_db.database.storage_for(name).scan():
+            apply(state, row)
+            rows += 1
+    return state.view, rows
+
+
+def view_from_workload_db(workload_db: WorkloadDatabase) -> WorkloadView:
+    """Fold the persisted history into a :class:`WorkloadView`."""
+    return fold(workload_db)[0]
 
 
 def view_from_monitor(monitor: IntegratedMonitor,
-                      database=None) -> WorkloadView:
-    """Build the view straight from the in-memory monitor window."""
-    view = WorkloadView()
-    for _seq, record in monitor.statements.snapshot():
-        view.statements[record.text_hash] = StatementProfile(
-            text_hash=record.text_hash, text=record.text,
-            frequency=record.frequency,
-        )
-    for _seq, record in monitor.workload.snapshot():
-        profile = view.statements.get(record.text_hash)
-        if profile is None:
-            profile = StatementProfile(text_hash=record.text_hash, text="")
-            view.statements[record.text_hash] = profile
-        profile.executions += 1
-        profile.total_actual_io += record.actual_io
-        profile.total_actual_cpu += record.actual_cpu
-        profile.total_estimated_io += record.estimated_io
-        profile.total_estimated_cpu += record.estimated_cpu
-        profile.total_wallclock_s += record.wallclock_s
-        profile.total_monitor_s += record.monitor_time_s
-        if record.used_indexes:
-            profile.used_indexes.update(record.used_indexes.split(","))
-    for _seq, record in monitor.references.snapshot():
-        profile = view.statements.get(record.text_hash)
-        if profile is None:
-            continue
-        if record.object_type == "table":
-            profile.referenced_tables.add(record.object_name)
-        elif record.object_type == "attribute":
-            table, _, column = record.object_name.partition(".")
-            profile.referenced_attributes.add((table, column))
-    for _seq, record in monitor.tables.snapshot():
-        profile = TableProfile(table_name=record.table_name,
-                               frequency=record.frequency)
-        if database is not None and database.catalog.has_table(
-                record.table_name):
-            entry = database.catalog.table(record.table_name)
-            if not entry.is_virtual:
-                storage = database.storage_for(record.table_name)
-                profile.structure = entry.structure.value
-                profile.data_pages = storage.page_count
-                profile.overflow_pages = storage.overflow_page_count
-                profile.row_count = storage.row_count
-                profile.has_statistics = entry.statistics is not None
-        view.tables[record.table_name] = profile
-    for _seq, record in monitor.plans.snapshot():
-        view.plans[record.text_hash] = record.plan_text
-    for _seq, record in monitor.attributes.snapshot():
-        has_histogram = False
-        if database is not None and database.catalog.has_table(
-                record.table_name):
-            stats = database.catalog.table(record.table_name).statistics
-            if stats is not None:
-                column = stats.column(record.attribute_name)
-                has_histogram = (column is not None
-                                 and column.histogram is not None)
-        if not has_histogram:
-            view.attributes_without_histograms.add(
-                (record.table_name, record.attribute_name))
-    return view
+                      database: "Database | None" = None) -> WorkloadView:
+    """Build the view straight from the in-memory monitor window;
+    ``database`` supplies the live table and histogram facts the
+    monitor's table/attribute records do not carry."""
+    state = _Fold()
+    for name, apply, columns in _FOLDS:
+        for record in getattr(monitor, name.removeprefix("wl_")).values():
+            apply(state, (0.0, *columns(record, database)))
+    return state.view

@@ -106,6 +106,39 @@ IMA_TABLE_NAMES = (
 )
 
 
+def table_facts(record: Any, source: "Database | None") -> tuple:
+    """``ima_tables`` columns of a table-usage record: its own, then
+    the table's structure, page counts, row count and whether it has
+    statistics, as ``source``'s catalog has them now (blank without)."""
+    structure = ""
+    pages = overflow = row_count = has_stats = 0
+    if source is not None and source.catalog.has_table(record.table_name):
+        entry = source.catalog.table(record.table_name)
+        has_stats = int(entry.statistics is not None)
+        if not entry.is_virtual:
+            storage = source.storage_for(record.table_name)
+            structure = entry.structure.value
+            pages = storage.page_count
+            overflow = storage.overflow_page_count
+            row_count = storage.row_count
+    return (record.table_name, record.frequency, structure, pages,
+            overflow, row_count, has_stats)
+
+
+def attribute_facts(record: Any, source: "Database | None") -> tuple:
+    """``ima_attributes`` columns of an attribute-usage record: its
+    own, then whether ``source`` holds a histogram for it now."""
+    has_histogram = 0
+    if source is not None and source.catalog.has_table(record.table_name):
+        stats = source.catalog.table(record.table_name).statistics
+        if stats is not None:
+            column = stats.column(record.attribute_name)
+            has_histogram = int(
+                column is not None and column.histogram is not None)
+    return (record.table_name, record.attribute_name, record.frequency,
+            has_histogram)
+
+
 def register_ima_tables(database: "Database",
                         monitor: "IntegratedMonitor | ShardedMonitor",
                         monitored_database: "Database | None" = None) -> None:
@@ -144,32 +177,6 @@ def register_ima_tables(database: "Database",
             schema, rows, floor_column="seq",
             row_count=lambda: sum(len(buffer) for buffer in buffers))
 
-    def table_row(seq: int, shard_id: int, record: Any) -> tuple:
-        structure = ""
-        pages = overflow = row_count = has_stats = 0
-        if source.catalog.has_table(record.table_name):
-            entry = source.catalog.table(record.table_name)
-            has_stats = int(entry.statistics is not None)
-            if not entry.is_virtual:
-                storage = source.storage_for(record.table_name)
-                structure = entry.structure.value
-                pages = storage.page_count
-                overflow = storage.overflow_page_count
-                row_count = storage.row_count
-        return (seq, shard_id, record.table_name, record.frequency,
-                structure, pages, overflow, row_count, has_stats)
-
-    def attribute_row(seq: int, shard_id: int, record: Any) -> tuple:
-        has_histogram = 0
-        if source.catalog.has_table(record.table_name):
-            stats = source.catalog.table(record.table_name).statistics
-            if stats is not None:
-                column = stats.column(record.attribute_name)
-                has_histogram = int(
-                    column is not None and column.histogram is not None)
-        return (seq, shard_id, record.table_name, record.attribute_name,
-                record.frequency, has_histogram)
-
     publish(STATEMENTS_SCHEMA, "statements", lambda seq, shard_id, r: (
         seq, shard_id, r.text_hash, r.text, r.frequency, r.first_seen,
         r.last_seen))
@@ -182,8 +189,10 @@ def register_ima_tables(database: "Database",
     publish(REFERENCES_SCHEMA, "references", lambda seq, shard_id, r: (
         seq, shard_id, r.text_hash, r.object_type, r.object_name,
         r.table_name, r.frequency))
-    publish(TABLES_SCHEMA, "tables", table_row)
-    publish(ATTRIBUTES_SCHEMA, "attributes", attribute_row)
+    publish(TABLES_SCHEMA, "tables", lambda seq, shard_id, r: (
+        seq, shard_id) + table_facts(r, source))
+    publish(ATTRIBUTES_SCHEMA, "attributes", lambda seq, shard_id, r: (
+        seq, shard_id) + attribute_facts(r, source))
     publish(INDEXES_SCHEMA, "indexes", lambda seq, shard_id, r: (
         seq, shard_id, r.index_name, r.table_name, r.frequency))
     publish(STATISTICS_SCHEMA, "statistics", lambda seq, shard_id, r: (

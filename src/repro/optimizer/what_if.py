@@ -73,11 +73,13 @@ def hypothetical_indexes(database: "Database",
             database.drop_index(definition.name)
 
 
-def what_if_optimize(database: "Database", statement_text: str,
+def what_if_optimize(database: "Database", statement: str | ast.Statement,
                      candidates: list[IndexDef],
                      config: EngineConfig | None = None) -> WhatIfOutcome:
-    """Optimize a SELECT with and without ``candidates`` available."""
-    statement = parse_statement(statement_text)
+    """Optimize a SELECT (text, or already parsed) with and without
+    ``candidates`` available."""
+    if isinstance(statement, str):
+        statement = parse_statement(statement)
     if not isinstance(statement, ast.SelectStatement):
         raise ValueError("what-if analysis applies to SELECT statements")
     optimizer = Optimizer(database, config or database.config)

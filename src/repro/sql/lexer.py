@@ -1,10 +1,10 @@
-"""Hand-written SQL tokenizer."""
+"""SQL tokenizer and statement-shape fingerprint over one token regex."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Iterator
+import re
+from typing import Any, NamedTuple
 
 from repro.errors import LexerError
 
@@ -31,13 +31,9 @@ KEYWORDS = frozenset({
     "commit", "rollback", "exists", "explain", "outer",
 })
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = frozenset("(),.;")
 
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source offset."""
+class Token(NamedTuple):
+    """One lexical token with the source offset it starts at."""
 
     type: TokenType
     value: Any
@@ -50,106 +46,94 @@ class Token:
         return f"Token({self.type.name}, {self.value!r}@{self.position})"
 
 
+# One match is one token with the whitespace and ``--`` comments before
+# it.  ``eof`` and ``bad`` make the alternation total, so consecutive
+# matches tile the text.  A string ends at a quote that is not the first
+# of a doubled pair; without the lookahead a missing terminator would
+# backtrack into ``'a'`` + ``'`` instead of failing at the opening quote.
+_MASTER = re.compile(r"""
+    (?:\s+|--[^\n]*)*
+    (?: (?P<word>[^\W\d]\w*)
+      | (?P<punct>[(),;]|\.(?!\d))
+      | (?P<op><=|>=|<>|!=|[=<>+\-*/%])
+      | (?P<quoted>"[^"]*")
+      | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""", re.VERBOSE | re.DOTALL)
+
+# Group numbers, for :func:`statement_shape`: groups up to ``quoted``
+# are kept as written, up to ``string`` are literals.
+_LAST_KEPT = _MASTER.groupindex["quoted"]
+_LAST_LITERAL = _MASTER.groupindex["string"]
+_BAD = _MASTER.groupindex["bad"]
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list ending with an EOF token."""
-    return list(_scan(text))
-
-
-def _scan(text: str) -> Iterator[Token]:
-    length = len(text)
-    pos = 0
-    while pos < length:
-        char = text[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        if char == "-" and text.startswith("--", pos):
-            newline = text.find("\n", pos)
-            pos = length if newline < 0 else newline + 1
-            continue
-        if char == "'":
-            value, pos = _scan_string(text, pos)
-            yield Token(TokenType.STRING, value, pos)
-            continue
-        if char.isdigit() or (char == "." and pos + 1 < length
-                              and text[pos + 1].isdigit()):
-            token, pos = _scan_number(text, pos)
-            yield token
-            continue
-        if char.isalpha() or char == "_":
-            start = pos
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
-            lowered = word.lower()
-            if lowered in KEYWORDS:
-                yield Token(TokenType.KEYWORD, lowered, start)
+    tokens: list[Token] = []
+    append = tokens.append
+    for match in _MASTER.finditer(text):
+        # Never None: every alternative is a named group.
+        kind: str = match.lastgroup  # type: ignore[assignment]
+        start = match.start(kind)
+        if kind == "word":
+            word = match[kind].lower()
+            append(Token(TokenType.KEYWORD if word in KEYWORDS
+                         else TokenType.IDENT, word, start))
+        elif kind == "punct":
+            append(Token(TokenType.PUNCT, match[kind], start))
+        elif kind == "op":
+            append(Token(TokenType.OPERATOR, match[kind], start))
+        elif kind == "number":
+            literal = match[kind]
+            if "." in literal or "e" in literal or "E" in literal:
+                append(Token(TokenType.FLOAT, float(literal), start))
             else:
-                yield Token(TokenType.IDENT, lowered, start)
-            continue
-        if char == '"':
-            end = text.find('"', pos + 1)
-            if end < 0:
-                raise LexerError("unterminated quoted identifier", pos)
-            yield Token(TokenType.IDENT, text[pos + 1 : end].lower(), pos)
-            pos = end + 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                yield Token(TokenType.OPERATOR, op, pos)
-                pos += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if char in _PUNCT:
-            yield Token(TokenType.PUNCT, char, pos)
-            pos += 1
-            continue
-        raise LexerError(f"unexpected character {char!r}", pos)
-    yield Token(TokenType.EOF, None, length)
+                append(Token(TokenType.INTEGER, int(literal), start))
+        elif kind == "string":
+            append(Token(TokenType.STRING,
+                         match[kind][1:-1].replace("''", "'"), start))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENT, match[kind][1:-1].lower(), start))
+        elif kind == "eof":
+            append(Token(TokenType.EOF, None, start))
+            break
+        else:
+            raise _error(match[kind], start)
+    return tokens
 
 
-def _scan_string(text: str, pos: int) -> tuple[str, int]:
-    """Scan a single-quoted string with '' as the escape for a quote."""
-    start = pos
-    pos += 1
+def _error(char: str, position: int) -> LexerError:
+    if char == "'":
+        return LexerError("unterminated string literal", position)
+    if char == '"':
+        return LexerError("unterminated quoted identifier", position)
+    return LexerError(f"unexpected character {char!r}", position)
+
+
+def statement_shape(text: str) -> str:
+    """The statement with every literal replaced by ``?``: its tokens,
+    lower-cased, joined by single spaces, comments dropped.
+
+    Two texts have the same shape exactly when their token streams
+    differ in nothing but the values of STRING, INTEGER and FLOAT
+    tokens.  Nothing else is normalised: an ``IN`` list of three
+    literals and one of four are different shapes.  A text that does
+    not lex (say, cut off inside a string) is its own shape; this
+    function never raises.
+    """
     parts: list[str] = []
-    while pos < len(text):
-        char = text[pos]
-        if char == "'":
-            if text.startswith("''", pos):
-                parts.append("'")
-                pos += 2
-                continue
-            return "".join(parts), pos + 1
-        parts.append(char)
-        pos += 1
-    raise LexerError("unterminated string literal", start)
-
-
-def _scan_number(text: str, pos: int) -> tuple[Token, int]:
-    start = pos
-    length = len(text)
-    while pos < length and text[pos].isdigit():
-        pos += 1
-    is_float = False
-    if pos < length and text[pos] == ".":
-        is_float = True
-        pos += 1
-        while pos < length and text[pos].isdigit():
-            pos += 1
-    if pos < length and text[pos] in "eE":
-        exp_end = pos + 1
-        if exp_end < length and text[exp_end] in "+-":
-            exp_end += 1
-        if exp_end < length and text[exp_end].isdigit():
-            is_float = True
-            pos = exp_end
-            while pos < length and text[pos].isdigit():
-                pos += 1
-    literal = text[start:pos]
-    if is_float:
-        return Token(TokenType.FLOAT, float(literal), start), pos
-    return Token(TokenType.INTEGER, int(literal), start), pos
+    append = parts.append
+    # Lower-cased up front: the only tokens whose case matters are
+    # strings, and those become "?".
+    for match in _MASTER.finditer(text.lower()):
+        index: int = match.lastindex  # type: ignore[assignment]
+        if index <= _LAST_KEPT:
+            append(match[index])
+        elif index <= _LAST_LITERAL:
+            append("?")
+        elif index == _BAD:
+            return text
+    return " ".join(parts)
