@@ -5,9 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import CatalogError, TypeMismatchError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.record import RowCodec
 
 
 class DataType(enum.Enum):
@@ -163,6 +166,13 @@ class TableSchema:
             else column.check_value(value)
             for column, value in zip(self.columns, row)
         ])
+
+    @cached_property
+    def codec(self) -> "RowCodec":
+        """The row format of this schema, compiled on first use (the
+        storage layer's sizer, encoder and decoder)."""
+        from repro.storage.record import RowCodec  # it imports this module
+        return RowCodec(self)
 
     def key_positions(self) -> tuple[int, ...]:
         """Ordinal positions of the primary key columns."""

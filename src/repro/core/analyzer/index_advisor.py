@@ -30,7 +30,7 @@ from repro.optimizer.predicates import (
     classify_conjuncts,
     split_conjuncts,
 )
-from repro.optimizer.what_if import WhatIfOutcome, what_if_optimize
+from repro.optimizer.what_if import what_if_optimize
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
 
@@ -217,14 +217,6 @@ class IndexAdvisor:
                         virtual=True)
 
     # -- advising -------------------------------------------------------------------
-
-    def advise_statement(self, statement_text: str) -> WhatIfOutcome | None:
-        """What-if outcome for one statement, or None if not advisable."""
-        candidates = self.candidates_for(statement_text)
-        if not candidates:
-            return None
-        return what_if_optimize(self._database, statement_text, candidates,
-                                self._engine_config)
 
     def advise(self, profiles: list[StatementProfile]) -> AdvisorResult:
         """Run what-if analysis over a workload and vote on candidates.

@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.analyzer.workload_view import StatementProfile
+from repro.core.analyzer.workload_view import (
+    StatementProfile,
+    statistics_sample,
+)
+from repro.core.records import STATISTIC_FIELDS
 
 
 @dataclass(frozen=True)
@@ -143,22 +147,20 @@ class LocksDiagram:
 
 
 def locks_diagram(statistics_rows: Sequence[tuple]) -> LocksDiagram:
-    """Build the diagram from wl_statistics/ima_statistics rows.
-
-    Accepts rows in either layout (with or without the leading
-    captured_at/seq column followed by ts) by reading from the ts field
-    onwards: (..., ts, current_sessions, peak_sessions, locks_held,
-    lock_waiters, lock_requests, lock_waits, deadlocks, ...).
+    """Build the diagram from statistics rows, in any shape
+    :func:`~repro.core.analyzer.workload_view.statistics_sample` reads
+    (``WorkloadView.statistics``, ``wl_statistics``, ``ima_statistics``).
     """
+    held, waits, deadlocks = (1 + STATISTIC_FIELDS.index(name) for name in (
+        "locks_held", "lock_waits", "deadlocks"))
     diagram = LocksDiagram()
     for row in statistics_rows:
-        # The last 13 fields are the StatisticsRecord payload.
-        payload = row[-13:]
+        sample = statistics_sample(row)
         diagram.samples.append(LockSample(
-            timestamp=payload[0],
-            locks_held=payload[3],
-            lock_waits=payload[6],
-            deadlocks=payload[7],
+            timestamp=sample[0],
+            locks_held=sample[held],
+            lock_waits=sample[waits],
+            deadlocks=sample[deadlocks],
         ))
     diagram.samples.sort(key=lambda s: s.timestamp)
     return diagram

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.analyzer.workload_view import statistics_sample
 from repro.core.records import STATISTIC_FIELDS
 
 
@@ -32,10 +33,6 @@ class Trend:
     @property
     def rising(self) -> bool:
         return self.slope_per_second > 0
-
-    def value_at(self, timestamp: float) -> float:
-        return self.intercept + self.slope_per_second * (
-            timestamp - self.first_timestamp)
 
     def seconds_until(self, threshold: float) -> float | None:
         """Seconds after the last sample until ``threshold`` is reached,
@@ -87,20 +84,16 @@ def fit_trend(field: str,
 def trends_from_statistics(rows: Sequence[tuple],
                            fields: Sequence[str] = STATISTIC_FIELDS,
                            ) -> dict[str, Trend]:
-    """Fit every requested field of wl_statistics/ima_statistics rows.
-
-    Rows are read from their last 13 fields: (ts, current_sessions,
-    peak_sessions, locks_held, lock_waiters, lock_requests, lock_waits,
-    deadlocks, lock_timeouts, cache_hits, cache_misses, physical_reads,
-    physical_writes).
+    """Fit every requested field of statistics rows, in any shape
+    :func:`~repro.core.analyzer.workload_view.statistics_sample` reads
+    (``WorkloadView.statistics``, ``wl_statistics``, ``ima_statistics``).
     """
     position = {name: i + 1 for i, name in enumerate(STATISTIC_FIELDS)}
     series: dict[str, list[tuple[float, float]]] = {f: [] for f in fields}
     for row in rows:
-        payload = row[-13:]
-        timestamp = payload[0]
+        sample = statistics_sample(row)
         for field in fields:
-            series[field].append((timestamp, float(payload[position[field]])))
+            series[field].append((sample[0], float(sample[position[field]])))
     fitted: dict[str, Trend] = {}
     for field, points in series.items():
         trend = fit_trend(field, points)

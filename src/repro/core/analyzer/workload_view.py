@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import records
-from repro.core.ima import attribute_facts, table_facts
+from repro.core.ima import STATISTICS_SCHEMA, attribute_facts, table_facts
 from repro.core.monitor import IntegratedMonitor
-from repro.core.workload_db import WorkloadDatabase
+from repro.core.workload_db import WL_STATISTICS, WorkloadDatabase
+from repro.errors import AnalyzerError
 from repro.sql.lexer import statement_shape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,12 +110,10 @@ class WorkloadView:
     statistics: list[tuple] = field(default_factory=list)
     """System-statistics samples as recorded: ``(ts, *STATISTIC_FIELDS)``."""
 
-    def top_statements(self, count: int = 10,
-                       by: str = "total") -> list[StatementProfile]:
-        """Most expensive statements; ``by`` is 'total' or 'average'."""
-        key = ((lambda s: s.total_actual_cost) if by == "total"
-               else (lambda s: s.avg_actual_cost))
-        ranked = sorted(self.statements.values(), key=key, reverse=True)
+    def top_statements(self, count: int = 10) -> list[StatementProfile]:
+        """The statements with the highest total actual cost."""
+        ranked = sorted(self.statements.values(),
+                        key=attrgetter("total_actual_cost"), reverse=True)
         return ranked[:count]
 
     def select_statements(self) -> list[StatementProfile]:
@@ -208,6 +207,30 @@ class _Fold:
     def sample(self, row: tuple) -> None:
         # Without the capture stamp in front and the source seq behind.
         self.view.statistics.append(row[1:14])
+
+
+_SAMPLE_COLUMNS = ("ts",) + records.STATISTIC_FIELDS
+_SAMPLE_OF = {
+    schema.name: itemgetter(*map(schema.column_index, _SAMPLE_COLUMNS))
+    for schema in (STATISTICS_SCHEMA, WL_STATISTICS)
+}
+
+
+def statistics_sample(row: tuple) -> tuple:
+    """``(ts, *STATISTIC_FIELDS)`` of a statistics row, fields found by
+    column name.  Accepts a sample (an element of
+    :attr:`WorkloadView.statistics`), an ``ima_statistics`` row, which
+    leads with an integer ``seq``, and a ``wl_statistics`` row, which
+    leads with the ``captured_at`` float; both of those have
+    ``len(WL_STATISTICS.columns)`` fields."""
+    if len(row) == len(_SAMPLE_COLUMNS):
+        return tuple(row)
+    if len(row) != len(WL_STATISTICS.columns):
+        raise AnalyzerError(
+            f"not a statistics row: {len(row)} fields, expected "
+            f"{len(_SAMPLE_COLUMNS)} or {len(WL_STATISTICS.columns)}")
+    table = "wl_statistics" if isinstance(row[0], float) else "ima_statistics"
+    return _SAMPLE_OF[table](row)
 
 
 def _fields_of(record_type: Any) -> Callable[[Any, Any], tuple]:

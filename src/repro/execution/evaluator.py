@@ -13,6 +13,7 @@ not-satisfied.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
@@ -110,19 +111,23 @@ def compile_predicate(expr: ast.Expression | None, scope: Scope) -> Getter:
     return predicate
 
 
+def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
+    """The scope position ``expr`` merely reads, or None if it has to be
+    computed.  Named sub-expressions first: this is how aggregate
+    outputs and group expressions are referenced above an AggregatePlan."""
+    pos = index.position_of_text(expr.to_sql())
+    if pos is None and isinstance(expr, ast.ColumnRef):
+        pos = index.position_of_ref(expr)
+    return pos
+
+
 def _compile(expr: ast.Expression, index: ScopeIndex) -> Getter:
-    # Named sub-expressions first: this is how aggregate outputs and
-    # group expressions are referenced above an AggregatePlan.
-    text_pos = index.position_of_text(expr.to_sql())
-    if text_pos is not None:
-        pos = text_pos
-        return lambda row: row[pos]
+    pos = column_position(expr, index)
+    if pos is not None:
+        return itemgetter(pos)
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda row: value
-    if isinstance(expr, ast.ColumnRef):
-        pos = index.position_of_ref(expr)
-        return lambda row: row[pos]
     if isinstance(expr, ast.UnaryOp):
         return _compile_unary(expr, index)
     if isinstance(expr, ast.BinaryOp):

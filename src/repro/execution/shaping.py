@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.execution.evaluator import (
+    ScopeIndex,
+    column_position,
     compile_expression,
     compile_predicate,
     sort_key,
@@ -35,11 +38,23 @@ def filter_rows(plan: FilterPlan, rows: RowIterator,
 
 def project_rows(plan: ProjectPlan, rows: RowIterator,
                  counters: Counters) -> RowIterator:
-    getters = [compile_expression(e, plan.child.scope)
-               for e in plan.expressions]
+    scope = plan.child.scope
+    index = ScopeIndex(scope)
+    positions = [column_position(e, index) for e in plan.expressions]
+    project: Callable[[tuple], tuple] | None
+    if positions == list(range(len(scope))):
+        project = None  # every child column in order: rows pass through
+    elif None not in positions and len(positions) > 1:
+        project = itemgetter(*positions)
+    else:
+        getters = [
+            compile_expression(e, scope) if position is None
+            else itemgetter(position)
+            for e, position in zip(plan.expressions, positions)]
+        project = lambda row: tuple([getter(row) for getter in getters])  # noqa: E731
     for row in rows:
         counters.tuples += 1
-        yield tuple(getter(row) for getter in getters)
+        yield row if project is None else project(row)
 
 
 def distinct_rows(plan: DistinctPlan, rows: RowIterator,

@@ -237,7 +237,7 @@ class BTreeStorage:
         if not parents:
             new_root_id, new_root = self._new_internal()
             left_child = self._root
-            new_root.children.append(left_child)
+            new_root.add_first_child(left_child)
             new_root.insert_child(0, sep, right_child)
             self._root = new_root_id
             self._height += 1
@@ -409,7 +409,7 @@ class BTreeStorage:
         while len(level) > 1:
             next_level: list[tuple[int, tuple[Any, ...] | None]] = []
             node_id, node = self._new_internal()
-            node.children.append(level[0][0])
+            node.add_first_child(level[0][0])
             node_first_sep = level[0][1]
             for child_id, sep in level[1:]:
                 assert sep is not None  # only the first leaf can be empty
@@ -417,7 +417,7 @@ class BTreeStorage:
                     self._pool.put(node_id, node)
                     next_level.append((node_id, node_first_sep))
                     node_id, node = self._new_internal()
-                    node.children.append(child_id)
+                    node.add_first_child(child_id)
                     node_first_sep = sep
                     continue
                 node.insert_child(len(node.keys), sep, child_id)

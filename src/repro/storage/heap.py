@@ -17,7 +17,6 @@ from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
-from repro.storage.record import row_size
 
 
 class HeapStorage:
@@ -110,12 +109,12 @@ class HeapStorage:
         unsaved = False
         rowid_to_page = self._rowid_to_page
         fill_capacity = self._fill_capacity
-        schema = self.schema
+        row_size = self.schema.codec.size
         try:
             for rowid, row in entries:
                 if rowid in rowid_to_page:
                     raise StorageError(f"duplicate rowid {rowid}")
-                size = row_size(schema, row)
+                size = row_size(row)
                 if size > fill_capacity:
                     raise StorageError(
                         f"row of {size} bytes exceeds the "

@@ -9,11 +9,10 @@ supplies a loader for cache misses.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.catalog.schema import TableSchema
 from repro.errors import PageError
-from repro.storage.record import pack_row, row_size, unpack_row
 
 _HEADER = struct.Struct("<BqH")  # page kind, link, entry count
 _ROWID = struct.Struct("<q")
@@ -24,6 +23,57 @@ KIND_LEAF = 2
 KIND_INTERNAL = 3
 
 NO_PAGE = -1
+
+_KIND_NAMES = {KIND_HEAP: "heap", KIND_LEAF: "leaf", KIND_INTERNAL: "internal"}
+# What decoding bytes that are not a whole page raises underneath.
+_CORRUPT = (struct.error, UnicodeDecodeError, IndexError)
+
+
+def _read_page(data: bytes, kind: int, schema: TableSchema,
+               ) -> tuple[int, list[int], list[tuple[Any, ...]], int]:
+    """Decode a serialized page of ``kind``: ``(link, ids, rows, bytes
+    consumed)``.  ``ids`` are the rowids in front of a heap or leaf
+    page's rows, or the children in front of an internal page's keys;
+    the bytes consumed are the page's ``used_bytes``, so no decoded row
+    is sized again."""
+    name = _KIND_NAMES[kind]
+    unpack, rowid_at = schema.codec.unpack, _ROWID.unpack_from
+    ids: list[int] = []
+    rows: list[tuple[Any, ...]] = []
+    try:
+        found, link, count = _HEADER.unpack_from(data, 0)
+        if found != kind:
+            raise PageError(f"expected {name} page, found kind {found}")
+        pos = _HEADER.size
+        keyed = kind != KIND_INTERNAL
+        if not keyed:
+            ids += struct.unpack_from(f"<{count + 1}q", data, pos)
+            pos += _CHILD.size * len(ids)
+        for _ in range(count):
+            if keyed:
+                ids += rowid_at(data, pos)
+                pos += _ROWID.size
+            row, pos = unpack(data, pos)
+            rows.append(row)
+    except _CORRUPT as exc:
+        raise PageError(
+            f"corrupt {name} page at entry {len(rows)}: {exc}") from exc
+    if pos > len(data):
+        raise PageError(f"corrupt {name} page: entry {len(rows) - 1} ends "
+                        f"at byte {pos} of {len(data)}")
+    return link, ids, rows, pos
+
+
+def _write_entries(kind: int, link: int, schema: TableSchema,
+                   entries: Iterable[tuple[int, tuple[Any, ...]]],
+                   count: int) -> bytes:
+    """Serialize a heap or leaf page: header, then rowid + row each."""
+    pack, pack_rowid = schema.codec.pack, _ROWID.pack
+    parts = [_HEADER.pack(kind, link, count)]
+    for rowid, row in entries:
+        parts.append(pack_rowid(rowid))
+        parts.append(pack(row))
+    return b"".join(parts)
 
 
 class HeapPage:
@@ -36,6 +86,7 @@ class HeapPage:
         self.capacity = capacity
         self.entries: dict[int, tuple[Any, ...]] = {}
         self.used_bytes = _HEADER.size
+        self._row_size = schema.codec.size
 
     def has_room(self, size: int) -> bool:
         """True if a row of ``size`` serialized bytes fits into the
@@ -45,14 +96,14 @@ class HeapPage:
 
     def fits(self, row: tuple[Any, ...]) -> bool:
         """True if ``row`` fits into the remaining free space."""
-        return self.has_room(row_size(self.schema, row))
+        return self.has_room(self._row_size(row))
 
     def insert(self, rowid: int, row: tuple[Any, ...],
                size: int | None = None) -> None:
-        """Add an entry; ``size`` is ``row_size(schema, row)`` when the
+        """Add an entry; ``size`` is the row's serialized size when the
         caller has already computed it."""
         if size is None:
-            size = row_size(self.schema, row)
+            size = self._row_size(row)
         if rowid in self.entries:
             raise PageError(f"duplicate rowid {rowid} on heap page")
         if not self.has_room(size):
@@ -61,11 +112,9 @@ class HeapPage:
         self.used_bytes += _ROWID.size + size
 
     def delete(self, rowid: int) -> tuple[Any, ...]:
-        try:
-            row = self.entries.pop(rowid)
-        except KeyError:
-            raise PageError(f"rowid {rowid} not on this heap page") from None
-        self.used_bytes -= _ROWID.size + row_size(self.schema, row)
+        row = self.get(rowid)
+        del self.entries[rowid]
+        self.used_bytes -= _ROWID.size + self._row_size(row)
         return row
 
     def get(self, rowid: int) -> tuple[Any, ...]:
@@ -76,8 +125,7 @@ class HeapPage:
 
     def replace(self, rowid: int, row: tuple[Any, ...]) -> bool:
         """Replace a row in place; return False if the new row does not fit."""
-        old = self.get(rowid)
-        delta = row_size(self.schema, row) - row_size(self.schema, old)
+        delta = self._row_size(row) - self._row_size(self.get(rowid))
         if self.used_bytes + delta > self.capacity:
             return False
         self.entries[rowid] = row
@@ -91,27 +139,15 @@ class HeapPage:
         return iter(self.entries.items())
 
     def to_bytes(self) -> bytes:
-        parts = [_HEADER.pack(self.kind, NO_PAGE, len(self.entries))]
-        for rowid, row in self.entries.items():
-            parts.append(_ROWID.pack(rowid))
-            parts.append(pack_row(self.schema, row))
-        return b"".join(parts)
+        return _write_entries(self.kind, NO_PAGE, self.schema,
+                              self.entries.items(), len(self.entries))
 
     @classmethod
     def from_bytes(cls, data: bytes, schema: TableSchema,
                    capacity: int) -> "HeapPage":
-        kind, _link, count = _HEADER.unpack_from(data, 0)
-        if kind != KIND_HEAP:
-            raise PageError(f"expected heap page, found kind {kind}")
         page = cls(schema, capacity)
-        pos = _HEADER.size
-        for _ in range(count):
-            (rowid,) = _ROWID.unpack_from(data, pos)
-            row, pos = unpack_row(schema, data, pos + _ROWID.size)
-            page.entries[rowid] = row
-        # Every entry is rowid + packed row, so the bytes consumed are
-        # the bytes used: no need to size each decoded row again.
-        page.used_bytes = pos
+        _link, rowids, rows, page.used_bytes = _read_page(data, cls.kind, schema)
+        page.entries = dict(zip(rowids, rows))
         return page
 
 
@@ -132,61 +168,50 @@ class LeafPage:
         self.rows: list[tuple[Any, ...]] = []
         self.next_leaf: int = NO_PAGE
         self.used_bytes = _HEADER.size
+        self._row_size = schema.codec.size
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def fits(self, row: tuple[Any, ...]) -> bool:
-        needed = _ROWID.size + row_size(self.schema, row)
+        needed = _ROWID.size + self._row_size(row)
         return self.used_bytes + needed <= self.capacity
 
     def insert_at(self, position: int, rowid: int, row: tuple[Any, ...]) -> None:
+        self.used_bytes += _ROWID.size + self._row_size(row)
         self.rowids.insert(position, rowid)
         self.rows.insert(position, row)
-        self.used_bytes += _ROWID.size + row_size(self.schema, row)
 
     def delete_at(self, position: int) -> tuple[int, tuple[Any, ...]]:
         rowid = self.rowids.pop(position)
         row = self.rows.pop(position)
-        self.used_bytes -= _ROWID.size + row_size(self.schema, row)
+        self.used_bytes -= _ROWID.size + self._row_size(row)
         return rowid, row
 
     def split(self) -> "LeafPage":
         """Move the upper half of the entries to a new sibling page."""
         sibling = LeafPage(self.schema, self.capacity)
         middle = len(self.rows) // 2
-        for rowid, row in zip(self.rowids[middle:], self.rows[middle:]):
-            sibling.rowids.append(rowid)
-            sibling.rows.append(row)
-            size = _ROWID.size + row_size(self.schema, row)
-            sibling.used_bytes += size
-            self.used_bytes -= size
+        sibling.rowids = self.rowids[middle:]
+        sibling.rows = self.rows[middle:]
+        moved = sum(map(self._row_size, sibling.rows)) \
+            + _ROWID.size * len(sibling.rows)
+        sibling.used_bytes += moved
+        self.used_bytes -= moved
         del self.rowids[middle:]
         del self.rows[middle:]
         return sibling
 
     def to_bytes(self) -> bytes:
-        parts = [_HEADER.pack(self.kind, self.next_leaf, len(self.rows))]
-        for rowid, row in zip(self.rowids, self.rows):
-            parts.append(_ROWID.pack(rowid))
-            parts.append(pack_row(self.schema, row))
-        return b"".join(parts)
+        return _write_entries(self.kind, self.next_leaf, self.schema,
+                              zip(self.rowids, self.rows), len(self.rows))
 
     @classmethod
     def from_bytes(cls, data: bytes, schema: TableSchema,
                    capacity: int) -> "LeafPage":
-        kind, next_leaf, count = _HEADER.unpack_from(data, 0)
-        if kind != KIND_LEAF:
-            raise PageError(f"expected leaf page, found kind {kind}")
         page = cls(schema, capacity)
-        page.next_leaf = next_leaf
-        pos = _HEADER.size
-        for _ in range(count):
-            (rowid,) = _ROWID.unpack_from(data, pos)
-            row, pos = unpack_row(schema, data, pos + _ROWID.size)
-            page.rowids.append(rowid)
-            page.rows.append(row)
-        page.used_bytes = pos  # rowid + packed row per entry, as above
+        page.next_leaf, page.rowids, page.rows, page.used_bytes = _read_page(
+            data, cls.kind, schema)
         return page
 
 
@@ -207,21 +232,28 @@ class InternalPage:
         self.keys: list[tuple[Any, ...]] = []
         self.children: list[int] = []
         self.used_bytes = _HEADER.size
+        self._key_size = key_schema.codec.size
 
     def __len__(self) -> int:
         return len(self.children)
 
     def fits_key(self, key: tuple[Any, ...]) -> bool:
-        needed = _CHILD.size + row_size(self.key_schema, key)
+        needed = _CHILD.size + self._key_size(key)
         return self.used_bytes + needed <= self.capacity
+
+    def add_first_child(self, child: int) -> None:
+        """Give an empty node its leftmost child, the one without a
+        separator key."""
+        self.children.append(child)
+        self.used_bytes += _CHILD.size
 
     def insert_child(self, position: int, key: tuple[Any, ...],
                      child: int) -> None:
         """Insert separator ``key`` at ``position`` and the child page
         that holds entries >= key at ``position + 1``."""
+        self.used_bytes += _CHILD.size + self._key_size(key)
         self.keys.insert(position, key)
         self.children.insert(position + 1, child)
-        self.used_bytes += _CHILD.size + row_size(self.key_schema, key)
 
     def split(self) -> tuple[tuple[Any, ...], "InternalPage"]:
         """Split, returning (separator pushed up, new right sibling)."""
@@ -232,39 +264,25 @@ class InternalPage:
         sibling.children = self.children[middle + 1 :]
         self.keys = self.keys[:middle]
         self.children = self.children[: middle + 1]
-        for key in sibling.keys:
-            size = _CHILD.size + row_size(self.key_schema, key)
-            sibling.used_bytes += size
-        sibling.used_bytes += _CHILD.size  # the extra leading child
-        self.used_bytes = _HEADER.size + sum(
-            _CHILD.size + row_size(self.key_schema, key) for key in self.keys
-        ) + _CHILD.size
+        moved = sum(map(self._key_size, sibling.keys)) \
+            + _CHILD.size * len(sibling.children)
+        sibling.used_bytes += moved
+        self.used_bytes -= moved + self._key_size(push_up)
         return push_up, sibling
 
     def to_bytes(self) -> bytes:
-        parts = [_HEADER.pack(self.kind, NO_PAGE, len(self.keys))]
-        for child in self.children:
-            parts.append(_CHILD.pack(child))
-        for key in self.keys:
-            parts.append(pack_row(self.key_schema, key))
-        return b"".join(parts)
+        pack = self.key_schema.codec.pack
+        return b"".join([
+            _HEADER.pack(self.kind, NO_PAGE, len(self.keys)),
+            struct.pack(f"<{len(self.children)}q", *self.children),
+            *map(pack, self.keys)])
 
     @classmethod
     def from_bytes(cls, data: bytes, key_schema: TableSchema,
                    capacity: int) -> "InternalPage":
-        kind, _link, key_count = _HEADER.unpack_from(data, 0)
-        if kind != KIND_INTERNAL:
-            raise PageError(f"expected internal page, found kind {kind}")
         page = cls(key_schema, capacity)
-        pos = _HEADER.size
-        for _ in range(key_count + 1):
-            (child,) = _CHILD.unpack_from(data, pos)
-            pos += _CHILD.size
-            page.children.append(child)
-        for _ in range(key_count):
-            key, pos = unpack_row(key_schema, data, pos)
-            page.keys.append(key)
-        page.used_bytes = pos  # header + children + packed keys
+        _link, page.children, page.keys, page.used_bytes = _read_page(
+            data, cls.kind, key_schema)
         return page
 
 

@@ -181,3 +181,64 @@ class TestAnalyzerOrchestration:
         report = analyzer.analyze_monitor(monitor)
         assert any(p.field == "locks_held" for p in report.predictions)
         assert "PREDICTIONS" in report.render_text()
+
+
+class TestStatisticsRowShapes:
+    """trends and the locks diagram find ``ts`` and the counters by
+    column name in all three shapes a statistics row is recorded in."""
+
+    @pytest.fixture(scope="class")
+    def shapes(self):
+        from repro import daemon_setup, original_setup
+        from repro.clock import VirtualClock
+        from repro.core.analyzer.workload_view import view_from_workload_db
+
+        clock = VirtualClock(start=1000.0)
+        setup = daemon_setup("db", clock=clock)
+        with setup.engine.connect("db") as session:
+            session.execute("create table t (a int)")
+            for i in range(6):
+                for _ in range(i + 1):  # lock requests grow per sample
+                    session.execute(f"insert into t values ({i})")
+                clock.advance(5.0)
+            setup.daemon.poll_once()
+            setup.daemon.flush()
+            ima = session.execute("select * from ima_statistics").rows
+        reader = original_setup()
+        reader.engine.attach_database(setup.workload_db.database)
+        with reader.engine.connect(setup.workload_db.database.name) as session:
+            persisted = session.execute("select * from wl_statistics").rows
+        samples = view_from_workload_db(setup.workload_db).statistics
+        assert len(ima) == len(persisted) == len(samples) >= 5
+        return {"ima_statistics": ima, "wl_statistics": persisted,
+                "WorkloadView.statistics": samples}
+
+    def test_sql_rows_agree_with_the_view(self, shapes):
+        expected_trends = trends_from_statistics(
+            shapes["WorkloadView.statistics"])
+        expected_locks = locks_diagram(shapes["WorkloadView.statistics"])
+        requests = expected_trends["lock_requests"]
+        assert requests.first_timestamp == 1000.0  # a ts, not a counter
+        assert requests.rising and requests.last_value > 6
+        for name in ("ima_statistics", "wl_statistics"):
+            assert trends_from_statistics(shapes[name]) == expected_trends
+            assert locks_diagram(shapes[name]).samples == \
+                expected_locks.samples
+
+    def test_src_seq_is_not_read_as_a_counter(self, shapes):
+        # the bug: row[-13:] of a wl_statistics row took current_sessions
+        # for the timestamp and src_seq for physical_writes
+        persisted = shapes["wl_statistics"]
+        assert persisted[-1][-1] > 0  # src_seq, grows by sample
+        trend = trends_from_statistics(persisted)["physical_writes"]
+        assert trend.last_value == persisted[-1][-2]
+        assert trend.last_timestamp == persisted[-1][1]
+
+    def test_other_shapes_are_rejected(self, shapes):
+        from repro.errors import AnalyzerError
+        row = shapes["wl_statistics"][0]
+        for bad in (row[:-1], row + (0,), ()):
+            with pytest.raises(AnalyzerError, match="not a statistics row"):
+                trends_from_statistics([bad])
+            with pytest.raises(AnalyzerError, match="not a statistics row"):
+                locks_diagram([bad])

@@ -171,3 +171,67 @@ class TestScanPathsAgree:
         answers = {layout: session.execute(query).rows
                    for layout, session in variants.items()}
         assert answers["heap"] == answers["btree"] == answers["hash"]
+
+
+class TestColumnOnlyProjection:
+    """project_rows passes rows through or picks positions when every
+    select-list entry merely reads a child column; the work counter
+    advances once per row pulled either way."""
+
+    SCOPE = (("t", "a"), ("t", "b"), (None, "count(*)"))
+    ROWS = [(1, "x", 10), (2, None, 20), (3, "z", 30)]
+
+    def project(self, *expressions):
+        from types import SimpleNamespace
+        from repro.execution.scan import Counters
+        from repro.execution.shaping import project_rows
+        from repro.sql.parser import parse_statement
+        select = parse_statement(f"select {', '.join(expressions)} from t")
+        plan = SimpleNamespace(
+            child=SimpleNamespace(scope=self.SCOPE),
+            expressions=tuple(i.expression for i in select.select_items))
+        counters = Counters()
+        return project_rows(plan, iter(self.ROWS), counters), counters
+
+    def test_identity_passes_the_child_rows_through(self):
+        rows, counters = self.project("a", "t.b", "count(*)")
+        out = list(rows)
+        assert out == self.ROWS
+        assert all(got is given for got, given in zip(out, self.ROWS))
+        assert counters.tuples == 3
+
+    def test_reordered_and_repeated_columns(self):
+        rows, counters = self.project("count(*)", "a", "a")
+        assert list(rows) == [(10, 1, 1), (20, 2, 2), (30, 3, 3)]
+        assert counters.tuples == 3
+
+    def test_single_column_still_yields_tuples(self):
+        rows, _ = self.project("b")
+        assert list(rows) == [("x",), (None,), ("z",)]
+
+    def test_computed_entries_take_the_general_path(self):
+        rows, counters = self.project("a", "a + 1", "'k'")
+        assert list(rows) == [(1, 2, "k"), (2, 3, "k"), (3, 4, "k")]
+        assert counters.tuples == 3
+
+    def test_counter_advances_per_row_pulled_not_per_row_available(self):
+        for expressions in (("a", "b", "count(*)"), ("b", "a"), ("a + 1",)):
+            rows, counters = self.project(*expressions)
+            next(rows)
+            assert counters.tuples == 1
+            next(rows)
+            assert counters.tuples == 2
+
+    def test_unknown_column_is_still_an_error(self):
+        rows, _ = self.project("a", "nope")
+        with pytest.raises(ExecutionError, match="not in scope"):
+            list(rows)
+
+    def test_select_star_and_column_lists_via_sql(self, session):
+        session.execute("create table p (i int, s varchar(5), f float)")
+        session.execute("insert into p values (1, 'a', 1.5), (2, null, 2.5)")
+        assert session.execute("select * from p").rows == \
+            [(1, "a", 1.5), (2, None, 2.5)]
+        assert session.execute("select f, i from p").rows == \
+            [(1.5, 1), (2.5, 2)]
+        assert session.execute("select s from p").rows == [("a",), (None,)]

@@ -9,7 +9,6 @@ from repro.storage.btree import BTreeStorage
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heap import HeapStorage
-from repro.storage.record import pack_row, unpack_row
 
 SCHEMA = TableSchema("t", (
     Column("k", DataType.INT),
@@ -37,17 +36,17 @@ class TestRecordRoundTrip:
     @given(row=row_strategy)
     @settings(max_examples=200)
     def test_pack_unpack_identity(self, row):
-        data = pack_row(VALUE_SCHEMA, row)
-        decoded, consumed = unpack_row(VALUE_SCHEMA, data)
+        data = VALUE_SCHEMA.codec.pack(row)
+        decoded, consumed = VALUE_SCHEMA.codec.unpack(data)
         assert decoded == row
         assert consumed == len(data)
 
     @given(rows=st.lists(row_strategy, max_size=10))
     def test_concatenated_rows(self, rows):
-        blob = b"".join(pack_row(VALUE_SCHEMA, r) for r in rows)
+        blob = b"".join(VALUE_SCHEMA.codec.pack(r) for r in rows)
         offset = 0
         for expected in rows:
-            decoded, offset = unpack_row(VALUE_SCHEMA, blob, offset)
+            decoded, offset = VALUE_SCHEMA.codec.unpack(blob, offset)
             assert decoded == expected
         assert offset == len(blob)
 

@@ -9,7 +9,6 @@ from repro.errors import BufferPoolError, PageError, StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager, ScopedIoMeter
 from repro.storage.page import HeapPage, InternalPage, LeafPage, page_kind
-from repro.storage.record import pack_row, row_size, unpack_row
 
 
 @pytest.fixture
@@ -26,37 +25,37 @@ def schema():
 class TestRecord:
     def test_round_trip(self, schema):
         row = (42, "hello", 3.5, True, "some notes")
-        data = pack_row(schema, row)
-        decoded, offset = unpack_row(schema, data)
+        data = schema.codec.pack(row)
+        decoded, offset = schema.codec.unpack(data)
         assert decoded == row
         assert offset == len(data)
 
     def test_round_trip_with_nulls(self, schema):
         row = (1, None, None, None, None)
-        decoded, _ = unpack_row(schema, pack_row(schema, row))
+        decoded, _ = schema.codec.unpack(schema.codec.pack(row))
         assert decoded == row
 
     def test_row_size_matches_packed_length(self, schema):
         for row in [(1, "abc", 2.5, False, "x" * 100),
                     (2, None, None, True, None)]:
-            assert row_size(schema, row) == len(pack_row(schema, row))
+            assert schema.codec.size(row) == len(schema.codec.pack(row))
 
     def test_unicode_strings(self, schema):
         row = (1, "héllo", 0.0, True, "日本語テキスト")
-        decoded, _ = unpack_row(schema, pack_row(schema, row))
+        decoded, _ = schema.codec.unpack(schema.codec.pack(row))
         assert decoded == row
 
     def test_negative_and_large_ints(self, schema):
         row = (-(2**62), "x", -1.5, False, "")
-        decoded, _ = unpack_row(schema, pack_row(schema, row))
+        decoded, _ = schema.codec.unpack(schema.codec.pack(row))
         assert decoded == row
 
     def test_consecutive_rows(self, schema):
         rows = [(i, f"n{i}", float(i), bool(i % 2), "t") for i in range(5)]
-        data = b"".join(pack_row(schema, r) for r in rows)
+        data = b"".join(schema.codec.pack(r) for r in rows)
         offset = 0
         for expected in rows:
-            decoded, offset = unpack_row(schema, data, offset)
+            decoded, offset = schema.codec.unpack(data, offset)
             assert decoded == expected
 
 
@@ -190,7 +189,7 @@ class TestPages:
                 (2, None, None, None, None),
                 (-(2 ** 62), "", -0.0, False, ""),
                 (4, "x" * 50, 7, True, "ü" * 300)]
-        sized = sum(8 + row_size(schema, row) for row in rows)
+        sized = sum(8 + schema.codec.size(row) for row in rows)
         heap = HeapPage(schema, 4096)
         leaf = LeafPage(schema, 4096)
         for rowid, row in enumerate(rows):
@@ -213,7 +212,7 @@ class TestPages:
         assert restored.used_bytes == len(internal.to_bytes())
         # header + one child per key + the leading child + the keys
         assert restored.used_bytes == InternalPage(key_schema, 4096).used_bytes \
-            + 8 * (len(keys) + 1) + sum(row_size(key_schema, k) for k in keys)
+            + 8 * (len(keys) + 1) + sum(key_schema.codec.size(k) for k in keys)
 
     def test_page_kind(self, schema):
         heap = HeapPage(schema, 4096)
