@@ -34,7 +34,6 @@ import json
 import pathlib
 import random
 import sys
-import threading
 from dataclasses import dataclass, field
 
 from repro import faultsim
@@ -44,11 +43,6 @@ from repro.config import (
     EngineConfig,
     MonitorConfig,
     OverloadConfig,
-)
-from repro.core.accesswitness import (
-    AccessWitness,
-    cross_check_access,
-    static_ownership_map,
 )
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.daemon import StorageDaemon
@@ -62,7 +56,6 @@ from repro.core.overload import (
     LEVEL_NAMES,
     conservation_violations,
 )
-from repro.core.sharding import monitor_shards
 from repro.core.tuning_journal import JournalState, TuningJournal
 from repro.core.workload_db import TABLE_SOURCES
 from repro.errors import ReproError
@@ -271,21 +264,13 @@ def _storm_fault_for_round(rng: random.Random, round_no: int) -> str | None:
 
 
 def _storm_poll(daemon: StorageDaemon) -> BaseException | None:
-    """One daemon poll from a thread carrying the daemon's role (see
-    :func:`_daemon_probe`), returning the failure instead of raising —
+    """One daemon poll, returning the failure instead of raising —
     storm rounds *expect* injected worker deaths."""
-    box: list[BaseException] = []
-
-    def target() -> None:
-        try:
-            daemon.poll_once()
-        except (ReproError, OSError) as error:
-            box.append(error)
-
-    probe = threading.Thread(target=target, name="repro-storage-daemon")
-    probe.start()
-    probe.join()
-    return box[0] if box else None
+    try:
+        daemon.poll_once()
+    except (ReproError, OSError) as error:
+        return error
+    return None
 
 
 def _storm_recovery(setup: Setup, report: SoakReport,
@@ -333,41 +318,13 @@ def _storm_recovery(setup: Setup, report: SoakReport,
         _require(False, f"conservation: {violation}", config.seed)
 
 
-def _probe_poll(daemon: StorageDaemon) -> None:
-    """Thread target for the witnessed daemon probe: one poll cycle,
-    exactly the code path ``StorageDaemon._run`` executes per tick."""
-    daemon.poll_once()
-
-
-def _daemon_probe(daemon: StorageDaemon) -> None:
-    """Drive one daemon poll from a thread carrying the daemon's role.
-
-    The soak cannot start ``daemon.start()`` (its run loop waits on a
-    real ``Event`` while time is virtual), so a short-lived thread —
-    named after the daemon role so the access witness attributes its
-    accesses correctly — executes one poll and is joined immediately,
-    keeping the soak deterministic while giving the witness genuine
-    cross-thread interleaving over the daemon's guarded state."""
-    probe = threading.Thread(target=_probe_poll, args=(daemon,),
-                             name="repro-storage-daemon")
-    probe.start()
-    probe.join()
-
-
 def run_soak(config: SoakConfig,
-             witness: LockWitness | None = None,
-             access_witness: AccessWitness | None = None,
-             ownership_map: dict | None = None) -> SoakReport:
+             witness: LockWitness | None = None) -> SoakReport:
     """One seeded soak; returns the report or raises on a violation.
 
     With a ``witness`` every engine/daemon lock is wrapped, so the soak
     doubles as a runtime probe of the static lock-order model — the
-    caller cross-checks ``witness.observed_edges()`` afterwards.  With
-    an ``access_witness`` (plus the static ``ownership_map`` naming the
-    fields to track), daemon/monitor/tuner state is instrumented and
-    every round drives one daemon poll from a thread carrying the
-    daemon's role, so the caller can cross-check per-thread field
-    accesses against the ownership model the OWN rules inferred."""
+    caller cross-checks ``witness.observed_edges()`` afterwards."""
     faultsim.reset()
     rng = random.Random(config.seed)
     clock = VirtualClock(1_000_000.0)
@@ -399,17 +356,6 @@ def run_soak(config: SoakConfig,
     )
     report = SoakReport(seed=config.seed)
     tuner, journal = _fresh_tuner(setup, policy)
-    if access_witness is not None and ownership_map is not None:
-        if setup.daemon is not None:
-            access_witness.instrument_mapped(setup.daemon, ownership_map)
-        if setup.monitor is not None:
-            # A sharded monitor is instrumented shard by shard: the
-            # facade itself is immutable after construction; the
-            # guarded state the ownership model talks about lives in
-            # the per-shard IntegratedMonitor instances.
-            for shard in monitor_shards(setup.monitor):
-                access_witness.instrument_mapped(shard, ownership_map)
-        access_witness.instrument_mapped(tuner, ownership_map)
     session = setup.engine.connect("nref")
     try:
         for _round in range(config.rounds):
@@ -442,18 +388,10 @@ def run_soak(config: SoakConfig,
                     report.storm_poll_failures += 1
             faultsim.reset()
 
-            if access_witness is not None and setup.daemon is not None:
-                # Faults are disarmed here, so the extra poll cannot
-                # change what the next round's cycle observes beyond
-                # what a scheduled daemon tick would.
-                _daemon_probe(setup.daemon)
-
             if rng.random() < config.crash_probability:
                 # Kill the tuner: its breakers, history and journal
                 # mirror die here; only persisted state survives.
                 tuner, journal = _fresh_tuner(setup, policy)
-                if access_witness is not None and ownership_map is not None:
-                    access_witness.instrument_mapped(tuner, ownership_map)
                 report.crashes += 1
 
             report.recoveries += len(tuner.recover())
@@ -497,17 +435,14 @@ def main(argv: list[str] | None = None) -> int:
                              "the unsharded monitor)")
     parser.add_argument("--witness", action="store_true",
                         help="wrap engine/daemon locks in the runtime "
-                             "lock witness, instrument daemon/monitor/"
-                             "tuner fields in the access witness, and "
-                             "cross-check observed acquisition order "
-                             "and per-thread field access against the "
-                             "static LCK003 and OWN001-OWN003 models "
-                             "(fails on contradictions)")
+                             "lock witness and cross-check observed "
+                             "acquisition order against the static "
+                             "LCK003 model (fails on contradictions)")
     parser.add_argument("--witness-report", type=pathlib.Path,
                         default=None, metavar="PATH",
                         help="write the witness report (stats, observed "
-                             "edges, field accesses, cross-checks) as "
-                             "JSON to PATH; implies --witness")
+                             "edges, cross-check) as JSON to PATH; "
+                             "implies --witness")
     parser.add_argument("--storm", action="store_true",
                         help="overload storm: tiny rings, fast ladder, "
                              "poll-worker deaths and ring floods on top "
@@ -521,13 +456,8 @@ def main(argv: list[str] | None = None) -> int:
                              "ledger) as JSON to PATH")
     arguments = parser.parse_args(argv)
     seeds = arguments.seed or [1, 2, 3]
-    witness = None
-    access_witness = None
-    ownership_map = None
-    if arguments.witness or arguments.witness_report is not None:
-        witness = LockWitness()
-        access_witness = AccessWitness()
-        ownership_map = static_ownership_map()
+    witnessed = arguments.witness or arguments.witness_report is not None
+    witness = LockWitness() if witnessed else None
     healths: dict[str, dict | None] = {}
     for seed in seeds:
         config = SoakConfig(seed=seed, rounds=arguments.rounds,
@@ -535,9 +465,7 @@ def main(argv: list[str] | None = None) -> int:
                             shard_count=arguments.shards,
                             storm=arguments.storm)
         try:
-            report = run_soak(config, witness=witness,
-                              access_witness=access_witness,
-                              ownership_map=ownership_map)
+            report = run_soak(config, witness=witness)
         except ChaosInvariantError as error:
             print(f"INVARIANT VIOLATION: {error}", file=sys.stderr)
             return 1
@@ -551,11 +479,6 @@ def main(argv: list[str] | None = None) -> int:
                               static_order_edges())
         payload = witness.report()
         payload["cross_check"] = checked.to_json()
-        assert access_witness is not None and ownership_map is not None
-        access_checked = cross_check_access(access_witness.observed(),
-                                            ownership_map)
-        payload["access_witness"] = access_witness.report()
-        payload["access_cross_check"] = access_checked.to_json()
         if arguments.witness_report is not None:
             arguments.witness_report.write_text(
                 json.dumps(payload, indent=2) + "\n")
@@ -563,20 +486,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lock witness: {len(payload['tokens'])} locks, "
               f"{edge_count} observed order edges, "
               f"{len(checked.unmodeled)} unmodeled by the static graph")
-        access_tokens = payload["access_witness"]["tokens"]
-        print(f"access witness: {len(access_tokens)} fields observed, "
-              f"{len(access_checked.downgrade_candidates)} waiver-"
-              f"downgrade candidates, "
-              f"{len(access_checked.unmapped)} unmapped")
-        for candidate in access_checked.downgrade_candidates:
-            print(f"downgrade candidate: {candidate}")
         for contradiction in checked.contradictions:
             print(f"LOCK-ORDER CONTRADICTION: {contradiction}",
                   file=sys.stderr)
-        for contradiction in access_checked.contradictions:
-            print(f"OWNERSHIP CONTRADICTION: {contradiction}",
-                  file=sys.stderr)
-        if not checked.ok or not access_checked.ok:
+        if not checked.ok:
             return 1
     return 0
 

@@ -162,7 +162,7 @@ class StorageDaemon:
         # each value is the per-shard vector of *encoded* high-water
         # seqs (see module doc for why a merged-space scalar is wrong).
         self._last_seq: dict[str, list[int]] = {
-            # staticcheck: shared(_lock); bounded(TABLE_SOURCES); domain(encoded_seq)
+            # staticcheck: shared(_lock); bounded(TABLE_SOURCES)
             source: [0] * self.shard_count
             for source in TABLE_SOURCES.values()
         }
@@ -357,7 +357,7 @@ class StorageDaemon:
         # The snapshot cannot go stale: every writer of
         # _polls_since_flush runs under _poll_mutex, which this method's
         # callers hold; _lock only orders the counter reads.
-        if flush_due:  # staticcheck: atomic(_poll_mutex)
+        if flush_due:
             rows_flushed, rows_purged = self._flush_locked()
             flushed = True
         return PollStats(collected, flushed,  # staticcheck: allocfree(one-stats-record-per-poll)
@@ -589,7 +589,7 @@ class StorageDaemon:
                         assert loss is not None
                         loss[shard] = gap
                 for row in result_rows:
-                    seq = row[0]  # staticcheck: domain(encoded_seq)
+                    seq = row[0]
                     if seq > marks[shard]:
                         marks[shard] = seq
                     append_row((seq, tuple(row[2:])))  # staticcheck: allocfree(row-materialization-is-the-product)

@@ -79,7 +79,6 @@ class Supervisor:
     reads.
     """
 
-    # staticcheck: owned(supervisor)
     def __init__(self, config: SupervisorConfig, clock: Clock) -> None:
         self.config = config
         self.clock = clock

@@ -280,7 +280,7 @@ class IntegratedMonitor:
         # *advisory* answer, and the authoritative check re-reads under
         # _counter_lock.  Taking the lock here would put an acquisition
         # on every per-statement sampling probe.
-        return now - self._last_statistics_at >= STATISTICS_MIN_INTERVAL_S  # staticcheck: ignore[OWN001]
+        return now - self._last_statistics_at >= STATISTICS_MIN_INTERVAL_S
 
     @property
     def average_sensor_call_s(self) -> float:
@@ -348,7 +348,7 @@ class MonitorSensors(Sensors):
             # races this statement only shifts which side of it the
             # statement lands on; the admission gate re-reads the level
             # under the counter lock when it counts.
-            degradation=self.monitor.degradation_level,  # staticcheck: ignore[OWN001]
+            degradation=self.monitor.degradation_level,
         )
         elapsed = time.perf_counter() - t0
         ctx.monitor_time_s += elapsed

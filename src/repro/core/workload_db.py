@@ -10,8 +10,9 @@ standard SQL and triggers on its tables provide active alerting.
 
 Every workload table carries a trailing ``src_seq`` column: the IMA
 ring-buffer sequence number of the source row.  It is the daemon's
-crash-recovery anchor — on restart :meth:`WorkloadDatabase.load_high_water`
-recovers the per-table high-water marks from persisted data, so a
+crash-recovery anchor — on restart
+:meth:`WorkloadDatabase.load_high_water_vector` recovers the
+per-(table, shard) high-water marks from persisted data, so a
 daemon that died mid-flush resumes without duplicating or losing rows.
 """
 
@@ -157,7 +158,6 @@ class WorkloadDatabase:
 
     # -- appends ------------------------------------------------------------
 
-    # staticcheck: domain(seqs=src_seq)
     def append(self, table_name: str, rows: Iterable[tuple],
                captured_at: float, seqs: Iterable[int] | None = None) -> int:
         """Append snapshot ``rows`` (without their seq column) stamped
@@ -169,7 +169,7 @@ class WorkloadDatabase:
         to one :meth:`Database.insert_rows`, which stores the rows in
         order and stops at the first one it cannot store — so a crash
         mid-append persists a prefix, and recovery via
-        :meth:`load_high_water` resumes exactly after the last
+        :meth:`load_high_water_vector` resumes exactly after the last
         persisted row.
         """
         faultsim.fire("workload_db.append", error=MonitorError,
@@ -185,31 +185,6 @@ class WorkloadDatabase:
                                         storage.row_count)
         return written
 
-    # staticcheck: domain(src_seq)
-    def load_high_water(self) -> dict[str, int]:
-        """Per-table max persisted ``src_seq`` (crash-recovery anchor).
-
-        Returns ``{workload_table_name: max_src_seq}`` with 0 for empty
-        tables; the daemon maps these back to IMA high-water marks on
-        restart so recovery neither duplicates nor loses rows.
-
-        The scalar max here mixes shards on purpose — DOM001 is right
-        that it is not a recovery-safe high water (that is
-        :meth:`load_high_water_vector`); this one only feeds
-        whole-table inspection and tests, where "largest persisted
-        seq" is the question being asked.
-        """
-        marks: dict[str, int] = {}
-        for schema in WORKLOAD_TABLES:
-            storage = self.database.storage_for(schema.name)
-            high = 0
-            for _rowid, row in storage.scan():
-                seq = row[-1]  # staticcheck: domain(src_seq)
-                if seq > high:  # staticcheck: mixeddomain(whole-table-inspection-only)
-                    high = seq
-            marks[schema.name] = high
-        return marks
-
     def load_high_water_vector(self) -> dict[str, dict[int, int]]:
         """Per-(table, shard) max persisted ``src_seq``.
 
@@ -217,8 +192,7 @@ class WorkloadDatabase:
         :mod:`repro.core.sharding`, so the per-shard maxima are fully
         recoverable from persisted data alone.  Returns
         ``{workload_table: {shard: max_encoded_src_seq}}``; tables with
-        no encoded seqs map to ``{}``.  The scalar
-        :meth:`load_high_water` remains for whole-table inspection.
+        no encoded seqs map to ``{}``.
         """
         marks: dict[str, dict[int, int]] = {}
         for schema in WORKLOAD_TABLES:

@@ -33,24 +33,6 @@ call graph and propagates held locks across it, adding:
 * **Sensor-call budget** (``SNS002``) — sensor paths looping (directly
   or through calls) over catalog/engine-sized collections.
 
-On top of the call graph and lock flow sits a *field-sensitive
-dataflow* layer (:mod:`repro.staticcheck.dataflow`) that infers, from
-where locked writes happen, which lock guards each attribute — no
-annotation needed — and powers three atomicity rule families:
-
-* **Check-then-act** (``ATM001``) — a guarded field tested without its
-  lock (or through a stale snapshot taken under an earlier
-  acquisition) and then acted on.
-* **Compound updates** (``ATM002``) — ``self.n += 1``-style
-  read-modify-write on a guarded attribute outside its lock.
-* **Unsafe publication** (``PUB001``) — ``self`` escaping ``__init__``
-  (thread start, callback registry, module global) before every
-  attribute is assigned.
-
-Deliberate exceptions are waived with
-``# staticcheck: atomic(<witness>)`` where the witness names the
-evidence of atomicity.
-
 A *performance-discipline* phase (:mod:`repro.staticcheck.hotpath` +
 :mod:`repro.staticcheck.rules_perf`) seeds hot roots from
 ``# staticcheck: hotpath`` annotations on sensor/execute/ring-buffer/
@@ -71,56 +53,7 @@ and polices per-call cost inside every hot function:
 
 Irreducible costs are waived with ``# staticcheck:
 allocfree(<witness>)``; PRF findings carry hotness provenance (the
-``hotpath`` root plus the call chain) in text and JSON (schema v4).
-
-A *thread-ownership* phase (:mod:`repro.staticcheck.ownership` +
-:mod:`repro.staticcheck.rules_ownership`) infers thread roles from
-``threading.Thread`` construction sites, propagates them breadth-first
-through the call graph, joins them with field-sensitive access sites
-and classifies every monitored class field as ``exclusive(role)``,
-``guarded(lock)``, ``handoff`` or ``shared-unsynchronized``:
-
-* **Cross-thread access** (``OWN001``) — a field reached by several
-  thread roles with no common lock held at every site.
-* **Thread escape** (``OWN002``) — ``self`` stored into a module
-  global outside ``__init__`` with no lock held, publishing
-  thread-owned state without a publication point (extends PUB001
-  beyond construction).
-* **Ownership drift** (``OWN003``) — an ``owned(<role>)`` /
-  ``shared(<lock>)`` annotation the inferred map contradicts.
-
-The inferred map is exported as an artifact (``repro lint
---ownership-map``, JSON schema v5) and corroborated at runtime by
-:mod:`repro.core.accesswitness` during ``repro chaos --witness``.
-
-An *integer-domain* phase (:mod:`repro.staticcheck.domains` +
-:mod:`repro.staticcheck.rules_domains`) types the id-valued ``int``s
-the sharded monitor overloads — ``local_seq``, ``encoded_seq``,
-persisted ``src_seq``, ``shard_id``, ``shard_index``, ``session_id``
-— seeding from known producers (``encode_seq``, ``shard_of_seq``,
-``RingBuffer.append``), carrier parameter names and
-``# staticcheck: domain(...)`` declarations, and propagating through
-calls, returns, tuple unpacking and container element flow:
-
-* **Cross-domain mixing** (``DOM001``) — comparing/combining ints of
-  different domains, or ordering encoded seqs without a per-shard
-  anchor (the unsound scalar high-water).
-* **Local-seq escape** (``DOM002``) — an unencoded value flowing into
-  a parameter expecting an encoded ``src_seq``.
-* **Missing ``% shard_count``** (``DOM003``) — a per-shard structure
-  indexed by a raw session/seq-domain int.
-* **Domain drift** (``DOM004``) — a ``domain(...)`` declaration the
-  inference contradicts.
-
-Deliberate cross-domain meetings are waived with
-``# staticcheck: mixeddomain(<witness>)``; the inferred map is
-exported with ``repro lint --domain-map`` (JSON schema v6).
-
-Analysis is *incremental* and *budgeted*: ``--cache`` persists results
-under ``.staticcheck-cache/`` keyed by content hash, rule-set version
-and call-graph dependency fingerprint so a warm run re-analyzes
-nothing; ``--budget`` enforces per-rule wall-time ceilings and emits a
-per-rule timing table in the JSON report (schema v3).
+``hotpath`` root plus the call chain) in text and JSON.
 
 Run it as ``python -m repro.cli lint --deep [paths]`` or through
 :func:`analyze_paths` / :func:`analyze_project`.  Findings are
@@ -139,42 +72,16 @@ from repro.staticcheck.base import (
     register,
     register_deep,
 )
-from repro.staticcheck.cache import AnalysisCache, CacheStats, git_changed_files
 from repro.staticcheck.callgraph import ProjectContext, build_project
-from repro.staticcheck.config import StaticcheckConfig, load_config
-from repro.staticcheck.dataflow import (
-    AttrFlow,
-    AttrFlowResult,
-    analyze_attr_flows,
-    file_dependencies,
-)
+from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.driver import (
-    AnalysisStats,
     ModuleContext,
     analyze_paths,
     analyze_project,
 )
-from repro.staticcheck.domains import (
-    DomainResult,
-    compute_domain_map,
-    compute_domains,
-    domains_for,
-)
 from repro.staticcheck.findings import Finding, Severity, TraceEntry
 from repro.staticcheck.lockflow import DeepContext, LockFlow
-from repro.staticcheck.ownership import (
-    OwnershipResult,
-    compute_ownership,
-    compute_ownership_map,
-    ownership_for,
-    thread_start_sites,
-)
-from repro.staticcheck.reporters import (
-    parse_json,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.staticcheck.reporters import render_json, render_text
 
 # Importing the rule modules registers their rules with the registry.
 from repro.staticcheck import rules_clock  # noqa: F401  (registration)
@@ -182,23 +89,13 @@ from repro.staticcheck import rules_exceptions  # noqa: F401
 from repro.staticcheck import rules_locks  # noqa: F401
 from repro.staticcheck import rules_sensors  # noqa: F401
 from repro.staticcheck import rules_deep  # noqa: F401
-from repro.staticcheck import rules_atomic  # noqa: F401
 from repro.staticcheck import rules_perf  # noqa: F401
-from repro.staticcheck import rules_ownership  # noqa: F401
-from repro.staticcheck import rules_domains  # noqa: F401
 
 __all__ = [
-    "AnalysisCache",
-    "AnalysisStats",
-    "AttrFlow",
-    "AttrFlowResult",
-    "CacheStats",
     "DeepContext",
-    "DomainResult",
     "Finding",
     "LockFlow",
     "ModuleContext",
-    "OwnershipResult",
     "ProjectContext",
     "ProjectRule",
     "Rule",
@@ -207,24 +104,11 @@ __all__ = [
     "TraceEntry",
     "all_deep_rules",
     "all_rules",
-    "analyze_attr_flows",
     "analyze_paths",
     "analyze_project",
     "build_project",
-    "compute_domain_map",
-    "compute_domains",
-    "compute_ownership",
-    "compute_ownership_map",
-    "domains_for",
-    "file_dependencies",
-    "git_changed_files",
-    "load_config",
-    "ownership_for",
-    "parse_json",
     "register",
     "register_deep",
     "render_json",
-    "render_sarif",
     "render_text",
-    "thread_start_sites",
 ]

@@ -16,14 +16,6 @@ Annotations are ordinary comments attached to the line they govern:
   inserts (``bounded(capacity)``), the method that drains it
   (``bounded(flush)``), or the module constant fixing its key space
   (``bounded(TABLE_SOURCES)``).  Read by the deep GRW001 rule.
-* ``# staticcheck: atomic(<witness>)`` — on (or directly above) a line
-  the ATM/PUB dataflow rules report: the check-then-act or
-  read-modify-write sequence is in fact atomic, and ``witness`` names
-  the evidence — an outer mutex serializing every caller
-  (``atomic(_poll_mutex)``), a re-check of the condition under the
-  lock (``atomic(rechecked-under-lock)``), or a single-thread
-  ownership argument (``atomic(daemon-thread-only)``).  The witness is
-  mandatory: a bare ``atomic()`` does not waive anything.
 * ``# staticcheck: hotpath`` — on (or directly above) a ``def`` line:
   the function is a hot-path *root* (a sensor, an execute loop, a
   ring-buffer operation, a daemon flush).  The hot-path analysis
@@ -41,30 +33,6 @@ Annotations are ordinary comments attached to the line they govern:
   (``allocfree(rate-limited-1-per-s)``), or the reason the allocation
   is irreducible (``allocfree(record-is-the-product)``).  The witness
   is mandatory: a bare ``allocfree()`` does not waive anything.
-* ``# staticcheck: owned(<role>)`` — on an attribute assignment in
-  ``__init__``: the attribute belongs to exactly one thread role —
-  ``owned(main)`` for foreground-only state, or the role named after a
-  thread-start site (``owned(repro-storage-daemon)``).  The ownership
-  analysis (OWN rules) verifies the claim against the inferred
-  thread-role map and reports drift (OWN003); the role argument is
-  mandatory — a bare ``owned()`` asserts nothing.
-* ``# staticcheck: domain(<dom>, <param>=<dom>)`` — declares integer
-  domains for the domain dataflow (DOM rules).  On (or directly
-  above) a ``def`` line: bare arguments give the return domain, in
-  tuple order (``domain(local_seq, shard_id)`` for a pair), and
-  ``param=dom`` arguments type parameters
-  (``domain(seqs=src_seq)``).  On an attribute assignment: the
-  field's element domain (``domain(encoded_seq)`` on a dict of
-  encoded seqs).  On a plain local assignment: a forced local domain
-  for values the inference cannot see, such as column reads
-  (``seq = row[-1]  # staticcheck: domain(src_seq)``).  Domains come
-  from the fixed lattice ``local_seq`` / ``encoded_seq`` /
-  ``src_seq`` / ``shard_id`` / ``shard_index`` / ``session_id``.
-* ``# staticcheck: mixeddomain(<witness>)`` — on (or directly above)
-  a line a DOM rule reports: the cross-domain meeting is deliberate
-  and sound, and the witness names why
-  (``mixeddomain(whole-table-inspection-only)``).  The witness is
-  mandatory: a bare ``mixeddomain()`` does not waive anything.
 * ``# staticcheck: ignore`` / ``# staticcheck: ignore[LCK001,CLK001]``
   — suppress all / the listed findings reported for this line.
 
@@ -84,9 +52,8 @@ _DIRECTIVE_RE = re.compile(
     r"^(?P<name>[a-z-]+)\s*(?:[\(\[]\s*(?P<args>[^)\]]*)\s*[\)\]])?$"
 )
 
-KNOWN_DIRECTIVES = ("shared", "guarded-by", "bounded", "atomic",
-                    "hotpath", "coldpath", "allocfree", "owned",
-                    "domain", "mixeddomain", "ignore")
+KNOWN_DIRECTIVES = ("shared", "guarded-by", "bounded", "hotpath",
+                    "coldpath", "allocfree", "ignore")
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,6 @@ def self_attribute(node: ast.expr) -> str | None:
     return None
 
 
-def enclosing_function(
-    node: ast.AST, parents: dict[ast.AST, ast.AST],
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """Nearest enclosing function/method definition, if any."""
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parents.get(current)
-    return None
-
-
 def ancestors(node: ast.AST,
               parents: dict[ast.AST, ast.AST]) -> Iterator[ast.AST]:
     """Yield parents from the immediate one up to the module."""
@@ -149,15 +137,3 @@ def mutated_attr(node: ast.AST) -> tuple[str, ast.AST] | None:
             if attr is not None:
                 return attr, node
     return None
-
-
-def attr_reads(expr: ast.AST) -> set[str]:
-    """Names of every ``self.<attr>`` read inside ``expr``."""
-    reads: set[str] = set()
-    for node in ast.walk(expr):
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)):
-            attr = self_attribute(node)
-            if attr is not None:
-                reads.add(attr)
-    return reads

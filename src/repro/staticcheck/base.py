@@ -33,7 +33,7 @@ class Rule(ABC):
     default_severity: Severity = Severity.ERROR
     waiver: str = ""
     """The rule's annotation/waiver grammar, shown by ``--list-rules``
-    — e.g. ``"atomic(<witness>) on the reported line"``.  Empty when
+    — e.g. ``"allocfree(<witness>) on the reported line"``.  Empty when
     the only escape hatch is ``ignore[<rule>]`` (always available)."""
 
     @abstractmethod
@@ -124,7 +124,3 @@ def all_rules() -> list[Rule]:
 def all_deep_rules() -> list[ProjectRule]:
     """Fresh instances of every deep rule, ordered by rule id."""
     return [_DEEP_REGISTRY[rule_id]() for rule_id in sorted(_DEEP_REGISTRY)]
-
-
-def rule_ids() -> tuple[str, ...]:
-    return tuple(sorted((*_REGISTRY, *_DEEP_REGISTRY)))

@@ -106,10 +106,6 @@ class CallEdge:
     external: bool
     node: ast.Call
 
-    def describe(self) -> str:
-        suffix = " [external]" if self.external else ""
-        return f"{self.caller} -> {self.callee}{suffix}"
-
 
 @dataclass
 class ProjectContext:

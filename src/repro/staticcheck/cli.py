@@ -4,12 +4,8 @@ Runs the project-specific AST rules, then (in text mode) ruff and mypy
 when they are installed; environments without them just get a "skipped"
 note, so the custom analysis works from a bare checkout.
 
-``--deep`` adds the interprocedural phase; ``--cache`` makes both
-phases incremental (results keyed by content hash under
-``--cache-dir``, default ``.staticcheck-cache``); ``--budget``
-enforces per-rule wall-time ceilings (BGT001 on overrun); ``--changed``
-narrows the shallow phase to the files changed since the branch point
-plus their reverse call-graph dependents.
+``--deep`` adds the interprocedural phase (call graph, held-lock
+propagation, hot-path propagation).
 
 Exit status: 0 when everything is clean, 1 on any finding or
 third-party tool failure, 2 on usage errors.
@@ -26,24 +22,10 @@ from typing import Sequence
 
 import repro.staticcheck  # noqa: F401  (registers all rules)
 from repro.staticcheck.base import all_deep_rules, all_rules
-from repro.staticcheck.cache import AnalysisCache, git_changed_files
-from repro.staticcheck.config import load_config
-from repro.staticcheck.dataflow import file_dependencies
-from repro.staticcheck.driver import (
-    AnalysisStats,
-    analyze_paths,
-    analyze_project,
-    budget_findings,
-    iter_python_files,
-)
-from repro.staticcheck.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.staticcheck.driver import analyze_paths, analyze_project
+from repro.staticcheck.reporters import render_json, render_text
 
 DEFAULT_PATHS = ("src/repro",)
-DEFAULT_CACHE_DIR = ".staticcheck-cache"
 
 
 def _run_tool(module: str, arguments: list[str]) -> int | None:
@@ -53,76 +35,6 @@ def _run_tool(module: str, arguments: list[str]) -> int | None:
     completed = subprocess.run(
         [sys.executable, "-m", module, *arguments], check=False)
     return completed.returncode
-
-
-_HOTNESS_DIRECTIVES = ("hotpath", "coldpath", "allocfree")
-
-_OWNERSHIP_DIRECTIVES = ("owned", "shared")
-
-_DOMAIN_DIRECTIVES = ("domain", "mixeddomain")
-
-
-def _changed_targets(paths: Sequence[str]) -> list[str] | None:
-    """The ``--changed`` file set: files under ``paths`` changed since
-    the branch point, plus every file whose analysis can observe them
-    (reverse call-graph dependents) — and, for changed files carrying
-    hot-path annotations, every file *they* transitively call, because
-    hotness flows caller → callee: editing only a ``hotpath`` or
-    ``allocfree`` comment re-hotness-classifies downstream files whose
-    content is untouched.  Ownership behaves the same way: thread
-    roles flow caller → callee from ``threading.Thread`` start sites,
-    so a changed file containing a start site or an
-    ``owned``/``shared`` directive re-classifies every file it
-    transitively calls.  Integer domains flow the same way — a
-    ``domain(...)`` declaration on a producer re-types every caller —
-    so changed files carrying ``domain``/``mixeddomain`` directives
-    forward-seed too.  None means "no git" — the caller falls back
-    to a full run."""
-    changed = git_changed_files()
-    if changed is None:
-        return None
-    all_files = [str(p) for p in iter_python_files(paths)]
-    in_scope = sorted(set(all_files) & changed)
-    if not in_scope:
-        return []
-    # Build the call graph over the full path set so dependents of the
-    # changed files are re-analyzed too.
-    from repro.staticcheck.annotations import AnnotationError
-    from repro.staticcheck.cache import (
-        forward_dependencies,
-        reverse_dependents,
-    )
-    from repro.staticcheck.callgraph import build_project
-    from repro.staticcheck.driver import ModuleContext
-
-    modules = []
-    forward_seeds: list[str] = []
-    for path in all_files:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-            module = ModuleContext.from_source(path, source)
-        except (OSError, SyntaxError, AnnotationError):
-            continue
-        modules.append(module)
-        if path in in_scope and any(
-                directive.name in (*_HOTNESS_DIRECTIVES,
-                                   *_OWNERSHIP_DIRECTIVES,
-                                   *_DOMAIN_DIRECTIVES)
-                for directives in module.annotations.values()
-                for directive in directives):
-            forward_seeds.append(path)
-    project = build_project(modules)
-    from repro.staticcheck.ownership import thread_start_paths
-
-    start_paths = thread_start_paths(project)
-    forward_seeds.extend(path for path in in_scope
-                         if path in start_paths
-                         and path not in forward_seeds)
-    deps = file_dependencies(project)
-    targets = reverse_dependents(deps, in_scope)
-    if forward_seeds:
-        targets |= forward_dependencies(deps, forward_seeds)
-    return sorted(targets & set(all_files))
 
 
 def _print_rules() -> None:
@@ -146,57 +58,9 @@ def _print_rules() -> None:
     print("  ignore[RULE1,RULE2] suppresses findings on its line; "
           "every other")
     print("  directive either declares an invariant (shared, "
-          "guarded-by, owned,")
-    print("  hotpath) or waives one with a named witness (bounded, "
-          "atomic,")
-    print("  allocfree, coldpath).")
-
-
-def _emit_ownership_map(paths: Sequence[str], destination: str) -> int:
-    """``--ownership-map``: run the thread-ownership phase over
-    ``paths`` and emit the map as a schema-v5 report (``-`` = stdout).
-
-    ``repro lint --ownership-map src/repro`` reads naturally but makes
-    argparse bind ``src/repro`` to the flag; an existing directory or
-    ``.py`` file is therefore reinterpreted as an analysis path."""
-    from repro.staticcheck.ownership import compute_ownership_map
-
-    target = Path(destination)
-    if destination != "-" and (target.is_dir() or (
-            target.suffix == ".py" and target.exists())):
-        paths = [destination, *[p for p in paths if p != destination]]
-        destination = "-"
-    config = load_config(Path(paths[0]))
-    result = compute_ownership_map(paths=paths, config=config)
-    payload = render_json([], ownership=result.to_json())
-    if destination == "-":
-        print(payload)
-    else:
-        Path(destination).write_text(payload + "\n", encoding="utf-8")
-        print(f"repro lint: ownership map written to {destination}")
-    return 0
-
-
-def _emit_domain_map(paths: Sequence[str], destination: str) -> int:
-    """``--domain-map``: run the integer-domain phase over ``paths``
-    and emit the map as a schema-v6 report (``-`` = stdout), with the
-    same argparse path-reinterpretation as ``--ownership-map``."""
-    from repro.staticcheck.domains import compute_domain_map
-
-    target = Path(destination)
-    if destination != "-" and (target.is_dir() or (
-            target.suffix == ".py" and target.exists())):
-        paths = [destination, *[p for p in paths if p != destination]]
-        destination = "-"
-    config = load_config(Path(paths[0]))
-    result = compute_domain_map(paths=paths, config=config)
-    payload = render_json([], domains=result.to_json())
-    if destination == "-":
-        print(payload)
-    else:
-        Path(destination).write_text(payload + "\n", encoding="utf-8")
-        print(f"repro lint: domain map written to {destination}")
-    return 0
+          "guarded-by, hotpath)")
+    print("  or waives one with a named witness (bounded, allocfree, "
+          "coldpath).")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -207,49 +71,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to analyze "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
-                        help="report format (json and sarif skip "
-                             "ruff/mypy)")
+                        help="report format (json skips ruff/mypy)")
     parser.add_argument("--skip-tools", action="store_true",
                         help="run only the custom AST rules, "
                              "never ruff/mypy")
     parser.add_argument("--deep", action="store_true",
                         help="also run the interprocedural phase "
-                             "(call graph, held-lock propagation, "
-                             "attribute dataflow and hot-path "
-                             "propagation: LCK003/LCK004/GRW001/"
-                             "SNS002/ATM001/ATM002/PUB001/"
-                             "PRF001-PRF005)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse results for unchanged files from "
-                             "the analysis cache (and refresh it)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="analysis cache location "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--budget", action="store_true",
-                        help="enforce per-rule wall-time ceilings "
-                             "(rule_budget_default_s / "
-                             "rule_budget_overrides); overruns fail "
-                             "the lint with BGT001")
-    parser.add_argument("--changed", action="store_true",
-                        help="analyze only files changed since the "
-                             "branch point plus their call-graph "
-                             "dependents (shallow phase)")
+                             "(call graph, held-lock propagation "
+                             "and hot-path propagation: LCK003/"
+                             "LCK004/GRW001/SNS002/PRF001-PRF005)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules, their "
                              "waiver grammar and the annotation "
                              "directives, then exit")
-    parser.add_argument("--ownership-map", nargs="?", const="-",
-                        default=None, metavar="PATH",
-                        help="emit the inferred thread-ownership map "
-                             "(JSON schema v6) for the analyzed paths "
-                             "to PATH (default: stdout) and exit")
-    parser.add_argument("--domain-map", nargs="?", const="-",
-                        default=None, metavar="PATH",
-                        help="emit the inferred integer-domain map "
-                             "(JSON schema v6) for the analyzed paths "
-                             "to PATH (default: stdout) and exit")
     arguments = parser.parse_args(argv)
 
     if arguments.list_rules:
@@ -263,46 +99,13 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    if arguments.ownership_map is not None:
-        return _emit_ownership_map(arguments.paths,
-                                   arguments.ownership_map)
-
-    if arguments.domain_map is not None:
-        return _emit_domain_map(arguments.paths, arguments.domain_map)
-
-    config = load_config(Path(arguments.paths[0]))
-    cache = (AnalysisCache.open(arguments.cache_dir, config)
-             if arguments.cache else None)
-    stats = AnalysisStats()
-
-    shallow_paths: Sequence[str] = arguments.paths
-    if arguments.changed:
-        narrowed = _changed_targets(arguments.paths)
-        if narrowed is None:
-            print("repro lint: --changed needs git; analyzing "
-                  "everything", file=sys.stderr)
-        else:
-            shallow_paths = narrowed
-
-    findings = analyze_paths(shallow_paths, config,
-                             cache=cache, stats=stats)
+    findings = analyze_paths(arguments.paths)
     if arguments.deep:
-        findings.extend(analyze_project(arguments.paths, config,
-                                        cache=cache, stats=stats))
+        findings.extend(analyze_project(arguments.paths))
         findings.sort(key=lambda f: f.sort_key)
-    if arguments.budget:
-        findings.extend(budget_findings(stats, config))
-    if cache is not None:
-        cache.save()
 
     if arguments.output_format == "json":
-        print(render_json(
-            findings,
-            timings=stats.timing_rows(),
-            cache=cache.stats.to_dict() if cache is not None else None))
-        return 1 if findings else 0
-    if arguments.output_format == "sarif":
-        print(render_sarif(findings))
+        print(render_json(findings))
         return 1 if findings else 0
 
     print(render_text(findings))

@@ -1,4 +1,4 @@
-"""Analyzer configuration, with optional ``[tool.staticcheck]`` loading.
+"""Analyzer configuration: every scope list is stated here, once.
 
 Path options are :mod:`fnmatch` patterns matched against the analyzed
 file's POSIX path (``*`` crosses directory separators), so defaults
@@ -8,19 +8,16 @@ like ``*repro/clock.py`` work whether the analyzer is given
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
-    tomllib = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
 class StaticcheckConfig:
-    """Tunables of the project lint; defaults mirror ``pyproject.toml``."""
+    """Tunables of the project lint.  The defaults are what the lint
+    gate, ``repro lint`` and the lock witness all run with; tests over
+    fixture files construct their own scope."""
 
     clock_allowed_paths: tuple[str, ...] = ("*repro/clock.py",)
     """Modules allowed to call wall-clock primitives directly (the
@@ -31,6 +28,14 @@ class StaticcheckConfig:
         "*repro/core/watchdog.py",
         "*repro/core/sensors.py",
         "*repro/core/monitor.py",
+        "*repro/core/autopilot.py",
+        "*repro/core/tuning_journal.py",
+        "*repro/core/health.py",
+        "*repro/core/overload.py",
+        "*repro/core/analyzer/workload_view.py",
+        "*repro/core/analyzer/index_advisor.py",
+        "*repro/core/analyzer/analyzer.py",
+        "*repro/sql/lexer.py",
     )
     """Modules where a swallowed broad ``except`` hides monitor data
     loss (EXC002); bare ``except`` (EXC001) is banned everywhere."""
@@ -78,12 +83,21 @@ class StaticcheckConfig:
 
     growth_scope_paths: tuple[str, ...] = (
         "*repro/core/ring_buffer.py",
+        "*repro/core/sharding.py",
         "*repro/core/monitor.py",
         "*repro/core/sensors.py",
         "*repro/core/daemon.py",
         "*repro/core/watchdog.py",
+        "*repro/core/autopilot.py",
+        "*repro/core/tuning_journal.py",
+        "*repro/core/overload.py",
+        "*repro/core/health.py",
         "*repro/engine/locks.py",
         "*repro/storage/buffer_pool.py",
+        "*repro/core/analyzer/workload_view.py",
+        "*repro/core/analyzer/index_advisor.py",
+        "*repro/core/analyzer/analyzer.py",
+        "*repro/sql/lexer.py",
     )
     """Modules whose classes must keep every container bounded (GRW001
     scope) — the monitor/sensor path, where the paper promises a fixed
@@ -107,6 +121,7 @@ class StaticcheckConfig:
         "*repro/core/ring_buffer.py",
         "*repro/core/daemon.py",
         "*repro/engine/locks.py",
+        "*repro/storage/record.py",
     )
     """Modules where the PRF rules report findings — the sensor /
     ring-buffer / daemon-flush / lock-manager hot path whose per-call
@@ -141,137 +156,6 @@ class StaticcheckConfig:
     debug guard: formatting work under such a guard is exempt from
     PRF003 (the guard keeps it off the production hot path)."""
 
-    ownership_scope_paths: tuple[str, ...] = (
-        "*repro/core/daemon.py",
-        "*repro/core/monitor.py",
-        "*repro/core/autopilot.py",
-        "*repro/core/watchdog.py",
-        "*repro/core/ring_buffer.py",
-        "*repro/core/lockwitness.py",
-        "*repro/core/accesswitness.py",
-        "*repro/engine/locks.py",
-    )
-    """Modules where the thread-ownership rules (OWN001–OWN003) report
-    findings — the classes whose fields cross the daemon/tuner/main
-    thread boundary.  As with the hot-path scope, *inference* is
-    whole-program (thread roles propagate anywhere); only reporting is
-    scoped, so adopting the rules module-by-module does not require
-    the whole tree to be ownership-clean at once."""
-
-    domain_scope_paths: tuple[str, ...] = (
-        "*repro/core/sharding.py",
-        "*repro/core/daemon.py",
-        "*repro/core/workload_db.py",
-        "*repro/core/ring_buffer.py",
-        "*repro/core/ima.py",
-        "*repro/workloads/driver.py",
-        "*repro/bench.py",
-    )
-    """Modules where the integer-domain rules (DOM001–DOM004) report
-    findings — the sharded-monitoring path whose plain ``int``s carry
-    incompatible meanings (local vs encoded vs persisted seqs, shard
-    vs session ids).  As with the other deep scopes, *inference* is
-    whole-program; only reporting is scoped."""
-
-    domain_seed_returns: tuple[str, ...] = (
-        "repro.core.sharding.encode_seq=encoded_seq",
-        "repro.core.sharding.decode_seq=local_seq/shard_id",
-        "repro.core.sharding.shard_of_seq=shard_id",
-        "repro.core.sharding.ShardedMonitor.shard_id_for=shard_index",
-        "repro.core.ring_buffer.RingBuffer.append=local_seq",
-        "repro.core.workload_db.WorkloadDatabase.load_high_water_vector"
-        "=src_seq",
-    )
-    """Known producers, as ``"qualname=dom"`` (``dom1/dom2`` for
-    tuple-valued returns): calls resolving to these qualnames yield
-    the given domain.  Functions listed here are exempt from site
-    collection — their bodies *implement* the encoding."""
-
-    domain_name_seeds: tuple[str, ...] = (
-        "session_id=session_id",
-        "shard_id=shard_id",
-        "shard_index=shard_index",
-        "local_seq=local_seq",
-        "src_seq=src_seq",
-        "merged_seq=encoded_seq",
-        "encoded_seq=encoded_seq",
-        "high_water=encoded_seq",
-    )
-    """Parameter/attribute names that carry their domain, as
-    ``"name=dom"``.  Deliberately minimal and never applied to bare
-    locals; an unqualified ``seq`` seeds nothing."""
-
-    domain_merge_helpers: tuple[str, ...] = (
-        "*.MergedRingView.*",
-        "*.MergedKeyedView.*",
-        "*.load_high_water_vector",
-    )
-    """Function qualname patterns exempt from the DOM001 encoded-seq
-    ordering check: the k-way merge views and the per-shard recovery
-    vector implement the cross-shard ordering themselves."""
-
-    rule_budget_default_s: float = 5.0
-    """Per-rule wall-time ceiling in seconds enforced by ``--budget``;
-    rules whose accumulated analysis time exceeds it fail the lint
-    with a BGT001 finding."""
-
-    rule_budget_overrides: tuple[str, ...] = ()
-    """Per-rule ceilings as ``"RULE=seconds"`` strings, e.g.
-    ``("LCK003=10", "GRW001=2.5")``.  A ceiling of ``0`` makes any
-    measurable time an overrun (useful for tests)."""
-
     def path_matches(self, path: str, patterns: tuple[str, ...]) -> bool:
         posix = Path(path).as_posix()
         return any(fnmatch(posix, pattern) for pattern in patterns)
-
-    def rule_budget_s(self, rule_id: str) -> float:
-        """Effective wall-time ceiling for ``rule_id``."""
-        for override in self.rule_budget_overrides:
-            name, _, value = override.partition("=")
-            if name.strip() == rule_id:
-                try:
-                    return float(value)
-                except ValueError:
-                    break
-        return self.rule_budget_default_s
-
-
-def load_config(start: Path | str | None = None) -> StaticcheckConfig:
-    """Build the config, honouring ``[tool.staticcheck]`` if a
-    ``pyproject.toml`` is found at or above ``start`` (default: cwd).
-
-    Missing pyproject, missing section, or a Python without
-    :mod:`tomllib` all fall back to the built-in defaults.
-    """
-    defaults = StaticcheckConfig()
-    if tomllib is None:
-        return defaults
-    directory = Path(start) if start is not None else Path.cwd()
-    if directory.is_file():
-        directory = directory.parent
-    pyproject: Path | None = None
-    for candidate in (directory, *directory.parents):
-        probe = candidate / "pyproject.toml"
-        if probe.is_file():
-            pyproject = probe
-            break
-    if pyproject is None:
-        return defaults
-    try:
-        with pyproject.open("rb") as handle:
-            data = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError):
-        return defaults
-    section = data.get("tool", {}).get("staticcheck", {})
-    if not isinstance(section, dict) or not section:
-        return defaults
-    known = {f.name for f in fields(StaticcheckConfig)}
-    overrides: dict[str, object] = {}
-    for key, value in section.items():
-        if key not in known:
-            continue
-        if isinstance(value, list):
-            overrides[key] = tuple(str(item) for item in value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            overrides[key] = float(value)
-    return StaticcheckConfig(**overrides)  # type: ignore[arg-type]

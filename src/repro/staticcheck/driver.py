@@ -5,23 +5,14 @@ source, AST, parent links, import aliases and parsed annotations — so
 each rule stays a pure AST visitor.  :func:`analyze_paths` walks the
 given files/directories, runs every registered rule, applies
 ``ignore`` suppressions and returns findings sorted by location.
-
-Both phases optionally take an :class:`~repro.staticcheck.cache.
-AnalysisCache` (skip files/programs whose content hashes match a
-previous run) and an :class:`AnalysisStats` accumulator (per-rule
-wall time, measured with ``time.perf_counter`` — duration-only, so
-CLK-legal — and cache hit counts); :func:`budget_findings` turns the
-accumulated timings into BGT001 findings for rules over their
-configured ceiling.
 """
 
 from __future__ import annotations
 
 import ast
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.staticcheck.annotations import (
     AnnotationError,
@@ -37,9 +28,6 @@ from repro.staticcheck.base import (
 )
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import Finding, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.cache import AnalysisCache
 
 SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
 
@@ -91,60 +79,6 @@ class ModuleContext:
         return False
 
 
-@dataclass
-class AnalysisStats:
-    """Per-run accounting: rule wall time and cache behaviour."""
-
-    timings: dict[str, float] = field(default_factory=dict)
-    """rule id -> accumulated analysis seconds across all files."""
-    budgets: dict[str, float] = field(default_factory=dict)
-    """rule id -> enforced ceiling (filled by :func:`budget_findings`)."""
-    cache: "AnalysisCache | None" = None
-
-    def add_timing(self, rule_id: str, seconds: float) -> None:
-        self.timings[rule_id] = self.timings.get(rule_id, 0.0) + seconds
-
-    def timing_rows(self) -> list[dict[str, object]]:
-        """The JSON report's ``timings`` table, one row per rule."""
-        rows: list[dict[str, object]] = []
-        for rule_id in sorted(self.timings):
-            row: dict[str, object] = {
-                "rule_id": rule_id,
-                "seconds": round(self.timings[rule_id], 6),
-            }
-            if rule_id in self.budgets:
-                row["budget_s"] = self.budgets[rule_id]
-                row["over_budget"] = (
-                    self.timings[rule_id] > self.budgets[rule_id])
-            rows.append(row)
-        return rows
-
-
-def budget_findings(stats: AnalysisStats,
-                    config: StaticcheckConfig) -> list[Finding]:
-    """BGT001 findings for every rule whose accumulated wall time
-    exceeds its configured ceiling (``--budget`` enforcement).  Also
-    records the enforced ceilings on ``stats`` for the timing table."""
-    findings: list[Finding] = []
-    for rule_id in sorted(stats.timings):
-        ceiling = config.rule_budget_s(rule_id)
-        stats.budgets[rule_id] = ceiling
-        spent = stats.timings[rule_id]
-        if spent > ceiling:
-            findings.append(Finding(
-                path="<staticcheck>",
-                line=1,
-                column=0,
-                rule_id="BGT001",
-                severity=Severity.ERROR,
-                message=(
-                    f"rule {rule_id} spent {spent:.3f}s, over its "
-                    f"{ceiling:.3f}s budget; tighten the rule, raise "
-                    f"rule_budget_overrides, or shrink its scope"),
-            ))
-    return findings
-
-
 def iter_python_files(paths: Sequence[Path | str]) -> Iterable[Path]:
     """Expand files/directories into a sorted stream of ``.py`` files."""
     seen: set[Path] = set()
@@ -165,8 +99,7 @@ def iter_python_files(paths: Sequence[Path | str]) -> Iterable[Path]:
 
 def analyze_source(path: str, source: str,
                    config: StaticcheckConfig | None = None,
-                   rules: Sequence[Rule] | None = None,
-                   *, stats: AnalysisStats | None = None) -> list[Finding]:
+                   rules: Sequence[Rule] | None = None) -> list[Finding]:
     """Run the rules over one in-memory module."""
     config = config or StaticcheckConfig()
     try:
@@ -187,34 +120,17 @@ def analyze_source(path: str, source: str,
         )]
     findings: list[Finding] = []
     for rule in (rules if rules is not None else all_rules()):
-        started = time.perf_counter()
         for finding in rule.check(module, config):
             if not module.suppressed(finding):
                 findings.append(finding)
-        if stats is not None:
-            stats.add_timing(rule.rule_id,
-                             time.perf_counter() - started)
     findings.sort(key=lambda f: f.sort_key)
     return findings
 
 
 def analyze_paths(paths: Sequence[Path | str],
                   config: StaticcheckConfig | None = None,
-                  rules: Sequence[Rule] | None = None,
-                  *, cache: "AnalysisCache | None" = None,
-                  stats: AnalysisStats | None = None) -> list[Finding]:
-    """Run the rules over every Python file under ``paths``.
-
-    With a ``cache``, files whose content hash matches a stored entry
-    replay their findings without being parsed or analyzed; the cache
-    is bypassed when an explicit ``rules`` subset is given (cached
-    results would not correspond to it).
-    """
-    from repro.staticcheck.cache import content_hash
-
-    use_cache = cache if rules is None else None
-    if stats is not None and cache is not None:
-        stats.cache = cache
+                  rules: Sequence[Rule] | None = None) -> list[Finding]:
+    """Run the rules over every Python file under ``paths``."""
     findings: list[Finding] = []
     for path in iter_python_files(paths):
         try:
@@ -226,20 +142,7 @@ def analyze_paths(paths: Sequence[Path | str],
                 message=f"cannot read file: {error}",
             ))
             continue
-        if use_cache is not None:
-            digest = content_hash(source)
-            cached = use_cache.shallow_lookup(str(path), digest)
-            if cached is not None:
-                findings.extend(cached)
-                continue
-            computed = analyze_source(str(path), source, config,
-                                      rules, stats=stats)
-            use_cache.shallow_store(str(path), digest, computed)
-            findings.extend(computed)
-            continue
-        findings.extend(
-            analyze_source(str(path), source, config, rules,
-                           stats=stats))
+        findings.extend(analyze_source(str(path), source, config, rules))
     findings.sort(key=lambda f: f.sort_key)
     return findings
 
@@ -247,50 +150,25 @@ def analyze_paths(paths: Sequence[Path | str],
 def analyze_project(paths: Sequence[Path | str],
                     config: StaticcheckConfig | None = None,
                     rules: Sequence[ProjectRule] | None = None,
-                    *, cache: "AnalysisCache | None" = None,
-                    stats: AnalysisStats | None = None,
                     ) -> list[Finding]:
     """The ``--deep`` phase: whole-program rules over the call graph.
 
     Files that do not parse are skipped silently here — the shallow
     phase already reports ``PARSE`` for them, and a partial program is
     still worth analyzing.
-
-    Deep findings cache as a whole set: with a ``cache``, the stored
-    findings are replayed — and nothing is parsed — only when every
-    analyzed file's content hash matches the previous run exactly.
-    As in :func:`analyze_paths`, an explicit ``rules`` subset bypasses
-    the cache.
     """
     # Imported here: callgraph/lockflow import this module for
     # ModuleContext, so a top-level import would be circular.
-    from repro.staticcheck.cache import content_hash
     from repro.staticcheck.callgraph import build_project
-    from repro.staticcheck.dataflow import file_dependencies
     from repro.staticcheck.lockflow import DeepContext, LockFlow
 
     config = config or StaticcheckConfig()
-    use_cache = cache if rules is None else None
-    if stats is not None and cache is not None:
-        stats.cache = cache
-    sources: dict[str, str] = {}
+    modules: list[ModuleContext] = []
     for path in iter_python_files(paths):
         try:
-            sources[str(path)] = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-    hashes = {path: content_hash(source)
-              for path, source in sources.items()}
-    if use_cache is not None:
-        cached = use_cache.deep_lookup(hashes)
-        if cached is not None:
-            return cached
-    modules: list[ModuleContext] = []
-    for path, source in sources.items():
-        try:
-            modules.append(ModuleContext.from_source(path, source))
-        except (SyntaxError, AnnotationError):
-            hashes.pop(path, None)
+            modules.append(ModuleContext.from_source(
+                str(path), path.read_text(encoding="utf-8")))
+        except (OSError, SyntaxError, AnnotationError):
             continue
     project = build_project(modules)
     lockflow = LockFlow(project, config).analyze()
@@ -298,17 +176,10 @@ def analyze_project(paths: Sequence[Path | str],
     by_path = {module.path: module for module in modules}
     findings: list[Finding] = []
     for rule in (rules if rules is not None else all_deep_rules()):
-        started = time.perf_counter()
         for finding in rule.check_project(deep, config):
             module = by_path.get(finding.path)
             if module is not None and module.suppressed(finding):
                 continue
             findings.append(finding)
-        if stats is not None:
-            stats.add_timing(rule.rule_id,
-                             time.perf_counter() - started)
     findings.sort(key=lambda f: f.sort_key)
-    if use_cache is not None:
-        use_cache.deep_store(hashes, findings,
-                             file_dependencies(project))
     return findings

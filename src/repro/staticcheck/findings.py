@@ -51,15 +51,6 @@ class TraceEntry:
             "note": self.note,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TraceEntry":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            function=str(data["function"]),
-            note=str(data["note"]),
-        )
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -84,7 +75,7 @@ class Finding:
     """Interprocedural evidence chain (empty for per-module rules)."""
 
     hot_root: str | None = None
-    """Hotness provenance (PRF rules, JSON schema v4): the qualname of
+    """Hotness provenance (PRF rules): the qualname of
     the ``hotpath`` root whose propagation made the reported line hot;
     the ``trace`` holds the call chain from that root."""
 
@@ -118,20 +109,3 @@ class Finding:
         if self.hot_root is not None:
             payload["hot_root"] = self.hot_root
         return payload
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        raw_trace = data.get("trace", [])
-        if not isinstance(raw_trace, list):
-            raise ValueError("finding trace must be a list")
-        hot_root = data.get("hot_root")
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            column=int(data["column"]),  # type: ignore[arg-type]
-            rule_id=str(data["rule_id"]),
-            severity=Severity(data["severity"]),
-            message=str(data["message"]),
-            trace=tuple(TraceEntry.from_dict(entry) for entry in raw_trace),
-            hot_root=str(hot_root) if hot_root is not None else None,
-        )

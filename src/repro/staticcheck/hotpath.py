@@ -14,8 +14,8 @@ mandatory; a bare ``coldpath()`` is ignored so that a waiver can never
 be an accident.
 
 Every hot function carries *provenance*: the trace of call sites from
-its root, attached to PRF findings (and serialized in JSON schema v4's
-``hot_root``) so a reviewer can see why the analyzer considers a line
+its root, attached to PRF findings (and serialized as the JSON
+report's ``hot_root``) so a reviewer can see why the analyzer considers a line
 hot without re-deriving the call chain.
 """
 

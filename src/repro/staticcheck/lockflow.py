@@ -31,10 +31,7 @@ from fnmatch import fnmatch
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.dataflow import AttrFlow
-    from repro.staticcheck.domains import DomainResult
     from repro.staticcheck.hotpath import HotPathResult
-    from repro.staticcheck.ownership import OwnershipResult
 
 from repro.staticcheck.astutil import ancestors, dotted_segments, self_attribute
 from repro.staticcheck.callgraph import (
@@ -107,8 +104,8 @@ class BlockingChain:
 
 @dataclass
 class LockFlowResult:
-    """What the propagation found, consumed by LCK003/LCK004 and by
-    the attribute dataflow layer (:mod:`repro.staticcheck.dataflow`)."""
+    """What the propagation found, consumed by LCK003/LCK004 and
+    PRF005."""
 
     order_edges: list[OrderEdge] = field(default_factory=list)
     blocking: list[BlockingChain] = field(default_factory=list)
@@ -127,26 +124,10 @@ class DeepContext:
 
     project: ProjectContext
     lockflow: LockFlowResult
-    attr_flows: "AttrFlow | None" = None
-    """Lazily computed by the ATM/PUB rules via
-    :func:`repro.staticcheck.dataflow.attr_flows_for` so the
-    field-sensitive pass runs once per project, not once per rule."""
-
     hotpaths: "HotPathResult | None" = None
     """Lazily computed by the PRF rules via
     :func:`repro.staticcheck.hotpath.hotpaths_for` — one propagation
     per project, shared by all five performance rules."""
-
-    ownership: "OwnershipResult | None" = None
-    """Lazily computed by the OWN rules (and the ``--ownership-map``
-    export) via :func:`repro.staticcheck.ownership.ownership_for` —
-    one thread-role propagation and field classification per project."""
-
-    domains: "DomainResult | None" = None
-    """Lazily computed by the DOM rules (and the ``--domain-map``
-    export) via :func:`repro.staticcheck.domains.domains_for` — one
-    integer-domain propagation per project, shared by all four
-    domain rules."""
 
 
 def lock_attrs_of(project: ProjectContext,

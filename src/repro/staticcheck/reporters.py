@@ -1,42 +1,18 @@
-"""Text and JSON rendering of findings (and JSON parsing back)."""
+"""Text and JSON rendering of findings."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any
 
 from repro.staticcheck.findings import Finding
 
-JSON_VERSION = 6
-"""Version 6 adds the optional top-level ``domains`` key: the
-integer-domain map (``repro lint --domain-map``) — the inferred
-domain of every typed parameter, return and field from the lattice
-the DOM rules check (``local_seq``/``encoded_seq``/``src_seq``/
-``shard_id``/``shard_index``/``session_id``), plus the seeding
-tables.  Version 5 added the optional top-level ``ownership`` key: the
-thread-ownership map (``repro lint --ownership-map``) — inferred
-thread roles plus a per-class, per-field
-``exclusive``/``guarded``/``handoff``/``shared-unsynchronized``
-classification the OWN rules and the runtime access witness consume.
-Version 4 added the optional per-finding ``hot_root`` key: hotness
-provenance on PRF findings — the qualname of the ``hotpath`` root whose
-propagation made the reported line hot (the finding's ``trace`` is the
-call chain from that root).  Version 3 added the ``timings`` table (one
-row per rule: accumulated seconds, plus budget ceiling and over-budget
-flag when ``--budget`` is enforced) and the optional ``cache`` summary
-(shallow hits/analyzed, deep-from-cache).  Version 2 added the
-``trace`` key (interprocedural evidence chain) to every finding;
-version-1 payloads (no trace) still parse."""
-
-_ACCEPTED_VERSIONS = frozenset({1, 2, 3, 4, 5, JSON_VERSION})
-
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
-                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
-
-#: Finding severity -> SARIF result level.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
+JSON_VERSION = 7
+"""The one report format: ``version`` plus ``findings``, each finding
+carrying its location, rule id, severity, message, ``trace``
+(interprocedural evidence chain, empty for per-module rules) and — on
+PRF findings only — ``hot_root`` (the ``hotpath`` root whose
+propagation made the reported line hot)."""
 
 
 def render_text(findings: list[Finding]) -> str:
@@ -53,115 +29,10 @@ def render_text(findings: list[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: list[Finding],
-                timings: list[dict[str, Any]] | None = None,
-                cache: dict[str, Any] | None = None,
-                ownership: dict[str, Any] | None = None,
-                domains: dict[str, Any] | None = None) -> str:
-    """Machine-readable report; round-trips through :func:`parse_json`.
-
-    ``timings`` is the per-rule table from
-    :meth:`~repro.staticcheck.driver.AnalysisStats.timing_rows`;
-    ``cache`` is a :meth:`~repro.staticcheck.cache.CacheStats.to_dict`
-    summary, present only when a cache was in play; ``ownership`` is an
-    :meth:`~repro.staticcheck.ownership.OwnershipResult.to_json` map
-    and ``domains`` a
-    :meth:`~repro.staticcheck.domains.DomainResult.to_json` map, each
-    present only when its phase ran.
-    """
-    payload: dict[str, Any] = {
+def render_json(findings: list[Finding]) -> str:
+    """Machine-readable report (the CI artifact)."""
+    payload = {
         "version": JSON_VERSION,
         "findings": [finding.to_dict() for finding in findings],
-        "timings": timings if timings is not None else [],
-    }
-    if cache is not None:
-        payload["cache"] = cache
-    if ownership is not None:
-        payload["ownership"] = ownership
-    if domains is not None:
-        payload["domains"] = domains
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(findings: list[Finding]) -> str:
-    """SARIF 2.1.0 report for code-scanning UIs (CI upload).
-
-    One run, one ``tool.driver`` listing every rule that fired (id,
-    summary, default severity); each finding becomes a ``result`` with
-    the evidence trace flattened into ``relatedLocations``.
-    """
-    from repro.staticcheck.base import all_deep_rules, all_rules
-
-    docs = {rule.rule_id: rule.summary
-            for rule in (*all_rules(), *all_deep_rules())}
-    fired = sorted({finding.rule_id for finding in findings})
-    rules_json = [
-        {
-            "id": rule_id,
-            "shortDescription": {
-                "text": docs.get(rule_id, rule_id)},
-        }
-        for rule_id in fired
-    ]
-    rule_index = {rule_id: i for i, rule_id in enumerate(fired)}
-    results = []
-    for finding in findings:
-        result: dict[str, Any] = {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index[finding.rule_id],
-            "level": _SARIF_LEVELS.get(finding.severity.value, "warning"),
-            "message": {"text": finding.message},
-            "locations": [_sarif_location(
-                finding.path, finding.line, finding.column + 1)],
-        }
-        if finding.trace:
-            result["relatedLocations"] = [
-                {
-                    **_sarif_location(entry.path, entry.line, 1),
-                    "message": {"text": f"{entry.function}: {entry.note}"},
-                }
-                for entry in finding.trace
-            ]
-        results.append(result)
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-staticcheck",
-                        "informationUri":
-                            "https://example.invalid/repro-staticcheck",
-                        "rules": rules_json,
-                    },
-                },
-                "results": results,
-            },
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_location(path: str, line: int, column: int) -> dict[str, Any]:
-    from pathlib import Path
-
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": Path(path).as_posix()},
-            "region": {"startLine": max(line, 1),
-                       "startColumn": max(column, 1)},
-        },
-    }
-
-
-def parse_json(text: str) -> list[Finding]:
-    """Inverse of :func:`render_json`."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError("not a staticcheck JSON report")
-    version = data.get("version")
-    if version not in _ACCEPTED_VERSIONS:
-        raise ValueError(f"unsupported staticcheck report version: "
-                         f"{version!r}")
-    return [Finding.from_dict(entry) for entry in data["findings"]]

@@ -199,7 +199,7 @@ def verify_persisted_invariants(setup: Setup,
         seen: set[int] = set()
         last_per_shard: dict[int, int] = {}
         for _rowid, row in database.storage_for(schema.name).scan():
-            seq = row[-1]  # staticcheck: domain(src_seq)
+            seq = row[-1]
             if seq <= 0:
                 continue
             if seq in seen:

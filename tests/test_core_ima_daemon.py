@@ -109,8 +109,10 @@ class TestWorkloadDatabase:
         rows = [row for _rid, row in
                 wdb.database.storage_for("wl_indexes").scan()]
         assert [row[-1] for row in rows] == [7, 9]
-        assert wdb.load_high_water()["wl_indexes"] == 9
-        assert wdb.load_high_water()["wl_plans"] == 0
+        # 7 and 9 are shard 7's and shard 9's seqs (seq % SHARD_STRIDE).
+        vector = wdb.load_high_water_vector()
+        assert vector["wl_indexes"] == {7: 7, 9: 9}
+        assert vector["wl_plans"] == {}
 
     def test_purge_retention(self):
         wdb = WorkloadDatabase(EngineConfig())

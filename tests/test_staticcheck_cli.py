@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.staticcheck import all_deep_rules, all_rules
 from repro.staticcheck.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
@@ -30,7 +31,7 @@ def test_lint_json_format_is_machine_readable(capsys):
                       "--format", "json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 6
+    assert report["version"] == 7
     rule_ids = [finding["rule_id"] for finding in report["findings"]]
     assert "CLK001" in rule_ids and "CLK002" in rule_ids
 
@@ -42,12 +43,20 @@ def test_lint_missing_path_is_usage_error(capsys):
 
 
 def test_list_rules_names_all_families(capsys):
+    """``--list-rules`` lists exactly the registered rules: the four
+    shallow and three deep families that found bugs."""
     code = lint_main(["--list-rules"])
     assert code == 0
     output = capsys.readouterr().out
-    for rule_id in ("LCK001", "LCK002", "CLK001", "CLK002",
-                    "EXC001", "EXC002", "SNS001",
-                    "LCK003", "LCK004", "GRW001", "SNS002",
-                    "ATM001", "ATM002", "PUB001"):
-        assert rule_id in output
+    listed = [line.split()[0] for line in output.splitlines()
+              if line[:3].isupper() and line[3:6].isdigit()]
+    registered = sorted(rule.rule_id
+                        for rule in (*all_rules(), *all_deep_rules()))
+    assert sorted(listed) == registered == [
+        "CLK001", "CLK002", "EXC001", "EXC002", "GRW001",
+        "LCK001", "LCK002", "LCK003", "LCK004",
+        "PRF001", "PRF002", "PRF003", "PRF004", "PRF005",
+        "SNS001", "SNS002"]
     assert "[deep]" in output
+    assert ("directives: shared, guarded-by, bounded, hotpath, "
+            "coldpath, allocfree, ignore") in output

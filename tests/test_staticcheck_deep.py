@@ -20,11 +20,11 @@ from repro.staticcheck import (
     TraceEntry,
     analyze_project,
     build_project,
-    parse_json,
     render_json,
 )
 from repro.staticcheck.cli import main as lint_main
 from repro.staticcheck.driver import ModuleContext
+from repro.staticcheck.lockflow import LockFlow
 
 FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 
@@ -33,6 +33,15 @@ DEEP_CONFIG = StaticcheckConfig(
     sensor_module_paths=("*sensorbudget_violation.py",
                          "*sensorbudget_clean.py"),
 )
+
+
+CLI_SCOPE = {
+    "growth_violation.py": "repro/core/daemon.py",
+    "sensorbudget_violation.py": "repro/core/sensors.py",
+}
+"""Where the CLI test puts a fixture whose family reports only inside
+a scope list: a path the default ``growth_scope_paths`` /
+``sensor_module_paths`` match."""
 
 
 def deep_findings_for(name: str) -> list[Finding]:
@@ -122,6 +131,82 @@ class TestCallGraph:
         assert [(e.callee, e.external) for e in edges] == [
             ("repro.disk.Disk.write", False)]
 
+    def test_bound_method_attributes_produce_call_edges(self):
+        project = self._project(("src/repro/demo.py", (
+            "class Sink:\n"
+            "    def record(self):\n"
+            "        pass\n"
+            "class Driver:\n"
+            "    def __init__(self, sink: Sink):\n"
+            "        self._record = sink.record\n"
+            "    def run(self):\n"
+            "        self._record()\n"
+        )))
+        edges = project.calls_from("repro.demo.Driver.run")
+        assert [(e.callee, e.external) for e in edges] == [
+            ("repro.demo.Sink.record", False)]
+
+    def test_chained_attribute_locals_type_through_each_hop(self):
+        project = self._project(("src/repro/demo.py", (
+            "class Sensors:\n"
+            "    def fire(self):\n"
+            "        pass\n"
+            "class Engine:\n"
+            "    def __init__(self, sensors: Sensors | None = None):\n"
+            "        self.sensors = sensors or Sensors()\n"
+            "class Session:\n"
+            "    def __init__(self, engine: Engine):\n"
+            "        self.engine = engine\n"
+            "    def run(self):\n"
+            "        sensors = self.engine.sensors\n"
+            "        sensors.fire()\n"
+        )))
+        edges = project.calls_from("repro.demo.Session.run")
+        assert [(e.callee, e.external) for e in edges] == [
+            ("repro.demo.Sensors.fire", False)]
+
+
+class TestEntryLocks:
+    """The entry-locks fixpoint PRF005 reads: locks held at a
+    function's entry on *every* internal call path."""
+
+    def _entry_locks(self, source: str) -> dict[str, frozenset[str]]:
+        module = ModuleContext.from_source("src/repro/demo.py", source)
+        project = build_project([module])
+        return LockFlow(project, StaticcheckConfig()).analyze().entry_locks
+
+    def test_entry_locks_cover_helpers_called_under_lock(self):
+        entry = self._entry_locks(
+            "import threading\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self.n = 0\n"
+            "    def outer(self):\n"
+            "        with self._lock:\n"
+            "            self._helper()\n"
+            "    def _helper(self):\n"
+            "        self.n += 1\n"
+        )
+        assert entry["repro.demo.C._helper"] == \
+            frozenset({"repro.demo.C._lock"})
+
+    def test_entry_locks_meet_over_disagreeing_callers(self):
+        entry = self._entry_locks(
+            "import threading\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "    def locked_caller(self):\n"
+            "        with self._lock:\n"
+            "            self._helper()\n"
+            "    def unlocked_caller(self):\n"
+            "        self._helper()\n"
+            "    def _helper(self):\n"
+            "        pass\n"
+        )
+        assert entry["repro.demo.C._helper"] == frozenset()
+
 
 class TestLockOrderRule:
     def test_violation(self):
@@ -204,21 +289,11 @@ class TestTraceSerialization:
     def test_trace_survives_json_round_trip(self):
         findings = deep_findings_for("blocking_violation.py")
         assert findings[0].trace  # non-trivial payload
-        assert parse_json(render_json(findings)) == findings
-
-    def test_version_1_payload_still_parses(self):
-        payload = json.dumps({
-            "version": 1,
-            "findings": [{
-                "path": "a.py", "line": 1, "column": 0,
-                "rule_id": "CLK001", "severity": "error",
-                "message": "m",
-            }],
-        })
-        findings = parse_json(payload)
-        assert findings == [Finding(
-            path="a.py", line=1, column=0, rule_id="CLK001",
-            severity=Severity.ERROR, message="m")]
+        [reported] = json.loads(render_json(findings))["findings"]
+        assert reported["trace"] == [
+            {"path": e.path, "line": e.line,
+             "function": e.function, "note": e.note}
+            for e in findings[0].trace]
 
     def test_render_text_includes_numbered_trace(self):
         finding = Finding(
@@ -240,12 +315,15 @@ class TestDeepCli:
         ("growth_violation.py", "GRW001", 14),
         ("sensorbudget_violation.py", "SNS002", 12),
     ])
-    def test_each_family_fails_the_cli_with_a_trace(self, capsys, fixture,
-                                                    rule_id, line):
+    def test_each_family_fails_the_cli_with_a_trace(self, capsys, tmp_path,
+                                                    fixture, rule_id, line):
         """Every deep family: exit 1, pinned id+line, trace >= 2 in
-        JSON (the fixture scope patterns come from pyproject)."""
-        code = lint_main([str(FIXTURES / fixture),
-                          "--deep", "--format", "json"])
+        JSON.  The CLI runs the default config, so the scoped families
+        see their fixture at a path the default scope lists name."""
+        target = tmp_path / CLI_SCOPE.get(fixture, fixture)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text((FIXTURES / fixture).read_text())
+        code = lint_main([str(target), "--deep", "--format", "json"])
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         matches = [f for f in report["findings"]
@@ -273,8 +351,8 @@ class TestDeepCli:
                           "--deep", "--format", "json"])
         assert code == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["version"] == 6
-        assert "timings" in report
+        assert sorted(report) == ["findings", "version"]
+        assert report["version"] == 7
         assert len(report["findings"]) == 1
         finding = report["findings"][0]
         assert sorted(finding) == [

@@ -8,24 +8,25 @@ full ``file:line: RULE message`` report, exactly like
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 from repro.staticcheck import (
+    StaticcheckConfig,
     analyze_paths,
     analyze_project,
-    load_config,
     render_text,
 )
+from repro.staticcheck.driver import iter_python_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
 
 def test_library_is_clean_under_staticcheck():
-    config = load_config(SRC)
-    findings = analyze_paths([SRC], config)
+    findings = analyze_paths([SRC])
     assert findings == [], "\n" + render_text(findings)
 
 
@@ -33,18 +34,25 @@ def test_library_is_clean_under_deep_staticcheck():
     """The interprocedural phase: no lock-order cycles, no blocking
     calls under a lock, no unbounded monitor containers, no sensor
     paths that scale with catalog size."""
-    config = load_config(SRC)
-    findings = analyze_project([SRC], config)
+    findings = analyze_project([SRC])
     assert findings == [], "\n" + render_text(findings)
 
 
-def test_config_comes_from_pyproject():
-    config = load_config(SRC)
-    # pyproject's [tool.staticcheck] pins the clock module allow-list;
-    # if loading silently fell back to defaults this would still hold,
-    # so also check a value only pyproject sets the same way.
-    assert "*repro/clock.py" in config.clock_allowed_paths
-    assert "*repro/core/daemon.py" in config.critical_except_paths
+def test_every_scope_glob_matches_a_source_file():
+    """A scope list names the modules a rule reports in; a glob that
+    matches nothing (a renamed or deleted module) silently drops that
+    module from the rule, and the gate stays green over less code."""
+    config = StaticcheckConfig()
+    sources = [str(path) for path in iter_python_files([SRC])]
+    stale = [
+        f"{field.name}: {pattern}"
+        for field in dataclasses.fields(config)
+        if field.name.endswith("_paths")
+        for pattern in getattr(config, field.name)
+        if not any(config.path_matches(source, (pattern,))
+                   for source in sources)
+    ]
+    assert stale == []
 
 
 def test_cli_lint_exits_zero_on_clean_tree():
