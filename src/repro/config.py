@@ -275,9 +275,11 @@ class EngineConfig:
     fall back to a greedy heuristic beyond it."""
 
     plan_cache_size: int = 256
-    """Per-session cache of compiled SELECT plans keyed by statement
-    text (the engine-side caching that makes the paper's repeated 1m
-    statements cheap).  0 disables plan caching."""
+    """Per-session cache of prepared SELECTs keyed by statement shape
+    (the text with its literals blanked; literal values are bound at
+    execute), so the paper's 50k distinct texts plan once.  The same
+    budget holds the exact-text entries that keep the repeated 1m
+    statement at one lookup.  0 disables plan caching."""
 
     faults: tuple[str, ...] = ()
     """Fault-injection specs armed when the engine is constructed, e.g.

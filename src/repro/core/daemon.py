@@ -41,9 +41,10 @@ marks are therefore per-(table, shard) *vectors* — a scalar over the
 merged space would be unsound, because a lagging shard's later append
 encodes below the global maximum and would be skipped forever.  The
 daemon polls each shard with its own ``where shard = S and seq > hw``
-query; ``poll_workers`` > 1 fans those per-shard reads over worker
-threads (each with its own session) *within* one poll — the poll as a
-whole stays serialized under ``_poll_mutex``.
+query (``where seq > hw`` alone when there is one shard);
+``poll_workers`` > 1 fans those per-shard reads over worker threads
+(each with its own session) *within* one poll — the poll as a whole
+stays serialized under ``_poll_mutex``.
 * Nothing fails silently: failures are counted in ``poll_failures``
   with the message in ``last_poll_error``, and :meth:`status` exposes
   the full health snapshot (consecutive failures, backoff, pending,
@@ -175,12 +176,15 @@ class StorageDaemon:
         }
         # Poll statements are "constant prefix + high-water seq"; the
         # constant part is formatted once per (table, shard) here, not
-        # per poll under _poll_mutex (PRF005).
+        # per poll under _poll_mutex (PRF005).  A single shard's rows
+        # are all of them: with the seq floor as its only predicate the
+        # scan takes the ring's bounded snapshot as it comes.
+        shard_filter = "shard = {} and " if self.shard_count > 1 else ""
         self._poll_query_prefix: dict[tuple[str, int], str] = {
             # staticcheck: bounded(TABLE_SOURCES)
             (ima_table, shard):
                 f"select * from {ima_table} "
-                f"where shard = {shard} and seq > "
+                f"where {shard_filter.format(shard)}seq > "
             for ima_table in TABLE_SOURCES.values()
             for shard in range(self.shard_count)
         }

@@ -35,7 +35,7 @@ from repro.core.records import (
     WorkloadRecord,
 )
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
-from repro.core.sensors import Sensors, StatementContext, statement_hash
+from repro.core.sensors import Sensors, StatementContext, statement_key
 
 STATISTICS_MIN_INTERVAL_S = 1.0
 
@@ -336,12 +336,14 @@ class MonitorSensors(Sensors):
     # these are the 1-2 microsecond calls section V-A talks about.
 
     # staticcheck: hotpath
-    def statement_start(self, text: str,
-                        session_id: int = 0) -> StatementContext:
+    def statement_start(self, text: str, session_id: int = 0,
+                        text_hash: int | None = None) -> StatementContext:
         t0 = time.perf_counter()
+        if text_hash is None:
+            text_hash = statement_key(text)
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
             text=text,
-            text_hash=statement_hash(text),
+            text_hash=text_hash,
             started_monotonic=t0,
             session_id=session_id if session_id else self._session_id,
             # Benign stale read of the ladder level: a transition that

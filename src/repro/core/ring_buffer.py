@@ -73,11 +73,14 @@ class RingBuffer(Generic[T]):
     def snapshot(self, min_seq: int = 0) -> list[tuple[int, T]]:
         """(seq, item) pairs with seq > ``min_seq``, oldest first."""
         with self._lock:
-            n = len(self._items)
-            ordered = [
-                self._items[(self._start + i) % n] for i in range(n)
-            ] if n else []
-        return [(seq, item) for seq, item in ordered if seq > min_seq]
+            items, start, n = self._items, self._start, len(self._items)
+            # Seqs are consecutive and end at _next_seq - 1, so the
+            # rows above the floor are a suffix of the window: a reader
+            # that is nearly caught up pays for the new rows only.
+            first = start + max(0, min_seq + 1 + n - self._next_seq)
+            if first >= n:
+                return items[first - n:start]
+            return items[first:] + items[:start]
 
     def values(self) -> list[T]:
         return [item for _seq, item in self.snapshot()]

@@ -19,6 +19,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.sql.lexer import statement_shape
+
 
 _blake2b = hashlib.blake2b
 """Bound once at import: :func:`statement_hash` runs per statement, so
@@ -26,12 +28,19 @@ the hot path skips the module-attribute walk."""
 
 
 def statement_hash(text: str) -> int:
-    """Stable 64-bit hash of a statement text (the monitor's key)."""
+    """Stable 64-bit hash of a string."""
     return int.from_bytes(
         _blake2b(text.encode("utf-8"), digest_size=8).digest(),
         "big",
         signed=True,  # fits the storage engine's signed 64-bit INT
     )
+
+
+def statement_key(text: str) -> int:
+    """The monitor's key for a statement: the hash of its shape, so
+    texts that differ only in literal values are one statement.  (The
+    session has the shape in hand and hashes it itself.)"""
+    return statement_hash(statement_shape(text))
 
 
 @dataclass
@@ -40,6 +49,7 @@ class StatementContext:
 
     text: str
     text_hash: int
+    """:func:`statement_key` of the text."""
     started_monotonic: float = 0.0
     monitor_time_s: float = 0.0
     """Time spent inside monitoring code for this statement (figure 5)."""
@@ -81,9 +91,11 @@ class Sensors:
         """
         return self
 
-    def statement_start(self, text: str,
-                        session_id: int = 0) -> StatementContext | None:
-        """Wallclock start + query text capture."""
+    def statement_start(self, text: str, session_id: int = 0,
+                        text_hash: int | None = None,
+                        ) -> StatementContext | None:
+        """Wallclock start + query text capture.  ``text_hash`` is the
+        statement's :func:`statement_key` where the caller has it."""
         return None
 
     def parse_complete(self, ctx: StatementContext | None, kind: str,

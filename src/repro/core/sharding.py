@@ -295,11 +295,11 @@ class ShardedMonitorSensors(Sensors):
         return self._shard_sensors[
             ctx.session_id % len(self._shard_sensors)]
 
-    def statement_start(self, text: str,
-                        session_id: int = 0) -> StatementContext:
+    def statement_start(self, text: str, session_id: int = 0,
+                        text_hash: int | None = None) -> StatementContext:
         sensors = self._shard_sensors[
             session_id % len(self._shard_sensors)]
-        return sensors.statement_start(text, session_id)
+        return sensors.statement_start(text, session_id, text_hash)
 
     def parse_complete(self, ctx: StatementContext | None, kind: str,
                        table_names: Sequence[str]) -> None:

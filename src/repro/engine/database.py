@@ -99,9 +99,10 @@ class Database:
         (default: the provider is called and its rows counted).  A
         table whose rows carry an ever-increasing integer column may
         name it as ``floor_column``: a scan filtered by a top-level
-        ``floor_column > N`` then calls ``provider(N)``, which may
-        leave out any row at or below ``N`` — the scan still evaluates
-        its whole predicate on what comes back.
+        ``floor_column > N`` then calls ``provider(N)``, which must
+        return exactly the rows above ``N`` — a scan whose filter is
+        that floor and nothing else takes the rows as they come;
+        any other scan still evaluates its whole predicate on them.
         """
         self.schema_version += 1
         entry = self.catalog.create_table(schema, is_virtual=True)
@@ -421,6 +422,9 @@ class Database:
 
     def is_virtual_table(self, table_name: str) -> bool:
         return table_name.lower() in self._virtual_tables
+
+    def virtual_floor_column(self, table_name: str) -> str | None:
+        return self._virtual_tables[table_name.lower()].floor_column
 
     # -- size accounting ---------------------------------------------------------------
 

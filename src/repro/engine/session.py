@@ -21,15 +21,16 @@ from repro.catalog.schema import (
     StorageStructure,
     TableSchema,
 )
-from repro.core.sensors import Sensors
+from repro.core.sensors import Sensors, statement_hash
 from repro.errors import ExecutionError, ReproError, SqlError
 from repro.execution.evaluator import compile_expression, compile_predicate
 from repro.execution.executor import ExecutionMetrics, Executor, QueryResult
 from repro.engine.locks import LockMode
 from repro.engine.transactions import Transaction
-from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.predicates import BindingResolver
 from repro.sql import ast_nodes as ast
+from repro.sql.lexer import parameterize
 from repro.sql.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +45,34 @@ class DmlResult:
     kind: str
     rowcount: int = 0
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class PreparedStatement:
+    """A planned SELECT, reusable for every text of its shape.
+
+    Reuse must be invisible: a text may run this plan only where
+    planning it fresh would return the same rows.  Its literals are
+    read from the execution's literal vector when the executor compiles
+    the plan; the ``pinned`` ones became structure (DESIGN.md §5,
+    "Prepared statements"), so the text must agree on their values, on
+    the types of all its literals (part of the cache key) and on the
+    schema version.  The estimate the sensors record is this plan's;
+    actual costs are per execution.
+    """
+
+    shape: str
+    shape_hash: int
+    """64-bit hash of the shape: the monitor's statement key."""
+    text: str
+    """The first text seen with this shape."""
+    kind: str
+    tables: tuple[str, ...]
+    statement: ast.SelectStatement
+    optimized: OptimizationResult
+    schema_version: int
+    pinned: tuple[tuple[int, Any], ...]
+    """``(slot, value)`` of each literal a reusing text must share."""
 
 
 _TYPE_MAP = {
@@ -86,11 +115,11 @@ class Session:
         self.executor = Executor(database, database.pool, database.disk)
         self._explicit_txn: Transaction | None = None
         self.closed = False
-        # Plan cache: statement text -> (schema version, AST, plan).
-        # This is the engine-side caching that makes repeated trivial
-        # statements cheap (the effect the paper's 1m test exposes).
-        self._plan_cache: "OrderedDict[str, tuple[int, ast.SelectStatement, Any]]" = \
-            OrderedDict()
+        # Plan cache: ``(shape, literal types...) -> PreparedStatement``
+        # and, in front of it in the same LRU budget, ``text ->
+        # (PreparedStatement, literal vector)``: a repeated text is one
+        # lookup with no lexer pass (what the paper's 1m test exposes).
+        self._prepared: "OrderedDict[Any, Any]" = OrderedDict()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -143,27 +172,32 @@ class Session:
         sensors = self.sensors
         clock = self.engine.clock
         started = clock.monotonic()
-        ctx = sensors.statement_start(text, self.session_id)
+        prepared, key, values = self._lookup(text)
+        shape_hash = prepared.shape_hash if prepared is not None \
+            else statement_hash(key[0])
+        ctx = sensors.statement_start(text, self.session_id, shape_hash)
         try:
             # Fault seam inside the monitored region: injected failures
             # and slow queries are observed by the sensors like real
             # ones (statement_error fires, wallclock includes latency).
             faultsim.fire("session.execute", error=ExecutionError,
                           clock=clock)
-            cached = self._cached_plan(text)
-            if cached is not None:
-                statement, optimized = cached
-                sensors.parse_complete(ctx, "select",
-                                       _statement_tables(statement))
-                result = self._execute_select(statement, ctx,
-                                              cached_plan=optimized)
+            if prepared is not None:
+                sensors.parse_complete(ctx, prepared.kind, prepared.tables)
+                result = self._execute_select(prepared.statement, ctx,
+                                              values, prepared.optimized)
             else:
                 statement = parse_statement(text)
                 kind = type(statement).__name__.removesuffix(
                     "Statement").lower()
                 sensors.parse_complete(ctx, kind,
                                        _statement_tables(statement))
-                result = self._dispatch(statement, ctx, text)
+                if isinstance(statement, ast.SelectStatement):
+                    result = self._execute_select(
+                        statement, ctx, values,
+                        origin=(text, key, shape_hash))
+                else:
+                    result = self._dispatch(statement, ctx)
         except ReproError as error:
             sensors.statement_error(ctx, str(error))
             raise
@@ -205,38 +239,58 @@ class Session:
 
     # -- plan cache -----------------------------------------------------------
 
-    def _cached_plan(self, text: str):
-        """Return (statement, optimization) for a cached, still-valid
-        SELECT plan, or None."""
-        if self.engine.config.plan_cache_size <= 0:
-            return None
-        entry = self._plan_cache.get(text)
-        if entry is None:
-            return None
-        version, statement, optimized = entry
-        if version != self.database.schema_version:
-            del self._plan_cache[text]
-            return None
-        self._plan_cache.move_to_end(text)
-        self.plan_cache_hits += 1
-        return statement, optimized
+    # staticcheck: hotpath
+    def _lookup(self, text: str) -> tuple[PreparedStatement | None,
+                                          tuple | None, tuple]:
+        """``(prepared, shape key, literal vector)`` for ``text``;
+        ``prepared`` is None where the statement has to be parsed, the
+        key None for a repeated text (one lookup, nothing lexed)."""
+        cache = self._prepared
+        version = self.database.schema_version
+        entry = cache.get(text)
+        if entry is not None and entry[0].schema_version == version:
+            cache.move_to_end(text)
+            self.plan_cache_hits += 1
+            return entry[0], None, entry[1]
+        shape, values = parameterize(text)
+        key = (shape, *map(type, values))
+        prepared = cache.get(key)
+        if prepared is not None and prepared.schema_version == version:
+            for slot, value in prepared.pinned:
+                if values[slot] != value:
+                    break
+            else:
+                cache.move_to_end(key)
+                self._remember(text, (prepared, values))
+                self.plan_cache_hits += 1
+                return prepared, key, values
+        return None, key, values
 
-    def _store_plan(self, text: str | None, statement: ast.SelectStatement,
-                    optimized: Any) -> None:
-        capacity = self.engine.config.plan_cache_size
-        if capacity <= 0 or text is None:
+    def _remember(self, key: Any, entry: Any) -> None:
+        cache = self._prepared
+        cache[key] = entry
+        cache.move_to_end(key)
+        while len(cache) > self.engine.config.plan_cache_size:
+            cache.popitem(last=False)
+
+    def _store(self, text: str, key: tuple, shape_hash: int, values: tuple,
+               statement: ast.SelectStatement,
+               optimized: OptimizationResult) -> None:
+        if self.engine.config.plan_cache_size <= 0:
             return
         self.plan_cache_misses += 1
-        self._plan_cache[text] = (self.database.schema_version, statement,
-                                  optimized)
-        self._plan_cache.move_to_end(text)
-        while len(self._plan_cache) > capacity:
-            self._plan_cache.popitem(last=False)
+        prepared = PreparedStatement(
+            shape=key[0], shape_hash=shape_hash, text=text, kind="select",
+            tables=_statement_tables(statement), statement=statement,
+            optimized=optimized,
+            schema_version=self.database.schema_version,
+            pinned=tuple((slot, values[slot]) for slot in
+                         statement.pinned_slots + optimized.pinned_slots))
+        self._remember(key, prepared)
+        self._remember(text, (prepared, values))
 
-    def _dispatch(self, statement: ast.Statement, ctx: Any,
-                  text: str | None = None) -> QueryResult | DmlResult:
-        if isinstance(statement, ast.SelectStatement):
-            return self._execute_select(statement, ctx, text=text)
+    def _dispatch(self, statement: ast.Statement,
+                  ctx: Any) -> QueryResult | DmlResult:
         if isinstance(statement, ast.InsertStatement):
             return self._execute_insert(statement)
         if isinstance(statement, ast.UpdateStatement):
@@ -290,27 +344,31 @@ class Session:
     # -- SELECT -----------------------------------------------------------------------
 
     def _execute_select(self, statement: ast.SelectStatement, ctx: Any,
-                        text: str | None = None,
-                        cached_plan: Any = None) -> QueryResult:
+                        values: tuple,
+                        optimized: OptimizationResult | None = None,
+                        origin: tuple[str, tuple, int] | None = None,
+                        ) -> QueryResult:
+        """Run a SELECT under the text's literal vector ``values``:
+        with a prepared plan, or planning ``statement`` and preparing
+        it for ``origin`` — the text, its shape key and shape hash."""
         clock = self.engine.clock
         sensors = self.sensors
         txn, autocommit = self._current_txn()
         try:
-            if cached_plan is None and _has_subqueries(statement):
+            if optimized is None and _has_subqueries(statement):
                 statement = self._materialize_subqueries(statement, txn)
-                text = None  # data-dependent: never plan-cache
+                origin = None  # data-dependent: never prepared
             for table_name in _statement_tables(statement):
                 if not self.database.is_virtual_table(table_name):
                     self.engine.lock_manager.acquire(
                         txn.txn_id, table_name.lower(), LockMode.SHARED)
-            if cached_plan is not None:
-                optimized = cached_plan
-                optimize_time = 0.0
-            else:
+            optimize_time = 0.0
+            if optimized is None:
                 optimize_started = clock.monotonic()
                 optimized = self.optimizer.optimize_select(statement)
                 optimize_time = clock.monotonic() - optimize_started
-                self._store_plan(text, statement, optimized)
+                if origin is not None:
+                    self._store(*origin, values, statement, optimized)
             sensors.optimize_complete(
                 ctx,
                 estimated_io=optimized.estimated_cost.io,
@@ -322,7 +380,7 @@ class Session:
                 plan_supplier=optimized.explain,
             )
             return self.executor.execute(optimized.plan,
-                                         optimized.output_names)
+                                         optimized.output_names, values)
         finally:
             if autocommit:
                 self.engine.lock_manager.release_all(txn.txn_id)

@@ -1,9 +1,10 @@
 """Expression compilation: AST -> Python closures over row tuples.
 
-Expressions are compiled once per query against a *scope* (the ordered
-output columns of the input plan) and then evaluated per row, which
-keeps the per-tuple overhead low enough for the paper's 1m-statement
-throughput test.
+Expressions are compiled once per execution against a *scope* (the
+ordered output columns of the input plan) and the execution's literal
+vector (a reused plan reads each literal's slot here, not per row) and
+then evaluated per row, which keeps the per-tuple overhead low enough
+for the paper's 1m-statement throughput test.
 
 NULL semantics follow SQL: comparisons and arithmetic propagate NULL,
 AND/OR use three-valued logic, and predicates treat a NULL outcome as
@@ -13,6 +14,7 @@ not-satisfied.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
@@ -27,8 +29,10 @@ Getter = Callable[[Row], Any]
 class ScopeIndex:
     """Resolves column references and named expressions to positions."""
 
-    def __init__(self, scope: Scope) -> None:
+    def __init__(self, scope: Scope,
+                 params: Sequence[Any] | None = None) -> None:
         self.scope = scope
+        self.params = params
         self._by_qualified: dict[str, int] = {}
         self._by_name: dict[str, list[int]] = {}
         self._by_text: dict[str, int] = {}
@@ -59,25 +63,18 @@ class ScopeIndex:
         return positions[0]
 
 
-_LIKE_CACHE: dict[str, re.Pattern[str]] = {}
-
-
+@lru_cache(maxsize=4096)
 def like_to_regex(pattern: str) -> re.Pattern[str]:
     """Translate a SQL LIKE pattern into a compiled regex."""
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        parts = []
-        for char in pattern:
-            if char == "%":
-                parts.append(".*")
-            elif char == "_":
-                parts.append(".")
-            else:
-                parts.append(re.escape(char))
-        compiled = re.compile("^" + "".join(parts) + "$", re.DOTALL)
-        if len(_LIKE_CACHE) < 4096:
-            _LIKE_CACHE[pattern] = compiled
-    return compiled
+    parts = []
+    for char in pattern:
+        if char == "%":
+            parts.append(".*")
+        elif char == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(char))
+    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
 
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., Any] | None] = {
@@ -94,16 +91,20 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any] | None] = {
 }
 
 
-def compile_expression(expr: ast.Expression, scope: Scope) -> Getter:
-    """Compile ``expr`` into a callable evaluating it for one row."""
-    return _compile(expr, ScopeIndex(scope))
+def compile_expression(expr: ast.Expression, scope: Scope,
+                       params: Sequence[Any] | None = None) -> Getter:
+    """Compile ``expr`` into a callable evaluating it for one row;
+    ``params`` is the execution's literal vector (None: the values the
+    nodes were parsed with)."""
+    return _compile(expr, ScopeIndex(scope, params))
 
 
-def compile_predicate(expr: ast.Expression | None, scope: Scope) -> Getter:
+def compile_predicate(expr: ast.Expression | None, scope: Scope,
+                      params: Sequence[Any] | None = None) -> Getter:
     """Compile a boolean predicate; NULL results count as False."""
     if expr is None:
         return lambda row: True
-    inner = _compile(expr, ScopeIndex(scope))
+    inner = _compile(expr, ScopeIndex(scope, params))
 
     def predicate(row: Row) -> bool:
         return inner(row) is True
@@ -126,7 +127,7 @@ def _compile(expr: ast.Expression, index: ScopeIndex) -> Getter:
     if pos is not None:
         return itemgetter(pos)
     if isinstance(expr, ast.Literal):
-        value = expr.value
+        value = expr.bound(index.params)
         return lambda row: value
     if isinstance(expr, ast.UnaryOp):
         return _compile_unary(expr, index)
@@ -275,6 +276,20 @@ def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex) -> Getter:
 
         return modulo
     if op == "like":
+        pattern = (expr.right.bound(index.params)
+                   if isinstance(expr.right, ast.Literal) else None)
+        if isinstance(pattern, str):
+            # A literal pattern: one regex per execution, not per row.
+            matches = like_to_regex(pattern).match
+
+            def like_literal(row: Row) -> Any:
+                value = left(row)
+                if value is None:
+                    return None
+                return matches(value) is not None
+
+            return like_literal
+
         def like(row: Row) -> Any:
             value = left(row)
             pattern = right(row)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution import joins, scan, shaping
@@ -65,11 +65,15 @@ class Executor:
         self._disk = disk
 
     def execute(self, plan: plans.PlanNode,
-                output_names: tuple[str, ...]) -> QueryResult:
-        """Materialize the plan's output and measure the work done."""
+                output_names: tuple[str, ...],
+                params: Sequence[Any] | None = None) -> QueryResult:
+        """Materialize the plan's output and measure the work done.
+
+        ``params`` is the literal vector of the text being executed
+        when the plan was built for another text of the same shape."""
         pool_before = self._pool.stats()
         disk_before = self._disk.counters()
-        counters = Counters()
+        counters = Counters(params)
         rows = list(self._build(plan, counters))
         pool_after = self._pool.stats()
         disk_after = self._disk.counters()

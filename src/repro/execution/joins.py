@@ -22,7 +22,8 @@ def nested_loop_join(plan: NestedLoopJoinPlan, left_rows: RowIterator,
                      right_rows: RowIterator,
                      counters: Counters) -> RowIterator:
     """Materialize the inner side once, then loop per outer row."""
-    predicate = compile_predicate(plan.condition, plan.scope)
+    params = counters.params
+    predicate = compile_predicate(plan.condition, plan.scope, params)
     inner = list(right_rows)
     for left in left_rows:
         for right in inner:
@@ -35,11 +36,12 @@ def nested_loop_join(plan: NestedLoopJoinPlan, left_rows: RowIterator,
 def hash_join(plan: HashJoinPlan, left_rows: RowIterator,
               right_rows: RowIterator, counters: Counters) -> RowIterator:
     """Build on the right input, probe with the left input."""
-    left_keys = [compile_expression(k, plan.left.scope)
+    params = counters.params
+    left_keys = [compile_expression(k, plan.left.scope, params)
                  for k in plan.left_keys]
-    right_keys = [compile_expression(k, plan.right.scope)
+    right_keys = [compile_expression(k, plan.right.scope, params)
                   for k in plan.right_keys]
-    residual = compile_predicate(plan.residual, plan.scope)
+    residual = compile_predicate(plan.residual, plan.scope, params)
     table: dict[tuple, list[tuple]] = {}
     for row in right_rows:
         counters.tuples += 1
@@ -63,15 +65,16 @@ def left_outer_join(plan: LeftOuterJoinPlan, left_rows: RowIterator,
                     right_rows: RowIterator,
                     counters: Counters) -> RowIterator:
     """Preserve every left row; NULL-pad the right side when unmatched."""
+    params = counters.params
     right_width = len(plan.right.scope)
     nulls = (None,) * right_width
     materialized = list(right_rows)
     if plan.left_keys:
-        left_getters = [compile_expression(k, plan.left.scope)
+        left_getters = [compile_expression(k, plan.left.scope, params)
                         for k in plan.left_keys]
-        right_getters = [compile_expression(k, plan.right.scope)
+        right_getters = [compile_expression(k, plan.right.scope, params)
                          for k in plan.right_keys]
-        residual = compile_predicate(plan.residual, plan.scope)
+        residual = compile_predicate(plan.residual, plan.scope, params)
         table: dict[tuple, list[tuple]] = {}
         for row in materialized:
             counters.tuples += 1
@@ -92,7 +95,7 @@ def left_outer_join(plan: LeftOuterJoinPlan, left_rows: RowIterator,
             if not matched:
                 yield left + nulls
         return
-    predicate = compile_predicate(plan.condition, plan.scope)
+    predicate = compile_predicate(plan.condition, plan.scope, params)
     for left in left_rows:
         matched = False
         for right in materialized:
@@ -114,9 +117,10 @@ def index_lookup_join(plan: IndexLookupJoinPlan, left_rows: RowIterator,
             f"plan probes virtual index {plan.via_index!r}; virtual indexes "
             f"can be costed but not executed"
         )
-    outer_keys = [compile_expression(k, plan.left.scope)
+    params = counters.params
+    outer_keys = [compile_expression(k, plan.left.scope, params)
                   for k in plan.outer_keys]
-    residual = compile_predicate(plan.residual, plan.scope)
+    residual = compile_predicate(plan.residual, plan.scope, params)
     storage = catalog.storage_for(plan.table_name)
     if plan.via_index is None:
         seek = storage.seek  # primary structure: B-Tree or hash

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Protocol
+from typing import Any, Iterator, Mapping, Protocol, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution.evaluator import compile_predicate
@@ -32,17 +32,24 @@ class StorageCatalog(Protocol):
 
     def is_virtual_table(self, table_name: str) -> bool: ...
 
+    def virtual_floor_column(self, table_name: str) -> str | None: ...
+
 
 class Counters:
-    """Shared per-query work counter (tuples processed)."""
+    """What the operators of one execution share: the work counter
+    (tuples processed) and the literal vector every operator compiles
+    its expressions and key bounds against (None: the values the plan
+    was built with)."""
 
-    __slots__ = ("tuples",)
+    __slots__ = ("tuples", "params")
 
-    def __init__(self) -> None:
+    def __init__(self, params: Sequence[Any] | None = None) -> None:
         self.tuples = 0
+        self.params = params
 
 
-def key_bounds(conditions: tuple[KeyCondition, ...]) -> tuple[
+def key_bounds(conditions: tuple[KeyCondition, ...],
+               params: Sequence[Any] | None = None) -> tuple[
         tuple | None, tuple | None, bool, bool]:
     """Convert matched key conditions into scan-range bounds.
 
@@ -54,12 +61,12 @@ def key_bounds(conditions: tuple[KeyCondition, ...]) -> tuple[
     lo_inclusive = hi_inclusive = True
     for condition in conditions:
         if condition.op == "=":
-            equals.append(condition.value)
+            equals.append(condition.bound(params))
         elif condition.op in (">", ">="):
-            lo_value = condition.value
+            lo_value = condition.bound(params)
             lo_inclusive = condition.op == ">="
         elif condition.op in ("<", "<="):
-            hi_value = condition.value
+            hi_value = condition.bound(params)
             hi_inclusive = condition.op == "<="
         else:
             raise ExecutionError(f"unsupported key condition {condition!r}")
@@ -73,34 +80,46 @@ def key_bounds(conditions: tuple[KeyCondition, ...]) -> tuple[
     return lo, hi, lo_inclusive, hi_inclusive
 
 
-def lower_bounds(filter_expr: ast.Expression | None) -> dict[str, int]:
+def lower_bounds(filter_expr: ast.Expression | None,
+                 params: Sequence[Any] | None = None) -> dict[str, int]:
     """Column -> the largest integer literal ``N`` among the filter's
-    top-level ``column > N`` conjuncts: every row the filter accepts
-    exceeds it (a scan filter references one table only, so the column
-    name is enough)."""
+    top-level ``column > N`` conjuncts, as bound by ``params``: every
+    row the filter accepts exceeds it (a scan filter references one
+    table only, so the column name is enough)."""
     bounds: dict[str, int] = {}
     for conjunct in split_conjuncts(filter_expr):
         if (isinstance(conjunct, ast.BinaryOp) and conjunct.op == ">"
                 and isinstance(conjunct.left, ast.ColumnRef)
-                and isinstance(conjunct.right, ast.Literal)
-                and type(conjunct.right.value) is int):
-            name, bound = conjunct.left.name, conjunct.right.value
-            bounds[name] = max(bound, bounds.get(name, bound))
+                and isinstance(conjunct.right, ast.Literal)):
+            name, bound = conjunct.left.name, conjunct.right.bound(params)
+            if type(bound) is int:
+                bounds[name] = max(bound, bounds.get(name, bound))
     return bounds
 
 
 def seq_scan(plan: SeqScanPlan, catalog: StorageCatalog,
              counters: Counters) -> Iterator[tuple]:
-    predicate = compile_predicate(plan.filter_expr, plan.scope)
+    params = counters.params
+    filter_expr = plan.filter_expr
     if catalog.is_virtual_table(plan.table_name):
-        # The bounds only spare the provider building rows the
-        # predicate below would reject; the result is the same.
-        for row in catalog.virtual_rows(plan.table_name,
-                                        lower_bounds(plan.filter_expr)):
+        bounds = lower_bounds(filter_expr, params)
+        rows = catalog.virtual_rows(plan.table_name, bounds)
+        if (bounds and len(split_conjuncts(filter_expr)) == 1 and
+                catalog.virtual_floor_column(plan.table_name) in bounds):
+            # The filter is the pushed floor and nothing else: the
+            # provider returned exactly the rows it accepts.
+            counters.tuples += len(rows)
+            yield from rows
+            return
+        # Otherwise the bounds only spared the provider building rows
+        # the predicate rejects; the result is the same.
+        predicate = compile_predicate(filter_expr, plan.scope, params)
+        for row in rows:
             counters.tuples += 1
             if predicate(row):
                 yield row
         return
+    predicate = compile_predicate(filter_expr, plan.scope, params)
     storage = catalog.storage_for(plan.table_name)
     for _rowid, row in storage.scan():
         counters.tuples += 1
@@ -112,8 +131,10 @@ def btree_scan(plan: BTreeScanPlan, catalog: StorageCatalog,
                counters: Counters) -> Iterator[tuple]:
     storage = catalog.storage_for(plan.table_name)
     tree = storage.btree
-    predicate = compile_predicate(plan.filter_expr, plan.scope)
-    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions)
+    predicate = compile_predicate(plan.filter_expr, plan.scope,
+                                  counters.params)
+    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions,
+                                        counters.params)
     for _rowid, row in tree.scan_range(lo, hi, lo_inc, hi_inc):
         counters.tuples += 1
         if predicate(row):
@@ -124,8 +145,10 @@ def hash_scan(plan: HashScanPlan, catalog: StorageCatalog,
               counters: Counters) -> Iterator[tuple]:
     """Full-key equality probe into a HASH-structured table."""
     storage = catalog.storage_for(plan.table_name)
-    predicate = compile_predicate(plan.filter_expr, plan.scope)
-    key = tuple(condition.value for condition in plan.key_conditions)
+    params = counters.params
+    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
+    key = tuple(condition.bound(params)
+                for condition in plan.key_conditions)
     for _rowid, row in storage.hash.seek(key):
         counters.tuples += 1
         if predicate(row):
@@ -141,8 +164,10 @@ def index_scan(plan: IndexScanPlan, catalog: StorageCatalog,
         )
     index = catalog.index_storage_for(plan.index_name)
     storage = catalog.storage_for(plan.table_name)
-    predicate = compile_predicate(plan.filter_expr, plan.scope)
-    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions)
+    predicate = compile_predicate(plan.filter_expr, plan.scope,
+                                  counters.params)
+    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions,
+                                        counters.params)
     for _entry_rowid, entry in index.scan_range(lo, hi, lo_inc, hi_inc):
         counters.tuples += 1
         base_row = storage.fetch(entry[-1])

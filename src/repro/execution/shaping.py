@@ -29,7 +29,8 @@ RowIterator = Iterator[tuple]
 
 def filter_rows(plan: FilterPlan, rows: RowIterator,
                 counters: Counters) -> RowIterator:
-    predicate = compile_predicate(plan.condition, plan.child.scope)
+    predicate = compile_predicate(plan.condition, plan.child.scope,
+                                  counters.params)
     for row in rows:
         counters.tuples += 1
         if predicate(row):
@@ -39,7 +40,7 @@ def filter_rows(plan: FilterPlan, rows: RowIterator,
 def project_rows(plan: ProjectPlan, rows: RowIterator,
                  counters: Counters) -> RowIterator:
     scope = plan.child.scope
-    index = ScopeIndex(scope)
+    index = ScopeIndex(scope, counters.params)
     positions = [column_position(e, index) for e in plan.expressions]
     project: Callable[[tuple], tuple] | None
     if positions == list(range(len(scope))):
@@ -48,7 +49,8 @@ def project_rows(plan: ProjectPlan, rows: RowIterator,
         project = itemgetter(*positions)
     else:
         getters = [
-            compile_expression(e, scope) if position is None
+            compile_expression(e, scope, counters.params)
+            if position is None
             else itemgetter(position)
             for e, position in zip(plan.expressions, positions)]
         project = lambda row: tuple([getter(row) for getter in getters])  # noqa: E731
@@ -85,7 +87,8 @@ def limit_rows(plan: LimitPlan, rows: RowIterator,
 
 def sort_rows(plan: SortPlan, rows: RowIterator,
               counters: Counters) -> RowIterator:
-    getters = [(compile_expression(e, plan.child.scope), descending)
+    scope, params = plan.child.scope, counters.params
+    getters = [(compile_expression(e, scope, params), descending)
                for e, descending in plan.sort_keys]
     materialized = list(rows)
     counters.tuples += len(materialized)
@@ -148,8 +151,8 @@ class _Accumulator:
 def aggregate_rows(plan: AggregatePlan, rows: RowIterator,
                    counters: Counters) -> RowIterator:
     """Hash aggregation; output = group expressions then aggregates."""
-    child_scope = plan.child.scope
-    group_getters = [compile_expression(e, child_scope)
+    child_scope, params = plan.child.scope, counters.params
+    group_getters = [compile_expression(e, child_scope, params)
                      for e in plan.group_expressions]
     agg_specs: list[tuple[str, bool, Any]] = []
     for call in plan.aggregates:
@@ -162,7 +165,7 @@ def aggregate_rows(plan: AggregatePlan, rows: RowIterator,
                     f"aggregate {call.name}() takes exactly one argument")
             agg_specs.append((
                 call.name, call.distinct,
-                compile_expression(call.args[0], child_scope),
+                compile_expression(call.args[0], child_scope, params),
             ))
 
     groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}

@@ -49,6 +49,7 @@ class _Sarg:
     op: str
     value: object
     source_index: int  # position in the predicate list (for consumption)
+    slot: int | None = None  # of the literal the value came from
 
 
 def _extract_sargs(binding: str,
@@ -61,8 +62,10 @@ def _extract_sargs(binding: str,
             hi = _literal_value(predicate.high)
             if (isinstance(operand, ast.ColumnRef) and not predicate.negated
                     and lo is not _NOT_A_LITERAL and hi is not _NOT_A_LITERAL):
-                sargs.append(_Sarg(operand.name, ">=", lo, i))
-                sargs.append(_Sarg(operand.name, "<=", hi, i))
+                sargs.append(_Sarg(operand.name, ">=", lo, i,
+                                   _slot(predicate.low)))
+                sargs.append(_Sarg(operand.name, "<=", hi, i,
+                                   _slot(predicate.high)))
             continue
         if not isinstance(predicate, ast.BinaryOp):
             continue
@@ -72,13 +75,19 @@ def _extract_sargs(binding: str,
         if isinstance(left, ast.ColumnRef):
             value = _literal_value(right)
             if value is not _NOT_A_LITERAL:
-                sargs.append(_Sarg(left.name, predicate.op, value, i))
+                sargs.append(_Sarg(left.name, predicate.op, value, i,
+                                   _slot(right)))
                 continue
         if isinstance(right, ast.ColumnRef):
             value = _literal_value(left)
             if value is not _NOT_A_LITERAL:
-                sargs.append(_Sarg(right.name, _FLIP[predicate.op], value, i))
+                sargs.append(_Sarg(right.name, _FLIP[predicate.op], value, i,
+                                   _slot(left)))
     return sargs
+
+
+def _slot(expr: ast.Expression) -> int | None:
+    return expr.slot if isinstance(expr, ast.Literal) else None
 
 
 @dataclass
@@ -107,14 +116,15 @@ def match_key_prefix(key_columns: tuple[str, ...],
         eq = next((s for s in sargs if s.column == column and s.op == "="),
                   None)
         if eq is not None:
-            conditions.append(KeyCondition(column, "=", eq.value))
+            conditions.append(KeyCondition(column, "=", eq.value, eq.slot))
             consumed.add(eq.source_index)
             eq_columns += 1
             continue
         ranges = [s for s in sargs
                   if s.column == column and s.op in _RANGE_OPS]
         for sarg in ranges[:2]:
-            conditions.append(KeyCondition(column, sarg.op, sarg.value))
+            conditions.append(KeyCondition(column, sarg.op, sarg.value,
+                                           sarg.slot))
             consumed.add(sarg.source_index)
             has_range = True
         break
@@ -228,7 +238,7 @@ class AccessPathSelector:
                        if s.column == column and s.op == "="), None)
             if eq is None:
                 return None
-            conditions.append(KeyCondition(column, "=", eq.value))
+            conditions.append(KeyCondition(column, "=", eq.value, eq.slot))
             consumed.add(eq.source_index)
         key_selectivity = self._key_selectivity(
             binding,

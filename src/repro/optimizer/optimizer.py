@@ -62,6 +62,10 @@ class OptimizationResult:
     available_indexes: tuple[str, ...] = ()
     used_indexes: tuple[str, ...] = ()
     uses_virtual: bool = False
+    pinned_slots: tuple[int, ...] = ()
+    """Literal slots whose values became structure of the plan (see
+    :func:`_structural_slots`); with the statement's own
+    ``pinned_slots`` they limit which texts may reuse it."""
 
     def explain(self) -> str:
         return self.plan.explain()
@@ -201,6 +205,8 @@ class Optimizer:
             ),
             used_indexes=plan.used_indexes(),
             uses_virtual=plan.uses_virtual_index(),
+            pinned_slots=_structural_slots(
+                stmt, bool(aggregates or group_exprs)),
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -485,6 +491,24 @@ class Optimizer:
                 if ref.table in bindings:
                     seen[(bindings[ref.table], ref.name)] = None
         return tuple(seen)
+
+
+def _structural_slots(stmt: ast.SelectStatement,
+                      aggregated: bool) -> tuple[int, ...]:
+    """Slots of the literals the plan depends on by value, not only by
+    position: ORDER BY ordinals, and — above an aggregation, where
+    expressions find their input columns by SQL text — every literal
+    outside WHERE and ON."""
+    sources = [item.expression for item in stmt.order_by
+               if aggregated or isinstance(item.expression, ast.Literal)]
+    if aggregated:
+        sources += [item.expression for item in stmt.select_items]
+        sources += stmt.group_by
+        if stmt.having is not None:
+            sources.append(stmt.having)
+    return tuple(node.slot for source in sources
+                 for node in ast.walk_expression(source)
+                 if isinstance(node, ast.Literal) and node.slot is not None)
 
 
 @dataclass

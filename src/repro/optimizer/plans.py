@@ -9,7 +9,7 @@ expression compiler resolves column references against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.sql import ast_nodes as ast
 
@@ -80,6 +80,15 @@ class KeyCondition:
     column: str
     op: str  # "=", "<", "<=", ">", ">="
     value: Any
+    slot: int | None = None
+    """The literal's :attr:`~repro.sql.ast_nodes.Literal.slot`."""
+
+    # staticcheck: hotpath
+    def bound(self, params: Sequence[Any] | None) -> Any:
+        """The comparison value under an execution's literal vector."""
+        if params is None or self.slot is None:
+            return self.value
+        return params[self.slot]
 
     def to_sql(self) -> str:
         return f"{self.column} {self.op} {ast.Literal(self.value).to_sql()}"

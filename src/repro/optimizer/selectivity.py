@@ -81,7 +81,10 @@ class SelectivityEstimator:
         """Selectivity of ``column = value``."""
         stats = resolve(column)
         if stats is not None:
-            return max(1e-9, min(1.0, stats.selectivity_eq(value)))
+            try:
+                return max(1e-9, min(1.0, stats.selectivity_eq(value)))
+            except TypeError:
+                pass  # a literal the column's values do not compare with
         return self.config.default_selectivity_eq
 
     def range_selectivity(self, column: ast.ColumnRef, lo, hi,
@@ -91,9 +94,13 @@ class SelectivityEstimator:
         """Selectivity of ``lo <= column <= hi`` (None = open bound)."""
         stats = resolve(column)
         if stats is not None and stats.histogram is not None:
-            fraction = stats.histogram.selectivity_range(
-                lo, hi, lo_inclusive, hi_inclusive
-            )
+            try:
+                fraction = stats.histogram.selectivity_range(
+                    lo, hi, lo_inclusive, hi_inclusive
+                )
+            except TypeError:
+                # a literal the column's values do not compare with
+                return self.config.default_selectivity_range
             return max(1e-9, min(1.0, fraction * (1.0 - stats.null_fraction)))
         return self.config.default_selectivity_range
 

@@ -26,6 +26,17 @@ class Expression:
 @dataclass(frozen=True)
 class Literal(Expression):
     value: Any
+    slot: int | None = field(default=None, compare=False)
+    """Ordinal of the literal token this node was parsed from (None for
+    keywords and synthesized nodes): where a plan reused for another
+    text of the shape finds this literal's value."""
+
+    # staticcheck: hotpath
+    def bound(self, params: Sequence[Any] | None) -> Any:
+        """The node's value under an execution's literal vector."""
+        if params is None or self.slot is None:
+            return self.value
+        return params[self.slot]
 
     def to_sql(self) -> str:
         if self.value is None:
@@ -210,6 +221,10 @@ class SelectStatement:
     limit: int | None = None
     offset: int | None = None
     distinct: bool = False
+    pinned_slots: tuple[int, ...] = field(default=(), compare=False)
+    """Literal tokens the parser consumed into structure (LIMIT and
+    OFFSET counts, a folded unary minus): a plan is reusable only for
+    texts that agree on their values."""
 
 
 # --------------------------------------------------------------------------

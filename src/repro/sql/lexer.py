@@ -1,4 +1,4 @@
-"""SQL tokenizer and statement-shape fingerprint over one token regex."""
+"""SQL tokenizer and statement shape / literal vector over one token regex."""
 
 from __future__ import annotations
 
@@ -63,9 +63,10 @@ _MASTER = re.compile(r"""
       | (?P<bad>.)
     )""", re.VERBOSE | re.DOTALL)
 
-# Group numbers, for :func:`statement_shape`: groups up to ``quoted``
-# are kept as written, up to ``string`` are literals.
+# Group numbers, for :func:`parameterize`: groups up to ``quoted`` are
+# kept as written, up to ``string`` are literals.
 _LAST_KEPT = _MASTER.groupindex["quoted"]
+_NUMBER = _MASTER.groupindex["number"]
 _LAST_LITERAL = _MASTER.groupindex["string"]
 _BAD = _MASTER.groupindex["bad"]
 
@@ -113,27 +114,43 @@ def _error(char: str, position: int) -> LexerError:
     return LexerError(f"unexpected character {char!r}", position)
 
 
-def statement_shape(text: str) -> str:
-    """The statement with every literal replaced by ``?``: its tokens,
-    lower-cased, joined by single spaces, comments dropped.
+# staticcheck: hotpath
+def parameterize(text: str) -> tuple[str, tuple]:
+    """``(shape, literal values)`` of a statement in one pass.
+
+    The shape is the statement with every literal replaced by ``?``:
+    its tokens, lower-cased, joined by single spaces, comments dropped.
+    The values are those of its STRING, INTEGER and FLOAT tokens as
+    :func:`tokenize` would produce them, in source order — the n-th
+    ``?`` stands for the n-th value.
 
     Two texts have the same shape exactly when their token streams
-    differ in nothing but the values of STRING, INTEGER and FLOAT
-    tokens.  Nothing else is normalised: an ``IN`` list of three
-    literals and one of four are different shapes.  A text that does
-    not lex (say, cut off inside a string) is its own shape; this
-    function never raises.
+    differ in nothing but the values of literal tokens.  Nothing else
+    is normalised: an ``IN`` list of three literals and one of four are
+    different shapes.  A text that does not lex (say, cut off inside a
+    string) is its own shape with no values; this function never raises.
     """
     parts: list[str] = []
+    values: list[Any] = []
     append = parts.append
-    # Lower-cased up front: the only tokens whose case matters are
-    # strings, and those become "?".
-    for match in _MASTER.finditer(text.lower()):
+    for match in _MASTER.finditer(text):
         index: int = match.lastindex  # type: ignore[assignment]
         if index <= _LAST_KEPT:
-            append(match[index])
+            append(match[index].lower())
         elif index <= _LAST_LITERAL:
             append("?")
+            literal = match[index]
+            if index != _NUMBER:
+                values.append(literal[1:-1].replace("''", "'"))
+            elif "." in literal or "e" in literal or "E" in literal:
+                values.append(float(literal))
+            else:
+                values.append(int(literal))
         elif index == _BAD:
-            return text
-    return " ".join(parts)
+            return text, ()
+    return " ".join(parts), tuple(values)
+
+
+def statement_shape(text: str) -> str:
+    """The shape half of :func:`parameterize`."""
+    return parameterize(text)[0]

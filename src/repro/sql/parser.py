@@ -38,6 +38,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        # Literal tokens consumed so far: the next one's ordinal in the
+        # statement's literal vector (lexer.parameterize).
+        self._slot = 0
+        self._pinned: list[int] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -94,13 +98,21 @@ class _Parser:
             return self.advance().value
         raise self.error(f"expected {what}")
 
+    def take_slot(self) -> int:
+        """The ordinal of the literal token being consumed."""
+        self._slot += 1
+        return self._slot - 1
+
     def expect_integer(self, what: str = "integer") -> int:
+        """An integer that becomes structure, not a Literal node."""
         if self.current.type is TokenType.INTEGER:
+            self._pinned.append(self.take_slot())
             return self.advance().value
         raise self.error(f"expected {what}")
 
     def expect_string(self, what: str = "string literal") -> str:
         if self.current.type is TokenType.STRING:
+            self._pinned.append(self.take_slot())
             return self.advance().value
         raise self.error(f"expected {what}")
 
@@ -212,6 +224,7 @@ class _Parser:
             limit=limit,
             offset=offset,
             distinct=distinct,
+            pinned_slots=tuple(self._pinned),
         )
 
     def select_item(self) -> ast.SelectItem:
@@ -513,6 +526,8 @@ class _Parser:
             if isinstance(operand, ast.Literal) \
                     and isinstance(operand.value, (int, float)) \
                     and not isinstance(operand.value, bool):
+                if operand.slot is not None:
+                    self._pinned.append(operand.slot)
                 return ast.Literal(-operand.value)
             return ast.UnaryOp("-", operand)
         if self.accept_operator("+"):
@@ -521,12 +536,9 @@ class _Parser:
 
     def primary(self) -> ast.Expression:
         token = self.current
-        if token.type is TokenType.INTEGER or token.type is TokenType.FLOAT:
-            self.advance()
-            return ast.Literal(token.value)
-        if token.type is TokenType.STRING:
-            self.advance()
-            return ast.Literal(token.value)
+        if (token.type is TokenType.INTEGER or token.type is TokenType.FLOAT
+                or token.type is TokenType.STRING):
+            return ast.Literal(self.advance().value, self.take_slot())
         if token.is_keyword("null"):
             self.advance()
             return ast.Literal(None)

@@ -15,6 +15,7 @@ from repro.core.analyzer.trends import (
 )
 from repro.core.analyzer.workload_view import StatementProfile
 from repro.core.records import StatisticsRecord
+from repro.core.sensors import statement_key
 
 
 def profile(text_hash, actual, estimated):
@@ -154,7 +155,13 @@ class TestAnalyzerOrchestration:
         setup.daemon.flush()
         analyzer = Analyzer(setup.engine.database("nref"))
         report = analyzer.analyze_workload_db(setup.workload_db)
-        assert report.statements_analyzed >= 4
+        # Two shapes plus the daemon session's own poll statements: the
+        # three tax_id texts are one statement executed three times.
+        assert report.statements_analyzed >= 2
+        profile = report.view.statements[
+            statement_key("select name from protein where tax_id = 90")]
+        assert profile.executions == 3
+        assert profile.text.endswith("tax_id = 90")  # first seen
         assert report.findings.overflow_tables  # unoptimized heaps overflow
         text = report.render_text()
         assert "ANALYZER REPORT" in text

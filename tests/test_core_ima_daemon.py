@@ -11,7 +11,7 @@ from repro.core.alerts import (
 )
 from repro.core.daemon import StorageDaemon
 from repro.core.ima import IMA_TABLE_NAMES
-from repro.core.sensors import statement_hash
+from repro.core.sensors import statement_key
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import MonitorError
 from repro.setups import daemon_setup
@@ -50,7 +50,7 @@ class TestIma:
     def test_ima_workload_costs_present(self, wired):
         setup, session, _clock = wired
         session.execute("select count(*) from t")
-        text_hash = statement_hash("select count(*) from t")
+        text_hash = statement_key("select count(*) from t")
         result = session.execute(
             f"select actual_io, estimated_io from ima_workload "
             f"where text_hash = {text_hash}")
@@ -147,13 +147,58 @@ class TestDaemon:
         # re-collected
         setup.daemon.poll_once()
         setup.daemon.flush()
-        target_hash = statement_hash("select a from t where a = 1")
+        target_hash = statement_key("select a from t where a = 1")
         rows = [row for _rid, row in setup.workload_db.database
                 .storage_for("wl_workload").scan()
                 if row[1] == target_hash]
         assert len(rows) == 1
         assert setup.workload_db.row_count("wl_workload") \
             >= count_after_first
+
+    def test_idle_poll_does_not_monitor_itself_into_work(self, wired,
+                                                         monkeypatch):
+        """The poll's statements are a new text every poll (the marks
+        move) but eight known shapes: after a warm-up poll they are
+        neither parsed nor planned again, and each leaves its one
+        workload row plus the refreshed statement record behind —
+        counted, not timed."""
+        from repro.core.sharding import monitor_shards
+        from repro.engine import session as session_module
+        setup, session, _clock = wired
+        session.execute("select a from t where a = 1")
+        setup.daemon.poll_once()  # warm-up: plans the eight statements
+        setup.daemon.poll_once()  # ... and sees its own eight shapes
+        poller = setup.daemon._ensure_session()
+        parses, plans = [], []
+        real_parse = session_module.parse_statement
+        real_optimize = poller.optimizer.optimize_select
+        monkeypatch.setattr(
+            session_module, "parse_statement",
+            lambda text: parses.append(text) or real_parse(text))
+        monkeypatch.setattr(
+            poller.optimizer, "optimize_select",
+            lambda *args, **kw: plans.append(args) or real_optimize(
+                *args, **kw))
+        monitor, = monitor_shards(setup.monitor)
+        keyed = (monitor.statements, monitor.references, monitor.tables,
+                 monitor.attributes, monitor.indexes, monitor.plans)
+
+        def ring_rows():
+            return monitor.workload.total_appended + sum(
+                len(ring) + ring.evicted for ring in keyed)
+
+        statements = len(IMA_TABLE_NAMES)
+        for _ in range(3):
+            before = ring_rows(), monitor.workload.total_appended
+            hits = poller.plan_cache_hits
+            stats = setup.daemon.poll_once()
+            assert parses == [] and plans == []
+            assert poller.plan_cache_hits == hits + statements
+            assert monitor.workload.total_appended == before[1] + statements
+            assert ring_rows() - before[0] == statements  # no new keys
+            # read back: a workload row and a bumped statement record
+            # per poll statement of the *previous* poll
+            assert stats.rows_collected <= 2 * statements
 
     def test_retention_purges_old_history(self, wired):
         setup, session, clock = wired
@@ -207,7 +252,7 @@ class TestDaemon:
             storage = setup.workload_db.database.storage_for(schema.name)
             seqs = [row[-1] for _rid, row in storage.scan()]
             assert len(seqs) == len(set(seqs)), f"{schema.name} duplicated"
-        target_hash = statement_hash("select a from t where a = 2")
+        target_hash = statement_key("select a from t where a = 2")
         rows = [row for _rid, row in setup.workload_db.database
                 .storage_for("wl_workload").scan()
                 if row[1] == target_hash]

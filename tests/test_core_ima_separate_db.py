@@ -60,6 +60,6 @@ class TestSeparateImaDatabase:
         engine, monitor = split_setup
         ima = engine.connect("imadb")
         ima.execute("select count(*) from ima_statements")
-        from repro.core.sensors import statement_hash
+        from repro.core.sensors import statement_key
         assert monitor.statements.get(
-            statement_hash("select count(*) from ima_statements")) is not None
+            statement_key("select count(*) from ima_statements")) is not None

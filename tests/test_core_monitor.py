@@ -3,9 +3,10 @@
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import MonitorConfig
+from repro.config import EngineConfig, MonitorConfig
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
-from repro.core.sensors import NullSensors, statement_hash
+from repro.core.sensors import (NullSensors, statement_hash,
+                                statement_key)
 from repro.setups import monitoring_setup, original_setup
 
 
@@ -20,6 +21,12 @@ class TestStatementHash:
         for text in ("a", "b", "select * from t", "x" * 1000):
             value = statement_hash(text)
             assert -(2**63) <= value < 2**63
+
+    def test_key_is_the_hash_of_the_shape(self):
+        assert statement_key("select 1") == statement_key("SELECT  2")
+        assert statement_key("select 1") == statement_hash("select ?")
+        assert statement_key("select 1") != statement_key("select 'a', 1")
+        assert statement_key("select 'it") == statement_hash("select 'it")
 
 
 class TestNullSensors:
@@ -99,7 +106,7 @@ class TestMonitorSensorsPipeline:
         session.execute("insert into t values (1), (2)")
         result = session.execute("select count(*) from t where a > 0")
         assert result.scalar() == 2
-        text_hash = statement_hash("select count(*) from t where a > 0")
+        text_hash = statement_key("select count(*) from t where a > 0")
         statement = monitor.statements.get(text_hash)
         assert statement is not None
         assert statement.frequency == 1
@@ -120,7 +127,7 @@ class TestMonitorSensorsPipeline:
         session.execute("create table t (a int)")
         for _ in range(5):
             session.execute("select a from t")
-        text_hash = statement_hash("select a from t")
+        text_hash = statement_key("select a from t")
         assert monitor.statements.get(text_hash).frequency == 5
         executions = [w for w in monitor.workload.values()
                       if w.text_hash == text_hash]
@@ -145,7 +152,7 @@ class TestMonitorSensorsPipeline:
         session = engine.connect("db")
         with pytest.raises(Exception):
             session.execute("select * from missing_table")
-        text_hash = statement_hash("select * from missing_table")
+        text_hash = statement_key("select * from missing_table")
         assert monitor.statements.get(text_hash) is not None
         errored = [w for w in monitor.workload.values()
                    if w.text_hash == text_hash]
@@ -165,6 +172,54 @@ class TestMonitorSensorsPipeline:
         assert monitor.average_sensor_call_s > 0
         monitor.reset_counters()
         assert monitor.average_sensor_call_s == 0.0
+
+    def test_literal_distinct_texts_are_one_known_statement(self):
+        """A new literal vector of a known shape takes the
+        known-statement path in all three keyed rings, and still
+        leaves one workload row per execution."""
+        setup = monitoring_setup(EngineConfig(monitor=MonitorConfig(
+            plan_capture_min_cost=1e-9)))
+        engine, monitor = setup.engine, setup.monitor
+        engine.create_database("db")
+        session = engine.connect("db")
+        session.execute("create table t (a int not null, b int, "
+                        "primary key (a))")
+        session.execute("insert into t values " + ", ".join(
+            f"({i}, {i % 7})" for i in range(100)))
+        session.execute("select b from t where a < 3")
+        rings = (monitor.statements, monitor.references, monitor.plans)
+        sizes = [len(ring) for ring in rings]
+        appended = monitor.workload.total_appended
+        for bound in (50, 7, 99, 0):
+            assert len(session.execute(
+                f"select b from t where a < {bound}").rows) == bound
+        assert [len(ring) for ring in rings] == sizes
+        assert monitor.workload.total_appended == appended + 4
+        key = statement_key("select b from t where a < 1000")
+        record = monitor.statements.get(key)
+        assert record.frequency == 5
+        assert record.text == "select b from t where a < 3"  # first seen
+        assert monitor.plans.get(key) is not None
+        # The estimate is the prepared plan's (costed for a < 3); the
+        # actuals are each execution's own, so they can diverge.
+        executions = [w for w in monitor.workload.values()
+                      if w.text_hash == key]
+        assert len({w.estimated_cost for w in executions}) == 1
+        assert [w.rows_returned for w in executions] == [3, 50, 7, 99, 0]
+        assert len({w.actual_cost for w in executions}) > 1
+
+    def test_unlexable_text_is_its_own_statement(self):
+        setup = monitoring_setup()
+        setup.engine.create_database("db")
+        session = setup.engine.connect("db")
+        for text in ("select 'open", "select 'open"):
+            with pytest.raises(Exception):
+                session.execute(text)
+        # never parsed, so never in the statement ring; counted twice
+        key = statement_hash("select 'open")
+        assert setup.monitor.statements.get(key) is None
+        assert [w.text_hash for w in setup.monitor.workload.values()] \
+            == [key, key]
 
     def test_statement_cache_skips_rereferencing(self):
         config = MonitorConfig(statement_cache_enabled=True)

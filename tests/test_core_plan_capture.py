@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import EngineConfig, MonitorConfig
-from repro.core.sensors import statement_hash
+from repro.core.sensors import statement_key
 from repro.setups import daemon_setup, monitoring_setup
 from repro.workloads import NrefScale, load_nref
 
@@ -24,7 +24,7 @@ class TestPlanCapture:
         sql = ("select p.name from protein p join organism o "
                "on p.nref_id = o.nref_id")
         session.execute(sql)
-        record = setup.monitor.plans.get(statement_hash(sql))
+        record = setup.monitor.plans.get(statement_key(sql))
         assert record is not None
         assert "Join" in record.plan_text
         assert record.estimated_cost >= 10.0
@@ -46,9 +46,9 @@ class TestPlanCapture:
         session = setup.engine.connect("db")
         sql = "select count(*) from protein"
         session.execute(sql)
-        first = setup.monitor.plans.get(statement_hash(sql))
+        first = setup.monitor.plans.get(statement_key(sql))
         session.execute(sql)
-        second = setup.monitor.plans.get(statement_hash(sql))
+        second = setup.monitor.plans.get(statement_key(sql))
         assert first is second  # statement cache short-circuits
 
     def test_plans_queryable_via_ima_and_persisted(self):

@@ -45,6 +45,21 @@ class TestRingBuffer:
         newer = buffer.snapshot(min_seq=5)
         assert [item for _seq, item in newer] == [7, 8, 9]
 
+    def test_snapshot_is_the_suffix_above_every_floor(self):
+        """Every fill level (empty, partial, wrapped at each physical
+        offset, cleared and refilled) against the filtered full read."""
+        buffer = RingBuffer(4)
+        for appended in range(14):
+            if appended == 9:
+                buffer.clear()
+            everything = buffer.snapshot()
+            seqs = [seq for seq, _item in everything]
+            assert seqs == sorted(seqs) and len(seqs) <= 4
+            for floor in range(-1, appended + 3):
+                assert buffer.snapshot(floor) == [
+                    pair for pair in everything if pair[0] > floor]
+            buffer.append(f"item{appended}")
+
     def test_clear(self):
         buffer = RingBuffer(3)
         buffer.append(1)

@@ -285,16 +285,81 @@ def _busy_monitor(shard_count):
     rng = random.Random(shard_count)
     for step in range(90):
         session = sessions[step % len(sessions)]
+        # Statements are keyed by shape: more shapes than the statement
+        # ring holds, each repeated with other literals.
+        op = rng.choice(("=", "<", "<=", "!=", "between 3 and"))
         session.execute(rng.choice((
-            f"select a from t where a = {rng.randrange(15)}",
-            f"select a from t where b = {rng.randrange(300)}",
+            f"select a from t where a {op} {rng.randrange(15)}",
+            f"select a from t where b {op} {rng.randrange(300)}",
+            f"select b from t where a {op} {rng.randrange(15)}",
             "select count(*) from t",
             "select t.a from t join t u on t.a = u.b where u.a < 9")))
         clock.advance(0.4)  # statistics are sampled at most once a second
+    assert sum(shard.statements.evicted
+               for shard in monitor_shards(setup.monitor)) > 0
     reader = original_setup()
     reader_db = reader.engine.create_database("reader")
     register_ima_tables(reader_db, setup.monitor, monitored_database=database)
     return setup.monitor, reader_db, reader.engine.connect("reader")
+
+
+def _spy_on_virtual_rows(database, monkeypatch):
+    calls = []
+    real = database.virtual_rows
+
+    def spy(table_name, lower_bounds=None):
+        calls.append((table_name, dict(lower_bounds or {})))
+        return real(table_name, lower_bounds)
+
+    monkeypatch.setattr(database, "virtual_rows", spy)
+    return calls
+
+
+def test_a_reused_poll_plan_pushes_its_own_seq_floor(monkeypatch):
+    """The plan is cached for the first mark; every later mark must
+    reach the ring as *its* floor, or the seq-bounded read silently
+    degrades to a full snapshot filtered row by row."""
+    _monitor, reader_db, reader = _busy_monitor(1)
+    everything = reader.execute("select * from ima_workload").rows
+    seqs = [row[0] for row in everything]
+    calls = _spy_on_virtual_rows(reader_db, monkeypatch)
+    floors = [seqs[0], seqs[3], seqs[-2], 0, seqs[-1], seqs[6]]
+    for floor in floors:
+        result = reader.execute(
+            f"select * from ima_workload where shard = 0 and seq > {floor}")
+        assert result.rows == [row for row in everything if row[0] > floor]
+        # the scan saw only the rows above the floor
+        assert result.metrics.tuples_processed == 2 * len(result.rows)
+    assert calls == [("ima_workload", {"seq": floor}) for floor in floors]
+    assert reader.plan_cache_misses == 2  # the full read and one shape
+    assert reader.plan_cache_hits == len(floors) - 1
+
+
+def test_floor_only_scan_takes_the_snapshot_as_it_comes(monkeypatch):
+    from repro.execution import scan
+    _monitor, reader_db, reader = _busy_monitor(1)
+    everything = reader.execute("select * from ima_statements").rows
+    floor = sorted(row[0] for row in everything)[2]
+    compiled = []
+    real = scan.compile_predicate
+    monkeypatch.setattr(
+        scan, "compile_predicate",
+        lambda *args: compiled.append(args[0]) or real(*args))
+    for bound in (floor, 0, floor + 1):  # planned once, bound twice
+        result = reader.execute(
+            f"select * from ima_statements where seq > {bound}")
+        assert result.rows == [row for row in everything if row[0] > bound]
+    assert compiled == []
+    # Anything but exactly the pushed floor keeps its predicate.
+    for where, keep in (
+            (f"seq > {floor} and seq > 0", lambda row: row[0] > floor),
+            (f"seq >= {floor}", lambda row: row[0] >= floor),
+            (f"frequency > {1}", lambda row: row[4] > 1),
+            (f"seq > {floor} and frequency > 1",
+             lambda row: row[0] > floor and row[4] > 1)):
+        result = reader.execute(f"select * from ima_statements where {where}")
+        assert result.rows == [row for row in everything if keep(row)], where
+    assert len(compiled) == 4
 
 
 @pytest.mark.parametrize("shard_count", [1, 4])

@@ -239,8 +239,8 @@ class TestCrashRecovery:
         # The re-polled tables re-read everything the crash lost from
         # the IMA buffers; the persisted prefix was not re-appended.
         target = "select a from t where a = 1"
-        from repro.core.sensors import statement_hash
+        from repro.core.sensors import statement_key
         rows = [row for _rid, row in setup.workload_db.database
                 .storage_for("wl_workload").scan()
-                if row[1] == statement_hash(target)]
+                if row[1] == statement_key(target)]
         assert len(rows) == 1

@@ -1,10 +1,16 @@
-"""Tests for the per-session plan cache and setup factories."""
+"""Tests for the per-session, shape-keyed plan cache and the setup
+factories."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.config import EngineConfig, MonitorConfig
 from repro.core.monitor import MonitorSensors
 from repro.core.sensors import NullSensors
+from repro.engine import EngineInstance
+from repro.engine import session as session_module
+from repro.errors import ReproError
 from repro.setups import daemon_setup, monitoring_setup, original_setup
 
 
@@ -51,6 +57,84 @@ class TestPlanCache:
         assert result.rows == [(20,)]
         assert cached_session.plan_cache_misses == 2
 
+    @pytest.mark.parametrize("ddl", [
+        "create index i_b on t (b)", "create statistics on t",
+        "modify t to btree", "modify t to hash"])
+    def test_ddl_between_two_literal_vectors_replans(self, cached_session,
+                                                     ddl):
+        assert cached_session.execute(
+            "select a from t where b = 20").rows == [(2,)]
+        cached_session.execute(ddl)
+        assert cached_session.execute(
+            "select a from t where b = 30").rows == [(3,)]
+        assert cached_session.plan_cache_misses == 2
+        assert cached_session.execute(
+            "select a from t where b = 10").rows == [(1,)]
+        assert cached_session.plan_cache_misses == 2
+        assert cached_session.plan_cache_hits == 1
+
+    def test_another_literal_vector_hits(self, cached_session):
+        for a, b in ((2, 20), (3, 30), (1, 10), (9, None)):
+            rows = cached_session.execute(
+                f"select b from t where a = {a}").rows
+            assert rows == ([(b,)] if b is not None else [])
+        assert cached_session.plan_cache_misses == 1
+        assert cached_session.plan_cache_hits == 3
+
+    def test_repeated_text_is_one_lookup(self, cached_session, monkeypatch):
+        cached_session.execute("select b from t where a = 2")
+        calls = []
+        monkeypatch.setattr(
+            session_module, "parameterize",
+            lambda text: calls.append(text) or pytest.fail("lexed"))
+        assert cached_session.execute(
+            "select b from t where a = 2").rows == [(20,)]
+        assert calls == []
+        assert cached_session.plan_cache_hits == 1
+
+    def test_literal_types_are_part_of_the_key(self, cached_session):
+        cached_session.execute("select b from t where a < 2")
+        assert cached_session.execute(
+            "select b from t where a < 2.5").rows == [(10,), (20,)]
+        with pytest.raises(ReproError, match="cannot compare"):
+            cached_session.execute("select b from t where a < '2'")
+        assert cached_session.plan_cache_misses == 3
+        assert cached_session.plan_cache_hits == 0
+        # 2.0 == 2, but only an integer is a LIMIT count
+        cached_session.execute("select a from t limit 2")
+        with pytest.raises(ReproError, match="expected LIMIT count"):
+            cached_session.execute("select a from t limit 2.0")
+
+    @pytest.mark.parametrize("first, second, rows", [
+        ("select a from t order by a limit 1",
+         "select a from t order by a limit 2", [(1,), (2,)]),
+        ("select a from t order by a limit 2 offset 0",
+         "select a from t order by a limit 2 offset 1", [(2,), (3,)]),
+        ("select a, 0 - b from t order by 1",
+         "select a, 0 - b from t order by 2",
+         [(3, -30), (2, -20), (1, -10)]),
+        ("select a from t where 0 - b > -15",
+         "select a from t where 0 - b > -25", [(1,), (2,)]),
+        ("select b + 1, count(*) from t group by b + 1 order by 1",
+         "select b + 2, count(*) from t group by b + 2 order by 1",
+         [(12, 1), (22, 1), (32, 1)]),
+    ])
+    def test_structural_literals_are_part_of_the_key(
+            self, cached_session, first, second, rows):
+        cached_session.execute(first)
+        assert cached_session.execute(second).rows == rows
+        assert cached_session.plan_cache_misses == 2
+        assert cached_session.execute(first).rows != rows
+        assert cached_session.plan_cache_hits == 1  # its text is in front
+
+    def test_subqueries_are_never_prepared(self, cached_session):
+        for bound, rows in ((5, [(2,), (3,)]), (10, [(3,)])):
+            assert cached_session.execute(
+                "select a from t where b > "
+                f"(select min(b) from t where b > {bound})").rows == rows
+        assert cached_session.plan_cache_hits == 0
+        assert cached_session.plan_cache_misses == 0
+
     def test_dml_not_cached(self, cached_session):
         cached_session.execute("update t set b = b + 1 where a = 1")
         cached_session.execute("update t set b = b + 1 where a = 1")
@@ -65,7 +149,9 @@ class TestPlanCache:
         capacity = engine.config.plan_cache_size
         for i in range(capacity + 10):
             session.execute(f"select a from t where a = {i}")
-        assert len(session._plan_cache) <= capacity
+        # one shape entry, the rest exact-text entries in front of it
+        assert len(session._prepared) == capacity
+        assert session.plan_cache_misses == 1
 
     def test_disabled_by_config(self):
         from repro.engine import EngineInstance
@@ -92,10 +178,119 @@ class TestPlanCache:
         session.execute("create table t (a int)")
         for _ in range(5):
             session.execute("select a from t")
-        from repro.core.sensors import statement_hash
+        from repro.core.sensors import statement_key
         record = setup.monitor.statements.get(
-            statement_hash("select a from t"))
+            statement_key("select a from t"))
         assert record.frequency == 5
+
+
+# -- reuse is invisible ------------------------------------------------------
+
+def _load(engine: EngineInstance) -> None:
+    engine.create_database("reuse")
+    session = engine.connect("reuse")
+    session.execute("create table t (a int not null, b int, f float, "
+                    "s varchar(20), primary key (a))")
+    session.execute("insert into t values " + ", ".join(
+        f"({i}, {'null' if i % 7 == 0 else i % 5 - 2}, {i * 0.5 - 3}, "
+        f"'{('ab', 'abc', 'b''c', 'it''s', '')[i % 5]}{i % 3}')"
+        for i in range(40)))
+    session.execute("modify t to btree")
+    session.execute("create index t_b on t (b)")
+    session.execute("create table u (a int not null, c varchar(8), "
+                    "primary key (a))")
+    session.execute("insert into u values " + ", ".join(
+        f"({i}, 'c{i % 4}')" for i in range(0, 40, 2)))
+    session.execute("modify u to hash")
+    session.execute("create statistics on t")
+
+
+_INT = st.integers(-4, 45)
+_FLOAT = st.floats(-5, 20, allow_nan=False).map(lambda v: round(v, 2))
+_TEXT = st.sampled_from(["ab0", "abc1", "b'c2", "it's0", "", "ab%", "%c_",
+                         "_b%", "%", "zz"])
+_ANY = st.one_of(_INT, _FLOAT, _TEXT)
+_COUNT = st.one_of(st.integers(0, 6), st.sampled_from([1.0, 2.0]))
+
+# (template, one strategy per ``{}``)
+_SHAPES = [
+    ("select a, b from t where a = {}", [_INT]),
+    ("select a from t where a > {} and b < {}", [_INT, _INT]),
+    ("select a from t where b = {}", [_ANY]),
+    ("select a, f from t where f < {}", [_FLOAT]),
+    ("select a, s from t where s = {}", [_TEXT]),
+    ("select a from t where s like {}", [_TEXT]),
+    ("select a from t where s not like {} and a < {}", [_TEXT, _INT]),
+    ("select a from t where a in ({}, {}, {})", [_ANY, _INT, _INT]),
+    ("select a from t where b not in ({}, {})", [_INT, _INT]),
+    ("select a from t where a between {} and {}", [_INT, _INT]),
+    ("select a from t where f not between {} and {}", [_FLOAT, _FLOAT]),
+    ("select a, {} from t where a < {}", [_ANY, _INT]),
+    ("select {}, {}", [_ANY, _ANY]),
+    ("select a from t order by a limit {} offset {}", [_COUNT, _COUNT]),
+    ("select a, a + {} from t where b = {} order by {}",
+     [_INT, _INT, st.one_of(st.integers(1, 3), st.sampled_from([1.0, 2.0]))]),
+    ("select a from t where b > -{} and f < - {}",
+     [st.integers(0, 3), st.integers(0, 3)]),
+    ("select a, 0 - a from t where a < {} order by {} desc",
+     [_INT, st.integers(0, 2)]),
+    ("select b + {}, count(*) from t where a > {} group by b + {}",
+     [_INT, _INT, _INT]),
+    ("select b, sum(f * {}) from t group by b having sum(f * {}) > {}",
+     [_INT, _INT, _FLOAT]),
+    ("select t.a, u.c from t join u on t.a = u.a "
+     "where u.a = {} and t.b < {}", [_INT, _INT]),
+    ("select t.a, u.c from t left join u on t.a = u.a and u.c = {} "
+     "where t.a < {}", [_TEXT, _INT]),
+    ("select distinct b from t where a > {} order by b", [_INT]),
+    ("select a from t where a = {} or s = {}", [_INT, _TEXT]),
+]
+
+
+def _render(value) -> str:
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+@st.composite
+def _shape_and_vectors(draw):
+    template, slots = draw(st.sampled_from(_SHAPES))
+    vectors = draw(st.lists(st.tuples(*slots), min_size=2, max_size=4))
+    return [template.format(*map(_render, vector)) for vector in vectors]
+
+
+def _outcome(session, text):
+    try:
+        result = session.execute(text)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return result.columns, sorted(result.rows, key=repr)
+
+
+@pytest.fixture(scope="module")
+def reuse_engines():
+    engines = (EngineInstance(EngineConfig()),
+               EngineInstance(EngineConfig(plan_cache_size=0)))
+    for engine in engines:
+        _load(engine)
+    return engines
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=_shape_and_vectors())
+def test_reuse_is_invisible(reuse_engines, texts):
+    """A session warmed with other literal vectors of a shape returns
+    exactly what a fresh ``plan_cache_size=0`` session returns for the
+    last one, errors included."""
+    cached, uncached = reuse_engines
+    with cached.connect("reuse") as warmed:
+        for text in texts[:-1]:
+            _outcome(warmed, text)
+        with uncached.connect("reuse") as fresh:
+            assert _outcome(warmed, texts[-1]) == _outcome(fresh, texts[-1])
+            assert fresh.plan_cache_hits == fresh.plan_cache_misses == 0
 
 
 class TestSetups:

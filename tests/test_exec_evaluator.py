@@ -177,6 +177,67 @@ class TestFunctions:
             evaluate("sum(a)", (1, 0, "", 0))
 
 
+class TestLikeCompilation:
+    """A literal pattern's regex is built when the expression is
+    compiled, not looked up (or, past the cache's size, rebuilt) per
+    row."""
+
+    ROWS = [(i, 0, f"name{i % 50}", 0) for i in range(200)]
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        import re
+        calls = []
+        real = re.compile
+        monkeypatch.setattr(
+            re, "compile",
+            lambda *args, **kwargs: calls.append(args[0])
+            or real(*args, **kwargs))
+        like_to_regex.cache_clear()
+        return calls
+
+    def test_5000_distinct_patterns_compile_once_each(self, compiles):
+        matched = 0
+        for i in range(5000):
+            predicate = compile_predicate(parse_statement(
+                f"select x from t where name like 'name{i}%'").where, SCOPE)
+            assert len(compiles) == i + 1  # at compile time, once
+            matched += sum(predicate(row) for row in self.ROWS)
+        assert len(compiles) == 5000
+        assert matched == 4 * 50 + 4 * 40  # name0..49, prefixes name1..4
+
+    def test_bound_pattern_compiles_once_per_execution(self, compiles):
+        where = parse_statement(
+            "select x from t where name like 'name1%'").where
+        for pattern, expected in (("name1%", 44), ("name2_", 40), ("%", 200)):
+            predicate = compile_predicate(where, SCOPE, params=(pattern,))
+            before = len(compiles)
+            assert sum(predicate(row) for row in self.ROWS) == expected
+            assert len(compiles) == before
+        assert len(compiles) == 3
+
+    def test_column_valued_pattern_stays_per_row(self, compiles):
+        predicate = compile_predicate(parse_statement(
+            "select x from t where name like t.name").where, SCOPE)
+        assert compiles == []
+        assert all(predicate(row) for row in self.ROWS)
+        assert len(compiles) == 50  # one per distinct value, then cached
+
+    def test_cache_is_a_bounded_lru(self):
+        like_to_regex.cache_clear()
+        kept = like_to_regex("kept%")
+        for i in range(4095):
+            like_to_regex(f"p{i}")
+        assert like_to_regex("kept%") is kept  # refreshed, now newest
+        like_to_regex("one more")  # evicts p0, the oldest
+        info = like_to_regex.cache_info()
+        assert info.currsize == info.maxsize == 4096
+        assert like_to_regex("kept%") is kept
+        misses = like_to_regex.cache_info().misses
+        like_to_regex("p0")
+        assert like_to_regex.cache_info().misses == misses + 1
+
+
 class TestHelpers:
     def test_like_regex_cached(self):
         assert like_to_regex("x%") is like_to_regex("x%")

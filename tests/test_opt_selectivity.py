@@ -105,6 +105,23 @@ class TestWithStatistics:
         sel = estimator.selectivity(predicate("a = 100000"), resolve)
         assert sel < 0.001
 
+    def test_literal_of_another_type_falls_back_to_the_defaults(
+            self, estimator):
+        """The histogram cannot place a string among integers; that is
+        an estimate the engine does not have, not a crashed statement
+        (the comparison itself decides, at execution, what it means)."""
+        resolve = make_resolver(a=list(range(100)))
+        config = estimator.config
+        assert estimator.selectivity(predicate("a = 'x'"), resolve) \
+            == config.default_selectivity_eq
+        assert estimator.selectivity(predicate("a < 'x'"), resolve) \
+            == config.default_selectivity_range
+        assert estimator.selectivity(
+            predicate("a between 'x' and 'y'"), resolve) \
+            == config.default_selectivity_range
+        assert estimator.selectivity(predicate("a in (1, 'x')"), resolve) \
+            == pytest.approx(0.01 + config.default_selectivity_eq, rel=0.6)
+
     def test_is_null_uses_null_fraction(self, estimator):
         resolve = make_resolver(a=[1, 2, None, None])
         assert estimator.selectivity(predicate("a is null"),

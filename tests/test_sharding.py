@@ -16,7 +16,7 @@ from repro.config import DaemonConfig, EngineConfig, MonitorConfig
 from repro.core.daemon import StorageDaemon
 from repro.core.monitor import IntegratedMonitor
 from repro.core.records import WorkloadRecord
-from repro.core.sensors import statement_hash
+from repro.core.sensors import statement_key
 from repro.core.sharding import (
     SHARD_STRIDE,
     MergedKeyedView,
@@ -251,7 +251,7 @@ class TestShardedDaemonEndToEnd:
         reborn.flush()
         assert_exactly_once(setup.workload_db)
         for session in sessions:
-            target = statement_hash("select a from c%d" % session.session_id)
+            target = statement_key("select a from c%d" % session.session_id)
             matches = [row for row in _persisted(setup.workload_db)
                        if row[1] == target]
             assert len(matches) == 1

@@ -16,6 +16,7 @@ from repro.sql.lexer import (
     KEYWORDS,
     Token,
     TokenType,
+    parameterize,
     statement_shape,
     tokenize,
 )
@@ -404,9 +405,23 @@ class TestStatementShape:
         try:
             tokens = tokenize(text)
         except LexerError:
-            assert statement_shape(text) == text
+            assert parameterize(text) == (text, ())
             return
         literal = (TokenType.STRING, TokenType.INTEGER, TokenType.FLOAT)
-        assert statement_shape(text) == " ".join(
+        shape, values = parameterize(text)
+        assert shape == statement_shape(text) == " ".join(
             "?" if token.type in literal else token.value
             for token in tokens[:-1])
+        # ... and the blanked values, typed as the tokenizer types them
+        expected = [token.value for token in tokens if token.type in literal]
+        assert list(values) == expected
+        assert list(map(type, values)) == list(map(type, expected))
+
+    def test_literal_vector(self):
+        assert parameterize(
+            "SELECT a FROM t -- 'not' 1\n WHERE a = 'x''y' AND b<1.5e3 "
+            "or c in (7, .5, 'İ', '')"
+        ) == ("select a from t where a = ? and b < ? or c in ( ? , ? , ? , ? )",
+              ("x'y", 1500.0, 7, 0.5, "İ", ""))
+        assert parameterize("select İd from t where x = -1") \
+            == ("select i̇d from t where x = - ?", (1,))

@@ -262,3 +262,67 @@ class TestScripts:
         rendered = stmt.where.to_sql()
         reparsed = parse_statement(f"select a from t where {rendered}")
         assert reparsed.where.to_sql() == rendered
+
+
+class TestLiteralSlots:
+    """Each Literal parsed from a token knows that token's ordinal in
+    ``lexer.parameterize``'s vector; literals turned into structure are
+    pinned instead."""
+
+    @staticmethod
+    def literals(statement):
+        sources = [item.expression for item in statement.select_items]
+        sources += [join.condition for join in statement.joins
+                    if join.condition is not None]
+        sources += [statement.where, statement.having]
+        sources += list(statement.group_by)
+        sources += [item.expression for item in statement.order_by]
+        return [node for source in sources if source is not None
+                for node in ast.walk_expression(source)
+                if isinstance(node, ast.Literal)]
+
+    def test_slots_index_the_literal_vector(self):
+        from repro.sql.lexer import parameterize
+        from repro.workloads import NrefScale, complex_query_set
+        texts = complex_query_set(NrefScale(proteins=300)) + [
+            "select 'a', 2, 3.5 from t where x in (1, 'b', 2.5) "
+            "and y between 4 and 5 and z like 'p%' and w is not null "
+            "group by 'g' having count(*) > 6 order by 7, 'o' limit 8 offset 9",
+            "select a from t left join u on t.a = u.a and u.b = 'k' "
+            "where t.c = 1 or not t.d <> 2"]
+        seen = 0
+        for text in texts:
+            statement = parse_statement(text)
+            _shape, values = parameterize(text)
+            found = self.literals(statement)
+            for node in found:
+                if node.slot is not None:
+                    assert values[node.slot] == node.value, text
+                    assert type(values[node.slot]) is type(node.value)
+            slots = [node.slot for node in found if node.slot is not None]
+            assert sorted(slots + list(statement.pinned_slots)) \
+                == list(range(len(values))), text
+            seen += len(slots)
+        assert seen > 90
+
+    def test_keyword_literals_have_no_slot(self):
+        where = parse_statement(
+            "select 1 from t where a = true and b is null or c = null").where
+        assert [node.slot for node in ast.walk_expression(where)
+                if isinstance(node, ast.Literal)] == [None, None]
+
+    def test_limit_offset_and_folded_minus_are_pinned(self):
+        statement = parse_statement(
+            "select a, -1, - -2, -x from t where b > -3.5 and c = 4 "
+            "limit 5 offset 6")
+        assert statement.pinned_slots == (0, 1, 2, 4, 5)
+        assert [(node.value, node.slot)
+                for node in self.literals(statement)] \
+            == [(-1, None), (2, None), (-3.5, None), (4, 3)]
+        assert (statement.limit, statement.offset) == (5, 6)
+
+    def test_slot_is_not_part_of_equality(self):
+        assert ast.Literal(5, slot=3) == ast.Literal(5)
+        assert hash(ast.Literal(5, slot=3)) == hash(ast.Literal(5))
+        assert parse_statement("select 1 from t limit 2") \
+            == parse_statement("select 1 from  t limit 2 -- same")
