@@ -11,7 +11,7 @@ the live monitor's records (ad-hoc analysis of the in-memory window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
@@ -233,23 +233,22 @@ def statistics_sample(row: tuple) -> tuple:
     return _SAMPLE_OF[table](row)
 
 
-def _fields_of(record_type: Any) -> Callable[[Any, Any], tuple]:
-    """A monitor record's fields, which are its ``wl_*`` columns."""
-    getter = attrgetter(*(f.name for f in fields(record_type)))
-    return lambda record, _database: getter(record)
+def _fields_of(record: tuple, _database: Any) -> tuple:
+    """A monitor record's fields (``_fields``) are its ``wl_*`` columns."""
+    return record
 
 
 # Per workload table, in the order a fold reads them: how a row folds,
 # and the ``wl_*`` columns of the monitor record it is persisted from.
 _FOLDS: tuple[tuple[str, Callable[[_Fold, tuple], None],
                     Callable[[Any, Any], tuple]], ...] = (
-    ("wl_statements", _Fold.statement, _fields_of(records.StatementRecord)),
-    ("wl_workload", _Fold.execution, _fields_of(records.WorkloadRecord)),
-    ("wl_references", _Fold.reference, _fields_of(records.ReferenceRecord)),
+    ("wl_statements", _Fold.statement, _fields_of),
+    ("wl_workload", _Fold.execution, _fields_of),
+    ("wl_references", _Fold.reference, _fields_of),
     ("wl_tables", _Fold.table, table_facts),
     ("wl_attributes", _Fold.attribute, attribute_facts),
-    ("wl_plans", _Fold.plan, _fields_of(records.PlanRecord)),
-    ("wl_statistics", _Fold.sample, _fields_of(records.StatisticsRecord)),
+    ("wl_plans", _Fold.plan, _fields_of),
+    ("wl_statistics", _Fold.sample, _fields_of),
 )
 
 

@@ -48,11 +48,9 @@ _COUNTS_ONLY = 2
 _SHED = 3
 
 
-def _bump_statement(record: StatementRecord, now: float) -> StatementRecord:
-    """Hoisted :meth:`KeyedRingBuffer.bump` callback for plan-cache
-    hits: passing this module-level function with ``now`` as the bump
-    argument keeps the per-statement path free of closure objects."""
-    return record.bumped(now)
+# Builds a record from its fields in order, without the NamedTuple's
+# ``__new__`` frame (the per-statement workload record).
+_new_record = tuple.__new__
 
 
 class IntegratedMonitor:
@@ -108,7 +106,7 @@ class IntegratedMonitor:
         allocation-free ``bump`` path: one lock acquisition and no
         closure or record construction on the hot path.
         """
-        if self.statements.bump(text_hash, _bump_statement, now):
+        if self.statements.bump(text_hash, StatementRecord.bumped, now):
             return False
         return self._insert_statement(text, text_hash, now)
 
@@ -197,27 +195,52 @@ class IntegratedMonitor:
         The level is re-read under the counter lock so the decision
         always matches the counter it bumps — a controller transition
         between a caller's stale read and the count here cannot
-        misattribute the statement.  DETAILED (the overwhelming common
-        case) pays one extra uncontended acquisition (~100 ns against
-        ~100 µs statements, inside the bench gate's tolerance).
+        misattribute the statement.
         """
         with self._counter_lock:
             self.issued += 1
-            level = self.degradation_level
-            if level == _DETAILED:
+            return self.degradation_level == _DETAILED \
+                or self._admit_degraded()
+
+    # staticcheck: guarded-by(_counter_lock)
+    def _admit_degraded(self) -> bool:
+        """The gate's decision below DETAILED, counting what it drops."""
+        level = self.degradation_level
+        if level == _SAMPLED:
+            self._sample_counter += 1
+            if self._sample_counter >= self._sample_k:
+                self._sample_counter = 0
                 return True
-            if level == _SAMPLED:
-                self._sample_counter += 1
-                if self._sample_counter >= self._sample_k:
-                    self._sample_counter = 0
-                    return True
-                self.sampled_out += 1
-                return False
-            if level == _COUNTS_ONLY:
-                self.sampled_out += 1
-                return False
-            self.shed += 1
+            self.sampled_out += 1
             return False
+        if level == _COUNTS_ONLY:
+            self.sampled_out += 1
+            return False
+        self.shed += 1
+        return False
+
+    # staticcheck: hotpath
+    def complete_statement(self, record: WorkloadRecord, sensor_calls: int,
+                           monitor_time_s: float, started: float) -> float:
+        """What a statement's terminal sensor does, in one critical
+        section: pass the admission gate (as :meth:`admit_workload`),
+        append ``record`` if admitted, and fold the statement's sensor
+        tally — ``sensor_calls`` fires and ``monitor_time_s`` plus the
+        terminal sensor's own time, which began at ``started`` and is
+        read here, last — into the counters.  Returns that total."""
+        with self._counter_lock:
+            self.issued += 1
+            if self.degradation_level == _DETAILED or self._admit_degraded():
+                if record.timestamp == 0.0:
+                    # The shard recovered from SHED mid-statement, so
+                    # parse skipped the clock read; admitted records
+                    # carry a real timestamp for daemon retention.
+                    record = record._replace(timestamp=self.clock.now())  # staticcheck: allocfree(shed-recovery-edge-only)
+                self.workload.append(record)
+            total = monitor_time_s + (time.perf_counter() - started)
+            self.sensor_calls += sensor_calls
+            self.sensor_time_s += total
+        return total
 
     def degradation_counters(self) -> tuple[int, int, int]:
         """``(issued, sampled_out, shed)`` read atomically."""
@@ -247,7 +270,7 @@ class IntegratedMonitor:
             self._last_statistics_at = now
         known = {
             key: value for key, value in values.items()
-            if key in StatisticsRecord.__dataclass_fields__
+            if key in StatisticsRecord._fields
         }
         self.statistics.append(StatisticsRecord(timestamp=now, **known))
         return True
@@ -260,16 +283,6 @@ class IntegratedMonitor:
         measurement); called from every session thread."""
         with self._counter_lock:
             self.sensor_calls += 1
-            self.sensor_time_s += elapsed_s
-
-    # staticcheck: hotpath
-    def note_sensor_calls(self, count: int, elapsed_s: float) -> None:
-        """Fold one whole statement's sensor accounting in a single lock
-        round-trip.  The terminal sensor calls this with the context's
-        accumulated count/time; paying one acquisition per sensor fire
-        instead measurably contends once many sessions run at once."""
-        with self._counter_lock:
-            self.sensor_calls += count
             self.sensor_time_s += elapsed_s
 
     def statistics_due(self, now: float) -> bool:
@@ -323,10 +336,7 @@ class MonitorSensors(Sensors):
         # Pre-bound fast-path callables: the plan-cache-hit path pays
         # one attribute walk per sensor fire instead of two or three.
         self._record_statement = monitor.record_statement
-        self._record_workload = monitor.record_workload
-        self._note_sensor_calls = monitor.note_sensor_calls
-        self._statements_get = monitor.statements.get
-        self._admit_workload = monitor.admit_workload
+        self._complete_statement = monitor.complete_statement
 
     def for_session(self, session_id: int) -> "MonitorSensors":
         return MonitorSensors(self.monitor, session_id,
@@ -341,17 +351,14 @@ class MonitorSensors(Sensors):
         t0 = time.perf_counter()
         if text_hash is None:
             text_hash = statement_key(text)
+        # The ladder level is a benign stale read: a transition that
+        # races this statement only shifts which side of it the
+        # statement lands on; the admission gate re-reads the level
+        # under the counter lock when it counts.
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
-            text=text,
-            text_hash=text_hash,
-            started_monotonic=t0,
-            session_id=session_id if session_id else self._session_id,
-            # Benign stale read of the ladder level: a transition that
-            # races this statement only shifts which side of it the
-            # statement lands on; the admission gate re-reads the level
-            # under the counter lock when it counts.
-            degradation=self.monitor.degradation_level,
-        )
+            text, text_hash, t0,
+            session_id if session_id else self._session_id,
+            self.monitor.degradation_level)
         elapsed = time.perf_counter() - t0
         ctx.monitor_time_s += elapsed
         # Deferred accounting: non-terminal sensors only bump the
@@ -375,8 +382,8 @@ class MonitorSensors(Sensors):
             # Deferred timestamping: the one wall-clock read this
             # statement pays, reused by every later sensor.
             ctx.wall_time = monitor.clock.now()
-            is_new = self._record_statement(ctx.text, ctx.text_hash,
-                                            ctx.wall_time)
+            ctx.is_new = is_new = self._record_statement(
+                ctx.text, ctx.text_hash, ctx.wall_time)
             if ((is_new or not monitor.config.statement_cache_enabled)
                     and ctx.degradation < _COUNTS_ONLY):
                 monitor.record_references(ctx.text_hash, table_names)
@@ -399,11 +406,11 @@ class MonitorSensors(Sensors):
         ctx.estimated_io = estimated_io
         ctx.estimated_cpu = estimated_cpu
         ctx.optimize_time_s = optimize_time_s
-        ctx.used_indexes = tuple(used_indexes)
+        ctx.used_indexes = ",".join(used_indexes)
         monitor = self.monitor
-        known = self._statements_get(ctx.text_hash)
-        cached = (monitor.config.statement_cache_enabled
-                  and known is not None and known.frequency > 1)
+        # Known since before this statement's parse_complete: its
+        # references are logged (no second locked lookup to learn it).
+        cached = monitor.config.statement_cache_enabled and not ctx.is_new
         if not cached and ctx.degradation < _COUNTS_ONLY:
             monitor.record_references(
                 ctx.text_hash, (), referenced_columns, used_indexes)
@@ -428,40 +435,19 @@ class MonitorSensors(Sensors):
         if ctx is None:
             return
         t0 = time.perf_counter()
-        # The admission gate counts this statement as issued and
-        # decides (under the counter lock) whether its workload record
-        # is kept — suppressed statements land in sampled_out/shed so
-        # conservation stays exact under every ladder state.
-        if self._admit_workload():
-            timestamp = ctx.wall_time  # captured once at parse_complete
-            if timestamp == 0.0:
-                # The shard recovered from SHED mid-statement, so parse
-                # skipped the clock read; admitted records must carry a
-                # real timestamp for daemon retention.
-                timestamp = self.monitor.clock.now()  # staticcheck: allocfree(shed-recovery-edge-only)
-            self._record_workload(WorkloadRecord(  # staticcheck: allocfree(workload-record-is-the-product)
-                text_hash=ctx.text_hash,
-                session_id=ctx.session_id,
-                timestamp=timestamp,
-                optimize_time_s=ctx.optimize_time_s,
-                execute_time_s=execute_time_s,
-                wallclock_s=wallclock_s,
-                estimated_io=ctx.estimated_io,
-                estimated_cpu=ctx.estimated_cpu,
-                actual_io=actual_io,
-                actual_cpu=actual_cpu,
-                logical_reads=logical_reads,
-                physical_reads=physical_reads,
-                tuples_processed=tuples_processed,
-                rows_returned=rows_returned,
-                used_indexes=",".join(ctx.used_indexes),
-                monitor_time_s=ctx.monitor_time_s,
-            ))
-        elapsed = time.perf_counter() - t0
-        ctx.monitor_time_s += elapsed
-        # Terminal sensor: fold the statement's whole sensor tally
-        # (this call included) in one counter-lock acquisition.
-        self._note_sensor_calls(ctx.sensor_calls + 1, ctx.monitor_time_s)
+        # The monitor's gate counts this statement as issued and
+        # decides whether the record is kept — suppressed statements
+        # land in sampled_out/shed, so conservation stays exact under
+        # every ladder state.  Positional, in the record's field order;
+        # the timestamp was captured once, at parse_complete.
+        ctx.monitor_time_s = self._complete_statement(_new_record(  # staticcheck: allocfree(workload-record-is-the-product)
+            WorkloadRecord, (
+                ctx.text_hash, ctx.session_id, ctx.wall_time,
+                ctx.optimize_time_s, execute_time_s, wallclock_s,
+                ctx.estimated_io, ctx.estimated_cpu, actual_io, actual_cpu,
+                logical_reads, physical_reads, tuples_processed,
+                rows_returned, ctx.used_indexes, ctx.monitor_time_s)),
+            ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
 
     def statement_error(self, ctx: StatementContext | None,
                         error: str) -> None:
@@ -469,34 +455,14 @@ class MonitorSensors(Sensors):
             return
         t0 = time.perf_counter()
         # Errors still count as executions with zero cost so that the
-        # statement history shows failing statements; the error path
-        # goes through the same admission gate as execute_complete so
-        # failed statements stay inside the conservation ledger.
-        if self.monitor.admit_workload():
-            self.monitor.record_workload(WorkloadRecord(
-                text_hash=ctx.text_hash,
-                session_id=ctx.session_id,
-                timestamp=self.monitor.clock.now(),
-                optimize_time_s=ctx.optimize_time_s,
-                execute_time_s=0.0,
-                wallclock_s=0.0,
-                estimated_io=ctx.estimated_io,
-                estimated_cpu=ctx.estimated_cpu,
-                actual_io=0.0,
-                actual_cpu=0.0,
-                logical_reads=0,
-                physical_reads=0,
-                tuples_processed=0,
-                rows_returned=0,
-                used_indexes="",
-                monitor_time_s=ctx.monitor_time_s,
-            ))
-        elapsed = time.perf_counter() - t0
-        ctx.monitor_time_s += elapsed
-        # Terminal sensor on the error path: same one-shot fold as
-        # execute_complete.
-        self.monitor.note_sensor_calls(ctx.sensor_calls + 1,
-                                       ctx.monitor_time_s)
+        # statement history shows failing statements, through the same
+        # gate as execute_complete: failed statements stay inside the
+        # conservation ledger.
+        ctx.monitor_time_s = self._complete_statement(WorkloadRecord(
+            ctx.text_hash, ctx.session_id, self.monitor.clock.now(),
+            ctx.optimize_time_s, 0.0, 0.0, ctx.estimated_io,
+            ctx.estimated_cpu, 0.0, 0.0, 0, 0, 0, 0, "",
+            ctx.monitor_time_s), ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
 
     # staticcheck: hotpath
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],

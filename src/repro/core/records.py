@@ -2,16 +2,17 @@
 
 These mirror the IMA virtual-table schema of figure 3 in the paper:
 ``Statements``, ``Workload``, ``References``, ``Tables``, ``Attributes``,
-``Indexes`` and ``Statistics``.
+``Indexes`` and ``Statistics``.  Each is an immutable tuple whose
+fields, in order, are its table's columns — the sensors build one or
+two per statement, positionally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class StatementRecord:
+class StatementRecord(NamedTuple):
     """One distinct statement text, keyed by its hash."""
 
     text_hash: int
@@ -21,11 +22,13 @@ class StatementRecord:
     last_seen: float
 
     def bumped(self, now: float) -> "StatementRecord":
-        return replace(self, frequency=self.frequency + 1, last_seen=now)
+        """Seen once more, at ``now`` (per statement: no ``__new__``
+        frame, no keywords)."""
+        return tuple.__new__(StatementRecord, (
+            self[0], self[1], self[2] + 1, self[3], now))
 
 
-@dataclass(frozen=True)
-class WorkloadRecord:
+class WorkloadRecord(NamedTuple):
     """One execution of a statement: times and costs (figure 3's
     ``Workload`` table)."""
 
@@ -55,8 +58,7 @@ class WorkloadRecord:
         return self.actual_io + self.actual_cpu
 
 
-@dataclass(frozen=True)
-class ReferenceRecord:
+class ReferenceRecord(NamedTuple):
     """Statement -> database object usage (figure 3's ``References``)."""
 
     text_hash: int
@@ -66,22 +68,20 @@ class ReferenceRecord:
     frequency: int
 
     def bumped(self) -> "ReferenceRecord":
-        return replace(self, frequency=self.frequency + 1)
+        return self._replace(frequency=self.frequency + 1)
 
 
-@dataclass(frozen=True)
-class TableUsageRecord:
+class TableUsageRecord(NamedTuple):
     """Aggregated per-table usage (figure 3's ``Tables``)."""
 
     table_name: str
     frequency: int
 
     def bumped(self) -> "TableUsageRecord":
-        return replace(self, frequency=self.frequency + 1)
+        return self._replace(frequency=self.frequency + 1)
 
 
-@dataclass(frozen=True)
-class AttributeUsageRecord:
+class AttributeUsageRecord(NamedTuple):
     """Aggregated per-attribute usage (figure 3's ``Attributes``)."""
 
     table_name: str
@@ -89,11 +89,10 @@ class AttributeUsageRecord:
     frequency: int
 
     def bumped(self) -> "AttributeUsageRecord":
-        return replace(self, frequency=self.frequency + 1)
+        return self._replace(frequency=self.frequency + 1)
 
 
-@dataclass(frozen=True)
-class IndexUsageRecord:
+class IndexUsageRecord(NamedTuple):
     """Aggregated per-index usage (figure 3's ``Indexes``)."""
 
     index_name: str
@@ -101,11 +100,10 @@ class IndexUsageRecord:
     frequency: int
 
     def bumped(self) -> "IndexUsageRecord":
-        return replace(self, frequency=self.frequency + 1)
+        return self._replace(frequency=self.frequency + 1)
 
 
-@dataclass(frozen=True)
-class PlanRecord:
+class PlanRecord(NamedTuple):
     """Captured optimizer plan for an expensive statement."""
 
     text_hash: int
@@ -121,8 +119,7 @@ STATISTIC_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class StatisticsRecord:
+class StatisticsRecord(NamedTuple):
     """One sample of system-wide statistics (figure 3's ``Statistics``)."""
 
     timestamp: float
@@ -140,6 +137,4 @@ class StatisticsRecord:
     physical_writes: int = 0
 
     def as_row(self) -> tuple[float | int, ...]:
-        return (self.timestamp,) + tuple(
-            getattr(self, name) for name in STATISTIC_FIELDS
-        )
+        return tuple(self)

@@ -43,14 +43,23 @@ def statement_key(text: str) -> int:
     return statement_hash(statement_shape(text))
 
 
-@dataclass
+@dataclass(slots=True)
 class StatementContext:
-    """Per-statement scratchpad threaded through the sensor calls."""
+    """Per-statement scratchpad threaded through the sensor calls.  The
+    leading fields are what ``statement_start`` knows (it builds one
+    per statement, positionally)."""
 
     text: str
     text_hash: int
     """:func:`statement_key` of the text."""
     started_monotonic: float = 0.0
+    session_id: int = 0
+    degradation: int = 0
+    """Shard degradation level stamped at statement_start (a benign
+    stale read): later sensors of the same statement use it to decide
+    what detail to skip without re-reading monitor state.  The
+    authoritative issued/sampled_out/shed counting happens in the
+    monitor's admission gate, under its counter lock."""
     monitor_time_s: float = 0.0
     """Time spent inside monitoring code for this statement (figure 5)."""
     sensor_calls: int = 0
@@ -62,18 +71,16 @@ class StatementContext:
     one statement are written microseconds apart and share one clock
     read instead of paying one syscall per record."""
     statement_kind: str = ""
-    session_id: int = 0
-    degradation: int = 0
-    """Shard degradation level stamped at statement_start (a benign
-    stale read): later sensors of the same statement use it to decide
-    what detail to skip without re-reading monitor state.  The
-    authoritative issued/sampled_out/shed counting happens in the
-    monitor's admission gate, under its counter lock."""
+    is_new: bool = True
+    """Whether parse_complete created the statement's record (also
+    while it has recorded nothing): the statement's object references
+    are logged only then."""
     # Scratch fields filled by earlier sensors, consumed at execute_complete.
     estimated_io: float = 0.0
     estimated_cpu: float = 0.0
     optimize_time_s: float = 0.0
-    used_indexes: tuple[str, ...] = ()
+    used_indexes: str = ""
+    """Comma-joined, as the workload record carries them."""
 
 
 class Sensors:

@@ -53,6 +53,19 @@ class _VirtualTable(NamedTuple):
     floor_column: str | None
 
 
+class _SecondaryIndex(NamedTuple):
+    """What DML maintains of one real index of a table."""
+
+    definition: IndexDef
+    storage: BTreeStorage
+    positions: tuple[int, ...]
+    """Of the key columns in the table's rows."""
+
+    def entry(self, rowid: int, row: tuple) -> tuple:
+        """The index relation's row for ``row``: key values + rowid."""
+        return tuple([row[p] for p in self.positions]) + (rowid,)
+
+
 class Database:
     """Catalog, storage and physical-design operations for one database."""
 
@@ -67,6 +80,8 @@ class Database:
         self.triggers = TriggerManager()
         self._storages: dict[str, TableStorage] = {}
         self._index_storages: dict[str, BTreeStorage] = {}
+        self._secondary: dict[str, list[_SecondaryIndex]] = {}
+        """Table name -> its real indexes, in creation order."""
         self._virtual_tables: dict[str, _VirtualTable] = {}
         self.schema_version = 0
         """Bumped on every DDL/statistics change; plan caches key their
@@ -119,8 +134,8 @@ class Database:
         if entry.is_virtual:
             self._virtual_tables.pop(name.lower(), None)
             return
-        storage = self._storages.pop(name.lower())
-        storage.drop()
+        self._secondary.pop(name.lower(), None)
+        self._storages.pop(name.lower()).drop()
 
     def create_index(self, definition: IndexDef) -> IndexDef:
         """Create a secondary index; real indexes are built immediately."""
@@ -146,25 +161,29 @@ class Database:
             unique=definition.unique,
             fill_factor=self.config.storage.heap_fill_factor,
         )
+        index = _SecondaryIndex(definition, storage, tuple(
+            entry.schema.column_index(c) for c in definition.column_names))
         base = self._storages[definition.table_name.lower()]
         try:
             storage.bulk_load(
-                (rowid, self._index_entry(entry.schema, definition, rowid, row))
-                for rowid, row in base.scan()
-            )
+                (rowid, index.entry(rowid, row)) for rowid, row in base.scan())
         except StorageError:
             self.catalog.drop_index(definition.name)
             storage.drop()
             raise
         self._index_storages[definition.name.lower()] = storage
+        self._secondary.setdefault(
+            definition.table_name.lower(), []).append(index)
         return definition
 
     def drop_index(self, name: str) -> None:
         if not self.catalog.index(name).virtual:
             self.schema_version += 1
-        self.catalog.drop_index(name)
+        table = self.catalog.drop_index(name).table_name.lower()
         storage = self._index_storages.pop(name.lower(), None)
         if storage is not None:
+            self._secondary[table] = [index for index in self._secondary[table]
+                                      if index.storage is not storage]
             storage.drop()
 
     def modify_table(self, name: str, structure: StorageStructure,
@@ -188,16 +207,14 @@ class Database:
             raise CatalogError(f"cannot insert into virtual table {table_name!r}")
         storage = self._storages[table_name.lower()]
         checked = entry.schema.check_row(row)
-        self._check_unique_indexes(entry, checked, exclude_rowid=None)
+        indexes = self._secondary.get(table_name.lower(), ())
+        self._check_unique(indexes, checked)
         rowid = storage.insert_checked(checked)
         maintained: list[BTreeStorage] = []
         try:
-            for index in self.catalog.indexes_on(table_name):
-                index_storage = self._index_storages[index.name.lower()]
-                index_storage.insert(
-                    rowid, self._index_entry(entry.schema, index, rowid,
-                                             checked))
-                maintained.append(index_storage)
+            for index in indexes:
+                index.storage.insert(rowid, index.entry(rowid, checked))
+                maintained.append(index.storage)
         except StorageError:
             for index_storage in maintained:
                 index_storage.delete(rowid)
@@ -247,25 +264,30 @@ class Database:
                 self.triggers.fire_on_insert(table_name, checked, now)
 
     def delete_row(self, table_name: str, rowid: int) -> tuple:
-        entry = self.catalog.table(table_name)
-        storage = self._storages[table_name.lower()]
-        row = storage.delete(rowid)
-        for index in self.catalog.indexes_on(table_name):
-            self._index_storages[index.name.lower()].delete(rowid)
+        row = self.storage_for(table_name).delete(rowid)
+        for index in self._secondary.get(table_name.lower(), ()):
+            index.storage.delete(rowid)
         return row
 
-    def update_row(self, table_name: str, rowid: int, row: tuple) -> tuple:
-        """Update in place; returns the previous row."""
+    def update_row(self, table_name: str, rowid: int, row: tuple,
+                   old_row: tuple | None = None) -> tuple:
+        """Update in place; returns the previous row — ``old_row``
+        where the caller read it already.  An index none of whose key
+        columns changed is neither checked nor written."""
         entry = self.catalog.table(table_name)
         storage = self._storages[table_name.lower()]
         checked = entry.schema.check_row(row)
-        old_row = storage.fetch(rowid)
-        self._check_unique_indexes(entry, checked, exclude_rowid=rowid)
-        storage.update(rowid, checked)
-        for index in self.catalog.indexes_on(table_name):
-            index_storage = self._index_storages[index.name.lower()]
-            index_storage.update(
-                rowid, self._index_entry(entry.schema, index, rowid, checked))
+        if old_row is None:
+            old_row = storage.fetch(rowid)
+        moved = []
+        for index in self._secondary.get(table_name.lower(), ()):
+            new_entry = index.entry(rowid, checked)
+            if new_entry != index.entry(rowid, old_row):
+                moved.append((index, new_entry))
+        self._check_unique([index for index, _ in moved], checked)
+        storage.update_checked(rowid, checked, old_row)
+        for index, new_entry in moved:
+            index.storage.update(rowid, new_entry)
         return old_row
 
     def undo_insert(self, table_name: str, rowid: int) -> None:
@@ -273,12 +295,9 @@ class Database:
 
     def undo_delete(self, table_name: str, rowid: int, row: tuple) -> None:
         """Re-insert a deleted row under its original rowid."""
-        entry = self.catalog.table(table_name)
-        storage = self._storages[table_name.lower()]
-        storage.insert_with_rowid(rowid, row)
-        for index in self.catalog.indexes_on(table_name):
-            self._index_storages[index.name.lower()].insert(
-                rowid, self._index_entry(entry.schema, index, rowid, row))
+        self.storage_for(table_name).insert_with_rowid(rowid, row)
+        for index in self._secondary.get(table_name.lower(), ()):
+            index.storage.insert(rowid, index.entry(rowid, row))
 
     # -- statistics --------------------------------------------------------------
 
@@ -454,24 +473,16 @@ class Database:
         return TableSchema(definition.name, columns)
 
     @staticmethod
-    def _index_entry(table_schema: TableSchema, definition: IndexDef,
-                     rowid: int, row: tuple) -> tuple:
-        positions = tuple(table_schema.column_index(c)
-                          for c in definition.column_names)
-        return tuple(row[p] for p in positions) + (rowid,)
-
-    def _check_unique_indexes(self, entry: TableEntry, row: tuple,
-                              exclude_rowid: int | None) -> None:
-        """Pre-check unique secondary indexes so a violation does not
-        leave a half-maintained row behind."""
-        for index in self.catalog.indexes_on(entry.schema.name):
-            if not index.unique:
+    def _check_unique(indexes: Iterable[_SecondaryIndex], row: tuple) -> None:
+        """Pre-check the unique ones of ``indexes`` — those ``row`` is
+        about to get a new entry in — so a violation does not leave a
+        half-maintained row behind."""
+        for index in indexes:
+            if not index.definition.unique:
                 continue
-            storage = self._index_storages[index.name.lower()]
-            key = self._index_entry(entry.schema, index, 0, row)[:-1]
-            for rowid, _entry_row in storage.seek(key):
-                if rowid != exclude_rowid:
-                    raise StorageError(
-                        f"duplicate key {key!r} violates unique index "
-                        f"{index.name!r}"
-                    )
+            key = index.entry(0, row)[:-1]
+            for _rowid in index.storage.seek(key):
+                raise StorageError(
+                    f"duplicate key {key!r} violates unique index "
+                    f"{index.definition.name!r}"
+                )

@@ -1,17 +1,19 @@
 """Sessions: the statement pipeline with integrated sensor call sites.
 
-A session runs ``parse -> optimize -> execute`` for queries, or the
-corresponding DML/DDL handlers, acquiring table locks along the way.
-The monitoring sensors are invoked exactly where figure 2 of the paper
-places them; with :class:`~repro.core.sensors.NullSensors` plugged in,
-the calls dispatch to empty methods.
+A session runs ``parse -> optimize -> execute`` for queries and DML
+alike (a statement shape seen before skips the first two), or the DDL
+handler, and owns what surrounds a plan's execution: transaction scope,
+table locks and the undo log.  The monitoring sensors are invoked
+exactly where figure 2 of the paper places them; with
+:class:`~repro.core.sensors.NullSensors` plugged in, the calls dispatch
+to empty methods.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import faultsim
 from repro.catalog.schema import (
@@ -23,12 +25,10 @@ from repro.catalog.schema import (
 )
 from repro.core.sensors import Sensors, statement_hash
 from repro.errors import ExecutionError, ReproError, SqlError
-from repro.execution.evaluator import compile_expression, compile_predicate
 from repro.execution.executor import ExecutionMetrics, Executor, QueryResult
 from repro.engine.locks import LockMode
 from repro.engine.transactions import Transaction
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
-from repro.optimizer.predicates import BindingResolver
 from repro.sql import ast_nodes as ast
 from repro.sql.lexer import parameterize
 from repro.sql.parser import parse_statement
@@ -49,10 +49,12 @@ class DmlResult:
 
 @dataclass(frozen=True)
 class PreparedStatement:
-    """A planned SELECT, reusable for every text of its shape.
+    """A parsed and planned SELECT, INSERT, UPDATE or DELETE — or a
+    parsed BEGIN / COMMIT / ROLLBACK, which has no plan — reusable for
+    every text of its shape.
 
     Reuse must be invisible: a text may run this plan only where
-    planning it fresh would return the same rows.  Its literals are
+    planning it fresh would have the same effect.  Its literals are
     read from the execution's literal vector when the executor compiles
     the plan; the ``pinned`` ones became structure (DESIGN.md §5,
     "Prepared statements"), so the text must agree on their values, on
@@ -68,8 +70,8 @@ class PreparedStatement:
     """The first text seen with this shape."""
     kind: str
     tables: tuple[str, ...]
-    statement: ast.SelectStatement
-    optimized: OptimizationResult
+    statement: ast.Statement
+    optimized: OptimizationResult | None
     schema_version: int
     pinned: tuple[tuple[int, Any], ...]
     """``(slot, value)`` of each literal a reusing text must share."""
@@ -146,17 +148,17 @@ class Session:
         self._explicit_txn = Transaction()
 
     def commit(self) -> None:
-        if self._explicit_txn is None or not self._explicit_txn.is_active:
-            raise ReproError("no active transaction")
-        self._explicit_txn.commit()
-        self.engine.lock_manager.release_all(self._explicit_txn.txn_id)
-        self._explicit_txn = None
+        self._end_transaction(Transaction.commit)
 
     def rollback(self) -> None:
-        if self._explicit_txn is None or not self._explicit_txn.is_active:
+        self._end_transaction(Transaction.rollback)
+
+    def _end_transaction(self, end: Callable[[Transaction], None]) -> None:
+        txn = self._explicit_txn
+        if txn is None or not txn.is_active:
             raise ReproError("no active transaction")
-        self._explicit_txn.rollback()
-        self.engine.lock_manager.release_all(self._explicit_txn.txn_id)
+        end(txn)
+        self.engine.lock_manager.release_all(txn.txn_id)
         self._explicit_txn = None
 
     def _current_txn(self) -> tuple[Transaction, bool]:
@@ -183,26 +185,37 @@ class Session:
             faultsim.fire("session.execute", error=ExecutionError,
                           clock=clock)
             if prepared is not None:
-                sensors.parse_complete(ctx, prepared.kind, prepared.tables)
-                result = self._execute_select(prepared.statement, ctx,
-                                              values, prepared.optimized)
+                statement, optimized = prepared.statement, prepared.optimized
+                kind, tables, origin = prepared.kind, prepared.tables, None
             else:
-                statement = parse_statement(text)
-                kind = type(statement).__name__.removesuffix(
-                    "Statement").lower()
-                sensors.parse_complete(ctx, kind,
-                                       _statement_tables(statement))
-                if isinstance(statement, ast.SelectStatement):
-                    result = self._execute_select(
-                        statement, ctx, values,
-                        origin=(text, key, shape_hash))
-                else:
-                    result = self._dispatch(statement, ctx)
+                statement, optimized = parse_statement(text), None
+                kind, tables = _kind(statement), _statement_tables(statement)
+                origin = (text, key, shape_hash, values)
+            sensors.parse_complete(ctx, kind, tables)
+            if kind == "select":
+                result = self._execute_select(statement, ctx, values,
+                                              optimized, origin)
+            elif kind in _DML:
+                result = self._execute_modify(statement, kind, values,
+                                              optimized, origin)
+            else:
+                handler = _HANDLERS[type(statement)]
+                result = handler(self, statement)
+                if origin is not None and handler is _transaction_control:
+                    self._store(*origin, statement, None)
         except ReproError as error:
             sensors.statement_error(ctx, str(error))
             raise
         wallclock = clock.monotonic() - started
-        self._finish(ctx, result, wallclock)
+        # Actual costs are a query's; DML and DDL report none.
+        metrics = getattr(result, "metrics", _NO_WORK)
+        actual = self.optimizer.cost_model.actual_cost(
+            metrics.logical_reads, metrics.tuples_processed)
+        sensors.execute_complete(
+            ctx, actual.io, actual.cpu, metrics.logical_reads,
+            metrics.physical_reads, metrics.tuples_processed,
+            metrics.rows_returned, wallclock, wallclock)
+        sensors.sample_statistics(self.engine.system_statistics)
         return result
 
     def explain(self, text: str) -> str:
@@ -211,31 +224,6 @@ class Session:
         if not isinstance(statement, ast.SelectStatement):
             raise ExecutionError("EXPLAIN supports only SELECT statements")
         return self.optimizer.optimize_select(statement).explain()
-
-    def _finish(self, ctx: Any, result: QueryResult | DmlResult,
-                wallclock: float) -> None:
-        sensors = self.sensors
-        if isinstance(result, QueryResult):
-            metrics = result.metrics
-        else:
-            metrics = ExecutionMetrics()
-        cost_model = self.optimizer.cost_model
-        actual = cost_model.actual_cost(metrics.logical_reads,
-                                        metrics.tuples_processed)
-        sensors.execute_complete(
-            ctx,
-            actual_io=actual.io,
-            actual_cpu=actual.cpu,
-            logical_reads=metrics.logical_reads,
-            physical_reads=metrics.physical_reads,
-            tuples_processed=metrics.tuples_processed,
-            rows_returned=metrics.rows_returned,
-            execute_time_s=wallclock,
-            wallclock_s=wallclock,
-        )
-        sensors.sample_statistics(self.engine.system_statistics)
-
-    # -- dispatch ---------------------------------------------------------------------
 
     # -- plan cache -----------------------------------------------------------
 
@@ -274,83 +262,34 @@ class Session:
             cache.popitem(last=False)
 
     def _store(self, text: str, key: tuple, shape_hash: int, values: tuple,
-               statement: ast.SelectStatement,
-               optimized: OptimizationResult) -> None:
+               statement: ast.Statement,
+               optimized: OptimizationResult | None) -> None:
         if self.engine.config.plan_cache_size <= 0:
             return
         self.plan_cache_misses += 1
+        pinned = getattr(statement, "pinned_slots", ())
+        if optimized is not None:
+            pinned += optimized.pinned_slots
         prepared = PreparedStatement(
-            shape=key[0], shape_hash=shape_hash, text=text, kind="select",
-            tables=_statement_tables(statement), statement=statement,
-            optimized=optimized,
+            shape=key[0], shape_hash=shape_hash, text=text,
+            kind=_kind(statement), tables=_statement_tables(statement),
+            statement=statement, optimized=optimized,
             schema_version=self.database.schema_version,
-            pinned=tuple((slot, values[slot]) for slot in
-                         statement.pinned_slots + optimized.pinned_slots))
+            pinned=tuple((slot, values[slot]) for slot in pinned))
         self._remember(key, prepared)
         self._remember(text, (prepared, values))
-
-    def _dispatch(self, statement: ast.Statement,
-                  ctx: Any) -> QueryResult | DmlResult:
-        if isinstance(statement, ast.InsertStatement):
-            return self._execute_insert(statement)
-        if isinstance(statement, ast.UpdateStatement):
-            return self._execute_update(statement)
-        if isinstance(statement, ast.DeleteStatement):
-            return self._execute_delete(statement)
-        if isinstance(statement, ast.CreateTableStatement):
-            return self._execute_create_table(statement)
-        if isinstance(statement, ast.DropTableStatement):
-            self.database.drop_table(statement.table_name)
-            return DmlResult("drop table", detail=statement.table_name)
-        if isinstance(statement, ast.CreateIndexStatement):
-            return self._execute_create_index(statement)
-        if isinstance(statement, ast.DropIndexStatement):
-            self.database.drop_index(statement.index_name)
-            return DmlResult("drop index", detail=statement.index_name)
-        if isinstance(statement, ast.ModifyStatement):
-            return self._execute_modify(statement)
-        if isinstance(statement, ast.CreateStatisticsStatement):
-            stats = self.database.collect_statistics(
-                statement.table_name, statement.columns)
-            return DmlResult("create statistics", rowcount=stats.row_count,
-                             detail=statement.table_name)
-        if isinstance(statement, ast.CreateTriggerStatement):
-            schema = self.database.catalog.table(statement.table_name).schema
-            self.database.triggers.create(
-                statement.trigger_name, schema, statement.condition,
-                statement.message)
-            return DmlResult("create trigger", detail=statement.trigger_name)
-        if isinstance(statement, ast.DropTriggerStatement):
-            self.database.triggers.drop(statement.trigger_name)
-            return DmlResult("drop trigger", detail=statement.trigger_name)
-        if isinstance(statement, ast.ExplainStatement):
-            optimized = self.optimizer.optimize_select(statement.statement)
-            lines = optimized.explain().splitlines()
-            from repro.execution.executor import ExecutionMetrics
-            return QueryResult(columns=("plan",),
-                               rows=[(line,) for line in lines],
-                               metrics=ExecutionMetrics())
-        if isinstance(statement, ast.BeginStatement):
-            self.begin()
-            return DmlResult("begin")
-        if isinstance(statement, ast.CommitStatement):
-            self.commit()
-            return DmlResult("commit")
-        if isinstance(statement, ast.RollbackStatement):
-            self.rollback()
-            return DmlResult("rollback")
-        raise ExecutionError(f"unsupported statement {statement!r}")
 
     # -- SELECT -----------------------------------------------------------------------
 
     def _execute_select(self, statement: ast.SelectStatement, ctx: Any,
                         values: tuple,
-                        optimized: OptimizationResult | None = None,
-                        origin: tuple[str, tuple, int] | None = None,
+                        optimized: OptimizationResult | None,
+                        origin: tuple[str, tuple, int, tuple] | None,
                         ) -> QueryResult:
         """Run a SELECT under the text's literal vector ``values``:
         with a prepared plan, or planning ``statement`` and preparing
-        it for ``origin`` — the text, its shape key and shape hash."""
+        it for ``origin`` — the text, its shape key, shape hash and
+        literal vector."""
         clock = self.engine.clock
         sensors = self.sensors
         txn, autocommit = self._current_txn()
@@ -368,7 +307,7 @@ class Session:
                 optimized = self.optimizer.optimize_select(statement)
                 optimize_time = clock.monotonic() - optimize_started
                 if origin is not None:
-                    self._store(*origin, values, statement, optimized)
+                    self._store(*origin, statement, optimized)
             sensors.optimize_complete(
                 ctx,
                 estimated_io=optimized.estimated_cost.io,
@@ -493,127 +432,39 @@ class Session:
 
     # -- DML ---------------------------------------------------------------------------
 
-    def _execute_insert(self, statement: ast.InsertStatement) -> DmlResult:
-        entry = self.database.catalog.table(statement.table_name)
-        schema = entry.schema
+    # staticcheck: hotpath
+    def _execute_modify(self, statement: Any, kind: str, values: tuple,
+                        optimized: OptimizationResult | None,
+                        origin: tuple[str, tuple, int, tuple] | None,
+                        ) -> DmlResult:
+        """Run an INSERT, UPDATE or DELETE (prepared, or planned and
+        prepared here, as :meth:`_execute_select` does) under an
+        exclusive table lock.  The statement is atomic: whatever fails,
+        the undo log is unwound to where the statement began; an
+        explicit transaction stays active."""
         txn, autocommit = self._current_txn()
+        mark = txn.pending_changes
         try:
             self.engine.lock_manager.acquire(
                 txn.txn_id, statement.table_name.lower(), LockMode.EXCLUSIVE)
-            if statement.columns:
-                positions = [schema.column_index(c)
-                             for c in statement.columns]
-            else:
-                positions = list(range(len(schema.columns)))
-            inserted = 0
-            for value_row in statement.rows:
-                if len(value_row) != len(positions):
-                    raise ExecutionError(
-                        f"INSERT expects {len(positions)} values, "
-                        f"got {len(value_row)}"
-                    )
-                row: list[Any] = [None] * len(schema.columns)
-                for position, expr in zip(positions, value_row):
-                    row[position] = compile_expression(expr, ())(())
-                rowid = self.database.insert_row(statement.table_name,
-                                                 tuple(row))
-                table_name = statement.table_name
-                txn.record_undo(
-                    lambda t=table_name, r=rowid:
-                    self.database.undo_insert(t, r))
-                inserted += 1
+            if optimized is None:
+                where = getattr(statement, "where", None)
+                if where is not None and ast.contains_subquery(where):
+                    statement = replace(
+                        statement,
+                        where=self._rewrite_subquery_expression(where, txn))
+                    origin = None  # data-dependent: never prepared
+                optimized = self.optimizer.optimize_modify(statement)
+                if origin is not None:
+                    self._store(*origin, statement, optimized)
+            result = self.executor.execute(
+                optimized.plan, optimized.output_names, values,
+                txn.record_undo)
             if autocommit:
                 txn.commit()
-            return DmlResult("insert", rowcount=inserted)
-        except ReproError:
-            if autocommit:
-                txn.rollback()
-            raise
-        finally:
-            if autocommit:
-                self.engine.lock_manager.release_all(txn.txn_id)
-
-    def _match_rows(self, table_name: str,
-                    where: ast.Expression | None) -> list[tuple[int, tuple]]:
-        """Scan a table and return (rowid, row) pairs matching ``where``."""
-        schema = self.database.catalog.table(table_name).schema
-        resolver = BindingResolver({
-            table_name.lower(): schema.column_names
-        })
-        scope = tuple((table_name.lower(), c) for c in schema.column_names)
-        predicate = compile_predicate(
-            resolver.qualify(where) if where is not None else None, scope)
-        storage = self.database.storage_for(table_name)
-        return [(rowid, row) for rowid, row in storage.scan()
-                if predicate(row)]
-
-    def _execute_update(self, statement: ast.UpdateStatement) -> DmlResult:
-        entry = self.database.catalog.table(statement.table_name)
-        schema = entry.schema
-        txn, autocommit = self._current_txn()
-        try:
-            self.engine.lock_manager.acquire(
-                txn.txn_id, statement.table_name.lower(), LockMode.EXCLUSIVE)
-            resolver = BindingResolver({
-                statement.table_name.lower(): schema.column_names
-            })
-            scope = tuple((statement.table_name.lower(), c)
-                          for c in schema.column_names)
-            assignments = [
-                (schema.column_index(column),
-                 compile_expression(resolver.qualify(expr), scope))
-                for column, expr in statement.assignments
-            ]
-            where = statement.where
-            if where is not None and ast.contains_subquery(where):
-                where = self._rewrite_subquery_expression(where, txn)
-            updated = 0
-            for rowid, row in self._match_rows(statement.table_name,
-                                               where):
-                new_row = list(row)
-                for position, getter in assignments:
-                    new_row[position] = getter(row)
-                old = self.database.update_row(statement.table_name, rowid,
-                                               tuple(new_row))
-                table_name = statement.table_name
-                txn.record_undo(
-                    lambda t=table_name, r=rowid, o=old:
-                    self.database.update_row(t, r, o))
-                updated += 1
-            if autocommit:
-                txn.commit()
-            return DmlResult("update", rowcount=updated)
-        except ReproError:
-            if autocommit:
-                txn.rollback()
-            raise
-        finally:
-            if autocommit:
-                self.engine.lock_manager.release_all(txn.txn_id)
-
-    def _execute_delete(self, statement: ast.DeleteStatement) -> DmlResult:
-        txn, autocommit = self._current_txn()
-        try:
-            self.engine.lock_manager.acquire(
-                txn.txn_id, statement.table_name.lower(), LockMode.EXCLUSIVE)
-            where = statement.where
-            if where is not None and ast.contains_subquery(where):
-                where = self._rewrite_subquery_expression(where, txn)
-            deleted = 0
-            for rowid, row in self._match_rows(statement.table_name,
-                                               where):
-                self.database.delete_row(statement.table_name, rowid)
-                table_name = statement.table_name
-                txn.record_undo(
-                    lambda t=table_name, r=rowid, o=row:
-                    self.database.undo_delete(t, r, o))
-                deleted += 1
-            if autocommit:
-                txn.commit()
-            return DmlResult("delete", rowcount=deleted)
-        except ReproError:
-            if autocommit:
-                txn.rollback()
+            return DmlResult(kind, rowcount=result.rows[0][0])
+        except BaseException:
+            txn.rollback_to(mark)
             raise
         finally:
             if autocommit:
@@ -657,7 +508,7 @@ class Session:
         kind = "create virtual index" if statement.virtual else "create index"
         return DmlResult(kind, detail=statement.index_name)
 
-    def _execute_modify(self, statement: ast.ModifyStatement) -> DmlResult:
+    def _modify_structure(self, statement: ast.ModifyStatement) -> DmlResult:
         structure = _parse_structure(statement.structure)
         txn, autocommit = self._current_txn()
         try:
@@ -670,6 +521,75 @@ class Session:
         finally:
             if autocommit:
                 self.engine.lock_manager.release_all(txn.txn_id)
+
+
+def _drop_table(session: Session, statement: Any) -> DmlResult:
+    session.database.drop_table(statement.table_name)
+    return DmlResult("drop table", detail=statement.table_name)
+
+
+def _drop_index(session: Session, statement: Any) -> DmlResult:
+    session.database.drop_index(statement.index_name)
+    return DmlResult("drop index", detail=statement.index_name)
+
+
+def _create_statistics(session: Session, statement: Any) -> DmlResult:
+    stats = session.database.collect_statistics(
+        statement.table_name, statement.columns)
+    return DmlResult("create statistics", rowcount=stats.row_count,
+                     detail=statement.table_name)
+
+
+def _create_trigger(session: Session, statement: Any) -> DmlResult:
+    schema = session.database.catalog.table(statement.table_name).schema
+    session.database.triggers.create(
+        statement.trigger_name, schema, statement.condition,
+        statement.message)
+    return DmlResult("create trigger", detail=statement.trigger_name)
+
+
+def _drop_trigger(session: Session, statement: Any) -> DmlResult:
+    session.database.triggers.drop(statement.trigger_name)
+    return DmlResult("drop trigger", detail=statement.trigger_name)
+
+
+def _explain(session: Session, statement: Any) -> QueryResult:
+    plan = session.optimizer.optimize_select(statement.statement).explain()
+    return QueryResult(("plan",), [(line,) for line in plan.splitlines()],
+                       _NO_WORK)
+
+
+def _transaction_control(session: Session, statement: Any) -> DmlResult:
+    kind = _kind(statement)
+    getattr(session, kind)()  # Session.begin / .commit / .rollback
+    return DmlResult(kind)
+
+
+_DML = frozenset(("insert", "update", "delete"))
+_NO_WORK = ExecutionMetrics()
+
+# What is neither planned nor prepared (transaction control is only
+# prepared), by statement type.
+_HANDLERS: dict[type, Callable[[Session, Any], QueryResult | DmlResult]] = {
+    ast.CreateTableStatement: Session._execute_create_table,
+    ast.DropTableStatement: _drop_table,
+    ast.CreateIndexStatement: Session._execute_create_index,
+    ast.DropIndexStatement: _drop_index,
+    ast.ModifyStatement: Session._modify_structure,
+    ast.CreateStatisticsStatement: _create_statistics,
+    ast.CreateTriggerStatement: _create_trigger,
+    ast.DropTriggerStatement: _drop_trigger,
+    ast.ExplainStatement: _explain,
+    ast.BeginStatement: _transaction_control,
+    ast.CommitStatement: _transaction_control,
+    ast.RollbackStatement: _transaction_control,
+}
+
+
+def _kind(statement: ast.Statement) -> str:
+    """``select``, ``insert``, ``createtable``, ...: what the sensors
+    record as the statement's kind."""
+    return type(statement).__name__.removesuffix("Statement").lower()
 
 
 def _has_subqueries(statement: ast.SelectStatement) -> bool:
@@ -701,8 +621,5 @@ def _statement_tables(statement: ast.Statement) -> tuple[str, ...]:
             names.append(statement.from_table.table_name)
         names.extend(j.right.table_name for j in statement.joins)
         return tuple(dict.fromkeys(names))
-    for attribute in ("table_name",):
-        name = getattr(statement, attribute, None)
-        if isinstance(name, str):
-            return (name,)
-    return ()
+    name = getattr(statement, "table_name", None)
+    return (name,) if isinstance(name, str) else ()

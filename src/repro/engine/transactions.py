@@ -50,10 +50,15 @@ class Transaction:
         self.state = TransactionState.COMMITTED
 
     def rollback(self) -> None:
-        self._require_active()
-        while self._undo:
-            self._undo.pop()()
+        self.rollback_to(0)
         self.state = TransactionState.ABORTED
+
+    def rollback_to(self, mark: int) -> None:
+        """Undo the changes recorded since :attr:`pending_changes` read
+        ``mark`` (a statement backing itself out); stays active."""
+        self._require_active()
+        while len(self._undo) > mark:
+            self._undo.pop()()
 
     @property
     def is_active(self) -> bool:

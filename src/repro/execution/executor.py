@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
-from repro.execution import joins, scan, shaping
+from repro.execution import joins, modify, scan, shaping
 from repro.execution.scan import Counters, StorageCatalog
 from repro.optimizer import plans
 from repro.optimizer.optimizer import _EmptySourcePlan
@@ -66,14 +66,18 @@ class Executor:
 
     def execute(self, plan: plans.PlanNode,
                 output_names: tuple[str, ...],
-                params: Sequence[Any] | None = None) -> QueryResult:
+                params: Sequence[Any] | None = None,
+                undo: Callable[[Callable[[], None]], None] | None = None,
+                ) -> QueryResult:
         """Materialize the plan's output and measure the work done.
 
         ``params`` is the literal vector of the text being executed
-        when the plan was built for another text of the same shape."""
+        when the plan was built for another text of the same shape;
+        ``undo`` receives the inverse of every change a writing plan
+        applies (the transaction's undo log)."""
         pool_before = self._pool.stats()
         disk_before = self._disk.counters()
-        counters = Counters(params)
+        counters = Counters(params, undo)
         rows = list(self._build(plan, counters))
         pool_after = self._pool.stats()
         disk_after = self._disk.counters()
@@ -91,60 +95,41 @@ class Executor:
 
     def _build(self, plan: plans.PlanNode,
                counters: Counters) -> Iterator[tuple]:
-        if isinstance(plan, plans.SeqScanPlan):
-            return scan.seq_scan(plan, self._catalog, counters)
-        if isinstance(plan, plans.BTreeScanPlan):
-            return scan.btree_scan(plan, self._catalog, counters)
-        if isinstance(plan, plans.HashScanPlan):
-            return scan.hash_scan(plan, self._catalog, counters)
-        if isinstance(plan, plans.IndexScanPlan):
-            return scan.index_scan(plan, self._catalog, counters)
-        if isinstance(plan, plans.NestedLoopJoinPlan):
-            return joins.nested_loop_join(
-                plan,
-                self._build(plan.left, counters),
-                self._build(plan.right, counters),
-                counters,
-            )
-        if isinstance(plan, plans.HashJoinPlan):
-            return joins.hash_join(
-                plan,
-                self._build(plan.left, counters),
-                self._build(plan.right, counters),
-                counters,
-            )
-        if isinstance(plan, plans.LeftOuterJoinPlan):
-            return joins.left_outer_join(
-                plan,
-                self._build(plan.left, counters),
-                self._build(plan.right, counters),
-                counters,
-            )
-        if isinstance(plan, plans.IndexLookupJoinPlan):
+        kind = type(plan)
+        if kind in _LEAVES:
+            return _LEAVES[kind](plan, self._catalog, counters)
+        if kind in _UNARY:
+            return _UNARY[kind](plan, self._build(plan.child, counters),
+                                counters)
+        if kind in _BINARY:
+            return _BINARY[kind](plan, self._build(plan.left, counters),
+                                 self._build(plan.right, counters), counters)
+        if kind is plans.IndexLookupJoinPlan:
             return joins.index_lookup_join(
-                plan,
-                self._build(plan.left, counters),
-                self._catalog,
-                counters,
-            )
-        if isinstance(plan, plans.FilterPlan):
-            return shaping.filter_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, plans.ProjectPlan):
-            return shaping.project_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, plans.AggregatePlan):
-            return shaping.aggregate_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, plans.SortPlan):
-            return shaping.sort_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, plans.DistinctPlan):
-            return shaping.distinct_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, plans.LimitPlan):
-            return shaping.limit_rows(
-                plan, self._build(plan.child, counters), counters)
-        if isinstance(plan, _EmptySourcePlan):
+                plan, self._build(plan.left, counters), self._catalog,
+                counters)
+        if kind is _EmptySourcePlan:
             return iter([()])
         raise ExecutionError(f"no executor for plan node {plan!r}")
+
+
+# Plan node type -> operator, by the operator's inputs: the storage
+# catalog, one child's rows, or two children's rows.
+_LEAVES = {
+    **dict.fromkeys(scan.ACCESS_PATHS, scan.scan_rows),
+    plans.ModifyPlan: modify.modify_rows,
+    plans.InsertPlan: modify.insert_rows,
+}
+_UNARY = {
+    plans.FilterPlan: shaping.filter_rows,
+    plans.ProjectPlan: shaping.project_rows,
+    plans.AggregatePlan: shaping.aggregate_rows,
+    plans.SortPlan: shaping.sort_rows,
+    plans.DistinctPlan: shaping.distinct_rows,
+    plans.LimitPlan: shaping.limit_rows,
+}
+_BINARY = {
+    plans.NestedLoopJoinPlan: joins.nested_loop_join,
+    plans.HashJoinPlan: joins.hash_join,
+    plans.LeftOuterJoinPlan: joins.left_outer_join,
+}

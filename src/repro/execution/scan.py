@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution.evaluator import compile_predicate
@@ -34,18 +34,37 @@ class StorageCatalog(Protocol):
 
     def virtual_floor_column(self, table_name: str) -> str | None: ...
 
+    # What the writing operators (repro.execution.modify) apply; each
+    # maintains the table's indexes.
+
+    def insert_row(self, table_name: str, row: tuple) -> int: ...
+
+    def update_row(self, table_name: str, rowid: int, row: tuple,
+                   old_row: tuple | None = None) -> tuple: ...
+
+    def delete_row(self, table_name: str, rowid: int) -> tuple: ...
+
+    def undo_insert(self, table_name: str, rowid: int) -> None: ...
+
+    def undo_delete(self, table_name: str, rowid: int,
+                    row: tuple) -> None: ...
+
 
 class Counters:
     """What the operators of one execution share: the work counter
-    (tuples processed) and the literal vector every operator compiles
+    (tuples processed), the literal vector every operator compiles
     its expressions and key bounds against (None: the values the plan
-    was built with)."""
+    was built with) and, for a plan that writes, the undo log's
+    ``record`` (see :meth:`Executor.execute`)."""
 
-    __slots__ = ("tuples", "params")
+    __slots__ = ("tuples", "params", "undo")
 
-    def __init__(self, params: Sequence[Any] | None = None) -> None:
+    def __init__(self, params: Sequence[Any] | None = None,
+                 undo: Callable[[Callable[[], None]], None] | None = None,
+                 ) -> None:
         self.tuples = 0
         self.params = params
+        self.undo = undo
 
 
 def key_bounds(conditions: tuple[KeyCondition, ...],
@@ -97,79 +116,97 @@ def lower_bounds(filter_expr: ast.Expression | None,
     return bounds
 
 
-def seq_scan(plan: SeqScanPlan, catalog: StorageCatalog,
-             counters: Counters) -> Iterator[tuple]:
-    params = counters.params
-    filter_expr = plan.filter_expr
-    if catalog.is_virtual_table(plan.table_name):
-        bounds = lower_bounds(filter_expr, params)
-        rows = catalog.virtual_rows(plan.table_name, bounds)
-        if (bounds and len(split_conjuncts(filter_expr)) == 1 and
-                catalog.virtual_floor_column(plan.table_name) in bounds):
-            # The filter is the pushed floor and nothing else: the
-            # provider returned exactly the rows it accepts.
-            counters.tuples += len(rows)
-            yield from rows
-            return
-        # Otherwise the bounds only spared the provider building rows
-        # the predicate rejects; the result is the same.
-        predicate = compile_predicate(filter_expr, plan.scope, params)
-        for row in rows:
-            counters.tuples += 1
-            if predicate(row):
-                yield row
-        return
-    predicate = compile_predicate(filter_expr, plan.scope, params)
-    storage = catalog.storage_for(plan.table_name)
-    for _rowid, row in storage.scan():
-        counters.tuples += 1
-        if predicate(row):
-            yield row
+def _seq_entries(plan: SeqScanPlan, catalog: StorageCatalog,
+                 params: Sequence[Any] | None) -> Iterator[tuple]:
+    return catalog.storage_for(plan.table_name).scan()
 
 
-def btree_scan(plan: BTreeScanPlan, catalog: StorageCatalog,
-               counters: Counters) -> Iterator[tuple]:
-    storage = catalog.storage_for(plan.table_name)
-    tree = storage.btree
-    predicate = compile_predicate(plan.filter_expr, plan.scope,
-                                  counters.params)
-    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions,
-                                        counters.params)
-    for _rowid, row in tree.scan_range(lo, hi, lo_inc, hi_inc):
-        counters.tuples += 1
-        if predicate(row):
-            yield row
+def _btree_entries(plan: BTreeScanPlan, catalog: StorageCatalog,
+                   params: Sequence[Any] | None) -> Iterator[tuple]:
+    return catalog.storage_for(plan.table_name).btree.scan_range(
+        *key_bounds(plan.key_conditions, params))
 
 
-def hash_scan(plan: HashScanPlan, catalog: StorageCatalog,
-              counters: Counters) -> Iterator[tuple]:
+def _hash_entries(plan: HashScanPlan, catalog: StorageCatalog,
+                  params: Sequence[Any] | None) -> Iterator[tuple]:
     """Full-key equality probe into a HASH-structured table."""
-    storage = catalog.storage_for(plan.table_name)
-    params = counters.params
-    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
-    key = tuple(condition.bound(params)
-                for condition in plan.key_conditions)
-    for _rowid, row in storage.hash.seek(key):
-        counters.tuples += 1
-        if predicate(row):
-            yield row
+    return catalog.storage_for(plan.table_name).hash.seek(tuple(
+        [condition.bound(params) for condition in plan.key_conditions]))
 
 
-def index_scan(plan: IndexScanPlan, catalog: StorageCatalog,
-               counters: Counters) -> Iterator[tuple]:
+def _index_entries(plan: IndexScanPlan, catalog: StorageCatalog,
+                   params: Sequence[Any] | None) -> Iterator[tuple]:
     if plan.virtual:
         raise ExecutionError(
             f"plan uses virtual index {plan.index_name!r}; virtual indexes "
             f"can be costed but not executed"
         )
     index = catalog.index_storage_for(plan.index_name)
-    storage = catalog.storage_for(plan.table_name)
-    predicate = compile_predicate(plan.filter_expr, plan.scope,
-                                  counters.params)
-    lo, hi, lo_inc, hi_inc = key_bounds(plan.key_conditions,
-                                        counters.params)
-    for _entry_rowid, entry in index.scan_range(lo, hi, lo_inc, hi_inc):
+    fetch = catalog.storage_for(plan.table_name).fetch
+    for _entry_rowid, entry in index.scan_range(
+            *key_bounds(plan.key_conditions, params)):
+        yield entry[-1], fetch(entry[-1])
+
+
+# Access path -> the ``(rowid, row)`` entries it reaches in a stored
+# table, before the plan's filter.  The one body each path has: SELECT
+# (:func:`scan_rows`) and UPDATE / DELETE (:func:`matching_entries`)
+# both read through it.
+ACCESS_PATHS = {
+    SeqScanPlan: _seq_entries,
+    BTreeScanPlan: _btree_entries,
+    HashScanPlan: _hash_entries,
+    IndexScanPlan: _index_entries,
+}
+ScanPlan = SeqScanPlan | BTreeScanPlan | HashScanPlan | IndexScanPlan
+
+
+def scan_rows(plan: ScanPlan, catalog: StorageCatalog,
+              counters: Counters) -> Iterator[tuple]:
+    """The rows of the access path ``plan`` that pass its filter."""
+    if catalog.is_virtual_table(plan.table_name):
+        return _virtual_rows(plan, catalog, counters)
+    return _stored_rows(plan, catalog, counters)
+
+
+def _stored_rows(plan: ScanPlan, catalog: StorageCatalog,
+                 counters: Counters) -> Iterator[tuple]:
+    params = counters.params
+    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
+    for _rowid, row in ACCESS_PATHS[type(plan)](plan, catalog, params):
         counters.tuples += 1
-        base_row = storage.fetch(entry[-1])
-        if predicate(base_row):
-            yield base_row
+        if predicate(row):
+            yield row
+
+
+# staticcheck: hotpath
+def matching_entries(plan: ScanPlan, catalog: StorageCatalog,
+                     params: Sequence[Any] | None,
+                     ) -> list[tuple[int, tuple]]:
+    """The ``(rowid, row)`` entries of a stored table that pass the
+    filter of the access path ``plan``, all read before returning."""
+    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
+    return [entry for entry in ACCESS_PATHS[type(plan)](plan, catalog, params)
+            if predicate(entry[1])]
+
+
+def _virtual_rows(plan: SeqScanPlan, catalog: StorageCatalog,
+                  counters: Counters) -> Iterator[tuple]:
+    params = counters.params
+    filter_expr = plan.filter_expr
+    bounds = lower_bounds(filter_expr, params)
+    rows = catalog.virtual_rows(plan.table_name, bounds)
+    if (bounds and len(split_conjuncts(filter_expr)) == 1 and
+            catalog.virtual_floor_column(plan.table_name) in bounds):
+        # The filter is the pushed floor and nothing else: the
+        # provider returned exactly the rows it accepts.
+        counters.tuples += len(rows)
+        yield from rows
+        return
+    # Otherwise the bounds only spared the provider building rows
+    # the predicate rejects; the result is the same.
+    predicate = compile_predicate(filter_expr, plan.scope, params)
+    for row in rows:
+        counters.tuples += 1
+        if predicate(row):
+            yield row

@@ -52,14 +52,22 @@ class _Sarg:
     slot: int | None = None  # of the literal the value came from
 
 
+def _key_value(expr: ast.Expression) -> object:
+    """The literal a key can be probed with.  Not NULL: a comparison
+    with it is never true, while a probe would find the NULL keys — it
+    stays a filter, which rejects every row."""
+    value = _literal_value(expr)
+    return _NOT_A_LITERAL if value is None else value
+
+
 def _extract_sargs(binding: str,
                    predicates: list[ast.Expression]) -> list[_Sarg]:
     sargs: list[_Sarg] = []
     for i, predicate in enumerate(predicates):
         if isinstance(predicate, ast.Between):
             operand = predicate.operand
-            lo = _literal_value(predicate.low)
-            hi = _literal_value(predicate.high)
+            lo = _key_value(predicate.low)
+            hi = _key_value(predicate.high)
             if (isinstance(operand, ast.ColumnRef) and not predicate.negated
                     and lo is not _NOT_A_LITERAL and hi is not _NOT_A_LITERAL):
                 sargs.append(_Sarg(operand.name, ">=", lo, i,
@@ -73,13 +81,13 @@ def _extract_sargs(binding: str,
             continue
         left, right = predicate.left, predicate.right
         if isinstance(left, ast.ColumnRef):
-            value = _literal_value(right)
+            value = _key_value(right)
             if value is not _NOT_A_LITERAL:
                 sargs.append(_Sarg(left.name, predicate.op, value, i,
                                    _slot(right)))
                 continue
         if isinstance(right, ast.ColumnRef):
-            value = _literal_value(left)
+            value = _key_value(left)
             if value is not _NOT_A_LITERAL:
                 sargs.append(_Sarg(right.name, _FLIP[predicate.op], value, i,
                                    _slot(left)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import EngineConfig
-from repro.errors import OptimizerError
+from repro.errors import ExecutionError, OptimizerError
 from repro.optimizer.access_paths import AccessPathSelector, _finalize
 from repro.optimizer.cost_model import Cost, CostModel
 from repro.optimizer.interfaces import CatalogView, IndexInfo, TableInfo
@@ -29,8 +29,10 @@ from repro.optimizer.plans import (
     DistinctPlan,
     FilterPlan,
     HashJoinPlan,
+    InsertPlan,
     LeftOuterJoinPlan,
     LimitPlan,
+    ModifyPlan,
     NestedLoopJoinPlan,
     PlanNode,
     ProjectPlan,
@@ -207,6 +209,45 @@ class Optimizer:
             uses_virtual=plan.uses_virtual_index(),
             pinned_slots=_structural_slots(
                 stmt, bool(aggregates or group_exprs)),
+        )
+
+    def optimize_modify(self, stmt: ast.InsertStatement | ast.UpdateStatement
+                        | ast.DeleteStatement) -> OptimizationResult:
+        """Plan a DML statement: UPDATE / DELETE as the access path a
+        SELECT with the same WHERE takes on the table, under a modify
+        node; INSERT as column positions + value expressions."""
+        table = self._view.table_info(stmt.table_name)
+        schema = table.schema
+        if isinstance(stmt, ast.InsertStatement):
+            positions = tuple(schema.column_index(c) for c in stmt.columns) \
+                or tuple(range(len(schema.columns)))
+            for row in stmt.rows:
+                if len(row) != len(positions):
+                    raise ExecutionError(f"INSERT expects {len(positions)} "
+                                         f"values, got {len(row)}")
+            plan: PlanNode = InsertPlan(table.name, len(schema.columns),
+                                        positions, stmt.rows)
+            _finalize(plan, float(len(stmt.rows)), Cost())
+        else:
+            binding = stmt.table_name.lower()
+            resolver = BindingResolver({binding: schema.column_names})
+            stats = table.statistics
+            child = self._paths.best_path(
+                binding, table, self._view.indexes_on(stmt.table_name),
+                [resolver.qualify(c) for c in split_conjuncts(stmt.where)],
+                lambda ref: stats and stats.column(ref.name))
+            assignments = None
+            if isinstance(stmt, ast.UpdateStatement):
+                assignments = tuple(
+                    (schema.column_index(column), resolver.qualify(expr))
+                    for column, expr in stmt.assignments)
+            plan = ModifyPlan(child, table.name, assignments)
+            _finalize(plan, child.estimated_rows, self._cumulative(child))
+        return OptimizationResult(
+            plan=plan,
+            output_names=("rowcount",),
+            estimated_cost=self._cumulative(plan),
+            estimated_rows=plan.estimated_rows,
         )
 
     # -- helpers ---------------------------------------------------------------

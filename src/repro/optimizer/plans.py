@@ -438,3 +438,46 @@ class LimitPlan(PlanNode):
 
     def node_label(self) -> str:
         return f"Limit {self.limit} offset {self.offset or 0}"
+
+
+@dataclass
+class ModifyPlan(PlanNode):
+    """UPDATE (``assignments``) or DELETE (None) of the rows ``child``
+    — the table's access path under the statement's WHERE — produces.
+    Outputs one row: the number of rows changed."""
+
+    child: PlanNode
+    table_name: str
+    assignments: tuple[tuple[int, ast.Expression], ...] | None = None
+    """``(column position, new value over the old row)`` pairs."""
+
+    @property
+    def children(self) -> tuple[PlanNode, ...]:
+        return (self.child,)
+
+    @property
+    def scope(self) -> Scope:
+        return ((None, "rowcount"),)
+
+    def node_label(self) -> str:
+        verb = "Delete" if self.assignments is None else "Update"
+        return f"{verb}({self.table_name})"
+
+
+@dataclass
+class InsertPlan(PlanNode):
+    """INSERT of ``rows``; ``positions[i]`` is the column the ``i``-th
+    value of a row goes to, the others stay NULL.  Outputs one row: the
+    number of rows inserted."""
+
+    table_name: str
+    width: int
+    positions: tuple[int, ...]
+    rows: tuple[tuple[ast.Expression, ...], ...]
+
+    @property
+    def scope(self) -> Scope:
+        return ((None, "rowcount"),)
+
+    def node_label(self) -> str:
+        return f"Insert({self.table_name}, {len(self.rows)} rows)"

@@ -231,11 +231,14 @@ class SelectStatement:
 # DML
 # --------------------------------------------------------------------------
 
+# ``pinned_slots`` as on :class:`SelectStatement`.
+
 @dataclass(frozen=True)
 class InsertStatement:
     table_name: str
     columns: tuple[str, ...]  # empty means all, in schema order
     rows: tuple[tuple[Expression, ...], ...]
+    pinned_slots: tuple[int, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -243,12 +246,14 @@ class UpdateStatement:
     table_name: str
     assignments: tuple[tuple[str, Expression], ...]
     where: Expression | None = None
+    pinned_slots: tuple[int, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
 class DeleteStatement:
     table_name: str
     where: Expression | None = None
+    pinned_slots: tuple[int, ...] = field(default=(), compare=False)
 
 
 # --------------------------------------------------------------------------

@@ -270,7 +270,8 @@ class _Parser:
         rows = [self.value_row()]
         while self.accept_punct(","):
             rows.append(self.value_row())
-        return ast.InsertStatement(table, tuple(columns), tuple(rows))
+        return ast.InsertStatement(table, tuple(columns), tuple(rows),
+                                   tuple(self._pinned))
 
     def value_row(self) -> tuple[ast.Expression, ...]:
         self.expect_punct("(")
@@ -288,7 +289,8 @@ class _Parser:
         while self.accept_punct(","):
             assignments.append(self.assignment())
         where = self.expression() if self.accept_keyword("where") else None
-        return ast.UpdateStatement(table, tuple(assignments), where)
+        return ast.UpdateStatement(table, tuple(assignments), where,
+                                   tuple(self._pinned))
 
     def assignment(self) -> tuple[str, ast.Expression]:
         column = self.expect_identifier("column name")
@@ -301,7 +303,7 @@ class _Parser:
         self.expect_keyword("from")
         table = self.expect_identifier("table name")
         where = self.expression() if self.accept_keyword("where") else None
-        return ast.DeleteStatement(table, where)
+        return ast.DeleteStatement(table, where, tuple(self._pinned))
 
     # -- DDL ----------------------------------------------------------------------
 

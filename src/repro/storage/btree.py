@@ -9,11 +9,16 @@ Ordering
 Rows are ordered by the *effective key*: the values of the key columns,
 NULLs-first, with the rowid appended as a tiebreaker so duplicate keys
 have a total order.  Internal separator keys carry the rowid too, which
-keeps routing deterministic across duplicate runs.
+keeps routing deterministic across duplicate runs.  Its comparable
+form is one flat tuple, ``(flag, value, ..., rowid)`` with the flag 1
+before a value and ``0, None`` for a NULL: NULLs sort first and equal
+each other before Python would have to order None.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator
 
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -22,20 +27,33 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import NO_PAGE, InternalPage, LeafPage, page_kind, KIND_LEAF
 
-# Normalized key elements: None sorts before every value.
-_NULL = (0,)
-
-
-def _norm(value: Any) -> tuple:
-    return _NULL if value is None else (1, value)
+_NULL = (0, None)
+# Appended to a normalized prefix: sorts after every key that has it
+# (above the flag or the rowid that follows the prefix there).
+_AFTER = (math.inf,)
 
 
 def _norm_key(values: Iterable[Any]) -> tuple:
-    return tuple(_norm(v) for v in values)
+    flat: list[Any] = []
+    for value in values:
+        flat += _NULL if value is None else (1, value)
+    return tuple(flat)
+
+
+def _sep_ekey(sep: tuple[Any, ...]) -> tuple:
+    """Normalized form of a separator: key values, then the rowid."""
+    return _norm_key(sep[:-1]) + sep[-1:]
 
 
 class BTreeStorage:
-    """A B+Tree over (rowid, row) entries keyed by selected columns."""
+    """A B+Tree over (rowid, row) entries keyed by selected columns.
+
+    Comparisons run on *normalized* keys (``ekeys``).  Each page object
+    keeps the ones of its entries (:attr:`LeafPage.ekeys`): computed on
+    the first descent into it, maintained by the page's mutators, so a
+    lookup bisects a ready list per level instead of normalizing every
+    entry it passes; a page that is only scanned never has them.
+    """
 
     structure_name = "btree"
 
@@ -71,27 +89,32 @@ class BTreeStorage:
 
     def key_of(self, row: tuple[Any, ...]) -> tuple[Any, ...]:
         """Raw key column values of ``row``."""
-        return tuple(row[i] for i in self._key_positions)
+        return tuple([row[i] for i in self._key_positions])
 
     def _ekey(self, row: tuple[Any, ...], rowid: int) -> tuple:
-        return _norm_key(self.key_of(row)) + ((1, rowid),)
+        return _norm_key(self.key_of(row)) + (rowid,)
 
-    def _sep_ekey(self, sep: tuple[Any, ...]) -> tuple:
-        return _norm_key(sep[:-1]) + ((1, sep[-1]),)
-
-    def _leaf_ekeys(self, leaf: LeafPage) -> list[tuple]:
-        return [self._ekey(row, rowid)
-                for rowid, row in zip(leaf.rowids, leaf.rows)]
+    def _keys_of(self, page: LeafPage | InternalPage) -> list[tuple]:
+        """The page's normalized keys, computed if this page object has
+        not been descended into before."""
+        ekeys = page.ekeys
+        if ekeys is None:
+            if isinstance(page, LeafPage):
+                ekeys = list(map(self._ekey, page.rows, page.rowids))
+            else:
+                ekeys = list(map(_sep_ekey, page.keys))
+            page.ekeys = ekeys
+        return ekeys
 
     # -- page plumbing -----------------------------------------------------
 
-    def _load(self, page_id: int) -> LeafPage | InternalPage:
-        def loader(raw: bytes) -> LeafPage | InternalPage:
-            if page_kind(raw) == KIND_LEAF:
-                return LeafPage.from_bytes(raw, self.schema, self._capacity)
-            return InternalPage.from_bytes(raw, self._sep_schema, self._capacity)
+    def _decode(self, raw: bytes) -> LeafPage | InternalPage:
+        if page_kind(raw) == KIND_LEAF:
+            return LeafPage.from_bytes(raw, self.schema, self._capacity)
+        return InternalPage.from_bytes(raw, self._sep_schema, self._capacity)
 
-        return self._pool.get(page_id, loader)
+    def _load(self, page_id: int) -> LeafPage | InternalPage:
+        return self._pool.get(page_id, self._decode)
 
     def _new_leaf(self) -> tuple[int, LeafPage]:
         page_id = self._disk.allocate()
@@ -138,20 +161,10 @@ class BTreeStorage:
 
     # -- descent -----------------------------------------------------------
 
-    def _child_index(self, node: InternalPage, ekey: tuple) -> int:
-        """Index of the child that should contain ``ekey``."""
-        seps = [self._sep_ekey(sep) for sep in node.keys]
-        lo, hi = 0, len(seps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekey < seps[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
+    # staticcheck: hotpath
     def _descend(self, ekey: tuple) -> list[tuple[int, Any, int]]:
-        """Walk from the root to the leaf for ``ekey``.
+        """Walk from the root to the leaf for ``ekey``: one bisection
+        per level.
 
         Returns the path as (page_id, page, child_index) triples; the
         last element is the leaf with child_index -1.
@@ -163,35 +176,22 @@ class BTreeStorage:
             if isinstance(page, LeafPage):
                 path.append((page_id, page, -1))
                 return path
-            idx = self._child_index(page, ekey)
+            idx = bisect_right(self._keys_of(page), ekey)
             path.append((page_id, page, idx))
             page_id = page.children[idx]
 
-    @staticmethod
-    def _bisect_left(ekeys: list[tuple], target: tuple) -> int:
-        """First position whose ekey prefix is >= target (prefix compare)."""
-        width = len(target)
-        lo, hi = 0, len(ekeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekeys[mid][:width] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @staticmethod
-    def _bisect_right(ekeys: list[tuple], target: tuple) -> int:
-        """First position whose ekey prefix is > target (prefix compare)."""
-        width = len(target)
-        lo, hi = 0, len(ekeys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ekeys[mid][:width] <= target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    # staticcheck: hotpath
+    def _find(self, rowid: int) -> tuple[list[tuple[int, Any, int]], int,
+                                         tuple]:
+        """Descend to ``rowid``'s entry: ``(path, position in the leaf,
+        normalized key)``."""
+        ekey = _norm_key(self._lookup_key(rowid)) + (rowid,)
+        path = self._descend(ekey)
+        ekeys = self._keys_of(path[-1][1])
+        pos = bisect_left(ekeys, ekey)
+        if pos >= len(ekeys) or ekeys[pos] != ekey:
+            raise StorageError(f"rowid {rowid} not found in B-Tree")
+        return path, pos, ekey
 
     # -- mutation ----------------------------------------------------------
 
@@ -199,19 +199,20 @@ class BTreeStorage:
         if rowid in self._rowid_key:
             raise StorageError(f"duplicate rowid {rowid}")
         key = self.key_of(row)
-        ekey = _norm_key(key) + ((1, rowid),)
+        norm = _norm_key(key)
+        ekey = norm + (rowid,)
         path = self._descend(ekey)
         leaf_id, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
+        ekeys = self._keys_of(leaf)
         if self.unique:
-            norm = _norm_key(key)
-            pos = self._bisect_left(ekeys, norm)
-            if pos < len(ekeys) and ekeys[pos][: len(norm)] == norm:
+            # A shorter tuple sorts before its extensions: the first
+            # entry at or after the bare key is the first one having it.
+            pos = bisect_left(ekeys, norm)
+            if pos < len(ekeys) and ekeys[pos][:-1] == norm:
                 raise StorageError(
                     f"duplicate key {key!r} in unique B-Tree {self.schema.name!r}"
                 )
-        pos = self._bisect_left(ekeys, ekey)
-        leaf.insert_at(pos, rowid, row)
+        leaf.insert_at(bisect_left(ekeys, ekey), rowid, row, ekey)
         self._pool.put(leaf_id, leaf)
         self._rowid_key[rowid] = key
         self._row_count += 1
@@ -234,17 +235,18 @@ class BTreeStorage:
 
     def _insert_separator(self, parents: list[tuple[int, Any, int]],
                           sep: tuple[Any, ...], right_child: int) -> None:
+        sep_ekey = _sep_ekey(sep)
         if not parents:
             new_root_id, new_root = self._new_internal()
             left_child = self._root
             new_root.add_first_child(left_child)
-            new_root.insert_child(0, sep, right_child)
+            new_root.insert_child(0, sep, right_child, sep_ekey)
             self._root = new_root_id
             self._height += 1
             self._pool.put(new_root_id, new_root)
             return
         parent_id, parent, child_idx = parents[-1]
-        parent.insert_child(child_idx, sep, right_child)
+        parent.insert_child(child_idx, sep, right_child, sep_ekey)
         self._pool.put(parent_id, parent)
         if parent.used_bytes > parent.capacity and len(parent.keys) >= 3:
             push_up, sibling = parent.split()
@@ -256,14 +258,8 @@ class BTreeStorage:
     def delete(self, rowid: int) -> tuple[Any, ...]:
         """Remove the entry for ``rowid``; empty leaves are kept (lazy
         deletion), reclaimed only by a rebuild."""
-        key = self._lookup_key(rowid)
-        ekey = _norm_key(key) + ((1, rowid),)
-        path = self._descend(ekey)
+        path, pos, _ekey = self._find(rowid)
         leaf_id, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
-        pos = self._bisect_left(ekeys, ekey)
-        if pos >= len(ekeys) or ekeys[pos] != ekey:
-            raise StorageError(f"rowid {rowid} not found in B-Tree")
         _, row = leaf.delete_at(pos)
         self._pool.put(leaf_id, leaf)
         del self._rowid_key[rowid]
@@ -272,23 +268,17 @@ class BTreeStorage:
 
     def update(self, rowid: int, row: tuple[Any, ...]) -> None:
         """Replace the row for ``rowid``; re-inserts if the key changed."""
-        old_key = self._lookup_key(rowid)
-        if self.key_of(row) == old_key:
-            ekey = _norm_key(old_key) + ((1, rowid),)
-            path = self._descend(ekey)
-            leaf_id, leaf, _ = path[-1]
-            ekeys = self._leaf_ekeys(leaf)
-            pos = self._bisect_left(ekeys, ekey)
-            if pos >= len(ekeys) or ekeys[pos] != ekey:
-                raise StorageError(f"rowid {rowid} not found in B-Tree")
-            leaf.delete_at(pos)
-            leaf.insert_at(pos, rowid, row)
-            self._pool.put(leaf_id, leaf)
-            if leaf.used_bytes > leaf.capacity:
-                self._split_leaf(path)
+        if self.key_of(row) != self._lookup_key(rowid):
+            self.delete(rowid)
+            self.insert(rowid, row)
             return
-        self.delete(rowid)
-        self.insert(rowid, row)
+        path, pos, ekey = self._find(rowid)
+        leaf_id, leaf, _ = path[-1]
+        leaf.delete_at(pos)
+        leaf.insert_at(pos, rowid, row, ekey)
+        self._pool.put(leaf_id, leaf)
+        if leaf.used_bytes > leaf.capacity:
+            self._split_leaf(path)
 
     def _lookup_key(self, rowid: int) -> tuple[Any, ...]:
         try:
@@ -298,15 +288,8 @@ class BTreeStorage:
 
     def fetch(self, rowid: int) -> tuple[Any, ...]:
         """Read one row by rowid via a root-to-leaf descent."""
-        key = self._lookup_key(rowid)
-        ekey = _norm_key(key) + ((1, rowid),)
-        path = self._descend(ekey)
-        _, leaf, _ = path[-1]
-        ekeys = self._leaf_ekeys(leaf)
-        pos = self._bisect_left(ekeys, ekey)
-        if pos >= len(ekeys) or ekeys[pos] != ekey:
-            raise StorageError(f"rowid {rowid} not found in B-Tree")
-        return leaf.rows[pos]
+        path, pos, _ekey = self._find(rowid)
+        return path[-1][1].rows[pos]
 
     def contains(self, rowid: int) -> bool:
         return rowid in self._rowid_key
@@ -329,35 +312,33 @@ class BTreeStorage:
 
         ``lo``/``hi`` are prefixes of the key columns (or None for an
         open bound); bounds compare on the prefix only, so a one-column
-        bound works against a multi-column key.
+        bound works against a multi-column key.  Both ends are found by
+        bisection: entries from the first one at or after ``first`` up
+        to the one at or after ``stop``.
         """
-        if lo is None:
-            page_id: int = self._first_leaf
-            start_pos = 0
-        else:
-            norm_lo = _norm_key(lo)
-            path = self._descend(norm_lo if lo_inclusive
-                                 else norm_lo + ((2,),))
-            page_id, leaf, _ = path[-1]
-            ekeys = self._leaf_ekeys(leaf)
-            if lo_inclusive:
-                start_pos = self._bisect_left(ekeys, norm_lo)
-            else:
-                start_pos = self._bisect_right(ekeys, norm_lo)
-        norm_hi = _norm_key(hi) if hi is not None else None
+        page_id, start, stop = self._first_leaf, 0, None
+        if lo is not None:
+            first = _norm_key(lo)
+            if hi is lo:
+                stop = first
+            if not lo_inclusive:
+                first += _AFTER
+            page_id, leaf, _ = self._descend(first)[-1]
+            start = bisect_left(self._keys_of(leaf), first)
+        if hi is not None:
+            if stop is None:
+                stop = _norm_key(hi)
+            if hi_inclusive:
+                stop += _AFTER
         while page_id != NO_PAGE:
             leaf = self._load(page_id)
-            for pos in range(start_pos, len(leaf)):
-                row = leaf.rows[pos]
-                rowid = leaf.rowids[pos]
-                if norm_hi is not None:
-                    prefix = _norm_key(self.key_of(row)[: len(norm_hi)])
-                    if prefix > norm_hi or (prefix == norm_hi
-                                            and not hi_inclusive):
-                        return
-                yield rowid, row
+            end = len(leaf) if stop is None \
+                else bisect_left(self._keys_of(leaf), stop)
+            yield from zip(leaf.rowids[start:end], leaf.rows[start:end])
+            if end < len(leaf):
+                return
             page_id = leaf.next_leaf
-            start_pos = 0
+            start = 0
 
     def seek(self, key_prefix: tuple[Any, ...]) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Equality lookup on a key prefix."""
@@ -374,12 +355,13 @@ class BTreeStorage:
         """
         if self._row_count:
             raise StorageError("bulk_load requires an empty B-Tree")
-        ordered = sorted(entries, key=lambda e: self._ekey(e[1], e[0]))
+        ordered = sorted((self._ekey(row, rowid), rowid, row)
+                         for rowid, row in entries)
         if self.unique:
             for prev, curr in zip(ordered, ordered[1:]):
-                if self.key_of(prev[1]) == self.key_of(curr[1]):
+                if prev[0][:-1] == curr[0][:-1]:
                     raise StorageError(
-                        f"duplicate key {self.key_of(curr[1])!r} in unique "
+                        f"duplicate key {self.key_of(curr[2])!r} in unique "
                         f"B-Tree {self.schema.name!r}"
                     )
         # Fill leaves left to right, reusing the pre-allocated empty root
@@ -390,7 +372,7 @@ class BTreeStorage:
         leaf_id, leaf = self._root, self._load(self._root)
         level: list[tuple[int, tuple[Any, ...] | None]] = []
         first_sep: tuple[Any, ...] | None = None
-        for rowid, row in ordered:
+        for ekey, rowid, row in ordered:
             if not leaf.fits(row) and len(leaf):
                 new_id, new_leaf = self._new_leaf()
                 leaf.next_leaf = new_id
@@ -400,7 +382,7 @@ class BTreeStorage:
                 first_sep = None
             if first_sep is None:
                 first_sep = self.key_of(row) + (rowid,)
-            leaf.insert_at(len(leaf), rowid, row)
+            leaf.insert_at(len(leaf), rowid, row, ekey)
             self._rowid_key[rowid] = self.key_of(row)
             self._row_count += 1
         self._pool.put(leaf_id, leaf)

@@ -156,7 +156,10 @@ class LeafPage:
 
     The sort order is maintained by :class:`~repro.storage.btree.BTreeStorage`,
     which owns key extraction and comparison; the page itself is a plain
-    ordered container with byte accounting.
+    ordered container with byte accounting.  ``ekeys`` is the tree's
+    normalised key of every entry, parallel to ``rows``: None until the
+    tree first descends into this page object, kept in step by every
+    mutator from then on, gone with the object when the pool evicts it.
     """
 
     kind = KIND_LEAF
@@ -166,6 +169,7 @@ class LeafPage:
         self.capacity = capacity
         self.rowids: list[int] = []
         self.rows: list[tuple[Any, ...]] = []
+        self.ekeys: list[tuple] | None = None
         self.next_leaf: int = NO_PAGE
         self.used_bytes = _HEADER.size
         self._row_size = schema.codec.size
@@ -177,14 +181,19 @@ class LeafPage:
         needed = _ROWID.size + self._row_size(row)
         return self.used_bytes + needed <= self.capacity
 
-    def insert_at(self, position: int, rowid: int, row: tuple[Any, ...]) -> None:
+    def insert_at(self, position: int, rowid: int, row: tuple[Any, ...],
+                  ekey: tuple | None = None) -> None:
         self.used_bytes += _ROWID.size + self._row_size(row)
         self.rowids.insert(position, rowid)
         self.rows.insert(position, row)
+        if self.ekeys is not None:
+            self.ekeys.insert(position, ekey)
 
     def delete_at(self, position: int) -> tuple[int, tuple[Any, ...]]:
         rowid = self.rowids.pop(position)
         row = self.rows.pop(position)
+        if self.ekeys is not None:
+            del self.ekeys[position]
         self.used_bytes -= _ROWID.size + self._row_size(row)
         return rowid, row
 
@@ -200,6 +209,9 @@ class LeafPage:
         self.used_bytes -= moved
         del self.rowids[middle:]
         del self.rows[middle:]
+        if self.ekeys is not None:
+            sibling.ekeys = self.ekeys[middle:]
+            del self.ekeys[middle:]
         return sibling
 
     def to_bytes(self) -> bytes:
@@ -221,7 +233,8 @@ class InternalPage:
     With ``n`` children there are ``n - 1`` keys; child ``i`` holds
     entries strictly below key ``i`` (and child ``n-1`` the rest).
     Separator keys are serialized through a key schema derived from the
-    indexed columns.
+    indexed columns.  ``ekeys`` is their normalised form, parallel to
+    ``keys``, under the same rules as :attr:`LeafPage.ekeys`.
     """
 
     kind = KIND_INTERNAL
@@ -231,6 +244,7 @@ class InternalPage:
         self.capacity = capacity
         self.keys: list[tuple[Any, ...]] = []
         self.children: list[int] = []
+        self.ekeys: list[tuple] | None = None
         self.used_bytes = _HEADER.size
         self._key_size = key_schema.codec.size
 
@@ -248,12 +262,14 @@ class InternalPage:
         self.used_bytes += _CHILD.size
 
     def insert_child(self, position: int, key: tuple[Any, ...],
-                     child: int) -> None:
+                     child: int, ekey: tuple | None = None) -> None:
         """Insert separator ``key`` at ``position`` and the child page
         that holds entries >= key at ``position + 1``."""
         self.used_bytes += _CHILD.size + self._key_size(key)
         self.keys.insert(position, key)
         self.children.insert(position + 1, child)
+        if self.ekeys is not None:
+            self.ekeys.insert(position, ekey)
 
     def split(self) -> tuple[tuple[Any, ...], "InternalPage"]:
         """Split, returning (separator pushed up, new right sibling)."""
@@ -264,6 +280,9 @@ class InternalPage:
         sibling.children = self.children[middle + 1 :]
         self.keys = self.keys[:middle]
         self.children = self.children[: middle + 1]
+        if self.ekeys is not None:
+            sibling.ekeys = self.ekeys[middle + 1 :]
+            del self.ekeys[middle:]
         moved = sum(map(self._key_size, sibling.keys)) \
             + _CHILD.size * len(sibling.children)
         sibling.used_bytes += moved

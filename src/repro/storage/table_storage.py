@@ -200,20 +200,24 @@ class TableStorage:
         return row
 
     def update(self, rowid: int, row: tuple[Any, ...]) -> None:
-        checked = self.schema.check_row(row)
+        self.update_checked(rowid, self.schema.check_row(row),
+                            self._store.fetch(rowid))
+
+    def update_checked(self, rowid: int, checked: tuple[Any, ...],
+                       old_row: tuple[Any, ...]) -> None:
+        """Replace ``old_row`` — the row stored under ``rowid`` — by a
+        row ``schema.check_row`` already returned (callers that hold
+        both neither fetch nor validate a second time)."""
         new_key = self._primary_key(checked)
-        old_key = None
-        if new_key is not None:
-            old_key = self._primary_key(self._store.fetch(rowid))
-            if new_key != old_key and new_key in self._pk_map:
-                raise StorageError(
-                    f"duplicate primary key {new_key!r} in table "
-                    f"{self.schema.name!r}"
-                )
+        old_key = self._primary_key(old_row)
+        if new_key != old_key and new_key in self._pk_map:
+            raise StorageError(
+                f"duplicate primary key {new_key!r} in table "
+                f"{self.schema.name!r}"
+            )
         self._store.update(rowid, checked)
-        if new_key is not None and new_key != old_key:
-            if old_key is not None:
-                self._pk_map.pop(old_key, None)
+        if new_key != old_key:
+            self._pk_map.pop(old_key, None)
             self._pk_map[new_key] = rowid
         self.modifications_since_stats += 1
 

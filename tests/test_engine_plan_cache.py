@@ -21,6 +21,7 @@ def cached_session(engine):
     session.execute("create table t (a int not null, b int, "
                     "primary key (a))")
     session.execute("insert into t values (1, 10), (2, 20), (3, 30)")
+    session.plan_cache_misses = 0  # the insert was prepared too
     return session
 
 
@@ -135,12 +136,54 @@ class TestPlanCache:
         assert cached_session.plan_cache_hits == 0
         assert cached_session.plan_cache_misses == 0
 
-    def test_dml_not_cached(self, cached_session):
+    def test_dml_is_prepared(self, cached_session):
         cached_session.execute("update t set b = b + 1 where a = 1")
         cached_session.execute("update t set b = b + 1 where a = 1")
-        assert cached_session.plan_cache_hits == 0
+        assert cached_session.plan_cache_hits == 1  # and ran both times
         assert cached_session.execute(
             "select b from t where a = 1").scalar() == 12
+
+    def test_transaction_control_is_prepared(self, cached_session,
+                                             monkeypatch):
+        for text in ("begin", "insert into t values (9, 90)", "rollback",
+                     "begin", "commit"):
+            cached_session.execute(text)
+        monkeypatch.setattr(session_module, "parse_statement",
+                            lambda text: pytest.fail(f"parsed {text!r}"))
+        for text in ("begin", "insert into t values (4, 40)", "rollback",
+                     "begin", "insert into t values (5, 50)", "commit"):
+            cached_session.execute(text)
+        monkeypatch.undo()
+        assert cached_session.execute(
+            "select a from t where a > 3").rows == [(5,)]
+
+    @pytest.mark.parametrize("ddl", [
+        "create index i_b on t (b)", "drop index i_old",
+        "create statistics on t", "modify t to btree", "modify t to hash"])
+    def test_ddl_between_two_dml_literal_vectors_replans(
+            self, cached_session, ddl):
+        cached_session.execute("create index i_old on t (b)")
+        cached_session.plan_cache_misses = 0
+        assert cached_session.execute(
+            "update t set b = b + 1 where b = 20").rowcount == 1
+        cached_session.execute(ddl)
+        assert cached_session.execute(
+            "update t set b = b + 1 where b = 30").rowcount == 1
+        assert cached_session.plan_cache_misses == 2
+        assert cached_session.execute(
+            "update t set b = b + 1 where b = 10").rowcount == 1
+        assert cached_session.plan_cache_misses == 2
+        assert cached_session.plan_cache_hits == 1
+        assert cached_session.execute(
+            "select a, b from t").rows == [(1, 11), (2, 21), (3, 31)]
+
+    def test_dml_literals_the_parser_folded_are_pinned(self, cached_session):
+        cached_session.execute("insert into t values (-1, 0)")
+        cached_session.execute("insert into t values (-2, 0)")
+        cached_session.execute("update t set b = -5 where a = -1")
+        cached_session.execute("update t set b = -6 where a = -2")
+        assert sorted(cached_session.execute(
+            "select a, b from t where a < 0").rows) == [(-2, -6), (-1, -5)]
 
     def test_capacity_bounded(self, engine):
         engine.create_database("pc2")
@@ -291,6 +334,56 @@ def test_reuse_is_invisible(reuse_engines, texts):
         with uncached.connect("reuse") as fresh:
             assert _outcome(warmed, texts[-1]) == _outcome(fresh, texts[-1])
             assert fresh.plan_cache_hits == fresh.plan_cache_misses == 0
+
+
+_DML_SHAPES = [
+    ("insert into t values ({}, {}, {}, {})", [_INT, _INT, _FLOAT, _TEXT]),
+    ("insert into t (s, a) values ({}, {}), ({}, {})",
+     [_TEXT, _INT, _TEXT, _INT]),
+    ("update t set f = f + {} where a = {}", [_FLOAT, _INT]),
+    ("update t set s = {}, b = {} where a > {} and a <= {}",
+     [_TEXT, _INT, _INT, _INT]),
+    ("update t set b = b + {} where b = {}", [_INT, _ANY]),
+    ("update t set a = a + {} where a = {}", [st.integers(100, 104), _INT]),
+    ("update t set f = -{} where s like {}", [st.integers(0, 3), _TEXT]),
+    ("delete from t where a = {}", [_INT]),
+    ("delete from t where b < {} and f > {}", [_INT, _FLOAT]),
+    ("delete from t where a between {} and {} or s = {}",
+     [_INT, _INT, _TEXT]),
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dml_reuse_is_invisible(reuse_engines, data):
+    """The same DML texts — several literal vectors of a few shapes —
+    on a session that prepares and on a ``plan_cache_size=0`` one: the
+    same outcome statement by statement (errors included) and the same
+    table afterwards."""
+    texts = []
+    for template, slots in data.draw(
+            st.lists(st.sampled_from(_DML_SHAPES), min_size=1, max_size=3)):
+        for vector in data.draw(
+                st.lists(st.tuples(*slots), min_size=2, max_size=4)):
+            texts.append(template.format(*map(_render, vector)))
+    seen = []
+    for engine in reuse_engines:
+        with engine.connect("reuse") as session:
+            session.execute("begin")
+            seen.append([_dml_outcome(session, text) for text in texts]
+                        + [_outcome(session, "select * from t")])
+            session.execute("rollback")
+            if engine is reuse_engines[1]:
+                assert session.plan_cache_hits == 0
+    assert seen[0] == seen[1]
+
+
+def _dml_outcome(session, text):
+    try:
+        return session.execute(text).rowcount
+    except ReproError as error:
+        return type(error).__name__, str(error)
 
 
 class TestSetups:
