@@ -6,19 +6,12 @@ injected at randomized seams (``ddl.apply``, ``journal.write``,
 ``analyzer.scan``, ``session.execute``, ``workload_db.append``) and the
 autonomous tuner is repeatedly "killed" — abandoned mid-state and
 rebuilt from what the workload database persisted, exactly like a
-process restart.  After every round the harness re-checks the
-system-wide invariants:
-
-* **no half-applied cycle** — after recovery no journal entry is left
-  in ``intent`` state, and recovery replay is idempotent (a second
-  pass resolves nothing);
-* **journal/schema agreement** — an index exists if and only if some
-  journal entry for it is ``applied``;
-* **exactly-once changes** — no statement has more than one ``applied``
-  journal entry, and no workload table persisted a duplicate source
-  sequence number;
-* **always recoverable** — a freshly constructed tuner over the same
-  workload DB can always run recovery to a clean state.
+process restart.  After every round the harness checks that recovery
+replay is idempotent and that the journal and persisted-history rules
+of :mod:`repro.invariants` hold (plus exact conservation in storm
+mode): no half-applied cycle, no change applied twice, schema and
+journal agree, and the workload history stays exactly-once and
+ordered per shard.
 
 Everything is deterministic per seed: one :class:`random.Random` drives
 the workload mix, the fault schedule and the crash points, and time is
@@ -51,14 +44,17 @@ from repro.core.lockwitness import (
     cross_check,
     static_order_edges,
 )
-from repro.core.overload import (
-    DETAILED,
-    LEVEL_NAMES,
-    conservation_violations,
-)
-from repro.core.tuning_journal import JournalState, TuningJournal
-from repro.core.workload_db import TABLE_SOURCES
+from repro.core.overload import LEVEL_NAMES, SAMPLED
+from repro.core.tuning_journal import TuningJournal
 from repro.errors import ReproError
+from repro.invariants import (
+    conservation_violations,
+    history_violations,
+    journal_violations,
+    peak_level,
+    settled,
+    storm_violations,
+)
 from repro.setups import Setup, daemon_setup
 from repro.workloads import NrefScale, complex_query_set, load_nref
 
@@ -148,9 +144,9 @@ class SoakReport:
         return base
 
 
-def _require(condition: bool, message: str, seed: int) -> None:
-    if not condition:
-        raise ChaosInvariantError(f"[seed {seed}] {message}")
+def _enforce(violations: list[str], seed: int) -> None:
+    if violations:
+        raise ChaosInvariantError(f"[seed {seed}] " + "; ".join(violations))
 
 
 def check_invariants(setup: Setup, journal: TuningJournal,
@@ -160,44 +156,8 @@ def check_invariants(setup: Setup, journal: TuningJournal,
     Callers must run with all faults disarmed and recovery already
     replayed — these are the *steady-state* guarantees.
     """
-    workload_db = setup.workload_db
-    assert workload_db is not None
-    database = setup.engine.database("nref")
-
-    _require(not journal.interrupted(),
-             "journal still holds interrupted entries after recovery",
-             seed)
-
-    applied_by_sql: dict[str, int] = {}
-    for entry in journal.entries():
-        if entry.state is JournalState.APPLIED:
-            applied_by_sql[entry.sql] = applied_by_sql.get(entry.sql, 0) + 1
-    for sql, count in applied_by_sql.items():
-        _require(count == 1,
-                 f"{count} applied journal entries for {sql!r}", seed)
-
-    # Journal/schema agreement for index creations (both directions:
-    # every applied index exists, every other outcome left none behind
-    # unless a later entry re-applied the same statement).
-    index_entries: dict[str, bool] = {}
-    for entry in journal.entries():
-        if entry.kind == "create index":
-            index_entries[entry.object_name] = (
-                index_entries.get(entry.object_name, False)
-                or entry.state is JournalState.APPLIED)
-    for index_name, should_exist in index_entries.items():
-        exists = database.catalog.has_index(index_name)
-        _require(exists == should_exist,
-                 f"index {index_name!r}: schema says "
-                 f"{'present' if exists else 'absent'}, journal says "
-                 f"{'applied' if should_exist else 'not applied'}", seed)
-
-    # The daemon's exactly-once guarantee must survive the chaos too.
-    for wl_table in TABLE_SOURCES:
-        storage = workload_db.database.storage_for(wl_table)
-        seqs = [row[-1] for _rowid, row in storage.scan()]
-        _require(len(seqs) == len(set(seqs)),
-                 f"{wl_table} persisted duplicate source rows", seed)
+    _enforce(journal_violations(journal, setup.engine.database("nref"))
+             + history_violations(setup), seed)
 
 
 def _fresh_tuner(setup: Setup, policy: TuningPolicy,
@@ -277,45 +237,21 @@ def _storm_recovery(setup: Setup, report: SoakReport,
                     config: SoakConfig) -> None:
     """Post-storm quiesce: with all faults disarmed, advancing time and
     polling must unpark every group (half-open success) and walk every
-    shard back to DETAILED — and the conservation ledger must balance.
-
-    Raises :class:`ChaosInvariantError` if recovery does not complete
-    within the hysteresis window, a degraded window is left open, the
-    storm never actually degraded anything, or conservation broke.
-    """
-    daemon, controller = setup.daemon, setup.controller
-    assert daemon is not None and controller is not None
+    shard back to DETAILED; then the storm rule must hold."""
+    daemon = setup.daemon
+    assert daemon is not None
     clock = setup.engine.clock
     assert isinstance(clock, VirtualClock)
     faultsim.reset()
-    recovered = False
     # 3 rungs x recover_dwell 2 plus park-cooldown expiry and half-open
     # retries fit comfortably in 40 polls; failing to converge by then
     # is a stuck ladder, not slowness.
     for _ in range(40):
         clock.advance(60.0)
-        if _storm_poll(daemon) is not None:
-            continue
-        if (not daemon.parked_shards()
-                and set(controller.levels()) == {DETAILED}):
-            recovered = True
+        if _storm_poll(daemon) is None and settled(setup):
             break
-    levels = [LEVEL_NAMES[level] for level in controller.levels()]
-    _require(recovered,
-             "storm recovery: shards did not return to DETAILED within "
-             f"the hysteresis window (levels {levels}, parked "
-             f"{sorted(daemon.parked_shards())})", config.seed)
-    windows = controller.degraded_windows()
-    _require(all(window["ended_at"] is not None for window in windows),
-             "storm recovery: degraded window left open", config.seed)
-    report.peak_level = max(
-        (window["peak_level"] for window in windows), default=DETAILED)
-    _require(report.peak_level > DETAILED,
-             "storm soak never degraded any shard — not a storm",
-             config.seed)
-    assert setup.monitor is not None
-    for violation in conservation_violations(setup.monitor):
-        _require(False, f"conservation: {violation}", config.seed)
+    report.peak_level = peak_level(setup)
+    _enforce(storm_violations(setup, min_peak=SAMPLED), config.seed)
 
 
 def run_soak(config: SoakConfig,
@@ -395,18 +331,15 @@ def run_soak(config: SoakConfig,
                 report.crashes += 1
 
             report.recoveries += len(tuner.recover())
-            _require(tuner.recover() == [],
-                     "recovery replay was not idempotent", config.seed)
+            if tuner.recover():
+                _enforce(["recovery replay was not idempotent"], config.seed)
             check_invariants(setup, journal, config.seed)
             report.invariant_sweeps += 1
             if config.storm:
                 # The soak is single-threaded between rounds, so the
                 # conservation ledger must balance bit-exactly here —
                 # under every ladder state the round put shards in.
-                assert setup.monitor is not None
-                for violation in conservation_violations(setup.monitor):
-                    _require(False, f"conservation: {violation}",
-                             config.seed)
+                _enforce(conservation_violations(setup.monitor), config.seed)
                 report.conservation_sweeps += 1
             report.rounds += 1
         if config.storm:

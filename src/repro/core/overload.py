@@ -24,7 +24,7 @@ invariant holds exactly at quiescence on every shard::
 
 ``admitted`` is ``workload.total_appended``, which survives window
 clears (``dropped`` does not), so the first identity is the one
-:func:`conservation_violations` enforces bit-exactly.
+:func:`repro.invariants.conservation_violations` enforces bit-exactly.
 
 Pressure model
 --------------
@@ -115,8 +115,8 @@ class _ShardState:
 class OverloadController:
     """Hysteresis-controlled degradation ladder over monitor shards.
 
-    The daemon feeds it after every poll (:meth:`note_poll`); tests and
-    the bench harness may also call :meth:`observe` directly.  The
+    The daemon feeds it after every poll (:meth:`note_poll`); tests may
+    also call :meth:`observe` directly.  The
     controller pushes the decided level into each shard
     (:meth:`~repro.core.monitor.IntegratedMonitor.set_degradation`)
     where the admission gate applies it; it never touches the hot path
@@ -181,7 +181,7 @@ class OverloadController:
     def observe(self, now: float | None = None) -> None:
         """Recompute per-shard pressure and walk the ladder.
 
-        Runs on the daemon thread (or a test/bench caller); one rung per
+        Runs on the daemon thread (or a test); one rung per
         transition, dwell-gated in both directions.
         """
         if now is None:
@@ -336,28 +336,6 @@ def conservation_report(
     return report
 
 
-def conservation_violations(
-        monitor: "IntegratedMonitor | Any") -> list[str]:
-    """Exact conservation check: ``issued == admitted + sampled_out +
-    shed`` per shard, valid at quiescence (no statement mid-flight).
-
-    ``admitted`` is the ring's ``total_appended`` (live + overwritten),
-    so the identity also covers ``observed + dropped`` while the window
-    has never been cleared.  Only meaningful for traffic driven through
-    the sensors — direct ``record_workload`` calls bypass the gate.
-    """
-    violations = []
-    for entry in conservation_report(monitor):
-        balance = entry["admitted"] + entry["sampled_out"] + entry["shed"]
-        if entry["issued"] != balance:
-            violations.append(
-                f"shard {entry['shard_id']}: issued={entry['issued']} != "
-                f"admitted={entry['admitted']} + "
-                f"sampled_out={entry['sampled_out']} + "
-                f"shed={entry['shed']} (= {balance})")
-    return violations
-
-
 __all__ = [
     "COUNTS_ONLY",
     "DETAILED",
@@ -367,5 +345,4 @@ __all__ = [
     "SAMPLED",
     "SHED",
     "conservation_report",
-    "conservation_violations",
 ]

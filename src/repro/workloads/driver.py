@@ -14,9 +14,10 @@ Two execution modes, both reachable from the command line
     N threads, one shared engine — the mode that actually exercises
     shard routing, merged-IMA ordering and the daemon's parallel
     polling.  With ``--check`` the run drains the storage daemon and
-    verifies the end-to-end invariants: no duplicate ``src_seq``, per
-    shard monotone persistence order, and every ``wl_workload`` row
-    attributed to the shard its session hashes to.
+    verifies the end-to-end invariants of :mod:`repro.invariants`:
+    no duplicate ``src_seq``, per shard monotone persistence order, and
+    every ``wl_workload`` row attributed to the shard its session
+    hashes to.
 
 ``process``
     N worker processes, each with a private engine and session — a
@@ -25,13 +26,9 @@ Two execution modes, both reachable from the command line
     so it reports per-process throughput only.
 
 A third mode, ``--storm``, turns the thread driver into an overload
-burst: deliberately tiny workload rings and fast ladder thresholds, a
-poll-worker hang and repeated worker deaths injected mid-run, then a
-quiesce phase.  It exits non-zero unless the degradation ladder
-provably reached SHED, the conservation ledger balanced bit-exactly,
-every shard recovered to DETAILED and no poll group stayed parked —
-the end-to-end overload-resilience contract of
-:mod:`repro.core.overload`.
+burst (tiny rings, fast ladder, a poll-worker hang and repeated worker
+deaths, then a quiesce phase) judged by the storm rule of
+:mod:`repro.invariants`.
 """
 
 from __future__ import annotations
@@ -52,15 +49,10 @@ from repro.config import (
     MonitorConfig,
     OverloadConfig,
 )
-from repro.core.overload import (
-    DETAILED,
-    LEVEL_NAMES,
-    SHED,
-    conservation_violations,
-)
-from repro.core.sharding import SHARD_STRIDE, shard_of_seq
-from repro.core.workload_db import WORKLOAD_TABLES
+from repro.core.overload import SHED
+from repro.core.sharding import SHARD_STRIDE
 from repro.errors import ReproError
+from repro.invariants import history_violations, settled, storm_violations
 from repro.setups import Setup, attach_supervisor, daemon_setup, monitoring_setup
 from repro.workloads.nref import NrefScale, load_nref
 from repro.workloads.queries import point_query_statements
@@ -108,15 +100,14 @@ class ThreadedDriver:
     """
 
     def __init__(self, engine: "EngineInstance", database: str,
-                 statement_lists: Sequence[Sequence[str]],
-                 keep_per_statement: bool = False) -> None:
+                 statement_lists: Sequence[Sequence[str]]) -> None:
         if not statement_lists:
             raise ValueError("at least one session statement list required")
         self.engine = engine
         self.statement_lists = [list(chunk) for chunk in statement_lists]
         self.sessions = [engine.connect(database)
                          for _ in self.statement_lists]
-        self._runners = [WorkloadRunner(session, keep_per_statement)
+        self._runners = [WorkloadRunner(session, keep_per_statement=False)
                          for session in self.sessions]
 
     @property
@@ -178,57 +169,14 @@ class ThreadedDriver:
 
 def verify_persisted_invariants(setup: Setup,
                                 session_ids: Sequence[int]) -> list[str]:
-    """Drain the daemon, then check the persisted workload history.
-
-    Returns a list of human-readable violations (empty = all good):
-
-    * no two rows of one workload table share a ``src_seq``
-      (exactly-once persistence across shards and polls);
-    * per shard, ``src_seq`` values appear in strictly increasing
-      order of persistence (the daemon's sorted-flush contract);
-    * every ``wl_workload`` row was recorded in the shard its session
-      hashes to (``session_id % shard_count == shard_of_seq(src_seq)``).
-    """
-    assert setup.daemon is not None and setup.workload_db is not None
+    """Drain the daemon, then check the persisted workload history
+    (:func:`repro.invariants.history_violations`: exactly-once,
+    per-shard order, session attribution, every session's shard
+    persisted).  Returns the violations; empty means all held."""
+    assert setup.daemon is not None
     setup.daemon.poll_once()
     setup.daemon.flush()
-    violations: list[str] = []
-    shard_count = setup.monitor.shard_count if setup.monitor else 1
-    database = setup.workload_db.database
-    for schema in WORKLOAD_TABLES:
-        seen: set[int] = set()
-        last_per_shard: dict[int, int] = {}
-        for _rowid, row in database.storage_for(schema.name).scan():
-            seq = row[-1]
-            if seq <= 0:
-                continue
-            if seq in seen:
-                violations.append(
-                    f"{schema.name}: duplicate src_seq {seq}")
-            seen.add(seq)
-            shard = shard_of_seq(seq)
-            if seq <= last_per_shard.get(shard, 0):
-                violations.append(
-                    f"{schema.name}: shard {shard} src_seq {seq} persisted "
-                    f"after {last_per_shard[shard]} (order broken)")
-            last_per_shard[shard] = seq
-    expected_shards = {sid % shard_count for sid in session_ids}
-    observed_shards: set[int] = set()
-    for _rowid, row in database.storage_for("wl_workload").scan():
-        seq, session_id = row[-1], row[2]
-        if seq <= 0:
-            continue
-        shard = shard_of_seq(seq)
-        observed_shards.add(shard)
-        if session_id % shard_count != shard:
-            violations.append(
-                f"wl_workload: session {session_id} recorded in shard "
-                f"{shard}, expected {session_id % shard_count}")
-    missing = expected_shards - observed_shards
-    if missing:
-        violations.append(
-            f"wl_workload: no rows persisted for shards {sorted(missing)}")
-    return violations
+    return history_violations(setup, session_ids)
 
 
 # -- mode runners ----------------------------------------------------------
@@ -283,11 +231,9 @@ def run_storm_mode(sessions: int, statements_per_session: int,
     until the groups half-open back and every shard climbs back to
     DETAILED.
 
-    Returns ``(summary, violations)``; the summary carries the final
-    engine health snapshot, and violations is empty only if the storm
-    provably degraded to SHED *and* fully healed: conservation exact on
-    every shard, all shards DETAILED, every degraded window closed, no
-    poll group parked.
+    Returns ``(summary, violations)``: the final health snapshot, and
+    :func:`repro.invariants.storm_violations` with a SHED peak plus
+    proof that a worker hung and one died.
     """
     faultsim.reset()
     shard_count = min(sessions, SHARD_STRIDE)
@@ -303,9 +249,8 @@ def run_storm_mode(sessions: int, statements_per_session: int,
                             worker_park_after=2,
                             worker_park_cooldown_s=0.2))
     setup = daemon_setup("nref", config=config)
-    daemon, controller, monitor = setup.daemon, setup.controller, setup.monitor
+    daemon, controller = setup.daemon, setup.controller
     assert daemon is not None and controller is not None
-    assert monitor is not None
     clock = setup.engine.clock
     daemon.start()  # inert during the storm (30 s interval) but gives
     supervisor = attach_supervisor(setup)  # the supervisor a live watch
@@ -333,7 +278,6 @@ def run_storm_mode(sessions: int, statements_per_session: int,
             return False
         return True
 
-    violations: list[str] = []
     try:
         # Baseline: one pass, one clean poll — every shard now has a
         # persisted high-water mark to measure unread loss against.
@@ -367,31 +311,13 @@ def run_storm_mode(sessions: int, statements_per_session: int,
             summary["recovery_polls"] = attempt + 1
             healthy = try_poll()
             supervisor.tick()
-            if (healthy and not daemon.parked_shards()
-                    and set(controller.levels()) == {DETAILED}):
+            if healthy and settled(setup):
                 break
             clock.sleep(0.05)
         daemon.flush()
 
         # The storm contract, checked at quiescence.
-        violations.extend(conservation_violations(monitor))
-        for shard_id, level in enumerate(controller.levels()):
-            if level != DETAILED:
-                violations.append(
-                    f"shard {shard_id} stuck at {LEVEL_NAMES[level]} "
-                    "after recovery")
-        parked = daemon.parked_shards()
-        if parked:
-            violations.append(
-                f"poll groups still parked for shards {sorted(parked)}")
-        windows = controller.degraded_windows()
-        peak = max((w["peak_level"] for w in windows), default=DETAILED)
-        if peak < SHED:
-            violations.append(
-                "storm never forced any shard to SHED "
-                f"(peak level {LEVEL_NAMES[peak]}) — not a storm")
-        if any(w["ended_at"] is None for w in windows):
-            violations.append("degraded window left open after recovery")
+        violations = storm_violations(setup, min_peak=SHED)
         status = daemon.status()
         if status.worker_hangs == 0:
             violations.append("no poll worker was hung by the storm")
@@ -399,7 +325,7 @@ def run_storm_mode(sessions: int, statements_per_session: int,
             violations.append("no poll worker died in the storm")
         summary["worker_hangs"] = status.worker_hangs
         summary["worker_deaths"] = status.worker_deaths
-        summary["degraded_windows"] = windows
+        summary["degraded_windows"] = controller.degraded_windows()
         summary["supervisor_states"] = supervisor.states()
         summary["health"] = setup.engine.health()
     finally:

@@ -31,9 +31,9 @@ from repro.core.overload import (
     SHED,
     OverloadController,
     conservation_report,
-    conservation_violations,
 )
 from repro.core.records import WorkloadRecord
+from repro.invariants import conservation_violations
 from repro.core.sharding import (
     MergedKeyedView,
     MergedRingView,
