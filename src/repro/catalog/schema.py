@@ -168,6 +168,11 @@ class TableSchema:
         ])
 
     @cached_property
+    def column_types(self) -> dict[str, DataType]:
+        """Column name -> declared type."""
+        return {column.name: column.data_type for column in self.columns}
+
+    @cached_property
     def codec(self) -> "RowCodec":
         """The row format of this schema, compiled on first use (the
         storage layer's sizer, encoder and decoder)."""

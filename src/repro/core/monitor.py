@@ -347,10 +347,12 @@ class MonitorSensors(Sensors):
 
     # staticcheck: hotpath
     def statement_start(self, text: str, session_id: int = 0,
-                        text_hash: int | None = None) -> StatementContext:
+                        text_hash: int | None = None,
+                        prepared: Any = None) -> StatementContext:
         t0 = time.perf_counter()
         if text_hash is None:
             text_hash = statement_key(text)
+        monitor = self.monitor
         # The ladder level is a benign stale read: a transition that
         # races this statement only shifts which side of it the
         # statement lands on; the admission gate re-reads the level
@@ -358,14 +360,72 @@ class MonitorSensors(Sensors):
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
             text, text_hash, t0,
             session_id if session_id else self._session_id,
-            self.monitor.degradation_level)
-        elapsed = time.perf_counter() - t0
-        ctx.monitor_time_s += elapsed
+            monitor.degradation_level)
         # Deferred accounting: non-terminal sensors only bump the
         # context; the terminal sensor folds the whole statement into
         # the monitor's counters in one lock round-trip.
         ctx.sensor_calls = 1
+        if prepared is not None:
+            # A prepared statement's kind, tables and plan are known
+            # before it runs: what parse_complete and optimize_complete
+            # would record is recorded here, in this one timed call,
+            # and counted as those two sensors.  DML records no
+            # estimate, as on the path that plans it.
+            plan = prepared.optimized if prepared.kind == "select" else None
+            ctx.statement_kind = prepared.kind
+            if plan is not None:
+                cost = plan.estimated_cost
+                ctx.estimated_io = cost.io
+                ctx.estimated_cpu = cost.cpu
+                ctx.used_indexes = plan.used_indexes_text
+                ctx.sensor_calls = 3
+                self._parsed(ctx, prepared.tables, plan.referenced_columns,
+                             plan.used_indexes, plan.explain)
+            else:
+                ctx.sensor_calls = 2
+                self._parsed(ctx, prepared.tables)
+        ctx.monitor_time_s = time.perf_counter() - t0
         return ctx
+
+    # staticcheck: hotpath
+    def _parsed(self, ctx: StatementContext, table_names: Sequence[str],
+                columns: Sequence[tuple[str, str]] = (),
+                index_names: Sequence[str] = (),
+                plan_supplier: Callable[[], str] | None = None) -> None:
+        """Bump the statement's record and, for a statement the monitor
+        does not know (or every statement, without the statement
+        cache), log its object references and capture its plan."""
+        monitor = self.monitor
+        # Ladder gating: SHED records nothing (not even the clock
+        # read); COUNTS_ONLY keeps the statement frequency bump but
+        # skips reference logging; SAMPLED and DETAILED record fully.
+        if ctx.degradation >= _SHED:
+            return
+        # Deferred timestamping: the one wall-clock read this
+        # statement pays, reused by every later sensor.
+        ctx.wall_time = monitor.clock.now()
+        ctx.is_new = is_new = self._record_statement(
+            ctx.text, ctx.text_hash, ctx.wall_time)
+        if ((is_new or not monitor.config.statement_cache_enabled)
+                and ctx.degradation < _COUNTS_ONLY):
+            self._log_new(ctx, table_names, columns, index_names,
+                          plan_supplier)
+
+    # staticcheck: coldpath(statement-cache-miss-only)
+    def _log_new(self, ctx: StatementContext, table_names: Sequence[str],
+                 columns: Sequence[tuple[str, str]],
+                 index_names: Sequence[str],
+                 plan_supplier: Callable[[], str] | None) -> None:
+        monitor = self.monitor
+        monitor.record_references(ctx.text_hash, table_names, columns,
+                                  index_names)
+        threshold = monitor.config.plan_capture_min_cost
+        estimated_total = ctx.estimated_io + ctx.estimated_cpu
+        if (plan_supplier is not None and threshold > 0
+                and estimated_total >= threshold):
+            # ctx.wall_time: captured once, when the statement was parsed.
+            monitor.record_plan(ctx.text_hash, estimated_total,
+                                plan_supplier(), ctx.wall_time)
 
     # staticcheck: hotpath
     def parse_complete(self, ctx: StatementContext | None, kind: str,
@@ -374,21 +434,8 @@ class MonitorSensors(Sensors):
             return
         t0 = time.perf_counter()
         ctx.statement_kind = kind
-        monitor = self.monitor
-        # Ladder gating: SHED records nothing (not even the clock
-        # read); COUNTS_ONLY keeps the statement frequency bump but
-        # skips reference logging; SAMPLED and DETAILED record fully.
-        if ctx.degradation < _SHED:
-            # Deferred timestamping: the one wall-clock read this
-            # statement pays, reused by every later sensor.
-            ctx.wall_time = monitor.clock.now()
-            ctx.is_new = is_new = self._record_statement(
-                ctx.text, ctx.text_hash, ctx.wall_time)
-            if ((is_new or not monitor.config.statement_cache_enabled)
-                    and ctx.degradation < _COUNTS_ONLY):
-                monitor.record_references(ctx.text_hash, table_names)
-        elapsed = time.perf_counter() - t0
-        ctx.monitor_time_s += elapsed
+        self._parsed(ctx, table_names)
+        ctx.monitor_time_s += time.perf_counter() - t0
         ctx.sensor_calls += 1
 
     # staticcheck: hotpath
@@ -407,22 +454,13 @@ class MonitorSensors(Sensors):
         ctx.estimated_cpu = estimated_cpu
         ctx.optimize_time_s = optimize_time_s
         ctx.used_indexes = ",".join(used_indexes)
-        monitor = self.monitor
         # Known since before this statement's parse_complete: its
         # references are logged (no second locked lookup to learn it).
-        cached = monitor.config.statement_cache_enabled and not ctx.is_new
-        if not cached and ctx.degradation < _COUNTS_ONLY:
-            monitor.record_references(
-                ctx.text_hash, (), referenced_columns, used_indexes)
-            threshold = monitor.config.plan_capture_min_cost
-            estimated_total = estimated_io + estimated_cpu
-            if (plan_supplier is not None and threshold > 0
-                    and estimated_total >= threshold):
-                # ctx.wall_time: captured once at parse_complete.
-                monitor.record_plan(ctx.text_hash, estimated_total,
-                                    plan_supplier(), ctx.wall_time)
-        elapsed = time.perf_counter() - t0
-        ctx.monitor_time_s += elapsed
+        if ((ctx.is_new or not self.monitor.config.statement_cache_enabled)
+                and ctx.degradation < _COUNTS_ONLY):
+            self._log_new(ctx, (), referenced_columns, used_indexes,
+                          plan_supplier)
+        ctx.monitor_time_s += time.perf_counter() - t0
         ctx.sensor_calls += 1
 
     # staticcheck: hotpath
@@ -439,7 +477,7 @@ class MonitorSensors(Sensors):
         # decides whether the record is kept — suppressed statements
         # land in sampled_out/shed, so conservation stays exact under
         # every ladder state.  Positional, in the record's field order;
-        # the timestamp was captured once, at parse_complete.
+        # the timestamp was captured once, when the statement was parsed.
         ctx.monitor_time_s = self._complete_statement(_new_record(  # staticcheck: allocfree(workload-record-is-the-product)
             WorkloadRecord, (
                 ctx.text_hash, ctx.session_id, ctx.wall_time,
@@ -466,9 +504,11 @@ class MonitorSensors(Sensors):
 
     # staticcheck: hotpath
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],
-                          ) -> None:
+                          ctx: StatementContext | None = None) -> None:
         monitor = self._statistics_monitor
-        now = monitor.clock.now()  # staticcheck: allocfree(statistics-rate-limit-needs-current-time)
+        now = ctx.wall_time if ctx is not None else 0.0
+        if not now:  # the statement read no clock (or there is none)
+            now = monitor.clock.now()  # staticcheck: allocfree(statistics-rate-limit-needs-current-time)
         if not monitor.statistics_due(now):
             return
         t0 = time.perf_counter()

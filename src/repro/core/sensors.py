@@ -67,9 +67,10 @@ class StatementContext:
     terminal sensor in one lock round-trip (deferred accounting)."""
     wall_time: float = 0.0
     """Wall-clock timestamp captured once per statement (at parse) and
-    reused by every later sensor — deferred timestamping: records for
-    one statement are written microseconds apart and share one clock
-    read instead of paying one syscall per record."""
+    reused by every later sensor and the statistics sample — deferred
+    timestamping: records for one statement are written microseconds
+    apart and share one clock read instead of paying one syscall per
+    record."""
     statement_kind: str = ""
     is_new: bool = True
     """Whether parse_complete created the statement's record (also
@@ -100,9 +101,16 @@ class Sensors:
 
     def statement_start(self, text: str, session_id: int = 0,
                         text_hash: int | None = None,
+                        prepared: Any = None,
                         ) -> StatementContext | None:
         """Wallclock start + query text capture.  ``text_hash`` is the
-        statement's :func:`statement_key` where the caller has it."""
+        statement's :func:`statement_key` where the caller has it.
+
+        ``prepared`` is the session's prepared statement for ``text``
+        (its ``kind``, ``tables`` and ``optimized`` plan) when it has
+        one: this call then also records what :meth:`parse_complete`
+        and — for a SELECT — :meth:`optimize_complete` would, and the
+        caller fires neither."""
         return None
 
     def parse_complete(self, ctx: StatementContext | None, kind: str,
@@ -135,9 +143,10 @@ class Sensors:
         """Called when a statement fails anywhere in the pipeline."""
 
     def sample_statistics(self, supplier: "Callable[[], Mapping[str, Any]]",
-                          ) -> None:
+                          ctx: StatementContext | None = None) -> None:
         """Record a sample of system-wide statistics (sessions, locks,
-        cache usage, ...).
+        cache usage, ...), at the wall-clock time ``ctx`` read for its
+        statement if it read one.
 
         ``supplier`` is only invoked if a sample will actually be taken,
         so the monitoring-free build never pays for gathering the values.

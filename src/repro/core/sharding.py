@@ -296,10 +296,12 @@ class ShardedMonitorSensors(Sensors):
             ctx.session_id % len(self._shard_sensors)]
 
     def statement_start(self, text: str, session_id: int = 0,
-                        text_hash: int | None = None) -> StatementContext:
+                        text_hash: int | None = None,
+                        prepared: Any = None) -> StatementContext:
         sensors = self._shard_sensors[
             session_id % len(self._shard_sensors)]
-        return sensors.statement_start(text, session_id, text_hash)
+        return sensors.statement_start(text, session_id, text_hash,
+                                       prepared)
 
     def parse_complete(self, ctx: StatementContext | None, kind: str,
                        table_names: Sequence[str]) -> None:
@@ -341,8 +343,8 @@ class ShardedMonitorSensors(Sensors):
         self._route(ctx).statement_error(ctx, error)
 
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],
-                          ) -> None:
-        self._shard_sensors[0].sample_statistics(supplier)
+                          ctx: StatementContext | None = None) -> None:
+        self._shard_sensors[0].sample_statistics(supplier, ctx)
 
 
 __all__ = [

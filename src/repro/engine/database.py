@@ -445,6 +445,10 @@ class Database:
     def virtual_floor_column(self, table_name: str) -> str | None:
         return self._virtual_tables[table_name.lower()].floor_column
 
+    def column_types(self, table_name: str) -> Mapping[str, DataType]:
+        """Declared column types of a stored or virtual table."""
+        return self.catalog.table(table_name).schema.column_types
+
     # -- size accounting ---------------------------------------------------------------
 
     @property

@@ -177,7 +177,10 @@ class Session:
         prepared, key, values = self._lookup(text)
         shape_hash = prepared.shape_hash if prepared is not None \
             else statement_hash(key[0])
-        ctx = sensors.statement_start(text, self.session_id, shape_hash)
+        # A prepared statement's parse and plan sensors fire here, in
+        # this one call.
+        ctx = sensors.statement_start(text, self.session_id, shape_hash,
+                                      prepared)
         try:
             # Fault seam inside the monitored region: injected failures
             # and slow queries are observed by the sensors like real
@@ -191,9 +194,9 @@ class Session:
                 statement, optimized = parse_statement(text), None
                 kind, tables = _kind(statement), _statement_tables(statement)
                 origin = (text, key, shape_hash, values)
-            sensors.parse_complete(ctx, kind, tables)
+                sensors.parse_complete(ctx, kind, tables)
             if kind == "select":
-                result = self._execute_select(statement, ctx, values,
+                result = self._execute_select(statement, tables, ctx, values,
                                               optimized, origin)
             elif kind in _DML:
                 result = self._execute_modify(statement, kind, values,
@@ -215,7 +218,7 @@ class Session:
             ctx, actual.io, actual.cpu, metrics.logical_reads,
             metrics.physical_reads, metrics.tuples_processed,
             metrics.rows_returned, wallclock, wallclock)
-        sensors.sample_statistics(self.engine.system_statistics)
+        sensors.sample_statistics(self.engine.system_statistics, ctx)
         return result
 
     def explain(self, text: str) -> str:
@@ -281,43 +284,41 @@ class Session:
 
     # -- SELECT -----------------------------------------------------------------------
 
-    def _execute_select(self, statement: ast.SelectStatement, ctx: Any,
-                        values: tuple,
+    def _execute_select(self, statement: ast.SelectStatement,
+                        tables: tuple[str, ...], ctx: Any, values: tuple,
                         optimized: OptimizationResult | None,
                         origin: tuple[str, tuple, int, tuple] | None,
                         ) -> QueryResult:
-        """Run a SELECT under the text's literal vector ``values``:
-        with a prepared plan, or planning ``statement`` and preparing
-        it for ``origin`` — the text, its shape key, shape hash and
-        literal vector."""
+        """Run a SELECT of ``tables`` under the text's literal vector
+        ``values``: with a prepared plan, or planning ``statement`` and
+        preparing it for ``origin`` — the text, its shape key, shape
+        hash and literal vector."""
         clock = self.engine.clock
-        sensors = self.sensors
         txn, autocommit = self._current_txn()
         try:
             if optimized is None and _has_subqueries(statement):
                 statement = self._materialize_subqueries(statement, txn)
                 origin = None  # data-dependent: never prepared
-            for table_name in _statement_tables(statement):
+            for table_name in tables:
                 if not self.database.is_virtual_table(table_name):
                     self.engine.lock_manager.acquire(
                         txn.txn_id, table_name.lower(), LockMode.SHARED)
-            optimize_time = 0.0
             if optimized is None:
                 optimize_started = clock.monotonic()
                 optimized = self.optimizer.optimize_select(statement)
                 optimize_time = clock.monotonic() - optimize_started
                 if origin is not None:
                     self._store(*origin, statement, optimized)
-            sensors.optimize_complete(
-                ctx,
-                estimated_io=optimized.estimated_cost.io,
-                estimated_cpu=optimized.estimated_cost.cpu,
-                used_indexes=optimized.used_indexes,
-                available_indexes=optimized.available_indexes,
-                referenced_columns=optimized.referenced_columns,
-                optimize_time_s=optimize_time,
-                plan_supplier=optimized.explain,
-            )
+                self.sensors.optimize_complete(
+                    ctx,
+                    estimated_io=optimized.estimated_cost.io,
+                    estimated_cpu=optimized.estimated_cost.cpu,
+                    used_indexes=optimized.used_indexes,
+                    available_indexes=optimized.available_indexes,
+                    referenced_columns=optimized.referenced_columns,
+                    optimize_time_s=optimize_time,
+                    plan_supplier=optimized.explain,
+                )
             return self.executor.execute(optimized.plan,
                                          optimized.output_names, values)
         finally:

@@ -3,8 +3,10 @@
 Expressions are compiled once per execution against a *scope* (the
 ordered output columns of the input plan) and the execution's literal
 vector (a reused plan reads each literal's slot here, not per row) and
-then evaluated per row, which keeps the per-tuple overhead low enough
-for the paper's 1m-statement throughput test.
+then evaluated per row.  Scans and nested-loop joins filter a batch of
+rows at a time instead (:func:`compile_filter`): the common filter
+shapes become one generated list comprehension per batch, anything else
+the per-row closure under the same batch API.
 
 NULL semantics follow SQL: comparisons and arithmetic propagate NULL,
 AND/OR use three-valued logic, and predicates treat a NULL outcome as
@@ -16,14 +18,22 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
+from repro.catalog.schema import DataType
 from repro.errors import ExecutionError
 from repro.optimizer.plans import Scope
+from repro.optimizer.predicates import split_conjuncts
 from repro.sql import ast_nodes as ast
 
 Row = tuple
 Getter = Callable[[Row], Any]
+BatchFilter = Callable[[Sequence[Row], Row], list]
+"""``keep(rows, outer)``: the rows of one batch that pass a filter, in
+order.  ``outer`` is the outer row of a nested-loop join, ``()`` for a
+scan."""
+ColumnTypes = Mapping[str, Mapping[str, DataType]]
+"""Binding -> column name -> declared type."""
 
 
 class ScopeIndex:
@@ -376,6 +386,198 @@ def _compile_function(expr: ast.FunctionCall, index: ScopeIndex) -> Getter:
             raise ExecutionError(f"{name}(): {exc}") from None
 
     return call
+
+
+# -- batch filters -------------------------------------------------------------
+
+# Values of one kind compare with each other without a TypeError.
+_KIND_OF_TYPE = {
+    DataType.INT: "number", DataType.FLOAT: "number",
+    DataType.VARCHAR: "text", DataType.TEXT: "text", DataType.BOOL: "bool",
+}
+_KIND_OF_VALUE = {int: "number", float: "number", str: "text", bool: "bool"}
+_PY_OPERATORS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
+                 ">=": ">="}
+
+
+class _Ineligible(Exception):
+    """The filter has a shape no kernel covers."""
+
+
+class _Operand(NamedTuple):
+    code: str
+    kind: str | None
+    """Comparable kind: None for a NULL literal, "?" if unknown."""
+    per_row: bool
+    """Read from the tested row, so NULL in any row; otherwise an
+    argument, fixed for the whole batch."""
+
+
+class _KernelSource:
+    """The text of one filter's kernel, built conjunct by conjunct.
+
+    Tested-row columns become ``r[i]``, outer-row columns the locals
+    ``o0, o1, ...`` and literals the arguments ``v0, v1, ...`` of the
+    factory, so the text depends on the filter's shape only.  A shape
+    is eligible when all operands of each comparison are of one kind:
+    then no test raises, and Python's ``and`` over the guarded tests
+    keeps exactly the rows SQL's three-valued AND finds true.
+    """
+
+    def __init__(self, index: ScopeIndex, width: int, types: ColumnTypes,
+                 row: str) -> None:
+        self.index = index
+        self.width = width
+        """Leading scope positions that are the outer row's."""
+        self.types = types
+        self.row = row
+        self.values: list[Any] = []
+        self.outer: list[str] = []
+        self.strict: list[str] = []
+        """Arguments that, NULL, leave every test of theirs unknown."""
+        self.tests: list[str] = []
+
+    def operand(self, expr: ast.Expression) -> _Operand:
+        pos = column_position(expr, self.index)
+        if pos is None:
+            if not isinstance(expr, ast.Literal):
+                raise _Ineligible
+            value = expr.bound(self.index.params)
+            name = f"v{len(self.values)}"
+            self.values.append(value)
+            kind = None if value is None else _KIND_OF_VALUE.get(type(value))
+            if value is not None and kind is None:
+                raise _Ineligible
+            return _Operand(name, kind, False)
+        binding, column = self.index.scope[pos]
+        kind = _KIND_OF_TYPE.get(
+            self.types.get(binding, {}).get(column), "?")  # type: ignore[arg-type]
+        if pos < self.width:
+            name = f"o{len(self.outer)}"
+            self.outer.append(f"{name} = o[{pos}]")
+            return _Operand(name, kind, False)
+        return _Operand(f"{self.row}[{pos - self.width}]", kind, True)
+
+    def add(self, expr: ast.Expression) -> None:
+        if isinstance(expr, ast.BinaryOp) and expr.op in _PY_OPERATORS:
+            a, b = self.operand(expr.left), self.operand(expr.right)
+            # ``x == v`` is False for a NULL x once v is known non-NULL.
+            guarded = (a, b) if expr.op != "=" else \
+                (a,) if a.per_row and b.per_row else ()
+            self.compared(
+                (a, b), guarded, f"{a.code} {_PY_OPERATORS[expr.op]} {b.code}")
+        elif isinstance(expr, ast.Between):
+            x, low, high = (self.operand(e)
+                            for e in (expr.operand, expr.low, expr.high))
+            test = f"{low.code} <= {x.code} <= {high.code}"
+            self.compared((x, low, high), (x, low, high),
+                          f"not ({test})" if expr.negated else test)
+        elif isinstance(expr, ast.InList) and expr.items:
+            x = self.operand(expr.operand)
+            items = [self.operand(item) for item in expr.items]
+            if expr.negated:  # any NULL item: never true
+                self.compared((x, *items), (x, *items), " and ".join(
+                    f"{x.code} != {item.code}" for item in items))
+            else:  # NULL items never match
+                self.compared((x,), (x,), "(" + " or ".join(
+                    f"{x.code} == {item.code}" for item in items) + ")",
+                    items)
+        elif isinstance(expr, ast.IsNull):
+            x = self.operand(expr.operand)
+            self.tests.append(
+                f"{x.code} is {'not ' if expr.negated else ''}None")
+        else:
+            raise _Ineligible
+
+    def compared(self, strict: Sequence[_Operand],
+                 guarded: Sequence[_Operand], test: str,
+                 also: Sequence[_Operand] = ()) -> None:
+        kinds = {op.kind for op in (*strict, *also) if op.kind is not None}
+        if len(kinds) > 1 or "?" in kinds:
+            raise _Ineligible
+        self.strict += [op.code for op in strict if not op.per_row]
+        self.tests += [f"{op.code} is not None"
+                       for op in guarded if op.per_row]
+        self.tests.append(test)
+
+    def text(self) -> str:
+        names = [f"v{i}" for i in range(len(self.values))]
+        lines = [f"def make({', '.join(names + ['fallback'])}):",
+                 "    def kernel(rows, o):"]
+        lines += [f"        {line}" for line in self.outer]
+        if self.strict:
+            lines += ["        if " + " or ".join(
+                f"{name} is None" for name in self.strict) + ":",
+                "            return []"]
+        lines += ["        try:",
+                  "            return [r for r in rows if "
+                  + " and ".join(self.tests) + "]",
+                  "        except TypeError:  # a value off its declared type",
+                  "            return fallback(rows, o)",
+                  "    return kernel"]
+        return "\n".join(lines)
+
+
+@lru_cache(maxsize=1024)
+def _kernel_factory(source: str) -> Callable[..., BatchFilter]:
+    """The one place generated code runs.  ``source`` is assembled from
+    column positions, operators of ``_PY_OPERATORS`` and argument names
+    only: literal values reach a kernel as arguments of the factory this
+    returns, never as text, so no value can alter the code that runs,
+    and every text of one filter shape shares one compiled kernel."""
+    namespace: dict[str, Any] = {"__builtins__": {"TypeError": TypeError}}
+    exec(compile(source, "<filter kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _keep_all(rows: Sequence[Row], outer: Row) -> list:
+    return list(rows)
+
+
+def _closure_filter(expr: ast.Expression, scope: Scope,
+                    params: Sequence[Any] | None, width: int,
+                    entries: bool) -> BatchFilter:
+    """The per-row closure under the batch API: every other shape."""
+    predicate = compile_predicate(expr, scope, params)
+    if entries:
+        return lambda rows, outer: [e for e in rows if predicate(e[1])]
+    if width:
+        return lambda rows, outer: [r for r in rows
+                                    if predicate(outer + r)]
+    return lambda rows, outer: [r for r in rows if predicate(r)]
+
+
+# staticcheck: hotpath
+def compile_filter(expr: ast.Expression | None, scope: Scope,
+                   params: Sequence[Any] | None = None,
+                   types: ColumnTypes | None = None, outer: Scope = (),
+                   entries: bool = False) -> BatchFilter:
+    """Compile the filter ``expr`` over batches of rows of ``scope``.
+
+    ``types`` are the declared column types by binding; comparisons
+    with a column of unknown type keep the per-row closure.  A join
+    passes its outer side's scope as ``outer``: ``expr`` then sees the
+    outer row's columns followed by the tested row's, as over the
+    joined row.  With ``entries`` the batch holds ``(rowid, row)``
+    pairs and whole pairs are kept.
+    """
+    if expr is None:
+        return _keep_all
+    scope = outer + scope
+    width = len(outer)
+    try:
+        source = _KernelSource(ScopeIndex(scope, params), width,
+                               types or {}, "r[1]" if entries else "r")
+        for conjunct in split_conjuncts(expr):
+            source.add(conjunct)
+    except (_Ineligible, ExecutionError):
+        return _closure_filter(expr, scope, params, width, entries)
+
+    def fallback(rows: Sequence[Row], outer_row: Row) -> list:
+        return _closure_filter(expr, scope, params, width, entries)(
+            rows, outer_row)
+
+    return _kernel_factory(source.text())(*source.values, fallback)
 
 
 def sort_key(values: Sequence[Any]) -> tuple:

@@ -103,7 +103,8 @@ class Executor:
                                 counters)
         if kind in _BINARY:
             return _BINARY[kind](plan, self._build(plan.left, counters),
-                                 self._build(plan.right, counters), counters)
+                                 self._build(plan.right, counters), counters,
+                                 self._catalog)
         if kind is plans.IndexLookupJoinPlan:
             return joins.index_lookup_join(
                 plan, self._build(plan.left, counters), self._catalog,
@@ -114,7 +115,8 @@ class Executor:
 
 
 # Plan node type -> operator, by the operator's inputs: the storage
-# catalog, one child's rows, or two children's rows.
+# catalog, one child's rows, or two children's rows (and the catalog,
+# for the declared types of the columns a join filter compares).
 _LEAVES = {
     **dict.fromkeys(scan.ACCESS_PATHS, scan.scan_rows),
     plans.ModifyPlan: modify.modify_rows,

@@ -5,8 +5,12 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import compile_expression, compile_predicate
-from repro.execution.scan import Counters, StorageCatalog
+from repro.execution.evaluator import (
+    compile_expression,
+    compile_filter,
+    compile_predicate,
+)
+from repro.execution.scan import Counters, StorageCatalog, column_types, emit
 from repro.optimizer.plans import (
     HashJoinPlan,
     IndexLookupJoinPlan,
@@ -19,22 +23,25 @@ Builder = Callable[[], RowIterator]
 
 
 def nested_loop_join(plan: NestedLoopJoinPlan, left_rows: RowIterator,
-                     right_rows: RowIterator,
-                     counters: Counters) -> RowIterator:
-    """Materialize the inner side once, then loop per outer row."""
-    params = counters.params
-    predicate = compile_predicate(plan.condition, plan.scope, params)
+                     right_rows: RowIterator, counters: Counters,
+                     catalog: StorageCatalog) -> RowIterator:
+    """Materialize the inner side once, then filter all of it per outer
+    row, the outer row's values bound as the filter's arguments."""
+    keep = compile_filter(plan.condition, plan.right.scope, counters.params,
+                          column_types(plan, catalog), plan.left.scope)
     inner = list(right_rows)
     for left in left_rows:
-        for right in inner:
-            counters.tuples += 1
-            combined = left + right
-            if predicate(combined):
-                yield combined
+        matched = keep(inner, left)
+        if matched:
+            for right in emit(inner, matched, counters):
+                yield left + right
+        else:
+            counters.tuples += len(inner)
 
 
 def hash_join(plan: HashJoinPlan, left_rows: RowIterator,
-              right_rows: RowIterator, counters: Counters) -> RowIterator:
+              right_rows: RowIterator, counters: Counters,
+              _catalog: StorageCatalog) -> RowIterator:
     """Build on the right input, probe with the left input."""
     params = counters.params
     left_keys = [compile_expression(k, plan.left.scope, params)
@@ -62,8 +69,8 @@ def hash_join(plan: HashJoinPlan, left_rows: RowIterator,
 
 
 def left_outer_join(plan: LeftOuterJoinPlan, left_rows: RowIterator,
-                    right_rows: RowIterator,
-                    counters: Counters) -> RowIterator:
+                    right_rows: RowIterator, counters: Counters,
+                    catalog: StorageCatalog) -> RowIterator:
     """Preserve every left row; NULL-pad the right side when unmatched."""
     params = counters.params
     right_width = len(plan.right.scope)
@@ -95,15 +102,12 @@ def left_outer_join(plan: LeftOuterJoinPlan, left_rows: RowIterator,
             if not matched:
                 yield left + nulls
         return
-    predicate = compile_predicate(plan.condition, plan.scope, params)
+    keep = compile_filter(plan.condition, plan.right.scope, params,
+                          column_types(plan, catalog), plan.left.scope)
     for left in left_rows:
-        matched = False
-        for right in materialized:
-            counters.tuples += 1
-            combined = left + right
-            if predicate(combined):
-                matched = True
-                yield combined
+        matched = keep(materialized, left)
+        for right in emit(materialized, matched, counters):
+            yield left + right
         if not matched:
             yield left + nulls
 

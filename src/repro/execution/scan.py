@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
+from typing import (Any, Callable, Collection, Iterable, Iterator, Mapping,
+                    Protocol, Sequence)
 
+from repro.catalog.schema import DataType
 from repro.errors import ExecutionError
-from repro.execution.evaluator import compile_predicate
+from repro.execution.evaluator import ColumnTypes, compile_filter
 from repro.optimizer.plans import (
     BTreeScanPlan,
     HashScanPlan,
+    IndexLookupJoinPlan,
     IndexScanPlan,
     KeyCondition,
+    PlanNode,
     SeqScanPlan,
 )
 from repro.optimizer.predicates import split_conjuncts
@@ -34,6 +38,8 @@ class StorageCatalog(Protocol):
 
     def virtual_floor_column(self, table_name: str) -> str | None: ...
 
+    def column_types(self, table_name: str) -> Mapping[str, DataType]: ...
+
     # What the writing operators (repro.execution.modify) apply; each
     # maintains the table's indexes.
 
@@ -48,6 +54,10 @@ class StorageCatalog(Protocol):
 
     def undo_delete(self, table_name: str, rowid: int,
                     row: tuple) -> None: ...
+
+
+Page = tuple[Collection[int], Collection[tuple]]
+"""One page's rowids and rows, in step."""
 
 
 class Counters:
@@ -116,26 +126,30 @@ def lower_bounds(filter_expr: ast.Expression | None,
     return bounds
 
 
-def _seq_entries(plan: SeqScanPlan, catalog: StorageCatalog,
-                 params: Sequence[Any] | None) -> Iterator[tuple]:
-    return catalog.storage_for(plan.table_name).scan()
+def _seq_pages(plan: SeqScanPlan, catalog: StorageCatalog,
+               params: Sequence[Any] | None) -> Iterator[Page]:
+    return catalog.storage_for(plan.table_name).pages()
 
 
-def _btree_entries(plan: BTreeScanPlan, catalog: StorageCatalog,
-                   params: Sequence[Any] | None) -> Iterator[tuple]:
-    return catalog.storage_for(plan.table_name).btree.scan_range(
+def _btree_pages(plan: BTreeScanPlan, catalog: StorageCatalog,
+                 params: Sequence[Any] | None) -> Iterator[Page]:
+    return catalog.storage_for(plan.table_name).btree.pages(
         *key_bounds(plan.key_conditions, params))
 
 
-def _hash_entries(plan: HashScanPlan, catalog: StorageCatalog,
-                  params: Sequence[Any] | None) -> Iterator[tuple]:
-    """Full-key equality probe into a HASH-structured table."""
-    return catalog.storage_for(plan.table_name).hash.seek(tuple(
-        [condition.bound(params) for condition in plan.key_conditions]))
+def _hash_pages(plan: HashScanPlan, catalog: StorageCatalog,
+                params: Sequence[Any] | None) -> Iterator[Page]:
+    """Full-key equality probe into a HASH-structured table, one page
+    per entry found (as :func:`_index_pages`)."""
+    for rowid, row in catalog.storage_for(plan.table_name).hash.seek(tuple(
+            [condition.bound(params) for condition in plan.key_conditions])):
+        yield (rowid,), (row,)
 
 
-def _index_entries(plan: IndexScanPlan, catalog: StorageCatalog,
-                   params: Sequence[Any] | None) -> Iterator[tuple]:
+def _index_pages(plan: IndexScanPlan, catalog: StorageCatalog,
+                 params: Sequence[Any] | None) -> Iterator[Page]:
+    """One page per index entry: a probe reads pages as it goes, so a
+    LIMIT above stops reading where a row-at-a-time scan would."""
     if plan.virtual:
         raise ExecutionError(
             f"plan uses virtual index {plan.index_name!r}; virtual indexes "
@@ -145,38 +159,84 @@ def _index_entries(plan: IndexScanPlan, catalog: StorageCatalog,
     fetch = catalog.storage_for(plan.table_name).fetch
     for _entry_rowid, entry in index.scan_range(
             *key_bounds(plan.key_conditions, params)):
-        yield entry[-1], fetch(entry[-1])
+        yield (entry[-1],), (fetch(entry[-1]),)
 
 
-# Access path -> the ``(rowid, row)`` entries it reaches in a stored
-# table, before the plan's filter.  The one body each path has: SELECT
-# (:func:`scan_rows`) and UPDATE / DELETE (:func:`matching_entries`)
+# Access path -> the pages of ``(rowid, row)`` entries it reaches in a
+# stored table, before the plan's filter.  The one body each path has:
+# SELECT (:func:`scan_rows`) and UPDATE / DELETE (:func:`matching_entries`)
 # both read through it.
 ACCESS_PATHS = {
-    SeqScanPlan: _seq_entries,
-    BTreeScanPlan: _btree_entries,
-    HashScanPlan: _hash_entries,
-    IndexScanPlan: _index_entries,
+    SeqScanPlan: _seq_pages,
+    BTreeScanPlan: _btree_pages,
+    HashScanPlan: _hash_pages,
+    IndexScanPlan: _index_pages,
 }
 ScanPlan = SeqScanPlan | BTreeScanPlan | HashScanPlan | IndexScanPlan
 
 
+def column_types(plan: PlanNode, catalog: StorageCatalog) -> ColumnTypes:
+    """Binding -> declared column types of every table ``plan`` reads."""
+    return {node.binding: catalog.column_types(node.table_name)
+            for node in plan.walk() if isinstance(node, _READERS)}
+
+
+_READERS = (*ACCESS_PATHS, IndexLookupJoinPlan)
+
+
+def emit(batch: Collection[tuple], matched: list[tuple],
+         counters: Counters) -> Iterator[tuple]:
+    """Yield ``matched``, the rows of ``batch`` a filter kept, and count
+    ``batch`` as processed: all of it once the last match is taken or,
+    when the consumer stops early (a LIMIT), up to the match it took
+    last, as a filter testing one row at a time would have counted."""
+    taken = 0
+    try:
+        for row in matched:
+            yield row
+            taken += 1
+    except GeneratorExit:
+        # Kept rows are the batch's own objects, in order.
+        wanted = 0
+        for position, row in enumerate(batch):
+            if row is matched[wanted]:
+                if wanted == taken:
+                    counters.tuples += position + 1
+                    break
+                wanted += 1
+        raise
+    counters.tuples += len(batch)
+
+
 def scan_rows(plan: ScanPlan, catalog: StorageCatalog,
               counters: Counters) -> Iterator[tuple]:
-    """The rows of the access path ``plan`` that pass its filter."""
-    if catalog.is_virtual_table(plan.table_name):
-        return _virtual_rows(plan, catalog, counters)
-    return _stored_rows(plan, catalog, counters)
-
-
-def _stored_rows(plan: ScanPlan, catalog: StorageCatalog,
-                 counters: Counters) -> Iterator[tuple]:
+    """The rows of the access path ``plan`` that pass its filter,
+    tested a page at a time."""
     params = counters.params
-    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
-    for _rowid, row in ACCESS_PATHS[type(plan)](plan, catalog, params):
-        counters.tuples += 1
-        if predicate(row):
-            yield row
+    filter_expr = plan.filter_expr
+    if catalog.is_virtual_table(plan.table_name):
+        bounds = lower_bounds(filter_expr, params)
+        rows = catalog.virtual_rows(plan.table_name, bounds)
+        if (bounds and len(split_conjuncts(filter_expr)) == 1 and
+                catalog.virtual_floor_column(plan.table_name) in bounds):
+            # The filter is the pushed floor and nothing else: the
+            # provider returned exactly the rows it accepts.
+            counters.tuples += len(rows)
+            yield from rows
+            return
+        # Otherwise the bounds only spared the provider building rows
+        # the filter rejects; the result is the same.
+        pages: Iterable[Page] = (((), rows),)
+    else:
+        pages = ACCESS_PATHS[type(plan)](plan, catalog, params)
+    keep = compile_filter(filter_expr, plan.scope, params, {
+        plan.binding: catalog.column_types(plan.table_name)})
+    for _rowids, rows in pages:
+        matched = keep(rows, ())
+        if matched:
+            yield from emit(rows, matched, counters)
+        else:
+            counters.tuples += len(rows)
 
 
 # staticcheck: hotpath
@@ -185,28 +245,8 @@ def matching_entries(plan: ScanPlan, catalog: StorageCatalog,
                      ) -> list[tuple[int, tuple]]:
     """The ``(rowid, row)`` entries of a stored table that pass the
     filter of the access path ``plan``, all read before returning."""
-    predicate = compile_predicate(plan.filter_expr, plan.scope, params)
-    return [entry for entry in ACCESS_PATHS[type(plan)](plan, catalog, params)
-            if predicate(entry[1])]
-
-
-def _virtual_rows(plan: SeqScanPlan, catalog: StorageCatalog,
-                  counters: Counters) -> Iterator[tuple]:
-    params = counters.params
-    filter_expr = plan.filter_expr
-    bounds = lower_bounds(filter_expr, params)
-    rows = catalog.virtual_rows(plan.table_name, bounds)
-    if (bounds and len(split_conjuncts(filter_expr)) == 1 and
-            catalog.virtual_floor_column(plan.table_name) in bounds):
-        # The filter is the pushed floor and nothing else: the
-        # provider returned exactly the rows it accepts.
-        counters.tuples += len(rows)
-        yield from rows
-        return
-    # Otherwise the bounds only spared the provider building rows
-    # the predicate rejects; the result is the same.
-    predicate = compile_predicate(filter_expr, plan.scope, params)
-    for row in rows:
-        counters.tuples += 1
-        if predicate(row):
-            yield row
+    keep = compile_filter(plan.filter_expr, plan.scope, params, {
+        plan.binding: catalog.column_types(plan.table_name)}, entries=True)
+    return [entry for rowids, rows in ACCESS_PATHS[type(plan)](
+                plan, catalog, params)
+            for entry in keep(list(zip(rowids, rows)), ())]

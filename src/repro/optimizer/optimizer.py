@@ -17,6 +17,7 @@ indexes — the what-if mode the analyzer's index advisor drives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.config import EngineConfig
 from repro.errors import ExecutionError, OptimizerError
@@ -71,6 +72,12 @@ class OptimizationResult:
 
     def explain(self) -> str:
         return self.plan.explain()
+
+    @cached_property
+    def used_indexes_text(self) -> str:
+        """``used_indexes`` comma-joined, as workload records carry
+        them: built once per plan, not once per execution."""
+        return ",".join(self.used_indexes)
 
 
 class Optimizer:

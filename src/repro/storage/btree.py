@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.errors import StorageError
@@ -298,17 +298,23 @@ class BTreeStorage:
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Full scan in key order along the leaf chain."""
-        page_id = self._first_leaf
-        while page_id != NO_PAGE:
-            leaf = self._load(page_id)
-            yield from zip(leaf.rowids, leaf.rows)
-            page_id = leaf.next_leaf
+        return self.scan_range(None, None)
 
     def scan_range(self, lo: tuple[Any, ...] | None,
                    hi: tuple[Any, ...] | None,
                    lo_inclusive: bool = True,
                    hi_inclusive: bool = True) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Scan entries whose key prefix lies within [lo, hi].
+        """Scan entries whose key prefix lies within [lo, hi] (see
+        :meth:`pages`)."""
+        for rowids, rows in self.pages(lo, hi, lo_inclusive, hi_inclusive):
+            yield from zip(rowids, rows)
+
+    def pages(self, lo: tuple[Any, ...] | None = None,
+              hi: tuple[Any, ...] | None = None,
+              lo_inclusive: bool = True, hi_inclusive: bool = True,
+              ) -> Iterator[tuple[Sequence[int], Sequence[tuple[Any, ...]]]]:
+        """The entries whose key prefix lies within [lo, hi] a leaf at a
+        time, in key order: each leaf's rowids and rows, in step.
 
         ``lo``/``hi`` are prefixes of the key columns (or None for an
         open bound); bounds compare on the prefix only, so a one-column
@@ -334,7 +340,7 @@ class BTreeStorage:
             leaf = self._load(page_id)
             end = len(leaf) if stop is None \
                 else bisect_left(self._keys_of(leaf), stop)
-            yield from zip(leaf.rowids[start:end], leaf.rows[start:end])
+            yield leaf.rowids[start:end], leaf.rows[start:end]
             if end < len(leaf):
                 return
             page_id = leaf.next_leaf

@@ -13,7 +13,7 @@ ordered or prefix access.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterable, Iterator
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -215,9 +215,17 @@ class HashStorage:
                     yield rowid, row
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
+        for rowids, rows in self.pages():
+            yield from zip(rowids, rows)
+
+    def pages(self) -> Iterator[tuple[Collection[int],
+                                      Collection[tuple[Any, ...]]]]:
+        """Full scan a page at a time, bucket by bucket: each page's
+        rowids and rows, in step (live views of the page)."""
         for chain in self._chains:
             for page_id in chain:
-                yield from self._load(page_id).items()
+                entries = self._load(page_id).entries
+                yield entries.keys(), entries.values()
 
     # -- bulk -----------------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ The :func:`overflow_ratio` of a table is what the analyzer rule reads.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterable, Iterator
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -167,9 +167,16 @@ class HeapStorage:
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Full scan in page order, yielding (rowid, row)."""
+        for rowids, rows in self.pages():
+            yield from zip(rowids, rows)
+
+    def pages(self) -> Iterator[tuple[Collection[int],
+                                      Collection[tuple[Any, ...]]]]:
+        """Full scan a page at a time, in page order: each page's
+        rowids and rows, in step (live views of the page)."""
         for page_id in self._page_ids:
-            page = self._load(page_id)
-            yield from page.items()
+            entries = self._load(page_id).entries
+            yield entries.keys(), entries.values()
 
     def contains(self, rowid: int) -> bool:
         return rowid in self._rowid_to_page

@@ -9,7 +9,7 @@ compacts away heap holes and overflow chains.
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterable, Iterator
 
 from repro.catalog.schema import StorageStructure, TableSchema
 from repro.config import StorageConfig
@@ -234,6 +234,11 @@ class TableStorage:
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         return self._store.scan()
+
+    def pages(self) -> Iterator[tuple[Collection[int],
+                                      Collection[tuple[Any, ...]]]]:
+        """Full scan a page at a time: each page's rowids and rows."""
+        return self._store.pages()
 
     # -- physical reorganization ---------------------------------------------
 

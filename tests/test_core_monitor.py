@@ -173,6 +173,46 @@ class TestMonitorSensorsPipeline:
         monitor.reset_counters()
         assert monitor.average_sensor_call_s == 0.0
 
+    @pytest.mark.parametrize("text, logical_sensors", [
+        ("select a from t where b = 10", 4),
+        ("update t set b = 11 where a = 1", 3)])
+    def test_prepared_statement_pays_one_start_sensor(
+            self, monkeypatch, text, logical_sensors):
+        """A prepared statement's parse (and, for a SELECT, plan)
+        sensors are recorded inside statement_start: the same count of
+        logical sensors and the same workload record, without the
+        separate fires."""
+        setup = monitoring_setup()
+        engine, monitor = setup.engine, setup.monitor
+        engine.create_database("db")
+        session = engine.connect("db")
+        session.execute("create table t (a int not null, b int, "
+                        "primary key (a))")
+        session.execute("create index i_b on t (b)")
+        session.execute("insert into t values (1, 10), (2, 20)")
+        fired = []
+        for name in ("parse_complete", "optimize_complete"):
+            real = getattr(session.sensors, name)
+            monkeypatch.setattr(
+                session.sensors, name,
+                lambda *args, _name=name, _real=real, **kwargs: (
+                    fired.append(_name), _real(*args, **kwargs))[1])
+        records = []
+        for _ in range(2):
+            fired.clear()
+            calls = monitor.sensor_calls
+            session.execute(text)
+            assert monitor.sensor_calls - calls == logical_sensors
+            records.append(list(monitor.workload.values())[-1])
+        assert fired == []  # the second run was prepared
+        planned, prepared = records
+        assert prepared.text_hash == planned.text_hash
+        assert (prepared.estimated_io, prepared.estimated_cpu,
+                prepared.used_indexes) == (
+            planned.estimated_io, planned.estimated_cpu,
+            planned.used_indexes)
+        assert monitor.statements.get(planned.text_hash).frequency == 2
+
     def test_literal_distinct_texts_are_one_known_statement(self):
         """A new literal vector of a known shape takes the
         known-statement path in all three keyed rings, and still

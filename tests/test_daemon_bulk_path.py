@@ -341,9 +341,9 @@ def test_floor_only_scan_takes_the_snapshot_as_it_comes(monkeypatch):
     everything = reader.execute("select * from ima_statements").rows
     floor = sorted(row[0] for row in everything)[2]
     compiled = []
-    real = scan.compile_predicate
+    real = scan.compile_filter
     monkeypatch.setattr(
-        scan, "compile_predicate",
+        scan, "compile_filter",
         lambda *args: compiled.append(args[0]) or real(*args))
     for bound in (floor, 0, floor + 1):  # planned once, bound twice
         result = reader.execute(
