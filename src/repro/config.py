@@ -25,9 +25,6 @@ class StorageConfig:
     heap_fill_factor: float = 0.9
     """Fraction of a heap main page filled before spilling to overflow."""
 
-    btree_order: int = 64
-    """Maximum number of keys per B-Tree node."""
-
     read_latency_s: float = 0.0
     """Optional simulated latency charged per physical page read."""
 

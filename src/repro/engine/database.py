@@ -480,11 +480,14 @@ class Database:
     def _check_unique(indexes: Iterable[_SecondaryIndex], row: tuple) -> None:
         """Pre-check the unique ones of ``indexes`` — those ``row`` is
         about to get a new entry in — so a violation does not leave a
-        half-maintained row behind."""
+        half-maintained row behind.  A key with a NULL in it collides
+        with nothing (NULLs are distinct, as in SQL)."""
         for index in indexes:
             if not index.definition.unique:
                 continue
             key = index.entry(0, row)[:-1]
+            if None in key:
+                continue
             for _rowid in index.storage.seek(key):
                 raise StorageError(
                     f"duplicate key {key!r} violates unique index "

@@ -25,7 +25,8 @@ from repro.catalog.schema import (
 )
 from repro.core.sensors import Sensors, statement_hash
 from repro.errors import ExecutionError, ReproError, SqlError
-from repro.execution.executor import ExecutionMetrics, Executor, QueryResult
+from repro.execution.executor import (ExecutionMetrics, Executor, Program,
+                                      QueryResult)
 from repro.engine.locks import LockMode
 from repro.engine.transactions import Transaction
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
@@ -54,9 +55,9 @@ class PreparedStatement:
     every text of its shape.
 
     Reuse must be invisible: a text may run this plan only where
-    planning it fresh would have the same effect.  Its literals are
-    read from the execution's literal vector when the executor compiles
-    the plan; the ``pinned`` ones became structure (DESIGN.md §5,
+    planning it fresh would have the same effect.  The plan is compiled
+    once (``program``) and each execution's literal vector is bound to
+    it; the ``pinned`` literals became structure (DESIGN.md §5,
     "Prepared statements"), so the text must agree on their values, on
     the types of all its literals (part of the cache key) and on the
     schema version.  The estimate the sensors record is this plan's;
@@ -75,6 +76,8 @@ class PreparedStatement:
     schema_version: int
     pinned: tuple[tuple[int, Any], ...]
     """``(slot, value)`` of each literal a reusing text must share."""
+    program: Program | None = None
+    """The plan's compiled steps; None for transaction control."""
 
 
 _TYPE_MAP = {
@@ -188,24 +191,24 @@ class Session:
             faultsim.fire("session.execute", error=ExecutionError,
                           clock=clock)
             if prepared is not None:
-                statement, optimized = prepared.statement, prepared.optimized
-                kind, tables, origin = prepared.kind, prepared.tables, None
+                statement, kind = prepared.statement, prepared.kind
+                tables, origin = prepared.tables, None
             else:
-                statement, optimized = parse_statement(text), None
+                statement = parse_statement(text)
                 kind, tables = _kind(statement), _statement_tables(statement)
                 origin = (text, key, shape_hash, values)
                 sensors.parse_complete(ctx, kind, tables)
             if kind == "select":
                 result = self._execute_select(statement, tables, ctx, values,
-                                              optimized, origin)
+                                              prepared, origin)
             elif kind in _DML:
                 result = self._execute_modify(statement, kind, values,
-                                              optimized, origin)
+                                              prepared, origin)
             else:
                 handler = _HANDLERS[type(statement)]
                 result = handler(self, statement)
                 if origin is not None and handler is _transaction_control:
-                    self._store(*origin, statement, None)
+                    self._store(*origin, statement)
         except ReproError as error:
             sensors.statement_error(ctx, str(error))
             raise
@@ -266,7 +269,8 @@ class Session:
 
     def _store(self, text: str, key: tuple, shape_hash: int, values: tuple,
                statement: ast.Statement,
-               optimized: OptimizationResult | None) -> None:
+               optimized: OptimizationResult | None = None,
+               program: Program | None = None) -> None:
         if self.engine.config.plan_cache_size <= 0:
             return
         self.plan_cache_misses += 1
@@ -278,7 +282,8 @@ class Session:
             kind=_kind(statement), tables=_statement_tables(statement),
             statement=statement, optimized=optimized,
             schema_version=self.database.schema_version,
-            pinned=tuple((slot, values[slot]) for slot in pinned))
+            pinned=tuple((slot, values[slot]) for slot in pinned),
+            program=program)
         self._remember(key, prepared)
         self._remember(text, (prepared, values))
 
@@ -286,41 +291,39 @@ class Session:
 
     def _execute_select(self, statement: ast.SelectStatement,
                         tables: tuple[str, ...], ctx: Any, values: tuple,
-                        optimized: OptimizationResult | None,
+                        prepared: PreparedStatement | None,
                         origin: tuple[str, tuple, int, tuple] | None,
                         ) -> QueryResult:
         """Run a SELECT of ``tables`` under the text's literal vector
-        ``values``: with a prepared plan, or planning ``statement`` and
-        preparing it for ``origin`` — the text, its shape key, shape
+        ``values``: ``prepared``'s program, or planning ``statement``
+        and preparing it for ``origin`` — the text, its shape key, shape
         hash and literal vector."""
         clock = self.engine.clock
         txn, autocommit = self._current_txn()
         try:
-            if optimized is None and _has_subqueries(statement):
+            if prepared is None and _has_subqueries(statement):
                 statement = self._materialize_subqueries(statement, txn)
                 origin = None  # data-dependent: never prepared
             for table_name in tables:
                 if not self.database.is_virtual_table(table_name):
                     self.engine.lock_manager.acquire(
                         txn.txn_id, table_name.lower(), LockMode.SHARED)
-            if optimized is None:
-                optimize_started = clock.monotonic()
-                optimized = self.optimizer.optimize_select(statement)
-                optimize_time = clock.monotonic() - optimize_started
-                if origin is not None:
-                    self._store(*origin, statement, optimized)
-                self.sensors.optimize_complete(
-                    ctx,
-                    estimated_io=optimized.estimated_cost.io,
-                    estimated_cpu=optimized.estimated_cost.cpu,
-                    used_indexes=optimized.used_indexes,
-                    available_indexes=optimized.available_indexes,
-                    referenced_columns=optimized.referenced_columns,
-                    optimize_time_s=optimize_time,
-                    plan_supplier=optimized.explain,
-                )
-            return self.executor.execute(optimized.plan,
-                                         optimized.output_names, values)
+            if prepared is not None:
+                return self.executor.execute(
+                    prepared.program, prepared.optimized.output_names, values)
+            optimize_started = clock.monotonic()
+            optimized = self.optimizer.optimize_select(statement)
+            optimize_time = clock.monotonic() - optimize_started
+            program = Program(optimized.plan)
+            if origin is not None:
+                self._store(*origin, statement, optimized, program)
+            cost = optimized.estimated_cost
+            self.sensors.optimize_complete(
+                ctx, cost.io, cost.cpu, optimized.used_indexes,
+                optimized.available_indexes, optimized.referenced_columns,
+                optimize_time, optimized.explain)
+            return self.executor.execute(program, optimized.output_names,
+                                         values)
         finally:
             if autocommit:
                 self.engine.lock_manager.release_all(txn.txn_id)
@@ -335,67 +338,48 @@ class Session:
         def rewrite(expr: ast.Expression | None) -> ast.Expression | None:
             return self._rewrite_subquery_expression(expr, txn)
 
-        return ast.SelectStatement(
-            select_items=tuple(
-                ast.SelectItem(rewrite(i.expression), i.alias)
-                for i in statement.select_items),
-            from_table=statement.from_table,
-            joins=tuple(
-                ast.Join(j.right, rewrite(j.condition), j.kind)
-                for j in statement.joins),
+        return replace(
+            statement,
+            select_items=tuple(ast.SelectItem(rewrite(i.expression), i.alias)
+                               for i in statement.select_items),
+            joins=tuple(ast.Join(j.right, rewrite(j.condition), j.kind)
+                        for j in statement.joins),
             where=rewrite(statement.where),
             group_by=tuple(rewrite(e) for e in statement.group_by),
             having=rewrite(statement.having),
-            order_by=tuple(
-                ast.OrderItem(rewrite(o.expression), o.descending)
-                for o in statement.order_by),
-            limit=statement.limit,
-            offset=statement.offset,
-            distinct=statement.distinct,
-        )
+            order_by=tuple(ast.OrderItem(rewrite(o.expression), o.descending)
+                           for o in statement.order_by))
 
     def _rewrite_subquery_expression(self, expr: ast.Expression | None,
                                      txn: Transaction,
                                      ) -> ast.Expression | None:
-        """Replace subqueries with their evaluated results.
-
-        Explicit recursion (not :func:`ast.transform_expression`) because
-        a Subquery directly under IN must expand to a *list*, which only
-        the IN handler can do — a bottom-up visitor would consume it as
-        a scalar first.
-        """
+        """Replace subqueries with their evaluated results: one directly
+        under IN by its rows (first, before a bottom-up pass would take
+        it for a scalar), any other by its value."""
         if expr is None:
             return None
-        rewrite = lambda e: self._rewrite_subquery_expression(e, txn)  # noqa: E731
-        if isinstance(expr, ast.Subquery):
-            return self._scalar_subquery(expr, txn)
-        if isinstance(expr, ast.InList):
+
+        def lists(node: ast.Expression) -> ast.Expression:
+            if not isinstance(node, ast.InList) or not any(
+                    isinstance(item, ast.Subquery) for item in node.items):
+                return node
             items: list[ast.Expression] = []
-            for item in expr.items:
+            for item in node.items:
                 if isinstance(item, ast.Subquery):
                     items.extend(self._list_subquery(item, txn))
                 else:
-                    items.append(rewrite(item))
+                    items.append(item)
             if not items:  # IN against an empty result matches nothing
-                return (ast.Literal(True) if expr.negated
-                        else ast.Literal(False))
-            return ast.InList(rewrite(expr.operand), tuple(items),
-                              expr.negated)
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, rewrite(expr.left),
-                                rewrite(expr.right))
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(rewrite(expr.operand), expr.negated)
-        if isinstance(expr, ast.Between):
-            return ast.Between(rewrite(expr.operand), rewrite(expr.low),
-                               rewrite(expr.high), expr.negated)
-        if isinstance(expr, ast.FunctionCall):
-            return ast.FunctionCall(
-                expr.name, tuple(rewrite(a) for a in expr.args),
-                expr.distinct)
-        return expr
+                return ast.Literal(node.negated)
+            return ast.InList(node.operand, tuple(items), node.negated)
+
+        def scalars(node: ast.Expression) -> ast.Expression:
+            if isinstance(node, ast.Subquery):
+                return self._scalar_subquery(node, txn)
+            return node
+
+        return ast.transform_expression(
+            ast.transform_expression(expr, lists), scalars)
 
     def _run_subquery(self, subquery: ast.Subquery,
                       txn: Transaction) -> QueryResult:
@@ -435,7 +419,7 @@ class Session:
 
     # staticcheck: hotpath
     def _execute_modify(self, statement: Any, kind: str, values: tuple,
-                        optimized: OptimizationResult | None,
+                        prepared: PreparedStatement | None,
                         origin: tuple[str, tuple, int, tuple] | None,
                         ) -> DmlResult:
         """Run an INSERT, UPDATE or DELETE (prepared, or planned and
@@ -448,7 +432,9 @@ class Session:
         try:
             self.engine.lock_manager.acquire(
                 txn.txn_id, statement.table_name.lower(), LockMode.EXCLUSIVE)
-            if optimized is None:
+            if prepared is not None:
+                optimized, program = prepared.optimized, prepared.program
+            else:
                 where = getattr(statement, "where", None)
                 if where is not None and ast.contains_subquery(where):
                     statement = replace(
@@ -456,11 +442,11 @@ class Session:
                         where=self._rewrite_subquery_expression(where, txn))
                     origin = None  # data-dependent: never prepared
                 optimized = self.optimizer.optimize_modify(statement)
+                program = Program(optimized.plan)
                 if origin is not None:
-                    self._store(*origin, statement, optimized)
+                    self._store(*origin, statement, optimized, program)
             result = self.executor.execute(
-                optimized.plan, optimized.output_names, values,
-                txn.record_undo)
+                program, optimized.output_names, values, txn.record_undo)
             if autocommit:
                 txn.commit()
             return DmlResult(kind, rowcount=result.rows[0][0])

@@ -1,12 +1,14 @@
 """Expression compilation: AST -> Python closures over row tuples.
 
-Expressions are compiled once per execution against a *scope* (the
-ordered output columns of the input plan) and the execution's literal
-vector (a reused plan reads each literal's slot here, not per row) and
-then evaluated per row.  Scans and nested-loop joins filter a batch of
-rows at a time instead (:func:`compile_filter`): the common filter
-shapes become one generated list comprehension per batch, anything else
-the per-row closure under the same batch API.
+Expressions are compiled against a *scope* (the ordered output columns
+of the input plan) once per plan (``prepare_*``) and bound to each
+execution's literal vector (``bind(params)``): an expression that reads
+no literal slot is compiled once, any other per execution, so a closure
+never carries one text's literal into another text's run.  Scans and
+nested-loop joins filter a batch of rows at a time
+(:func:`prepare_filter`): the common filter shapes become one generated
+list comprehension per batch, anything else the per-row closure under
+the same batch API.
 
 NULL semantics follow SQL: comparisons and arithmetic propagate NULL,
 AND/OR use three-valued logic, and predicates treat a NULL outcome as
@@ -15,10 +17,11 @@ not-satisfied.
 
 from __future__ import annotations
 
+import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from repro.catalog.schema import DataType
 from repro.errors import ExecutionError
@@ -28,31 +31,34 @@ from repro.sql import ast_nodes as ast
 
 Row = tuple
 Getter = Callable[[Row], Any]
+Params = Sequence[Any] | None
+"""An execution's literal vector; None: the values the nodes were
+parsed with."""
 BatchFilter = Callable[[Sequence[Row], Row], list]
 """``keep(rows, outer)``: the rows of one batch that pass a filter, in
 order.  ``outer`` is the outer row of a nested-loop join, ``()`` for a
 scan."""
 ColumnTypes = Mapping[str, Mapping[str, DataType]]
 """Binding -> column name -> declared type."""
+T = TypeVar("T")
+Binder = Callable[[Params], T]
+"""What compiling once leaves for each execution: ``bind(params)``."""
 
 
 class ScopeIndex:
     """Resolves column references and named expressions to positions."""
 
-    def __init__(self, scope: Scope,
-                 params: Sequence[Any] | None = None) -> None:
+    def __init__(self, scope: Scope) -> None:
         self.scope = scope
-        self.params = params
         self._by_qualified: dict[str, int] = {}
         self._by_name: dict[str, list[int]] = {}
         self._by_text: dict[str, int] = {}
         for pos, (binding, name) in enumerate(scope):
+            self._by_name.setdefault(name, []).append(pos)
             if binding is None:
                 self._by_text.setdefault(name, pos)
-                self._by_name.setdefault(name, []).append(pos)
             else:
                 self._by_qualified.setdefault(f"{binding}.{name}", pos)
-                self._by_name.setdefault(name, []).append(pos)
 
     def position_of_text(self, text: str) -> int | None:
         return self._by_text.get(text)
@@ -76,15 +82,9 @@ class ScopeIndex:
 @lru_cache(maxsize=4096)
 def like_to_regex(pattern: str) -> re.Pattern[str]:
     """Translate a SQL LIKE pattern into a compiled regex."""
-    parts = []
-    for char in pattern:
-        if char == "%":
-            parts.append(".*")
-        elif char == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(char))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    regex = "".join(".*" if char == "%" else "." if char == "_"
+                    else re.escape(char) for char in pattern)
+    return re.compile(f"^{regex}$", re.DOTALL)
 
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., Any] | None] = {
@@ -102,24 +102,41 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any] | None] = {
 
 
 def compile_expression(expr: ast.Expression, scope: Scope,
-                       params: Sequence[Any] | None = None) -> Getter:
-    """Compile ``expr`` into a callable evaluating it for one row;
-    ``params`` is the execution's literal vector (None: the values the
-    nodes were parsed with)."""
-    return _compile(expr, ScopeIndex(scope, params))
+                       params: Params = None) -> Getter:
+    """Compile ``expr`` into a callable evaluating it for one row under
+    the literal vector ``params``."""
+    return _compile(expr, ScopeIndex(scope), params)
 
 
 def compile_predicate(expr: ast.Expression | None, scope: Scope,
-                      params: Sequence[Any] | None = None) -> Getter:
+                      params: Params = None) -> Getter:
     """Compile a boolean predicate; NULL results count as False."""
+    return _predicate(expr, ScopeIndex(scope), params)
+
+
+def _reads_slots(expr: ast.Expression) -> bool:
+    return any(isinstance(node, ast.Literal) and node.slot is not None
+               for node in ast.walk_expression(expr))
+
+
+def _predicate(expr: ast.Expression | None, index: ScopeIndex,
+               params: Params = None) -> Getter:
     if expr is None:
         return lambda row: True
-    inner = _compile(expr, ScopeIndex(scope, params))
+    inner = _compile(expr, index, params)
+    return lambda row: inner(row) is True
 
-    def predicate(row: Row) -> bool:
-        return inner(row) is True
 
-    return predicate
+def prepare_expression(expr: ast.Expression | None, index: ScopeIndex,
+                       predicate: bool = False) -> Binder[Getter]:
+    """``expr`` compiled now if it reads no literal slot, else per
+    execution: ``bind(params)`` is its getter under ``params``.  A
+    ``predicate`` counts NULL as False (and no expression as True)."""
+    compile_ = partial(_predicate if predicate else _compile, expr, index)
+    if expr is not None and _reads_slots(expr):
+        return compile_
+    getter = compile_()
+    return lambda params: getter
 
 
 def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
@@ -132,35 +149,37 @@ def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
     return pos
 
 
-def _compile(expr: ast.Expression, index: ScopeIndex) -> Getter:
+def _compile(expr: ast.Expression, index: ScopeIndex,
+             params: Params = None) -> Getter:
     pos = column_position(expr, index)
     if pos is not None:
         return itemgetter(pos)
     if isinstance(expr, ast.Literal):
-        value = expr.bound(index.params)
+        value = expr.bound(params)
         return lambda row: value
     if isinstance(expr, ast.UnaryOp):
-        return _compile_unary(expr, index)
+        return _compile_unary(expr, index, params)
     if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, index)
+        return _compile_binary(expr, index, params)
     if isinstance(expr, ast.IsNull):
-        operand = _compile(expr.operand, index)
+        operand = _compile(expr.operand, index, params)
         if expr.negated:
             return lambda row: operand(row) is not None
         return lambda row: operand(row) is None
     if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, index)
+        return _compile_in_list(expr, index, params)
     if isinstance(expr, ast.Between):
-        return _compile_between(expr, index)
+        return _compile_between(expr, index, params)
     if isinstance(expr, ast.FunctionCall):
-        return _compile_function(expr, index)
+        return _compile_function(expr, index, params)
     if isinstance(expr, ast.Star):
         raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
     raise ExecutionError(f"cannot compile expression {expr!r}")
 
 
-def _compile_unary(expr: ast.UnaryOp, index: ScopeIndex) -> Getter:
-    operand = _compile(expr.operand, index)
+def _compile_unary(expr: ast.UnaryOp, index: ScopeIndex,
+                   params: Params) -> Getter:
+    operand = _compile(expr.operand, index, params)
     if expr.op == "-":
         def negate(row: Row) -> Any:
             value = operand(row)
@@ -184,25 +203,34 @@ def _compile_unary(expr: ast.UnaryOp, index: ScopeIndex) -> Getter:
     raise ExecutionError(f"unknown unary operator {expr.op!r}")
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def _divide(a: Any, b: Any) -> Any:
+    if b == 0:
+        raise ExecutionError("division by zero")
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return a / b
 
+
+def _modulo(a: Any, b: Any) -> Any:
+    if b == 0:
+        raise ExecutionError("modulo by zero")
+    return a % b
+
+
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 _ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo,
 }
 
 
-def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex) -> Getter:
-    left = _compile(expr.left, index)
-    right = _compile(expr.right, index)
+def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex,
+                    params: Params) -> Getter:
+    left = _compile(expr.left, index, params)
+    right = _compile(expr.right, index, params)
     op = expr.op
     if op == "and":
         def logical_and(row: Row) -> Any:
@@ -230,25 +258,13 @@ def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex) -> Getter:
             return False
 
         return logical_or
-    if op in _COMPARATORS:
-        compare = _COMPARATORS[op]
+    operate = _COMPARATORS.get(op) or _ARITHMETIC.get(op)
+    if operate is not None:
+        failure = "cannot compare {!r} with {!r}" if op in _COMPARATORS \
+            else f"cannot apply {op!r} to {{!r}} and {{!r}}"
 
-        def comparison(row: Row) -> Any:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return compare(a, b)
-            except TypeError:
-                raise ExecutionError(
-                    f"cannot compare {a!r} with {b!r}") from None
-
-        return comparison
-    if op in _ARITHMETIC:
-        operate = _ARITHMETIC[op]
-
-        def arithmetic(row: Row) -> Any:
+        def strict(row: Row) -> Any:
+            """NULL in, NULL out; mismatched types are an error."""
             a = left(row)
             b = right(row)
             if a is None or b is None:
@@ -256,37 +272,11 @@ def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex) -> Getter:
             try:
                 return operate(a, b)
             except TypeError:
-                raise ExecutionError(
-                    f"cannot apply {op!r} to {a!r} and {b!r}") from None
+                raise ExecutionError(failure.format(a, b)) from None
 
-        return arithmetic
-    if op == "/":
-        def divide(row: Row) -> Any:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                raise ExecutionError("division by zero")
-            result = a / b
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return a // b
-            return result
-
-        return divide
-    if op == "%":
-        def modulo(row: Row) -> Any:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                raise ExecutionError("modulo by zero")
-            return a % b
-
-        return modulo
+        return strict
     if op == "like":
-        pattern = (expr.right.bound(index.params)
+        pattern = (expr.right.bound(params)
                    if isinstance(expr.right, ast.Literal) else None)
         if isinstance(pattern, str):
             # A literal pattern: one regex per execution, not per row.
@@ -311,9 +301,10 @@ def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex) -> Getter:
     raise ExecutionError(f"unknown binary operator {op!r}")
 
 
-def _compile_in_list(expr: ast.InList, index: ScopeIndex) -> Getter:
-    operand = _compile(expr.operand, index)
-    items = [_compile(item, index) for item in expr.items]
+def _compile_in_list(expr: ast.InList, index: ScopeIndex,
+                     params: Params) -> Getter:
+    operand = _compile(expr.operand, index, params)
+    items = [_compile(item, index, params) for item in expr.items]
     negated = expr.negated
 
     def contains(row: Row) -> Any:
@@ -338,10 +329,11 @@ def _compile_in_list(expr: ast.InList, index: ScopeIndex) -> Getter:
     return contains
 
 
-def _compile_between(expr: ast.Between, index: ScopeIndex) -> Getter:
-    operand = _compile(expr.operand, index)
-    low = _compile(expr.low, index)
-    high = _compile(expr.high, index)
+def _compile_between(expr: ast.Between, index: ScopeIndex,
+                     params: Params) -> Getter:
+    operand = _compile(expr.operand, index, params)
+    low = _compile(expr.low, index, params)
+    high = _compile(expr.high, index, params)
     negated = expr.negated
 
     def between(row: Row) -> Any:
@@ -356,13 +348,14 @@ def _compile_between(expr: ast.Between, index: ScopeIndex) -> Getter:
     return between
 
 
-def _compile_function(expr: ast.FunctionCall, index: ScopeIndex) -> Getter:
+def _compile_function(expr: ast.FunctionCall, index: ScopeIndex,
+                      params: Params) -> Getter:
     if expr.is_aggregate:
         raise ExecutionError(
             f"aggregate {expr.name}() used outside an aggregation context"
         )
     name = expr.name
-    args = [_compile(arg, index) for arg in expr.args]
+    args = [_compile(arg, index, params) for arg in expr.args]
     if name == "coalesce":
         def coalesce(row: Row) -> Any:
             for arg in args:
@@ -424,14 +417,19 @@ class _KernelSource:
     keeps exactly the rows SQL's three-valued AND finds true.
     """
 
-    def __init__(self, index: ScopeIndex, width: int, types: ColumnTypes,
-                 row: str) -> None:
+    def __init__(self, index: ScopeIndex, params: Params, width: int,
+                 types: ColumnTypes, row: str) -> None:
         self.index = index
+        self.params = params
+        """Decides each literal's kind: a prepared statement's literal
+        vectors all have one type per slot."""
         self.width = width
         """Leading scope positions that are the outer row's."""
         self.types = types
         self.row = row
-        self.values: list[Any] = []
+        self.literals: list[ast.Literal] = []
+        """The nodes the factory's arguments ``v0, v1, ...`` are bound
+        from, per execution."""
         self.outer: list[str] = []
         self.strict: list[str] = []
         """Arguments that, NULL, leave every test of theirs unknown."""
@@ -442,9 +440,9 @@ class _KernelSource:
         if pos is None:
             if not isinstance(expr, ast.Literal):
                 raise _Ineligible
-            value = expr.bound(self.index.params)
-            name = f"v{len(self.values)}"
-            self.values.append(value)
+            value = expr.bound(self.params)
+            name = f"v{len(self.literals)}"
+            self.literals.append(expr)
             kind = None if value is None else _KIND_OF_VALUE.get(type(value))
             if value is not None and kind is None:
                 raise _Ineligible
@@ -501,7 +499,7 @@ class _KernelSource:
         self.tests.append(test)
 
     def text(self) -> str:
-        names = [f"v{i}" for i in range(len(self.values))]
+        names = [f"v{i}" for i in range(len(self.literals))]
         lines = [f"def make({', '.join(names + ['fallback'])}):",
                  "    def kernel(rows, o):"]
         lines += [f"        {line}" for line in self.outer]
@@ -534,11 +532,14 @@ def _keep_all(rows: Sequence[Row], outer: Row) -> list:
     return list(rows)
 
 
-def _closure_filter(expr: ast.Expression, scope: Scope,
-                    params: Sequence[Any] | None, width: int,
-                    entries: bool) -> BatchFilter:
+def _bind_keep_all(params: Params) -> BatchFilter:
+    return _keep_all
+
+
+def _closure_filter(expr: ast.Expression, index: ScopeIndex, width: int,
+                    entries: bool, params: Params) -> BatchFilter:
     """The per-row closure under the batch API: every other shape."""
-    predicate = compile_predicate(expr, scope, params)
+    predicate = _predicate(expr, index, params)
     if entries:
         return lambda rows, outer: [e for e in rows if predicate(e[1])]
     if width:
@@ -548,11 +549,13 @@ def _closure_filter(expr: ast.Expression, scope: Scope,
 
 
 # staticcheck: hotpath
-def compile_filter(expr: ast.Expression | None, scope: Scope,
-                   params: Sequence[Any] | None = None,
-                   types: ColumnTypes | None = None, outer: Scope = (),
-                   entries: bool = False) -> BatchFilter:
-    """Compile the filter ``expr`` over batches of rows of ``scope``.
+def prepare_filter(expr: ast.Expression | None, scope: Scope,
+                   params: Params = None, types: ColumnTypes | None = None,
+                   outer: Scope = (), entries: bool = False,
+                   ) -> Binder[BatchFilter]:
+    """Compile the filter ``expr`` over batches of rows of ``scope``
+    for every literal vector of the types ``params`` has; bind one
+    with the result: ``keep = bind(params)``.
 
     ``types`` are the declared column types by binding; comparisons
     with a column of unknown type keep the per-row closure.  A join
@@ -562,22 +565,36 @@ def compile_filter(expr: ast.Expression | None, scope: Scope,
     pairs and whole pairs are kept.
     """
     if expr is None:
-        return _keep_all
+        return _bind_keep_all
     scope = outer + scope
     width = len(outer)
+    index = ScopeIndex(scope)
+    closure = partial(_closure_filter, expr, index, width, entries)
     try:
-        source = _KernelSource(ScopeIndex(scope, params), width,
-                               types or {}, "r[1]" if entries else "r")
+        source = _KernelSource(index, params, width, types or {},
+                               "r[1]" if entries else "r")
         for conjunct in split_conjuncts(expr):
             source.add(conjunct)
     except (_Ineligible, ExecutionError):
-        return _closure_filter(expr, scope, params, width, entries)
+        return closure
+    make = _kernel_factory(source.text())
+    literals = tuple(source.literals)
 
-    def fallback(rows: Sequence[Row], outer_row: Row) -> list:
-        return _closure_filter(expr, scope, params, width, entries)(
-            rows, outer_row)
+    def bind(params: Params) -> BatchFilter:
+        def fallback(rows: Sequence[Row], outer_row: Row) -> list:
+            return closure(params)(rows, outer_row)
 
-    return _kernel_factory(source.text())(*source.values, fallback)
+        return make(*[literal.bound(params) for literal in literals],
+                    fallback)
+
+    return bind
+
+
+def compile_filter(expr: ast.Expression | None, scope: Scope,
+                   params: Params = None, types: ColumnTypes | None = None,
+                   outer: Scope = (), entries: bool = False) -> BatchFilter:
+    """:func:`prepare_filter` and bind ``params`` in one call."""
+    return prepare_filter(expr, scope, params, types, outer, entries)(params)
 
 
 def sort_key(values: Sequence[Any]) -> tuple:

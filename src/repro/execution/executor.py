@@ -1,15 +1,22 @@
-"""Plan-to-iterator compilation and per-query work accounting."""
+"""Plan compilation, execution and per-query work accounting.
+
+Compiling turns a plan into a tree of steps once: per node its scope,
+``ScopeIndex``, declared column types, filter kernel factory (with the
+``Literal`` nodes it binds), projection positions and join / sort /
+aggregate getters.  Running binds one execution's literal vector to
+those steps and pulls the rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution import joins, modify, scan, shaping
-from repro.execution.scan import Counters, StorageCatalog
+from repro.execution.evaluator import Params
+from repro.execution.scan import Counters, Step, StorageCatalog
 from repro.optimizer import plans
-from repro.optimizer.optimizer import _EmptySourcePlan
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -55,6 +62,21 @@ class QueryResult:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
+class Program:
+    """A plan and the steps compiled from it.  A prepared statement
+    owns one (it dies with the statement's cache entry and schema
+    version); an unprepared execution makes its own.  It compiles at
+    its first execution, against that execution's literal vector: the
+    prepared statement's vectors share one type per slot, which is all
+    compiling reads of them."""
+
+    __slots__ = ("plan", "step")
+
+    def __init__(self, plan: plans.PlanNode) -> None:
+        self.plan = plan
+        self.step: Step | None = None
+
+
 class Executor:
     """Runs physical plans against a storage catalog."""
 
@@ -64,21 +86,29 @@ class Executor:
         self._pool = pool
         self._disk = disk
 
-    def execute(self, plan: plans.PlanNode,
+    # staticcheck: hotpath
+    def execute(self, program: Program | plans.PlanNode,
                 output_names: tuple[str, ...],
                 params: Sequence[Any] | None = None,
                 undo: Callable[[Callable[[], None]], None] | None = None,
                 ) -> QueryResult:
-        """Materialize the plan's output and measure the work done.
+        """Materialize the program's output and measure the work done.
 
-        ``params`` is the literal vector of the text being executed
-        when the plan was built for another text of the same shape;
-        ``undo`` receives the inverse of every change a writing plan
-        applies (the transaction's undo log)."""
+        A bare plan is compiled for this execution only.  ``params`` is
+        the literal vector of the text being executed when the plan was
+        built for another text of the same shape; ``undo`` receives the
+        inverse of every change a writing plan applies (the
+        transaction's undo log)."""
+        if not isinstance(program, Program):
+            program = Program(program)
+        step = program.step
+        if step is None:
+            step = program.step = compile_plan(program.plan, self._catalog,
+                                               params)
         pool_before = self._pool.stats()
         disk_before = self._disk.counters()
         counters = Counters(params, undo)
-        rows = list(self._build(plan, counters))
+        rows = list(step(counters))
         pool_after = self._pool.stats()
         disk_after = self._disk.counters()
         metrics = ExecutionMetrics(
@@ -91,47 +121,35 @@ class Executor:
         )
         return QueryResult(columns=output_names, rows=rows, metrics=metrics)
 
-    # -- dispatch ------------------------------------------------------------
 
-    def _build(self, plan: plans.PlanNode,
-               counters: Counters) -> Iterator[tuple]:
-        kind = type(plan)
-        if kind in _LEAVES:
-            return _LEAVES[kind](plan, self._catalog, counters)
-        if kind in _UNARY:
-            return _UNARY[kind](plan, self._build(plan.child, counters),
-                                counters)
-        if kind in _BINARY:
-            return _BINARY[kind](plan, self._build(plan.left, counters),
-                                 self._build(plan.right, counters), counters,
-                                 self._catalog)
-        if kind is plans.IndexLookupJoinPlan:
-            return joins.index_lookup_join(
-                plan, self._build(plan.left, counters), self._catalog,
-                counters)
-        if kind is _EmptySourcePlan:
-            return iter([()])
+# staticcheck: hotpath
+def compile_plan(plan: plans.PlanNode, catalog: StorageCatalog,
+                 params: Params) -> Step:
+    """Compile ``plan`` into its root step; ``params`` decides literal
+    kinds only (see :class:`Program`)."""
+    compiler = _COMPILERS.get(type(plan))
+    if compiler is None:
         raise ExecutionError(f"no executor for plan node {plan!r}")
+    # A writing plan reads its access path itself, as (rowid, row) pairs.
+    children = () if type(plan) is plans.ModifyPlan else plan.children
+    return compiler(plan, catalog, params, *[
+        compile_plan(child, catalog, params) for child in children])
 
 
-# Plan node type -> operator, by the operator's inputs: the storage
-# catalog, one child's rows, or two children's rows (and the catalog,
-# for the declared types of the columns a join filter compares).
-_LEAVES = {
-    **dict.fromkeys(scan.ACCESS_PATHS, scan.scan_rows),
-    plans.ModifyPlan: modify.modify_rows,
-    plans.InsertPlan: modify.insert_rows,
-}
-_UNARY = {
-    plans.FilterPlan: shaping.filter_rows,
-    plans.ProjectPlan: shaping.project_rows,
-    plans.AggregatePlan: shaping.aggregate_rows,
-    plans.SortPlan: shaping.sort_rows,
-    plans.DistinctPlan: shaping.distinct_rows,
-    plans.LimitPlan: shaping.limit_rows,
-}
-_BINARY = {
-    plans.NestedLoopJoinPlan: joins.nested_loop_join,
-    plans.HashJoinPlan: joins.hash_join,
-    plans.LeftOuterJoinPlan: joins.left_outer_join,
+# Plan node type -> step compiler: ``compiler(plan, catalog, params,
+# *children's steps)``.
+_COMPILERS: dict[type, Callable[..., Step]] = {
+    **dict.fromkeys(scan.ACCESS_PATHS, scan.ScanStep),
+    plans.ModifyPlan: modify.modify_step,
+    plans.InsertPlan: modify.insert_step,
+    plans.EmptySourcePlan: lambda *_: lambda counters: iter([()]),
+    plans.FilterPlan: shaping.filter_step,
+    plans.ProjectPlan: shaping.project_step,
+    plans.AggregatePlan: shaping.aggregate_step,
+    plans.SortPlan: shaping.sort_step,
+    plans.DistinctPlan: shaping.distinct_step,
+    plans.LimitPlan: shaping.limit_step,
+    **dict.fromkeys((plans.NestedLoopJoinPlan, plans.HashJoinPlan,
+                     plans.LeftOuterJoinPlan), joins.join_step),
+    plans.IndexLookupJoinPlan: joins.index_lookup_step,
 }

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (Any, Callable, Collection, Iterable, Iterator, Mapping,
                     Protocol, Sequence)
 
 from repro.catalog.schema import DataType
 from repro.errors import ExecutionError
-from repro.execution.evaluator import ColumnTypes, compile_filter
+from repro.execution.evaluator import (BatchFilter, Binder, ColumnTypes,
+                                      Params, prepare_filter)
 from repro.optimizer.plans import (
     BTreeScanPlan,
     HashScanPlan,
@@ -62,8 +64,8 @@ Page = tuple[Collection[int], Collection[tuple]]
 
 class Counters:
     """What the operators of one execution share: the work counter
-    (tuples processed), the literal vector every operator compiles
-    its expressions and key bounds against (None: the values the plan
+    (tuples processed), the literal vector every operator binds its
+    compiled expressions and key bounds to (None: the values the plan
     was built with) and, for a plan that writes, the undo log's
     ``record`` (see :meth:`Executor.execute`)."""
 
@@ -75,6 +77,12 @@ class Counters:
         self.tuples = 0
         self.params = params
         self.undo = undo
+
+
+Step = Callable[[Counters], Iterator[tuple]]
+"""A compiled plan node: ``step(counters)`` is one execution's row
+iterator, built the way the executor always built its operators (an
+eager one, a sort, consumes its input here)."""
 
 
 def key_bounds(conditions: tuple[KeyCondition, ...],
@@ -101,9 +109,8 @@ def key_bounds(conditions: tuple[KeyCondition, ...],
             raise ExecutionError(f"unsupported key condition {condition!r}")
     prefix = tuple(equals)
     if lo_value is None and hi_value is None:
-        if not prefix:
-            return None, None, True, True
-        return prefix, prefix, True, True
+        bound = prefix or None  # one object: an equality probe
+        return bound, bound, True, True
     lo = prefix + (lo_value,) if lo_value is not None else (prefix or None)
     hi = prefix + (hi_value,) if hi_value is not None else (prefix or None)
     return lo, hi, lo_inclusive, hi_inclusive
@@ -164,7 +171,7 @@ def _index_pages(plan: IndexScanPlan, catalog: StorageCatalog,
 
 # Access path -> the pages of ``(rowid, row)`` entries it reaches in a
 # stored table, before the plan's filter.  The one body each path has:
-# SELECT (:func:`scan_rows`) and UPDATE / DELETE (:func:`matching_entries`)
+# SELECT (:class:`ScanStep`) and UPDATE / DELETE (:func:`prepare_entries`)
 # both read through it.
 ACCESS_PATHS = {
     SeqScanPlan: _seq_pages,
@@ -208,45 +215,90 @@ def emit(batch: Collection[tuple], matched: list[tuple],
     counters.tuples += len(batch)
 
 
-def scan_rows(plan: ScanPlan, catalog: StorageCatalog,
-              counters: Counters) -> Iterator[tuple]:
-    """The rows of the access path ``plan`` that pass its filter,
-    tested a page at a time."""
-    params = counters.params
-    filter_expr = plan.filter_expr
-    if catalog.is_virtual_table(plan.table_name):
-        bounds = lower_bounds(filter_expr, params)
-        rows = catalog.virtual_rows(plan.table_name, bounds)
-        if (bounds and len(split_conjuncts(filter_expr)) == 1 and
-                catalog.virtual_floor_column(plan.table_name) in bounds):
-            # The filter is the pushed floor and nothing else: the
-            # provider returned exactly the rows it accepts.
-            counters.tuples += len(rows)
-            yield from rows
-            return
-        # Otherwise the bounds only spared the provider building rows
-        # the filter rejects; the result is the same.
-        pages: Iterable[Page] = (((), rows),)
-    else:
-        pages = ACCESS_PATHS[type(plan)](plan, catalog, params)
-    keep = compile_filter(filter_expr, plan.scope, params, {
-        plan.binding: catalog.column_types(plan.table_name)})
-    for _rowids, rows in pages:
-        matched = keep(rows, ())
-        if matched:
-            yield from emit(rows, matched, counters)
+class ScanStep:
+    """A compiled access path: its filter prepared once (kernel or
+    closure, see :func:`~repro.execution.evaluator.prepare_filter`),
+    bound to each execution's literal vector.  Calling it yields the
+    rows that pass, tested a page at a time; an operator that
+    materialises it takes them a page at a time (:meth:`materialize`)."""
+
+    __slots__ = ("plan", "catalog", "virtual", "bind")
+
+    def __init__(self, plan: ScanPlan, catalog: StorageCatalog,
+                 params: Params) -> None:
+        self.plan, self.catalog = plan, catalog
+        self.virtual = catalog.is_virtual_table(plan.table_name)
+        expr = plan.filter_expr
+        # A filter that is the pushed floor and nothing else tests
+        # nothing (None): the provider returns exactly the rows it
+        # accepts, and the floor is an integer in every literal vector
+        # of the prepared statement's types.
+        self.bind: Binder[BatchFilter] | None = None if self.virtual and len(
+            split_conjuncts(expr)) == 1 and catalog.virtual_floor_column(
+            plan.table_name) in lower_bounds(expr, params) else prepare_filter(
+            expr, plan.scope, params,
+            {plan.binding: catalog.column_types(plan.table_name)})
+
+    def open(self, counters: Counters) -> tuple[Iterable[Page],
+                                                BatchFilter | None]:
+        """This execution's pages and bound filter (None: take the rows
+        as they come)."""
+        plan, params = self.plan, counters.params
+        if self.virtual:
+            # A floor that is not the whole filter only spares the
+            # provider building rows the filter rejects.
+            pages: Iterable[Page] = (((), self.catalog.virtual_rows(
+                plan.table_name, lower_bounds(plan.filter_expr, params))),)
         else:
+            pages = ACCESS_PATHS[type(plan)](plan, self.catalog, params)
+        return pages, None if self.bind is None else self.bind(params)
+
+    def __call__(self, counters: Counters) -> Iterator[tuple]:
+        pages, keep = self.open(counters)
+        for _rowids, rows in pages:
+            if keep is None:
+                counters.tuples += len(rows)
+                yield from rows
+                continue
+            matched = keep(rows, ())
+            if matched:
+                yield from emit(rows, matched, counters)
+            else:
+                counters.tuples += len(rows)
+
+    def materialize(self, counters: Counters) -> list[tuple]:
+        """Every row that passes, the same pages in the same order as
+        the row iterator reads, each counted whole."""
+        pages, keep = self.open(counters)
+        kept: list[tuple] = []
+        for _rowids, rows in pages:
             counters.tuples += len(rows)
+            kept += rows if keep is None else keep(rows, ())
+        return kept
+
+
+def inner_rows(step: Step, counters: Counters) -> Callable[[], list[tuple]]:
+    """How an operator that materialises ``step`` takes its rows when it
+    starts: a scan a page at a time, anything else from the iterator
+    built here (children are built before their parent runs)."""
+    if isinstance(step, ScanStep):
+        return partial(step.materialize, counters)
+    return partial(list, step(counters))
 
 
 # staticcheck: hotpath
-def matching_entries(plan: ScanPlan, catalog: StorageCatalog,
-                     params: Sequence[Any] | None,
-                     ) -> list[tuple[int, tuple]]:
-    """The ``(rowid, row)`` entries of a stored table that pass the
-    filter of the access path ``plan``, all read before returning."""
-    keep = compile_filter(plan.filter_expr, plan.scope, params, {
+def prepare_entries(plan: ScanPlan, catalog: StorageCatalog,
+                    params: Params) -> Binder[list[tuple[int, tuple]]]:
+    """UPDATE / DELETE's read: ``read(params)`` is the ``(rowid, row)``
+    entries of a stored table that pass the filter of the access path
+    ``plan``, all read before returning."""
+    bind = prepare_filter(plan.filter_expr, plan.scope, params, {
         plan.binding: catalog.column_types(plan.table_name)}, entries=True)
-    return [entry for rowids, rows in ACCESS_PATHS[type(plan)](
-                plan, catalog, params)
-            for entry in keep(list(zip(rowids, rows)), ())]
+    pages_of = ACCESS_PATHS[type(plan)]
+
+    def read(params: Params) -> list[tuple[int, tuple]]:
+        keep = bind(params)
+        return [entry for rowids, rows in pages_of(plan, catalog, params)
+                for entry in keep(list(zip(rowids, rows)), ())]
+
+    return read

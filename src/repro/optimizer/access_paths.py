@@ -191,12 +191,8 @@ class AccessPathSelector:
                   columns: tuple[str, ...],
                   predicates: list[ast.Expression],
                   out_rows: float) -> SeqScanPlan:
-        plan = SeqScanPlan(
-            table_name=table.name,
-            binding=binding,
-            columns=columns,
-            filter_expr=conjoin(predicates),
-        )
+        plan = SeqScanPlan(table.name, binding, columns, (),
+                           conjoin(predicates))
         cost = self._cost_model.seq_scan(
             pages=max(1, table.page_count),
             overflow_pages=table.overflow_pages,
@@ -216,13 +212,8 @@ class AccessPathSelector:
         key_selectivity = self._key_selectivity(binding, match, resolve)
         residual = [p for i, p in enumerate(predicates)
                     if i not in match.consumed]
-        plan = BTreeScanPlan(
-            table_name=table.name,
-            binding=binding,
-            columns=columns,
-            key_conditions=match.conditions,
-            filter_expr=conjoin(residual),
-        )
+        plan = BTreeScanPlan(table.name, binding, columns, match.conditions,
+                             conjoin(residual))
         cost = self._cost_model.btree_range_scan(
             height=table.btree_height,
             leaf_pages=max(1, table.btree_leaf_pages),
@@ -255,13 +246,8 @@ class AccessPathSelector:
             resolve)
         residual = [p for i, p in enumerate(predicates)
                     if i not in consumed]
-        plan = HashScanPlan(
-            table_name=table.name,
-            binding=binding,
-            columns=columns,
-            key_conditions=tuple(conditions),
-            filter_expr=conjoin(residual),
-        )
+        plan = HashScanPlan(table.name, binding, columns, tuple(conditions),
+                            conjoin(residual))
         matches = table.row_count * key_selectivity
         cost = self._cost_model.hash_lookup(
             chain_pages=table.hash_chain_pages, matches=matches,
@@ -280,15 +266,9 @@ class AccessPathSelector:
         key_selectivity = self._key_selectivity(binding, match, resolve)
         residual = [p for i, p in enumerate(predicates)
                     if i not in match.consumed]
-        plan = IndexScanPlan(
-            index_name=index.definition.name,
-            table_name=table.name,
-            binding=binding,
-            columns=columns,
-            key_conditions=match.conditions,
-            filter_expr=conjoin(residual),
-            virtual=index.is_virtual,
-        )
+        plan = IndexScanPlan(table.name, binding, columns, match.conditions,
+                             conjoin(residual), index.is_virtual,
+                             index_name=index.definition.name)
         cost = self._cost_model.index_scan(
             index_height=index.height,
             index_leaf_pages=max(1, index.leaf_pages),

@@ -219,31 +219,19 @@ class JoinEnumerator:
             left_binding = next(iter(edge.bindings & probe.bindings))
             left_keys.append(edge.column_for(left_binding))
             right_keys.append(edge.other(left_binding))
-        plan = HashJoinPlan(
-            left=probe.plan,
-            right=build.plan,
-            left_keys=tuple(left_keys),
-            right_keys=tuple(right_keys),
-        )
-        cost = Cost(
-            io=probe.plan.estimated_io_cost + build.plan.estimated_io_cost,
-            cpu=probe.plan.estimated_cpu_cost + build.plan.estimated_cpu_cost,
-        ) + self._cost_model.hash_join(build.rows, probe.rows)
+        plan = HashJoinPlan(probe.plan, build.plan, tuple(left_keys),
+                            tuple(right_keys))
+        cost = _spent(probe.plan) + _spent(build.plan) \
+            + self._cost_model.hash_join(build.rows, probe.rows)
         _finalize(plan, out_rows, cost)
         return plan
 
     def _nested_loop(self, outer: SubPlan, inner: SubPlan,
                      between: list[JoinEdge], out_rows: float) -> PlanNode:
         condition = conjoin([edge.to_expression() for edge in between])
-        plan = NestedLoopJoinPlan(
-            left=outer.plan,
-            right=inner.plan,
-            condition=condition,
-        )
-        cost = Cost(
-            io=outer.plan.estimated_io_cost + inner.plan.estimated_io_cost,
-            cpu=outer.plan.estimated_cpu_cost + inner.plan.estimated_cpu_cost,
-        ) + self._cost_model.nested_loop_join(outer.rows, inner.rows, Cost())
+        plan = NestedLoopJoinPlan(outer.plan, inner.plan, condition)
+        cost = _spent(outer.plan) + _spent(inner.plan) \
+            + self._cost_model.nested_loop_join(outer.rows, inner.rows, Cost())
         _finalize(plan, out_rows, cost)
         return plan
 
@@ -310,20 +298,11 @@ class JoinEnumerator:
             )
         matches_per_probe = max(0.0, table.row_count * edge_selectivity)
         plan = IndexLookupJoinPlan(
-            left=outer.plan,
-            table_name=table.name,
-            binding=binding,
-            columns=table.schema.column_names,
-            outer_keys=outer_keys,
-            inner_key_columns=tuple(prefix),
-            via_index=index.definition.name if index else None,
-            virtual=index.is_virtual if index else False,
-            residual=residual,
-        )
-        cost = Cost(
-            io=outer.plan.estimated_io_cost,
-            cpu=outer.plan.estimated_cpu_cost,
-        ) + self._cost_model.index_lookup_join(
+            outer.plan, table.name, binding, table.schema.column_names,
+            outer_keys, tuple(prefix),
+            index.definition.name if index else None,
+            index.is_virtual if index else False, residual)
+        cost = _spent(outer.plan) + self._cost_model.index_lookup_join(
             outer_rows=outer.rows,
             lookup_height=lookup_height,
             matches_per_probe=matches_per_probe,
@@ -336,3 +315,8 @@ class JoinEnumerator:
         # cardinality equals the generic joined-rows estimate.
         _finalize(plan, out_rows, cost)
         return [plan]
+
+
+def _spent(plan: PlanNode) -> Cost:
+    """A plan's cumulative estimated cost."""
+    return Cost(plan.estimated_io_cost, plan.estimated_cpu_cost)

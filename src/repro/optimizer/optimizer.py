@@ -28,6 +28,7 @@ from repro.optimizer.join_order import JoinEnumerator, SubPlan
 from repro.optimizer.plans import (
     AggregatePlan,
     DistinctPlan,
+    EmptySourcePlan,
     FilterPlan,
     HashJoinPlan,
     InsertPlan,
@@ -265,11 +266,8 @@ class Optimizer:
             raise OptimizerError("SELECT * requires a FROM clause")
         names = tuple(item.output_name(i)
                       for i, item in enumerate(stmt.select_items))
-        base = ProjectPlan(
-            child=_EmptySourcePlan(),
-            expressions=tuple(i.expression for i in stmt.select_items),
-            names=names,
-        )
+        base = ProjectPlan(EmptySourcePlan(), tuple(
+            i.expression for i in stmt.select_items), names)
         _finalize(base, 1.0, Cost())
         plan: PlanNode = base
         if stmt.limit is not None or stmt.offset is not None:
@@ -373,27 +371,20 @@ class Optimizer:
             if join.kind == "left":
                 out_rows = max(plan.estimated_rows, inner_rows)
                 joined = LeftOuterJoinPlan(
-                    left=plan, right=right,
-                    condition=None if left_keys else condition,
-                    left_keys=left_keys, right_keys=right_keys,
-                    residual=residual if left_keys else None,
-                )
+                    plan, right, None if left_keys else condition, left_keys,
+                    right_keys, residual if left_keys else None)
                 cost = (self._cumulative(plan) + self._cumulative(right)
                         + self.cost_model.hash_join(right.estimated_rows,
                                                     plan.estimated_rows))
             elif left_keys:
-                joined = HashJoinPlan(
-                    left=plan, right=right,
-                    left_keys=left_keys, right_keys=right_keys,
-                    residual=residual,
-                )
+                joined = HashJoinPlan(plan, right, left_keys, right_keys,
+                                      residual)
                 out_rows = inner_rows
                 cost = (self._cumulative(plan) + self._cumulative(right)
                         + self.cost_model.hash_join(right.estimated_rows,
                                                     plan.estimated_rows))
             else:
-                joined = NestedLoopJoinPlan(left=plan, right=right,
-                                            condition=condition)
+                joined = NestedLoopJoinPlan(plan, right, condition)
                 out_rows = inner_rows if condition is not None else max(
                     1.0, plan.estimated_rows * right.estimated_rows)
                 cost = (self._cumulative(plan) + self._cumulative(right)
@@ -441,11 +432,9 @@ class Optimizer:
         if condition is None:
             return child
         selectivity = self.estimator.selectivity(condition, resolve)
-        plan = FilterPlan(child=child, condition=condition)
-        cost = self._cumulative(child) + self.cost_model.filter(
-            child.estimated_rows)
-        _finalize(plan, child.estimated_rows * selectivity, cost)
-        return plan
+        return self._over(FilterPlan(child, condition),
+                          child.estimated_rows * selectivity,
+                          self.cost_model.filter(child.estimated_rows))
 
     def _add_aggregation(self, child: PlanNode,
                          group_exprs: tuple[ast.Expression, ...],
@@ -461,58 +450,49 @@ class Optimizer:
                     ndv = float(stats.n_distinct)
             groups *= ndv
         groups = min(groups, max(1.0, child.estimated_rows))
-        plan = AggregatePlan(child=child, group_expressions=group_exprs,
-                             aggregates=aggregates)
-        cost = self._cumulative(child) + self.cost_model.aggregate(
-            child.estimated_rows, groups)
-        _finalize(plan, groups, cost)
-        return plan
+        return self._over(AggregatePlan(child, group_exprs, aggregates),
+                          groups, self.cost_model.aggregate(
+                              child.estimated_rows, groups))
 
     def _add_sort(self, child: PlanNode,
                   order_items: tuple[ast.OrderItem, ...],
                   row_bytes: float) -> PlanNode:
         pages = max(1.0, child.estimated_rows * row_bytes
                     / self.config.storage.page_size)
-        plan = SortPlan(
-            child=child,
-            sort_keys=tuple((i.expression, i.descending)
-                            for i in order_items),
-        )
-        cost = self._cumulative(child) + self.cost_model.sort(
-            child.estimated_rows, pages)
-        _finalize(plan, child.estimated_rows, cost)
-        return plan
+        return self._over(
+            SortPlan(child, tuple((i.expression, i.descending)
+                                  for i in order_items)),
+            child.estimated_rows,
+            self.cost_model.sort(child.estimated_rows, pages))
 
     def _add_distinct(self, child: PlanNode) -> PlanNode:
-        plan = DistinctPlan(child=child)
-        cost = self._cumulative(child) + self.cost_model.aggregate(
-            child.estimated_rows, child.estimated_rows)
-        _finalize(plan, child.estimated_rows, cost)
-        return plan
+        return self._over(DistinctPlan(child), child.estimated_rows,
+                          self.cost_model.aggregate(child.estimated_rows,
+                                                    child.estimated_rows))
 
     def _add_project(self, child: PlanNode,
                      select_items: list[ast.SelectItem]) -> PlanNode:
         names = tuple(item.output_name(i)
                       for i, item in enumerate(select_items))
-        plan = ProjectPlan(
-            child=child,
-            expressions=tuple(i.expression for i in select_items),
-            names=names,
-        )
-        cost = self._cumulative(child) + self.cost_model.project(
-            child.estimated_rows, len(select_items))
-        _finalize(plan, child.estimated_rows, cost)
-        return plan
+        return self._over(
+            ProjectPlan(child, tuple(i.expression for i in select_items),
+                        names),
+            child.estimated_rows,
+            self.cost_model.project(child.estimated_rows, len(select_items)))
 
     def _add_limit(self, child: PlanNode, limit: int | None,
                    offset: int | None) -> PlanNode:
-        plan = LimitPlan(child=child, limit=limit, offset=offset)
         rows = child.estimated_rows
         if offset:
             rows = max(0.0, rows - offset)
         if limit is not None:
             rows = min(rows, float(limit))
-        _finalize(plan, rows, self._cumulative(child))
+        return self._over(LimitPlan(child, limit, offset), rows, Cost())
+
+    def _over(self, plan: PlanNode, rows: float, own: Cost) -> PlanNode:
+        """``plan``, estimated at ``rows``, costing ``own`` on top of its
+        one child's cumulative cost."""
+        _finalize(plan, rows, self._cumulative(plan.children[0]) + own)
         return plan
 
     @staticmethod
@@ -558,14 +538,3 @@ def _structural_slots(stmt: ast.SelectStatement,
                  for node in ast.walk_expression(source)
                  if isinstance(node, ast.Literal) and node.slot is not None)
 
-
-@dataclass
-class _EmptySourcePlan(PlanNode):
-    """A one-row, zero-column source for FROM-less SELECTs."""
-
-    @property
-    def scope(self):
-        return ()
-
-    def node_label(self) -> str:
-        return "SingleRow"

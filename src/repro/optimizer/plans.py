@@ -40,14 +40,11 @@ class PlanNode:
 
     def explain(self, indent: int = 0) -> str:
         """Render the plan subtree as indented text."""
-        pad = "  " * indent
-        line = (f"{pad}{self.node_label()} "
+        line = (f"{'  ' * indent}{self.node_label()} "
                 f"(rows={self.estimated_rows:.0f} "
                 f"cost={self.estimated_cost:.1f})")
-        parts = [line]
-        for child in self.children:
-            parts.append(child.explain(indent + 1))
-        return "\n".join(parts)
+        return "\n".join([line] + [child.explain(indent + 1)
+                                   for child in self.children])
 
     def walk(self):
         """Yield this node and all descendants, depth-first."""
@@ -95,28 +92,9 @@ class KeyCondition:
 
 
 @dataclass
-class SeqScanPlan(PlanNode):
-    """Full scan of a base table with an optional pushed-down filter."""
-
-    table_name: str
-    binding: str
-    columns: tuple[str, ...]
-    filter_expr: ast.Expression | None = None
-
-    @property
-    def scope(self) -> Scope:
-        return tuple((self.binding, c) for c in self.columns)
-
-    def node_label(self) -> str:
-        label = f"SeqScan({self.table_name} as {self.binding})"
-        if self.filter_expr is not None:
-            label += f" filter={self.filter_expr.to_sql()}"
-        return label
-
-
-@dataclass
-class BTreeScanPlan(PlanNode):
-    """Keyed (or full, in key order) scan of a B-Tree stored table."""
+class _TableScan(PlanNode):
+    """One access path over a base table: the key conditions it matched
+    (none for a full scan) and an optional pushed-down filter."""
 
     table_name: str
     binding: str
@@ -125,16 +103,13 @@ class BTreeScanPlan(PlanNode):
     filter_expr: ast.Expression | None = None
 
     @property
-    def key_bounded(self) -> bool:
-        return bool(self.key_conditions)
-
-    @property
     def scope(self) -> Scope:
         return tuple((self.binding, c) for c in self.columns)
 
-    def node_label(self) -> str:
-        label = f"BTreeScan({self.table_name} as {self.binding})"
-        if self.key_conditions:
+    def _label(self, path: str, keyed: bool = True) -> str:
+        """``path`` opens the label: ``SeqScan(``, ``IndexScan(i on ``."""
+        label = f"{path}{self.table_name} as {self.binding})"
+        if keyed:
             keys = " and ".join(c.to_sql() for c in self.key_conditions)
             label += f" key=[{keys}]"
         if self.filter_expr is not None:
@@ -143,29 +118,35 @@ class BTreeScanPlan(PlanNode):
 
 
 @dataclass
-class HashScanPlan(PlanNode):
-    """Equality probe into a HASH-structured table (full key only)."""
-
-    table_name: str
-    binding: str
-    columns: tuple[str, ...]
-    key_conditions: tuple[KeyCondition, ...] = ()
-    filter_expr: ast.Expression | None = None
-
-    @property
-    def scope(self) -> Scope:
-        return tuple((self.binding, c) for c in self.columns)
+class SeqScanPlan(_TableScan):
+    """Full scan of a base table with an optional pushed-down filter."""
 
     def node_label(self) -> str:
-        keys = " and ".join(c.to_sql() for c in self.key_conditions)
-        label = f"HashScan({self.table_name} as {self.binding}) key=[{keys}]"
-        if self.filter_expr is not None:
-            label += f" filter={self.filter_expr.to_sql()}"
-        return label
+        return self._label("SeqScan(", keyed=False)
 
 
 @dataclass
-class IndexScanPlan(PlanNode):
+class BTreeScanPlan(_TableScan):
+    """Keyed (or full, in key order) scan of a B-Tree stored table."""
+
+    @property
+    def key_bounded(self) -> bool:
+        return bool(self.key_conditions)
+
+    def node_label(self) -> str:
+        return self._label("BTreeScan(", self.key_bounded)
+
+
+@dataclass
+class HashScanPlan(_TableScan):
+    """Equality probe into a HASH-structured table (full key only)."""
+
+    def node_label(self) -> str:
+        return self._label("HashScan(")
+
+
+@dataclass
+class IndexScanPlan(_TableScan):
     """Secondary-index access: probe the index B-Tree, fetch base rows.
 
     ``virtual`` index scans may be *costed* but never executed; the
@@ -173,35 +154,20 @@ class IndexScanPlan(PlanNode):
     would beat the existing paths.
     """
 
-    index_name: str
-    table_name: str
-    binding: str
-    columns: tuple[str, ...]
-    key_conditions: tuple[KeyCondition, ...] = ()
-    filter_expr: ast.Expression | None = None
+    index_name: str = field(kw_only=True)
     virtual: bool = False
-
-    @property
-    def scope(self) -> Scope:
-        return tuple((self.binding, c) for c in self.columns)
 
     def node_label(self) -> str:
         kind = "VirtualIndexScan" if self.virtual else "IndexScan"
-        keys = " and ".join(c.to_sql() for c in self.key_conditions)
-        label = (f"{kind}({self.index_name} on {self.table_name} "
-                 f"as {self.binding}) key=[{keys}]")
-        if self.filter_expr is not None:
-            label += f" filter={self.filter_expr.to_sql()}"
-        return label
+        return self._label(f"{kind}({self.index_name} on ")
 
 
 @dataclass
-class NestedLoopJoinPlan(PlanNode):
-    """Tuple-at-a-time join; the inner side is materialized and rescanned."""
+class _Binary(PlanNode):
+    """A join of two inputs: the left side's columns, then the right's."""
 
     left: PlanNode
     right: PlanNode
-    condition: ast.Expression | None = None
 
     @property
     def children(self) -> tuple[PlanNode, ...]:
@@ -210,40 +176,39 @@ class NestedLoopJoinPlan(PlanNode):
     @property
     def scope(self) -> Scope:
         return self.left.scope + self.right.scope
+
+
+@dataclass
+class NestedLoopJoinPlan(_Binary):
+    """Tuple-at-a-time join; the inner side is materialized and rescanned."""
+
+    condition: ast.Expression | None = None
 
     def node_label(self) -> str:
         cond = self.condition.to_sql() if self.condition else "TRUE"
         return f"NestedLoopJoin on {cond}"
 
 
+def _pairs(left_keys: tuple[ast.Expression, ...],
+           right_keys: tuple[ast.Expression, ...]) -> str:
+    return ", ".join(f"{l.to_sql()}={r.to_sql()}"
+                     for l, r in zip(left_keys, right_keys))
+
+
 @dataclass
-class HashJoinPlan(PlanNode):
+class HashJoinPlan(_Binary):
     """Equi-join: build a hash table on the right side, probe with left."""
 
-    left: PlanNode
-    right: PlanNode
     left_keys: tuple[ast.Expression, ...] = ()
     right_keys: tuple[ast.Expression, ...] = ()
     residual: ast.Expression | None = None
 
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    @property
-    def scope(self) -> Scope:
-        return self.left.scope + self.right.scope
-
     def node_label(self) -> str:
-        keys = ", ".join(
-            f"{l.to_sql()}={r.to_sql()}"
-            for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"HashJoin on [{keys}]"
+        return f"HashJoin on [{_pairs(self.left_keys, self.right_keys)}]"
 
 
 @dataclass
-class LeftOuterJoinPlan(PlanNode):
+class LeftOuterJoinPlan(_Binary):
     """LEFT OUTER JOIN: every left row survives; unmatched rows are
     padded with NULLs on the right side.
 
@@ -251,27 +216,15 @@ class LeftOuterJoinPlan(PlanNode):
     hash table; otherwise it evaluates ``condition`` per pair.
     """
 
-    left: PlanNode
-    right: PlanNode
     condition: ast.Expression | None = None
     left_keys: tuple[ast.Expression, ...] = ()
     right_keys: tuple[ast.Expression, ...] = ()
     residual: ast.Expression | None = None
 
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    @property
-    def scope(self) -> Scope:
-        return self.left.scope + self.right.scope
-
     def node_label(self) -> str:
         if self.left_keys:
-            keys = ", ".join(
-                f"{l.to_sql()}={r.to_sql()}"
-                for l, r in zip(self.left_keys, self.right_keys))
-            return f"LeftOuterJoin (hash) on [{keys}]"
+            return (f"LeftOuterJoin (hash) on "
+                    f"[{_pairs(self.left_keys, self.right_keys)}]")
         cond = self.condition.to_sql() if self.condition else "TRUE"
         return f"LeftOuterJoin on {cond}"
 
@@ -307,10 +260,8 @@ class IndexLookupJoinPlan(PlanNode):
         path = self.via_index or f"{self.table_name}.btree"
         if self.virtual:
             path += " (virtual)"
-        keys = ", ".join(
-            f"{col}={expr.to_sql()}"
-            for col, expr in zip(self.inner_key_columns, self.outer_keys)
-        )
+        keys = ", ".join(f"{col}={expr.to_sql()}" for col, expr
+                         in zip(self.inner_key_columns, self.outer_keys))
         return (f"IndexLookupJoin -> {self.table_name} as {self.binding} "
                 f"via {path} on [{keys}]")
 
@@ -323,9 +274,11 @@ class IndexLookupJoinPlan(PlanNode):
 
 
 @dataclass
-class FilterPlan(PlanNode):
+class _Unary(PlanNode):
+    """An operator over one input; its output columns are the input's
+    unless it says otherwise."""
+
     child: PlanNode
-    condition: ast.Expression | None = None
 
     @property
     def children(self) -> tuple[PlanNode, ...]:
@@ -335,20 +288,20 @@ class FilterPlan(PlanNode):
     def scope(self) -> Scope:
         return self.child.scope
 
+
+@dataclass
+class FilterPlan(_Unary):
+    condition: ast.Expression | None = None
+
     def node_label(self) -> str:
         cond = self.condition.to_sql() if self.condition else "TRUE"
         return f"Filter {cond}"
 
 
 @dataclass
-class ProjectPlan(PlanNode):
-    child: PlanNode
+class ProjectPlan(_Unary):
     expressions: tuple[ast.Expression, ...] = ()
     names: tuple[str, ...] = ()
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     @property
     def scope(self) -> Scope:
@@ -359,7 +312,7 @@ class ProjectPlan(PlanNode):
 
 
 @dataclass
-class AggregatePlan(PlanNode):
+class AggregatePlan(_Unary):
     """Hash aggregation over optional grouping expressions.
 
     Output scope: the group expressions first (named by their SQL text),
@@ -367,13 +320,8 @@ class AggregatePlan(PlanNode):
     parent Project re-maps these onto the user's select list.
     """
 
-    child: PlanNode
     group_expressions: tuple[ast.Expression, ...] = ()
     aggregates: tuple[ast.FunctionCall, ...] = ()
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     @property
     def scope(self) -> Scope:
@@ -388,18 +336,9 @@ class AggregatePlan(PlanNode):
 
 
 @dataclass
-class SortPlan(PlanNode):
-    child: PlanNode
+class SortPlan(_Unary):
     sort_keys: tuple[tuple[ast.Expression, bool], ...] = ()
     """(expression, descending) pairs."""
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    @property
-    def scope(self) -> Scope:
-        return self.child.scope
 
     def node_label(self) -> str:
         keys = ", ".join(
@@ -410,50 +349,28 @@ class SortPlan(PlanNode):
 
 
 @dataclass
-class DistinctPlan(PlanNode):
-    child: PlanNode
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    @property
-    def scope(self) -> Scope:
-        return self.child.scope
+class DistinctPlan(_Unary):
+    pass
 
 
 @dataclass
-class LimitPlan(PlanNode):
-    child: PlanNode
+class LimitPlan(_Unary):
     limit: int | None = None
     offset: int | None = None
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    @property
-    def scope(self) -> Scope:
-        return self.child.scope
 
     def node_label(self) -> str:
         return f"Limit {self.limit} offset {self.offset or 0}"
 
 
 @dataclass
-class ModifyPlan(PlanNode):
+class ModifyPlan(_Unary):
     """UPDATE (``assignments``) or DELETE (None) of the rows ``child``
     — the table's access path under the statement's WHERE — produces.
     Outputs one row: the number of rows changed."""
 
-    child: PlanNode
     table_name: str
     assignments: tuple[tuple[int, ast.Expression], ...] | None = None
     """``(column position, new value over the old row)`` pairs."""
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     @property
     def scope(self) -> Scope:
@@ -481,3 +398,15 @@ class InsertPlan(PlanNode):
 
     def node_label(self) -> str:
         return f"Insert({self.table_name}, {len(self.rows)} rows)"
+
+
+@dataclass
+class EmptySourcePlan(PlanNode):
+    """A one-row, zero-column source for FROM-less SELECTs."""
+
+    @property
+    def scope(self) -> Scope:
+        return ()
+
+    def node_label(self) -> str:
+        return "SingleRow"

@@ -430,16 +430,7 @@ def transform_expression(expr: Expression, fn) -> Expression:
 
 def contains_subquery(expr: Expression) -> bool:
     """True if ``expr`` contains a Subquery node at any depth."""
-    found = False
-
-    def check(node: Expression) -> Expression:
-        nonlocal found
-        if isinstance(node, Subquery):
-            found = True
-        return node
-
-    transform_expression(expr, check)
-    return found
+    return any(isinstance(node, Subquery) for node in walk_expression(expr))
 
 
 def referenced_columns(expr: Expression) -> tuple[ColumnRef, ...]:

@@ -204,7 +204,7 @@ class BTreeStorage:
         path = self._descend(ekey)
         leaf_id, leaf, _ = path[-1]
         ekeys = self._keys_of(leaf)
-        if self.unique:
+        if self.unique and None not in key:  # NULLs are distinct
             # A shorter tuple sorts before its extensions: the first
             # entry at or after the bare key is the first one having it.
             pos = bisect_left(ekeys, norm)
@@ -365,7 +365,8 @@ class BTreeStorage:
                          for rowid, row in entries)
         if self.unique:
             for prev, curr in zip(ordered, ordered[1:]):
-                if prev[0][:-1] == curr[0][:-1]:
+                if prev[0][:-1] == curr[0][:-1] \
+                        and None not in self.key_of(curr[2]):
                     raise StorageError(
                         f"duplicate key {self.key_of(curr[2])!r} in unique "
                         f"B-Tree {self.schema.name!r}"

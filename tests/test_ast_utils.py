@@ -112,8 +112,9 @@ class TestPlanHelpers:
         assert len(list(join.walk())) == 3
 
     def test_used_indexes_collects_all_kinds(self):
-        index_scan = IndexScanPlan("i_x", "t", "t", ("a",),
-                                   (KeyCondition("a", "=", 1),))
+        index_scan = IndexScanPlan("t", "t", ("a",),
+                                   (KeyCondition("a", "=", 1),),
+                                   index_name="i_x")
         btree = BTreeScanPlan("u", "u", ("k",),
                               (KeyCondition("k", "=", 2),))
         hash_scan = HashScanPlan("v", "v", ("k",),
@@ -127,8 +128,9 @@ class TestPlanHelpers:
         assert btree.used_indexes() == ()
 
     def test_virtual_detection(self):
-        virtual = IndexScanPlan("v_x", "t", "t", ("a",), virtual=True)
-        real = IndexScanPlan("i_x", "t", "t", ("a",))
+        virtual = IndexScanPlan("t", "t", ("a",), index_name="v_x",
+                                virtual=True)
+        real = IndexScanPlan("t", "t", ("a",), index_name="i_x")
         assert virtual.uses_virtual_index()
         assert not real.uses_virtual_index()
         join = NestedLoopJoinPlan(real, virtual)

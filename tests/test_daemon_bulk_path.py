@@ -340,15 +340,18 @@ def test_floor_only_scan_takes_the_snapshot_as_it_comes(monkeypatch):
     _monitor, reader_db, reader = _busy_monitor(1)
     everything = reader.execute("select * from ima_statements").rows
     floor = sorted(row[0] for row in everything)[2]
-    compiled = []
-    real = scan.compile_filter
+    compiled = []  # filters prepared: each statement below is a new shape
+    real = scan.prepare_filter
     monkeypatch.setattr(
-        scan, "compile_filter",
+        scan, "prepare_filter",
         lambda *args: compiled.append(args[0]) or real(*args))
+    misses = reader.plan_cache_misses
     for bound in (floor, 0, floor + 1):  # planned once, bound twice
         result = reader.execute(
             f"select * from ima_statements where seq > {bound}")
         assert result.rows == [row for row in everything if row[0] > bound]
+    # Compiled here, under the patch, and no filter prepared for it.
+    assert reader.plan_cache_misses == misses + 1
     assert compiled == []
     # Anything but exactly the pushed floor keeps its predicate.
     for where, keep in (

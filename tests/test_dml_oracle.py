@@ -9,8 +9,8 @@ behind, inside a transaction or outside one, and a statement that runs
 another text's prepared plan does what planning it afresh does.
 
 The table is a heap, a B-Tree or a hash table, without a secondary
-index, with one, or with a unique one (whose column is then NOT NULL:
-this engine's unique indexes count NULLs as equal, SQLite's do not).
+index, with one, or with a unique one (NULL keys in it are distinct,
+in both engines).
 Statements that change a key column of several rows do it by negation:
 an involution collides the same way whatever order the rows are
 visited in, which is the one thing the engines may differ in.
@@ -37,13 +37,12 @@ class Trio:
     """One empty table ``t`` in all three."""
 
     def __init__(self, structure: str, index: str) -> None:
-        k_type = "int not null" if index.startswith("unique") else "int"
         self.sessions = []
         for size in (256, 0):
             engine = EngineInstance(EngineConfig(plan_cache_size=size))
             engine.create_database("d")
             session = engine.connect("d")
-            session.execute(f"create table t (id int not null, k {k_type}, "
+            session.execute("create table t (id int not null, k int, "
                             "n varchar(12), v float, primary key (id))")
             if structure != "heap":
                 session.execute(f"modify t to {structure}")
@@ -51,8 +50,8 @@ class Trio:
         # isolation_level=None: BEGIN/COMMIT are the stream's own.
         self.sqlite = sqlite3.connect(":memory:", isolation_level=None)
         self.sqlite.execute("pragma case_sensitive_like = on")
-        self.sqlite.execute(f"create table t (id int not null primary key, "
-                            f"k {k_type}, n varchar(12), v real)")
+        self.sqlite.execute("create table t (id int not null primary key, "
+                            "k int, n varchar(12), v real)")
         if index:
             self.ddl(f"create {index} ik on t (k)")
 
@@ -226,5 +225,23 @@ def test_comparison_with_null_never_probes_a_key(structure):
         trio.check("delete from t where k = null")
         trio.check("update t set v = 9.0 where k >= null")
         trio.check("delete from t where k is null")
+    finally:
+        trio.close()
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_unique_index_lets_null_keys_repeat(structure):
+    """A key with a NULL in it collides with nothing: a unique index is
+    built over two NULL keys and takes a third, as in SQLite."""
+    trio = Trio(structure, "")
+    try:
+        trio.check("insert into t values (1, null, 'a', 1.0), "
+                   "(2, null, 'b', 2.0)")
+        trio.ddl("create unique index ik on t (k)")
+        trio.check("insert into t values (3, null, 'c', 3.0)")
+        trio.check("insert into t values (4, 4, 'd', 4.0)")
+        trio.check("insert into t values (5, 4, 'e', 5.0)")  # a duplicate
+        trio.check("update t set k = null where id = 4")
+        trio.check("update t set k = 1 where k is null and id < 3")
     finally:
         trio.close()

@@ -5,6 +5,7 @@ the engine, the same ``tuples_processed``."""
 
 import random
 from contextlib import contextmanager
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -16,7 +17,8 @@ from repro.engine import EngineInstance
 from repro.engine.session import DmlResult
 from repro.errors import ReproError
 from repro.execution import evaluator, joins, scan
-from repro.execution.evaluator import compile_filter, compile_predicate
+from repro.execution.evaluator import (compile_filter, compile_predicate,
+                                      prepare_filter)
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
 
@@ -182,16 +184,35 @@ def kernel_engine():
 
 @contextmanager
 def _closures_only():
-    """Every operator compiles its filter without column types, which
-    is the per-row closure under the batch API."""
-    def untyped(expr, scope, params=None, types=None, outer=(),
+    """Every operator compiled meanwhile filters through the per-row
+    closure under the batch API; yields the filters those operators
+    bound.  A prepared statement compiled earlier is not compiled
+    again: run the closure side in a fresh session."""
+    bound = []
+
+    def closure(expr, scope, params=None, types=None, outer=(),
                 entries=False):
-        return compile_filter(expr, scope, params, None, outer, entries)
+        bind = prepare_filter(None, scope) if expr is None else partial(
+            evaluator._closure_filter, expr,
+            evaluator.ScopeIndex(outer + scope), len(outer), entries)
+
+        def recording(params):
+            bound.append(bind(params))
+            return bound[-1]
+
+        return recording
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (scan, joins):
-            patch.setattr(module, "compile_filter", untyped)
-        yield
+            patch.setattr(module, "prepare_filter", closure)
+        yield bound
+
+
+def _closures_compiled(bound, outcome):
+    """The closure side bound filters, none a kernel (unless the
+    statement failed before it compiled)."""
+    failed = isinstance(outcome, tuple) and isinstance(outcome[0], str)
+    return (bound or failed) and not any(map(_is_kernel, bound))
 
 
 def _result(session, text):
@@ -228,8 +249,9 @@ def test_kernels_are_invisible_in_the_engine(kernel_engine, text):
     at) and the same errors, on every stored structure and join."""
     with kernel_engine.connect("k") as session:
         with_kernels = _result(session, text)
-        with _closures_only():
-            assert _result(session, text) == with_kernels
+    with kernel_engine.connect("k") as fresh, _closures_only() as bound:
+        assert _result(fresh, text) == with_kernels
+        assert _closures_compiled(bound, with_kernels)
 
 
 def test_limit_stops_inside_the_page(kernel_engine):
@@ -238,9 +260,10 @@ def test_limit_stops_inside_the_page(kernel_engine):
     text = "select a from t where a >= 0 limit 3"
     with kernel_engine.connect("k") as session:
         result = session.execute(text)
-        with _closures_only():
-            assert _result(session, text) == (
-                result.rows, result.metrics.tuples_processed)
+    with kernel_engine.connect("k") as fresh, _closures_only() as bound:
+        assert _result(fresh, text) == (
+            result.rows, result.metrics.tuples_processed)
+        assert _closures_compiled(bound, result)
     assert result.rows == [(0,), (1,), (2,)]
     assert result.metrics.tuples_processed == 4 + 4 + 3  # scan, project, limit
 

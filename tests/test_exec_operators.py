@@ -174,7 +174,7 @@ class TestScanPathsAgree:
 
 
 class TestColumnOnlyProjection:
-    """project_rows passes rows through or picks positions when every
+    """project_step passes rows through or picks positions when every
     select-list entry merely reads a child column; the work counter
     advances once per row pulled either way."""
 
@@ -184,14 +184,16 @@ class TestColumnOnlyProjection:
     def project(self, *expressions):
         from types import SimpleNamespace
         from repro.execution.scan import Counters
-        from repro.execution.shaping import project_rows
+        from repro.execution.shaping import project_step
         from repro.sql.parser import parse_statement
         select = parse_statement(f"select {', '.join(expressions)} from t")
         plan = SimpleNamespace(
             child=SimpleNamespace(scope=self.SCOPE),
             expressions=tuple(i.expression for i in select.select_items))
         counters = Counters()
-        return project_rows(plan, iter(self.ROWS), counters), counters
+        step = project_step(plan, None, None,
+                            lambda counters: iter(self.ROWS))
+        return step(counters), counters
 
     def test_identity_passes_the_child_rows_through(self):
         rows, counters = self.project("a", "t.b", "count(*)")
@@ -223,8 +225,8 @@ class TestColumnOnlyProjection:
             assert counters.tuples == 2
 
     def test_unknown_column_is_still_an_error(self):
-        rows, _ = self.project("a", "nope")
         with pytest.raises(ExecutionError, match="not in scope"):
+            rows, _ = self.project("a", "nope")  # compiling finds it
             list(rows)
 
     def test_select_star_and_column_lists_via_sql(self, session):
