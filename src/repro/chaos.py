@@ -11,7 +11,7 @@ replay is idempotent and that the journal and persisted-history rules
 of :mod:`repro.invariants` hold (plus exact conservation in storm
 mode): no half-applied cycle, no change applied twice, schema and
 journal agree, and the workload history stays exactly-once and
-ordered per shard.
+ordered.
 
 Everything is deterministic per seed: one :class:`random.Random` drives
 the workload mix, the fault schedule and the crash points, and time is
@@ -85,18 +85,13 @@ class SoakConfig:
     quarantine_cooldown_s: float = 240.0
     round_interval_s: float = 120.0
     """Virtual seconds between rounds (lets cooldowns expire mid-soak)."""
-    shard_count: int = 2
-    """Monitor shards: > 1 soaks the sharded monitor's merged IMA view
-    and the daemon's per-shard high-water vectors under the same
-    crash/recovery torture the plain monitor gets."""
 
     storm: bool = False
-    """Overload storm: tiny workload rings, a fast degradation ladder,
-    two parallel poll workers, and per-round storm faults
-    (``monitor.ring_flood``, ``daemon.poll_worker.die``) on top of the
+    """Overload storm: tiny workload rings, a fast degradation ladder
+    and per-round ring floods (``monitor.ring_flood``) on top of the
     regular fault schedule.  Every round then asserts the conservation
     invariant exactly, and the soak ends with a recovery phase that
-    must return every shard to DETAILED with no poll group parked."""
+    must return the monitor to DETAILED."""
 
 
 @dataclass
@@ -118,7 +113,7 @@ class SoakReport:
     storm_poll_failures: int = 0
     """Daemon polls the storm faults made fail."""
     peak_level: int = 0
-    """Deepest ladder level any shard reached (storm mode)."""
+    """Deepest ladder level the monitor reached (storm mode)."""
     health: dict | None = field(default=None, compare=False)
     """Final engine health snapshot (``--health-report`` artifact).
 
@@ -200,32 +195,24 @@ def _fault_for_round(rng: random.Random, round_no: int,
 def _storm_fault_for_round(rng: random.Random, round_no: int) -> str | None:
     """Pick this round's storm fault.
 
-    Round 0 always floods (``monitor.ring_flood`` forces every shard's
-    pressure to 1.0, so the ladder provably escalates on every seed);
-    rounds 1–2 always kill every poll worker (two consecutive failed
-    polls park both groups, forcing their shards to SHED).  Later
-    rounds draw randomly so parks and floods overlap the regular
-    crash/recovery chaos differently per seed.
-
-    ``daemon.poll_worker.hang`` is deliberately absent: its latency
-    action sleeps on the soak's :class:`~repro.clock.VirtualClock`,
-    which does not block, so only the real-clock storm
-    (``repro drive --storm``) exercises the heartbeat-deadline path.
+    Rounds 0–2 always flood: ``monitor.ring_flood`` forces the
+    pressure to 1.0 on every observation, and with dwell-1 escalation
+    each of a round's polls (the tuner's and the storm's) degrades one
+    rung, so every seed reaches SHED.  Later rounds draw randomly, so
+    floods overlap the regular crash/recovery chaos — and the ladder's
+    recovery — differently per seed.
     """
-    if round_no == 0:
+    if round_no <= 2:
         return "monitor.ring_flood:every-n=1"
-    if round_no in (1, 2):
-        return "daemon.poll_worker.die:every-n=1"
     if rng.random() < 0.5:
-        return rng.choice(("daemon.poll_worker.die:once",
-                           "daemon.poll_worker.die:every-n=1",
-                           "monitor.ring_flood:once"))
+        return rng.choice(("monitor.ring_flood:once",
+                           "monitor.ring_flood:every-n=1"))
     return None
 
 
 def _storm_poll(daemon: StorageDaemon) -> BaseException | None:
     """One daemon poll, returning the failure instead of raising —
-    storm rounds *expect* injected worker deaths."""
+    the regular fault schedule may fail it."""
     try:
         daemon.poll_once()
     except (ReproError, OSError) as error:
@@ -236,16 +223,15 @@ def _storm_poll(daemon: StorageDaemon) -> BaseException | None:
 def _storm_recovery(setup: Setup, report: SoakReport,
                     config: SoakConfig) -> None:
     """Post-storm quiesce: with all faults disarmed, advancing time and
-    polling must unpark every group (half-open success) and walk every
-    shard back to DETAILED; then the storm rule must hold."""
+    polling must walk the monitor back to DETAILED; then the storm rule
+    must hold."""
     daemon = setup.daemon
     assert daemon is not None
     clock = setup.engine.clock
     assert isinstance(clock, VirtualClock)
     faultsim.reset()
-    # 3 rungs x recover_dwell 2 plus park-cooldown expiry and half-open
-    # retries fit comfortably in 40 polls; failing to converge by then
-    # is a stuck ladder, not slowness.
+    # 3 rungs x recover_dwell 2 fit comfortably in 40 polls; failing
+    # to converge by then is a stuck ladder, not slowness.
     for _ in range(40):
         clock.advance(60.0)
         if _storm_poll(daemon) is None and settled(setup):
@@ -267,21 +253,15 @@ def run_soak(config: SoakConfig,
     scale = NrefScale(proteins=config.proteins)
     if config.storm:
         # Tiny rings + dwell-1 escalation make the ladder move within a
-        # 12-round soak; two poll workers give the park machinery two
-        # groups to quarantine; the 180 s park cooldown spans ~1.5
-        # rounds so parks heal (half-open) while the soak still runs.
+        # 12-round soak.
         engine_config = EngineConfig(
             monitor=MonitorConfig(
-                shard_count=config.shard_count,
                 workload_buffer_size=128,
                 overload=OverloadConfig(sample_k=4, escalate_dwell=1,
                                         recover_dwell=2)),
-            daemon=DaemonConfig(poll_workers=2, flush_every_polls=1,
-                                worker_park_after=2,
-                                worker_park_cooldown_s=180.0))
+            daemon=DaemonConfig(flush_every_polls=1))
     else:
-        engine_config = EngineConfig(
-            monitor=MonitorConfig(shard_count=config.shard_count))
+        engine_config = EngineConfig()
     setup = daemon_setup("nref", config=engine_config, clock=clock,
                          lock_witness=witness)
     load_nref(setup.engine.database("nref"), scale, main_pages=2)
@@ -317,9 +297,8 @@ def run_soak(config: SoakConfig,
                 report.applied += cycle.applied_count
                 report.quarantined += len(cycle.quarantined)
             if config.storm and setup.daemon is not None:
-                # Poll with the storm fault still armed: worker deaths
-                # land here, feeding the park machinery and (through
-                # note_poll) the degradation ladder.
+                # Poll with the storm fault still armed: the flood
+                # reaches the degradation ladder through note_poll.
                 if _storm_poll(setup.daemon) is not None:
                     report.storm_poll_failures += 1
             faultsim.reset()
@@ -338,7 +317,7 @@ def run_soak(config: SoakConfig,
             if config.storm:
                 # The soak is single-threaded between rounds, so the
                 # conservation ledger must balance bit-exactly here —
-                # under every ladder state the round put shards in.
+                # under every ladder state the round put the monitor in.
                 _enforce(conservation_violations(setup.monitor), config.seed)
                 report.conservation_sweeps += 1
             report.rounds += 1
@@ -363,9 +342,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="rounds per seed (default: 12)")
     parser.add_argument("--proteins", type=int, default=300,
                         help="NREF scale (default: 300)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="monitor shard count (default: 2; 1 soaks "
-                             "the unsharded monitor)")
     parser.add_argument("--witness", action="store_true",
                         help="wrap engine/daemon locks in the runtime "
                              "lock witness and cross-check observed "
@@ -377,11 +353,11 @@ def main(argv: list[str] | None = None) -> int:
                              "edges, cross-check) as JSON to PATH; "
                              "implies --witness")
     parser.add_argument("--storm", action="store_true",
-                        help="overload storm: tiny rings, fast ladder, "
-                             "poll-worker deaths and ring floods on top "
-                             "of the regular chaos; every round asserts "
-                             "exact conservation and the soak must end "
-                             "with every shard back at DETAILED")
+                        help="overload storm: tiny rings, fast ladder "
+                             "and ring floods on top of the regular "
+                             "chaos; every round asserts exact "
+                             "conservation and the soak must end with "
+                             "the monitor back at DETAILED")
     parser.add_argument("--health-report", type=pathlib.Path,
                         default=None, metavar="PATH",
                         help="write each seed's final engine health "
@@ -395,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     for seed in seeds:
         config = SoakConfig(seed=seed, rounds=arguments.rounds,
                             proteins=arguments.proteins,
-                            shard_count=arguments.shards,
                             storm=arguments.storm)
         try:
             report = run_soak(config, witness=witness)

@@ -133,7 +133,7 @@ class Shell:
             "  \\monitor             recent statements seen by the monitor",
             "  \\stats               engine-wide statistics",
             "  \\daemon [status]     poll + flush the daemon / health snapshot",
-            "  \\health              engine-wide health (ladder, workers, supervisor)",
+            "  \\health              engine-wide health (ladder, daemon, supervisor)",
             "  \\fault ...           arm/disarm/inspect failure injection",
             "  \\alerts              alerts fired so far",
             "  \\analyze             run the analyzer on the workload DB",
@@ -200,9 +200,6 @@ class Shell:
                 f"  rows flushed: {status.total_rows_flushed}, "
                 f"purged: {status.total_rows_purged}",
                 f"  last flush at: {last_flush}",
-                f"  workers: hangs {status.worker_hangs}, "
-                f"deaths {status.worker_deaths}, parked groups "
-                f"{list(status.parked_groups) or '-'}",
                 f"  restarts: {status.restarts}, last heartbeat: "
                 + (f"{status.last_heartbeat:.1f}"
                    if status.last_heartbeat is not None else "never"),

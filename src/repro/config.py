@@ -73,27 +73,27 @@ class LockConfig:
 @dataclass(frozen=True)
 class OverloadConfig:
     """Tunables of the adaptive degradation ladder (:mod:`repro.core.
-    overload`): how shard pressure is measured and when a shard's
-    monitoring detail escalates or de-escalates."""
+    overload`): how the monitor's pressure is measured and when its
+    detail escalates or de-escalates."""
 
     enabled: bool = True
     """Whether setups attach an :class:`~repro.core.overload.
     OverloadController`.  The admission gate in the monitor is always
     compiled in (its counters feed the health surface either way);
-    without a controller every shard simply stays DETAILED."""
+    without a controller the monitor simply stays DETAILED."""
 
     sample_k: int = 8
     """In the SAMPLED state one workload record in ``sample_k`` is
     admitted with full detail; the rest are counted as sampled out."""
 
     escalate_pressure: float = 0.75
-    """A shard whose pressure reaches this level for
-    ``escalate_dwell`` consecutive observations degrades one rung."""
+    """When the pressure reaches this level for ``escalate_dwell``
+    consecutive observations the monitor degrades one rung."""
 
     deescalate_pressure: float = 0.35
-    """A shard whose pressure stays at or below this level for
-    ``recover_dwell`` consecutive observations recovers one rung.
-    Pressures between the two thresholds are the hysteresis dead band:
+    """When the pressure stays at or below this level for
+    ``recover_dwell`` consecutive observations the monitor recovers one
+    rung.  Pressures between the two thresholds are the hysteresis dead band:
     they reset both streaks, so each transition requires *consecutive*
     observations beyond its threshold."""
 
@@ -102,7 +102,7 @@ class OverloadConfig:
 
     recover_dwell: int = 3
     """Consecutive low-pressure observations before recovering (higher
-    than ``escalate_dwell`` so a recovering shard does not flap)."""
+    than ``escalate_dwell`` so a recovering monitor does not flap)."""
 
     poll_latency_budget_s: float = 5.0
     """Daemon poll duration treated as pressure 1.0; the EWMA of poll
@@ -154,14 +154,6 @@ class MonitorConfig:
     skip re-logging catalog references (the caching strategy the paper's
     section V-A proposes to reduce the 1m-test overhead)."""
 
-    shard_count: int = 1
-    """Number of monitor shards.  1 (the default) keeps the paper's
-    single :class:`~repro.core.monitor.IntegratedMonitor`; above 1 the
-    monitor is a :class:`~repro.core.sharding.ShardedMonitor` — sessions
-    hash to per-shard ring buffers with independent locks, merged into
-    one IMA view.  Capped at
-    :data:`~repro.core.sharding.SHARD_STRIDE` (64)."""
-
     overload: OverloadConfig = field(default_factory=OverloadConfig)
     """Degradation-ladder tunables (see :class:`OverloadConfig`)."""
 
@@ -197,29 +189,6 @@ class DaemonConfig:
     stop_join_timeout_s: float = 5.0
     """Seconds ``stop()`` waits for the poll thread before reporting a
     hung daemon (the thread handle is kept so it cannot be leaked)."""
-
-    poll_workers: int = 1
-    """Worker threads a poll fans monitor shards across (each worker
-    reads its shards over its own session).  1 polls inline; the whole
-    poll is still serialized under the daemon's poll mutex, so workers
-    parallelize shard reads *within* one poll, never across polls."""
-
-    worker_heartbeat_timeout_s: float = 10.0
-    """Seconds a poll worker may run without stamping its heartbeat
-    before the collecting poll declares it hung, abandons its thread
-    and fails the round (the worker's session is replaced, never closed
-    under the zombie, and the incident is surfaced in the daemon
-    status)."""
-
-    worker_park_after: int = 3
-    """Consecutive failed rounds for one shard group before that group
-    is parked — skipped by subsequent polls so the remaining groups
-    keep flowing — until ``worker_park_cooldown_s`` elapses."""
-
-    worker_park_cooldown_s: float = 60.0
-    """Seconds a parked shard group stays quarantined before the next
-    poll half-opens it (retries it once; success unparks, failure
-    re-parks for another cooldown)."""
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ class _Fold:
 
 _SAMPLE_COLUMNS = ("ts",) + records.STATISTIC_FIELDS
 _SAMPLE_OF = {
-    schema.name: itemgetter(*map(schema.column_index, _SAMPLE_COLUMNS))
+    len(schema.columns): itemgetter(*map(schema.column_index, _SAMPLE_COLUMNS))
     for schema in (STATISTICS_SCHEMA, WL_STATISTICS)
 }
 
@@ -220,17 +220,17 @@ def statistics_sample(row: tuple) -> tuple:
     """``(ts, *STATISTIC_FIELDS)`` of a statistics row, fields found by
     column name.  Accepts a sample (an element of
     :attr:`WorkloadView.statistics`), an ``ima_statistics`` row, which
-    leads with an integer ``seq``, and a ``wl_statistics`` row, which
-    leads with the ``captured_at`` float; both of those have
-    ``len(WL_STATISTICS.columns)`` fields."""
+    leads with its ``seq``, and a ``wl_statistics`` row, which leads
+    with ``captured_at`` and ends with ``src_seq``; the three differ in
+    length."""
     if len(row) == len(_SAMPLE_COLUMNS):
         return tuple(row)
-    if len(row) != len(WL_STATISTICS.columns):
+    sample_of = _SAMPLE_OF.get(len(row))
+    if sample_of is None:
         raise AnalyzerError(
             f"not a statistics row: {len(row)} fields, expected "
-            f"{len(_SAMPLE_COLUMNS)} or {len(WL_STATISTICS.columns)}")
-    table = "wl_statistics" if isinstance(row[0], float) else "ima_statistics"
-    return _SAMPLE_OF[table](row)
+            f"{len(_SAMPLE_COLUMNS)} or one of {sorted(_SAMPLE_OF)}")
+    return sample_of(row)
 
 
 def _fields_of(record: tuple, _database: Any) -> tuple:

@@ -1,8 +1,9 @@
 """Thread supervision and the engine-wide health surface.
 
-PR 8 multiplied the background threads (daemon poll workers, the tuner
-loop); this module supervises the long-lived ones and aggregates
-everything observable about the monitoring pipeline into one snapshot.
+The monitoring pipeline runs long-lived background threads (the
+storage daemon's poll loop, the tuner loop); this module supervises
+them and aggregates everything observable about the pipeline into one
+snapshot.
 
 :class:`Supervisor` watches registered threads (the storage daemon's
 poll loop, the autonomous tuner) through three probes — liveness,

@@ -232,7 +232,7 @@ class IntegratedMonitor:
             self.issued += 1
             if self.degradation_level == _DETAILED or self._admit_degraded():
                 if record.timestamp == 0.0:
-                    # The shard recovered from SHED mid-statement, so
+                    # The monitor recovered from SHED mid-statement, so
                     # parse skipped the clock read; admitted records
                     # carry a real timestamp for daemon retention.
                     record = record._replace(timestamp=self.clock.now())  # staticcheck: allocfree(shed-recovery-edge-only)
@@ -307,40 +307,20 @@ class IntegratedMonitor:
             self.sensor_calls = 0
             self.sensor_time_s = 0.0
 
-    @property
-    def shard_count(self) -> int:
-        """A plain monitor is one shard (shard id 0) of the merged IMA
-        seq space; :class:`~repro.core.sharding.ShardedMonitor` reports
-        its real count.  Consumers (IMA, daemon) treat both uniformly."""
-        return 1
-
 
 class MonitorSensors(Sensors):
     """The in-core sensor implementation writing into the monitor.
 
-    ``session_id`` (via :meth:`for_session`) binds the object to one
-    session: contexts it creates carry that id even when the call site
-    does not pass one, so per-session attribution in the workload view
-    never silently defaults to session 0.  ``statistics_monitor``
-    redirects system-statistics samples to a different monitor — the
-    sharded facade points every shard-bound sensor at shard 0 so the
-    global one-per-second statistics rate limit survives sharding.
+    One object serves every session of the engine: the session id each
+    statement is attributed to arrives with ``statement_start``.
     """
 
-    def __init__(self, monitor: IntegratedMonitor, session_id: int = 0,
-                 statistics_monitor: IntegratedMonitor | None = None,
-                 ) -> None:
+    def __init__(self, monitor: IntegratedMonitor) -> None:
         self.monitor = monitor
-        self._session_id = session_id
-        self._statistics_monitor = statistics_monitor or monitor
         # Pre-bound fast-path callables: the plan-cache-hit path pays
         # one attribute walk per sensor fire instead of two or three.
         self._record_statement = monitor.record_statement
         self._complete_statement = monitor.complete_statement
-
-    def for_session(self, session_id: int) -> "MonitorSensors":
-        return MonitorSensors(self.monitor, session_id,
-                              self._statistics_monitor)
 
     # Each sensor measures its own duration with time.perf_counter —
     # these are the 1-2 microsecond calls section V-A talks about.
@@ -358,9 +338,7 @@ class MonitorSensors(Sensors):
         # statement lands on; the admission gate re-reads the level
         # under the counter lock when it counts.
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
-            text, text_hash, t0,
-            session_id if session_id else self._session_id,
-            monitor.degradation_level)
+            text, text_hash, t0, session_id, monitor.degradation_level)
         # Deferred accounting: non-terminal sensors only bump the
         # context; the terminal sensor folds the whole statement into
         # the monitor's counters in one lock round-trip.
@@ -505,7 +483,7 @@ class MonitorSensors(Sensors):
     # staticcheck: hotpath
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],
                           ctx: StatementContext | None = None) -> None:
-        monitor = self._statistics_monitor
+        monitor = self.monitor
         now = ctx.wall_time if ctx is not None else 0.0
         if not now:  # the statement read no clock (or there is none)
             now = monitor.clock.now()  # staticcheck: allocfree(statistics-rate-limit-needs-current-time)

@@ -118,13 +118,6 @@ class KeyedRingBuffer(Generic[K, T]):
             entry = self._items.get(key)
             return entry[1] if entry is not None else None
 
-    def entry(self, key: K) -> tuple[int, T] | None:
-        """``(updated_seq, value)`` for ``key``, or None (one atomic
-        read — the merged view needs the seq to pick the freshest
-        record across shards)."""
-        with self._lock:
-            return self._items.get(key)
-
     # staticcheck: hotpath
     def bump(self, key: K, update: Callable[[T, Any], T],
              arg: Any) -> bool:

@@ -87,18 +87,6 @@ class StatementContext:
 class Sensors:
     """Interface of the in-core sensors; all methods must be cheap."""
 
-    def for_session(self, session_id: int) -> "Sensors":
-        """A sensor object bound to one session.
-
-        Sessions call this once at connect time and route every sensor
-        fire through the bound object, so per-session state — the
-        session id recorded in statement contexts, the monitor shard the
-        session hashes to — is resolved once instead of per statement.
-        The base implementation (and :class:`NullSensors`) is unbound:
-        it returns ``self``.
-        """
-        return self
-
     def statement_start(self, text: str, session_id: int = 0,
                         text_hash: int | None = None,
                         prepared: Any = None,

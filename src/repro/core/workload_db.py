@@ -11,9 +11,9 @@ standard SQL and triggers on its tables provide active alerting.
 Every workload table carries a trailing ``src_seq`` column: the IMA
 ring-buffer sequence number of the source row.  It is the daemon's
 crash-recovery anchor — on restart
-:meth:`WorkloadDatabase.load_high_water_vector` recovers the
-per-(table, shard) high-water marks from persisted data, so a
-daemon that died mid-flush resumes without duplicating or losing rows.
+:meth:`WorkloadDatabase.load_high_water` recovers the per-table
+high-water marks from persisted data, so a daemon that died mid-flush
+resumes without duplicating or losing rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro import faultsim
 from repro.catalog.schema import Column, DataType, StorageStructure, TableSchema
 from repro.clock import Clock, SystemClock
 from repro.config import EngineConfig
-from repro.core.sharding import shard_of_seq
 from repro.engine.database import Database
 from repro.errors import MonitorError
 from repro.optimizer.interfaces import estimate_row_bytes
@@ -169,8 +168,8 @@ class WorkloadDatabase:
         to one :meth:`Database.insert_rows`, which stores the rows in
         order and stops at the first one it cannot store — so a crash
         mid-append persists a prefix, and recovery via
-        :meth:`load_high_water_vector` resumes exactly after the last
-        persisted row.
+        :meth:`load_high_water` resumes exactly after the last persisted
+        row.
         """
         faultsim.fire("workload_db.append", error=MonitorError,
                       clock=self.clock)
@@ -185,27 +184,17 @@ class WorkloadDatabase:
                                         storage.row_count)
         return written
 
-    def load_high_water_vector(self) -> dict[str, dict[int, int]]:
-        """Per-(table, shard) max persisted ``src_seq``.
-
-        ``src_seq`` carries its monitor shard in the merged encoding of
-        :mod:`repro.core.sharding`, so the per-shard maxima are fully
-        recoverable from persisted data alone.  Returns
-        ``{workload_table: {shard: max_encoded_src_seq}}``; tables with
-        no encoded seqs map to ``{}``.
-        """
-        marks: dict[str, dict[int, int]] = {}
+    def load_high_water(self) -> dict[str, int]:
+        """Per-table max persisted ``src_seq``: ``{workload_table:
+        seq}``, 0 for a table with no row appended from a source (rows
+        without one carry ``src_seq == 0``)."""
+        marks: dict[str, int] = {}
         for schema in WORKLOAD_TABLES:
-            storage = self.database.storage_for(schema.name)
-            per_shard: dict[int, int] = {}
-            for _rowid, row in storage.scan():
-                seq = row[-1]
-                if seq <= 0:
-                    continue  # rows appended without a source seq
-                shard = shard_of_seq(seq)
-                if seq > per_shard.get(shard, 0):
-                    per_shard[shard] = seq
-            marks[schema.name] = per_shard
+            high = 0
+            for _rowid, row in self.database.storage_for(schema.name).scan():
+                if row[-1] > high:
+                    high = row[-1]
+            marks[schema.name] = high
         return marks
 
     def flush(self) -> None:

@@ -108,14 +108,7 @@ class Session:
         self.engine = engine
         self.database = database
         self.session_id = session_id
-        # Bound once at connect: routes every sensor fire through a
-        # session-bound object, so per-session state (the session id in
-        # statement contexts, the monitor shard this session hashes to)
-        # is resolved here instead of per statement.  The annotation is
-        # type evidence for the static thread-role model: every thread
-        # that executes statements (the storage daemon's poll sessions
-        # included) reaches the sensor overrides through this field.
-        self.sensors: Sensors = engine.sensors.for_session(session_id)
+        self.sensors: Sensors = engine.sensors
         self.optimizer = Optimizer(database, engine.config)
         self.executor = Executor(database, database.pool, database.disk)
         self._explicit_txn: Transaction | None = None

@@ -17,14 +17,8 @@ points* wired into the pipeline's seams:
                           (`core/analyzer/recommendations.py`)
 ``analyzer.scan``         analyzer workload scan (`core/analyzer/analyzer.py`)
 ``journal.write``         tuning-journal append (`core/tuning_journal.py`)
-``daemon.poll_worker.hang``  daemon poll worker stall — arm with
-                          ``latency`` (sleeps past the heartbeat
-                          deadline) or an ``on_fire`` event hook
-                          (`core/daemon.py`)
-``daemon.poll_worker.die``   daemon poll worker death — raises inside
-                          the worker loop (`core/daemon.py`)
 ``monitor.ring_flood``    overload-controller pressure override — an
-                          armed trigger forces every shard's pressure
+                          armed trigger forces the monitor's pressure
                           to 1.0 for that observation
                           (`core/overload.py`)
 ========================  ====================================================
@@ -69,8 +63,6 @@ FAIL_POINTS = (
     "ddl.apply",
     "analyzer.scan",
     "journal.write",
-    "daemon.poll_worker.hang",
-    "daemon.poll_worker.die",
     "monitor.ring_flood",
 )
 

@@ -26,7 +26,6 @@ from repro.core.lockwitness import LockWitness
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import OverloadController
 from repro.core.sensors import NullSensors
-from repro.core.sharding import ShardedMonitor, ShardedMonitorSensors
 from repro.core.workload_db import WorkloadDatabase
 from repro.engine.engine import EngineInstance
 
@@ -37,7 +36,7 @@ class Setup:
 
     name: str
     engine: EngineInstance
-    monitor: IntegratedMonitor | ShardedMonitor | None = None
+    monitor: IntegratedMonitor | None = None
     workload_db: WorkloadDatabase | None = None
     daemon: StorageDaemon | None = None
     controller: OverloadController | None = None
@@ -54,21 +53,11 @@ def original_setup(config: EngineConfig | None = None,
 def monitoring_setup(config: EngineConfig | None = None,
                      clock: Clock | None = None,
                      lock_witness: LockWitness | None = None) -> Setup:
-    """Monitoring code "compiled in": integrated sensors, no daemon.
-
-    ``MonitorConfig.shard_count`` picks the monitor flavor: 1 (the
-    paper's default) builds the single :class:`IntegratedMonitor`;
-    above 1 builds a :class:`~repro.core.sharding.ShardedMonitor` whose
-    sensors route each session to its ``session_id % shard_count``
-    shard."""
+    """Monitoring code "compiled in": one :class:`IntegratedMonitor`
+    fed by every session's sensors, no daemon."""
     engine = EngineInstance(config, clock=clock, lock_witness=lock_witness)
-    monitor: IntegratedMonitor | ShardedMonitor
-    if engine.config.monitor.shard_count > 1:
-        monitor = ShardedMonitor(engine.config.monitor, engine.clock)
-        engine.sensors = ShardedMonitorSensors(monitor)
-    else:
-        monitor = IntegratedMonitor(engine.config.monitor, engine.clock)
-        engine.sensors = MonitorSensors(monitor)
+    monitor = IntegratedMonitor(engine.config.monitor, engine.clock)
+    engine.sensors = MonitorSensors(monitor)
     return Setup(name="monitoring", engine=engine, monitor=monitor)
 
 
@@ -97,13 +86,12 @@ def daemon_setup(database_name: str,
     workload_db = WorkloadDatabase(engine.config, engine.clock)
     daemon = StorageDaemon(engine, database_name, workload_db,
                            daemon_config or engine.config.daemon,
-                           witness=lock_witness,
-                           shard_count=setup.monitor.shard_count)
+                           witness=lock_witness)
     setup.name = "daemon"
     setup.workload_db = workload_db
     setup.daemon = daemon
     engine.register_health_source(
-        "daemon", lambda: _daemon_health(daemon))
+        "daemon", lambda: asdict(daemon.status()))
     if engine.config.monitor.overload.enabled:
         controller = OverloadController(setup.monitor,
                                         engine.config.monitor.overload,
@@ -135,10 +123,3 @@ def attach_supervisor(setup: Setup,
     setup.supervisor = supervisor
     engine.register_health_source("supervisor", supervisor.snapshot)
     return supervisor
-
-
-def _daemon_health(daemon: StorageDaemon) -> dict[str, object]:
-    """The daemon's status dataclass as a JSON-shaped dict."""
-    status = asdict(daemon.status())
-    status["parked_groups"] = list(status["parked_groups"])
-    return status

@@ -83,7 +83,6 @@ class StaticcheckConfig:
 
     growth_scope_paths: tuple[str, ...] = (
         "*repro/core/ring_buffer.py",
-        "*repro/core/sharding.py",
         "*repro/core/monitor.py",
         "*repro/core/sensors.py",
         "*repro/core/daemon.py",

@@ -11,7 +11,7 @@ configurable scale, plus the three workload classes of section V:
 
 :mod:`repro.workloads.driver` adds the multi-session traffic driver
 (thread- and process-based) that runs these workloads from N concurrent
-sessions — the load source for the sharded monitor.
+sessions.
 """
 
 from repro.workloads.driver import (

@@ -1,23 +1,21 @@
 """Multi-session traffic driver: N concurrent NREF sessions.
 
-The paper's measurements flood the engine from a single connection; the
-sharded monitor exists for the many-session case, so this module
-supplies the missing traffic source.  :class:`ThreadedDriver` connects
-``N`` sessions to one engine and runs a statement list per session on
-its own thread, rendezvousing on a barrier so every pass measures
-genuinely concurrent load against the shared (sharded) monitor.
+The paper's measurements flood the engine from a single connection;
+this module supplies the many-session traffic source.
+:class:`ThreadedDriver` connects ``N`` sessions to one engine and runs
+a statement list per session on its own thread, rendezvousing on a
+barrier so every pass measures genuinely concurrent load against the
+shared monitor.
 
 Two execution modes, both reachable from the command line
 (``python -m repro.workloads.driver`` or ``repro drive``):
 
 ``thread``
-    N threads, one shared engine — the mode that actually exercises
-    shard routing, merged-IMA ordering and the daemon's parallel
-    polling.  With ``--check`` the run drains the storage daemon and
-    verifies the end-to-end invariants of :mod:`repro.invariants`:
-    no duplicate ``src_seq``, per shard monotone persistence order, and
-    every ``wl_workload`` row attributed to the shard its session
-    hashes to.
+    N threads, one shared engine and monitor.  With ``--check`` the
+    run drains the storage daemon and verifies the end-to-end
+    invariants of :mod:`repro.invariants`: no duplicate ``src_seq``,
+    ascending persistence order, and every session's statements in the
+    persisted history.
 
 ``process``
     N worker processes, each with a private engine and session — a
@@ -26,8 +24,8 @@ Two execution modes, both reachable from the command line
     so it reports per-process throughput only.
 
 A third mode, ``--storm``, turns the thread driver into an overload
-burst (tiny rings, fast ladder, a poll-worker hang and repeated worker
-deaths, then a quiesce phase) judged by the storm rule of
+burst (tiny rings, fast ladder, ring floods, a dead daemon thread the
+supervisor restarts, then a quiesce phase) judged by the storm rule of
 :mod:`repro.invariants`.
 """
 
@@ -50,7 +48,6 @@ from repro.config import (
     OverloadConfig,
 )
 from repro.core.overload import SHED
-from repro.core.sharding import SHARD_STRIDE
 from repro.errors import ReproError
 from repro.invariants import history_violations, settled, storm_violations
 from repro.setups import Setup, attach_supervisor, daemon_setup, monitoring_setup
@@ -93,8 +90,8 @@ class DriverReport:
 class ThreadedDriver:
     """Drives one statement list per session, concurrently, repeatably.
 
-    Sessions are connected once at construction (binding each to its
-    monitor shard) and reused across passes, the way the paper's
+    Sessions are connected once at construction and reused across
+    passes, the way the paper's
     long-lived applications hold connections — so repeated passes
     measure warm statement/plan caches, not connection setup.
     """
@@ -171,8 +168,8 @@ def verify_persisted_invariants(setup: Setup,
                                 session_ids: Sequence[int]) -> list[str]:
     """Drain the daemon, then check the persisted workload history
     (:func:`repro.invariants.history_violations`: exactly-once,
-    per-shard order, session attribution, every session's shard
-    persisted).  Returns the violations; empty means all held."""
+    ascending order, every session persisted).  Returns the violations;
+    empty means all held."""
     assert setup.daemon is not None
     setup.daemon.poll_once()
     setup.daemon.flush()
@@ -194,14 +191,10 @@ def _statement_lists(sessions: int, statements_per_session: int,
 
 
 def run_thread_mode(sessions: int, statements_per_session: int,
-                    proteins: int, shard_count: int, poll_workers: int,
-                    seed: int = 13,
+                    proteins: int, seed: int = 13,
                     check: bool = False) -> tuple[DriverReport, list[str]]:
-    """One thread-mode pass against a daemon-attached sharded engine."""
-    config = EngineConfig(
-        monitor=MonitorConfig(shard_count=shard_count),
-        daemon=DaemonConfig(poll_workers=poll_workers))
-    setup = daemon_setup("nref", config=config)
+    """One thread-mode pass against a daemon-attached engine."""
+    setup = daemon_setup("nref")
     scale = NrefScale(proteins=proteins)
     load_nref(setup.engine.database("nref"), scale)
     driver = ThreadedDriver(
@@ -219,35 +212,29 @@ def run_thread_mode(sessions: int, statements_per_session: int,
 def run_storm_mode(sessions: int, statements_per_session: int,
                    proteins: int, seed: int = 13,
                    ) -> tuple[dict, list[str]]:
-    """Overload burst against a daemon-attached sharded engine.
+    """Overload burst against a daemon-attached engine.
 
-    Real-clock phases: a **baseline** pass plus poll establishes every
-    shard's high-water mark (unread loss is measured against it); a
-    **burst** phase appends faster than the tiny workload rings can be
-    polled, so loss pressure walks shards down the ladder; a **fault**
-    phase hangs one poll worker past its heartbeat deadline and then
-    kills every worker until both poll groups park (parked shards are
-    forced to SHED); a **recovery** phase clears the faults and polls
-    until the groups half-open back and every shard climbs back to
-    DETAILED.
+    Real-clock phases: a **baseline** pass plus poll establishes the
+    workload ring's high-water mark (unread loss is measured against
+    it); a **burst** phase appends faster than the tiny workload ring
+    can be polled, so loss pressure walks the monitor down the ladder;
+    a **flood** phase arms ``monitor.ring_flood`` until the pressure
+    has forced SHED; a **thread death** phase stops the daemon's poll
+    thread and lets the :class:`~repro.core.health.Supervisor` restart
+    it; a **recovery** phase clears the faults and polls until the
+    monitor climbs back to DETAILED.
 
     Returns ``(summary, violations)``: the final health snapshot, and
     :func:`repro.invariants.storm_violations` with a SHED peak plus
-    proof that a worker hung and one died.
+    proof that the supervisor restarted the dead thread.
     """
     faultsim.reset()
-    shard_count = min(sessions, SHARD_STRIDE)
     config = EngineConfig(
         monitor=MonitorConfig(
-            shard_count=shard_count,
             workload_buffer_size=96,
             overload=OverloadConfig(sample_k=4, escalate_dwell=1,
                                     recover_dwell=2)),
-        daemon=DaemonConfig(poll_workers=2,
-                            flush_every_polls=1,
-                            worker_heartbeat_timeout_s=0.3,
-                            worker_park_after=2,
-                            worker_park_cooldown_s=0.2))
+        daemon=DaemonConfig(flush_every_polls=1))
     setup = daemon_setup("nref", config=config)
     daemon, controller = setup.daemon, setup.controller
     assert daemon is not None and controller is not None
@@ -259,8 +246,7 @@ def run_storm_mode(sessions: int, statements_per_session: int,
     driver = ThreadedDriver(
         setup.engine, "nref",
         _statement_lists(sessions, statements_per_session, scale, seed))
-    summary: dict = {"mode": "storm", "sessions": sessions,
-                     "shard_count": shard_count, "passes": 0,
+    summary: dict = {"mode": "storm", "sessions": sessions, "passes": 0,
                      "statements": 0, "errors": 0, "poll_failures": 0,
                      "recovery_polls": 0}
 
@@ -279,34 +265,33 @@ def run_storm_mode(sessions: int, statements_per_session: int,
         return True
 
     try:
-        # Baseline: one pass, one clean poll — every shard now has a
-        # persisted high-water mark to measure unread loss against.
+        # Baseline: one pass, one clean poll — the workload ring now
+        # has a persisted high-water mark to measure unread loss against.
         one_pass()
         try_poll()
 
-        # Burst: two passes per poll overrun the 96-row rings, so each
+        # Burst: two passes per poll overrun the 96-row ring, so each
         # poll sees unread loss and (dwell 1) degrades one rung.
         for _ in range(2):
             one_pass()
             one_pass()
             try_poll()
 
-        # Faults: one worker sleeps past the 0.3 s heartbeat deadline
-        # (abandoned as hung), then every worker dies on every poll
-        # until both groups park and their shards are forced to SHED.
-        faultsim.arm_from_spec(
-            "daemon.poll_worker.hang:once,latency=0.8", clock=clock)
-        try_poll()
-        faultsim.arm_from_spec("daemon.poll_worker.die:every-n=1")
+        # Flood: every observation reads pressure 1.0, so each poll
+        # degrades one more rung until the monitor sheds.
+        faultsim.arm_from_spec("monitor.ring_flood:every-n=1")
         for _ in range(3):
             one_pass()
             try_poll()
-            supervisor.tick()
         faultsim.reset()
 
-        # Recovery: traffic stops; quiesce polls let the 0.2 s park
-        # cooldown expire (half-open success unparks) and walk every
-        # shard back down the ladder to DETAILED.
+        # Thread death: the poll thread stops as a crashed one would;
+        # the supervisor's next tick restarts it.
+        daemon.stop(final_flush=False)
+        supervisor.tick()
+
+        # Recovery: traffic stops; quiesce polls walk the monitor back
+        # down the ladder to DETAILED.
         for attempt in range(80):
             summary["recovery_polls"] = attempt + 1
             healthy = try_poll()
@@ -319,12 +304,10 @@ def run_storm_mode(sessions: int, statements_per_session: int,
         # The storm contract, checked at quiescence.
         violations = storm_violations(setup, min_peak=SHED)
         status = daemon.status()
-        if status.worker_hangs == 0:
-            violations.append("no poll worker was hung by the storm")
-        if status.worker_deaths == 0:
-            violations.append("no poll worker died in the storm")
-        summary["worker_hangs"] = status.worker_hangs
-        summary["worker_deaths"] = status.worker_deaths
+        if status.restarts == 0 or not daemon.is_alive():
+            violations.append(
+                "the supervisor did not restart the dead poll thread")
+        summary["restarts"] = status.restarts
         summary["degraded_windows"] = controller.degraded_windows()
         summary["supervisor_states"] = supervisor.states()
         summary["health"] = setup.engine.health()
@@ -391,22 +374,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--proteins", type=int, default=60)
     parser.add_argument("--mode", choices=("thread", "process", "both"),
                         default="thread")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="monitor shard count (0 = one per session, "
-                             f"capped at {SHARD_STRIDE})")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="daemon poll worker threads")
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--check", action="store_true",
                         help="drain the daemon and verify persisted "
                              "exactly-once/ordering/attribution invariants")
     parser.add_argument("--storm", action="store_true",
                         help="overload burst: tiny rings, fast ladder, "
-                             "worker hang/death faults, then verify the "
-                             "ladder reached SHED, conservation held "
-                             "exactly and everything recovered to "
-                             "DETAILED (ignores --mode/--shards/"
-                             "--workers/--check)")
+                             "ring floods and a dead daemon thread, then "
+                             "verify the ladder reached SHED, "
+                             "conservation held exactly, the supervisor "
+                             "restarted the thread and the monitor "
+                             "recovered to DETAILED (ignores --mode/"
+                             "--check)")
     args = parser.parse_args(argv)
 
     if args.storm:
@@ -418,15 +397,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"STORM CHECK FAIL: {violation}", file=sys.stderr)
         return 1 if violations else 0
 
-    shard_count = args.shards or min(args.sessions, SHARD_STRIDE)
     failed = False
     if args.mode in ("thread", "both"):
         report, violations = run_thread_mode(
             args.sessions, args.statements, args.proteins,
-            shard_count, args.workers, seed=args.seed, check=args.check)
+            seed=args.seed, check=args.check)
         summary = report.as_dict()
-        summary["shard_count"] = shard_count
-        summary["poll_workers"] = args.workers
         if args.check:
             summary["violations"] = violations
         print(json.dumps(summary, indent=2))

@@ -244,7 +244,7 @@ class TestStatisticsRowShapes:
     def test_other_shapes_are_rejected(self, shapes):
         from repro.errors import AnalyzerError
         row = shapes["wl_statistics"][0]
-        for bad in (row[:-1], row + (0,), ()):
+        for bad in (row[:-3], row + (0,), ()):
             with pytest.raises(AnalyzerError, match="not a statistics row"):
                 trends_from_statistics([bad])
             with pytest.raises(AnalyzerError, match="not a statistics row"):

@@ -109,10 +109,9 @@ class TestWorkloadDatabase:
         rows = [row for _rid, row in
                 wdb.database.storage_for("wl_indexes").scan()]
         assert [row[-1] for row in rows] == [7, 9]
-        # 7 and 9 are shard 7's and shard 9's seqs (seq % SHARD_STRIDE).
-        vector = wdb.load_high_water_vector()
-        assert vector["wl_indexes"] == {7: 7, 9: 9}
-        assert vector["wl_plans"] == {}
+        marks = wdb.load_high_water()
+        assert marks["wl_indexes"] == 9
+        assert marks["wl_plans"] == 0
 
     def test_purge_retention(self):
         wdb = WorkloadDatabase(EngineConfig())
@@ -162,7 +161,6 @@ class TestDaemon:
         neither parsed nor planned again, and each leaves its one
         workload row plus the refreshed statement record behind —
         counted, not timed."""
-        from repro.core.sharding import monitor_shards
         from repro.engine import session as session_module
         setup, session, _clock = wired
         session.execute("select a from t where a = 1")
@@ -179,7 +177,7 @@ class TestDaemon:
             poller.optimizer, "optimize_select",
             lambda *args, **kw: plans.append(args) or real_optimize(
                 *args, **kw))
-        monitor, = monitor_shards(setup.monitor)
+        monitor = setup.monitor
         keyed = (monitor.statements, monitor.references, monitor.tables,
                  monitor.attributes, monitor.indexes, monitor.plans)
 

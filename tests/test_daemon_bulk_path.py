@@ -23,7 +23,6 @@ from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.daemon import StorageDaemon
 from repro.core.ima import IMA_TABLE_NAMES, register_ima_tables
 from repro.core.records import WorkloadRecord
-from repro.core.sharding import monitor_shards, shard_of_seq
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import ReproError, StorageError, TypeMismatchError
 from repro.setups import daemon_setup, monitoring_setup, original_setup
@@ -51,33 +50,31 @@ RECORDS = 400
 WIDE_AT = 230  # position (in append order) of the one wide record
 
 
-def _flooded_setup(shard_count):
+def _flooded_setup(sessions):
     """A daemon with ``RECORDS`` workload records polled into pending,
-    spread round-robin over the shards; record ``WIDE_AT`` is ~700 bytes
-    wide, the others ~150.  The three-page pool makes every flush evict
-    (and write back) pages mid-batch."""
+    spread round-robin over ``sessions`` sessions; record ``WIDE_AT``
+    is ~700 bytes wide, the others ~150.  The three-page pool makes
+    every flush evict (and write back) pages mid-batch."""
     config = EngineConfig(
-        monitor=MonitorConfig(shard_count=shard_count),
         storage=StorageConfig(buffer_pool_pages=3),
         daemon=DaemonConfig(flush_every_polls=2 ** 31))
     setup = daemon_setup("db", config=config, clock=VirtualClock(1_000_000.0))
-    shards = monitor_shards(setup.monitor)
     for index in range(RECORDS):
-        shard = index % shard_count
-        shards[shard].record_workload(_record(
-            FIRST_HASH + index, 1000 + shard,
+        setup.monitor.record_workload(_record(
+            FIRST_HASH + index, 1000 + index % sessions,
             "i" * 600 if index == WIDE_AT else ""))
     setup.daemon.poll_once()
     return setup
 
 
-@pytest.mark.parametrize("shard_count", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("fault", ["oversize-row", "disk-write"])
 def test_failed_bulk_append_persists_a_prefix_and_loses_nothing(
-        shard_count, fault, monkeypatch):
-    setup = _flooded_setup(shard_count)
+        sessions, fault, monkeypatch):
+    setup = _flooded_setup(sessions)
     daemon, workload_db = setup.daemon, setup.workload_db
-    batch = sorted(seq for seq, _row in daemon._pending["wl_workload"])
+    batch = [seq for seq, _row in daemon._pending["wl_workload"]]
+    assert batch == sorted(batch)
     assert len(batch) >= RECORDS
     if fault == "oversize-row":
         # No page of the shrunken heap can hold the wide row: the batch
@@ -92,8 +89,7 @@ def test_failed_bulk_append_persists_a_prefix_and_loses_nothing(
 
     persisted = _workload_seqs(workload_db)
     assert 0 < len(persisted) < len(batch)  # it did fail mid-batch
-    # Exactly a prefix of the ascending batch, in order (hence ascending
-    # per shard) ...
+    # Exactly a prefix of the ascending batch, in order ...
     assert persisted == batch[:len(persisted)]
     # ... and exactly the rest is pending again, in order.
     assert [seq for seq, _row in daemon._pending["wl_workload"]] == \
@@ -103,15 +99,12 @@ def test_failed_bulk_append_persists_a_prefix_and_loses_nothing(
     # "Crash": the daemon and its pending rows die; a fresh one resyncs
     # from the persisted src_seq values and re-reads the rest from IMA.
     reborn = StorageDaemon(setup.engine, "db", workload_db,
-                           config=daemon.config, shard_count=shard_count)
+                           config=daemon.config)
     reborn.poll_once()
     reborn.flush()
     final = _workload_seqs(workload_db)
-    assert len(final) == len(set(final))  # nothing duplicated
+    assert final == sorted(set(final))  # nothing duplicated, in order
     assert set(batch) <= set(final)  # nothing lost
-    for shard in range(shard_count):
-        mine = [seq for seq in final if shard_of_seq(seq) == shard]
-        assert mine == sorted(mine)
     flooded = [row for _rowid, row in
                workload_db.database.storage_for("wl_workload").scan()
                if FIRST_HASH <= row[1] < FIRST_HASH + RECORDS]
@@ -263,26 +256,26 @@ class TestRetentionWatermark:
 
 # -- read side --------------------------------------------------------------
 
-def _busy_monitor(shard_count):
+def _busy_monitor(session_count):
     """A monitored engine whose rings have wrapped (workload, plans),
     evicted (statements) and been re-sequenced by repeats (every keyed
-    ring has seq gaps), read through an *unmonitored* second engine so
-    that looking does not change what is looked at."""
+    ring has seq gaps), fed by ``session_count + 1`` sessions and read
+    through an *unmonitored* second engine so that looking does not
+    change what is looked at."""
     clock = VirtualClock(1_000_000.0)
     setup = monitoring_setup(
         EngineConfig(monitor=MonitorConfig(
-            shard_count=shard_count, workload_buffer_size=12,
-            statement_buffer_size=9, plan_buffer_size=5,
-            plan_capture_min_cost=1e-9)),
+            workload_buffer_size=12, statement_buffer_size=9,
+            plan_buffer_size=5, plan_capture_min_cost=1e-9)),
         clock=clock)
     database = setup.engine.create_database("db")
-    sessions = [setup.engine.connect("db") for _ in range(shard_count + 1)]
+    sessions = [setup.engine.connect("db") for _ in range(session_count + 1)]
     sessions[0].execute("create table t (a int not null, b int, "
                         "primary key (a))")
     sessions[0].execute("insert into t values " + ", ".join(
         f"({i}, {i % 300})" for i in range(1500)))
     sessions[0].execute("create index t_b on t (b)")
-    rng = random.Random(shard_count)
+    rng = random.Random(session_count)
     for step in range(90):
         session = sessions[step % len(sessions)]
         # Statements are keyed by shape: more shapes than the statement
@@ -295,8 +288,7 @@ def _busy_monitor(shard_count):
             "select count(*) from t",
             "select t.a from t join t u on t.a = u.b where u.a < 9")))
         clock.advance(0.4)  # statistics are sampled at most once a second
-    assert sum(shard.statements.evicted
-               for shard in monitor_shards(setup.monitor)) > 0
+    assert setup.monitor.statements.evicted > 0
     reader = original_setup()
     reader_db = reader.engine.create_database("reader")
     register_ima_tables(reader_db, setup.monitor, monitored_database=database)
@@ -326,7 +318,7 @@ def test_a_reused_poll_plan_pushes_its_own_seq_floor(monkeypatch):
     floors = [seqs[0], seqs[3], seqs[-2], 0, seqs[-1], seqs[6]]
     for floor in floors:
         result = reader.execute(
-            f"select * from ima_workload where shard = 0 and seq > {floor}")
+            f"select * from ima_workload where seq > {floor}")
         assert result.rows == [row for row in everything if row[0] > floor]
         # the scan saw only the rows above the floor
         assert result.metrics.tuples_processed == 2 * len(result.rows)
@@ -357,24 +349,25 @@ def test_floor_only_scan_takes_the_snapshot_as_it_comes(monkeypatch):
     for where, keep in (
             (f"seq > {floor} and seq > 0", lambda row: row[0] > floor),
             (f"seq >= {floor}", lambda row: row[0] >= floor),
-            (f"frequency > {1}", lambda row: row[4] > 1),
+            (f"frequency > {1}", lambda row: row[3] > 1),
             (f"seq > {floor} and frequency > 1",
-             lambda row: row[0] > floor and row[4] > 1)):
+             lambda row: row[0] > floor and row[3] > 1)):
         result = reader.execute(f"select * from ima_statements where {where}")
         assert result.rows == [row for row in everything if keep(row)], where
     assert len(compiled) == 4
 
 
-@pytest.mark.parametrize("shard_count", [1, 4])
-def test_seq_bounded_ima_reads_equal_the_filtered_full_read(shard_count):
-    monitor, reader_db, reader = _busy_monitor(shard_count)
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_seq_bounded_ima_reads_equal_the_filtered_full_read(sessions):
+    monitor, reader_db, reader = _busy_monitor(sessions)
     assert monitor.workload.dropped > 0  # the workload ring wrapped
     for table in IMA_TABLE_NAMES:
         everything = reader.execute(f"select * from {table}").rows
         assert everything, table
         assert reader_db.table_info(table).row_count == len(everything)
-        seqs = sorted(row[0] for row in everything)
-        if table == "ima_statements" and shard_count == 1:
+        seqs = [row[0] for row in everything]
+        assert seqs == sorted(seqs)  # the ring's seq order
+        if table == "ima_statements":
             # repeats re-sequence a keyed ring's entries: seqs have gaps
             assert seqs != list(range(seqs[0], seqs[0] + len(seqs)))
         floors = (0, seqs[0] - 1, seqs[0], seqs[len(seqs) // 2], seqs[-1] - 1,
@@ -383,10 +376,6 @@ def test_seq_bounded_ima_reads_equal_the_filtered_full_read(shard_count):
             # The provider leaves out only what the filter would reject.
             bounded = reader_db.virtual_rows(table, {"seq": floor})
             assert bounded == [row for row in everything if row[0] > floor]
-            for shard in range(shard_count):
-                result = reader.execute(
-                    f"select * from {table} "
-                    f"where shard = {shard} and seq > {floor}")
-                assert result.rows == [
-                    row for row in everything
-                    if row[1] == shard and row[0] > floor], (table, floor)
+            result = reader.execute(
+                f"select * from {table} where seq > {floor}")
+            assert result.rows == bounded, (table, floor)

@@ -4,10 +4,8 @@ relies on them must catch."""
 import pytest
 
 from repro.chaos import main as chaos_main
-from repro.config import EngineConfig, MonitorConfig
 from repro.core.daemon import StorageDaemon
 from repro.core.overload import SAMPLED
-from repro.core.sharding import encode_seq
 from repro.invariants import (
     history_violations,
     settled,
@@ -20,42 +18,56 @@ WORKLOAD_ROW = (1, 9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                 0.0, 0.0, 0, 0, 0, 0, "", 0.0)
 
 
-def _sharded_setup(shard_count=2):
-    return daemon_setup("nref", config=EngineConfig(
-        monitor=MonitorConfig(shard_count=shard_count)))
+def _setup():
+    return daemon_setup("nref")
+
+
+def _row(session_id):
+    return (1, session_id, *WORKLOAD_ROW[2:])
 
 
 class TestHistory:
     def test_rows_without_a_source_seq_are_skipped(self):
         """Rows appended without seqs persist ``src_seq == 0``; they are
-        neither duplicates nor misattributed."""
-        setup = _sharded_setup()
+        neither duplicates nor out of order."""
+        setup = _setup()
         setup.workload_db.append("wl_workload", [WORKLOAD_ROW] * 2,
                                  captured_at=1.0)
         assert history_violations(setup) == []
 
-    def test_order_per_shard_is_checked(self):
-        setup = _sharded_setup()
-        row = (1, 0, *WORKLOAD_ROW[2:])  # session 0 -> shard 0
-        setup.workload_db.append(
-            "wl_workload", [row, row], captured_at=1.0,
-            seqs=[encode_seq(5, 0), encode_seq(3, 0)])
+    def test_persisted_order_is_checked(self):
+        setup = _setup()
+        setup.workload_db.append("wl_workload", [_row(1), _row(1)],
+                                 captured_at=1.0, seqs=[5, 3])
         assert history_violations(setup) == [
-            f"wl_workload: shard 0 src_seq {encode_seq(3, 0)} persisted "
-            f"after {encode_seq(5, 0)} (order broken)"]
+            "wl_workload: src_seq 3 persisted after 5 (order broken)"]
 
     def test_session_without_persisted_rows_is_reported(self):
-        setup = _sharded_setup()
+        setup = _setup()
         assert history_violations(setup, session_ids=[1]) == [
-            "wl_workload: no rows persisted for shards [1]"]
+            "wl_workload: no rows persisted for sessions [1]"]
+
+    def test_session_whose_rows_were_deleted_is_reported(self):
+        setup = _setup()
+        setup.workload_db.append(
+            "wl_workload", [_row(1), _row(2), _row(1), _row(3)],
+            captured_at=1.0, seqs=[1, 2, 3, 4])
+        assert history_violations(setup, session_ids=[1, 2, 3]) == []
+        database = setup.workload_db.database
+        for rowid in [rowid for rowid, row
+                      in database.storage_for("wl_workload").scan()
+                      if row[2] == 1]:
+            database.delete_row("wl_workload", rowid)
+        assert history_violations(setup, session_ids=[1, 2, 3]) == [
+            "wl_workload: no rows persisted for sessions [1]"]
 
 
 class TestStorm:
     def test_undegraded_run_is_settled_but_not_a_storm(self):
-        setup = _sharded_setup()
+        setup = _setup()
         assert settled(setup)
         assert storm_violations(setup, min_peak=SAMPLED) == [
-            "storm never forced any shard to SAMPLED (peak level "
+            "storm never forced the monitor to SAMPLED (peak level "
             "DETAILED) — not a storm"]
 
 

@@ -3,8 +3,7 @@ and its end-to-end persistence invariant checks."""
 
 import pytest
 
-from repro.config import EngineConfig, MonitorConfig
-from repro.core.sharding import encode_seq
+from repro.core.monitor import MonitorSensors
 from repro.setups import daemon_setup, monitoring_setup
 from repro.workloads import (
     NrefScale,
@@ -18,9 +17,8 @@ from repro.workloads import (
 from repro.workloads.driver import main as driver_main
 
 
-def _nref_engine(shard_count: int = 4, proteins: int = 20):
-    setup = monitoring_setup(EngineConfig(
-        monitor=MonitorConfig(shard_count=shard_count)))
+def _nref_engine(proteins: int = 20):
+    setup = monitoring_setup()
     setup.engine.create_database("nref")
     scale = NrefScale(proteins=proteins)
     load_nref(setup.engine.database("nref"), scale)
@@ -44,29 +42,27 @@ class TestThreadedDriver:
         assert len(report.per_session) == 5
         assert all(r.statements == 12 for r in report.per_session)
 
-    def test_sessions_attributed_to_their_shards(self):
-        setup, scale = _nref_engine(shard_count=4)
+    def test_sessions_attributed_in_the_workload_ring(self):
+        setup, scale = _nref_engine()
         lists = [point_query_statements(6, scale, seed=200 + i)
                  for i in range(4)]
         driver = ThreadedDriver(setup.engine, "nref", lists)
         try:
             driver.run_pass()
-            monitor = setup.monitor
+            recorded = [r.session_id
+                        for r in setup.monitor.workload.values()]
             for session in driver.sessions:
-                shard = monitor.shard_id_for(session.session_id)
-                recorded = {r.session_id for r in
-                            monitor.shards[shard].workload.values()}
-                assert session.session_id in recorded
+                assert recorded.count(session.session_id) == 6
         finally:
             driver.close()
 
     def test_empty_statement_lists_rejected(self):
-        setup, _scale = _nref_engine(shard_count=1)
+        setup, _scale = _nref_engine()
         with pytest.raises(ValueError):
             ThreadedDriver(setup.engine, "nref", [])
 
     def test_worker_exception_propagates(self):
-        setup, scale = _nref_engine(shard_count=2)
+        setup, scale = _nref_engine()
         lists = [point_query_statements(3, scale),
                  ["select broken from nowhere"]]
         driver = ThreadedDriver(setup.engine, "nref", lists)
@@ -80,15 +76,13 @@ class TestThreadedDriver:
 class TestThreadMode:
     def test_check_passes_on_clean_run(self):
         report, violations = run_thread_mode(
-            sessions=5, statements_per_session=15, proteins=20,
-            shard_count=4, poll_workers=2, check=True)
+            sessions=5, statements_per_session=15, proteins=20, check=True)
         assert violations == []
         assert report.statements == 75
         assert report.errors == 0
 
     def test_verifier_flags_duplicate_src_seq(self):
-        config = EngineConfig(monitor=MonitorConfig(shard_count=2))
-        setup = daemon_setup("nref", config=config)
+        setup = daemon_setup("nref")
         scale = NrefScale(proteins=10)
         load_nref(setup.engine.database("nref"), scale)
         driver = ThreadedDriver(
@@ -99,7 +93,7 @@ class TestThreadMode:
             driver.run_pass()
             # Corrupt the history: persist one workload row twice under
             # the same src_seq.
-            seq = encode_seq(10**6, 0)
+            seq = 10**6
             row = (1, 9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                    0.0, 0.0, 0, 0, 0, 0, "", 0.0)
             setup.workload_db.append(
@@ -112,28 +106,34 @@ class TestThreadMode:
         assert any("duplicate src_seq" in v for v in violations)
 
     def test_verifier_flags_misattributed_session(self):
-        config = EngineConfig(monitor=MonitorConfig(shard_count=2))
-        setup = daemon_setup("nref", config=config)
+        setup = daemon_setup("nref")
         scale = NrefScale(proteins=10)
         load_nref(setup.engine.database("nref"), scale)
+        # Corrupt the attribution: every statement of session 1 is
+        # recorded as session 999's.
+        monitor = setup.monitor
+        real = monitor.complete_statement
+
+        def misattribute(record, *args):
+            if record.session_id == 1:
+                record = record._replace(session_id=999)
+            return real(record, *args)
+
+        monitor.complete_statement = misattribute
+        setup.engine.sensors = MonitorSensors(monitor)
         driver = ThreadedDriver(
             setup.engine, "nref",
             [point_query_statements(4, scale, seed=400 + i)
              for i in range(2)])
         try:
             driver.run_pass()
-            # session 9 hashes to shard 1 (9 % 2) but the seq says 0.
-            row = (1, 9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                   0.0, 0.0, 0, 0, 0, 0, "", 0.0)
-            setup.workload_db.append(
-                "wl_workload", [row],
-                captured_at=setup.engine.clock.now(),
-                seqs=[encode_seq(10**6, 0)])
             violations = verify_persisted_invariants(
                 setup, driver.session_ids)
         finally:
             driver.close()
-        assert any("expected" in v for v in violations)
+        assert driver.session_ids[0] == 1
+        assert violations == [
+            "wl_workload: no rows persisted for sessions [1]"]
 
 
 class TestProcessMode:
@@ -153,4 +153,4 @@ class TestDriverCli:
         assert code == 0
         out = capsys.readouterr().out
         assert '"violations": []' in out
-        assert '"shard_count": 3' in out
+        assert '"sessions": 3' in out
