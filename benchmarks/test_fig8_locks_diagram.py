@@ -49,7 +49,7 @@ def contention_run():
             samples.append(StatisticsRecord(
                 timestamp=round(time.monotonic() - start, 3),
                 **{k: v for k, v in stats.items()
-                   if k in StatisticsRecord.__dataclass_fields__}))
+                   if k in StatisticsRecord._fields}))
             time.sleep(SAMPLE_INTERVAL)
 
     def transfer(first: str, second: str):

@@ -38,7 +38,6 @@ from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.daemon import StorageDaemon
 from repro.core.ima import register_ima_tables
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
-from repro.core.sensors import NullSensors, Sensors
 from repro.core.watchdog import WatchdogMonitor
 from repro.core.workload_db import WorkloadDatabase
 from repro.engine import Database, EngineInstance, Session
@@ -60,9 +59,7 @@ __all__ = [
     "LockConfig",
     "MonitorConfig",
     "MonitorSensors",
-    "NullSensors",
     "ReproError",
-    "Sensors",
     "Session",
     "Setup",
     "StorageConfig",

@@ -2,8 +2,9 @@
 
 Subpackages/modules map to the paper's control loop (figure 1):
 
-* **monitoring** — :mod:`repro.core.sensors` (call sites in the engine
-  core) and :mod:`repro.core.monitor` (ring-buffered in-memory data),
+* **monitoring** — :mod:`repro.core.monitor` (the sensors the engine
+  core calls, and the ring-buffered in-memory data they fill; statement
+  keys and the per-statement context live in :mod:`repro.core.sensors`),
   exposed over SQL by :mod:`repro.core.ima`;
 * **storing** — :mod:`repro.core.daemon` polls IMA and appends to the
   persistent workload database (:mod:`repro.core.workload_db`), with
@@ -18,7 +19,7 @@ paper argues against: an external watchdog that polls the DBMS from
 outside instead of sensing inside the core.
 """
 
-from repro.core.sensors import NullSensors, Sensors, StatementContext
+from repro.core.sensors import StatementContext
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.ima import register_ima_tables
@@ -30,8 +31,6 @@ __all__ = [
     "AutonomousTuner",
     "IntegratedMonitor",
     "MonitorSensors",
-    "NullSensors",
-    "Sensors",
     "StatementContext",
     "StorageDaemon",
     "TuningPolicy",

@@ -1,11 +1,12 @@
 """The integrated monitor: in-core sensors feeding ring buffers.
 
 :class:`IntegratedMonitor` owns the bounded in-memory structures of
-figure 3; :class:`MonitorSensors` is the sensor implementation compiled
-into the engine.  Each sensor call is timed with a high-resolution
-counter so that the share of monitoring in total statement time
-(figure 5) and the per-call overhead (section V-A's 1–2 µs measurement)
-can be reported.
+figure 3; :class:`MonitorSensors` is the one sensor implementation, the
+code "compiled into" an engine whose ``sensors`` it is.  An engine
+without it (the *Original* setup) runs none of this module.  Each
+sensor call is timed with a high-resolution counter so that the share
+of monitoring in total statement time (figure 5) and the per-call
+overhead (section V-A's 1–2 µs measurement) can be reported.
 
 Statement caching
 -----------------
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.clock import Clock, SystemClock
 from repro.config import MonitorConfig
@@ -35,18 +36,27 @@ from repro.core.records import (
     WorkloadRecord,
 )
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
-from repro.core.sensors import Sensors, StatementContext, statement_key
+from repro.core.sensors import StatementContext, statement_key
+from repro.execution.executor import ExecutionMetrics
+from repro.optimizer.cost_model import Cost
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.optimizer.optimizer import OptimizationResult
 
 STATISTICS_MIN_INTERVAL_S = 1.0
 
-# Degradation ladder levels (mirrored from repro.core.overload, which
-# imports this module; plain ints because the admission gate compares
-# them on the per-statement hot path).
-_DETAILED = 0
-_SAMPLED = 1
-_COUNTS_ONLY = 2
-_SHED = 3
+#: Degradation ladder levels (:mod:`repro.core.overload` decides them and
+#: re-exports these names).  Plain ints: the admission gate compares
+#: them on the per-statement hot path, where enum attribute access is
+#: measurably slower.
+DETAILED = 0
+SAMPLED = 1
+COUNTS_ONLY = 2
+SHED = 3
 
+# What a failed statement's workload record reports: no work done.
+_NO_WORK = ExecutionMetrics()
+_NO_COST = Cost()
 
 # Builds a record from its fields in order, without the NamedTuple's
 # ``__new__`` frame (the per-statement workload record).
@@ -88,7 +98,7 @@ class IntegratedMonitor:
         # conservation counters keep `issued == admitted + sampled_out
         # + shed` exact at quiescence, where admitted is the workload
         # ring's total_appended.
-        self.degradation_level = _DETAILED  # staticcheck: shared(_counter_lock)
+        self.degradation_level = DETAILED  # staticcheck: shared(_counter_lock)
         self._sample_k = 1  # staticcheck: shared(_counter_lock)
         self._sample_counter = 0  # staticcheck: shared(_counter_lock)
         self.issued = 0  # staticcheck: shared(_counter_lock)
@@ -174,10 +184,6 @@ class IntegratedMonitor:
             update=lambda record: record.bumped(),
         )
 
-    # staticcheck: hotpath
-    def record_workload(self, record: WorkloadRecord) -> int:
-        return self.workload.append(record)
-
     # -- degradation ladder (repro.core.overload) --------------------------
 
     # staticcheck: coldpath(controller-transitions-only)
@@ -187,33 +193,18 @@ class IntegratedMonitor:
             self.degradation_level = level
             self._sample_k = max(1, sample_k)
 
-    # staticcheck: hotpath
-    def admit_workload(self) -> bool:
-        """The admission gate: count one issued statement and decide
-        whether its workload record is admitted at full detail.
-
-        The level is re-read under the counter lock so the decision
-        always matches the counter it bumps — a controller transition
-        between a caller's stale read and the count here cannot
-        misattribute the statement.
-        """
-        with self._counter_lock:
-            self.issued += 1
-            return self.degradation_level == _DETAILED \
-                or self._admit_degraded()
-
     # staticcheck: guarded-by(_counter_lock)
     def _admit_degraded(self) -> bool:
         """The gate's decision below DETAILED, counting what it drops."""
         level = self.degradation_level
-        if level == _SAMPLED:
+        if level == SAMPLED:
             self._sample_counter += 1
             if self._sample_counter >= self._sample_k:
                 self._sample_counter = 0
                 return True
             self.sampled_out += 1
             return False
-        if level == _COUNTS_ONLY:
+        if level == COUNTS_ONLY:
             self.sampled_out += 1
             return False
         self.shed += 1
@@ -223,14 +214,19 @@ class IntegratedMonitor:
     def complete_statement(self, record: WorkloadRecord, sensor_calls: int,
                            monitor_time_s: float, started: float) -> float:
         """What a statement's terminal sensor does, in one critical
-        section: pass the admission gate (as :meth:`admit_workload`),
-        append ``record`` if admitted, and fold the statement's sensor
-        tally — ``sensor_calls`` fires and ``monitor_time_s`` plus the
+        section: pass the admission gate — count one issued statement,
+        decide whether ``record`` is admitted at full detail and append
+        it if so — and fold the statement's sensor tally
+        (``sensor_calls`` fires, and ``monitor_time_s`` plus the
         terminal sensor's own time, which began at ``started`` and is
-        read here, last — into the counters.  Returns that total."""
+        read here, last) into the counters.  Returns that total.
+
+        The gate reads the level under the counter lock, so its
+        decision always matches the counter it bumps: a transition
+        after the statement's stale read cannot misattribute it."""
         with self._counter_lock:
             self.issued += 1
-            if self.degradation_level == _DETAILED or self._admit_degraded():
+            if self.degradation_level == DETAILED or self._admit_degraded():
                 if record.timestamp == 0.0:
                     # The monitor recovered from SHED mid-statement, so
                     # parse skipped the clock read; admitted records
@@ -308,11 +304,17 @@ class IntegratedMonitor:
             self.sensor_time_s = 0.0
 
 
-class MonitorSensors(Sensors):
-    """The in-core sensor implementation writing into the monitor.
+class MonitorSensors:
+    """The in-core sensors, writing into the monitor; every call is
+    cheap and times itself with ``time.perf_counter`` — the 1-2
+    microsecond calls section V-A talks about.
 
     One object serves every session of the engine: the session id each
-    statement is attributed to arrives with ``statement_start``.
+    statement is attributed to arrives with ``statement_start``.  A
+    session fires ``statement_start``; then ``parse_complete`` and, for
+    a SELECT, ``optimize_complete``, unless the statement was prepared;
+    then ``execute_complete`` and ``sample_statistics``, or
+    ``statement_error``.
     """
 
     def __init__(self, monitor: IntegratedMonitor) -> None:
@@ -322,134 +324,115 @@ class MonitorSensors(Sensors):
         self._record_statement = monitor.record_statement
         self._complete_statement = monitor.complete_statement
 
-    # Each sensor measures its own duration with time.perf_counter —
-    # these are the 1-2 microsecond calls section V-A talks about.
-
     # staticcheck: hotpath
     def statement_start(self, text: str, session_id: int = 0,
                         text_hash: int | None = None,
                         prepared: Any = None) -> StatementContext:
+        """Wallclock start + query text capture.  ``text_hash`` is the
+        statement's :func:`statement_key` where the caller has it.
+
+        ``prepared`` is the session's prepared statement for ``text``
+        (its ``kind``, ``tables`` and ``optimized`` plan) when it has
+        one: this call then also records what :meth:`parse_complete`
+        and — for a SELECT — :meth:`optimize_complete` would, counted as
+        those sensors, and the caller fires neither."""
         t0 = time.perf_counter()
         if text_hash is None:
             text_hash = statement_key(text)
-        monitor = self.monitor
         # The ladder level is a benign stale read: a transition that
         # races this statement only shifts which side of it the
         # statement lands on; the admission gate re-reads the level
         # under the counter lock when it counts.
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
-            text, text_hash, t0, session_id, monitor.degradation_level)
+            text, text_hash, session_id, self.monitor.degradation_level)
         # Deferred accounting: non-terminal sensors only bump the
         # context; the terminal sensor folds the whole statement into
         # the monitor's counters in one lock round-trip.
         ctx.sensor_calls = 1
         if prepared is not None:
-            # A prepared statement's kind, tables and plan are known
-            # before it runs: what parse_complete and optimize_complete
-            # would record is recorded here, in this one timed call,
-            # and counted as those two sensors.  DML records no
-            # estimate, as on the path that plans it.
-            plan = prepared.optimized if prepared.kind == "select" else None
-            ctx.statement_kind = prepared.kind
-            if plan is not None:
-                cost = plan.estimated_cost
-                ctx.estimated_io = cost.io
-                ctx.estimated_cpu = cost.cpu
-                ctx.used_indexes = plan.used_indexes_text
+            ctx.sensor_calls = 2
+            self._parsed(ctx, prepared.tables)
+            # DML records no estimate, as on the path that plans it.
+            if prepared.kind == "select":
                 ctx.sensor_calls = 3
-                self._parsed(ctx, prepared.tables, plan.referenced_columns,
-                             plan.used_indexes, plan.explain)
-            else:
-                ctx.sensor_calls = 2
-                self._parsed(ctx, prepared.tables)
+                self._planned(ctx, prepared.optimized)
         ctx.monitor_time_s = time.perf_counter() - t0
         return ctx
 
     # staticcheck: hotpath
-    def _parsed(self, ctx: StatementContext, table_names: Sequence[str],
-                columns: Sequence[tuple[str, str]] = (),
-                index_names: Sequence[str] = (),
-                plan_supplier: Callable[[], str] | None = None) -> None:
+    def _parsed(self, ctx: StatementContext,
+                table_names: Sequence[str]) -> None:
         """Bump the statement's record and, for a statement the monitor
         does not know (or every statement, without the statement
-        cache), log its object references and capture its plan."""
-        monitor = self.monitor
+        cache), log its table references."""
         # Ladder gating: SHED records nothing (not even the clock
         # read); COUNTS_ONLY keeps the statement frequency bump but
         # skips reference logging; SAMPLED and DETAILED record fully.
-        if ctx.degradation >= _SHED:
+        if ctx.degradation >= SHED:
             return
+        monitor = self.monitor
         # Deferred timestamping: the one wall-clock read this
         # statement pays, reused by every later sensor.
         ctx.wall_time = monitor.clock.now()
-        ctx.is_new = is_new = self._record_statement(
-            ctx.text, ctx.text_hash, ctx.wall_time)
-        if ((is_new or not monitor.config.statement_cache_enabled)
-                and ctx.degradation < _COUNTS_ONLY):
-            self._log_new(ctx, table_names, columns, index_names,
-                          plan_supplier)
-
-    # staticcheck: coldpath(statement-cache-miss-only)
-    def _log_new(self, ctx: StatementContext, table_names: Sequence[str],
-                 columns: Sequence[tuple[str, str]],
-                 index_names: Sequence[str],
-                 plan_supplier: Callable[[], str] | None) -> None:
-        monitor = self.monitor
-        monitor.record_references(ctx.text_hash, table_names, columns,
-                                  index_names)
-        threshold = monitor.config.plan_capture_min_cost
-        estimated_total = ctx.estimated_io + ctx.estimated_cpu
-        if (plan_supplier is not None and threshold > 0
-                and estimated_total >= threshold):
-            # ctx.wall_time: captured once, when the statement was parsed.
-            monitor.record_plan(ctx.text_hash, estimated_total,
-                                plan_supplier(), ctx.wall_time)
+        if ((self._record_statement(ctx.text, ctx.text_hash, ctx.wall_time)
+                or not monitor.config.statement_cache_enabled)
+                and ctx.degradation < COUNTS_ONLY):
+            ctx.logs_references = True
+            monitor.record_references(ctx.text_hash, table_names)
 
     # staticcheck: hotpath
-    def parse_complete(self, ctx: StatementContext | None, kind: str,
-                       table_names: Sequence[str]) -> None:
-        if ctx is None:
+    def _planned(self, ctx: StatementContext,
+                 optimized: "OptimizationResult") -> None:
+        """Record a SELECT's plan, prepared or just made: its estimate
+        and used indexes and, where the parse logged the statement's
+        references, its column and index references and — for a
+        statement expensive enough — its plan text, rendered only
+        then."""
+        cost = optimized.estimated_cost
+        ctx.estimated_io = cost.io
+        ctx.estimated_cpu = cost.cpu
+        ctx.used_indexes = optimized.used_indexes_text
+        if not ctx.logs_references:
             return
+        monitor = self.monitor
+        monitor.record_references(ctx.text_hash, (),
+                                  optimized.referenced_columns,
+                                  optimized.used_indexes)
+        threshold = monitor.config.plan_capture_min_cost
+        estimated_total = cost.io + cost.cpu
+        if 0 < threshold <= estimated_total:
+            monitor.record_plan(ctx.text_hash, estimated_total,
+                                optimized.explain(), ctx.wall_time)
+
+    # staticcheck: hotpath
+    def parse_complete(self, ctx: StatementContext, kind: str,
+                       table_names: Sequence[str]) -> None:
+        """Called when the parser has resolved the statement's
+        ``kind`` and tables."""
         t0 = time.perf_counter()
-        ctx.statement_kind = kind
         self._parsed(ctx, table_names)
         ctx.monitor_time_s += time.perf_counter() - t0
         ctx.sensor_calls += 1
 
     # staticcheck: hotpath
-    def optimize_complete(self, ctx: StatementContext | None,
-                          estimated_io: float, estimated_cpu: float,
-                          used_indexes: Sequence[str],
-                          available_indexes: Sequence[str],
-                          referenced_columns: Sequence[tuple[str, str]],
-                          optimize_time_s: float,
-                          plan_supplier: Callable[[], str] | None = None,
-                          ) -> None:
-        if ctx is None:
-            return
+    def optimize_complete(self, ctx: StatementContext,
+                          optimized: "OptimizationResult",
+                          optimize_time_s: float) -> None:
+        """Called with the optimizer's result for a SELECT the session
+        planned (the object a prepared statement carries to
+        :meth:`statement_start`)."""
         t0 = time.perf_counter()
-        ctx.estimated_io = estimated_io
-        ctx.estimated_cpu = estimated_cpu
         ctx.optimize_time_s = optimize_time_s
-        ctx.used_indexes = ",".join(used_indexes)
-        # Known since before this statement's parse_complete: its
-        # references are logged (no second locked lookup to learn it).
-        if ((ctx.is_new or not self.monitor.config.statement_cache_enabled)
-                and ctx.degradation < _COUNTS_ONLY):
-            self._log_new(ctx, (), referenced_columns, used_indexes,
-                          plan_supplier)
+        self._planned(ctx, optimized)
         ctx.monitor_time_s += time.perf_counter() - t0
         ctx.sensor_calls += 1
 
     # staticcheck: hotpath
-    def execute_complete(self, ctx: StatementContext | None,
-                         actual_io: float, actual_cpu: float,
-                         logical_reads: int, physical_reads: int,
-                         tuples_processed: int, rows_returned: int,
-                         execute_time_s: float,
+    def execute_complete(self, ctx: StatementContext,
+                         metrics: ExecutionMetrics, actual: Cost,
                          wallclock_s: float) -> None:
-        if ctx is None:
-            return
+        """Called after execution with the executor's ``metrics``, their
+        ``actual`` cost and the statement's wallclock time."""
         t0 = time.perf_counter()
         # The monitor's gate counts this statement as issued and
         # decides whether the record is kept — suppressed statements
@@ -459,33 +442,31 @@ class MonitorSensors(Sensors):
         ctx.monitor_time_s = self._complete_statement(_new_record(  # staticcheck: allocfree(workload-record-is-the-product)
             WorkloadRecord, (
                 ctx.text_hash, ctx.session_id, ctx.wall_time,
-                ctx.optimize_time_s, execute_time_s, wallclock_s,
-                ctx.estimated_io, ctx.estimated_cpu, actual_io, actual_cpu,
-                logical_reads, physical_reads, tuples_processed,
-                rows_returned, ctx.used_indexes, ctx.monitor_time_s)),
+                ctx.optimize_time_s, wallclock_s, wallclock_s,
+                ctx.estimated_io, ctx.estimated_cpu, actual.io, actual.cpu,
+                metrics.logical_reads, metrics.physical_reads,
+                metrics.tuples_processed, metrics.rows_returned,
+                ctx.used_indexes, ctx.monitor_time_s)),
             ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
 
-    def statement_error(self, ctx: StatementContext | None,
-                        error: str) -> None:
-        if ctx is None:
-            return
-        t0 = time.perf_counter()
-        # Errors still count as executions with zero cost so that the
-        # statement history shows failing statements, through the same
-        # gate as execute_complete: failed statements stay inside the
-        # conservation ledger.
-        ctx.monitor_time_s = self._complete_statement(WorkloadRecord(
-            ctx.text_hash, ctx.session_id, self.monitor.clock.now(),
-            ctx.optimize_time_s, 0.0, 0.0, ctx.estimated_io,
-            ctx.estimated_cpu, 0.0, 0.0, 0, 0, 0, 0, "",
-            ctx.monitor_time_s), ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
+    def statement_error(self, ctx: StatementContext, error: str) -> None:
+        """Called when a statement fails anywhere in the pipeline."""
+        # Errors still count as executions, with no work done, so that
+        # the statement history shows failing statements; they pass
+        # the same gate, so they stay inside the conservation ledger.
+        self.execute_complete(ctx, _NO_WORK, _NO_COST, 0.0)
 
     # staticcheck: hotpath
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],
-                          ctx: StatementContext | None = None) -> None:
+                          ctx: StatementContext) -> None:
+        """Record a sample of system-wide statistics (sessions, locks,
+        cache usage, ...) at the wall-clock time ``ctx`` read for its
+        statement, if one is due: ``supplier`` is invoked only then, so
+        gathering the values costs at most once per
+        :data:`STATISTICS_MIN_INTERVAL_S`."""
         monitor = self.monitor
-        now = ctx.wall_time if ctx is not None else 0.0
-        if not now:  # the statement read no clock (or there is none)
+        now = ctx.wall_time
+        if not now:  # the statement read no clock (SHED)
             now = monitor.clock.now()  # staticcheck: allocfree(statistics-rate-limit-needs-current-time)
         if not monitor.statistics_due(now):
             return

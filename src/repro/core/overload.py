@@ -60,15 +60,9 @@ from typing import Any
 from repro import faultsim
 from repro.clock import Clock
 from repro.config import OverloadConfig
-from repro.core.monitor import IntegratedMonitor
+from repro.core.monitor import (COUNTS_ONLY, DETAILED, SAMPLED, SHED,
+                                IntegratedMonitor)
 from repro.errors import InjectedFault
-
-#: Ladder levels are plain ints (compared on the per-statement hot
-#: path; enum attribute access is measurably slower).
-DETAILED = 0
-SAMPLED = 1
-COUNTS_ONLY = 2
-SHED = 3
 
 LEVEL_NAMES = ("DETAILED", "SAMPLED", "COUNTS_ONLY", "SHED")
 

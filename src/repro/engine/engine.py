@@ -1,13 +1,17 @@
 """The engine instance: "one Ingres installation".
 
 Owns the databases, the global lock manager, the session registry and
-the plugged-in sensor object.  The paper's three experimental setups
-map to:
+the sensors, if any.  The paper's three experimental setups map to:
 
-* ``EngineInstance(sensors=NullSensors())`` — the *Original* build,
-* ``EngineInstance(sensors=MonitorSensors(monitor))`` — *Monitoring*,
+* ``EngineInstance()`` — the *Original* build: ``sensors`` is None and
+  a statement runs no monitoring code at all,
+* the same with ``engine.sensors = MonitorSensors(monitor)`` —
+  *Monitoring*,
 * the same plus an attached :class:`~repro.core.daemon.StorageDaemon`
   — *Daemon*.
+
+Sessions read ``sensors`` when they connect, so it is set before the
+first :meth:`EngineInstance.connect` (as :mod:`repro.setups` does).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro import faultsim
 from repro.clock import Clock, SystemClock
 from repro.config import EngineConfig
-from repro.core.sensors import NullSensors, Sensors
 from repro.engine.database import Database
 from repro.engine.locks import LockManager
 from repro.engine.session import Session
@@ -27,17 +30,17 @@ from repro.errors import DuplicateObjectError, UnknownObjectError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lockwitness import LockWitness
+    from repro.core.monitor import MonitorSensors
 
 
 class EngineInstance:
     """A DBMS instance hosting databases and sessions."""
 
     def __init__(self, config: EngineConfig | None = None,
-                 sensors: Sensors | None = None,
                  clock: Clock | None = None,
                  lock_witness: "LockWitness | None" = None) -> None:
         self.config = config or EngineConfig()
-        self.sensors = sensors or NullSensors()
+        self.sensors: "MonitorSensors | None" = None
         self.clock = clock or SystemClock()
         self.lock_manager = LockManager(self.config.locks,
                                         witness=lock_witness)

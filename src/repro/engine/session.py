@@ -3,16 +3,19 @@
 A session runs ``parse -> optimize -> execute`` for queries and DML
 alike (a statement shape seen before skips the first two), or the DDL
 handler, and owns what surrounds a plan's execution: transaction scope,
-table locks and the undo log.  The monitoring sensors are invoked
-exactly where figure 2 of the paper places them; with
-:class:`~repro.core.sensors.NullSensors` plugged in, the calls dispatch
-to empty methods.
+table locks and the undo log.  The engine's
+:class:`~repro.core.monitor.MonitorSensors` fire exactly where figure 2
+of the paper places them.  Without sensors (the *Original* setup) each
+sensor site is one skipped ``if``, and the work only sensors read —
+the shape hash, the optimize timer, the actual-cost conversion — is
+skipped with it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro import faultsim
@@ -23,7 +26,7 @@ from repro.catalog.schema import (
     StorageStructure,
     TableSchema,
 )
-from repro.core.sensors import Sensors, statement_hash
+from repro.core.sensors import StatementContext, statement_hash
 from repro.errors import ExecutionError, ReproError, SqlError
 from repro.execution.executor import (ExecutionMetrics, Executor, Program,
                                       QueryResult)
@@ -35,6 +38,7 @@ from repro.sql.lexer import parameterize
 from repro.sql.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.monitor import MonitorSensors
     from repro.engine.database import Database
     from repro.engine.engine import EngineInstance
 
@@ -65,8 +69,6 @@ class PreparedStatement:
     """
 
     shape: str
-    shape_hash: int
-    """64-bit hash of the shape: the monitor's statement key."""
     text: str
     """The first text seen with this shape."""
     kind: str
@@ -78,6 +80,12 @@ class PreparedStatement:
     """``(slot, value)`` of each literal a reusing text must share."""
     program: Program | None = None
     """The plan's compiled steps; None for transaction control."""
+
+    @cached_property
+    def shape_hash(self) -> int:
+        """64-bit hash of the shape: the monitor's statement key, hashed
+        when the sensors first ask for it."""
+        return statement_hash(self.shape)
 
 
 _TYPE_MAP = {
@@ -108,7 +116,7 @@ class Session:
         self.engine = engine
         self.database = database
         self.session_id = session_id
-        self.sensors: Sensors = engine.sensors
+        self.sensors: "MonitorSensors | None" = engine.sensors
         self.optimizer = Optimizer(database, engine.config)
         self.executor = Executor(database, database.pool, database.disk)
         self._explicit_txn: Transaction | None = None
@@ -166,17 +174,19 @@ class Session:
     # -- the statement pipeline -----------------------------------------------------
 
     def execute(self, text: str) -> QueryResult | DmlResult:
-        """Run one SQL statement through the monitored pipeline."""
+        """Run one SQL statement through the pipeline, and its sensors
+        if the engine has them."""
         sensors = self.sensors
         clock = self.engine.clock
         started = clock.monotonic()
         prepared, key, values = self._lookup(text)
-        shape_hash = prepared.shape_hash if prepared is not None \
-            else statement_hash(key[0])
-        # A prepared statement's parse and plan sensors fire here, in
-        # this one call.
-        ctx = sensors.statement_start(text, self.session_id, shape_hash,
-                                      prepared)
+        ctx = None
+        if sensors is not None:
+            # A prepared statement's parse and plan sensors fire here,
+            # in this one call.
+            ctx = sensors.statement_start(text, self.session_id, (
+                prepared.shape_hash if prepared is not None
+                else statement_hash(key[0])), prepared)
         try:
             # Fault seam inside the monitored region: injected failures
             # and slow queries are observed by the sensors like real
@@ -189,8 +199,9 @@ class Session:
             else:
                 statement = parse_statement(text)
                 kind, tables = _kind(statement), _statement_tables(statement)
-                origin = (text, key, shape_hash, values)
-                sensors.parse_complete(ctx, kind, tables)
+                origin = (text, key, values)
+                if ctx is not None:
+                    sensors.parse_complete(ctx, kind, tables)
             if kind == "select":
                 result = self._execute_select(statement, tables, ctx, values,
                                               prepared, origin)
@@ -203,18 +214,17 @@ class Session:
                 if origin is not None and handler is _transaction_control:
                     self._store(*origin, statement)
         except ReproError as error:
-            sensors.statement_error(ctx, str(error))
+            if ctx is not None:
+                sensors.statement_error(ctx, str(error))
             raise
-        wallclock = clock.monotonic() - started
-        # Actual costs are a query's; DML and DDL report none.
-        metrics = getattr(result, "metrics", _NO_WORK)
-        actual = self.optimizer.cost_model.actual_cost(
-            metrics.logical_reads, metrics.tuples_processed)
-        sensors.execute_complete(
-            ctx, actual.io, actual.cpu, metrics.logical_reads,
-            metrics.physical_reads, metrics.tuples_processed,
-            metrics.rows_returned, wallclock, wallclock)
-        sensors.sample_statistics(self.engine.system_statistics, ctx)
+        if ctx is not None:
+            # Actual costs are a query's; DML and DDL report none.
+            metrics = getattr(result, "metrics", _NO_WORK)
+            sensors.execute_complete(
+                ctx, metrics, self.optimizer.cost_model.actual_cost(
+                    metrics.logical_reads, metrics.tuples_processed),
+                clock.monotonic() - started)
+            sensors.sample_statistics(self.engine.system_statistics, ctx)
         return result
 
     def explain(self, text: str) -> str:
@@ -260,7 +270,7 @@ class Session:
         while len(cache) > self.engine.config.plan_cache_size:
             cache.popitem(last=False)
 
-    def _store(self, text: str, key: tuple, shape_hash: int, values: tuple,
+    def _store(self, text: str, key: tuple, values: tuple,
                statement: ast.Statement,
                optimized: OptimizationResult | None = None,
                program: Program | None = None) -> None:
@@ -271,7 +281,7 @@ class Session:
         if optimized is not None:
             pinned += optimized.pinned_slots
         prepared = PreparedStatement(
-            shape=key[0], shape_hash=shape_hash, text=text,
+            shape=key[0], text=text,
             kind=_kind(statement), tables=_statement_tables(statement),
             statement=statement, optimized=optimized,
             schema_version=self.database.schema_version,
@@ -283,15 +293,15 @@ class Session:
     # -- SELECT -----------------------------------------------------------------------
 
     def _execute_select(self, statement: ast.SelectStatement,
-                        tables: tuple[str, ...], ctx: Any, values: tuple,
+                        tables: tuple[str, ...],
+                        ctx: StatementContext | None, values: tuple,
                         prepared: PreparedStatement | None,
-                        origin: tuple[str, tuple, int, tuple] | None,
+                        origin: tuple[str, tuple, tuple] | None,
                         ) -> QueryResult:
         """Run a SELECT of ``tables`` under the text's literal vector
         ``values``: ``prepared``'s program, or planning ``statement``
-        and preparing it for ``origin`` — the text, its shape key, shape
-        hash and literal vector."""
-        clock = self.engine.clock
+        and preparing it for ``origin`` — the text, its shape key and
+        literal vector."""
         txn, autocommit = self._current_txn()
         try:
             if prepared is None and _has_subqueries(statement):
@@ -304,17 +314,17 @@ class Session:
             if prepared is not None:
                 return self.executor.execute(
                     prepared.program, prepared.optimized.output_names, values)
-            optimize_started = clock.monotonic()
-            optimized = self.optimizer.optimize_select(statement)
-            optimize_time = clock.monotonic() - optimize_started
+            if ctx is None:
+                optimized = self.optimizer.optimize_select(statement)
+            else:
+                clock = self.engine.clock
+                optimize_started = clock.monotonic()
+                optimized = self.optimizer.optimize_select(statement)
+                self.sensors.optimize_complete(
+                    ctx, optimized, clock.monotonic() - optimize_started)
             program = Program(optimized.plan)
             if origin is not None:
                 self._store(*origin, statement, optimized, program)
-            cost = optimized.estimated_cost
-            self.sensors.optimize_complete(
-                ctx, cost.io, cost.cpu, optimized.used_indexes,
-                optimized.available_indexes, optimized.referenced_columns,
-                optimize_time, optimized.explain)
             return self.executor.execute(program, optimized.output_names,
                                          values)
         finally:
@@ -413,7 +423,7 @@ class Session:
     # staticcheck: hotpath
     def _execute_modify(self, statement: Any, kind: str, values: tuple,
                         prepared: PreparedStatement | None,
-                        origin: tuple[str, tuple, int, tuple] | None,
+                        origin: tuple[str, tuple, tuple] | None,
                         ) -> DmlResult:
         """Run an INSERT, UPDATE or DELETE (prepared, or planned and
         prepared here, as :meth:`_execute_select` does) under an

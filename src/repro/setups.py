@@ -25,7 +25,6 @@ from repro.core.ima import register_ima_tables
 from repro.core.lockwitness import LockWitness
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import OverloadController
-from repro.core.sensors import NullSensors
 from repro.core.workload_db import WorkloadDatabase
 from repro.engine.engine import EngineInstance
 
@@ -45,8 +44,9 @@ class Setup:
 
 def original_setup(config: EngineConfig | None = None,
                    clock: Clock | None = None) -> Setup:
-    """The untouched instance: sensor call sites dispatch to no-ops."""
-    engine = EngineInstance(config, sensors=NullSensors(), clock=clock)
+    """The untouched instance: no sensors, so a statement runs no
+    monitoring code."""
+    engine = EngineInstance(config, clock=clock)
     return Setup(name="original", engine=engine)
 
 

@@ -1,12 +1,16 @@
 """Tests for the integrated monitor and its sensors."""
 
+import sys
+
 import pytest
 
 from repro.clock import VirtualClock
 from repro.config import EngineConfig, MonitorConfig
+from repro.core import monitor as monitor_module
+from repro.core import sensors as sensors_module
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
-from repro.core.sensors import (NullSensors, statement_hash,
-                                statement_key)
+from repro.core.sensors import statement_hash, statement_key
+from repro.errors import ReproError
 from repro.setups import monitoring_setup, original_setup
 
 
@@ -27,20 +31,6 @@ class TestStatementHash:
         assert statement_key("select 1") == statement_hash("select ?")
         assert statement_key("select 1") != statement_key("select 'a', 1")
         assert statement_key("select 'it") == statement_hash("select 'it")
-
-
-class TestNullSensors:
-    def test_all_methods_are_noops(self):
-        sensors = NullSensors()
-        ctx = sensors.statement_start("select 1")
-        assert ctx is None
-        sensors.parse_complete(ctx, "select", ("t",))
-        sensors.optimize_complete(ctx, 0, 0, (), (), (), 0.0)
-        sensors.execute_complete(ctx, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
-        sensors.statement_error(ctx, "err")
-        called = []
-        sensors.sample_statistics(lambda: called.append(1) or {})
-        assert called == []  # supplier never invoked on the Original build
 
 
 class TestMonitorRecording:
@@ -306,4 +296,119 @@ class TestOriginalBuildStaysClean:
         session.execute("create table t (a int)")
         session.execute("select a from t")
         assert setup.monitor is None
-        assert isinstance(engine.sensors, NullSensors)
+        assert engine.sensors is None and session.sensors is None
+
+    def test_runs_no_monitoring_code(self):
+        """Original is the engine with no monitoring code: no statement
+        enters a frame of the monitor or the sensors module, prepared
+        or planned, query, DML, DDL or failing."""
+        session = _session(original_setup())
+        session.execute("select b from t where a = 1")
+        statements = {
+            "prepared select": "select b from t where a = 2",
+            "cold select": "select a, b from t where b > 5",
+            "dml": "update t set b = 11 where a = 1",
+            "ddl": "create index i_b on t (b)",
+            "failing": "select * from missing_table",
+        }
+        watched = {monitor_module.__file__, sensors_module.__file__}
+        entered = {}
+        for label, text in statements.items():
+            frames = entered[label] = []
+
+            def profile(frame, event, _arg, frames=frames):
+                if event == "call" and frame.f_code.co_filename in watched:
+                    frames.append(frame.f_code.co_name)
+
+            hits = session.plan_cache_hits
+            sys.setprofile(profile)
+            try:
+                session.execute(text)
+            except ReproError:
+                assert label == "failing"
+            finally:
+                sys.setprofile(None)
+            assert (session.plan_cache_hits > hits) == (label == "prepared select")
+        assert entered == {label: [] for label in statements}
+
+
+def _session(setup):
+    setup.engine.create_database("db")
+    session = setup.engine.connect("db")
+    session.execute("create table t (a int not null, b int, "
+                    "primary key (a))")
+    session.execute("insert into t values " + ", ".join(
+        f"({i}, {i % 7})" for i in range(40)))
+    return session
+
+
+class TestPlannedAndPreparedPathsAgree:
+    """A prepared statement's sensors record what planning it again
+    would: the same stream through an engine that plans every
+    execution and one that prepares leaves the same monitor contents."""
+
+    STREAM = (
+        "create table u (b int not null, d varchar(8), primary key (b))",
+        "insert into u values (0, 'zero'), (1, 'one'), (3, 'three')",
+        "create index i_b on t (b)",
+        "select a from t where b = 3",
+        "select a from t where b = 3",
+        "select a from t where b = 4",
+        "select count(*) from t where a < 10",
+        "select t.a, u.d from t join u on t.b = u.b where t.a > 30",
+        "select t.a, u.d from t join u on t.b = u.b where t.a > 30",
+        "update t set b = 6 where a = 4",
+        "update t set b = 5 where a = 5",
+        "begin",
+        "delete from t where a = 39",
+        "insert into t values (39, 4)",
+        "commit",
+        "select * from missing_table",
+        "select a from t where b = 3",
+        "select u.d from u where b = 1",
+    )
+
+    @staticmethod
+    def _run(plan_cache_size, statement_cache):
+        setup = monitoring_setup(EngineConfig(
+            plan_cache_size=plan_cache_size,
+            monitor=MonitorConfig(plan_capture_min_cost=1e-9,
+                                  statement_cache_enabled=statement_cache)),
+            clock=VirtualClock(1000.0))
+        session = _session(setup)
+        for text in TestPlannedAndPreparedPathsAgree.STREAM:
+            try:
+                session.execute(text)
+            except ReproError:
+                pass
+        return setup.monitor, session
+
+    # Without the statement cache every execution logs its references
+    # and plan, so the prepared path's logging is compared too.
+    @pytest.mark.parametrize("statement_cache", [True, False])
+    def test_same_rings(self, statement_cache):
+        planned, planned_session = self._run(0, statement_cache)
+        prepared, prepared_session = self._run(256, statement_cache)
+        assert planned_session.plan_cache_hits == 0
+        assert prepared_session.plan_cache_hits > 0
+
+        def contents(monitor):
+            timing = {"timestamp", "optimize_time_s", "execute_time_s",
+                      "wallclock_s", "monitor_time_s"}
+            return {
+                "statements": [(r.text_hash, r.frequency)
+                               for r in monitor.statements.values()],
+                "references": monitor.references.values(),
+                "tables": monitor.tables.values(),
+                "attributes": monitor.attributes.values(),
+                "indexes": monitor.indexes.values(),
+                "plans": [(r.text_hash, r.estimated_cost, r.plan_text)
+                          for r in monitor.plans.values()],
+                "workload": [
+                    {field: value for field, value in r._asdict().items()
+                     if field not in timing}
+                    for r in monitor.workload.values()],
+            }
+
+        assert contents(prepared) == contents(planned)
+        assert len(planned.plans) > 0

@@ -60,7 +60,7 @@ def _flooded_setup(sessions):
         daemon=DaemonConfig(flush_every_polls=2 ** 31))
     setup = daemon_setup("db", config=config, clock=VirtualClock(1_000_000.0))
     for index in range(RECORDS):
-        setup.monitor.record_workload(_record(
+        setup.monitor.workload.append(_record(
             FIRST_HASH + index, 1000 + index % sessions,
             "i" * 600 if index == WIDE_AT else ""))
     setup.daemon.poll_once()

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.config import EngineConfig, MonitorConfig
 from repro.core.monitor import MonitorSensors
-from repro.core.sensors import NullSensors
 from repro.engine import EngineInstance
 from repro.engine import session as session_module
 from repro.errors import ReproError
@@ -390,7 +389,7 @@ class TestSetups:
     def test_original_setup(self):
         setup = original_setup()
         assert setup.name == "original"
-        assert isinstance(setup.engine.sensors, NullSensors)
+        assert setup.engine.sensors is None
         assert setup.monitor is None
         assert setup.daemon is None
 

@@ -5,6 +5,7 @@ Deterministic throughout: virtual clocks, no sleeps.
 """
 
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,16 @@ def _record(text_hash: int, session_id: int,
         estimated_io=0.0, estimated_cpu=0.0, actual_io=0.0, actual_cpu=0.0,
         logical_reads=0, physical_reads=0, tuples_processed=0,
         rows_returned=0, used_indexes="", monitor_time_s=0.0)
+
+
+def _complete(monitor: IntegratedMonitor,
+              record: WorkloadRecord | None = None) -> bool:
+    """One statement through the monitor's admission gate, as its
+    terminal sensor passes it; True if its record was admitted."""
+    appended = monitor.workload.total_appended
+    monitor.complete_statement(record or _record(0, 1), 1, 0.0,
+                               time.perf_counter())
+    return monitor.workload.total_appended > appended
 
 
 # -- the ring-flood fault point ----------------------------------------------
@@ -101,28 +112,28 @@ class TestAdmissionGate:
 
     def test_detailed_admits_everything(self):
         monitor = self._monitor()
-        assert all(monitor.admit_workload() for _ in range(5))
+        assert all(_complete(monitor) for _ in range(5))
         assert monitor.degradation_counters() == (5, 0, 0)
 
     def test_sampled_admits_one_in_k(self):
         monitor = self._monitor()
         monitor.set_degradation(SAMPLED, 3)
-        admitted = [monitor.admit_workload() for _ in range(6)]
+        admitted = [_complete(monitor) for _ in range(6)]
         assert admitted == [False, False, True, False, False, True]
         assert monitor.degradation_counters() == (6, 4, 0)
 
     def test_counts_only_and_shed_suppress_but_count(self):
         monitor = self._monitor()
         monitor.set_degradation(COUNTS_ONLY, 8)
-        assert not monitor.admit_workload()
+        assert not _complete(monitor)
         monitor.set_degradation(SHED, 8)
-        assert not monitor.admit_workload()
+        assert not _complete(monitor)
         assert monitor.degradation_counters() == (2, 1, 1)
 
     def test_sample_k_clamped_to_one(self):
         monitor = self._monitor()
         monitor.set_degradation(SAMPLED, 0)
-        assert monitor.admit_workload()  # k=1 degenerates to DETAILED
+        assert _complete(monitor)  # k=1 degenerates to DETAILED
 
 
 class TestSensorGating:
@@ -261,7 +272,7 @@ class TestOverloadController:
     def test_full_ring_alone_never_escalates(self):
         controller, monitor = self._controller(escalate_dwell=1)
         for i in range(monitor.workload.capacity + 10):
-            monitor.record_workload(_record(i, 1))
+            monitor.workload.append(_record(i, 1))
         for _ in range(5):
             controller.note_poll(0.0, 0, 100)
         assert controller.level() == DETAILED
@@ -422,7 +433,7 @@ class TestHealthSurface:
         setup = _daemon_setup()
         attach_supervisor(setup)
         for i in range(3):
-            setup.monitor.record_workload(_record(i, 1))
+            setup.monitor.workload.append(_record(i, 1))
         setup.daemon.poll_once()
         snapshot = setup.engine.health()
         assert set(snapshot) >= {"engine", "daemon", "overload",
@@ -452,15 +463,12 @@ class TestMergedViewsDegraded:
     def test_shed_shard_serves_its_frozen_window(self):
         monitor = self._monitor()
         for i in range(3):
-            # Honor the sensor contract: issue an admission for every
-            # direct record, or the conservation ledger can't balance.
-            assert monitor.admit_workload()
-            monitor.record_workload(_record(i, 1))
+            assert _complete(monitor, _record(i, 1))
             monitor.record_statement(f"select {i}", i, now=float(i))
         monitor.set_degradation(SHED, 1)
         # SHED gates *admission*, not the view: already-recorded rows
         # stay readable in their seq order.
-        assert not monitor.admit_workload()
+        assert not _complete(monitor)
         seqs = [seq for seq, _r in monitor.workload.snapshot()]
         assert seqs == [1, 2, 3]
         assert monitor.statements.get(2) is not None
@@ -470,9 +478,8 @@ class TestMergedViewsDegraded:
     def test_clear_resets_windows_not_conservation(self):
         monitor = self._monitor()
         monitor.set_degradation(SAMPLED, 2)
-        assert not monitor.admit_workload()
-        assert monitor.admit_workload()
-        monitor.record_workload(_record(1, 0))
+        assert not _complete(monitor)
+        assert _complete(monitor)
         monitor.workload.clear()
         assert len(monitor.workload) == 0
         # total_appended survives the clear, so the ledger still holds.

@@ -151,7 +151,7 @@ class TestMergedOrderingProperty:
                 continue
             session = rng.randrange(sessions)
             for _burst in range(rng.randint(1, 4)):
-                monitor.record_workload(_record(next_hash, 1004 + session))
+                monitor.workload.append(_record(next_hash, 1004 + session))
                 appended[session].append(next_hash)
                 next_hash += 1
         setup.daemon.poll_once()
