@@ -94,7 +94,7 @@ def main() -> None:
           f"{locks.total_waits} waits, {locks.total_deadlocks} deadlocks")
 
     print(f"workload DB: {setup.workload_db.total_rows()} rows, "
-          f"{setup.daemon.total_polls} polls, "
+          f"{setup.daemon.status().cycles} polls, "
           f"{setup.daemon.total_rows_flushed} rows flushed")
 
     alerts = fired_alerts(setup.workload_db)

@@ -29,6 +29,7 @@ from repro import faultsim
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.analyzer import Analyzer
+from repro.core.health import WorkerStatus
 from repro.engine.session import DmlResult
 from repro.errors import FaultError, ReproError
 from repro.execution.executor import QueryResult
@@ -65,6 +66,26 @@ def _render_value(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
+
+
+def _stamp(value: float | None) -> str:
+    return f"{value:.1f}" if value is not None else "never"
+
+
+def _worker_lines(status: WorkerStatus, cycles: str, failures: str,
+                  *body: str) -> list[str]:
+    """A background worker's status lines around its owner's ``body``."""
+    return [
+        f"  running: {status.running}",
+        f"  {cycles}: {status.cycles}",
+        f"  {failures}: {status.failures} "
+        f"(consecutive: {status.consecutive_failures}, "
+        f"backoff: {status.backoff_s:g}s)",
+        f"  last error: {status.last_error or '-'}",
+        *body,
+        f"  restarts: {status.restarts}, "
+        f"last heartbeat: {_stamp(status.last_heartbeat)}",
+    ]
 
 
 class Shell:
@@ -186,24 +207,13 @@ class Shell:
     def cmd_daemon(self, argument: str) -> str:
         if argument.lower() == "status":
             status = self.setup.daemon.status()
-            last_flush = (f"{status.last_flush_at:.1f}"
-                          if status.last_flush_at is not None else "never")
-            return "\n".join([
-                f"  running: {status.running}",
-                f"  total polls: {status.total_polls}",
-                f"  poll failures: {status.poll_failures} "
-                f"(consecutive: {status.consecutive_failures}, "
-                f"backoff: {status.backoff_s:g}s)",
-                f"  last error: {status.last_error or '-'}",
+            return "\n".join(_worker_lines(
+                status, "total polls", "poll failures",
                 f"  pending rows: {status.pending_rows} "
                 f"(dropped: {status.rows_dropped})",
                 f"  rows flushed: {status.total_rows_flushed}, "
                 f"purged: {status.total_rows_purged}",
-                f"  last flush at: {last_flush}",
-                f"  restarts: {status.restarts}, last heartbeat: "
-                + (f"{status.last_heartbeat:.1f}"
-                   if status.last_heartbeat is not None else "never"),
-            ])
+                f"  last flush at: {_stamp(status.last_flush_at)}"))
         try:
             poll = self.setup.daemon.poll_once()
             written, purged = self.setup.daemon.flush()
@@ -286,23 +296,16 @@ class Shell:
             return "usage: \\tuner status"
         status = self.tuner.status()
         journal = status.journal
-        last_write = (f"{journal.last_write_at:.1f}"
-                      if journal.last_write_at is not None else "never")
-        lines = [
-            f"  running: {status.running}",
-            f"  cycles run: {status.cycles_run}",
-            f"  cycle failures: {status.cycle_failures} "
-            f"(consecutive: {status.consecutive_failures}, "
-            f"backoff: {status.backoff_s:g}s)",
-            f"  last error: {status.last_error or '-'}",
+        lines = _worker_lines(
+            status, "cycles run", "cycle failures",
             f"  changes applied: {status.changes_applied}",
             f"  journal: {journal.entries} entries "
             f"(intent: {journal.intent}, applied: {journal.applied}, "
             f"failed: {journal.failed}, rolled back: {journal.rolled_back})",
             f"  journal writes: {journal.transitions} "
             f"(failures: {journal.write_failures}, "
-            f"pruned: {journal.entries_pruned}, last at: {last_write})",
-        ]
+            f"pruned: {journal.entries_pruned}, "
+            f"last at: {_stamp(journal.last_write_at)})")
         if status.quarantined:
             rows = [(q.sql[:48], str(q.failures),
                      f"{q.cooldown_remaining_s:.0f}",

@@ -172,23 +172,9 @@ class DaemonConfig:
     retention_s: float = 7 * 24 * 3600.0
     """Seconds of history kept in the workload DB (paper: seven days)."""
 
-    backoff_initial_s: float = 1.0
-    """Extra delay before the retry after the first consecutive poll
-    failure; doubles (``backoff_factor``) on each further failure."""
-
-    backoff_factor: float = 2.0
-    """Multiplier applied to the backoff delay per consecutive failure."""
-
-    backoff_max_s: float = 300.0
-    """Cap on the backoff delay so a long outage still retries."""
-
     max_pending_rows: int = 100_000
     """Per-table cap on rows buffered while the workload DB is down;
     beyond it the oldest buffered rows are dropped (and counted)."""
-
-    stop_join_timeout_s: float = 5.0
-    """Seconds ``stop()`` waits for the poll thread before reporting a
-    hung daemon (the thread handle is kept so it cannot be leaked)."""
 
 
 @dataclass(frozen=True)
@@ -200,18 +186,9 @@ class SupervisorConfig:
     """Seconds between supervisor ticks when it runs its own thread."""
 
     heartbeat_timeout_s: float = 30.0
-    """Seconds a watched thread may go without stamping its heartbeat
-    before the supervisor declares it hung and restarts it."""
-
-    restart_backoff_initial_s: float = 1.0
-    """Delay before the first restart of a failed watch; doubles
-    (``restart_backoff_factor``) on each consecutive restart."""
-
-    restart_backoff_factor: float = 2.0
-    """Multiplier applied to the restart delay per consecutive restart."""
-
-    restart_backoff_max_s: float = 60.0
-    """Cap on the restart backoff delay."""
+    """Seconds a watched worker may stay past its due time (its last
+    wake-up plus interval and backoff) before the supervisor declares
+    it hung and restarts it."""
 
     park_after_restarts: int = 3
     """Consecutive restarts (without an intervening healthy tick)
@@ -220,9 +197,6 @@ class SupervisorConfig:
 
     park_cooldown_s: float = 120.0
     """Seconds a parked watch stays quarantined before one retry."""
-
-    stop_join_timeout_s: float = 5.0
-    """Seconds ``stop()`` waits for the supervisor thread itself."""
 
 
 @dataclass(frozen=True)

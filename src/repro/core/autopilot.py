@@ -35,9 +35,12 @@ extended to the implementation end of the loop):
   ``quarantine_cooldown_s`` and skipped with a reason in the cycle
   report instead of being retried every cycle.  Failure streaks are
   persisted in the journal, so quarantine survives a restart.
-* ``start``/``stop`` run cycles on a background thread with the same
-  discipline as the storage daemon: failed cycles never kill the loop
-  (exponential backoff, capped), a hung thread is never orphaned.
+* ``start``/``stop`` run ``run_cycle`` on a
+  :class:`~repro.core.health.PeriodicWorker`, like the daemon's polls:
+  a failed cycle adds ``RETRY_BACKOFF`` (1 s doubling, 60 s cap) to
+  the next wait, a hung thread is never orphaned.  A failed journal
+  mark is counted in the report's ``journal_errors`` and heals on the
+  next recovery pass.
 
 Locking is two-level like the daemon's.  ``_cycle_mutex`` serializes
 whole tuning cycles end to end (held across the SQL round trips by
@@ -49,7 +52,7 @@ Lock order: ``_cycle_mutex`` -> journal ``_write_mutex`` -> ``_lock``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.catalog.schema import StorageStructure
@@ -68,6 +71,7 @@ from repro.core.analyzer.recommendations import (
     undo_sql,
 )
 from repro.core.daemon import StorageDaemon
+from repro.core.health import RETRY_BACKOFF, PeriodicWorker, WorkerOwner, WorkerStatus
 from repro.core.tuning_journal import (
     JournalEntry,
     JournalHealth,
@@ -102,16 +106,6 @@ class TuningPolicy:
     cycle_interval_s: float = 300.0
     """Seconds between cycles when running as a background thread."""
 
-    cycle_backoff_initial_s: float = 1.0
-    """Extra delay after the first consecutive failed cycle; doubles
-    per further failure, capped at ``cycle_backoff_max_s``."""
-
-    cycle_backoff_max_s: float = 60.0
-
-    stop_join_timeout_s: float = 5.0
-    """Seconds ``stop()`` waits for the cycle thread before reporting a
-    hung tuner (the thread handle is kept so it cannot be leaked)."""
-
 
 @dataclass
 class TuningCycleReport:
@@ -134,8 +128,8 @@ class TuningCycleReport:
     """Poll/flush failure the cycle survived (analysis used the data
     already persisted)."""
     journal_errors: int = 0
-    """Journal writes that failed during the cycle (fail-closed for
-    intents; outcome marks are healed by the next recovery)."""
+    """Journal writes that failed during the cycle, recovery included
+    (fail-closed for intents; marks are healed by the next recovery)."""
     dry_run: bool = False
 
     @property
@@ -178,15 +172,9 @@ class QuarantineStatus:
 
 
 @dataclass(frozen=True)
-class TunerStatus:
+class TunerStatus(WorkerStatus):
     """Health snapshot returned by :meth:`AutonomousTuner.status`."""
 
-    running: bool
-    cycles_run: int
-    cycle_failures: int
-    consecutive_failures: int
-    backoff_s: float
-    last_error: str | None
     changes_applied: int
     quarantined: tuple[QuarantineStatus, ...]
     journal: JournalHealth
@@ -196,7 +184,7 @@ _MAX_HISTORY = 64
 _MAX_BREAKER_ENTRIES = 256
 
 
-class AutonomousTuner:
+class AutonomousTuner(WorkerOwner):
     """Closes the monitoring -> analysis -> implementation loop."""
 
     def __init__(self, engine: "EngineInstance", database_name: str,
@@ -225,16 +213,12 @@ class AutonomousTuner:
         self._failures: dict[str, int] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
         self._quarantined_until: dict[str, float] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
         self._breaker_errors: dict[str, str] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
-        self.total_cycles = 0  # staticcheck: shared(_lock)
-        self.cycle_failures = 0  # staticcheck: shared(_lock)
-        self.last_cycle_error: str | None = None  # staticcheck: shared(_lock)
-        self._consecutive_failures = 0  # staticcheck: shared(_lock)
-        self._backoff_s = 0.0  # staticcheck: shared(_lock)
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._generation = 0  # staticcheck: shared(_lock)
-        self._last_heartbeat: float | None = None  # staticcheck: shared(_lock)
-        self.restarts = 0  # staticcheck: shared(_lock)
+        # Journal marks that failed in the current cycle (recovery's
+        # included); reset when a cycle starts.
+        self._mark_failures = 0  # staticcheck: shared(_lock)
+        self.worker = PeriodicWorker(
+            "repro-autonomous-tuner", self.policy.cycle_interval_s,
+            self.run_cycle, RETRY_BACKOFF, self.clock)
         self._seed_breakers_from_journal()
 
     # -- circuit breakers ----------------------------------------------------
@@ -361,13 +345,13 @@ class AutonomousTuner:
 
     def _mark(self, write: Callable[..., None], entry_id: int,
               *args: str) -> None:
-        """Journal transition that must not kill the cycle; failures
-        are counted and healed by the next recovery pass."""
+        """Journal transition that must not kill the cycle; a failure
+        counts into ``journal_errors`` and heals on the next recovery."""
         try:
             write(entry_id, *args)
         except (MonitorError, OSError):
             with self._lock:
-                self.last_cycle_error = "journal mark failed"
+                self._mark_failures += 1
 
     @staticmethod
     def _change_present(database: "Database", kind: RecommendationKind,
@@ -384,29 +368,20 @@ class AutonomousTuner:
     # -- the cycle -----------------------------------------------------------
 
     def run_cycle(self) -> TuningCycleReport:
-        """One full autonomous cycle; returns what happened.
-
-        Raises on failure (after recording it) so foreground callers
-        see the error; the background loop catches and retries with
-        backoff.
-        """
-        with self._cycle_mutex:
-            try:
-                # Holding _cycle_mutex across the SQL round trips is
-                # the point: two concurrent cycles would journal and
-                # apply the same recommendations twice.
-                report = self._cycle_locked()  # staticcheck: ignore[LCK004]
-            except (ReproError, OSError) as error:
-                self._record_cycle_failure(error)
-                raise
-            self._record_cycle_success()
-            return report
+        """One full autonomous cycle; returns what happened.  Raises on
+        failure, after the worker recorded it."""
+        with self._cycle_mutex, self.worker.accounting():
+            # Holding _cycle_mutex across the SQL round trips is the
+            # point: two concurrent cycles would journal and apply the
+            # same recommendations twice.
+            return self._cycle_locked()  # staticcheck: ignore[LCK004]
 
     def _cycle_locked(self) -> TuningCycleReport:
-        with self._lock:
-            cycle_no = self.total_cycles + 1
+        cycle_no = self.worker.cycles + 1
         report = TuningCycleReport(cycle=cycle_no,
                                    dry_run=self.policy.dry_run)
+        with self._lock:
+            self._mark_failures = 0
         report.recovered = self._recover_locked()
         if self.daemon is not None:
             try:
@@ -440,7 +415,7 @@ class AutonomousTuner:
                                           recommendation, report,
                                           cycle_no)
         with self._lock:
-            self.total_cycles = cycle_no
+            report.journal_errors += self._mark_failures
             self.history.append(report)
             del self.history[:-_MAX_HISTORY]
         return report
@@ -507,36 +482,14 @@ class AutonomousTuner:
                     (recommendation,
                      f"quarantined after "
                      f"{self.policy.quarantine_after_failures} failures"))
-        report.journal_errors += self._drain_mark_errors()
 
-    def _drain_mark_errors(self) -> int:
-        with self._lock:
-            if self.last_cycle_error == "journal mark failed":
-                self.last_cycle_error = None
-                return 1
-            return 0
-
-    # -- failure accounting --------------------------------------------------
-
-    def _record_cycle_failure(self, error: Exception) -> None:
-        with self._lock:
-            self.cycle_failures += 1
-            self._consecutive_failures += 1
-            self.last_cycle_error = f"{type(error).__name__}: {error}"
-            self._backoff_s = min(
-                self.policy.cycle_backoff_max_s,
-                self.policy.cycle_backoff_initial_s
-                * 2.0 ** (self._consecutive_failures - 1))
-
-    def _record_cycle_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._backoff_s = 0.0
+    # -- health (start/restart/is_alive/stop: WorkerOwner) --------------------
 
     def status(self) -> TunerStatus:
         """Health snapshot (the shell's ``\\tuner status``)."""
         journal_health = self.journal.health()
         changes_applied = len(self.journal.applied_sqls())
+        worker = asdict(self.worker.status())
         now = self.clock.now()
         with self._lock:
             quarantined = tuple(
@@ -548,12 +501,7 @@ class AutonomousTuner:
                 )
                 for sql, until in sorted(self._quarantined_until.items()))
             return TunerStatus(
-                running=self._thread is not None and self._thread.is_alive(),
-                cycles_run=self.total_cycles,
-                cycle_failures=self.cycle_failures,
-                consecutive_failures=self._consecutive_failures,
-                backoff_s=self._backoff_s,
-                last_error=self.last_cycle_error,
+                **worker,
                 changes_applied=changes_applied,
                 quarantined=quarantined,
                 journal=journal_health,
@@ -562,85 +510,3 @@ class AutonomousTuner:
     @property
     def total_changes_applied(self) -> int:
         return len(self.journal.applied_sqls())
-
-    # -- background thread ---------------------------------------------------
-
-    def start(self) -> None:
-        """Run tuning cycles on a background thread.
-
-        Refuses while a previous thread is still alive — including one
-        whose ``stop()`` timed out — so two tuners can never journal
-        and apply the same recommendations concurrently.
-        """
-        if self._thread is not None and self._thread.is_alive():
-            raise MonitorError("autonomous tuner is already running")
-        self._stop.clear()
-        with self._lock:
-            generation = self._generation
-        self._thread = threading.Thread(
-            target=self._run, args=(generation,),
-            name="repro-autonomous-tuner", daemon=True)
-        self._thread.start()
-
-    def restart(self) -> None:
-        """Supervisor entry point: supersede the cycle thread.
-
-        Like :meth:`~repro.core.daemon.StorageDaemon.restart`: the
-        generation bump makes a hung zombie exit at its next wake-up,
-        and ``_cycle_mutex`` keeps cycles serialized regardless of
-        thread identity, so superseding a live thread is safe.
-        """
-        with self._lock:
-            self._generation += 1
-            self.restarts += 1
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.policy.stop_join_timeout_s)
-            self._thread = None
-        self._stop = threading.Event()
-        self.start()
-
-    def last_heartbeat(self) -> float | None:
-        """Engine-clock stamp of the cycle loop's latest wake-up."""
-        with self._lock:
-            return self._last_heartbeat
-
-    def is_alive(self) -> bool:
-        """Whether the cycle thread is currently running."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
-
-    def stop(self) -> None:
-        """Stop the cycle thread.
-
-        Never hides a hung cycle thread: if ``join`` times out the
-        handle is *kept* — so ``start()`` keeps refusing — and
-        MonitorError is raised.
-        """
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.policy.stop_join_timeout_s)
-            if thread.is_alive():
-                raise MonitorError(
-                    "autonomous tuner thread did not stop within "
-                    f"{self.policy.stop_join_timeout_s:g}s; thread handle "
-                    "kept, restart refused while it lives")
-            self._thread = None
-
-    def _run(self, generation: int) -> None:
-        while True:
-            with self._lock:
-                if self._generation != generation:
-                    break  # superseded by restart(); a zombie exits here
-                backoff = self._backoff_s
-                self._last_heartbeat = self.clock.now()
-            if self._stop.wait(self.policy.cycle_interval_s + backoff):
-                break
-            try:
-                self.run_cycle()
-            except (ReproError, OSError):
-                # Recorded by run_cycle; the next wake-up retries with
-                # exponential backoff added to the interval.
-                pass

@@ -9,7 +9,8 @@ are performed only every few minutes" design.  Each flush also applies
 the seven-day retention purge.
 
 ``poll_once``/``flush`` are public so tests and benchmarks can drive
-the daemon deterministically; ``start``/``stop`` run it as a thread.
+the daemon deterministically; ``start``/``stop`` run ``poll_once`` on a
+:class:`~repro.core.health.PeriodicWorker` (the thread contract).
 
 Locking is two-level.  ``self._poll_mutex`` serializes *whole polls and
 flushes* — the background loop, ``stop()``'s final flush, tests and the
@@ -23,9 +24,8 @@ and is never held across I/O.  The annotations are enforced by
 
 The daemon is built to the paper's "never dies, never lies" contract:
 
-* A failed poll never kills the loop — the next wake-up retries with
-  exponential backoff (``backoff_initial_s`` · ``backoff_factor``^k,
-  capped at ``backoff_max_s``) added to the poll interval.
+* A failed poll never kills the loop — the next wake-up adds
+  :data:`POLL_BACKOFF` (1 s doubling, 300 s cap) to the poll interval.
 * While the workload DB is down the daemon keeps collecting into
   bounded pending batches (``max_pending_rows`` per table); overflow
   drops the oldest rows and *counts* them in ``rows_dropped``.
@@ -34,24 +34,23 @@ The daemon is built to the paper's "never dies, never lies" contract:
   :meth:`resync` can recover the per-table high-water marks from
   persisted data — a daemon that crashed mid-flush restarts without
   duplicating or losing rows.
-* Nothing fails silently: failures are counted in ``poll_failures``
-  with the message in ``last_poll_error``, and :meth:`status` exposes
-  the full health snapshot (consecutive failures, backoff, pending,
-  dropped).
+* Nothing fails silently: :meth:`status` counts failures (with the
+  last message), backoff, pending and dropped rows.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.clock import Clock
 from repro.config import DaemonConfig
+from repro.core.health import Backoff, PeriodicWorker, WorkerOwner, WorkerStatus
 from repro.core.workload_db import TABLE_SOURCES, WorkloadDatabase
-from repro.errors import MonitorError, ReproError
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lockwitness import LockWitness, WitnessedLock
@@ -74,29 +73,23 @@ class PollStats:
     rows_purged: int
 
 
-@dataclass(frozen=True)
-class DaemonStatus:
-    """Health snapshot returned by :meth:`StorageDaemon.status`."""
+#: Extra wait after consecutive failed polls or flushes.
+POLL_BACKOFF = Backoff(1.0, 2.0, 300.0)
 
-    running: bool
-    total_polls: int
-    poll_failures: int
-    consecutive_failures: int
-    backoff_s: float
-    """Extra delay added to the next wake-up (0 when healthy)."""
-    last_error: str | None
+
+@dataclass(frozen=True)
+class DaemonStatus(WorkerStatus):
+    """Health snapshot returned by :meth:`StorageDaemon.status`; its
+    ``cycles`` are polls."""
+
     pending_rows: int
     rows_dropped: int
     total_rows_flushed: int
     total_rows_purged: int
     last_flush_at: float | None
-    restarts: int = 0
-    """Times :meth:`StorageDaemon.restart` superseded the poll thread."""
-    last_heartbeat: float | None = None
-    """Engine-clock stamp of the poll loop's latest wake-up."""
 
 
-class StorageDaemon:
+class StorageDaemon(WorkerOwner):
     """Polls IMA over SQL and persists the data with delayed writes."""
 
     def __init__(self, engine: "EngineInstance", ima_database: str,
@@ -145,24 +138,17 @@ class StorageDaemon:
             for ima_table in TABLE_SOURCES.values()
         }
         self._polls_since_flush = 0  # staticcheck: shared(_lock)
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self.total_polls = 0  # staticcheck: shared(_lock)
+        self.worker = PeriodicWorker(
+            "repro-storage-daemon", self.config.poll_interval_s,
+            self.poll_once, POLL_BACKOFF, self.clock)
         self.total_rows_flushed = 0  # staticcheck: shared(_lock)
         self.total_rows_purged = 0  # staticcheck: shared(_lock)
-        self.poll_failures = 0  # staticcheck: shared(_lock)
-        self.last_poll_error: str | None = None  # staticcheck: shared(_lock)
         self.rows_dropped = 0  # staticcheck: shared(_lock)
-        self._consecutive_failures = 0  # staticcheck: shared(_lock)
-        self._backoff_s = 0.0  # staticcheck: shared(_lock)
         self._last_flush_at: float | None = None  # staticcheck: shared(_lock)
-        self.restarts = 0  # staticcheck: shared(_lock)
         # Unread loss observed by the latest poll: workload rows that
         # fell off the ring before the daemon read them (the true
         # overload signal the controller consumes).
         self._last_poll_loss = 0  # staticcheck: shared(_lock)
-        self._generation = 0  # staticcheck: shared(_lock)
-        self._last_heartbeat: float | None = None  # staticcheck: shared(_lock)
         # Overload controller fed after every poll; attached once at
         # setup time, before the daemon thread starts.
         self.controller: "OverloadController | None" = \
@@ -206,25 +192,19 @@ class StorageDaemon:
     def poll_once(self) -> PollStats:
         """One wake-up: read new IMA rows; flush if the batch is due.
 
-        Raises on failure (after recording it) so foreground callers
-        see the error; the background loop catches and retries with
-        backoff.  Every outcome — success or failure — feeds the
-        overload controller, so pressure tracks sick polls too.
+        Raises on failure after the worker recorded it.  Every outcome
+        feeds the overload controller, so pressure tracks sick polls.
         """
         started = time.perf_counter()
         with self._poll_mutex:
             try:
-                # Holding _poll_mutex across the SQL round trips is the
-                # point: concurrent polls reading one high-water
-                # snapshot would persist duplicate rows.
-                stats = self._poll_locked()  # staticcheck: ignore[LCK004]
-            except (ReproError, OSError) as error:
-                self._record_failure(error)
+                with self.worker.accounting():
+                    # Holding _poll_mutex across the SQL round trips is
+                    # the point: concurrent polls reading one high-water
+                    # snapshot would persist duplicate rows.
+                    return self._poll_locked()  # staticcheck: ignore[LCK004]
+            finally:
                 self._notify_controller(time.perf_counter() - started)
-                raise
-            self._record_success()
-            self._notify_controller(time.perf_counter() - started)
-            return stats
 
     # staticcheck: guarded-by(_poll_mutex)
     def _notify_controller(self, duration_s: float) -> None:
@@ -255,7 +235,6 @@ class StorageDaemon:
             for wl_table, rows in batches.items():
                 self._admit_pending(wl_table, rows)
             self._last_poll_loss = loss
-            self.total_polls += 1
             self._polls_since_flush += 1
             flush_due = self._polls_since_flush >= self.config.flush_every_polls
         flushed = False
@@ -314,18 +293,12 @@ class StorageDaemon:
 
         Returns (rows written, rows purged).  On failure the unwritten
         batches are requeued (see :meth:`_flush_locked`) and the error
-        re-raised after being recorded.
+        re-raised after the worker recorded it; a success counts no poll.
         """
-        with self._poll_mutex:
-            try:
-                # Held across the workload-DB writes by design; the
-                # mutex serializes the daemon only (see module doc).
-                result = self._flush_locked()  # staticcheck: ignore[LCK004]
-            except (ReproError, OSError) as error:
-                self._record_failure(error)
-                raise
-            self._record_success()
-            return result
+        with self._poll_mutex, self.worker.accounting(cycle=False):
+            # Held across the workload-DB writes by design; the mutex
+            # serializes the daemon only (see module doc).
+            return self._flush_locked()  # staticcheck: ignore[LCK004]
 
     # staticcheck: hotpath
     def _flush_locked(self) -> tuple[int, int]:
@@ -413,153 +386,39 @@ class StorageDaemon:
         with self._lock:
             return sum(len(rows) for rows in self._pending.values())
 
-    # -- failure accounting --------------------------------------------------
-
-    def _record_failure(self, error: Exception) -> None:
-        with self._lock:
-            self.poll_failures += 1
-            self._consecutive_failures += 1
-            self.last_poll_error = f"{type(error).__name__}: {error}"
-            self._backoff_s = min(
-                self.config.backoff_max_s,
-                self.config.backoff_initial_s
-                * self.config.backoff_factor
-                ** (self._consecutive_failures - 1))
-
-    def _record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._backoff_s = 0.0
-
     def status(self) -> DaemonStatus:
         """Health snapshot (the shell's ``\\daemon status``)."""
+        worker = asdict(self.worker.status())
         with self._lock:
             return DaemonStatus(
-                running=self._thread is not None and self._thread.is_alive(),
-                total_polls=self.total_polls,
-                poll_failures=self.poll_failures,
-                consecutive_failures=self._consecutive_failures,
-                backoff_s=self._backoff_s,
-                last_error=self.last_poll_error,
+                **worker,
                 pending_rows=sum(
                     len(rows) for rows in self._pending.values()),
                 rows_dropped=self.rows_dropped,
                 total_rows_flushed=self.total_rows_flushed,
                 total_rows_purged=self.total_rows_purged,
                 last_flush_at=self._last_flush_at,
-                restarts=self.restarts,
-                last_heartbeat=self._last_heartbeat,
             )
 
-    # -- background thread -------------------------------------------------------
-
-    def start(self) -> None:
-        """Run the poll loop in a background thread.
-
-        Refuses while a previous thread is still alive — including one
-        whose ``stop()`` timed out — so two daemons can never poll the
-        same high-water marks concurrently (``restart()`` is the
-        supervised path that may supersede a live thread: it bumps the
-        generation so the old thread exits on its next wake-up, and
-        ``_poll_mutex`` keeps polls serialized meanwhile).
-        """
-        if self._thread is not None and self._thread.is_alive():
-            raise MonitorError("storage daemon is already running")
-        self._stop.clear()
-        with self._lock:
-            generation = self._generation
-        self._thread = threading.Thread(
-            target=self._run, args=(generation,),
-            name="repro-storage-daemon", daemon=True)
-        self._thread.start()
-
-    def restart(self) -> None:
-        """Supervisor entry point: supersede the poll thread.
-
-        Safe against a hung or dead thread: the generation bump makes
-        any zombie exit at its next wake-up, the fresh stop event means
-        the replacement does not inherit a set flag, and correctness
-        never depended on thread identity — ``_poll_mutex`` serializes
-        whole polls, so even a zombie that wakes mid-replacement cannot
-        interleave with the new thread's polls.
-        """
-        with self._lock:
-            self._generation += 1
-            self.restarts += 1
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.config.stop_join_timeout_s)
-            # Alive or not, the handle is dropped: a wedged thread is
-            # superseded (it exits via the generation check when it
-            # unwedges) rather than blocking recovery forever.
-            self._thread = None
-        self._stop = threading.Event()
-        self.start()
-
-    def last_heartbeat(self) -> float | None:
-        """Engine-clock stamp of the poll loop's latest wake-up."""
-        with self._lock:
-            return self._last_heartbeat
-
-    def is_alive(self) -> bool:
-        """Whether the poll thread is currently running."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+    # -- background thread (start/restart/is_alive: WorkerOwner) ------------
 
     def stop(self, final_flush: bool = True) -> None:
-        """Stop the thread; by default run one last poll and flush.
-
-        Tolerates an engine that has already shut down (the final-flush
-        failure is recorded in the counters, not raised), but never
-        hides a hung poll thread: if ``join`` times out the handle is
-        *kept* — so ``start()`` keeps refusing — and MonitorError is
-        raised.
-        """
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.config.stop_join_timeout_s)
-            if thread.is_alive():
-                raise MonitorError(
-                    "storage daemon thread did not stop within "
-                    f"{self.config.stop_join_timeout_s:g}s; thread handle "
-                    "kept, restart refused while it lives")
-            self._thread = None
+        """Stop the thread (a hung one raises); by default run one last
+        poll and flush, tolerating an engine that already shut down."""
+        self.worker.stop()
         try:
             if final_flush:
                 self.poll_once()
                 self.flush()
         except (ReproError, OSError):
-            # Engine may already be shut down; the failure is recorded
-            # in poll_failures/last_poll_error rather than raised out
-            # of stop, and pending rows stay requeued for a restart.
+            # Recorded in the worker's counters rather than raised out
+            # of stop; pending rows stay requeued for a restart.
             pass
         finally:
-            self._close_session()
-
-    def _close_session(self) -> None:
-        with self._poll_mutex:
-            session, self._session = self._session, None
-            if session is None:
-                return
-            try:
-                session.close()
-            except (ReproError, OSError):
-                pass  # session/engine already torn down
-
-    def _run(self, generation: int) -> None:
-        while True:
-            with self._lock:
-                if self._generation != generation:
-                    break  # superseded by restart(); a zombie exits here
-                backoff = self._backoff_s
-                self._last_heartbeat = self.clock.now()
-            if self._stop.wait(self.config.poll_interval_s + backoff):
-                break
-            try:
-                self.poll_once()
-            except (ReproError, OSError):
-                # Recorded by poll_once; the next wake-up retries with
-                # exponential backoff added to the interval.
-                pass
+            with self._poll_mutex:
+                session, self._session = self._session, None
+                if session is not None:
+                    try:
+                        session.close()
+                    except (ReproError, OSError):
+                        pass  # session/engine already torn down

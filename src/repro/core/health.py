@@ -1,38 +1,42 @@
-"""Thread supervision and the engine-wide health surface.
+"""Background workers, their supervision, and the engine health surface.
 
-The monitoring pipeline runs long-lived background threads (the
-storage daemon's poll loop, the tuner loop); this module supervises
-them and aggregates everything observable about the pipeline into one
-snapshot.
+The pipeline's three background threads — the storage daemon's poll
+loop, the autonomous tuner's cycle loop and the supervisor's check
+loop — are each a :class:`PeriodicWorker`, which owns the thread
+contract once: ``start`` refuses while a thread lives, ``restart``
+supersedes a live or hung one, ``stop`` keeps a hung handle and
+raises, failures grow one capped :class:`Backoff`, and each wake-up
+stamps a *due time* ``now + interval + backoff``.
 
-:class:`Supervisor` watches registered threads (the storage daemon's
-poll loop, the autonomous tuner) through three probes — liveness,
-heartbeat age, restart callable — and drives a small state machine per
-watch::
+:class:`Supervisor` drives a state machine per watched worker::
 
-    RUNNING --(dead or heartbeat stale)--> RESTARTING (capped backoff)
+    RUNNING --(dead or overdue)--> RESTARTING (capped backoff)
     RESTARTING --(restart ok)--> RUNNING
     RESTARTING --(park_after_restarts consecutive restarts)--> PARKED
     PARKED --(park_cooldown_s elapsed)--> RESTARTING (half-open retry)
 
-A healthy tick (alive + fresh heartbeat) resets the restart streak, so
-a watch only parks when restarts repeatedly fail to produce a healthy
-thread — the PR-5 circuit-breaker shape.  ``tick()`` is public and
-deterministic (tests drive it with a virtual clock); ``start()`` runs
-it on its own thread for real deployments.
+A watch is unhealthy when its worker is dead or when
+``now > due_at + heartbeat_timeout_s``.  Judging the due time, not the
+age of the last stamp, lets a loop wait out an interval plus backoff
+longer than the timeout (the tuner's 300 s cycle) without being
+restarted.  A healthy tick resets the restart streak, so a watch parks
+only when restarts keep failing.  ``tick()`` is deterministic (tests
+drive it on a virtual clock); ``start()`` runs it on the supervisor's
+own worker.
 
-The engine half lives in :meth:`repro.engine.engine.EngineInstance.
-health`: subsystems register named snapshot providers and ``health()``
-assembles them — never raising, a sick provider reports its error
-string instead of breaking the surface — into the JSON document the
-``\\health`` shell command and ``repro chaos --storm --health-report``
-emit.
+The engine half is :meth:`repro.engine.engine.EngineInstance.health`:
+subsystems register named snapshot providers and ``health()`` joins
+them — a sick provider reports its error string instead of raising —
+into the JSON of the ``\\health`` shell command and ``repro chaos
+--storm --health-report``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 from repro.clock import Clock
 from repro.config import SupervisorConfig
@@ -43,42 +47,219 @@ RUNNING = "RUNNING"
 RESTARTING = "RESTARTING"
 PARKED = "PARKED"
 
+#: Seconds ``stop``/``restart`` wait for a worker thread to exit.
+JOIN_TIMEOUT_S = 5.0
 
+
+@dataclass(frozen=True)
+class Backoff:
+    """Capped exponential delay: ``initial_s · factor^(n-1)`` after the
+    n-th consecutive failure, never above ``cap_s``; 0 with none."""
+
+    initial_s: float
+    factor: float
+    cap_s: float
+
+    def delay(self, failures: int) -> float:
+        if failures <= 0:
+            return 0.0
+        return min(self.cap_s, self.initial_s * self.factor ** (failures - 1))
+
+
+#: Extra wait after failed tuning cycles, and between supervisor restarts.
+RETRY_BACKOFF = Backoff(1.0, 2.0, 60.0)
+
+
+@dataclass(frozen=True)
+class WorkerStatus:
+    """The health prefix every background worker's status starts with.
+    ``cycles`` counts successful steps (the daemon's polls, the tuner's
+    cycles); ``backoff_s`` is added to the next wait."""
+
+    running: bool
+    cycles: int
+    failures: int
+    consecutive_failures: int
+    backoff_s: float
+    last_error: str | None
+    restarts: int
+    last_heartbeat: float | None
+
+
+class PeriodicWorker:
+    """A thread that runs ``step`` every ``interval_s`` plus backoff.
+    ``step`` reports its outcome through :meth:`accounting`, so foreground
+    calls and the loop share one set of counters."""
+
+    def __init__(self, name: str, interval_s: float,
+                 step: Callable[[], object], backoff: Backoff,
+                 clock: Clock) -> None:
+        self.name = name
+        self.interval_s = interval_s
+        self.step = step
+        self.backoff = backoff
+        self.clock = clock
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        # The running thread's own stop event (its generation): set under
+        # _lock by restart()/stop(), so a superseded thread never stamps.
+        self._stop = threading.Event()  # staticcheck: shared(_lock)
+        self.cycles = 0  # staticcheck: shared(_lock)
+        self.failures = 0  # staticcheck: shared(_lock)
+        self.consecutive_failures = 0  # staticcheck: shared(_lock)
+        self.last_error: str | None = None  # staticcheck: shared(_lock)
+        self.restarts = 0  # staticcheck: shared(_lock)
+        self._last_heartbeat: float | None = None  # staticcheck: shared(_lock)
+        self._due_at: float | None = None  # staticcheck: shared(_lock)
+
+    # -- accounting ----------------------------------------------------------
+
+    @contextmanager
+    def accounting(self, cycle: bool = True) -> Iterator[None]:
+        """Record the enclosed step: a ReproError or OSError is counted,
+        grows the backoff and is re-raised; a success resets the backoff
+        and, with ``cycle``, counts one cycle."""
+        try:
+            yield
+        except (ReproError, OSError) as error:
+            with self._lock:
+                self.failures += 1
+                self.consecutive_failures += 1
+                self.last_error = f"{type(error).__name__}: {error}"
+            raise
+        with self._lock:
+            self.consecutive_failures = 0
+            if cycle:
+                self.cycles += 1
+
+    @property
+    def due_at(self) -> float | None:
+        """When the loop promised to wake next (None before a start)."""
+        with self._lock:
+            return self._due_at
+
+    def status(self) -> WorkerStatus:
+        running = self.is_alive()
+        with self._lock:
+            return WorkerStatus(
+                running=running,
+                cycles=self.cycles,
+                failures=self.failures,
+                consecutive_failures=self.consecutive_failures,
+                backoff_s=self.backoff.delay(self.consecutive_failures),
+                last_error=self.last_error,
+                restarts=self.restarts,
+                last_heartbeat=self._last_heartbeat,
+            )
+
+    # -- the thread ----------------------------------------------------------
+
+    def is_alive(self) -> bool:
+        thread = self._thread
+        return thread is not None and thread.is_alive()
+
+    def start(self) -> None:
+        """Run the loop on a background thread (refused while alive)."""
+        if self.is_alive():
+            raise MonitorError(f"{self.name} is already running")
+        stop = threading.Event()
+        with self._lock:
+            self._stop = stop
+        wait = self._wake(stop)
+        self._thread = threading.Thread(
+            target=self._run, args=(stop, wait), name=self.name,
+            daemon=True)
+        self._thread.start()
+
+    def restart(self) -> None:
+        """Supersede the thread, live or hung: the handle is dropped
+        after a bounded join, so a wedged thread cannot block recovery
+        (it exits when it unwedges; owners serialize steps by mutex)."""
+        with self._lock:
+            self.restarts += 1
+            self._stop.set()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join(timeout=JOIN_TIMEOUT_S)
+        self.start()
+
+    def stop(self) -> None:
+        """Stop the thread; a timed-out join keeps the handle — so
+        ``start()`` keeps refusing — and raises MonitorError."""
+        with self._lock:
+            self._stop.set()
+        thread = self._thread
+        if thread is None:
+            return
+        thread.join(timeout=JOIN_TIMEOUT_S)
+        if thread.is_alive():
+            raise MonitorError(
+                f"{self.name} thread did not stop within "
+                f"{JOIN_TIMEOUT_S:g}s; thread handle kept, restart "
+                "refused while it lives")
+        self._thread = None
+
+    def _wake(self, stop: threading.Event) -> float:
+        """Stamp the heartbeat and the next due time; returns the wait."""
+        now = self.clock.now()
+        with self._lock:
+            wait = self.interval_s + self.backoff.delay(self.consecutive_failures)
+            if not stop.is_set():  # a superseded thread stamps nothing
+                self._last_heartbeat = now
+                self._due_at = now + wait
+        return wait
+
+    def _run(self, stop: threading.Event, wait: float) -> None:
+        while not stop.wait(wait):
+            try:
+                self.step()
+            except (ReproError, OSError):
+                # Recorded by the step's accounting(); the next wait
+                # adds the grown backoff to the interval.
+                pass
+            wait = self._wake(stop)
+
+
+class WorkerOwner:
+    """The lifecycle of an object whose background loop is
+    ``self.worker`` (the daemon, the tuner and the supervisor); see
+    :class:`PeriodicWorker` for the contract."""
+
+    worker: PeriodicWorker
+
+    def start(self) -> None:
+        self.worker.start()
+
+    def restart(self) -> None:
+        self.worker.restart()
+
+    def is_alive(self) -> bool:
+        return self.worker.is_alive()
+
+    def stop(self) -> None:
+        self.worker.stop()
+
+
+@dataclass
 class _Watch:
     """Supervisor-private per-watch state (guarded by the supervisor's
-    lock; the probe/restart callables run outside it)."""
+    lock; the worker's probes and restart run outside it)."""
 
-    __slots__ = ("name", "is_alive", "heartbeat", "restart", "state",
-                 "restart_streak", "restarts", "next_restart_at",
-                 "parked_until", "last_error", "last_heartbeat_age_s")
-
-    def __init__(self, name: str, is_alive: Callable[[], bool],
-                 heartbeat: Callable[[], float | None],
-                 restart: Callable[[], None]) -> None:
-        self.name = name
-        self.is_alive = is_alive
-        self.heartbeat = heartbeat
-        self.restart = restart
-        self.state = RUNNING
-        self.restart_streak = 0
-        self.restarts = 0
-        self.next_restart_at = 0.0
-        self.parked_until = 0.0
-        self.last_error: str | None = None
-        self.last_heartbeat_age_s: float | None = None
+    name: str
+    worker: PeriodicWorker
+    state: str = RUNNING
+    restart_streak: int = 0
+    restarts: int = 0
+    next_restart_at: float = 0.0
+    parked_until: float = 0.0
+    last_error: str | None = None
+    overdue_s: float | None = None
 
 
-class Supervisor:
-    """Heartbeat supervision for the monitoring pipeline's threads.
-
-    Watches are registered once at setup time (:meth:`watch`) and the
-    probe callables are expected to be cheap and thread-safe (the
-    daemon's and tuner's ``is_alive``/``last_heartbeat`` read a counter
-    under their own small lock).  ``tick(now)`` evaluates every watch;
-    all supervisor state is guarded by one lock, and the restart
-    callables run *outside* it so a slow restart never blocks health
-    reads.
-    """
+class Supervisor(WorkerOwner):
+    """Due-time supervision of the pipeline's workers.  One lock guards
+    all supervisor state; restarts run outside it, so a slow restart
+    never blocks health reads."""
 
     def __init__(self, config: SupervisorConfig, clock: Clock) -> None:
         self.config = config
@@ -89,15 +270,13 @@ class Supervisor:
         self._watches: dict[str, _Watch] = \
             {}  # staticcheck: shared(_lock); bounded(one-per-subsystem-registered-at-setup)
         self.ticks = 0  # staticcheck: shared(_lock)
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self.worker = PeriodicWorker("repro-supervisor", config.check_interval_s,
+                                     self.tick, RETRY_BACKOFF, clock)
 
-    def watch(self, name: str, is_alive: Callable[[], bool],
-              heartbeat: Callable[[], float | None],
-              restart: Callable[[], None]) -> None:
-        """Register a thread to supervise (replaces a same-name watch)."""
+    def watch(self, name: str, worker: PeriodicWorker) -> None:
+        """Register a worker to supervise (replaces a same-name watch)."""
         with self._lock:
-            self._watches[name] = _Watch(name, is_alive, heartbeat, restart)
+            self._watches[name] = _Watch(name, worker)
 
     # -- the supervision loop ----------------------------------------------
 
@@ -113,27 +292,21 @@ class Supervisor:
 
     def _tick_watch(self, watch: _Watch, now: float) -> None:
         cfg = self.config
-        alive = self._probe_alive(watch)
-        stamp = self._probe_heartbeat(watch)
-        age = None if stamp is None else max(0.0, now - stamp)
-        healthy = alive and (age is None
-                             or age <= cfg.heartbeat_timeout_s)
+        worker = watch.worker
+        due_at = worker.due_at
+        overdue = None if due_at is None else max(0.0, now - due_at)
+        healthy = worker.is_alive() and (
+            overdue is None or overdue <= cfg.heartbeat_timeout_s)
         with self._lock:
-            watch.last_heartbeat_age_s = age
+            watch.overdue_s = overdue
             if healthy:
                 watch.state = RUNNING
                 watch.restart_streak = 0
                 watch.parked_until = 0.0
                 return
-            if watch.state == PARKED:
-                if now < watch.parked_until:
-                    return  # still cooling down
-                # Half-open: fall through to one more restart attempt.
-            if watch.state != RESTARTING or now >= watch.next_restart_at:
-                due = True
-            else:
-                due = False
-            if not due:
+            if watch.state == PARKED and now < watch.parked_until:
+                return  # still cooling down; past it, retry half-open
+            if watch.state == RESTARTING and now < watch.next_restart_at:
                 return
             if watch.restart_streak >= cfg.park_after_restarts:
                 watch.state = PARKED
@@ -146,54 +319,29 @@ class Supervisor:
             watch.state = RESTARTING
             watch.restart_streak += 1
             watch.restarts += 1
-            backoff = min(
-                cfg.restart_backoff_max_s,
-                cfg.restart_backoff_initial_s
-                * cfg.restart_backoff_factor ** (watch.restart_streak - 1))
-            watch.next_restart_at = now + backoff
+            watch.next_restart_at = now + RETRY_BACKOFF.delay(
+                watch.restart_streak)
+            watch.last_error = None
         # The restart itself runs outside the lock: it may join threads.
         try:
-            watch.restart()
+            worker.restart()
         except (ReproError, OSError) as error:
             with self._lock:
                 watch.last_error = f"{type(error).__name__}: {error}"
-        else:
-            with self._lock:
-                watch.last_error = None
-
-    def _probe_alive(self, watch: _Watch) -> bool:
-        try:
-            return bool(watch.is_alive())
-        except (ReproError, OSError):
-            return False
-
-    def _probe_heartbeat(self, watch: _Watch) -> float | None:
-        try:
-            return watch.heartbeat()
-        except (ReproError, OSError):
-            return None
 
     # -- introspection -----------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-shaped supervisor state for the engine health surface."""
+        running = self.worker.is_alive()
         with self._lock:
             return {
                 "ticks": self.ticks,
-                "running": self._thread is not None
-                           and self._thread.is_alive(),
+                "running": running,
                 "watches": [
-                    {
-                        "name": watch.name,
-                        "state": watch.state,
-                        "restarts": watch.restarts,
-                        "restart_streak": watch.restart_streak,
-                        "parked_until": watch.parked_until or None,
-                        "heartbeat_age_s": watch.last_heartbeat_age_s,
-                        "last_error": watch.last_error,
-                    }
-                    for watch in self._watches.values()
-                ],
+                    {key: value for key, value in vars(watch).items()
+                     if key != "worker"}
+                    for watch in self._watches.values()],
             }
 
     def states(self) -> dict[str, str]:
@@ -201,39 +349,16 @@ class Supervisor:
             return {name: watch.state
                     for name, watch in self._watches.items()}
 
-    # -- background thread -------------------------------------------------
-
-    def start(self) -> None:
-        """Run :meth:`tick` periodically on a background thread."""
-        if self._thread is not None and self._thread.is_alive():
-            raise MonitorError("supervisor is already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-supervisor", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the supervisor thread (same hung-thread contract as the
-        daemon: a timed-out join keeps the handle and raises)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=self.config.stop_join_timeout_s)
-            if thread.is_alive():
-                raise MonitorError(
-                    "supervisor thread did not stop within "
-                    f"{self.config.stop_join_timeout_s:g}s; thread handle "
-                    "kept, restart refused while it lives")
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.config.check_interval_s):
-            self.tick()
-
 
 __all__ = [
+    "JOIN_TIMEOUT_S",
     "PARKED",
     "RESTARTING",
+    "RETRY_BACKOFF",
     "RUNNING",
+    "Backoff",
+    "PeriodicWorker",
     "Supervisor",
+    "WorkerOwner",
+    "WorkerStatus",
 ]

@@ -16,6 +16,7 @@ supervisor.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from repro.clock import Clock
 from repro.config import DaemonConfig, EngineConfig
@@ -27,6 +28,9 @@ from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import OverloadController
 from repro.core.workload_db import WorkloadDatabase
 from repro.engine.engine import EngineInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.autopilot import AutonomousTuner
 
 
 @dataclass
@@ -103,7 +107,7 @@ def daemon_setup(database_name: str,
 
 
 def attach_supervisor(setup: Setup,
-                      tuner: "object | None" = None) -> Supervisor:
+                      tuner: "AutonomousTuner | None" = None) -> Supervisor:
     """Build a :class:`Supervisor` watching the setup's daemon (and
     optionally an :class:`~repro.core.autopilot.AutonomousTuner`),
     registered on the engine health surface.  Not started — call
@@ -112,14 +116,9 @@ def attach_supervisor(setup: Setup,
     supervisor = Supervisor(engine.config.supervisor, engine.clock)
     daemon = setup.daemon
     if daemon is not None:
-        supervisor.watch("storage-daemon", daemon.is_alive,
-                         daemon.last_heartbeat, daemon.restart)
+        supervisor.watch("storage-daemon", daemon.worker)
     if tuner is not None:
-        supervisor.watch(
-            "autonomous-tuner",
-            tuner.is_alive,  # type: ignore[attr-defined]
-            tuner.last_heartbeat,  # type: ignore[attr-defined]
-            tuner.restart)  # type: ignore[attr-defined]
+        supervisor.watch("autonomous-tuner", tuner.worker)
     setup.supervisor = supervisor
     engine.register_health_source("supervisor", supervisor.snapshot)
     return supervisor

@@ -215,7 +215,7 @@ class TestDaemon:
         session.execute("select a from t")
         setup.daemon.poll_once()
         setup.daemon.flush()
-        assert setup.daemon.total_polls == 1
+        assert setup.daemon.status().cycles == 1
         assert setup.daemon.total_rows_flushed > 0
 
     def test_start_twice_rejected(self, wired):
@@ -267,7 +267,7 @@ class TestDaemon:
         import time
         time.sleep(0.3)
         setup.daemon.stop()
-        assert setup.daemon.total_polls >= 2
+        assert setup.daemon.status().cycles >= 2
         assert setup.workload_db.total_rows() > 0
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig
+from repro.core import health
 from repro.core.daemon import StorageDaemon
 from repro.core.workload_db import TABLE_SOURCES
 from repro.errors import MonitorError
@@ -20,7 +21,7 @@ from repro.setups import daemon_setup
 
 def make_setup(**daemon_overrides):
     defaults = dict(poll_interval_s=30.0, flush_every_polls=1,
-                    retention_s=7 * 86400.0, stop_join_timeout_s=5.0)
+                    retention_s=7 * 86400.0)
     defaults.update(daemon_overrides)
     clock = VirtualClock(1_000_000.0)
     setup = daemon_setup("db", clock=clock,
@@ -55,10 +56,11 @@ class PollGate:
 
 
 class TestStopLifecycle:
-    def test_stop_keeps_handle_on_join_timeout(self):
-        setup, _session, _clock = make_setup(poll_interval_s=0.0,
-                                             stop_join_timeout_s=0.2)
+    def test_stop_keeps_handle_on_join_timeout(self, monkeypatch):
+        monkeypatch.setattr(health, "JOIN_TIMEOUT_S", 0.2)
+        setup, _session, _clock = make_setup(poll_interval_s=0.0)
         daemon = setup.daemon
+        worker = daemon.worker
         gate = PollGate()
         faultsim.get_injector().arm("session.execute", "every-n", n=1,
                                     on_fire=gate)
@@ -68,15 +70,15 @@ class TestStopLifecycle:
         # must report the hang, not orphan the live thread.
         with pytest.raises(MonitorError):
             daemon.stop(final_flush=False)
-        assert daemon._thread is not None and daemon._thread.is_alive()
+        assert worker._thread is not None and worker._thread.is_alive()
         with pytest.raises(MonitorError):
             daemon.start()  # refuse a second daemon over the live thread
-        hung = daemon._thread
+        hung = worker._thread
         gate.release.set()
         hung.join(timeout=10.0)  # let the parked poll drain first
         assert not hung.is_alive()
         daemon.stop(final_flush=False)  # clean join now
-        assert daemon._thread is None
+        assert worker._thread is None
         daemon.start()  # restart over a *dead* thread is fine
         daemon.stop(final_flush=False)
 
@@ -86,7 +88,7 @@ class TestStopLifecycle:
         faultsim.arm_from_spec("session.execute:every-n=1")
         daemon.stop(final_flush=True)  # must not raise
         status = daemon.status()
-        assert status.poll_failures >= 1
+        assert status.failures >= 1
         assert status.last_error is not None
 
     def test_status_snapshot_fields(self):
@@ -95,7 +97,7 @@ class TestStopLifecycle:
         daemon.poll_once()
         status = daemon.status()
         assert not status.running
-        assert status.total_polls == 1
+        assert status.cycles == 1
         assert status.consecutive_failures == 0
         assert status.backoff_s == 0.0
         assert status.total_rows_flushed > 0
@@ -137,18 +139,19 @@ class TestPollSerialization:
 
 class TestBackoff:
     def test_backoff_grows_caps_and_resets(self):
-        setup, _session, _clock = make_setup(
-            backoff_initial_s=1.0, backoff_factor=2.0, backoff_max_s=4.0)
+        setup, _session, _clock = make_setup()
         daemon = setup.daemon
         faultsim.arm_from_spec("workload_db.append:every-n=1")
-        expected = [1.0, 2.0, 4.0, 4.0]  # doubles, then capped
+        # POLL_BACKOFF doubles from 1 s, then holds at its 300 s cap.
+        expected = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+                    300.0, 300.0]
         for failures, backoff in enumerate(expected, start=1):
             with pytest.raises(MonitorError):
                 daemon.poll_once()
             status = daemon.status()
             assert status.backoff_s == pytest.approx(backoff)
             assert status.consecutive_failures == failures
-        assert daemon.status().poll_failures == len(expected)
+        assert daemon.status().failures == len(expected)
         faultsim.get_injector().disarm("workload_db.append")
         daemon.poll_once()
         status = daemon.status()

@@ -114,10 +114,10 @@ class TestDaemonResilience:
         setup.daemon.start()
         time.sleep(0.1)
         # even after transient failures, polls continue
-        polls_before = setup.daemon.total_polls
+        polls_before = setup.daemon.status().cycles
         time.sleep(0.1)
         setup.daemon.stop()
-        assert setup.daemon.total_polls > polls_before
+        assert setup.daemon.status().cycles > polls_before
 
     def test_poll_on_closed_session_reopens(self):
         setup = daemon_setup("db")

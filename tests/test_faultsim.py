@@ -5,6 +5,8 @@ import pytest
 from repro import faultsim
 from repro.clock import SystemClock, VirtualClock
 from repro.config import DaemonConfig, EngineConfig
+from repro.core.daemon import POLL_BACKOFF
+from repro.core.health import JOIN_TIMEOUT_S, RETRY_BACKOFF, Backoff
 from repro.core.workload_db import WorkloadDatabase
 from repro.engine.engine import EngineInstance
 from repro.errors import (
@@ -275,8 +277,8 @@ class TestWiredSeams:
 class TestDefaultDaemonConfig:
     def test_new_fields_have_sane_defaults(self):
         config = DaemonConfig()
-        assert config.backoff_initial_s > 0
-        assert config.backoff_factor > 1
-        assert config.backoff_max_s >= config.backoff_initial_s
         assert config.max_pending_rows > 0
-        assert config.stop_join_timeout_s > 0
+        # Retry timings are module constants, not config fields.
+        assert POLL_BACKOFF == Backoff(1.0, 2.0, 300.0)
+        assert RETRY_BACKOFF == Backoff(1.0, 2.0, 60.0)
+        assert JOIN_TIMEOUT_S == 5.0

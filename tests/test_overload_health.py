@@ -12,12 +12,15 @@ import pytest
 from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import (
+    DaemonConfig,
     EngineConfig,
     MonitorConfig,
     OverloadConfig,
     SupervisorConfig,
 )
-from repro.core.health import PARKED, RESTARTING, RUNNING, Supervisor
+from repro.core import health
+from repro.core.autopilot import AutonomousTuner, TuningPolicy
+from repro.core.health import PARKED, RESTARTING, RUNNING, Backoff, Supervisor
 from repro.core.monitor import IntegratedMonitor
 from repro.core.overload import (
     COUNTS_ONLY,
@@ -29,7 +32,7 @@ from repro.core.overload import (
     conservation_report,
 )
 from repro.core.records import WorkloadRecord
-from repro.errors import InjectedFault, MonitorError
+from repro.errors import InjectedFault, MonitorError, ReproError
 from repro.invariants import conservation_violations
 from repro.setups import attach_supervisor, daemon_setup, monitoring_setup
 
@@ -305,7 +308,7 @@ class TestWorkerDeathAndParking:
         daemon.start()
         try:
             assert daemon.is_alive()
-            assert daemon.last_heartbeat() is not None
+            assert daemon.status().last_heartbeat is not None
             daemon.restart()
             assert daemon.is_alive()
             assert daemon.status().restarts == 1
@@ -320,29 +323,36 @@ class TestWorkerDeathAndParking:
 class _FakeWorker:
     def __init__(self) -> None:
         self.alive = True
-        self.heartbeat: float | None = None
+        self.due_at: float | None = None
         self.restarts = 0
+
+    def is_alive(self) -> bool:
+        return self.alive
 
     def restart(self) -> None:
         self.restarts += 1
 
 
+@pytest.fixture
+def slow_restarts(monkeypatch):
+    """Restart backoff of 5 s doubling, so the tests' tick times fall
+    clearly inside or past each delay."""
+    monkeypatch.setattr(health, "RETRY_BACKOFF", Backoff(5.0, 2.0, 60.0))
+
+
 def _supervisor(**overrides):
     config = SupervisorConfig(**{
         "heartbeat_timeout_s": 10.0,
-        "restart_backoff_initial_s": 5.0,
-        "restart_backoff_factor": 2.0,
-        "restart_backoff_max_s": 60.0,
         "park_after_restarts": 2,
         "park_cooldown_s": 100.0,
         **overrides})
     worker = _FakeWorker()
     supervisor = Supervisor(config, VirtualClock(0.0))
-    supervisor.watch("w", lambda: worker.alive, lambda: worker.heartbeat,
-                     worker.restart)
+    supervisor.watch("w", worker)
     return supervisor, worker
 
 
+@pytest.mark.usefixtures("slow_restarts")
 class TestSupervisor:
     def test_healthy_watch_stays_running(self):
         supervisor, _worker = _supervisor()
@@ -386,23 +396,21 @@ class TestSupervisor:
 
     def test_stale_heartbeat_is_unhealthy_even_if_alive(self):
         supervisor, worker = _supervisor()
-        worker.heartbeat = 0.0
-        supervisor.tick(now=5.0)  # age 5 <= 10: healthy
+        worker.due_at = 0.0
+        supervisor.tick(now=5.0)  # 5 s past due <= 10: healthy
         assert supervisor.states() == {"w": RUNNING}
-        supervisor.tick(now=50.0)  # age 50 > 10: stale
+        supervisor.tick(now=50.0)  # 50 s past due > 10: hung
         assert supervisor.states() == {"w": RESTARTING}
         assert worker.restarts == 1
 
-    def test_probe_and_restart_errors_are_contained(self):
-        supervisor = Supervisor(SupervisorConfig(), VirtualClock(0.0))
-
-        def bad_probe() -> bool:
-            raise MonitorError("probe exploded")
+    def test_restart_errors_are_contained(self):
+        supervisor, worker = _supervisor()
+        worker.alive = False
 
         def bad_restart() -> None:
             raise MonitorError("restart exploded")
 
-        supervisor.watch("w", bad_probe, lambda: None, bad_restart)
+        worker.restart = bad_restart
         supervisor.tick(now=1.0)  # must not raise
         watch = supervisor.snapshot()["watches"][0]
         assert watch["state"] == RESTARTING
@@ -412,6 +420,78 @@ class TestSupervisor:
         supervisor, _worker = _supervisor()
         supervisor.tick(now=1.0)
         json.dumps(supervisor.snapshot())
+
+
+class TestDueTimeSupervision:
+    """A worker is judged by the time it promised to wake, not by the
+    age of its last stamp: a loop waiting out a long interval or a
+    backoff is healthy while it waits."""
+
+    def test_long_interval_tuner_is_left_alone(self):
+        clock = VirtualClock(1_000.0)
+        setup = daemon_setup(
+            "db", clock=clock,
+            daemon_config=DaemonConfig(poll_interval_s=3600.0))
+        tuner = AutonomousTuner(
+            setup.engine, "db", setup.workload_db, daemon=setup.daemon,
+            policy=TuningPolicy(cycle_interval_s=3600.0))
+        supervisor = attach_supervisor(setup, tuner)
+        setup.daemon.start()
+        tuner.start()
+        try:
+            supervisor.tick(now=clock.now() + 60.0)
+            assert supervisor.states() == {"storage-daemon": RUNNING,
+                                           "autonomous-tuner": RUNNING}
+            assert tuner.status().restarts == 0
+        finally:
+            tuner.stop()
+            setup.daemon.stop(final_flush=False)
+
+    def test_backed_off_daemon_is_not_restarted_again(self):
+        clock = VirtualClock(1_000.0)
+        setup = daemon_setup("db", clock=clock)
+        daemon = setup.daemon
+        supervisor = attach_supervisor(setup)
+        daemon.start()
+        try:
+            faultsim.arm_from_spec("session.execute:every-n=1")
+            for _ in range(3):
+                with pytest.raises(ReproError):
+                    daemon.poll_once()
+            faultsim.reset()
+            assert daemon.status().backoff_s == 4.0
+            daemon.restart()
+            # Due at 30 s interval + 4 s backoff: 32 s in is not late.
+            supervisor.tick(now=clock.now() + 32.0)
+            assert supervisor.states() == {"storage-daemon": RUNNING}
+            assert daemon.status().restarts == 1
+        finally:
+            daemon.stop(final_flush=False)
+
+
+class TestSupervisorThread:
+    def test_supervisor_thread_restarts_a_stopped_daemon(self):
+        """The real-clock check of ``drive --storm``: a started
+        supervisor restarts a poll thread that stopped."""
+        config = EngineConfig(supervisor=SupervisorConfig(
+            check_interval_s=0.01))
+        setup = daemon_setup("db", config=config)
+        daemon = setup.daemon
+        supervisor = attach_supervisor(setup)
+        daemon.start()
+        supervisor.start()
+        try:
+            daemon.stop(final_flush=False)
+            deadline = time.monotonic() + 5.0
+            while not (daemon.is_alive()
+                       and daemon.status().restarts >= 1):
+                assert time.monotonic() < deadline, \
+                    "the supervisor did not restart the stopped daemon"
+                time.sleep(0.01)
+        finally:
+            supervisor.stop()
+            daemon.stop(final_flush=False)
+        assert supervisor.snapshot()["watches"][0]["restarts"] >= 1
 
 
 # -- the engine health surface ----------------------------------------------
@@ -438,7 +518,7 @@ class TestHealthSurface:
         snapshot = setup.engine.health()
         assert set(snapshot) >= {"engine", "daemon", "overload",
                                  "supervisor"}
-        assert snapshot["daemon"]["total_polls"] == 1
+        assert snapshot["daemon"]["cycles"] == 1
         assert snapshot["overload"]["level_name"] == "DETAILED"
         names = [w["name"] for w in snapshot["supervisor"]["watches"]]
         assert names == ["storage-daemon"]

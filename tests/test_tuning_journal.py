@@ -236,6 +236,27 @@ class TestCrashRecovery:
                             "completed forward (idempotent)")]
         assert database.catalog.table("t").statistics is not None
 
+    def test_lost_recovery_mark_counts_as_journal_error(self):
+        """A recovery mark that fails is a journal error of the cycle,
+        not the cycle's ``last_error`` (the cycle itself succeeded)."""
+        setup = daemon_setup("sdb", clock=VirtualClock(1_000_000.0))
+        session = setup.engine.connect("sdb")
+        session.execute("create table t (a int not null, primary key (a))")
+        session.execute("insert into t values (1), (2), (3)")
+        tuner = AutonomousTuner(setup.engine, "sdb", setup.workload_db,
+                                daemon=setup.daemon)
+        tuner.journal.record_intent(stats_rec("t"), "", cycle=1)
+        # Completed forward, but its applied mark is lost.
+        faultsim.arm_from_spec("journal.write:once")
+        report = tuner.run_cycle()
+        assert report.recovered == [("create statistics on t",
+                                     "completed forward (idempotent)")]
+        assert report.journal_errors == 1
+        assert tuner.journal.health().write_failures == 1
+        status = tuner.status()
+        assert status.last_error is None
+        assert status.failures == 0 and status.cycles == 1
+
 
 class TestQuarantine:
     def test_three_failures_quarantine_then_cooldown_retry(self):
@@ -321,7 +342,7 @@ class TestLifecycleAndStatus:
                                 daemon=setup.daemon)
         tuner.run_cycle()
         status = tuner.status()
-        assert status.cycles_run == 1
+        assert status.cycles == 1
         assert status.changes_applied == tuner.total_changes_applied > 0
         assert status.journal.applied == status.changes_applied
         assert status.journal.write_failures == 0
