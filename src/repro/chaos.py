@@ -39,11 +39,6 @@ from repro.config import (
 )
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.daemon import StorageDaemon
-from repro.core.lockwitness import (
-    LockWitness,
-    cross_check,
-    static_order_edges,
-)
 from repro.core.overload import LEVEL_NAMES, SAMPLED
 from repro.core.tuning_journal import TuningJournal
 from repro.errors import ReproError
@@ -240,13 +235,8 @@ def _storm_recovery(setup: Setup, report: SoakReport,
     _enforce(storm_violations(setup, min_peak=SAMPLED), config.seed)
 
 
-def run_soak(config: SoakConfig,
-             witness: LockWitness | None = None) -> SoakReport:
-    """One seeded soak; returns the report or raises on a violation.
-
-    With a ``witness`` every engine/daemon lock is wrapped, so the soak
-    doubles as a runtime probe of the static lock-order model — the
-    caller cross-checks ``witness.observed_edges()`` afterwards."""
+def run_soak(config: SoakConfig) -> SoakReport:
+    """One seeded soak; returns the report or raises on a violation."""
     faultsim.reset()
     rng = random.Random(config.seed)
     clock = VirtualClock(1_000_000.0)
@@ -262,8 +252,7 @@ def run_soak(config: SoakConfig,
             daemon=DaemonConfig(flush_every_polls=1))
     else:
         engine_config = EngineConfig()
-    setup = daemon_setup("nref", config=engine_config, clock=clock,
-                         lock_witness=witness)
+    setup = daemon_setup("nref", config=engine_config, clock=clock)
     load_nref(setup.engine.database("nref"), scale, main_pages=2)
     queries = complex_query_set(scale, count=30, seed=config.seed)
     policy = TuningPolicy(
@@ -342,16 +331,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="rounds per seed (default: 12)")
     parser.add_argument("--proteins", type=int, default=300,
                         help="NREF scale (default: 300)")
-    parser.add_argument("--witness", action="store_true",
-                        help="wrap engine/daemon locks in the runtime "
-                             "lock witness and cross-check observed "
-                             "acquisition order against the static "
-                             "LCK003 model (fails on contradictions)")
-    parser.add_argument("--witness-report", type=pathlib.Path,
-                        default=None, metavar="PATH",
-                        help="write the witness report (stats, observed "
-                             "edges, cross-check) as JSON to PATH; "
-                             "implies --witness")
     parser.add_argument("--storm", action="store_true",
                         help="overload storm: tiny rings, fast ladder "
                              "and ring floods on top of the regular "
@@ -365,15 +344,13 @@ def main(argv: list[str] | None = None) -> int:
                              "ledger) as JSON to PATH")
     arguments = parser.parse_args(argv)
     seeds = arguments.seed or [1, 2, 3]
-    witnessed = arguments.witness or arguments.witness_report is not None
-    witness = LockWitness() if witnessed else None
     healths: dict[str, dict | None] = {}
     for seed in seeds:
         config = SoakConfig(seed=seed, rounds=arguments.rounds,
                             proteins=arguments.proteins,
                             storm=arguments.storm)
         try:
-            report = run_soak(config, witness=witness)
+            report = run_soak(config)
         except ChaosInvariantError as error:
             print(f"INVARIANT VIOLATION: {error}", file=sys.stderr)
             return 1
@@ -382,23 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     if arguments.health_report is not None:
         arguments.health_report.write_text(
             json.dumps(healths, indent=2, default=str) + "\n")
-    if witness is not None:
-        checked = cross_check(witness.observed_edges(),
-                              static_order_edges())
-        payload = witness.report()
-        payload["cross_check"] = checked.to_json()
-        if arguments.witness_report is not None:
-            arguments.witness_report.write_text(
-                json.dumps(payload, indent=2) + "\n")
-        edge_count = len(payload["order_edges"])
-        print(f"lock witness: {len(payload['tokens'])} locks, "
-              f"{edge_count} observed order edges, "
-              f"{len(checked.unmodeled)} unmodeled by the static graph")
-        for contradiction in checked.contradictions:
-            print(f"LOCK-ORDER CONTRADICTION: {contradiction}",
-                  file=sys.stderr)
-        if not checked.ok:
-            return 1
     return 0
 
 

@@ -22,15 +22,6 @@ class StorageConfig:
     buffer_pool_pages: int = 256
     """Number of pages the LRU buffer cache can hold."""
 
-    heap_fill_factor: float = 0.9
-    """Fraction of a heap main page filled before spilling to overflow."""
-
-    read_latency_s: float = 0.0
-    """Optional simulated latency charged per physical page read."""
-
-    write_latency_s: float = 0.0
-    """Optional simulated latency charged per physical page write."""
-
 
 @dataclass(frozen=True)
 class CostModelConfig:
@@ -42,15 +33,6 @@ class CostModelConfig:
 
     cpu_tuple_cost: float = 0.01
     """Cost units charged per tuple processed by an operator."""
-
-    cpu_operator_cost: float = 0.0025
-    """Cost units charged per predicate/expression evaluation."""
-
-    cpu_index_tuple_cost: float = 0.005
-    """Cost units charged per index entry touched."""
-
-    sort_page_cost: float = 2.0
-    """Cost units charged per page of an external sort pass."""
 
     default_selectivity_eq: float = 0.005
     """Equality selectivity assumed when no histogram exists."""
@@ -86,37 +68,12 @@ class OverloadConfig:
     """In the SAMPLED state one workload record in ``sample_k`` is
     admitted with full detail; the rest are counted as sampled out."""
 
-    escalate_pressure: float = 0.75
-    """When the pressure reaches this level for ``escalate_dwell``
-    consecutive observations the monitor degrades one rung."""
-
-    deescalate_pressure: float = 0.35
-    """When the pressure stays at or below this level for
-    ``recover_dwell`` consecutive observations the monitor recovers one
-    rung.  Pressures between the two thresholds are the hysteresis dead band:
-    they reset both streaks, so each transition requires *consecutive*
-    observations beyond its threshold."""
-
     escalate_dwell: int = 2
     """Consecutive high-pressure observations before degrading."""
 
     recover_dwell: int = 3
     """Consecutive low-pressure observations before recovering (higher
     than ``escalate_dwell`` so a recovering monitor does not flap)."""
-
-    poll_latency_budget_s: float = 5.0
-    """Daemon poll duration treated as pressure 1.0; the EWMA of poll
-    durations is normalized against this budget."""
-
-    ewma_alpha: float = 0.3
-    """Smoothing factor of the poll-latency EWMA."""
-
-    occupancy_weight: float = 0.3
-    """Weight of raw ring occupancy in the pressure signal.  Rings are
-    never drained by reads, so a full ring is normal under healthy
-    traffic — occupancy alone must not cross ``escalate_pressure``
-    (and at the default weight a full ring contributes 0.3, below the
-    de-escalation threshold, so recovery is always reachable)."""
 
     window_history: int = 64
     """Degraded-window annotations kept per controller (oldest out)."""
@@ -131,12 +88,6 @@ class MonitorConfig:
 
     workload_buffer_size: int = 4000
     """Ring-buffer capacity for workload (execution history) entries."""
-
-    reference_buffer_size: int = 8000
-    """Ring-buffer capacity for statement→object reference entries."""
-
-    statistics_buffer_size: int = 2000
-    """Ring-buffer capacity for system-wide statistics samples."""
 
     plan_capture_min_cost: float = 100.0
     """Capture the optimizer's plan text for statements whose estimated

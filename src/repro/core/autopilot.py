@@ -206,13 +206,13 @@ class AutonomousTuner(WorkerOwner):
         self._cycle_mutex = threading.Lock()
         self._lock = threading.Lock()
         # Recent cycle reports, oldest dropped beyond the cap.
-        self.history: list[TuningCycleReport] = []  # staticcheck: shared(_lock); bounded(_MAX_HISTORY trim)
+        self.history: list[TuningCycleReport] = []  # staticcheck: shared(_lock)
         # Circuit-breaker state per recommendation SQL; entries are
         # cleared on success and expired entries are evicted beyond
         # _MAX_BREAKER_ENTRIES.
-        self._failures: dict[str, int] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
-        self._quarantined_until: dict[str, float] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
-        self._breaker_errors: dict[str, str] = {}  # staticcheck: shared(_lock); bounded(_MAX_BREAKER_ENTRIES evict)
+        self._failures: dict[str, int] = {}  # staticcheck: shared(_lock)
+        self._quarantined_until: dict[str, float] = {}  # staticcheck: shared(_lock)
+        self._breaker_errors: dict[str, str] = {}  # staticcheck: shared(_lock)
         # Journal marks that failed in the current cycle (recovery's
         # included); reset when a cycle starts.
         self._mark_failures = 0  # staticcheck: shared(_lock)

@@ -53,7 +53,6 @@ from repro.core.workload_db import TABLE_SOURCES, WorkloadDatabase
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.lockwitness import LockWitness, WitnessedLock
     from repro.core.overload import OverloadController
     from repro.engine.engine import EngineInstance
     from repro.engine.session import Session
@@ -94,30 +93,20 @@ class StorageDaemon(WorkerOwner):
 
     def __init__(self, engine: "EngineInstance", ima_database: str,
                  workload_db: WorkloadDatabase,
-                 config: DaemonConfig | None = None,
-                 witness: "LockWitness | None" = None) -> None:
+                 config: DaemonConfig | None = None) -> None:
         self.engine = engine
         self.ima_database = ima_database
         self.workload_db = workload_db
         self.config = config or engine.config.daemon
         self.clock: Clock = engine.clock
         # Serializes whole polls/flushes end to end (see module doc).
-        # The plain Lock() assignments stay first so the static lock
-        # model keeps its type evidence; a witness-enabled run re-binds
-        # both locks through the recording wrapper.
-        self._poll_mutex: "threading.Lock | WitnessedLock" = threading.Lock()
+        self._poll_mutex = threading.Lock()
         self._session: "Session | None" = None  # staticcheck: shared(_poll_mutex)
-        self._lock: "threading.Lock | WitnessedLock" = threading.Lock()
-        if witness is not None:
-            self._poll_mutex = witness.wrap(
-                threading.Lock(),
-                "repro.core.daemon.StorageDaemon._poll_mutex")
-            self._lock = witness.wrap(
-                threading.Lock(), "repro.core.daemon.StorageDaemon._lock")
+        self._lock = threading.Lock()
         # Key space fixed by TABLE_SOURCES (one entry per IMA table);
         # each value is the highest ring seq already collected.
         self._last_seq: dict[str, int] = {
-            # staticcheck: shared(_lock); bounded(TABLE_SOURCES)
+            # staticcheck: shared(_lock)
             source: 0 for source in TABLE_SOURCES.values()
         }
         # Same fixed key space; each per-table list is drained by every
@@ -133,7 +122,6 @@ class StorageDaemon(WorkerOwner):
         # predicate the scan takes the ring's bounded snapshot as it
         # comes.
         self._poll_query_prefix: dict[str, str] = {
-            # staticcheck: bounded(TABLE_SOURCES)
             ima_table: f"select * from {ima_table} where seq > "
             for ima_table in TABLE_SOURCES.values()
         }
@@ -271,7 +259,7 @@ class StorageDaemon(WorkerOwner):
         # (see poll_once); the mutex never touches hot paths.
         session = self._ensure_session()  # staticcheck: ignore[LCK004]
         query_prefix = self._poll_query_prefix
-        batches: dict[str, list[tuple[int, tuple]]] = {}  # staticcheck: allocfree(fixed-table-key-space)
+        batches: dict[str, list[tuple[int, tuple]]] = {}
         collected = 0
         loss = 0
         for wl_table, ima_table in TABLE_SOURCES.items():

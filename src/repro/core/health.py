@@ -286,7 +286,7 @@ class Supervisor(WorkerOwner):
             now = self.clock.now()
         with self._lock:
             self.ticks += 1
-            watches = list(self._watches.values())  # staticcheck: allocfree(one-per-subsystem)
+            watches = list(self._watches.values())
         for watch in watches:
             self._tick_watch(watch, now)
 

@@ -45,6 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 STATISTICS_MIN_INTERVAL_S = 1.0
 
+#: Ring capacity of each statement→object reference buffer
+#: (references, tables, attributes, indexes).
+REFERENCE_BUFFER_SIZE = 8000
+#: Ring capacity for system-wide statistics samples.
+STATISTICS_BUFFER_SIZE = 2000
+
 #: Degradation ladder levels (:mod:`repro.core.overload` decides them and
 #: re-exports these names).  Plain ints: the admission gate compares
 #: them on the per-statement hot path, where enum attribute access is
@@ -75,15 +81,15 @@ class IntegratedMonitor:
         self.workload: RingBuffer[WorkloadRecord] = \
             RingBuffer(self.config.workload_buffer_size)
         self.references: KeyedRingBuffer[tuple, ReferenceRecord] = \
-            KeyedRingBuffer(self.config.reference_buffer_size)
+            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
         self.tables: KeyedRingBuffer[str, TableUsageRecord] = \
-            KeyedRingBuffer(self.config.reference_buffer_size)
+            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
         self.attributes: KeyedRingBuffer[tuple, AttributeUsageRecord] = \
-            KeyedRingBuffer(self.config.reference_buffer_size)
+            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
         self.indexes: KeyedRingBuffer[tuple, IndexUsageRecord] = \
-            KeyedRingBuffer(self.config.reference_buffer_size)
+            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
         self.statistics: RingBuffer[StatisticsRecord] = \
-            RingBuffer(self.config.statistics_buffer_size)
+            RingBuffer(STATISTICS_BUFFER_SIZE)
         self.plans: KeyedRingBuffer[int, PlanRecord] = \
             KeyedRingBuffer(self.config.plan_buffer_size)
         # Sensors fire on every session thread, so the overhead
@@ -439,7 +445,7 @@ class MonitorSensors:
         # land in sampled_out/shed, so conservation stays exact under
         # every ladder state.  Positional, in the record's field order;
         # the timestamp was captured once, when the statement was parsed.
-        ctx.monitor_time_s = self._complete_statement(_new_record(  # staticcheck: allocfree(workload-record-is-the-product)
+        ctx.monitor_time_s = self._complete_statement(_new_record(
             WorkloadRecord, (
                 ctx.text_hash, ctx.session_id, ctx.wall_time,
                 ctx.optimize_time_s, wallclock_s, wallclock_s,

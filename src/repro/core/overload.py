@@ -40,7 +40,7 @@ takes their max:
   its cap.
 - **poll latency**: an EWMA of poll durations against a budget.
 - **occupancy**: ring fill fraction, weighted weakly
-  (``occupancy_weight``) so that a full-but-healthy ring alone can
+  (``OCCUPANCY_WEIGHT``) so that a full-but-healthy ring alone can
   never escalate, and never prevents recovery.
 
 Escalation/de-escalation is hysteresis-controlled (``escalate_dwell``
@@ -65,6 +65,23 @@ from repro.core.monitor import (COUNTS_ONLY, DETAILED, SAMPLED, SHED,
 from repro.errors import InjectedFault
 
 LEVEL_NAMES = ("DETAILED", "SAMPLED", "COUNTS_ONLY", "SHED")
+
+#: Pressure at or above which ``escalate_dwell`` consecutive
+#: observations degrade the monitor one rung.
+ESCALATE_PRESSURE = 0.75
+#: Pressure at or below which ``recover_dwell`` consecutive
+#: observations recover one rung.  Pressures between the two
+#: thresholds are the hysteresis dead band: they reset both streaks.
+DEESCALATE_PRESSURE = 0.35
+#: Daemon poll duration treated as pressure 1.0; the EWMA of poll
+#: durations is normalized against it.
+POLL_LATENCY_BUDGET_S = 5.0
+#: Smoothing factor of the poll-latency EWMA.
+EWMA_ALPHA = 0.3
+#: Weight of raw ring occupancy in the pressure.  Reads never drain a
+#: ring, so a full ring is normal under healthy traffic: it contributes
+#: 0.3, below DEESCALATE_PRESSURE, so recovery is always reachable.
+OCCUPANCY_WEIGHT = 0.3
 
 
 @dataclass
@@ -116,7 +133,7 @@ class OverloadController:
         self._observations = 0  # staticcheck: shared(_lock)
         self._transitions = 0  # staticcheck: shared(_lock)
         self._windows: list[DegradedWindow] = \
-            []  # staticcheck: shared(_lock); bounded(trimmed-to-window-history)
+            []  # staticcheck: shared(_lock)
         monitor.set_degradation(DETAILED, self.config.sample_k)
 
     # -- daemon feedback ---------------------------------------------------
@@ -128,10 +145,9 @@ class OverloadController:
         ``unread_loss`` counts the workload rows lost *unread* since
         the previous poll.
         """
-        cfg = self.config
         with self._lock:
-            alpha = cfg.ewma_alpha
-            self._latency_ewma_s += alpha * (duration_s - self._latency_ewma_s)
+            self._latency_ewma_s += EWMA_ALPHA * (
+                duration_s - self._latency_ewma_s)
             if pending_cap > 0:
                 self._backlog_fraction = min(1.0, pending_rows / pending_cap)
             else:
@@ -166,21 +182,19 @@ class OverloadController:
             if flood:
                 pressure = 1.0
             else:
-                latency = 0.0
-                if cfg.poll_latency_budget_s > 0:
-                    latency = min(1.0, self._latency_ewma_s
-                                  / cfg.poll_latency_budget_s)
+                latency = min(1.0, self._latency_ewma_s
+                              / POLL_LATENCY_BUDGET_S)
                 pressure = max(self._loss_component, self._backlog_fraction,
-                               latency, cfg.occupancy_weight * self._occupancy)
+                               latency, OCCUPANCY_WEIGHT * self._occupancy)
             self._pressure = pressure
-            if pressure >= cfg.escalate_pressure:
+            if pressure >= ESCALATE_PRESSURE:
                 self._recover_streak = 0
                 self._escalate_streak += 1
                 if (self._escalate_streak >= cfg.escalate_dwell
                         and self._level < SHED):
                     self._transition(self._level + 1, now)
                     self._escalate_streak = 0
-            elif pressure <= cfg.deescalate_pressure:
+            elif pressure <= DEESCALATE_PRESSURE:
                 self._escalate_streak = 0
                 self._recover_streak += 1
                 if (self._recover_streak >= cfg.recover_dwell

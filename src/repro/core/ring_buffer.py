@@ -34,7 +34,7 @@ class RingBuffer(Generic[T]):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._items: list[tuple[int, T]] = \
-            []  # staticcheck: shared(_lock); bounded(capacity)
+            []  # staticcheck: shared(_lock)
         # _start is the physical index of the oldest element.
         self._start = 0  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
@@ -108,7 +108,7 @@ class KeyedRingBuffer(Generic[K, T]):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._items: OrderedDict[K, tuple[int, T]] = \
-            OrderedDict()  # staticcheck: shared(_lock); bounded(capacity)
+            OrderedDict()  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
         self._evicted = 0  # staticcheck: shared(_lock)
 

@@ -137,11 +137,11 @@ class TuningJournal:
         # In-memory mirror of the table, one cell per change; bounded
         # by _prune(), which evicts the oldest terminal entries (and
         # deletes their rows) beyond max_entries.
-        self._entries: dict[int, JournalEntry] = {}  # staticcheck: shared(_lock); bounded(max_entries prune)
-        self._rowids: dict[int, list[int]] = {}  # staticcheck: shared(_lock); bounded(max_entries prune)
+        self._entries: dict[int, JournalEntry] = {}  # staticcheck: shared(_lock)
+        self._rowids: dict[int, list[int]] = {}  # staticcheck: shared(_lock)
         # Consecutive failure streaks per statement: (count, last ts).
         # Reset on success/rollback, so bounded by the entries alive.
-        self._streaks: dict[str, tuple[int, float]] = {}  # staticcheck: shared(_lock); bounded(max_entries prune)
+        self._streaks: dict[str, tuple[int, float]] = {}  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
         self._next_entry_id = 1  # staticcheck: shared(_lock)
         self._transitions = 0  # staticcheck: shared(_lock)
@@ -267,7 +267,7 @@ class TuningJournal:
                           clock=self.clock)
             # Holding _write_mutex across the insert+flush is the
             # point: journal rows must hit the table in seq order.
-            rowid = self.database.insert_row(  # staticcheck: ignore[LCK004]
+            rowid = self.database.insert_row(
                 JOURNAL_TABLE, row)
             self.database.pool.flush_all()  # staticcheck: ignore[LCK004]
         except (ReproError, OSError) as error:
@@ -308,7 +308,7 @@ class TuningJournal:
         for _entry_id, rowids in doomed:
             for rowid in rowids:
                 try:
-                    self.database.delete_row(  # staticcheck: ignore[LCK004]
+                    self.database.delete_row(
                         JOURNAL_TABLE, rowid)
                 except (ReproError, OSError):
                     # The row stays until a later prune; the in-memory

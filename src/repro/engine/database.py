@@ -96,7 +96,7 @@ class Database:
         self.schema_version += 1
         entry = self.catalog.create_table(schema, structure)
         self._storages[schema.name.lower()] = TableStorage(
-            schema, self.disk, self.pool, self.config.storage,
+            schema, self.disk, self.pool,
             structure=structure, main_pages=main_pages,
         )
         return entry
@@ -159,7 +159,6 @@ class Database:
             self.disk,
             self.pool,
             unique=definition.unique,
-            fill_factor=self.config.storage.heap_fill_factor,
         )
         index = _SecondaryIndex(definition, storage, tuple(
             entry.schema.column_index(c) for c in definition.column_names))

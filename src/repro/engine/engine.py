@@ -29,7 +29,6 @@ from repro.engine.session import Session
 from repro.errors import DuplicateObjectError, UnknownObjectError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.lockwitness import LockWitness
     from repro.core.monitor import MonitorSensors
 
 
@@ -37,13 +36,11 @@ class EngineInstance:
     """A DBMS instance hosting databases and sessions."""
 
     def __init__(self, config: EngineConfig | None = None,
-                 clock: Clock | None = None,
-                 lock_witness: "LockWitness | None" = None) -> None:
+                 clock: Clock | None = None) -> None:
         self.config = config or EngineConfig()
         self.sensors: "MonitorSensors | None" = None
         self.clock = clock or SystemClock()
-        self.lock_manager = LockManager(self.config.locks,
-                                        witness=lock_witness)
+        self.lock_manager = LockManager(self.config.locks)
         self._databases: dict[str, Database] = {}
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
@@ -53,7 +50,7 @@ class EngineInstance:
         # controller, supervisor, tuner) register a snapshot callable
         # at setup time; one entry per subsystem, never per request.
         self._health_sources: dict[str, Any] = \
-            {}  # staticcheck: shared(_mutex); bounded(one-per-subsystem-registered-at-setup)
+            {}  # staticcheck: shared(_mutex)
         # Failure points requested by the config (robustness testing);
         # armed on the process-global injector the seams evaluate.
         for spec in self.config.faults:

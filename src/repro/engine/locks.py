@@ -23,13 +23,8 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
 from repro.config import LockConfig
 from repro.errors import DeadlockError, LockError, LockTimeoutError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.lockwitness import LockWitness
 
 
 class LockMode(enum.Enum):
@@ -60,16 +55,9 @@ class LockStatistics:
 class LockManager:
     """Grants S/X table locks to transactions; detects deadlocks."""
 
-    def __init__(self, config: LockConfig | None = None,
-                 witness: "LockWitness | None" = None) -> None:
+    def __init__(self, config: LockConfig | None = None) -> None:
         self.config = config or LockConfig()
         self._mutex = threading.Lock()
-        if witness is not None:
-            # Re-bound through the witness wrapper; the plain
-            # assignment above stays first so the static lock model
-            # keeps its type evidence for this attribute.
-            self._mutex = witness.wrap(
-                self._mutex, "repro.engine.locks.LockManager._mutex")
         self._granted = threading.Condition(self._mutex)
         # _granted wraps _mutex, so holding either guards the state.
         self._resources: dict[str, _Resource] = \

@@ -1,6 +1,6 @@
 """The workload DB's truth contract, each rule stated once.
 
-The chaos soak, ``repro drive --check`` and both storm drills call
+The chaos soak (and its storm mode) and ``repro drive --check`` call
 these rules instead of keeping copies.  Every rule reads state without
 changing it and returns human-readable violations (empty = held); the
 caller decides when the system is quiescent enough to check.  Rows

@@ -21,6 +21,13 @@ from repro.config import CostModelConfig
 
 OVERFLOW_PENALTY = 2.0
 
+#: Cost units charged per predicate/expression evaluation.
+CPU_OPERATOR_COST = 0.0025
+#: Cost units charged per index entry touched.
+CPU_INDEX_TUPLE_COST = 0.005
+#: Cost units charged per page of an external sort pass.
+SORT_PAGE_COST = 2.0
+
 
 @dataclass(frozen=True)
 class Cost:
@@ -87,7 +94,7 @@ class CostModel:
         fetch_io = matches * max(1.0, fetch_height)
         return index_cost + Cost(
             io=fetch_io * self.config.io_page_cost,
-            cpu=matches * self.config.cpu_index_tuple_cost,
+            cpu=matches * CPU_INDEX_TUPLE_COST,
         )
 
     def hash_lookup(self, chain_pages: float, matches: float) -> Cost:
@@ -104,7 +111,7 @@ class CostModel:
         """Inner side is materialized once, then rescanned from memory."""
         comparisons = outer_rows * inner_rows
         return inner_cost + Cost(
-            cpu=comparisons * self.config.cpu_operator_cost
+            cpu=comparisons * CPU_OPERATOR_COST
         )
 
     def hash_join(self, build_rows: float, probe_rows: float) -> Cost:
@@ -122,7 +129,7 @@ class CostModel:
         fetch_io = outer_rows * matches_per_probe * max(0.0, fetch_height)
         return Cost(
             io=(probe_io + fetch_io) * self.config.io_page_cost,
-            cpu=outer_rows * matches_per_probe * self.config.cpu_index_tuple_cost,
+            cpu=outer_rows * matches_per_probe * CPU_INDEX_TUPLE_COST,
         )
 
     # -- other operators --------------------------------------------------------
@@ -132,18 +139,18 @@ class CostModel:
             return Cost()
         passes = math.log2(max(2.0, rows))
         return Cost(
-            io=pages * self.config.sort_page_cost,
-            cpu=rows * passes * self.config.cpu_operator_cost,
+            io=pages * SORT_PAGE_COST,
+            cpu=rows * passes * CPU_OPERATOR_COST,
         )
 
     def aggregate(self, rows: float, groups: float) -> Cost:
         return Cost(cpu=(rows + groups) * self.config.cpu_tuple_cost)
 
     def filter(self, rows: float, predicates: float = 1.0) -> Cost:
-        return Cost(cpu=rows * predicates * self.config.cpu_operator_cost)
+        return Cost(cpu=rows * predicates * CPU_OPERATOR_COST)
 
     def project(self, rows: float, expressions: float = 1.0) -> Cost:
-        return Cost(cpu=rows * expressions * self.config.cpu_operator_cost)
+        return Cost(cpu=rows * expressions * CPU_OPERATOR_COST)
 
     # -- actual-cost conversion ---------------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.config import DaemonConfig, EngineConfig
 from repro.core.daemon import StorageDaemon
 from repro.core.health import Supervisor
 from repro.core.ima import register_ima_tables
-from repro.core.lockwitness import LockWitness
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import OverloadController
 from repro.core.workload_db import WorkloadDatabase
@@ -55,11 +54,10 @@ def original_setup(config: EngineConfig | None = None,
 
 
 def monitoring_setup(config: EngineConfig | None = None,
-                     clock: Clock | None = None,
-                     lock_witness: LockWitness | None = None) -> Setup:
+                     clock: Clock | None = None) -> Setup:
     """Monitoring code "compiled in": one :class:`IntegratedMonitor`
     fed by every session's sensors, no daemon."""
-    engine = EngineInstance(config, clock=clock, lock_witness=lock_witness)
+    engine = EngineInstance(config, clock=clock)
     monitor = IntegratedMonitor(engine.config.monitor, engine.clock)
     engine.sensors = MonitorSensors(monitor)
     return Setup(name="monitoring", engine=engine, monitor=monitor)
@@ -68,29 +66,24 @@ def monitoring_setup(config: EngineConfig | None = None,
 def daemon_setup(database_name: str,
                  config: EngineConfig | None = None,
                  clock: Clock | None = None,
-                 daemon_config: DaemonConfig | None = None,
-                 lock_witness: LockWitness | None = None) -> Setup:
+                 daemon_config: DaemonConfig | None = None) -> Setup:
     """Monitoring plus the storage daemon persisting to a workload DB.
 
     The engine and the named database are created, IMA virtual tables
     are registered in it, and a daemon is wired up (not started — call
-    ``setup.daemon.start()`` or drive ``poll_once`` manually).  With a
-    ``lock_witness`` every engine/daemon lock is wrapped so the run
-    produces runtime lock-order evidence (see
-    :mod:`repro.core.lockwitness`).
+    ``setup.daemon.start()`` or drive ``poll_once`` manually).
 
     When ``MonitorConfig.overload.enabled`` (the default) an
     :class:`OverloadController` is attached to the daemon and both are
     registered on the engine's health surface."""
-    setup = monitoring_setup(config, clock, lock_witness=lock_witness)
+    setup = monitoring_setup(config, clock)
     engine = setup.engine
     database = engine.create_database(database_name)
     assert setup.monitor is not None
     register_ima_tables(database, setup.monitor)
     workload_db = WorkloadDatabase(engine.config, engine.clock)
     daemon = StorageDaemon(engine, database_name, workload_db,
-                           daemon_config or engine.config.daemon,
-                           witness=lock_witness)
+                           daemon_config or engine.config.daemon)
     setup.name = "daemon"
     setup.workload_db = workload_db
     setup.daemon = daemon

@@ -16,8 +16,8 @@ from pathlib import Path
 @dataclass(frozen=True)
 class StaticcheckConfig:
     """Tunables of the project lint.  The defaults are what the lint
-    gate, ``repro lint`` and the lock witness all run with; tests over
-    fixture files construct their own scope."""
+    gate and ``repro lint`` run with; tests over fixture files
+    construct their own scope."""
 
     clock_allowed_paths: tuple[str, ...] = ("*repro/clock.py",)
     """Modules allowed to call wall-clock primitives directly (the

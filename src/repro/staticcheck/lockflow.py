@@ -16,7 +16,9 @@ under the lock), the analysis walks the call graph recording
 * **blocking chains** — a call resolving to a blocking primitive
   (``time.sleep``, socket/file I/O, SQL execution through the engine,
   ``queue.get`` without timeout) reachable while the lock is held
-  (LCK004's evidence).
+  (LCK004's evidence).  The walk goes on into a blocking callee, so
+  the locks it takes (SQL execution takes engine locks) are order
+  edges too.
 
 ``Condition.wait`` is exempt — it releases the lock it waits on.
 Recursion is bounded per (function, held lock) pair, so lock-free
@@ -362,7 +364,6 @@ class LockFlow:
                 note=f"calls {edge.callee}()")
             if self._is_blocking(edge):
                 self._blocking(token, chain, step, edge)
-                continue
             if edge.external:
                 continue
             callee = self.project.functions.get(edge.callee)

@@ -63,9 +63,9 @@ class BufferPool:
         self.capacity = capacity
         self._lock = threading.RLock()
         self._frames: OrderedDict[int, Any] = \
-            OrderedDict()  # staticcheck: shared(_lock); bounded(capacity)
+            OrderedDict()  # staticcheck: shared(_lock)
         self._dirty: set[int] = \
-            set()  # staticcheck: shared(_lock); bounded(capacity)
+            set()  # staticcheck: shared(_lock)
         self._hits = 0  # staticcheck: shared(_lock)
         self._misses = 0  # staticcheck: shared(_lock)
         self._evictions = 0  # staticcheck: shared(_lock)

@@ -7,9 +7,7 @@ The disk is the ground truth for two measurements the paper reports:
 * **database size on disk** (figure 7 compares the footprint of the
   manually optimized and analyzer-optimized databases).
 
-Pages are byte strings of at most ``page_size`` bytes.  An optional
-latency model charges simulated time per physical access so wall-clock
-experiments can approximate an I/O-bound system.
+Pages are byte strings of at most ``page_size`` bytes.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ class DiskManager:
         return page_id
 
     def read(self, page_id: int) -> bytes:
-        """Physically read a page (counted, optionally delayed)."""
+        """Physically read a page (counted)."""
         # Fault seam, evaluated before the lock so injected latency or
         # errors never execute while holding it.
         faultsim.fire("disk.read", error=StorageError, clock=self._clock)
@@ -81,12 +79,10 @@ class DiskManager:
             except KeyError:
                 raise PageError(f"read of unallocated page {page_id}") from None
             self._reads += 1
-        if self.config.read_latency_s > 0:
-            self._clock.sleep(self.config.read_latency_s)
         return data
 
     def write(self, page_id: int, data: bytes) -> None:
-        """Physically write a page (counted, optionally delayed)."""
+        """Physically write a page (counted)."""
         faultsim.fire("disk.write", error=StorageError, clock=self._clock)
         if len(data) > self.config.page_size:
             raise PageError(
@@ -98,8 +94,6 @@ class DiskManager:
                 raise PageError(f"write to unallocated page {page_id}")
             self._pages[page_id] = data
             self._writes += 1
-        if self.config.write_latency_s > 0:
-            self._clock.sleep(self.config.write_latency_s)
 
     def free(self, page_id: int) -> None:
         """Return a page to the free pool."""

@@ -126,7 +126,7 @@ class RowCodec:
             if len(text) > MAX_STRING_BYTES:
                 raise _string_too_long(len(text))
             parts += run.pack(*values[first:position], len(text)), text  # staticcheck: allocfree(struct-arguments)
-        parts.append(layout.tail.pack(*values[layout.tail_first:]))  # staticcheck: allocfree(struct-arguments)
+        parts.append(layout.tail.pack(*values[layout.tail_first:]))
         return b"".join(parts)
 
     # staticcheck: hotpath

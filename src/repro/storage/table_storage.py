@@ -12,7 +12,6 @@ from itertools import count
 from typing import Any, Collection, Iterable, Iterator
 
 from repro.catalog.schema import StorageStructure, TableSchema
-from repro.config import StorageConfig
 from repro.errors import StorageError
 from repro.storage.btree import BTreeStorage
 from repro.storage.buffer_pool import BufferPool
@@ -25,13 +24,12 @@ class TableStorage:
     """Physical storage of one table behind a structure-agnostic API."""
 
     def __init__(self, schema: TableSchema, disk: DiskManager,
-                 pool: BufferPool, config: StorageConfig | None = None,
+                 pool: BufferPool,
                  structure: StorageStructure = StorageStructure.HEAP,
                  main_pages: int | None = None) -> None:
         self.schema = schema
         self._disk = disk
         self._pool = pool
-        self._config = config or StorageConfig()
         self._next_rowid = 1
         self.modifications_since_stats = 0
         self._main_pages = main_pages or 8
@@ -50,7 +48,6 @@ class TableStorage:
             return HeapStorage(
                 self.schema, self._disk, self._pool,
                 main_pages=self._main_pages,
-                fill_factor=self._config.heap_fill_factor,
             )
         key = self.schema.primary_key or (self.schema.columns[0].name,)
         if structure is StorageStructure.HASH:
@@ -58,12 +55,10 @@ class TableStorage:
                 self.schema, tuple(key), self._disk, self._pool,
                 buckets=self._main_pages,
                 unique=bool(self.schema.primary_key),
-                fill_factor=self._config.heap_fill_factor,
             )
         return BTreeStorage(
             self.schema, tuple(key), self._disk, self._pool,
             unique=bool(self.schema.primary_key),
-            fill_factor=self._config.heap_fill_factor,
         )
 
     # -- geometry ---------------------------------------------------------

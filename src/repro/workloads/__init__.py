@@ -10,14 +10,12 @@ configurable scale, plus the three workload classes of section V:
 * the **1m** trivial point queries.
 
 :mod:`repro.workloads.driver` adds the multi-session traffic driver
-(thread- and process-based) that runs these workloads from N concurrent
-sessions.
+that runs these workloads from N concurrent threads on one engine.
 """
 
 from repro.workloads.driver import (
     DriverReport,
     ThreadedDriver,
-    run_process_mode,
     run_thread_mode,
     verify_persisted_invariants,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "load_nref",
     "point_query_statements",
     "reference_indexes",
-    "run_process_mode",
     "run_thread_mode",
     "simple_join_statements",
     "verify_persisted_invariants",

@@ -7,50 +7,25 @@ a statement list per session on its own thread, rendezvousing on a
 barrier so every pass measures genuinely concurrent load against the
 shared monitor.
 
-Two execution modes, both reachable from the command line
-(``python -m repro.workloads.driver`` or ``repro drive``):
-
-``thread``
-    N threads, one shared engine and monitor.  With ``--check`` the
-    run drains the storage daemon and verifies the end-to-end
-    invariants of :mod:`repro.invariants`: no duplicate ``src_seq``,
-    ascending persistence order, and every session's statements in the
-    persisted history.
-
-``process``
-    N worker processes, each with a private engine and session — a
-    GIL-free load generator for soak runs.  It cannot share a monitor
-    across processes (nothing can; the buffers are in-core by design),
-    so it reports per-process throughput only.
-
-A third mode, ``--storm``, turns the thread driver into an overload
-burst (tiny rings, fast ladder, ring floods, a dead daemon thread the
-supervisor restarts, then a quiesce phase) judged by the storm rule of
-:mod:`repro.invariants`.
+``python -m repro.workloads.driver`` (or ``repro drive``) runs one
+pass against a daemon-attached engine.  With ``--check`` it then
+drains the storage daemon and verifies the persisted-history rule of
+:mod:`repro.invariants`: no duplicate ``src_seq``, ascending
+persistence order, and every session's statements in the persisted
+history.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro import faultsim
-from repro.clock import Clock, SystemClock
-from repro.config import (
-    DaemonConfig,
-    EngineConfig,
-    MonitorConfig,
-    OverloadConfig,
-)
-from repro.core.overload import SHED
-from repro.errors import ReproError
-from repro.invariants import history_violations, settled, storm_violations
-from repro.setups import Setup, attach_supervisor, daemon_setup, monitoring_setup
+from repro.invariants import history_violations
+from repro.setups import Setup, daemon_setup
 from repro.workloads.nref import NrefScale, load_nref
 from repro.workloads.queries import point_query_statements
 from repro.workloads.runner import RunReport, WorkloadRunner
@@ -61,9 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class DriverReport:
-    """Aggregate outcome of one concurrent pass (or one process run)."""
+    """Aggregate outcome of one concurrent pass."""
 
-    mode: str
     sessions: int
     statements: int = 0
     errors: int = 0
@@ -78,7 +52,6 @@ class DriverReport:
 
     def as_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "sessions": self.sessions,
             "statements": self.statements,
             "errors": self.errors,
@@ -147,8 +120,7 @@ class ThreadedDriver:
         for failure in failures:
             if failure is not None:
                 raise failure
-        report = DriverReport(mode="thread", sessions=count,
-                              wallclock_s=wallclock)
+        report = DriverReport(sessions=count, wallclock_s=wallclock)
         for session_report in reports:
             assert session_report is not None
             report.statements += session_report.statements
@@ -176,7 +148,7 @@ def verify_persisted_invariants(setup: Setup,
     return history_violations(setup, session_ids)
 
 
-# -- mode runners ----------------------------------------------------------
+# -- the thread soak -------------------------------------------------------
 
 
 def _statement_lists(sessions: int, statements_per_session: int,
@@ -209,159 +181,6 @@ def run_thread_mode(sessions: int, statements_per_session: int,
     return report, violations
 
 
-def run_storm_mode(sessions: int, statements_per_session: int,
-                   proteins: int, seed: int = 13,
-                   ) -> tuple[dict, list[str]]:
-    """Overload burst against a daemon-attached engine.
-
-    Real-clock phases: a **baseline** pass plus poll establishes the
-    workload ring's high-water mark (unread loss is measured against
-    it); a **burst** phase appends faster than the tiny workload ring
-    can be polled, so loss pressure walks the monitor down the ladder;
-    a **flood** phase arms ``monitor.ring_flood`` until the pressure
-    has forced SHED; a **thread death** phase stops the daemon's poll
-    thread and lets the :class:`~repro.core.health.Supervisor` restart
-    it; a **recovery** phase clears the faults and polls until the
-    monitor climbs back to DETAILED.
-
-    Returns ``(summary, violations)``: the final health snapshot, and
-    :func:`repro.invariants.storm_violations` with a SHED peak plus
-    proof that the supervisor restarted the dead thread.
-    """
-    faultsim.reset()
-    config = EngineConfig(
-        monitor=MonitorConfig(
-            workload_buffer_size=96,
-            overload=OverloadConfig(sample_k=4, escalate_dwell=1,
-                                    recover_dwell=2)),
-        daemon=DaemonConfig(flush_every_polls=1))
-    setup = daemon_setup("nref", config=config)
-    daemon, controller = setup.daemon, setup.controller
-    assert daemon is not None and controller is not None
-    clock = setup.engine.clock
-    daemon.start()  # inert during the storm (30 s interval) but gives
-    supervisor = attach_supervisor(setup)  # the supervisor a live watch
-    scale = NrefScale(proteins=proteins)
-    load_nref(setup.engine.database("nref"), scale)
-    driver = ThreadedDriver(
-        setup.engine, "nref",
-        _statement_lists(sessions, statements_per_session, scale, seed))
-    summary: dict = {"mode": "storm", "sessions": sessions, "passes": 0,
-                     "statements": 0, "errors": 0, "poll_failures": 0,
-                     "recovery_polls": 0}
-
-    def one_pass() -> None:
-        report = driver.run_pass()
-        summary["passes"] += 1
-        summary["statements"] += report.statements
-        summary["errors"] += report.errors
-
-    def try_poll() -> bool:
-        try:
-            daemon.poll_once()
-        except (ReproError, OSError):
-            summary["poll_failures"] += 1
-            return False
-        return True
-
-    try:
-        # Baseline: one pass, one clean poll — the workload ring now
-        # has a persisted high-water mark to measure unread loss against.
-        one_pass()
-        try_poll()
-
-        # Burst: two passes per poll overrun the 96-row ring, so each
-        # poll sees unread loss and (dwell 1) degrades one rung.
-        for _ in range(2):
-            one_pass()
-            one_pass()
-            try_poll()
-
-        # Flood: every observation reads pressure 1.0, so each poll
-        # degrades one more rung until the monitor sheds.
-        faultsim.arm_from_spec("monitor.ring_flood:every-n=1")
-        for _ in range(3):
-            one_pass()
-            try_poll()
-        faultsim.reset()
-
-        # Thread death: the poll thread stops as a crashed one would;
-        # the supervisor's next tick restarts it.
-        daemon.stop(final_flush=False)
-        supervisor.tick()
-
-        # Recovery: traffic stops; quiesce polls walk the monitor back
-        # down the ladder to DETAILED.
-        for attempt in range(80):
-            summary["recovery_polls"] = attempt + 1
-            healthy = try_poll()
-            supervisor.tick()
-            if healthy and settled(setup):
-                break
-            clock.sleep(0.05)
-        daemon.flush()
-
-        # The storm contract, checked at quiescence.
-        violations = storm_violations(setup, min_peak=SHED)
-        status = daemon.status()
-        if status.restarts == 0 or not daemon.is_alive():
-            violations.append(
-                "the supervisor did not restart the dead poll thread")
-        summary["restarts"] = status.restarts
-        summary["degraded_windows"] = controller.degraded_windows()
-        summary["supervisor_states"] = supervisor.states()
-        summary["health"] = setup.engine.health()
-    finally:
-        driver.close()
-        daemon.stop(final_flush=False)
-        faultsim.reset()
-    return summary, violations
-
-
-def _process_worker(payload: tuple[int, int, int, int]) -> tuple[int, int]:
-    """One process-mode worker: private monitored engine, one session.
-
-    Module-level (not a closure) so it survives pickling under the
-    ``spawn`` start method as well as ``fork``.
-    """
-    index, statements_per_session, proteins, seed = payload
-    setup = monitoring_setup()
-    setup.engine.create_database("nref")
-    scale = NrefScale(proteins=proteins)
-    load_nref(setup.engine.database("nref"), scale)
-    session = setup.engine.connect("nref")
-    try:
-        report = WorkloadRunner(session, keep_per_statement=False).run(
-            point_query_statements(statements_per_session, scale,
-                                   seed=seed + 17 * index))
-    finally:
-        session.close()
-    return report.statements, report.errors
-
-
-def run_process_mode(sessions: int, statements_per_session: int,
-                     proteins: int, seed: int = 13,
-                     clock: Clock | None = None) -> DriverReport:
-    """N worker processes, each a private engine — a GIL-free soak."""
-    clock = clock or SystemClock()
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        context = multiprocessing.get_context("spawn")
-    payloads = [(index, statements_per_session, proteins, seed)
-                for index in range(sessions)]
-    started = clock.monotonic()
-    with context.Pool(processes=sessions) as pool:
-        outcomes = pool.map(_process_worker, payloads)
-    wallclock = clock.monotonic() - started
-    report = DriverReport(mode="process", sessions=sessions,
-                          wallclock_s=wallclock)
-    for statements, errors in outcomes:
-        report.statements += statements
-        report.errors += errors
-    return report
-
-
 # -- command line ----------------------------------------------------------
 
 
@@ -372,61 +191,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--statements", type=int, default=200,
                         help="statements per session per pass")
     parser.add_argument("--proteins", type=int, default=60)
-    parser.add_argument("--mode", choices=("thread", "process", "both"),
-                        default="thread")
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--check", action="store_true",
                         help="drain the daemon and verify persisted "
                              "exactly-once/ordering/attribution invariants")
-    parser.add_argument("--storm", action="store_true",
-                        help="overload burst: tiny rings, fast ladder, "
-                             "ring floods and a dead daemon thread, then "
-                             "verify the ladder reached SHED, "
-                             "conservation held exactly, the supervisor "
-                             "restarted the thread and the monitor "
-                             "recovered to DETAILED (ignores --mode/"
-                             "--check)")
     args = parser.parse_args(argv)
 
-    if args.storm:
-        summary, violations = run_storm_mode(
-            args.sessions, args.statements, args.proteins, seed=args.seed)
+    report, violations = run_thread_mode(
+        args.sessions, args.statements, args.proteins,
+        seed=args.seed, check=args.check)
+    summary = report.as_dict()
+    if args.check:
         summary["violations"] = violations
-        print(json.dumps(summary, indent=2, default=str))
-        for violation in violations:
-            print(f"STORM CHECK FAIL: {violation}", file=sys.stderr)
-        return 1 if violations else 0
-
-    failed = False
-    if args.mode in ("thread", "both"):
-        report, violations = run_thread_mode(
-            args.sessions, args.statements, args.proteins,
-            seed=args.seed, check=args.check)
-        summary = report.as_dict()
-        if args.check:
-            summary["violations"] = violations
-        print(json.dumps(summary, indent=2))
-        if violations:
-            for violation in violations:
-                print(f"DRIVER CHECK FAIL: {violation}", file=sys.stderr)
-            failed = True
-    if args.mode in ("process", "both"):
-        report = run_process_mode(args.sessions, args.statements,
-                                  args.proteins, seed=args.seed)
-        print(json.dumps(report.as_dict(), indent=2))
-        if report.errors:
-            print(f"DRIVER FAIL: {report.errors} statement errors "
-                  "in process mode", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+    print(json.dumps(summary, indent=2))
+    for violation in violations:
+        print(f"DRIVER CHECK FAIL: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 __all__ = [
     "DriverReport",
     "ThreadedDriver",
     "main",
-    "run_process_mode",
-    "run_storm_mode",
     "run_thread_mode",
     "verify_persisted_invariants",
 ]

@@ -1,5 +1,5 @@
-"""Tests for the multi-session traffic driver (thread + process modes)
-and its end-to-end persistence invariant checks."""
+"""Tests for the multi-session traffic driver and its end-to-end
+persistence invariant checks."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.workloads import (
     ThreadedDriver,
     load_nref,
     point_query_statements,
-    run_process_mode,
     run_thread_mode,
     verify_persisted_invariants,
 )
@@ -134,16 +133,6 @@ class TestThreadMode:
         assert driver.session_ids[0] == 1
         assert violations == [
             "wl_workload: no rows persisted for sessions [1]"]
-
-
-class TestProcessMode:
-    def test_process_smoke(self):
-        report = run_process_mode(sessions=2, statements_per_session=8,
-                                  proteins=10)
-        assert report.mode == "process"
-        assert report.statements == 16
-        assert report.errors == 0
-        assert report.wallclock_s > 0
 
 
 class TestDriverCli:

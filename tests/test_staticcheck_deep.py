@@ -225,6 +225,26 @@ class TestLockOrderRule:
         assert deep_findings_for("lockorder_clean.py") == []
 
 
+class TestLockOrderThroughBlockingCalls:
+    """A blocking call under a lock is an LCK004 finding, and the walk
+    goes on through it: locks the blocking callee takes are order
+    edges too (SQL execution takes engine locks)."""
+
+    def test_violation(self):
+        findings = deep_findings_for("lockthrough_violation.py")
+        assert ids_and_lines(findings) == [("LCK004", 20), ("LCK003", 29)]
+        cycle = findings[1]
+        assert "Poller._poll" in cycle.message
+        assert "Session._latch" in cycle.message
+        # The cycle closes through the blocking Session.execute call.
+        assert [entry.line for entry in cycle.trace] == [29, 30, 14, 18,
+                                                          20, 29]
+        assert cycle.trace[1].note.endswith("Session.execute()")
+
+    def test_clean_twin(self):
+        assert deep_findings_for("lockthrough_clean.py") == []
+
+
 class TestBlockingUnderLockRule:
     def test_violation(self):
         findings = deep_findings_for("blocking_violation.py")
