@@ -31,15 +31,6 @@ class CostModelConfig:
     io_page_cost: float = 4.0
     """Cost units charged per page read from disk."""
 
-    cpu_tuple_cost: float = 0.01
-    """Cost units charged per tuple processed by an operator."""
-
-    default_selectivity_eq: float = 0.005
-    """Equality selectivity assumed when no histogram exists."""
-
-    default_selectivity_range: float = 0.33
-    """Range selectivity assumed when no histogram exists."""
-
 
 @dataclass(frozen=True)
 class LockConfig:

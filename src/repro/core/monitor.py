@@ -192,7 +192,6 @@ class IntegratedMonitor:
 
     # -- degradation ladder (repro.core.overload) --------------------------
 
-    # staticcheck: coldpath(controller-transitions-only)
     def set_degradation(self, level: int, sample_k: int) -> None:
         """Apply a ladder level decided by the overload controller."""
         with self._counter_lock:

@@ -21,6 +21,8 @@ from repro.config import CostModelConfig
 
 OVERFLOW_PENALTY = 2.0
 
+#: Cost units charged per tuple processed by an operator.
+CPU_TUPLE_COST = 0.01
 #: Cost units charged per predicate/expression evaluation.
 CPU_OPERATOR_COST = 0.0025
 #: Cost units charged per index entry touched.
@@ -62,7 +64,7 @@ class CostModel:
         io = (pages - overflow_pages) + overflow_pages * OVERFLOW_PENALTY
         return Cost(
             io=io * self.config.io_page_cost,
-            cpu=rows * self.config.cpu_tuple_cost,
+            cpu=rows * CPU_TUPLE_COST,
         )
 
     def btree_descent(self, height: float) -> Cost:
@@ -76,7 +78,7 @@ class CostModel:
         out_rows = rows * selectivity
         return self.btree_descent(height) + Cost(
             io=touched_leaves * self.config.io_page_cost,
-            cpu=out_rows * self.config.cpu_tuple_cost,
+            cpu=out_rows * CPU_TUPLE_COST,
         )
 
     def index_scan(self, index_height: float, index_leaf_pages: float,
@@ -101,7 +103,7 @@ class CostModel:
         """Equality probe into a HASH structure: read one bucket chain."""
         return Cost(
             io=max(1.0, chain_pages) * self.config.io_page_cost,
-            cpu=matches * self.config.cpu_tuple_cost,
+            cpu=matches * CPU_TUPLE_COST,
         )
 
     # -- joins --------------------------------------------------------------
@@ -118,7 +120,7 @@ class CostModel:
         """Build + probe CPU; both inputs' scan costs are charged by the
         children themselves."""
         return Cost(
-            cpu=(build_rows + probe_rows) * self.config.cpu_tuple_cost
+            cpu=(build_rows + probe_rows) * CPU_TUPLE_COST
         )
 
     def index_lookup_join(self, outer_rows: float, lookup_height: float,
@@ -144,7 +146,7 @@ class CostModel:
         )
 
     def aggregate(self, rows: float, groups: float) -> Cost:
-        return Cost(cpu=(rows + groups) * self.config.cpu_tuple_cost)
+        return Cost(cpu=(rows + groups) * CPU_TUPLE_COST)
 
     def filter(self, rows: float, predicates: float = 1.0) -> Cost:
         return Cost(cpu=rows * predicates * CPU_OPERATOR_COST)
@@ -159,5 +161,5 @@ class CostModel:
         monitor can store actual and estimated costs side by side."""
         return Cost(
             io=logical_reads * self.config.io_page_cost,
-            cpu=tuples * self.config.cpu_tuple_cost,
+            cpu=tuples * CPU_TUPLE_COST,
         )

@@ -89,7 +89,7 @@ class Optimizer:
         self._view = view
         self.config = config or EngineConfig()
         self.cost_model = CostModel(self.config.cost_model)
-        self.estimator = SelectivityEstimator(self.config.cost_model)
+        self.estimator = SelectivityEstimator()
         self._paths = AccessPathSelector(self.cost_model, self.estimator)
 
     # -- entry point ---------------------------------------------------------

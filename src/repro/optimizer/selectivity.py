@@ -11,11 +11,14 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.catalog.statistics import ColumnStatistics
-from repro.config import CostModelConfig
 from repro.sql import ast_nodes as ast
 
 StatsResolver = Callable[[ast.ColumnRef], ColumnStatistics | None]
 
+#: Equality selectivity assumed when no histogram exists.
+DEFAULT_SELECTIVITY_EQ = 0.005
+#: Range selectivity assumed when no histogram exists.
+DEFAULT_SELECTIVITY_RANGE = 0.33
 DEFAULT_NULL_SELECTIVITY = 0.01
 DEFAULT_LIKE_SELECTIVITY = 0.1
 DEFAULT_LIKE_PREFIX_SELECTIVITY = 0.05
@@ -39,9 +42,6 @@ _NOT_A_LITERAL = object()
 
 class SelectivityEstimator:
     """Estimates the fraction of rows surviving a predicate."""
-
-    def __init__(self, config: CostModelConfig | None = None) -> None:
-        self.config = config or CostModelConfig()
 
     # -- entry points ----------------------------------------------------
 
@@ -85,7 +85,7 @@ class SelectivityEstimator:
                 return max(1e-9, min(1.0, stats.selectivity_eq(value)))
             except TypeError:
                 pass  # a literal the column's values do not compare with
-        return self.config.default_selectivity_eq
+        return DEFAULT_SELECTIVITY_EQ
 
     def range_selectivity(self, column: ast.ColumnRef, lo, hi,
                           resolve: StatsResolver,
@@ -100,9 +100,9 @@ class SelectivityEstimator:
                 )
             except TypeError:
                 # a literal the column's values do not compare with
-                return self.config.default_selectivity_range
+                return DEFAULT_SELECTIVITY_RANGE
             return max(1e-9, min(1.0, fraction * (1.0 - stats.null_fraction)))
-        return self.config.default_selectivity_range
+        return DEFAULT_SELECTIVITY_RANGE
 
     def join_selectivity(self, left: ColumnStatistics | None,
                          right: ColumnStatistics | None) -> float:
@@ -165,7 +165,7 @@ class SelectivityEstimator:
         for item in expr.items:
             value = _literal_value(item)
             if value is _NOT_A_LITERAL:
-                total += self.config.default_selectivity_eq
+                total += DEFAULT_SELECTIVITY_EQ
             else:
                 total += self.equality_selectivity(expr.operand, value, resolve)
         total = min(1.0, total)

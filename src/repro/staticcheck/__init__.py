@@ -2,22 +2,26 @@
 
 The paper's design only works if the hot monitoring path stays correct
 and cheap *by construction*: sensors, ring buffers, the storage daemon
-and the lock manager all share mutable state across threads, every
-timestamp must flow through :mod:`repro.clock`, and no sensor may call
-back into the catalog.  ``repro.staticcheck`` is a small Python-``ast``
-analysis framework enforcing exactly those invariants:
+and the lock manager all share mutable state across threads, and every
+timestamp must flow through :mod:`repro.clock`.  ``repro.staticcheck``
+is a small Python-``ast`` analysis framework enforcing those
+invariants.  Each rule is kept because a defect on the real tree exists
+that only it catches (``tests/test_staticcheck_mutations.py`` seeds one
+per rule):
 
-* **Lock discipline** (``LCK``) — attributes annotated
+* **Lock discipline** (``LCK001``) — attributes annotated
   ``# staticcheck: shared(<lock>)`` may only be mutated inside a
   ``with self.<lock>:`` block, in ``__init__``, or in a method
   annotated ``# staticcheck: guarded-by(<lock>)``.
-* **Clock discipline** (``CLK``) — no ``time.time()`` /
+* **Clock discipline** (``CLK001``) — no ``time.time()`` /
   ``datetime.now()`` style wall-clock calls outside ``clock.py``.
-* **Exception discipline** (``EXC``) — no bare ``except`` anywhere; no
-  broad ``except Exception`` that swallows errors in daemon, watchdog
-  or sensor paths.
-* **Sensor-overhead discipline** (``SNS``) — no catalog/engine/session
-  calls from inside sensor record paths.
+* **Exception discipline** (``EXC002``) — no broad ``except
+  Exception`` that swallows errors in daemon, watchdog or sensor paths
+  (a bare ``except:`` is ruff's E722).
+
+That sensors never call back into the catalog is structural:
+``IntegratedMonitor`` and ``MonitorSensors`` hold no engine, catalog
+or session (``tests/test_core_monitor.py`` pins it).
 
 A second, *interprocedural* phase (``--deep``) builds a project-wide
 call graph and propagates held locks across it, adding:
@@ -30,8 +34,6 @@ call graph and propagates held locks across it, adding:
 * **Unbounded growth** (``GRW001``) — monitor-path containers that grow
   without eviction, ``maxlen``, a capacity check or a
   ``# staticcheck: bounded(<witness>)`` declaration.
-* **Sensor-call budget** (``SNS002``) — sensor paths looping (directly
-  or through calls) over catalog/engine-sized collections.
 
 A *performance-discipline* phase (:mod:`repro.staticcheck.hotpath` +
 :mod:`repro.staticcheck.rules_perf`) seeds hot roots from
@@ -87,7 +89,6 @@ from repro.staticcheck.reporters import render_json, render_text
 from repro.staticcheck import rules_clock  # noqa: F401  (registration)
 from repro.staticcheck import rules_exceptions  # noqa: F401
 from repro.staticcheck import rules_locks  # noqa: F401
-from repro.staticcheck import rules_sensors  # noqa: F401
 from repro.staticcheck import rules_deep  # noqa: F401
 from repro.staticcheck import rules_perf  # noqa: F401
 

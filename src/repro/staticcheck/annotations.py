@@ -37,7 +37,7 @@ Annotations are ordinary comments attached to the line they govern:
   — suppress all / the listed findings reported for this line.
 
 Multiple directives on one line are separated by semicolons:
-``# staticcheck: shared(_lock); ignore[LCK002]``.
+``# staticcheck: shared(_lock); ignore[LCK001]``.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="also run the interprocedural phase "
                              "(call graph, held-lock propagation "
                              "and hot-path propagation: LCK003/"
-                             "LCK004/GRW001/SNS002/PRF001-PRF005)")
+                             "LCK004/GRW001/PRF001-PRF005)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules, their "
                              "waiver grammar and the annotation "

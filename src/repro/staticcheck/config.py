@@ -38,25 +38,7 @@ class StaticcheckConfig:
         "*repro/sql/lexer.py",
     )
     """Modules where a swallowed broad ``except`` hides monitor data
-    loss (EXC002); bare ``except`` (EXC001) is banned everywhere."""
-
-    sensor_module_paths: tuple[str, ...] = (
-        "*repro/core/sensors.py",
-        "*repro/core/monitor.py",
-    )
-    """Modules holding sensor record paths (SNS001 scope)."""
-
-    sensor_banned_segments: tuple[str, ...] = (
-        "catalog",
-        "engine",
-        "session",
-        "execute",
-        "connect",
-        "storage_for",
-        "system_statistics",
-    )
-    """Call-chain segments that signal a catalog/engine round trip —
-    the paper's "no extra catalog lookups" rule for sensors."""
+    loss (EXC002)."""
 
     blocking_call_patterns: tuple[str, ...] = (
         "time.sleep",
@@ -101,18 +83,6 @@ class StaticcheckConfig:
     """Modules whose classes must keep every container bounded (GRW001
     scope) — the monitor/sensor path, where the paper promises a fixed
     memory footprint no matter how long the DBMS runs."""
-
-    sensor_cardinality_segments: tuple[str, ...] = (
-        "catalog",
-        "engine",
-        "session",
-        "rows",
-        "tables",
-        "storage_for",
-    )
-    """Iterable-chain segments whose size scales with catalog or table
-    cardinality; loops over them inside sensor record paths break the
-    constant per-call sensor budget (SNS002)."""
 
     hotpath_scope_paths: tuple[str, ...] = (
         "*repro/core/sensors.py",

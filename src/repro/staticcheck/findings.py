@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; any finding fails the lint gate."""
+    """How bad a finding is; any finding fails the lint gate, and
+    every rule reports errors."""
 
     ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
 
     def __str__(self) -> str:
         return self.value

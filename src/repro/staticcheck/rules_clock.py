@@ -7,10 +7,10 @@ clocks make daemon/retention behaviour deterministic.  A stray
 ``CLK001``: call of a banned wall-clock primitive (``time.time``,
 ``time.monotonic``, ``time.sleep``, ``datetime.now`` ...) outside the
 allow-listed clock modules.  ``time.perf_counter`` stays legal — it
-measures durations only and carries no wall-clock meaning.
-
-``CLK002``: ``from time import time`` style direct import of a banned
-primitive, which would hide the call from CLK001's name resolution.
+measures durations only and carries no wall-clock meaning.  Calls are
+resolved through the module's import aliases, so ``from time import
+monotonic`` followed by ``monotonic()`` is reported like
+``time.monotonic()``.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ BANNED_CALLS = frozenset({
     "datetime.datetime.utcnow",
     "datetime.datetime.today",
     "datetime.date.today",
-})
-
-BANNED_TIME_IMPORTS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns", "sleep",
-    "localtime", "gmtime",
 })
 
 
@@ -83,30 +78,3 @@ class WallClockCallRule(Rule):
                     f".monotonic() / .sleep() instead",
                 )
 
-
-@register
-class WallClockImportRule(Rule):
-    """CLK002 — direct import of a banned time primitive."""
-
-    rule_id = "CLK002"
-    summary = ("`from time import time/monotonic/sleep` hides wall-"
-               "clock calls from review; import the module instead")
-    default_severity = Severity.ERROR
-
-    def check(self, module: ModuleContext,
-              config: StaticcheckConfig) -> Iterable[Finding]:
-        if config.path_matches(module.path, config.clock_allowed_paths):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ImportFrom) or node.level:
-                continue
-            if node.module != "time":
-                continue
-            for name in node.names:
-                if name.name in BANNED_TIME_IMPORTS:
-                    yield self.finding(
-                        module, node.lineno, node.col_offset,
-                        f"`from time import {name.name}` imports a "
-                        f"wall-clock primitive directly; use "
-                        f"repro.clock.Clock instead",
-                    )

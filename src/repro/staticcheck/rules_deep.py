@@ -17,11 +17,6 @@ on the monitor path that grows (append / ``+=`` / ``d[k] = v``) without
 an eviction mechanism, ``maxlen``, a capacity check or a
 ``# staticcheck: bounded(<witness>)`` declaration breaks that
 guarantee.
-
-``SNS002`` — sensor-call budget.  A sensor call must cost 1–2 µs
-regardless of database size, so sensor record paths must not loop over
-catalog/engine collections nor call (transitively) into functions that
-do.
 """
 
 from __future__ import annotations
@@ -30,17 +25,11 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.staticcheck.base import ProjectRule, register_deep
-from repro.staticcheck.callgraph import (
-    FunctionDecl,
-    ProjectContext,
-    module_name_for,
-)
+from repro.staticcheck.callgraph import ProjectContext, module_name_for
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.driver import ModuleContext
 from repro.staticcheck.findings import Finding, Severity, TraceEntry
 from repro.staticcheck.lockflow import DeepContext, OrderEdge
-
-_MAX_DEPTH = 12
 
 
 @register_deep
@@ -106,8 +95,7 @@ class BlockingUnderLockRule(ProjectRule):
     summary = ("no blocking call (sleep, socket/file I/O, SQL "
                "execution, untimed queue.get/join) may be reachable "
                "while a lock is held")
-    waiver = ("coldpath(<witness>) on the blocking callee when it is"
-              " provably off every locked path")
+    waiver = "ignore[LCK004] on the call line that reaches the blocking callee"
     default_severity = Severity.ERROR
 
     def check_project(self, deep: DeepContext,
@@ -329,142 +317,3 @@ def _growth_sites(method: ast.AST) -> Iterator[tuple[str, ast.AST]]:
             attr = _base_self_attr(node.target)
             if attr is not None:
                 yield attr, node
-
-
-# -- SNS002 -----------------------------------------------------------------
-
-
-@register_deep
-class SensorBudgetRule(ProjectRule):
-    """SNS002 — sensor path loops over catalog/engine-sized data."""
-
-    rule_id = "SNS002"
-    summary = ("sensor record paths must stay O(1): no loops over "
-               "catalog/engine collections, directly or through calls")
-    waiver = ("bounded(<witness>) on the loop, naming why the iterable"
-              " is O(1) in catalog size")
-    default_severity = Severity.ERROR
-
-    def check_project(self, deep: DeepContext,
-                      config: StaticcheckConfig) -> Iterable[Finding]:
-        project = deep.project
-        banned = set(config.sensor_cardinality_segments)
-        loops: dict[str, list[tuple[ast.For, str]]] = {}
-        for qualname, decl in project.functions.items():
-            found = list(_cardinality_loops(decl, banned))
-            if found:
-                loops[qualname] = found
-        for qualname, decl in project.functions.items():
-            if not config.path_matches(decl.module.path,
-                                       config.sensor_module_paths):
-                continue
-            yield from self._direct(decl, loops.get(qualname, []))
-            yield from self._transitive(project, decl, loops)
-
-    def _direct(self, decl: FunctionDecl,
-                found: list[tuple[ast.For, str]]) -> Iterable[Finding]:
-        for loop, chain in found:
-            entry = TraceEntry(
-                path=decl.module.path, line=decl.node.lineno,
-                function=decl.qualname,
-                note="sensor record path entry")
-            loop_entry = TraceEntry(
-                path=decl.module.path, line=loop.lineno,
-                function=decl.qualname,
-                note=f"loops over {chain} (size scales with the "
-                     f"catalog/tables)")
-            yield self.finding(
-                decl.module.path, loop.lineno, loop.col_offset,
-                f"sensor path {decl.name} loops over {chain}; the "
-                f"per-call budget is O(1) — sensors may only record "
-                f"values already in hand",
-                trace=[entry, loop_entry],
-            )
-
-    def _transitive(self, project: ProjectContext, decl: FunctionDecl,
-                    loops: dict[str, list[tuple[ast.For, str]]],
-                    ) -> Iterable[Finding]:
-        for edge in project.calls_from(decl.qualname):
-            if edge.external:
-                continue
-            path = self._find_loop_path(project, edge.callee, loops,
-                                        visited={decl.qualname}, depth=0)
-            if path is None:
-                continue
-            chain_entries = [TraceEntry(
-                path=decl.module.path, line=edge.line,
-                function=decl.qualname,
-                note=f"calls {edge.callee}()")]
-            for callee_qualname, step_edge in path[:-1]:
-                step_decl = project.functions[callee_qualname]
-                chain_entries.append(TraceEntry(
-                    path=step_decl.module.path, line=step_edge.line,
-                    function=callee_qualname,
-                    note=f"calls {step_edge.callee}()"))
-            looper, loop, chain = path[-1]
-            looper_decl = project.functions[looper]
-            chain_entries.append(TraceEntry(
-                path=looper_decl.module.path, line=loop.lineno,
-                function=looper,
-                note=f"loops over {chain}"))
-            yield self.finding(
-                decl.module.path, edge.line, edge.column,
-                f"sensor path {decl.name} calls {edge.callee}() whose "
-                f"cost scales with table/catalog cardinality (it loops "
-                f"over {chain}); sensors must stay O(1) per call",
-                trace=chain_entries,
-            )
-
-    def _find_loop_path(self, project: ProjectContext, qualname: str,
-                        loops: dict[str, list[tuple[ast.For, str]]],
-                        visited: set[str], depth: int):
-        """Shortest call path from ``qualname`` to a cardinality loop,
-        as ``[(func, edge), ..., (func, loop, chain)]``; None if none
-        is reachable."""
-        if qualname in visited or depth > _MAX_DEPTH:
-            return None
-        visited.add(qualname)
-        found = loops.get(qualname)
-        if found:
-            loop, chain = found[0]
-            return [(qualname, loop, chain)]
-        for edge in project.calls_from(qualname):
-            if edge.external:
-                continue
-            tail = self._find_loop_path(project, edge.callee, loops,
-                                        visited, depth + 1)
-            if tail is not None:
-                return [(qualname, edge), *tail]
-        return None
-
-
-def _cardinality_loops(decl: FunctionDecl,
-                       banned: set[str]) -> Iterator[tuple[ast.For, str]]:
-    for node in ast.walk(decl.node):
-        if not isinstance(node, ast.For):
-            continue
-        segments = _iterable_segments(node.iter)
-        hits = [s for s in segments if s in banned]
-        if hits:
-            yield node, ".".join(segments)
-
-
-def _iterable_segments(expr: ast.expr) -> list[str]:
-    """Every name along an iterable expression, crossing calls and
-    subscripts: ``self.engine.catalog.tables()`` →
-    ``['self', 'engine', 'catalog', 'tables']``."""
-    segments: list[str] = []
-    stack = [expr]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Attribute):
-            segments.append(current.attr)
-            stack.append(current.value)
-        elif isinstance(current, ast.Name):
-            segments.append(current.id)
-        elif isinstance(current, ast.Call):
-            stack.append(current.func)
-        elif isinstance(current, ast.Subscript):
-            stack.append(current.value)
-    segments.reverse()
-    return segments

@@ -1,13 +1,11 @@
 """EXC — exception discipline on the monitoring path.
 
-``EXC001``: bare ``except:`` anywhere — it catches ``SystemExit`` and
-``KeyboardInterrupt`` and gives the reader no contract at all.
-
 ``EXC002``: ``except Exception`` / ``except BaseException`` inside a
 critical module (daemon, watchdog, sensors, monitor) whose handler
 never re-raises.  A silently swallowed poll or sensor failure is
 exactly the data loss the paper's integrated design exists to avoid;
-catch the specific errors and count/record them instead.
+catch the specific errors and count/record them instead.  (A bare
+``except:`` is ruff's E722.)
 """
 
 from __future__ import annotations
@@ -40,25 +38,6 @@ def _broad_names(handler: ast.ExceptHandler) -> list[str]:
 def _reraises(handler: ast.ExceptHandler) -> bool:
     """True when the handler body contains any ``raise``."""
     return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
-
-
-@register
-class BareExceptRule(Rule):
-    """EXC001 — bare ``except:`` clause."""
-
-    rule_id = "EXC001"
-    summary = "bare `except:` swallows SystemExit/KeyboardInterrupt"
-    default_severity = Severity.ERROR
-
-    def check(self, module: ModuleContext,
-              config: StaticcheckConfig) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    module, node.lineno, node.col_offset,
-                    "bare `except:` clause; name the exceptions this "
-                    "handler is prepared to deal with",
-                )
 
 
 @register

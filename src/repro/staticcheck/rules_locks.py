@@ -4,10 +4,6 @@
 mutated outside ``__init__``, outside any ``with self.<lock>:`` block,
 in a method not annotated ``# staticcheck: guarded-by(<lock>)``.
 
-``LCK002``: a ``shared``/``guarded-by`` annotation names a lock the
-class never assigns (``self.<lock> = ...``) — almost always a typo
-that would silently disable the check.
-
 Mutations recognised: plain/augmented/annotated assignment to
 ``self.attr`` (including ``self.attr[i] = ...``), ``del self.attr``,
 and calls of known mutating container methods
@@ -30,8 +26,7 @@ from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.driver import ModuleContext
 from repro.staticcheck.findings import Finding, Severity
 
-__all__ = ["MUTATOR_METHODS", "UnguardedSharedMutationRule",
-           "UnknownLockRule"]
+__all__ = ["MUTATOR_METHODS", "UnguardedSharedMutationRule"]
 
 
 def _class_methods(class_node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
@@ -42,8 +37,7 @@ def _class_methods(class_node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
 
 def _self_assignments(class_node: ast.ClassDef) -> dict[str, list[ast.stmt]]:
     """attr name -> assignment statements of ``self.<attr>`` anywhere
-    in the class body (used to declare shared attrs and to validate
-    that annotated locks exist)."""
+    in the class body (where ``shared(...)`` declarations sit)."""
     assigned: dict[str, list[ast.stmt]] = {}
     for node in ast.walk(class_node):
         targets: list[ast.expr] = []
@@ -159,42 +153,3 @@ class UnguardedSharedMutationRule(Rule):
                 f"caller already holds it",
             )
 
-
-@register
-class UnknownLockRule(Rule):
-    """LCK002 — annotation references a lock the class never creates."""
-
-    rule_id = "LCK002"
-    summary = ("shared()/guarded-by() must name a lock attribute that "
-               "the class actually assigns")
-    default_severity = Severity.WARNING
-
-    def check(self, module: ModuleContext,
-              config: StaticcheckConfig) -> Iterable[Finding]:
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            assigned = set(_self_assignments(class_node))
-            declared: list[tuple[int, int, str]] = []
-            for attr, statements in _self_assignments(class_node).items():
-                for statement in statements:
-                    for line in _statement_lines(statement):
-                        for directive in module.directives(line, "shared"):
-                            for lock in directive.args:
-                                declared.append(
-                                    (statement.lineno,
-                                     statement.col_offset, lock))
-            for method in _class_methods(class_node):
-                directive = module.function_directive(method, "guarded-by")
-                if directive is not None:
-                    for lock in directive.args:
-                        declared.append(
-                            (method.lineno, method.col_offset, lock))
-            for line, column, lock in declared:
-                if lock not in assigned:
-                    yield self.finding(
-                        module, line, column,
-                        f"annotation names lock self.{lock}, but class "
-                        f"{class_node.name} never assigns that "
-                        f"attribute (typo?)",
-                    )

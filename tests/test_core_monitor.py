@@ -1,6 +1,9 @@
 """Tests for the integrated monitor and its sensors."""
 
+import ast
+import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +333,38 @@ class TestOriginalBuildStaysClean:
                 sys.setprofile(None)
             assert (session.plan_cache_hits > hits) == (label == "prepared select")
         assert entered == {label: [] for label in statements}
+
+
+class TestSensorsHoldNoEngineHandle:
+    """Sensors log values already in hand, which is what keeps a sensor
+    call at section V-A's 1–2 µs: the monitor and its sensors are built
+    from a config and a clock alone and import nothing from the engine,
+    catalog or storage, so no record path can call back into them."""
+
+    ENGINE_SIDE = ("repro.engine", "repro.catalog", "repro.storage")
+
+    @pytest.mark.parametrize("module", [monitor_module, sensors_module],
+                             ids=["monitor", "sensors"])
+    def test_imports_nothing_from_the_engine_side(self, module):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):  # `if TYPE_CHECKING:` imports too
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported += [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+        assert [name for name in imported
+                if any(name == side or name.startswith(side + ".")
+                       for side in self.ENGINE_SIDE)] == []
+
+    def test_monitor_takes_config_and_clock_only(self):
+        assert list(inspect.signature(IntegratedMonitor).parameters) == [
+            "config", "clock"]
+
+    def test_sensors_take_the_monitor_only(self):
+        assert list(inspect.signature(MonitorSensors).parameters) == [
+            "monitor"]
 
 
 def _session(setup):

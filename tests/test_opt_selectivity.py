@@ -4,8 +4,12 @@ import pytest
 
 from repro.catalog.statistics import collect_column_statistics
 from repro.config import CostModelConfig
-from repro.optimizer.cost_model import Cost, CostModel
-from repro.optimizer.selectivity import SelectivityEstimator
+from repro.optimizer.cost_model import CPU_TUPLE_COST, Cost, CostModel
+from repro.optimizer.selectivity import (
+    DEFAULT_SELECTIVITY_EQ,
+    DEFAULT_SELECTIVITY_RANGE,
+    SelectivityEstimator,
+)
 from repro.sql.parser import parse_statement
 
 
@@ -15,7 +19,7 @@ def predicate(text):
 
 @pytest.fixture
 def estimator():
-    return SelectivityEstimator(CostModelConfig())
+    return SelectivityEstimator()
 
 
 def make_resolver(**column_values):
@@ -42,11 +46,11 @@ class TestDefaults:
 
     def test_equality_default(self, estimator):
         sel = estimator.selectivity(predicate("a = 5"), self.resolve)
-        assert sel == CostModelConfig().default_selectivity_eq
+        assert sel == DEFAULT_SELECTIVITY_EQ
 
     def test_range_default(self, estimator):
         sel = estimator.selectivity(predicate("a > 5"), self.resolve)
-        assert sel == CostModelConfig().default_selectivity_range
+        assert sel == DEFAULT_SELECTIVITY_RANGE
 
     def test_and_multiplies(self, estimator):
         single = estimator.selectivity(predicate("a = 1"), self.resolve)
@@ -111,16 +115,15 @@ class TestWithStatistics:
         an estimate the engine does not have, not a crashed statement
         (the comparison itself decides, at execution, what it means)."""
         resolve = make_resolver(a=list(range(100)))
-        config = estimator.config
         assert estimator.selectivity(predicate("a = 'x'"), resolve) \
-            == config.default_selectivity_eq
+            == DEFAULT_SELECTIVITY_EQ
         assert estimator.selectivity(predicate("a < 'x'"), resolve) \
-            == config.default_selectivity_range
+            == DEFAULT_SELECTIVITY_RANGE
         assert estimator.selectivity(
             predicate("a between 'x' and 'y'"), resolve) \
-            == config.default_selectivity_range
+            == DEFAULT_SELECTIVITY_RANGE
         assert estimator.selectivity(predicate("a in (1, 'x')"), resolve) \
-            == pytest.approx(0.01 + config.default_selectivity_eq, rel=0.6)
+            == pytest.approx(0.01 + DEFAULT_SELECTIVITY_EQ, rel=0.6)
 
     def test_is_null_uses_null_fraction(self, estimator):
         resolve = make_resolver(a=[1, 2, None, None])
@@ -181,4 +184,4 @@ class TestCostModel:
         config = CostModelConfig()
         actual = model.actual_cost(logical_reads=10, tuples=100)
         assert actual.io == pytest.approx(10 * config.io_page_cost)
-        assert actual.cpu == pytest.approx(100 * config.cpu_tuple_cost)
+        assert actual.cpu == pytest.approx(100 * CPU_TUPLE_COST)

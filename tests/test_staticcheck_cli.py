@@ -22,7 +22,7 @@ def test_lint_violations_exit_nonzero_with_locations(capsys):
                       "--skip-tools"])
     assert code == 1
     output = capsys.readouterr().out
-    assert "CLK001" in output and "CLK002" in output
+    assert "CLK001" in output
     assert "clock_violation.py:9:" in output
 
 
@@ -33,7 +33,7 @@ def test_lint_json_format_is_machine_readable(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == 7
     rule_ids = [finding["rule_id"] for finding in report["findings"]]
-    assert "CLK001" in rule_ids and "CLK002" in rule_ids
+    assert rule_ids == ["CLK001", "CLK001", "CLK001"]
 
 
 def test_lint_missing_path_is_usage_error(capsys):
@@ -43,8 +43,9 @@ def test_lint_missing_path_is_usage_error(capsys):
 
 
 def test_list_rules_names_all_families(capsys):
-    """``--list-rules`` lists exactly the registered rules: the four
-    shallow and three deep families that found bugs."""
+    """``--list-rules`` lists exactly the registered rules: the eleven
+    that each catch a seeded defect nothing else in the suite catches
+    (``test_staticcheck_mutations``)."""
     code = lint_main(["--list-rules"])
     assert code == 0
     output = capsys.readouterr().out
@@ -53,10 +54,12 @@ def test_list_rules_names_all_families(capsys):
     registered = sorted(rule.rule_id
                         for rule in (*all_rules(), *all_deep_rules()))
     assert sorted(listed) == registered == [
-        "CLK001", "CLK002", "EXC001", "EXC002", "GRW001",
-        "LCK001", "LCK002", "LCK003", "LCK004",
-        "PRF001", "PRF002", "PRF003", "PRF004", "PRF005",
-        "SNS001", "SNS002"]
+        "CLK001", "EXC002", "GRW001", "LCK001", "LCK003", "LCK004",
+        "PRF001", "PRF002", "PRF003", "PRF004", "PRF005"]
     assert "[deep]" in output
+    # The waiver every LCK004 site in the library uses (lock flow reads
+    # no coldpath marker).
+    assert ("waiver: ignore[LCK004] on the call line that reaches the "
+            "blocking callee") in output
     assert ("directives: shared, guarded-by, bounded, hotpath, "
             "coldpath, allocfree, ignore") in output

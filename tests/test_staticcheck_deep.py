@@ -1,6 +1,6 @@
 """Tests for the interprocedural (``--deep``) staticcheck phase.
 
-Covers the call-graph builder, the four deep rule families against
+Covers the call-graph builder, the three deep rule families against
 clean/violation fixture pairs (pinning exact rule IDs and lines, like
 the shallow-rule tests), the trace-carrying JSON schema, and the CLI
 integration.
@@ -30,18 +30,12 @@ FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 
 DEEP_CONFIG = StaticcheckConfig(
     growth_scope_paths=("*growth_violation.py", "*growth_clean.py"),
-    sensor_module_paths=("*sensorbudget_violation.py",
-                         "*sensorbudget_clean.py"),
 )
 
 
-CLI_SCOPE = {
-    "growth_violation.py": "repro/core/daemon.py",
-    "sensorbudget_violation.py": "repro/core/sensors.py",
-}
+CLI_SCOPE = {"growth_violation.py": "repro/core/daemon.py"}
 """Where the CLI test puts a fixture whose family reports only inside
-a scope list: a path the default ``growth_scope_paths`` /
-``sensor_module_paths`` match."""
+a scope list: a path the default ``growth_scope_paths`` match."""
 
 
 def deep_findings_for(name: str) -> list[Finding]:
@@ -284,27 +278,6 @@ class TestUnboundedGrowthRule:
         assert any("self._events" in f.message for f in violation)
 
 
-class TestSensorBudgetRule:
-    def test_violation(self):
-        findings = deep_findings_for("sensorbudget_violation.py")
-        assert ids_and_lines(findings) == [
-            ("SNS002", 12),
-            ("SNS002", 16),
-            ("SNS002", 20),
-        ]
-        direct, transitive, helper = findings
-        assert "self.engine.tables" in direct.message
-        # The transitive finding anchors at the call site and its trace
-        # reaches the loop inside the callee.
-        assert "_count_rows" in transitive.message
-        assert [entry.line for entry in transitive.trace] == [16, 20]
-        assert "loops over self.catalog.rows" in transitive.trace[-1].note
-        assert "self.catalog.rows" in helper.message
-
-    def test_clean_twin(self):
-        assert deep_findings_for("sensorbudget_clean.py") == []
-
-
 class TestTraceSerialization:
     def test_trace_survives_json_round_trip(self):
         findings = deep_findings_for("blocking_violation.py")
@@ -333,7 +306,6 @@ class TestDeepCli:
         ("lockorder_violation.py", "LCK003", 13),
         ("blocking_violation.py", "LCK004", 15),
         ("growth_violation.py", "GRW001", 14),
-        ("sensorbudget_violation.py", "SNS002", 12),
     ])
     def test_each_family_fails_the_cli_with_a_trace(self, capsys, tmp_path,
                                                     fixture, rule_id, line):

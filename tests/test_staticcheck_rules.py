@@ -29,7 +29,6 @@ FIXTURES = Path(__file__).parent / "staticcheck_fixtures"
 
 FIXTURE_CONFIG = StaticcheckConfig(
     critical_except_paths=("*except_violation.py", "*except_clean.py"),
-    sensor_module_paths=("*sensor_violation.py", "*sensor_clean.py"),
 )
 
 
@@ -55,16 +54,6 @@ class TestLockRules:
 
     def test_clean_twin(self):
         assert findings_for("lock_clean.py") == []
-
-    def test_unknown_lock_annotations(self):
-        findings = findings_for("lock_badlock.py")
-        assert ids_and_lines(findings) == [
-            ("LCK002", 9),
-            ("LCK002", 12),
-        ]
-        assert findings[0].severity is Severity.WARNING
-        assert "_lokc" in findings[0].message
-        assert "_mutex" in findings[1].message
 
     def test_init_is_exempt(self):
         source = (
@@ -95,13 +84,13 @@ class TestClockRules:
     def test_violations(self):
         findings = findings_for("clock_violation.py")
         assert ids_and_lines(findings) == [
-            ("CLK002", 4),
             ("CLK001", 9),
             ("CLK001", 13),
             ("CLK001", 17),
         ]
-        assert "time.time" in findings[1].message
-        assert "datetime.datetime.now" in findings[2].message
+        assert "time.time" in findings[0].message
+        assert "datetime.datetime.now" in findings[1].message
+        assert "time.monotonic" in findings[2].message
 
     def test_clean_twin(self):
         assert findings_for("clock_clean.py") == []
@@ -122,10 +111,7 @@ class TestClockRules:
 class TestExceptionRules:
     def test_violations(self):
         findings = findings_for("except_violation.py")
-        assert ids_and_lines(findings) == [
-            ("EXC001", 7),
-            ("EXC002", 14),
-        ]
+        assert ids_and_lines(findings) == [("EXC002", 7)]
 
     def test_clean_twin(self):
         assert findings_for("except_clean.py") == []
@@ -142,19 +128,6 @@ class TestExceptionRules:
         assert analyze_source("helper.py", source, config) == []
         flagged = analyze_source("core/daemon.py", source, config)
         assert [f.rule_id for f in flagged] == ["EXC002"]
-
-
-class TestSensorRule:
-    def test_violations(self):
-        findings = findings_for("sensor_violation.py")
-        assert ids_and_lines(findings) == [
-            ("SNS001", 10),
-            ("SNS001", 11),
-        ]
-        assert "catalog" in findings[0].message
-
-    def test_clean_twin(self):
-        assert findings_for("sensor_clean.py") == []
 
 
 class TestSuppression:
@@ -204,7 +177,7 @@ class TestReporters:
 class TestFramework:
     def test_all_rule_families_registered(self):
         families = {rule.rule_id[:3] for rule in all_rules()}
-        assert {"LCK", "CLK", "EXC", "SNS"} <= families
+        assert {"LCK", "CLK", "EXC"} <= families
 
     def test_syntax_error_becomes_finding(self):
         findings = analyze_source("broken.py", "def f(:\n")
