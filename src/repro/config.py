@@ -49,15 +49,10 @@ class OverloadConfig:
     overload`): how the monitor's pressure is measured and when its
     detail escalates or de-escalates."""
 
-    enabled: bool = True
-    """Whether setups attach an :class:`~repro.core.overload.
-    OverloadController`.  The admission gate in the monitor is always
-    compiled in (its counters feed the health surface either way);
-    without a controller the monitor simply stays DETAILED."""
-
     sample_k: int = 8
     """In the SAMPLED state one workload record in ``sample_k`` is
-    admitted with full detail; the rest are counted as sampled out."""
+    admitted with full detail; the rest are counted as sampled out
+    (values below 1 act as 1)."""
 
     escalate_dwell: int = 2
     """Consecutive high-pressure observations before degrading."""
@@ -65,9 +60,6 @@ class OverloadConfig:
     recover_dwell: int = 3
     """Consecutive low-pressure observations before recovering (higher
     than ``escalate_dwell`` so a recovering monitor does not flap)."""
-
-    window_history: int = 64
-    """Degraded-window annotations kept per controller (oldest out)."""
 
 
 @dataclass(frozen=True)
@@ -90,11 +82,6 @@ class MonitorConfig:
     max_statement_text: int = 1024
     """Captured query texts are truncated to this many characters (the
     statement hash still covers the full text)."""
-
-    statement_cache_enabled: bool = True
-    """Cache per-statement-hash reference extraction so repeated texts
-    skip re-logging catalog references (the caching strategy the paper's
-    section V-A proposes to reduce the 1m-test overhead)."""
 
     overload: OverloadConfig = field(default_factory=OverloadConfig)
     """Degradation-ladder tunables (see :class:`OverloadConfig`)."""

@@ -8,13 +8,13 @@ sensor call is timed with a high-resolution counter so that the share
 of monitoring in total statement time (figure 5) and the per-call
 overhead (section V-A's 1–2 µs measurement) can be reported.
 
-Statement caching
------------------
-Re-logging table/attribute/index references for a statement hash that
-is already in the buffer is skipped when
-``MonitorConfig.statement_cache_enabled`` is set — the "better caching
-strategy" the paper proposes to shrink the 1m-test overhead.  The
-ablation benchmark toggles this flag.
+Admission
+---------
+How much a statement records is decided once, from the ladder level
+``statement_start`` stamps on its context and from whether the
+execution inserted the statement's record: only that execution logs
+references and a plan (the "better caching strategy" the paper
+proposes to shrink the 1m-test overhead).
 """
 
 from __future__ import annotations
@@ -99,13 +99,13 @@ class IntegratedMonitor:
         self.sensor_calls = 0  # staticcheck: shared(_counter_lock)
         self.sensor_time_s = 0.0  # staticcheck: shared(_counter_lock)
         self._last_statistics_at = float("-inf")  # staticcheck: shared(_counter_lock)
-        # Degradation ladder state pushed by the overload controller
-        # (repro.core.overload) and applied by the admission gate.  The
-        # conservation counters keep `issued == admitted + sampled_out
-        # + shed` exact at quiescence, where admitted is the workload
-        # ring's total_appended.
+        # The one copy of the ladder level, set by the overload
+        # controller (repro.core.overload), stamped by each statement at
+        # its start.  The conservation counters keep `issued ==
+        # admitted + sampled_out + shed` exact at quiescence, where
+        # admitted is the workload ring's total_appended.
         self.degradation_level = DETAILED  # staticcheck: shared(_counter_lock)
-        self._sample_k = 1  # staticcheck: shared(_counter_lock)
+        self._sample_k = max(1, self.config.overload.sample_k)
         self._sample_counter = 0  # staticcheck: shared(_counter_lock)
         self.issued = 0  # staticcheck: shared(_counter_lock)
         self.sampled_out = 0  # staticcheck: shared(_counter_lock)
@@ -133,12 +133,12 @@ class IntegratedMonitor:
         refresh it when another session won the insert race).
 
         The insert and the was-it-known check are one critical section
-        (``upsert_tracked``): a separate containment probe would let two
-        racing sessions both see a miss and both report the statement as
-        new, double-logging its object references.
+        (``upsert``): a separate containment probe would let two racing
+        sessions both see a miss and both report the statement as new,
+        double-logging its object references.
         """
         limit = self.config.max_statement_text
-        _record, created = self.statements.upsert_tracked(
+        return self.statements.upsert(
             text_hash,
             create=lambda: StatementRecord(
                 text_hash=text_hash,
@@ -147,7 +147,6 @@ class IntegratedMonitor:
             ),
             update=lambda record: record.bumped(now),
         )
-        return created
 
     # staticcheck: coldpath(statement-cache-miss-only)
     def record_references(self, text_hash: int,
@@ -192,16 +191,15 @@ class IntegratedMonitor:
 
     # -- degradation ladder (repro.core.overload) --------------------------
 
-    def set_degradation(self, level: int, sample_k: int) -> None:
-        """Apply a ladder level decided by the overload controller."""
+    def set_degradation(self, level: int) -> None:
+        """Apply a ladder level decided by the overload controller;
+        statements that start from now on are recorded at it."""
         with self._counter_lock:
             self.degradation_level = level
-            self._sample_k = max(1, sample_k)
 
     # staticcheck: guarded-by(_counter_lock)
-    def _admit_degraded(self) -> bool:
+    def _admit_degraded(self, level: int) -> bool:
         """The gate's decision below DETAILED, counting what it drops."""
-        level = self.degradation_level
         if level == SAMPLED:
             self._sample_counter += 1
             if self._sample_counter >= self._sample_k:
@@ -216,27 +214,21 @@ class IntegratedMonitor:
         return False
 
     # staticcheck: hotpath
-    def complete_statement(self, record: WorkloadRecord, sensor_calls: int,
-                           monitor_time_s: float, started: float) -> float:
+    def complete_statement(self, record: WorkloadRecord, level: int,
+                           sensor_calls: int, monitor_time_s: float,
+                           started: float) -> float:
         """What a statement's terminal sensor does, in one critical
         section: pass the admission gate — count one issued statement,
-        decide whether ``record`` is admitted at full detail and append
-        it if so — and fold the statement's sensor tally
-        (``sensor_calls`` fires, and ``monitor_time_s`` plus the
-        terminal sensor's own time, which began at ``started`` and is
-        read here, last) into the counters.  Returns that total.
-
-        The gate reads the level under the counter lock, so its
-        decision always matches the counter it bumps: a transition
-        after the statement's stale read cannot misattribute it."""
+        decide by ``level`` (the rung the statement started on, one
+        value for both the counter and the append) whether ``record``
+        is admitted at full detail and append it if so — and fold the
+        statement's sensor tally (``sensor_calls`` fires, and
+        ``monitor_time_s`` plus the terminal sensor's own time, which
+        began at ``started`` and is read here, last) into the counters.
+        Returns that total."""
         with self._counter_lock:
             self.issued += 1
-            if self.degradation_level == DETAILED or self._admit_degraded():
-                if record.timestamp == 0.0:
-                    # The monitor recovered from SHED mid-statement, so
-                    # parse skipped the clock read; admitted records
-                    # carry a real timestamp for daemon retention.
-                    record = record._replace(timestamp=self.clock.now())  # staticcheck: allocfree(shed-recovery-edge-only)
+            if level == DETAILED or self._admit_degraded(level):
                 self.workload.append(record)
             total = monitor_time_s + (time.perf_counter() - started)
             self.sensor_calls += sensor_calls
@@ -344,10 +336,10 @@ class MonitorSensors:
         t0 = time.perf_counter()
         if text_hash is None:
             text_hash = statement_key(text)
-        # The ladder level is a benign stale read: a transition that
-        # races this statement only shifts which side of it the
-        # statement lands on; the admission gate re-reads the level
-        # under the counter lock when it counts.
+        # The statement's one read of the ladder level, without the
+        # lock: every later sensor and the admission gate decide by
+        # this stamp, so a transition that races the statement only
+        # decides which rung it is recorded at.
         ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
             text, text_hash, session_id, self.monitor.degradation_level)
         # Deferred accounting: non-terminal sensors only bump the
@@ -367,9 +359,8 @@ class MonitorSensors:
     # staticcheck: hotpath
     def _parsed(self, ctx: StatementContext,
                 table_names: Sequence[str]) -> None:
-        """Bump the statement's record and, for a statement the monitor
-        does not know (or every statement, without the statement
-        cache), log its table references."""
+        """Bump the statement's record and, where this execution
+        inserted it, log its table references."""
         # Ladder gating: SHED records nothing (not even the clock
         # read); COUNTS_ONLY keeps the statement frequency bump but
         # skips reference logging; SAMPLED and DETAILED record fully.
@@ -379,8 +370,7 @@ class MonitorSensors:
         # Deferred timestamping: the one wall-clock read this
         # statement pays, reused by every later sensor.
         ctx.wall_time = monitor.clock.now()
-        if ((self._record_statement(ctx.text, ctx.text_hash, ctx.wall_time)
-                or not monitor.config.statement_cache_enabled)
+        if (self._record_statement(ctx.text, ctx.text_hash, ctx.wall_time)
                 and ctx.degradation < COUNTS_ONLY):
             ctx.logs_references = True
             monitor.record_references(ctx.text_hash, table_names)
@@ -440,10 +430,11 @@ class MonitorSensors:
         ``actual`` cost and the statement's wallclock time."""
         t0 = time.perf_counter()
         # The monitor's gate counts this statement as issued and
-        # decides whether the record is kept — suppressed statements
-        # land in sampled_out/shed, so conservation stays exact under
-        # every ladder state.  Positional, in the record's field order;
-        # the timestamp was captured once, when the statement was parsed.
+        # decides by its stamped level whether the record is kept —
+        # suppressed statements land in sampled_out/shed, so
+        # conservation stays exact under every ladder state.
+        # Positional, in the record's field order; the timestamp was
+        # captured once, when the statement was parsed.
         ctx.monitor_time_s = self._complete_statement(_new_record(
             WorkloadRecord, (
                 ctx.text_hash, ctx.session_id, ctx.wall_time,
@@ -452,13 +443,16 @@ class MonitorSensors:
                 metrics.logical_reads, metrics.physical_reads,
                 metrics.tuples_processed, metrics.rows_returned,
                 ctx.used_indexes, ctx.monitor_time_s)),
-            ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
+            ctx.degradation, ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
 
     def statement_error(self, ctx: StatementContext, error: str) -> None:
         """Called when a statement fails anywhere in the pipeline."""
         # Errors still count as executions, with no work done, so that
         # the statement history shows failing statements; they pass
         # the same gate, so they stay inside the conservation ledger.
+        # One that failed before its parse read no clock yet.
+        if not ctx.wall_time and ctx.degradation < SHED:
+            ctx.wall_time = self.monitor.clock.now()
         self.execute_complete(ctx, _NO_WORK, _NO_COST, 0.0)
 
     # staticcheck: hotpath
@@ -468,11 +462,12 @@ class MonitorSensors:
         cache usage, ...) at the wall-clock time ``ctx`` read for its
         statement, if one is due: ``supplier`` is invoked only then, so
         gathering the values costs at most once per
-        :data:`STATISTICS_MIN_INTERVAL_S`."""
+        :data:`STATISTICS_MIN_INTERVAL_S`.  A statement that started at
+        SHED read no clock and takes no sample."""
+        if ctx.degradation >= SHED:
+            return
         monitor = self.monitor
         now = ctx.wall_time
-        if not now:  # the statement read no clock (SHED)
-            now = monitor.clock.now()  # staticcheck: allocfree(statistics-rate-limit-needs-current-time)
         if not monitor.statistics_due(now):
             return
         t0 = time.perf_counter()

@@ -16,6 +16,10 @@ adapts the monitor's *detail* along a four-rung ladder::
 - **SHED**: the monitor records nothing; every statement bumps one shed
   counter.
 
+The level lives once, as ``IntegratedMonitor.degradation_level``,
+which the controller moves.  Each statement reads it once, at its
+start, and is recorded at that rung throughout.
+
 Every suppressed statement is still *counted*, so the conservation
 invariant holds exactly at quiescence::
 
@@ -48,7 +52,7 @@ consecutive high observations to degrade one rung, ``recover_dwell``
 consecutive low ones to recover one; the dead band between the two
 thresholds resets both streaks).  Transitions open and close *degraded
 windows* so the IMA history can be annotated with the time ranges that
-carry reduced detail.
+carry reduced detail; the newest ``WINDOW_HISTORY`` are kept.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import faultsim
-from repro.clock import Clock
-from repro.config import OverloadConfig
 from repro.core.monitor import (COUNTS_ONLY, DETAILED, SAMPLED, SHED,
                                 IntegratedMonitor)
 from repro.errors import InjectedFault
@@ -82,6 +84,8 @@ EWMA_ALPHA = 0.3
 #: ring, so a full ring is normal under healthy traffic: it contributes
 #: 0.3, below DEESCALATE_PRESSURE, so recovery is always reachable.
 OCCUPANCY_WEIGHT = 0.3
+#: Degraded-window annotations kept per controller (oldest out).
+WINDOW_HISTORY = 64
 
 
 @dataclass
@@ -105,23 +109,21 @@ class OverloadController:
     """Hysteresis-controlled degradation ladder over one monitor.
 
     The daemon feeds it after every poll (:meth:`note_poll`); tests may
-    also call :meth:`observe` directly.  The controller pushes the
-    decided level into the monitor
-    (:meth:`~repro.core.monitor.IntegratedMonitor.set_degradation`)
-    where the admission gate applies it; it never touches the hot path
-    itself.
+    also call :meth:`observe` directly.  Its tunables and clock are the
+    monitor's (``monitor.config.overload``, ``monitor.clock``).  The
+    level it walks is the monitor's ``degradation_level``, set through
+    :meth:`~repro.core.monitor.IntegratedMonitor.set_degradation`; it
+    never touches the hot path itself.
     """
 
     # Observed from the daemon thread, read by health snapshots from
-    # any thread: all mutable state below is guarded by _lock.
-    def __init__(self, monitor: IntegratedMonitor,
-                 config: OverloadConfig | None = None,
-                 clock: Clock | None = None) -> None:
-        self.config = config or OverloadConfig()
+    # any thread: all mutable state below is guarded by _lock, and
+    # only the controller moves the monitor's level.
+    def __init__(self, monitor: IntegratedMonitor) -> None:
+        self.config = monitor.config.overload
         self.monitor = monitor
-        self.clock: Clock = clock if clock is not None else monitor.clock
+        self.clock = monitor.clock
         self._lock = threading.Lock()
-        self._level = DETAILED  # staticcheck: shared(_lock)
         self._escalate_streak = 0  # staticcheck: shared(_lock)
         self._recover_streak = 0  # staticcheck: shared(_lock)
         self._pressure = 0.0  # staticcheck: shared(_lock)
@@ -134,7 +136,6 @@ class OverloadController:
         self._transitions = 0  # staticcheck: shared(_lock)
         self._windows: list[DegradedWindow] = \
             []  # staticcheck: shared(_lock)
-        monitor.set_degradation(DETAILED, self.config.sample_k)
 
     # -- daemon feedback ---------------------------------------------------
 
@@ -177,6 +178,7 @@ class OverloadController:
         cfg = self.config
         workload = self.monitor.workload
         with self._lock:
+            level = self.monitor.degradation_level
             self._observations += 1
             self._occupancy = len(workload) / workload.capacity
             if flood:
@@ -191,15 +193,15 @@ class OverloadController:
                 self._recover_streak = 0
                 self._escalate_streak += 1
                 if (self._escalate_streak >= cfg.escalate_dwell
-                        and self._level < SHED):
-                    self._transition(self._level + 1, now)
+                        and level < SHED):
+                    self._transition(level + 1, now)
                     self._escalate_streak = 0
             elif pressure <= DEESCALATE_PRESSURE:
                 self._escalate_streak = 0
                 self._recover_streak += 1
                 if (self._recover_streak >= cfg.recover_dwell
-                        and self._level > DETAILED):
-                    self._transition(self._level - 1, now)
+                        and level > DETAILED):
+                    self._transition(level - 1, now)
                     self._recover_streak = 0
             else:
                 # Dead band: transitions need *consecutive*
@@ -210,7 +212,6 @@ class OverloadController:
     # staticcheck: guarded-by(_lock)
     def _transition(self, level: int, now: float) -> None:
         """Apply one ladder transition (caller holds the lock)."""
-        self._level = level
         self._transitions += 1
         window = self._window
         if level > DETAILED:
@@ -218,22 +219,20 @@ class OverloadController:
                 self._window = DegradedWindow(started_at=now,
                                               peak_level=level)
                 self._windows.append(self._window)
-                limit = self.config.window_history
-                while len(self._windows) > limit:
+                while len(self._windows) > WINDOW_HISTORY:
                     self._windows.pop(0)
             elif level > window.peak_level:
                 window.peak_level = level
         elif window is not None:
             window.ended_at = now
             self._window = None
-        self.monitor.set_degradation(level, self.config.sample_k)
+        self.monitor.set_degradation(level)
 
     # -- introspection -----------------------------------------------------
 
     def level(self) -> int:
         """The ladder level the monitor runs at now."""
-        with self._lock:
-            return self._level
+        return self.monitor.degradation_level
 
     def degraded_windows(self) -> list[dict[str, Any]]:
         """Closed and still-open degraded windows, oldest first — the
@@ -244,9 +243,10 @@ class OverloadController:
     def snapshot(self) -> dict[str, Any]:
         """JSON-shaped controller state for the engine health surface."""
         with self._lock:
+            level = self.monitor.degradation_level
             snapshot = {
-                "level": self._level,
-                "level_name": LEVEL_NAMES[self._level],
+                "level": level,
+                "level_name": LEVEL_NAMES[level],
                 "pressure": round(self._pressure, 6),
                 "loss_component": round(self._loss_component, 6),
                 "occupancy": round(self._occupancy, 6),

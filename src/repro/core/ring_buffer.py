@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Generic, Iterator, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
 K = TypeVar("K")
@@ -142,35 +142,26 @@ class KeyedRingBuffer(Generic[K, T]):
 
     # staticcheck: hotpath
     def upsert(self, key: K, create: Callable[[], T],
-               update: Callable[[T], T] | None = None) -> T:
-        """Insert or update the entry for ``key``.
+               update: Callable[[T], T] | None = None) -> bool:
+        """Insert or update the entry for ``key``; True if it was
+        inserted.
 
         ``create`` builds a new record; ``update`` (optional) maps the
         existing record to its refreshed version.  Either way the entry
         becomes most-recently-used and gets a fresh ``updated_seq``.
-        """
-        return self.upsert_tracked(key, create, update)[0]
-
-    # staticcheck: hotpath
-    def upsert_tracked(self, key: K, create: Callable[[], T],
-                       update: Callable[[T], T] | None = None,
-                       ) -> tuple[T, bool]:
-        """Like :meth:`upsert`, also reporting whether ``key`` was
-        inserted: ``(value, created)``.
 
         The existence check and the write happen in *one* critical
         section, so two sessions racing on the same new key cannot both
-        observe a miss — exactly one caller gets ``created=True`` (the
-        other's ``update`` refreshes the winner's record).  A separate
-        ``key in buffer`` probe followed by ``upsert`` has a lost-update
-        window between the two lock acquisitions.
+        observe a miss — exactly one caller gets True (the other's
+        ``update`` refreshes the winner's record).  A separate ``key in
+        buffer`` probe followed by ``upsert`` has a lost-update window
+        between the two lock acquisitions.
         """
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
             items = self._items
             entry = items.get(key)
-            created = entry is None
             if entry is None:
                 while len(items) >= self.capacity:
                     items.popitem(last=False)
@@ -180,7 +171,7 @@ class KeyedRingBuffer(Generic[K, T]):
                 value = update(entry[1]) if update is not None else entry[1]
             items[key] = (seq, value)
             items.move_to_end(key)
-            return value, created
+            return entry is None
 
     def __len__(self) -> int:
         with self._lock:
@@ -203,10 +194,6 @@ class KeyedRingBuffer(Generic[K, T]):
 
     def values(self) -> list[T]:
         return [value for _seq, value in self.snapshot()]
-
-    def keys(self) -> Iterator[K]:
-        with self._lock:
-            return iter(list(self._items.keys()))
 
     def clear(self) -> None:
         """Empty the map and reset eviction accounting; ``_next_seq``

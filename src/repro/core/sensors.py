@@ -50,11 +50,11 @@ class StatementContext:
     """:func:`statement_key` of the text."""
     session_id: int = 0
     degradation: int = 0
-    """Monitor degradation level stamped at statement_start (a benign
-    stale read): later sensors of the same statement use it to decide
-    what detail to skip without re-reading monitor state.  The
-    authoritative issued/sampled_out/shed counting happens in the
-    monitor's admission gate, under its counter lock."""
+    """Monitor degradation level stamped at statement_start, the
+    statement's one read of it: every later sensor and the monitor's
+    admission gate (which counts issued/sampled_out/shed by it) decide
+    by this value, so the statement is recorded at the rung it
+    started on."""
     monitor_time_s: float = 0.0
     """Time spent inside monitoring code for this statement (figure 5)."""
     sensor_calls: int = 0
@@ -69,8 +69,8 @@ class StatementContext:
     instead of paying one syscall per record."""
     logs_references: bool = False
     """Whether this execution logs the statement's object references
-    and captures its plan: the parse created the statement's record (or
-    the statement cache is off) and the ladder is above COUNTS_ONLY."""
+    and captures its plan: the parse inserted the statement's record
+    and the stamped level is above COUNTS_ONLY."""
     # Scratch fields filled by earlier sensors, consumed at execute_complete.
     estimated_io: float = 0.0
     estimated_cpu: float = 0.0

@@ -73,9 +73,9 @@ def daemon_setup(database_name: str,
     are registered in it, and a daemon is wired up (not started — call
     ``setup.daemon.start()`` or drive ``poll_once`` manually).
 
-    When ``MonitorConfig.overload.enabled`` (the default) an
-    :class:`OverloadController` is attached to the daemon and both are
-    registered on the engine's health surface."""
+    An :class:`OverloadController` over the monitor (with its
+    ``MonitorConfig.overload`` tunables) is attached to the daemon, and
+    both are registered on the engine's health surface."""
     setup = monitoring_setup(config, clock)
     engine = setup.engine
     database = engine.create_database(database_name)
@@ -89,13 +89,10 @@ def daemon_setup(database_name: str,
     setup.daemon = daemon
     engine.register_health_source(
         "daemon", lambda: asdict(daemon.status()))
-    if engine.config.monitor.overload.enabled:
-        controller = OverloadController(setup.monitor,
-                                        engine.config.monitor.overload,
-                                        engine.clock)
-        daemon.attach_controller(controller)
-        setup.controller = controller
-        engine.register_health_source("overload", controller.snapshot)
+    controller = OverloadController(setup.monitor)
+    daemon.attach_controller(controller)
+    setup.controller = controller
+    engine.register_health_source("overload", controller.snapshot)
     return setup
 
 

@@ -255,8 +255,7 @@ class TestMonitorSensorsPipeline:
             == [key, key]
 
     def test_statement_cache_skips_rereferencing(self):
-        config = MonitorConfig(statement_cache_enabled=True)
-        monitor = IntegratedMonitor(config)
+        monitor = IntegratedMonitor(MonitorConfig())
         sensors = MonitorSensors(monitor)
         ctx1 = sensors.statement_start("select a from t")
         sensors.parse_complete(ctx1, "select", ("t",))
@@ -265,14 +264,17 @@ class TestMonitorSensorsPipeline:
         sensors.parse_complete(ctx2, "select", ("t",))
         assert monitor.tables.get("t").frequency == first_freq  # cached
 
-    def test_statement_cache_disabled_relogs(self):
-        config = MonitorConfig(statement_cache_enabled=False)
-        monitor = IntegratedMonitor(config)
+    def test_evicted_statement_relogs(self):
+        # A one-statement ring: two alternating texts evict each other,
+        # so every execution inserts its record and logs its references.
+        monitor = IntegratedMonitor(MonitorConfig(statement_buffer_size=1))
         sensors = MonitorSensors(monitor)
-        for _ in range(3):
-            ctx = sensors.statement_start("select a from t")
+        for text in ("select a from t", "select b from t") * 3:
+            ctx = sensors.statement_start(text)
             sensors.parse_complete(ctx, "select", ("t",))
-        assert monitor.tables.get("t").frequency == 3
+            assert ctx.logs_references
+        assert monitor.tables.get("t").frequency == 6
+        assert monitor.statements.evicted == 5
 
     def test_used_indexes_recorded(self):
         setup = monitoring_setup()
@@ -404,11 +406,11 @@ class TestPlannedAndPreparedPathsAgree:
     )
 
     @staticmethod
-    def _run(plan_cache_size, statement_cache):
+    def _run(plan_cache_size, statement_buffer_size):
         setup = monitoring_setup(EngineConfig(
             plan_cache_size=plan_cache_size,
             monitor=MonitorConfig(plan_capture_min_cost=1e-9,
-                                  statement_cache_enabled=statement_cache)),
+                                  statement_buffer_size=statement_buffer_size)),
             clock=VirtualClock(1000.0))
         session = _session(setup)
         for text in TestPlannedAndPreparedPathsAgree.STREAM:
@@ -418,12 +420,14 @@ class TestPlannedAndPreparedPathsAgree:
                 pass
         return setup.monitor, session
 
-    # Without the statement cache every execution logs its references
-    # and plan, so the prepared path's logging is compared too.
-    @pytest.mark.parametrize("statement_cache", [True, False])
-    def test_same_rings(self, statement_cache):
-        planned, planned_session = self._run(0, statement_cache)
-        prepared, prepared_session = self._run(256, statement_cache)
+    # A one-statement ring evicts a statement whenever the next one
+    # differs, so a repeated shape that the plan cache prepared logs
+    # its references and plan again: the prepared path's logging is
+    # compared too.
+    @pytest.mark.parametrize("statement_buffer_size", [1000, 1])
+    def test_same_rings(self, statement_buffer_size):
+        planned, planned_session = self._run(0, statement_buffer_size)
+        prepared, prepared_session = self._run(256, statement_buffer_size)
         assert planned_session.plan_cache_hits == 0
         assert prepared_session.plan_cache_hits > 0
 

@@ -22,10 +22,10 @@ from repro.config import (
     OverloadConfig,
     SupervisorConfig,
 )
-from repro.core import health
+from repro.core import health, overload
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.health import PARKED, RESTARTING, RUNNING, Backoff, Supervisor
-from repro.core.monitor import IntegratedMonitor
+from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import (
     COUNTS_ONLY,
     DETAILED,
@@ -37,7 +37,9 @@ from repro.core.overload import (
 )
 from repro.core.records import WorkloadRecord
 from repro.errors import InjectedFault, MonitorError, ReproError
+from repro.execution.executor import ExecutionMetrics
 from repro.invariants import conservation_violations
+from repro.optimizer.cost_model import Cost
 from repro.setups import attach_supervisor, daemon_setup, monitoring_setup
 from repro.workloads import (
     NrefScale,
@@ -66,10 +68,12 @@ def _record(text_hash: int, session_id: int,
 
 def _complete(monitor: IntegratedMonitor,
               record: WorkloadRecord | None = None) -> bool:
-    """One statement through the monitor's admission gate, as its
-    terminal sensor passes it; True if its record was admitted."""
+    """One statement started at the monitor's current level through
+    its admission gate, as its terminal sensor passes it; True if its
+    record was admitted."""
     appended = monitor.workload.total_appended
-    monitor.complete_statement(record or _record(0, 1), 1, 0.0,
+    monitor.complete_statement(record or _record(0, 1),
+                               monitor.degradation_level, 1, 0.0,
                                time.perf_counter())
     return monitor.workload.total_appended > appended
 
@@ -104,9 +108,9 @@ class TestNewFaultPoints:
                                       "workload_db.append")
 
     def test_ring_flood_forces_escalation(self):
-        monitor = IntegratedMonitor(MonitorConfig(), VirtualClock(0.0))
-        controller = OverloadController(
-            monitor, OverloadConfig(escalate_dwell=1, recover_dwell=1))
+        monitor = IntegratedMonitor(MonitorConfig(overload=OverloadConfig(
+            escalate_dwell=1, recover_dwell=1)), VirtualClock(0.0))
+        controller = OverloadController(monitor)
         faultsim.arm_from_spec("monitor.ring_flood:once")
         controller.observe()
         assert controller.level() == SAMPLED
@@ -119,41 +123,97 @@ class TestNewFaultPoints:
 # -- the admission gate -----------------------------------------------------
 
 
-class TestAdmissionGate:
-    def _monitor(self) -> IntegratedMonitor:
-        return IntegratedMonitor(MonitorConfig(), VirtualClock(0.0))
+def _monitor(sample_k: int = 8) -> IntegratedMonitor:
+    return IntegratedMonitor(
+        MonitorConfig(overload=OverloadConfig(sample_k=sample_k)),
+        VirtualClock(0.0))
 
+
+class TestAdmissionGate:
     def test_detailed_admits_everything(self):
-        monitor = self._monitor()
+        monitor = _monitor()
         assert all(_complete(monitor) for _ in range(5))
         assert monitor.degradation_counters() == (5, 0, 0)
 
     def test_sampled_admits_one_in_k(self):
-        monitor = self._monitor()
-        monitor.set_degradation(SAMPLED, 3)
+        monitor = _monitor(sample_k=3)
+        monitor.set_degradation(SAMPLED)
         admitted = [_complete(monitor) for _ in range(6)]
         assert admitted == [False, False, True, False, False, True]
         assert monitor.degradation_counters() == (6, 4, 0)
 
     def test_counts_only_and_shed_suppress_but_count(self):
-        monitor = self._monitor()
-        monitor.set_degradation(COUNTS_ONLY, 8)
+        monitor = _monitor()
+        monitor.set_degradation(COUNTS_ONLY)
         assert not _complete(monitor)
-        monitor.set_degradation(SHED, 8)
+        monitor.set_degradation(SHED)
         assert not _complete(monitor)
         assert monitor.degradation_counters() == (2, 1, 1)
 
     def test_sample_k_clamped_to_one(self):
-        monitor = self._monitor()
-        monitor.set_degradation(SAMPLED, 0)
+        monitor = _monitor(sample_k=0)
+        monitor.set_degradation(SAMPLED)
         assert _complete(monitor)  # k=1 degenerates to DETAILED
+
+
+class TestOneLevelRead:
+    """A statement is recorded at the level it started at: a transition
+    between ``statement_start`` and ``execute_complete`` decides
+    nothing about it."""
+
+    def _sensors(self) -> tuple[IntegratedMonitor, MonitorSensors]:
+        monitor = IntegratedMonitor(MonitorConfig(), VirtualClock(1000.0))
+        return monitor, MonitorSensors(monitor)
+
+    def _run(self, monitor: IntegratedMonitor, sensors: MonitorSensors,
+             level_mid_statement: int) -> list[str]:
+        """One statement, with the ladder moved after its parse; the
+        statistics suppliers it called."""
+        supplied: list[str] = []
+        ctx = sensors.statement_start("select a from t", 1)
+        sensors.parse_complete(ctx, "select", ("t",))
+        assert conservation_violations(monitor) == []
+        monitor.set_degradation(level_mid_statement)
+        sensors.execute_complete(ctx, ExecutionMetrics(), Cost(), 0.0)
+        sensors.sample_statistics(lambda: supplied.append("called") or {},
+                                  ctx)
+        assert conservation_violations(monitor) == []
+        return supplied
+
+    def test_started_detailed_is_admitted_after_shed(self):
+        monitor, sensors = self._sensors()
+        self._run(monitor, sensors, SHED)
+        assert monitor.degradation_counters() == (1, 0, 0)
+        (record,) = monitor.workload.values()
+        assert record.timestamp == 1000.0
+
+    def test_started_shed_is_shed_after_recovery(self):
+        monitor, sensors = self._sensors()
+        monitor.set_degradation(SHED)
+        supplied = self._run(monitor, sensors, DETAILED)
+        assert monitor.degradation_counters() == (1, 0, 1)
+        assert monitor.workload.total_appended == 0
+        assert len(monitor.statements) == 0
+        assert supplied == []
+        assert len(monitor.statistics) == 0
+
+    def test_error_before_parse_is_stamped(self):
+        monitor, sensors = self._sensors()
+        ctx = sensors.statement_start("select 'open", 1)
+        monitor.clock.advance(5.0)
+        sensors.statement_error(ctx, "unterminated string")
+        (record,) = monitor.workload.values()
+        assert record.timestamp == 1005.0
+        assert conservation_violations(monitor) == []
 
 
 class TestSensorGating:
     """The ladder through real SQL traffic, one level at a time."""
 
-    def _session(self):
-        setup = monitoring_setup(clock=VirtualClock(1000.0))
+    def _session(self, sample_k: int = 8):
+        setup = monitoring_setup(EngineConfig(monitor=MonitorConfig(
+            overload=OverloadConfig(sample_k=sample_k))),
+            clock=VirtualClock(1000.0))
         engine = setup.engine
         engine.create_database("db")
         session = engine.connect("db")
@@ -172,9 +232,9 @@ class TestSensorGating:
         assert conservation_violations(monitor) == []
 
     def test_sampled_keeps_one_in_k_workload_records(self):
-        setup, session = self._session()
+        setup, session = self._session(sample_k=4)
         monitor = setup.monitor
-        monitor.set_degradation(SAMPLED, 4)
+        monitor.set_degradation(SAMPLED)
         before = len(monitor.workload)
         for _ in range(8):
             session.execute("select a from t where a = 1")
@@ -182,9 +242,9 @@ class TestSensorGating:
         assert conservation_violations(monitor) == []
 
     def test_counts_only_bumps_statements_not_workload(self):
-        setup, session = self._session()
+        setup, session = self._session(sample_k=4)
         monitor = setup.monitor
-        monitor.set_degradation(COUNTS_ONLY, 4)
+        monitor.set_degradation(COUNTS_ONLY)
         workload_before = len(monitor.workload)
         references_before = len(monitor.references)
         statements_before = len(monitor.statements)
@@ -195,9 +255,9 @@ class TestSensorGating:
         assert conservation_violations(monitor) == []
 
     def test_shed_records_nothing_but_counts(self):
-        setup, session = self._session()
+        setup, session = self._session(sample_k=4)
         monitor = setup.monitor
-        monitor.set_degradation(SHED, 4)
+        monitor.set_degradation(SHED)
         workload_before = len(monitor.workload)
         statements_before = len(monitor.statements)
         _issued, _sampled, shed_before = monitor.degradation_counters()
@@ -209,10 +269,10 @@ class TestSensorGating:
         assert conservation_violations(monitor) == []
 
     def test_conservation_across_level_changes(self):
-        setup, session = self._session()
+        setup, session = self._session(sample_k=2)
         monitor = setup.monitor
         for level in (DETAILED, SAMPLED, COUNTS_ONLY, SHED, DETAILED):
-            monitor.set_degradation(level, 2)
+            monitor.set_degradation(level)
             for _ in range(5):
                 session.execute("select a from t where a = 1")
         report = conservation_report(monitor)
@@ -229,8 +289,9 @@ class TestOverloadController:
     def _controller(self, **overrides):
         config = OverloadConfig(**{"escalate_dwell": 2, "recover_dwell": 2,
                                    **overrides})
-        monitor = IntegratedMonitor(MonitorConfig(), VirtualClock(0.0))
-        return OverloadController(monitor, config), monitor
+        monitor = IntegratedMonitor(MonitorConfig(overload=config),
+                                    VirtualClock(0.0))
+        return OverloadController(monitor), monitor
 
     def _pressure(self, controller, fraction: float) -> None:
         """One observation at the given loss pressure."""
@@ -271,9 +332,9 @@ class TestOverloadController:
         controller.note_poll(0.0, 0, 100)  # clean poll: no loss
         assert controller.snapshot()["loss_component"] == 0.0
 
-    def test_degraded_windows_open_close_and_bound(self):
-        controller, _ = self._controller(escalate_dwell=1, recover_dwell=1,
-                                         window_history=2)
+    def test_degraded_windows_open_close_and_bound(self, monkeypatch):
+        monkeypatch.setattr(overload, "WINDOW_HISTORY", 2)
+        controller, _ = self._controller(escalate_dwell=1, recover_dwell=1)
         for _ in range(3):
             self._pressure(controller, 1.0)  # degrade (opens window)
             self._pressure(controller, 0.0)  # recover (closes it)
@@ -534,28 +595,17 @@ class TestHealthSurface:
         assert names == ["storage-daemon"]
         json.dumps(snapshot)  # the whole surface must serialize
 
-    def test_overload_disabled_skips_controller(self):
-        clock = VirtualClock(0.0)
-        config = EngineConfig(monitor=MonitorConfig(
-            overload=OverloadConfig(enabled=False)))
-        setup = daemon_setup("nref", config=config, clock=clock)
-        assert setup.controller is None
-        assert "overload" not in setup.engine.health()
-
 
 # -- the monitor's views under SHED and clears -------------------------------
 
 
 class TestMergedViewsDegraded:
-    def _monitor(self) -> IntegratedMonitor:
-        return IntegratedMonitor(MonitorConfig(), VirtualClock(0.0))
-
     def test_shed_shard_serves_its_frozen_window(self):
-        monitor = self._monitor()
+        monitor = _monitor()
         for i in range(3):
             assert _complete(monitor, _record(i, 1))
             monitor.record_statement(f"select {i}", i, now=float(i))
-        monitor.set_degradation(SHED, 1)
+        monitor.set_degradation(SHED)
         # SHED gates *admission*, not the view: already-recorded rows
         # stay readable in their seq order.
         assert not _complete(monitor)
@@ -566,8 +616,8 @@ class TestMergedViewsDegraded:
         assert conservation_violations(monitor) == []
 
     def test_clear_resets_windows_not_conservation(self):
-        monitor = self._monitor()
-        monitor.set_degradation(SAMPLED, 2)
+        monitor = _monitor(sample_k=2)
+        monitor.set_degradation(SAMPLED)
         assert not _complete(monitor)
         assert _complete(monitor)
         monitor.workload.clear()
@@ -608,15 +658,19 @@ class TestStormSmoke:
         """Concurrent sessions while a second thread walks the ladder
         DETAILED -> SAMPLED -> COUNTS_ONLY -> SHED -> DETAILED: the
         conservation ledger must still balance exactly and count every
-        statement once.  The walker leaves a rung only after
-        ``sample_k`` more statements were issued on it, and the
+        statement once.  A statement is counted at the rung it started
+        on, and at a transition each session has at most one statement
+        in flight, started on the rung before; so the walker leaves a
+        rung only after ``sessions + sample_k`` more statements were
+        issued, at least ``sample_k`` of them started on it.  The
         sessions run whole passes until the lap is done, so every rung
         sees traffic however the threads are scheduled."""
-        setup = monitoring_setup()
+        sessions, statements, sample_k = 4, 200, 3
+        setup = monitoring_setup(EngineConfig(monitor=MonitorConfig(
+            overload=OverloadConfig(sample_k=sample_k))))
         monitor = setup.monitor
         scale = NrefScale(proteins=20)
         load_nref(setup.engine.create_database("nref"), scale)
-        sessions, statements, sample_k = 4, 200, 3
         driver = ThreadedDriver(setup.engine, "nref", [
             point_query_statements(statements, scale, seed=index)
             for index in range(sessions)])
@@ -625,10 +679,11 @@ class TestStormSmoke:
 
         def walk_ladder() -> None:
             for level in (SAMPLED, COUNTS_ONLY, SHED, DETAILED):
-                monitor.set_degradation(level, sample_k)
-                rung_start = monitor.degradation_counters()[0]
-                while (not stop.is_set() and monitor.degradation_counters()[0]
-                       < rung_start + sample_k):
+                monitor.set_degradation(level)
+                target = (monitor.degradation_counters()[0]
+                          + sessions + sample_k)
+                while (not stop.is_set()
+                       and monitor.degradation_counters()[0] < target):
                     time.sleep(0.0001)
 
         walker = threading.Thread(target=walk_ladder, daemon=True)

@@ -5,7 +5,7 @@ Two bugs these pin down:
 * ``KeyedRingBuffer`` insert race — a containment probe followed by
   ``upsert`` let two sessions both observe a miss for the same new key
   and both report it as newly created (double-logging statement
-  references).  ``upsert_tracked`` does the check and the write in one
+  references).  ``upsert`` does the check and the write in one
   critical section, so exactly one racer wins.
 * ``RingBuffer.clear()`` vs concurrent appenders — a snapshot taken
   around a clear must never mix pre-clear and post-clear sequence
@@ -29,7 +29,7 @@ class TestUpsertTrackedRace:
             barrier.wait()
             wins = 0
             for key in keys:
-                _value, created = buffer.upsert_tracked(
+                created = buffer.upsert(
                     key,
                     create=lambda k=key: k,
                     update=lambda value: value + 1000)
@@ -50,13 +50,15 @@ class TestUpsertTrackedRace:
             value = buffer.get(key)
             assert value is not None and value == key + 1000
 
-    def test_upsert_delegates_to_tracked(self):
+    def test_upsert_reports_creation(self):
         buffer: KeyedRingBuffer[int, str] = KeyedRingBuffer(capacity=4)
-        assert buffer.upsert(1, create=lambda: "a") == "a"
-        assert buffer.upsert(1, create=lambda: "b",
-                             update=lambda v: v + "!") == "a!"
-        _value, created = buffer.upsert_tracked(1, create=lambda: "c")
-        assert not created
+        assert buffer.upsert(1, create=lambda: "a")
+        assert buffer.get(1) == "a"
+        assert not buffer.upsert(1, create=lambda: "b",
+                                 update=lambda v: v + "!")
+        assert buffer.get(1) == "a!"
+        assert not buffer.upsert(1, create=lambda: "c")
+        assert buffer.get(1) == "a!"
 
 
 class TestClearSnapshotUnderAppenders:
