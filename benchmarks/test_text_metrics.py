@@ -21,7 +21,6 @@ from repro.clock import VirtualClock
 from repro.config import DaemonConfig, MonitorConfig
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.execution.executor import ExecutionMetrics
-from repro.optimizer.cost_model import Cost
 from repro.setups import daemon_setup, original_setup
 from repro.sql.parser import parse_statement
 from repro.workloads import load_nref, point_query_statements
@@ -46,14 +45,14 @@ class TestSensorOverhead:
             parse_statement(statements[0]))
         metrics = ExecutionMetrics(logical_reads=3, tuples_processed=5,
                                    rows_returned=1)
-        actual = Cost(10.0, 1.0)
 
         def drive():
             for text in statements:
                 ctx = sensors.statement_start(text)
                 sensors.parse_complete(ctx, "select", ("protein",))
                 sensors.optimize_complete(ctx, optimized, 0.0)
-                sensors.execute_complete(ctx, metrics, actual, 0.0005)
+                sensors.execute_complete(ctx, text, 0, metrics, 0.0005, 4.0,
+                                         None)
 
         benchmark.pedantic(drive, rounds=3, iterations=1)
         per_call_us = monitor.average_sensor_call_s * 1e6

@@ -3,24 +3,27 @@
 :class:`IntegratedMonitor` owns the bounded in-memory structures of
 figure 3; :class:`MonitorSensors` is the one sensor implementation, the
 code "compiled into" an engine whose ``sensors`` it is.  An engine
-without it (the *Original* setup) runs none of this module.  Each
-sensor call is timed with a high-resolution counter so that the share
-of monitoring in total statement time (figure 5) and the per-call
+without it (the *Original* setup) runs none of this module.  The
+sensors time themselves with a high-resolution counter so that the
+share of monitoring in total statement time (figure 5) and the per-call
 overhead (section V-A's 1–2 µs measurement) can be reported.
 
-Admission
+Recording
 ---------
-How much a statement records is decided once, from the ladder level
-``statement_start`` stamps on its context and from whether the
-execution inserted the statement's record: only that execution logs
-references and a plan (the "better caching strategy" the paper
-proposes to shrink the 1m-test overhead).
+A statement is recorded once, at its end, by its terminal sensor
+(:meth:`MonitorSensors.execute_complete`): one read of the ladder
+level decides everything the statement records, one clock read stamps
+it, and one acquisition of the monitor's lock bumps its statement
+record, passes the admission gate and appends its workload record.
+Only the execution that inserts the statement's record logs its
+references and plan — the "better caching strategy" the paper proposes
+to shrink the 1m-test overhead.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.clock import Clock, SystemClock
@@ -38,7 +41,7 @@ from repro.core.records import (
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.core.sensors import StatementContext, statement_key
 from repro.execution.executor import ExecutionMetrics
-from repro.optimizer.cost_model import Cost
+from repro.optimizer.cost_model import CPU_TUPLE_COST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.optimizer import OptimizationResult
@@ -62,7 +65,6 @@ SHED = 3
 
 # What a failed statement's workload record reports: no work done.
 _NO_WORK = ExecutionMetrics()
-_NO_COST = Cost()
 
 # Builds a record from its fields in order, without the NamedTuple's
 # ``__new__`` frame (the per-statement workload record).
@@ -76,10 +78,14 @@ class IntegratedMonitor:
                  clock: Clock | None = None) -> None:
         self.config = config or MonitorConfig()
         self.clock = clock or SystemClock()
+        # One lock for everything a statement's terminal sensor writes:
+        # the statement and workload rings share it with the counters
+        # below, so a statement is recorded in one critical section.
+        self._lock = threading.Lock()
         self.statements: KeyedRingBuffer[int, StatementRecord] = \
-            KeyedRingBuffer(self.config.statement_buffer_size)
+            KeyedRingBuffer(self.config.statement_buffer_size, self._lock)
         self.workload: RingBuffer[WorkloadRecord] = \
-            RingBuffer(self.config.workload_buffer_size)
+            RingBuffer(self.config.workload_buffer_size, self._lock)
         self.references: KeyedRingBuffer[tuple, ReferenceRecord] = \
             KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
         self.tables: KeyedRingBuffer[str, TableUsageRecord] = \
@@ -92,45 +98,28 @@ class IntegratedMonitor:
             RingBuffer(STATISTICS_BUFFER_SIZE)
         self.plans: KeyedRingBuffer[int, PlanRecord] = \
             KeyedRingBuffer(self.config.plan_buffer_size)
-        # Sensors fire on every session thread, so the overhead
-        # accounting and the statistics rate limiter are guarded; the
-        # ring buffers above carry their own internal locks.
-        self._counter_lock = threading.Lock()
-        self.sensor_calls = 0  # staticcheck: shared(_counter_lock)
-        self.sensor_time_s = 0.0  # staticcheck: shared(_counter_lock)
-        self._last_statistics_at = float("-inf")  # staticcheck: shared(_counter_lock)
+        self.sensor_calls = 0  # staticcheck: shared(_lock)
+        self.sensor_time_s = 0.0  # staticcheck: shared(_lock)
+        self._last_statistics_at = float("-inf")  # staticcheck: shared(_lock)
         # The one copy of the ladder level, set by the overload
-        # controller (repro.core.overload), stamped by each statement at
-        # its start.  The conservation counters keep `issued ==
-        # admitted + sampled_out + shed` exact at quiescence, where
-        # admitted is the workload ring's total_appended.
-        self.degradation_level = DETAILED  # staticcheck: shared(_counter_lock)
+        # controller (repro.core.overload), read once by each
+        # statement's terminal sensor.  The conservation counters keep
+        # `issued == admitted + sampled_out + shed` exact at
+        # quiescence, where admitted is the workload ring's
+        # total_appended.
+        self.degradation_level = DETAILED  # staticcheck: shared(_lock)
         self._sample_k = max(1, self.config.overload.sample_k)
-        self._sample_counter = 0  # staticcheck: shared(_counter_lock)
-        self.issued = 0  # staticcheck: shared(_counter_lock)
-        self.sampled_out = 0  # staticcheck: shared(_counter_lock)
-        self.shed = 0  # staticcheck: shared(_counter_lock)
+        self._sample_counter = 0  # staticcheck: shared(_lock)
+        self.issued = 0  # staticcheck: shared(_lock)
+        self.sampled_out = 0  # staticcheck: shared(_lock)
+        self.shed = 0  # staticcheck: shared(_lock)
 
     # -- recording -------------------------------------------------------
 
-    # staticcheck: hotpath
+    # staticcheck: coldpath(new-statement-only)
     def record_statement(self, text: str, text_hash: int,
                          now: float) -> bool:
         """Upsert the statement record; True if the hash was new.
-
-        Plan-cache hits — the per-statement common case — take the
-        allocation-free ``bump`` path: one lock acquisition and no
-        closure or record construction on the hot path.
-        """
-        if self.statements.bump(text_hash, StatementRecord.bumped, now):
-            return False
-        return self._insert_statement(text, text_hash, now)
-
-    # staticcheck: coldpath(new-statement-only)
-    def _insert_statement(self, text: str, text_hash: int,
-                          now: float) -> bool:
-        """Statement-cache miss: build and insert the record (or
-        refresh it when another session won the insert race).
 
         The insert and the was-it-known check are one critical section
         (``upsert``): a separate containment probe would let two racing
@@ -193,11 +182,11 @@ class IntegratedMonitor:
 
     def set_degradation(self, level: int) -> None:
         """Apply a ladder level decided by the overload controller;
-        statements that start from now on are recorded at it."""
-        with self._counter_lock:
+        statements that end from now on are recorded at it."""
+        with self._lock:
             self.degradation_level = level
 
-    # staticcheck: guarded-by(_counter_lock)
+    # staticcheck: guarded-by(_lock)
     def _admit_degraded(self, level: int) -> bool:
         """The gate's decision below DETAILED, counting what it drops."""
         if level == SAMPLED:
@@ -213,31 +202,9 @@ class IntegratedMonitor:
         self.shed += 1
         return False
 
-    # staticcheck: hotpath
-    def complete_statement(self, record: WorkloadRecord, level: int,
-                           sensor_calls: int, monitor_time_s: float,
-                           started: float) -> float:
-        """What a statement's terminal sensor does, in one critical
-        section: pass the admission gate — count one issued statement,
-        decide by ``level`` (the rung the statement started on, one
-        value for both the counter and the append) whether ``record``
-        is admitted at full detail and append it if so — and fold the
-        statement's sensor tally (``sensor_calls`` fires, and
-        ``monitor_time_s`` plus the terminal sensor's own time, which
-        began at ``started`` and is read here, last) into the counters.
-        Returns that total."""
-        with self._counter_lock:
-            self.issued += 1
-            if level == DETAILED or self._admit_degraded(level):
-                self.workload.append(record)
-            total = monitor_time_s + (time.perf_counter() - started)
-            self.sensor_calls += sensor_calls
-            self.sensor_time_s += total
-        return total
-
     def degradation_counters(self) -> tuple[int, int, int]:
         """``(issued, sampled_out, shed)`` read atomically."""
-        with self._counter_lock:
+        with self._lock:
             return self.issued, self.sampled_out, self.shed
 
     # staticcheck: coldpath(plan-capture-miss-only)
@@ -257,7 +224,7 @@ class IntegratedMonitor:
                           now: float) -> bool:
         """Append a statistics sample, rate-limited so per-statement
         sampling does not flood the buffer."""
-        with self._counter_lock:
+        with self._lock:
             if now - self._last_statistics_at < STATISTICS_MIN_INTERVAL_S:
                 return False
             self._last_statistics_at = now
@@ -270,206 +237,176 @@ class IntegratedMonitor:
 
     # -- introspection ------------------------------------------------------
 
-    # staticcheck: hotpath
-    def note_sensor_call(self, elapsed_s: float) -> None:
-        """Account one sensor call's overhead (section V-A's per-call
-        measurement); called from every session thread."""
-        with self._counter_lock:
-            self.sensor_calls += 1
-            self.sensor_time_s += elapsed_s
-
-    def statistics_due(self, now: float) -> bool:
-        """Whether the rate limiter would admit a statistics sample at
-        ``now`` (advisory read; :meth:`record_statistics` re-checks
-        under the lock)."""
-        # Deliberate benign race: a stale read only delays or dupes the
-        # *advisory* answer, and the authoritative check re-reads under
-        # _counter_lock.  Taking the lock here would put an acquisition
-        # on every per-statement sampling probe.
-        return now - self._last_statistics_at >= STATISTICS_MIN_INTERVAL_S
-
     @property
     def average_sensor_call_s(self) -> float:
-        with self._counter_lock:
+        with self._lock:
             if self.sensor_calls == 0:
                 return 0.0
             return self.sensor_time_s / self.sensor_calls
 
     def reset_counters(self) -> None:
-        with self._counter_lock:
+        with self._lock:
             self.sensor_calls = 0
             self.sensor_time_s = 0.0
 
 
 class MonitorSensors:
-    """The in-core sensors, writing into the monitor; every call is
-    cheap and times itself with ``time.perf_counter`` — the 1-2
-    microsecond calls section V-A talks about.
+    """The in-core sensors, writing into the monitor.
 
-    One object serves every session of the engine: the session id each
-    statement is attributed to arrives with ``statement_start``.  A
-    session fires ``statement_start``; then ``parse_complete`` and, for
-    a SELECT, ``optimize_complete``, unless the statement was prepared;
-    then ``execute_complete`` and ``sample_statistics``, or
-    ``statement_error``.
+    One object serves every session of the engine.  A statement the
+    session has to parse fires ``statement_start``, ``parse_complete``
+    and, for a SELECT, ``optimize_complete``: each only notes what it
+    learnt on the :class:`StatementContext`.  A plan-cache hit fires
+    none of them — its ``PreparedStatement`` carries the same facts
+    under the same names.  Either way the statement ends in
+    ``execute_complete`` (``statement_error`` for a failure), which
+    records all of it and counts it as the figure-2 sensor points it
+    passed: 4 for a SELECT, 3 for any other statement.
     """
 
     def __init__(self, monitor: IntegratedMonitor) -> None:
         self.monitor = monitor
-        # Pre-bound fast-path callables: the plan-cache-hit path pays
-        # one attribute walk per sensor fire instead of two or three.
-        self._record_statement = monitor.record_statement
-        self._complete_statement = monitor.complete_statement
+        # The rings the terminal sensor writes under the monitor's lock.
+        self._statements = monitor.statements
+        self._workload = monitor.workload
 
     # staticcheck: hotpath
-    def statement_start(self, text: str, session_id: int = 0,
-                        text_hash: int | None = None,
-                        prepared: Any = None) -> StatementContext:
-        """Wallclock start + query text capture.  ``text_hash`` is the
-        statement's :func:`statement_key` where the caller has it.
-
-        ``prepared`` is the session's prepared statement for ``text``
-        (its ``kind``, ``tables`` and ``optimized`` plan) when it has
-        one: this call then also records what :meth:`parse_complete`
-        and — for a SELECT — :meth:`optimize_complete` would, counted as
-        those sensors, and the caller fires neither."""
-        t0 = time.perf_counter()
+    def statement_start(self, text: str,
+                        text_hash: int | None = None) -> StatementContext:
+        """A statement the session has to parse begins: its context,
+        keyed by ``text_hash`` (the text's :func:`statement_key`, which
+        is computed here where the caller does not have it)."""
         if text_hash is None:
             text_hash = statement_key(text)
-        # The statement's one read of the ladder level, without the
-        # lock: every later sensor and the admission gate decide by
-        # this stamp, so a transition that races the statement only
-        # decides which rung it is recorded at.
-        ctx = StatementContext(  # staticcheck: allocfree(per-statement-context-is-the-product)
-            text, text_hash, session_id, self.monitor.degradation_level)
-        # Deferred accounting: non-terminal sensors only bump the
-        # context; the terminal sensor folds the whole statement into
-        # the monitor's counters in one lock round-trip.
-        ctx.sensor_calls = 1
-        if prepared is not None:
-            ctx.sensor_calls = 2
-            self._parsed(ctx, prepared.tables)
-            # DML records no estimate, as on the path that plans it.
-            if prepared.kind == "select":
-                ctx.sensor_calls = 3
-                self._planned(ctx, prepared.optimized)
-        ctx.monitor_time_s = time.perf_counter() - t0
-        return ctx
-
-    # staticcheck: hotpath
-    def _parsed(self, ctx: StatementContext,
-                table_names: Sequence[str]) -> None:
-        """Bump the statement's record and, where this execution
-        inserted it, log its table references."""
-        # Ladder gating: SHED records nothing (not even the clock
-        # read); COUNTS_ONLY keeps the statement frequency bump but
-        # skips reference logging; SAMPLED and DETAILED record fully.
-        if ctx.degradation >= SHED:
-            return
-        monitor = self.monitor
-        # Deferred timestamping: the one wall-clock read this
-        # statement pays, reused by every later sensor.
-        ctx.wall_time = monitor.clock.now()
-        if (self._record_statement(ctx.text, ctx.text_hash, ctx.wall_time)
-                and ctx.degradation < COUNTS_ONLY):
-            ctx.logs_references = True
-            monitor.record_references(ctx.text_hash, table_names)
-
-    # staticcheck: hotpath
-    def _planned(self, ctx: StatementContext,
-                 optimized: "OptimizationResult") -> None:
-        """Record a SELECT's plan, prepared or just made: its estimate
-        and used indexes and, where the parse logged the statement's
-        references, its column and index references and — for a
-        statement expensive enough — its plan text, rendered only
-        then."""
-        cost = optimized.estimated_cost
-        ctx.estimated_io = cost.io
-        ctx.estimated_cpu = cost.cpu
-        ctx.used_indexes = optimized.used_indexes_text
-        if not ctx.logs_references:
-            return
-        monitor = self.monitor
-        monitor.record_references(ctx.text_hash, (),
-                                  optimized.referenced_columns,
-                                  optimized.used_indexes)
-        threshold = monitor.config.plan_capture_min_cost
-        estimated_total = cost.io + cost.cpu
-        if 0 < threshold <= estimated_total:
-            monitor.record_plan(ctx.text_hash, estimated_total,
-                                optimized.explain(), ctx.wall_time)
+        return StatementContext(text_hash)  # staticcheck: allocfree(per-parsed-statement-context-is-the-product)
 
     # staticcheck: hotpath
     def parse_complete(self, ctx: StatementContext, kind: str,
-                       table_names: Sequence[str]) -> None:
+                       table_names: tuple[str, ...]) -> None:
         """Called when the parser has resolved the statement's
         ``kind`` and tables."""
-        t0 = time.perf_counter()
-        self._parsed(ctx, table_names)
-        ctx.monitor_time_s += time.perf_counter() - t0
-        ctx.sensor_calls += 1
+        ctx.kind = kind
+        ctx.tables = table_names
 
     # staticcheck: hotpath
     def optimize_complete(self, ctx: StatementContext,
                           optimized: "OptimizationResult",
                           optimize_time_s: float) -> None:
         """Called with the optimizer's result for a SELECT the session
-        planned (the object a prepared statement carries to
-        :meth:`statement_start`)."""
-        t0 = time.perf_counter()
+        planned."""
+        ctx.optimized = optimized
         ctx.optimize_time_s = optimize_time_s
-        self._planned(ctx, optimized)
-        ctx.monitor_time_s += time.perf_counter() - t0
-        ctx.sensor_calls += 1
 
     # staticcheck: hotpath
-    def execute_complete(self, ctx: StatementContext,
-                         metrics: ExecutionMetrics, actual: Cost,
-                         wallclock_s: float) -> None:
-        """Called after execution with the executor's ``metrics``, their
-        ``actual`` cost and the statement's wallclock time."""
-        t0 = time.perf_counter()
-        # The monitor's gate counts this statement as issued and
-        # decides by its stamped level whether the record is kept —
-        # suppressed statements land in sampled_out/shed, so
-        # conservation stays exact under every ladder state.
-        # Positional, in the record's field order; the timestamp was
-        # captured once, when the statement was parsed.
-        ctx.monitor_time_s = self._complete_statement(_new_record(
-            WorkloadRecord, (
-                ctx.text_hash, ctx.session_id, ctx.wall_time,
-                ctx.optimize_time_s, wallclock_s, wallclock_s,
-                ctx.estimated_io, ctx.estimated_cpu, actual.io, actual.cpu,
-                metrics.logical_reads, metrics.physical_reads,
-                metrics.tuples_processed, metrics.rows_returned,
-                ctx.used_indexes, ctx.monitor_time_s)),
-            ctx.degradation, ctx.sensor_calls + 1, ctx.monitor_time_s, t0)
+    def execute_complete(self, statement: Any, text: str, session_id: int,
+                         metrics: ExecutionMetrics, wallclock_s: float,
+                         io_page_cost: float,
+                         statistics: Callable[[], Mapping[str, Any]] | None,
+                         ) -> None:
+        """Record a statement of session ``session_id`` that ended:
+        ``statement`` is its prepared statement or its context, ``text``
+        the text it ran, ``metrics`` the executor's (converted to
+        actual costs at ``io_page_cost`` per page read) and
+        ``wallclock_s`` its time.  ``statistics`` supplies a
+        system-wide statistics sample, called only when one is due."""
+        t0 = perf_counter()
+        monitor = self.monitor
+        # The statement's one read of the ladder level, without the
+        # lock: it decides the bump, the references, the gate and the
+        # append, so a transition that races the statement only
+        # decides which rung it is recorded at.  SHED records nothing,
+        # not even the clock read; COUNTS_ONLY keeps the statement
+        # bump but logs no references.
+        level = monitor.degradation_level
+        # The statement's one clock read: its row's timestamp and its
+        # statement record's last_seen.
+        now = monitor.clock.now() if level < SHED else 0.0  # staticcheck: allocfree(one-clock-read-per-statement)
+        kind = statement.kind
+        # DML records no estimate, prepared or not.
+        optimized = statement.optimized if kind == "select" else None
+        if optimized is None:
+            estimated_io = estimated_cpu = 0.0
+            used_indexes = ""
+        else:
+            cost = optimized.estimated_cost
+            estimated_io, estimated_cpu = cost.io, cost.cpu
+            used_indexes = optimized.used_indexes_text
+        text_hash = statement.shape_hash
+        reads, tuples = metrics.logical_reads, metrics.tuples_processed
+        # Positional, in the record's field order.
+        record = _new_record(WorkloadRecord, (
+            text_hash, session_id, now, statement.optimize_time_s,
+            wallclock_s, wallclock_s, estimated_io, estimated_cpu,
+            reads * io_page_cost, tuples * CPU_TUPLE_COST,
+            reads, metrics.physical_reads, tuples, metrics.rows_returned,
+            used_indexes, perf_counter() - t0))
+        with monitor._lock:
+            # A statement that failed before its parse has no record.
+            known = (kind is None or level == SHED
+                     or self._statements.bump_held(
+                         text_hash, StatementRecord.bumped, now))
+            # The admission gate: every statement is issued, and
+            # admitted, sampled out or shed, so conservation stays
+            # exact under every ladder state.
+            monitor.issued += 1
+            if level == DETAILED or monitor._admit_degraded(level):
+                self._workload.append_held(record)
+            monitor.sensor_calls += 2 + (kind is not None) \
+                + (optimized is not None)
+            t1 = perf_counter()
+            monitor.sensor_time_s += t1 - t0
+        logged = (not known
+                  and monitor.record_statement(text, text_hash, now)
+                  and level < COUNTS_ONLY)
+        if logged:
+            self._log_objects(statement, optimized, now)
+        # An advisory read without the lock: record_statistics re-checks
+        # under it, so a stale read only delays or drops one sample.
+        sampled = (statistics is not None and level < SHED
+                   and now - monitor._last_statistics_at
+                   >= STATISTICS_MIN_INTERVAL_S)
+        if sampled:
+            self.sample_statistics(statistics, now)
+        if logged or sampled:
+            with monitor._lock:
+                monitor.sensor_time_s += perf_counter() - t1
 
-    def statement_error(self, ctx: StatementContext, error: str) -> None:
+    def _log_objects(self, statement: Any,
+                     optimized: "OptimizationResult | None",
+                     now: float) -> None:
+        """The execution that inserted the statement's record logs its
+        object references and — for a SELECT expensive enough — its
+        plan text, rendered only then."""
+        monitor = self.monitor
+        text_hash = statement.shape_hash
+        if optimized is None:
+            monitor.record_references(text_hash, statement.tables)
+            return
+        monitor.record_references(text_hash, statement.tables,
+                                  optimized.referenced_columns,
+                                  optimized.used_indexes)
+        threshold = monitor.config.plan_capture_min_cost
+        cost = optimized.estimated_cost
+        estimated_total = cost.io + cost.cpu
+        if 0 < threshold <= estimated_total:
+            monitor.record_plan(text_hash, estimated_total,
+                                optimized.explain(), now)
+
+    def statement_error(self, statement: Any, text: str, session_id: int,
+                        error: str) -> None:
         """Called when a statement fails anywhere in the pipeline."""
         # Errors still count as executions, with no work done, so that
         # the statement history shows failing statements; they pass
         # the same gate, so they stay inside the conservation ledger.
-        # One that failed before its parse read no clock yet.
-        if not ctx.wall_time and ctx.degradation < SHED:
-            ctx.wall_time = self.monitor.clock.now()
-        self.execute_complete(ctx, _NO_WORK, _NO_COST, 0.0)
+        self.execute_complete(statement, text, session_id, _NO_WORK, 0.0,
+                              0.0, None)
 
-    # staticcheck: hotpath
+    # staticcheck: coldpath(rate-limited-1-per-s)
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],
-                          ctx: StatementContext) -> None:
+                          now: float) -> None:
         """Record a sample of system-wide statistics (sessions, locks,
-        cache usage, ...) at the wall-clock time ``ctx`` read for its
-        statement, if one is due: ``supplier`` is invoked only then, so
-        gathering the values costs at most once per
-        :data:`STATISTICS_MIN_INTERVAL_S`.  A statement that started at
-        SHED read no clock and takes no sample."""
-        if ctx.degradation >= SHED:
-            return
-        monitor = self.monitor
-        now = ctx.wall_time
-        if not monitor.statistics_due(now):
-            return
-        t0 = time.perf_counter()
-        monitor.record_statistics(supplier(), now)
-        monitor.note_sensor_call(time.perf_counter() - t0)
+        cache usage, ...) at ``now``, the wall-clock time of the
+        statement whose terminal sensor found one due: ``supplier`` is
+        invoked only then, so gathering the values costs at most once
+        per :data:`STATISTICS_MIN_INTERVAL_S`."""
+        self.monitor.record_statistics(supplier(), now)

@@ -26,15 +26,20 @@ K = TypeVar("K")
 
 
 class RingBuffer(Generic[T]):
-    """Fixed-capacity append-only window with sequence numbers."""
+    """Fixed-capacity append-only window with sequence numbers.
 
-    def __init__(self, capacity: int) -> None:
+    Seqs are consecutive, so the window stores bare items and a
+    position gives each item's seq.  ``lock`` lets an owner share one
+    lock across several rings (the monitor does, for the rings its
+    terminal sensor writes in one critical section)."""
+
+    def __init__(self, capacity: int,
+                 lock: threading.Lock | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"ring buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._items: list[tuple[int, T]] = \
-            []  # staticcheck: shared(_lock)
+        self._lock = lock or threading.Lock()
+        self._items: list[T] = []  # staticcheck: shared(_lock)
         # _start is the physical index of the oldest element.
         self._start = 0  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
@@ -45,15 +50,20 @@ class RingBuffer(Generic[T]):
         """Add ``item``; returns its sequence number.  Overwrites the
         oldest entry once full."""
         with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            if len(self._items) < self.capacity:
-                self._items.append((seq, item))
-            else:
-                self._items[self._start] = (seq, item)
-                self._start = (self._start + 1) % self.capacity
-                self._dropped += 1
-            return seq
+            return self.append_held(item)
+
+    # staticcheck: hotpath; guarded-by(_lock)
+    def append_held(self, item: T) -> int:
+        """:meth:`append` for a caller that holds the ring's lock."""
+        seq = self._next_seq
+        self._next_seq += 1
+        if len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self._items[self._start] = item
+            self._start = (self._start + 1) % self.capacity
+            self._dropped += 1
+        return seq
 
     def __len__(self) -> int:
         with self._lock:
@@ -70,20 +80,27 @@ class RingBuffer(Generic[T]):
         with self._lock:
             return self._dropped
 
-    def snapshot(self, min_seq: int = 0) -> list[tuple[int, T]]:
-        """(seq, item) pairs with seq > ``min_seq``, oldest first."""
+    def _window(self, min_seq: int) -> tuple[int, list[T]]:
+        """The seq of the first item above ``min_seq`` and the items
+        from it on, oldest first."""
         with self._lock:
             items, start, n = self._items, self._start, len(self._items)
-            # Seqs are consecutive and end at _next_seq - 1, so the
-            # rows above the floor are a suffix of the window: a reader
-            # that is nearly caught up pays for the new rows only.
-            first = start + max(0, min_seq + 1 + n - self._next_seq)
+            # The rows above the floor are a suffix of the window: a
+            # reader that is nearly caught up pays for the new rows only.
+            skip = max(0, min_seq + 1 + n - self._next_seq)
+            first_seq = self._next_seq - n + skip
+            first = start + skip
             if first >= n:
-                return items[first - n:start]
-            return items[first:] + items[:start]
+                return first_seq, items[first - n:start]
+            return first_seq, items[first:] + items[:start]
+
+    def snapshot(self, min_seq: int = 0) -> list[tuple[int, T]]:
+        """(seq, item) pairs with seq > ``min_seq``, oldest first."""
+        first_seq, items = self._window(min_seq)
+        return list(zip(range(first_seq, first_seq + len(items)), items))
 
     def values(self) -> list[T]:
-        return [item for _seq, item in self.snapshot()]
+        return self._window(0)[1]
 
     def clear(self) -> None:
         """Empty the window and reset drop accounting.
@@ -100,13 +117,15 @@ class RingBuffer(Generic[T]):
 
 
 class KeyedRingBuffer(Generic[K, T]):
-    """LRU-bounded map with per-entry update sequence numbers."""
+    """LRU-bounded map with per-entry update sequence numbers
+    (``lock`` as for :class:`RingBuffer`)."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int,
+                 lock: threading.Lock | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"ring buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
+        self._lock = lock or threading.Lock()
         self._items: OrderedDict[K, tuple[int, T]] = \
             OrderedDict()  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
@@ -118,27 +137,27 @@ class KeyedRingBuffer(Generic[K, T]):
             entry = self._items.get(key)
             return entry[1] if entry is not None else None
 
-    # staticcheck: hotpath
-    def bump(self, key: K, update: Callable[[T, Any], T],
-             arg: Any) -> bool:
-        """Refresh ``key``'s entry in place: the stored value becomes
-        ``update(value, arg)``, most-recently-used, with a fresh
-        ``updated_seq``.  Returns False — touching nothing — when
-        ``key`` is absent; the caller owns the miss path.
+    # staticcheck: hotpath; guarded-by(_lock)
+    def bump_held(self, key: K, update: Callable[[T, Any], T],
+                  arg: Any) -> bool:
+        """Refresh ``key``'s entry in place, for a caller that holds the
+        ring's lock: the stored value becomes ``update(value, arg)``,
+        most-recently-used, with a fresh ``updated_seq``.  Returns
+        False — touching nothing — when ``key`` is absent; the caller
+        owns the miss path.
 
         Unlike :meth:`upsert` the callback takes its argument
         explicitly, so hit paths (the per-statement common case) need
         no per-call closure object.
         """
-        with self._lock:
-            entry = self._items.get(key)
-            if entry is None:
-                return False
-            seq = self._next_seq
-            self._next_seq += 1
-            self._items[key] = (seq, update(entry[1], arg))
-            self._items.move_to_end(key)
-            return True
+        entry = self._items.get(key)
+        if entry is None:
+            return False
+        seq = self._next_seq
+        self._next_seq += 1
+        self._items[key] = (seq, update(entry[1], arg))
+        self._items.move_to_end(key)
+        return True
 
     # staticcheck: hotpath
     def upsert(self, key: K, create: Callable[[], T],

@@ -1,4 +1,4 @@
-"""What the sensors share: statement keys and the per-statement context.
+"""What the sensors share: statement keys and the parsed-statement context.
 
 Figure 2 of the paper places local sensors along the path a statement
 takes through the DBMS: wallclock start, query text at the parser,
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sql.lexer import statement_shape
 
@@ -41,39 +42,16 @@ def statement_key(text: str) -> int:
 
 @dataclass(slots=True)
 class StatementContext:
-    """Per-statement scratchpad threaded through the sensor calls.  The
-    leading fields are what ``statement_start`` knows (it builds one
-    per statement, positionally)."""
+    """What the parse and plan sensors learn about a statement the
+    session had to parse, under the attribute names a prepared
+    statement carries the same facts by, so the terminal sensor reads
+    either one the same way.  A statement that failed before its parse
+    has no ``kind``."""
 
-    text: str
-    text_hash: int
+    shape_hash: int
     """:func:`statement_key` of the text."""
-    session_id: int = 0
-    degradation: int = 0
-    """Monitor degradation level stamped at statement_start, the
-    statement's one read of it: every later sensor and the monitor's
-    admission gate (which counts issued/sampled_out/shed by it) decide
-    by this value, so the statement is recorded at the rung it
-    started on."""
-    monitor_time_s: float = 0.0
-    """Time spent inside monitoring code for this statement (figure 5)."""
-    sensor_calls: int = 0
-    """Sensor fires so far, folded into the monitor's counters by the
-    terminal sensor in one lock round-trip (deferred accounting)."""
-    wall_time: float = 0.0
-    """Wall-clock timestamp captured once per statement, by the sensor
-    that records its parse (``parse_complete``, or ``statement_start``
-    for a prepared statement), and reused by every later sensor and the
-    statistics sample — deferred timestamping: records for one
-    statement are written microseconds apart and share one clock read
-    instead of paying one syscall per record."""
-    logs_references: bool = False
-    """Whether this execution logs the statement's object references
-    and captures its plan: the parse inserted the statement's record
-    and the stamped level is above COUNTS_ONLY."""
-    # Scratch fields filled by earlier sensors, consumed at execute_complete.
-    estimated_io: float = 0.0
-    estimated_cpu: float = 0.0
+    kind: str | None = None
+    tables: tuple[str, ...] = ()
+    optimized: Any = None
+    """The optimizer's result, for a SELECT the session planned."""
     optimize_time_s: float = 0.0
-    used_indexes: str = ""
-    """Comma-joined, as the workload record carries them."""

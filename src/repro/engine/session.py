@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro import faultsim
 from repro.catalog.schema import (
@@ -80,6 +80,7 @@ class PreparedStatement:
     """``(slot, value)`` of each literal a reusing text must share."""
     program: Program | None = None
     """The plan's compiled steps; None for transaction control."""
+    optimize_time_s: ClassVar[float] = 0.0  # no execution plans it
 
     @cached_property
     def shape_hash(self) -> int:
@@ -118,6 +119,7 @@ class Session:
         self.session_id = session_id
         self.sensors: "MonitorSensors | None" = engine.sensors
         self.optimizer = Optimizer(database, engine.config)
+        self._io_page_cost = self.optimizer.cost_model.config.io_page_cost
         self.executor = Executor(database, database.pool, database.disk)
         self._explicit_txn: Transaction | None = None
         self.closed = False
@@ -180,13 +182,10 @@ class Session:
         clock = self.engine.clock
         started = clock.monotonic()
         prepared, key, values = self._lookup(text)
-        ctx = None
-        if sensors is not None:
-            # A prepared statement's parse and plan sensors fire here,
-            # in this one call.
-            ctx = sensors.statement_start(text, self.session_id, (
-                prepared.shape_hash if prepared is not None
-                else statement_hash(key[0])), prepared)
+        # A prepared statement fires no sensor before its terminal one.
+        ctx = prepared
+        if sensors is not None and prepared is None:
+            ctx = sensors.statement_start(text, statement_hash(key[0]))
         try:
             # Fault seam inside the monitored region: injected failures
             # and slow queries are observed by the sensors like real
@@ -200,7 +199,7 @@ class Session:
                 statement = parse_statement(text)
                 kind, tables = _kind(statement), _statement_tables(statement)
                 origin = (text, key, values)
-                if ctx is not None:
+                if sensors is not None:
                     sensors.parse_complete(ctx, kind, tables)
             if kind == "select":
                 result = self._execute_select(statement, tables, ctx, values,
@@ -214,17 +213,17 @@ class Session:
                 if origin is not None and handler is _transaction_control:
                     self._store(*origin, statement)
         except ReproError as error:
-            if ctx is not None:
-                sensors.statement_error(ctx, str(error))
+            if sensors is not None:
+                sensors.statement_error(ctx, text, self.session_id,
+                                        str(error))
             raise
-        if ctx is not None:
+        if sensors is not None:
             # Actual costs are a query's; DML and DDL report none.
-            metrics = getattr(result, "metrics", _NO_WORK)
             sensors.execute_complete(
-                ctx, metrics, self.optimizer.cost_model.actual_cost(
-                    metrics.logical_reads, metrics.tuples_processed),
-                clock.monotonic() - started)
-            sensors.sample_statistics(self.engine.system_statistics, ctx)
+                ctx, text, self.session_id,
+                getattr(result, "metrics", _NO_WORK),
+                clock.monotonic() - started, self._io_page_cost,
+                self.engine.system_statistics)
         return result
 
     def explain(self, text: str) -> str:
@@ -294,7 +293,8 @@ class Session:
 
     def _execute_select(self, statement: ast.SelectStatement,
                         tables: tuple[str, ...],
-                        ctx: StatementContext | None, values: tuple,
+                        ctx: "StatementContext | PreparedStatement | None",
+                        values: tuple,
                         prepared: PreparedStatement | None,
                         origin: tuple[str, tuple, tuple] | None,
                         ) -> QueryResult:

@@ -14,6 +14,7 @@ from repro.core import sensors as sensors_module
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.sensors import statement_hash, statement_key
 from repro.errors import ReproError
+from repro.execution.executor import ExecutionMetrics
 from repro.setups import monitoring_setup, original_setup
 
 
@@ -254,14 +255,20 @@ class TestMonitorSensorsPipeline:
         assert [w.text_hash for w in setup.monitor.workload.values()] \
             == [key, key]
 
+    @staticmethod
+    def _parsed_select(sensors, text):
+        """One parsed SELECT of ``t`` through the sensors, unplanned."""
+        ctx = sensors.statement_start(text)
+        sensors.parse_complete(ctx, "select", ("t",))
+        sensors.execute_complete(ctx, text, 0, ExecutionMetrics(), 0.0,
+                                 4.0, None)
+
     def test_statement_cache_skips_rereferencing(self):
         monitor = IntegratedMonitor(MonitorConfig())
         sensors = MonitorSensors(monitor)
-        ctx1 = sensors.statement_start("select a from t")
-        sensors.parse_complete(ctx1, "select", ("t",))
+        self._parsed_select(sensors, "select a from t")
         first_freq = monitor.tables.get("t").frequency
-        ctx2 = sensors.statement_start("select a from t")
-        sensors.parse_complete(ctx2, "select", ("t",))
+        self._parsed_select(sensors, "select a from t")
         assert monitor.tables.get("t").frequency == first_freq  # cached
 
     def test_evicted_statement_relogs(self):
@@ -269,10 +276,10 @@ class TestMonitorSensorsPipeline:
         # so every execution inserts its record and logs its references.
         monitor = IntegratedMonitor(MonitorConfig(statement_buffer_size=1))
         sensors = MonitorSensors(monitor)
-        for text in ("select a from t", "select b from t") * 3:
-            ctx = sensors.statement_start(text)
-            sensors.parse_complete(ctx, "select", ("t",))
-            assert ctx.logs_references
+        for runs, text in enumerate(("select a from t",
+                                     "select b from t") * 3, start=1):
+            self._parsed_select(sensors, text)
+            assert monitor.tables.get("t").frequency == runs
         assert monitor.tables.get("t").frequency == 6
         assert monitor.statements.evicted == 5
 
@@ -451,3 +458,55 @@ class TestPlannedAndPreparedPathsAgree:
 
         assert contents(prepared) == contents(planned)
         assert len(planned.plans) > 0
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestCachedStatementIsOneRecording:
+    def test_one_lock_acquisition_and_no_context(self, monkeypatch):
+        """A repeated cached statement is recorded in one critical
+        section of the monitor and builds no per-statement context."""
+        setup = monitoring_setup(clock=VirtualClock(1000.0))
+        session = _session(setup)
+        monitor = setup.monitor
+        text = "select b from t where a = 1"
+        for _ in range(2):  # prepared, and its statement known
+            session.execute(text)
+        # Every lock the monitor or one of its rings holds, counted
+        # once per lock object (rings may share their owner's lock).
+        proxies = {}
+        rings = [value for value in vars(monitor).values()
+                 if hasattr(value, "snapshot")]
+        for owner in (monitor, *rings):
+            for name, value in list(vars(owner).items()):
+                if name.endswith("_lock"):
+                    proxy = proxies.setdefault(id(value),
+                                               _CountingLock(value))
+                    monkeypatch.setattr(owner, name, proxy)
+        contexts = []
+        real = monitor_module.StatementContext
+        monkeypatch.setattr(monitor_module, "StatementContext",
+                            lambda *args: contexts.append(args) or real(*args))
+        hits = session.plan_cache_hits
+        appended = monitor.workload.total_appended
+        acquired = sum(proxy.acquired for proxy in proxies.values())
+        session.execute(text)
+        assert session.plan_cache_hits == hits + 1
+        assert sum(proxy.acquired
+                   for proxy in proxies.values()) - acquired == 1
+        assert contexts == []
+        assert monitor.workload.total_appended == appended + 1
+        assert monitor.statements.get(statement_key(text)).frequency == 3

@@ -110,16 +110,15 @@ class TestThreadMode:
         load_nref(setup.engine.database("nref"), scale)
         # Corrupt the attribution: every statement of session 1 is
         # recorded as session 999's.
-        monitor = setup.monitor
-        real = monitor.complete_statement
+        sensors = MonitorSensors(setup.monitor)
+        real = sensors.execute_complete
 
-        def misattribute(record, *args):
-            if record.session_id == 1:
-                record = record._replace(session_id=999)
-            return real(record, *args)
+        def misattribute(statement, text, session_id, *args):
+            return real(statement, text,
+                        999 if session_id == 1 else session_id, *args)
 
-        monitor.complete_statement = misattribute
-        setup.engine.sensors = MonitorSensors(monitor)
+        sensors.execute_complete = misattribute
+        setup.engine.sensors = sensors
         driver = ThreadedDriver(
             setup.engine, "nref",
             [point_query_statements(4, scale, seed=400 + i)

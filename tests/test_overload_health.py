@@ -36,10 +36,9 @@ from repro.core.overload import (
     conservation_report,
 )
 from repro.core.records import WorkloadRecord
+from repro.core.sensors import StatementContext, statement_key
 from repro.errors import InjectedFault, MonitorError, ReproError
-from repro.execution.executor import ExecutionMetrics
 from repro.invariants import conservation_violations
-from repro.optimizer.cost_model import Cost
 from repro.setups import attach_supervisor, daemon_setup, monitoring_setup
 from repro.workloads import (
     NrefScale,
@@ -66,15 +65,13 @@ def _record(text_hash: int, session_id: int,
         rows_returned=0, used_indexes="", monitor_time_s=0.0)
 
 
-def _complete(monitor: IntegratedMonitor,
-              record: WorkloadRecord | None = None) -> bool:
-    """One statement started at the monitor's current level through
-    its admission gate, as its terminal sensor passes it; True if its
-    record was admitted."""
+def _complete(monitor: IntegratedMonitor, text_hash: int = 0) -> bool:
+    """One statement that failed before its parse, through its
+    terminal sensor and so the admission gate at the monitor's current
+    level; True if its record was admitted."""
     appended = monitor.workload.total_appended
-    monitor.complete_statement(record or _record(0, 1),
-                               monitor.degradation_level, 1, 0.0,
-                               time.perf_counter())
+    MonitorSensors(monitor).statement_error(
+        StatementContext(text_hash), "select", 1, "failed")
     return monitor.workload.total_appended > appended
 
 
@@ -156,55 +153,102 @@ class TestAdmissionGate:
         assert _complete(monitor)  # k=1 degenerates to DETAILED
 
 
+class _CountingClock(VirtualClock):
+    """A virtual clock that counts its wall-clock reads."""
+
+    reads = 0
+
+    def now(self) -> float:
+        self.reads += 1
+        return super().now()
+
+
 class TestOneLevelRead:
-    """A statement is recorded at the level it started at: a transition
-    between ``statement_start`` and ``execute_complete`` decides
-    nothing about it."""
+    """The terminal sensor's one read of the ladder level decides
+    everything a statement records — the statement bump, the
+    references, the gate and the append — so a transition after the
+    statement began decides nothing about it."""
 
-    def _sensors(self) -> tuple[IntegratedMonitor, MonitorSensors]:
-        monitor = IntegratedMonitor(MonitorConfig(), VirtualClock(1000.0))
-        return monitor, MonitorSensors(monitor)
+    # kind -> (text, prepared): each text is new to the monitor unless
+    # it is prepared, which the fixture does by running it once.
+    STATEMENTS = {
+        "prepared select": ("select a from t where a = 1", True),
+        "prepared dml": ("update t set a = 2 where a = 2", True),
+        "parsed select": ("select a, a from t where a > 5", False),
+        "error before parse": ("select 'open", False),
+        "error after parse": ("select * from missing_table", False),
+    }
+    # rung -> (issued, sampled_out, shed) for one statement.
+    COUNTERS = {DETAILED: (1, 0, 0), SAMPLED: (1, 1, 0),
+                COUNTS_ONLY: (1, 1, 0), SHED: (1, 0, 1)}
 
-    def _run(self, monitor: IntegratedMonitor, sensors: MonitorSensors,
-             level_mid_statement: int) -> list[str]:
-        """One statement, with the ladder moved after its parse; the
-        statistics suppliers it called."""
-        supplied: list[str] = []
-        ctx = sensors.statement_start("select a from t", 1)
-        sensors.parse_complete(ctx, "select", ("t",))
+    @pytest.mark.parametrize("kind", STATEMENTS)
+    @pytest.mark.parametrize("rung", [DETAILED, SAMPLED, COUNTS_ONLY, SHED],
+                             ids=[LEVEL_NAMES[level] for level in (
+                                 DETAILED, SAMPLED, COUNTS_ONLY, SHED)])
+    def test_terminal_level_decides(self, rung, kind):
+        text, prepared = self.STATEMENTS[kind]
+        clock = _CountingClock(1000.0)
+        setup = monitoring_setup(clock=clock)
+        setup.engine.create_database("db")
+        session = setup.engine.connect("db")
+        session.execute("create table t (a integer)")
+        session.execute("insert into t values (1)")
+        if prepared:
+            session.execute(text)
+        monitor, sensors = setup.monitor, session.sensors
+        key = statement_key(text)
+        before = monitor.statements.get(key)
+        frequency = before.frequency if before is not None else 0
+        references = len(monitor.references)
+        appended = monitor.workload.total_appended
+        counters = monitor.degradation_counters()
+        # A parsed statement starts at the opposite end of the ladder
+        # and the transition to ``rung`` lands right after it began; a
+        # prepared one fires no sensor before its terminal one.
+        start = sensors.statement_start
+        started = []
+
+        def statement_start(*args):
+            started.append(args)
+            monitor.set_degradation(rung)
+            return start(*args)
+
+        sensors.statement_start = statement_start
+        monitor.set_degradation(rung if prepared
+                                else SHED if rung != SHED else DETAILED)
+        clock.advance(2.0)  # a statistics sample is due
+        samples = len(monitor.statistics)
+        reads = clock.reads
+        try:
+            session.execute(text)
+        except ReproError:
+            assert kind.startswith("error")
+        assert len(started) == (not prepared)
+        assert tuple(after - earlier for after, earlier in zip(
+            monitor.degradation_counters(), counters)) == self.COUNTERS[rung]
         assert conservation_violations(monitor) == []
-        monitor.set_degradation(level_mid_statement)
-        sensors.execute_complete(ctx, ExecutionMetrics(), Cost(), 0.0)
-        sensors.sample_statistics(lambda: supplied.append("called") or {},
-                                  ctx)
-        assert conservation_violations(monitor) == []
-        return supplied
-
-    def test_started_detailed_is_admitted_after_shed(self):
-        monitor, sensors = self._sensors()
-        self._run(monitor, sensors, SHED)
-        assert monitor.degradation_counters() == (1, 0, 0)
-        (record,) = monitor.workload.values()
-        assert record.timestamp == 1000.0
-
-    def test_started_shed_is_shed_after_recovery(self):
-        monitor, sensors = self._sensors()
-        monitor.set_degradation(SHED)
-        supplied = self._run(monitor, sensors, DETAILED)
-        assert monitor.degradation_counters() == (1, 0, 1)
-        assert monitor.workload.total_appended == 0
-        assert len(monitor.statements) == 0
-        assert supplied == []
-        assert len(monitor.statistics) == 0
-
-    def test_error_before_parse_is_stamped(self):
-        monitor, sensors = self._sensors()
-        ctx = sensors.statement_start("select 'open", 1)
-        monitor.clock.advance(5.0)
-        sensors.statement_error(ctx, "unterminated string")
-        (record,) = monitor.workload.values()
-        assert record.timestamp == 1005.0
-        assert conservation_violations(monitor) == []
+        assert monitor.workload.total_appended - appended == (
+            rung == DETAILED)
+        # SHED reads no clock, takes no statistics sample and bumps
+        # nothing; a statement that failed before its parse has no
+        # statement record at any rung.
+        assert clock.reads - reads == (rung != SHED)
+        assert len(monitor.statistics) - samples == (
+            rung != SHED and not kind.startswith("error"))
+        if rung == DETAILED:
+            assert monitor.workload.values()[-1].timestamp == 1002.0
+        after = monitor.statements.get(key)
+        if kind == "error before parse":
+            assert after is None
+        else:
+            assert (after.frequency if after is not None else 0) \
+                == frequency + (rung != SHED)
+        # Only the execution that inserts a statement's record logs its
+        # references, and only above COUNTS_ONLY.
+        assert (len(monitor.references) > references) == (
+            not prepared and kind != "error before parse"
+            and rung < COUNTS_ONLY)
 
 
 class TestSensorGating:
@@ -603,7 +647,7 @@ class TestMergedViewsDegraded:
     def test_shed_shard_serves_its_frozen_window(self):
         monitor = _monitor()
         for i in range(3):
-            assert _complete(monitor, _record(i, 1))
+            assert _complete(monitor, i)
             monitor.record_statement(f"select {i}", i, now=float(i))
         monitor.set_degradation(SHED)
         # SHED gates *admission*, not the view: already-recorded rows

@@ -50,11 +50,11 @@ MUTATIONS = {
             "        with self._lock:\n"
             "            seq = self._next_seq\n"
             "            self._next_seq += 1\n"
-            "            if len(self._items) < self.capacity:\n",
+            "            items = self._items\n",
             "        seq = self._next_seq\n"
             "        self._next_seq += 1\n"
             "        with self._lock:\n"
-            "            if len(self._items) < self.capacity:\n"),)),
+            "            items = self._items\n"),)),
     "LCK003": Mutation(
         # The pending-row cap flushes while holding _lock, which the
         # flush takes again: a self-deadlock.
@@ -80,13 +80,13 @@ MUTATIONS = {
             "            writebacks"),),
         deep_with=("storage/disk.py",)),
     "GRW001": Mutation(
-        # The monitor keeps every admitted record forever.
+        # The sensors keep every admitted record forever.
         "GRW001", "core/monitor.py", (
-            ("        self.shed = 0  # staticcheck: shared(_counter_lock)\n",
-             "        self.shed = 0  # staticcheck: shared(_counter_lock)\n"
+            ("        self._workload = monitor.workload\n",
+             "        self._workload = monitor.workload\n"
              "        self.history: list[WorkloadRecord] = []\n"),
-            ("                self.workload.append(record)\n",
-             "                self.workload.append(record)\n"
+            ("                self._workload.append_held(record)\n",
+             "                self._workload.append_held(record)\n"
              "                self.history.append(record)\n"))),
     "CLK001": Mutation(
         # A journal entry stamped off the wall clock, not the Clock.
@@ -105,10 +105,10 @@ MUTATIONS = {
             "        except Exception:\n"
             "            marks = {}\n"),)),
     "PRF001": Mutation(
-        # A list built per parsed statement.
+        # A list built per inserted statement.
         "PRF001", "core/monitor.py", ((
-            "monitor.record_references(ctx.text_hash, table_names)",
-            "monitor.record_references(ctx.text_hash, list(table_names))"),)),
+            "monitor.record_references(text_hash, statement.tables)",
+            "monitor.record_references(text_hash, list(statement.tables))"),)),
     "PRF002": Mutation(
         # The flush loop re-walks self.workload_db.append per table.
         "PRF002", "core/daemon.py", ((
@@ -117,13 +117,13 @@ MUTATIONS = {
     "PRF003": Mutation(
         # Used indexes formatted per planned statement.
         "PRF003", "core/monitor.py", ((
-            "        ctx.used_indexes = optimized.used_indexes_text\n",
-            '        ctx.used_indexes = f"{optimized.used_indexes_text}"\n'),)),
+            "            used_indexes = optimized.used_indexes_text\n",
+            '            used_indexes = f"{optimized.used_indexes_text}"\n'),)),
     "PRF004": Mutation(
         # A captured plan re-reads the clock instead of the statement's
         # timestamp.
         "PRF004", "core/monitor.py", ((
-            "optimized.explain(), ctx.wall_time)",
+            "optimized.explain(), now)",
             "optimized.explain(), monitor.clock.now())"),)),
     "PRF005": Mutation(
         # Each polled batch is copied while the daemon holds _lock.
