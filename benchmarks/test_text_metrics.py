@@ -20,6 +20,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig, MonitorConfig
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
+from repro.core.sensors import statement_key
 from repro.execution.executor import ExecutionMetrics
 from repro.setups import daemon_setup, original_setup
 from repro.sql.parser import parse_statement
@@ -48,7 +49,7 @@ class TestSensorOverhead:
 
         def drive():
             for text in statements:
-                ctx = sensors.statement_start(text)
+                ctx = sensors.statement_start(statement_key(text))
                 sensors.parse_complete(ctx, "select", ("protein",))
                 sensors.optimize_complete(ctx, optimized, 0.0)
                 sensors.execute_complete(ctx, text, 0, metrics, 0.0005, 4.0,

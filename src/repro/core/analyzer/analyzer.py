@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import faultsim
-from repro.core.analyzer.index_advisor import AdvisorConfig, IndexAdvisor
+from repro.core.analyzer.index_advisor import IndexAdvisor
 from repro.errors import AnalyzerError
 from repro.core.analyzer.recommendations import Recommendation
 from repro.core.analyzer.reports import (
@@ -15,7 +15,7 @@ from repro.core.analyzer.reports import (
     cost_diagram,
     locks_diagram,
 )
-from repro.core.analyzer.rules import RuleConfig, RuleFindings, run_rules
+from repro.core.analyzer.rules import RuleFindings, run_rules
 from repro.core.analyzer.trends import (
     Prediction,
     Trend,
@@ -47,8 +47,6 @@ class AnalysisReport:
     predictions: list[Prediction] = field(default_factory=list)
     duration_s: float = 0.0
     statements_analyzed: int = 0
-    templates_analyzed: int = 0
-    """Distinct statement shapes the index advisor reasoned over."""
     whatif_calls: int = 0
     rows_folded: int = 0
     """Workload-DB rows this scan read to build its view."""
@@ -65,9 +63,8 @@ class AnalysisReport:
             "=" * 72,
             "ANALYZER REPORT",
             "=" * 72,
-            f"statements analyzed: {self.statements_analyzed} in "
-            f"{self.templates_analyzed} templates, {self.whatif_calls} "
-            f"what-if calls, {self.rows_folded} rows read "
+            f"statements analyzed: {self.statements_analyzed}, "
+            f"{self.whatif_calls} what-if calls, {self.rows_folded} rows read "
             f"(analysis took {self.duration_s:.1f}s)",
             "",
             f"statements with significant cost divergence: "
@@ -108,12 +105,8 @@ class Analyzer:
     """Scans collected monitor data and recommends design changes."""
 
     def __init__(self, database: "Database",
-                 rule_config: RuleConfig | None = None,
-                 advisor_config: AdvisorConfig | None = None,
                  thresholds: dict[str, float] | None = None) -> None:
         self.database = database
-        self.rule_config = rule_config or RuleConfig()
-        self.advisor_config = advisor_config or AdvisorConfig()
         self.thresholds = thresholds or {}
 
     def analyze_workload_db(self, workload_db: WorkloadDatabase,
@@ -138,14 +131,10 @@ class Analyzer:
     def _analyze(self, view: WorkloadView, top_statements: int,
                  rows_folded: int) -> AnalysisReport:
         started = self.database.clock.monotonic()
-        findings = run_rules(view, self.database, self.rule_config)
-        advisor = IndexAdvisor(self.database, self.advisor_config)
-        advice = advisor.advise(view.select_statements())
-        virtual_costs = {
-            a.text_hash: a.virtual_estimated_cost for a in advice.per_statement
-        }
+        findings = run_rules(view, self.database)
+        advice = IndexAdvisor(self.database).advise(view.statements.values())
         diagram = cost_diagram(list(view.statements.values()),
-                               virtual_costs, top=top_statements)
+                               advice.virtual_costs, top=top_statements)
         trends = trends_from_statistics(view.statistics)
         predictions = predict_threshold_crossings(trends, self.thresholds) \
             if self.thresholds else []
@@ -159,7 +148,6 @@ class Analyzer:
             predictions=predictions,
             duration_s=self.database.clock.monotonic() - started,
             statements_analyzed=len(view.statements),
-            templates_analyzed=advice.templates,
             whatif_calls=advice.whatif_calls,
             rows_folded=rows_folded,
         )

@@ -1,24 +1,24 @@
 """The virtual-index advisor.
 
-Recorded SELECTs are grouped by shape (their text with the literals
-taken out), and for each such template the advisor generates candidate
-indexes from the sargable and join columns of its most expensive
-member, registers them as *virtual* indexes, and lets the engine's own
-optimizer decide whether it would use them (the paper's requirement
-ii).  A candidate the improved plan uses earns the template's votes —
-the summed recorded frequency of its members; the recommended set is
-the voted candidates — matching the paper's presumption that "an index
-that was recommended for many statements is more useful".
+Each recorded statement profile is one template: the monitor keys
+statements by shape (their text with the literals taken out), so the
+literal variants of a query are one profile carrying their summed
+frequency.  For each SELECT profile the advisor generates candidate
+indexes from its sargable and join columns, registers them as
+*virtual* indexes, and lets the engine's own optimizer decide whether
+it would use them (the paper's requirement ii).  A candidate the
+improved plan uses earns the profile's recorded frequency in votes;
+the recommended set is the voted candidates — matching the paper's
+presumption that "an index that was recommended for many statements
+is more useful".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.catalog.schema import IndexDef
-from repro.config import EngineConfig
 from repro.core.analyzer.recommendations import (
     Recommendation,
     RecommendationKind,
@@ -32,64 +32,40 @@ from repro.optimizer.predicates import (
 )
 from repro.optimizer.what_if import what_if_optimize
 from repro.sql import ast_nodes as ast
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_statement, statement_kind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
 CandidateKey = tuple[str, tuple[str, ...]]  # (table, columns)
 
-
-@dataclass(frozen=True)
-class AdvisorConfig:
-    max_index_width: int = 3
-    min_benefit_ratio: float = 0.05
-    """A what-if plan must cut estimated cost by at least this fraction
-    for its virtual indexes to earn votes."""
-    min_votes: int = 1
-    max_candidates_per_statement: int = 12
-
-
-@dataclass
-class StatementAdvice:
-    """What-if outcome for one statement (feeds the cost diagram)."""
-
-    text_hash: int
-    text: str
-    frequency: int
-    actual_cost: float
-    estimated_cost: float
-    virtual_estimated_cost: float
-    virtual_indexes_used: tuple[CandidateKey, ...]
-
-    @property
-    def improved(self) -> bool:
-        return self.virtual_estimated_cost < self.estimated_cost
+MAX_INDEX_WIDTH = 3
+MIN_BENEFIT_RATIO = 0.05
+"""A what-if plan must cut estimated cost by at least this fraction
+for its virtual indexes to earn votes."""
+MAX_CANDIDATES_PER_STATEMENT = 12
 
 
 @dataclass
 class AdvisorResult:
-    per_statement: list[StatementAdvice] = field(default_factory=list)
+    virtual_costs: dict[int, float] = field(default_factory=dict)
+    """Estimated cost per costed statement hash with the virtual indexes
+    that earned its votes, its baseline when none did (feeds the cost
+    diagram)."""
     votes: dict[CandidateKey, int] = field(default_factory=dict)
     benefits: dict[CandidateKey, float] = field(default_factory=dict)
     recommendations: list[Recommendation] = field(default_factory=list)
     skipped_statements: int = 0
     skipped_candidates: int = 0
     """Candidates the catalog refused (the rest were still costed)."""
-    templates: int = 0
-    """Distinct statement shapes among the advisable profiles."""
     whatif_calls: int = 0
 
 
 class IndexAdvisor:
     """Recommends secondary indexes via virtual-index what-if analysis."""
 
-    def __init__(self, database: "Database",
-                 config: AdvisorConfig | None = None,
-                 engine_config: EngineConfig | None = None) -> None:
+    def __init__(self, database: "Database") -> None:
         self._database = database
-        self.config = config or AdvisorConfig()
-        self._engine_config = engine_config or database.config
 
     # -- candidate generation ------------------------------------------------
 
@@ -147,8 +123,7 @@ class IndexAdvisor:
             table = bindings[binding]
             # A join column that is also a point-predicate column shows
             # up twice in ``joins[:1] + eqs``: keep its first position.
-            trimmed = tuple(dict.fromkeys(columns))[
-                : self.config.max_index_width]
+            trimmed = tuple(dict.fromkeys(columns))[:MAX_INDEX_WIDTH]
             key = (table.lower(), trimmed)
             if trimmed and key not in seen:
                 seen.add(key)
@@ -173,7 +148,7 @@ class IndexAdvisor:
 
         definitions = []
         refused = 0
-        for table, columns in keys[: self.config.max_candidates_per_statement]:
+        for table, columns in keys[:MAX_CANDIDATES_PER_STATEMENT]:
             try:
                 definitions.append(self._definition(table, columns))
             except CatalogError:
@@ -218,69 +193,54 @@ class IndexAdvisor:
 
     # -- advising -------------------------------------------------------------------
 
-    def advise(self, profiles: list[StatementProfile]) -> AdvisorResult:
+    def advise(self, profiles: Iterable[StatementProfile]) -> AdvisorResult:
         """Run what-if analysis over a workload and vote on candidates.
 
-        One parse, one candidate set and one what-if run per shape, on
-        the member with the highest total actual cost; its outcome
-        stands for every member, weighted by their summed frequency.
+        One parse, one candidate set and one what-if run per SELECT
+        profile, whose votes are weighted by its recorded frequency.  A
+        profile without text, or whose text is not a SELECT, is passed
+        over uncounted, read no further than its first token: a long
+        multi-row INSERT, cut off at ``max_statement_text``, takes
+        milliseconds to parse and then fails.
         """
         result = AdvisorResult()
         reasons: dict[CandidateKey, list[int]] = {}
-        templates: dict[str, list[StatementProfile]] = {}
         for profile in profiles:
-            if profile.text:
-                templates.setdefault(profile.shape, []).append(profile)
-            else:
-                result.skipped_statements += 1
-        result.templates = len(templates)
-        for members in templates.values():
-            representative = max(members,
-                                 key=attrgetter("total_actual_cost"))
             try:
-                statement = parse_statement(representative.text)
+                if statement_kind(profile.text) != "select":
+                    continue
+                statement = parse_statement(profile.text)
                 candidates, refused = self._candidates(statement)
                 result.skipped_candidates += refused
                 if not candidates:
-                    result.skipped_statements += len(members)
+                    result.skipped_statements += 1
                     continue
                 result.whatif_calls += 1
-                outcome = what_if_optimize(
-                    self._database, statement, candidates,
-                    self._engine_config)
+                outcome = what_if_optimize(self._database, statement,
+                                           candidates)
             except ReproError:
-                result.skipped_statements += len(members)
+                result.skipped_statements += 1
                 continue
             name_to_key: dict[str, CandidateKey] = {
                 d.name: (d.table_name, d.column_names) for d in candidates
             }
             improvement = outcome.benefit / outcome.baseline_cost \
                 if outcome.baseline_cost > 0 else 0.0
-            counted = improvement >= self.config.min_benefit_ratio
+            counted = improvement >= MIN_BENEFIT_RATIO
             used_keys = tuple(
                 name_to_key[name] for name in outcome.virtual_indexes_used
                 if name in name_to_key) if counted else ()
-            weight = sum(max(1, member.frequency) for member in members)
+            weight = max(1, profile.frequency)
             for key in used_keys:
                 result.votes[key] = result.votes.get(key, 0) + weight
                 result.benefits[key] = (result.benefits.get(key, 0.0)
                                         + outcome.benefit * weight)
-                reasons.setdefault(key, []).extend(
-                    member.text_hash for member in members)
-            result.per_statement.extend(StatementAdvice(
-                text_hash=member.text_hash,
-                text=member.text,
-                frequency=member.frequency,
-                actual_cost=member.avg_actual_cost,
-                estimated_cost=outcome.baseline_cost,
-                virtual_estimated_cost=(outcome.hypothetical_cost if counted
-                                        else outcome.baseline_cost),
-                virtual_indexes_used=used_keys,
-            ) for member in members)
+                reasons.setdefault(key, []).append(profile.text_hash)
+            result.virtual_costs[profile.text_hash] = (
+                outcome.hypothetical_cost if counted
+                else outcome.baseline_cost)
         for key, votes in sorted(result.votes.items(),
                                  key=lambda item: (-item[1], item[0])):
-            if votes < self.config.min_votes:
-                continue
             table, columns = key
             result.recommendations.append(Recommendation(
                 kind=RecommendationKind.CREATE_INDEX,
@@ -289,7 +249,7 @@ class IndexAdvisor:
                 index_name=f"idx_{table}_{'_'.join(columns)}",
                 reason=(f"chosen by the optimizer for {votes} weighted "
                         f"statement(s) in what-if analysis"),
-                estimated_benefit=result.benefits.get(key, 0.0),
-                statements_affected=tuple(reasons.get(key, ())),
+                estimated_benefit=result.benefits[key],
+                statements_affected=tuple(reasons[key]),
             ))
         return result

@@ -12,7 +12,6 @@ the live monitor's records (ad-hoc analysis of the in-memory window).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -21,7 +20,6 @@ from repro.core.ima import STATISTICS_SCHEMA, attribute_facts, table_facts
 from repro.core.monitor import IntegratedMonitor
 from repro.core.workload_db import WL_STATISTICS, WorkloadDatabase
 from repro.errors import AnalyzerError
-from repro.sql.lexer import statement_shape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
@@ -44,12 +42,6 @@ class StatementProfile:
     used_indexes: set[str] = field(default_factory=set)
     referenced_tables: set[str] = field(default_factory=set)
     referenced_attributes: set[tuple[str, str]] = field(default_factory=set)
-
-    @cached_property
-    def shape(self) -> str:
-        """The template the index advisor groups literal variants
-        under; lexed once, when first asked for."""
-        return statement_shape(self.text)
 
     @property
     def avg_actual_cost(self) -> float:
@@ -115,11 +107,6 @@ class WorkloadView:
         ranked = sorted(self.statements.values(),
                         key=attrgetter("total_actual_cost"), reverse=True)
         return ranked[:count]
-
-    def select_statements(self) -> list[StatementProfile]:
-        """Profiles whose text looks like a query (the advisor's input)."""
-        return [profile for profile in self.statements.values()
-                if profile.text.lstrip().lower().startswith("select")]
 
 
 @dataclass

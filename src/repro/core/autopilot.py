@@ -113,7 +113,6 @@ class TuningCycleReport:
 
     cycle: int
     statements_analyzed: int = 0
-    templates_analyzed: int = 0
     whatif_calls: int = 0
     rows_folded: int = 0
     """Workload-DB rows the analyzer read this cycle."""
@@ -139,10 +138,9 @@ class TuningCycleReport:
     def describe(self) -> str:
         lines = [f"autonomous tuning cycle #{self.cycle} "
                  f"({'dry run' if self.dry_run else 'live'}):",
-                 f"  statements analyzed: {self.statements_analyzed} in "
-                 f"{self.templates_analyzed} templates "
-                 f"({self.whatif_calls} what-if calls, "
-                 f"{self.rows_folded} rows read)",
+                 f"  statements analyzed: {self.statements_analyzed}, "
+                 f"{self.whatif_calls} what-if calls, "
+                 f"{self.rows_folded} rows read",
                  f"  recommendations considered: {len(self.considered)}"]
         for sql, action in self.recovered:
             lines.append(f"  recovered: {sql} -- {action}")
@@ -393,7 +391,6 @@ class AutonomousTuner(WorkerOwner):
                 report.daemon_error = f"{type(error).__name__}: {error}"
         analysis = self.analyzer.analyze_workload_db(self.workload_db)
         report.statements_analyzed = analysis.statements_analyzed
-        report.templates_analyzed = analysis.templates_analyzed
         report.whatif_calls = analysis.whatif_calls
         report.rows_folded = analysis.rows_folded
         report.considered = list(analysis.recommendations)

@@ -39,7 +39,7 @@ from repro.core.records import (
     WorkloadRecord,
 )
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
-from repro.core.sensors import StatementContext, statement_key
+from repro.core.sensors import StatementContext
 from repro.execution.executor import ExecutionMetrics
 from repro.optimizer.cost_model import CPU_TUPLE_COST
 
@@ -271,13 +271,9 @@ class MonitorSensors:
         self._workload = monitor.workload
 
     # staticcheck: hotpath
-    def statement_start(self, text: str,
-                        text_hash: int | None = None) -> StatementContext:
+    def statement_start(self, text_hash: int) -> StatementContext:
         """A statement the session has to parse begins: its context,
-        keyed by ``text_hash`` (the text's :func:`statement_key`, which
-        is computed here where the caller does not have it)."""
-        if text_hash is None:
-            text_hash = statement_key(text)
+        keyed by ``text_hash``, the text's :func:`statement_key`."""
         return StatementContext(text_hash)  # staticcheck: allocfree(per-parsed-statement-context-is-the-product)
 
     # staticcheck: hotpath

@@ -185,7 +185,7 @@ class Session:
         # A prepared statement fires no sensor before its terminal one.
         ctx = prepared
         if sensors is not None and prepared is None:
-            ctx = sensors.statement_start(text, statement_hash(key[0]))
+            ctx = sensors.statement_start(statement_hash(key[0]))
         try:
             # Fault seam inside the monitored region: injected failures
             # and slow queries are observed by the sensors like real

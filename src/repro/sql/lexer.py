@@ -106,6 +106,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def first_token(text: str) -> Token:
+    """The first token of ``text`` (EOF for a blank one), lexing
+    nothing after it."""
+    return tokenize(_MASTER.match(text).group())[0]  # type: ignore[union-attr]
+
+
 def _error(char: str, position: int) -> LexerError:
     if char == "'":
         return LexerError("unterminated string literal", position)

@@ -6,7 +6,7 @@ from typing import Any
 
 from repro.errors import ParseError
 from repro.sql import ast_nodes as ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, first_token, tokenize
 
 
 #: Keywords that may still be used as table/column identifiers.
@@ -20,6 +20,16 @@ def parse_statement(text: str) -> ast.Statement:
     parser.accept_punct(";")
     parser.expect_eof()
     return statement
+
+
+def statement_kind(text: str) -> str | None:
+    """The keyword :func:`parse_statement` dispatches ``text`` on
+    (``"select"``, ``"insert"``, ...), or None when it does not begin
+    with one; read from the first token, so a long text costs no more
+    than a short one.  Raises :class:`LexerError` where that token does
+    not lex."""
+    token = first_token(text)
+    return token.value if token.type is TokenType.KEYWORD else None
 
 
 def parse_script(text: str) -> list[ast.Statement]:

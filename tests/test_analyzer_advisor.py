@@ -3,7 +3,8 @@
 import pytest
 
 from repro.catalog.schema import IndexDef
-from repro.core.analyzer.index_advisor import AdvisorConfig, IndexAdvisor
+from repro.core.analyzer import Analyzer
+from repro.core.analyzer.index_advisor import MAX_INDEX_WIDTH, IndexAdvisor
 from repro.core.analyzer.recommendations import (
     Recommendation,
     RecommendationKind,
@@ -96,12 +97,16 @@ class TestCandidateGeneration:
         assert ("protein", ("tax_id", "length")) in keys
 
     def test_width_capped(self, nref_db):
-        advisor = IndexAdvisor(nref_db,
-                               AdvisorConfig(max_index_width=2))
+        columns = ("tax_id", "source_id", "length", "mol_weight")
+        assert len(columns) > MAX_INDEX_WIDTH
+        advisor = IndexAdvisor(nref_db)
         candidates = advisor.candidates_for(
-            "select name from protein where tax_id = 1 and source_id = 2 "
-            "and length = 3 and mol_weight = 4.0")
-        assert all(len(c.column_names) <= 2 for c in candidates)
+            "select name from protein where " + " and ".join(
+                f"{column} = {n}" for n, column in enumerate(columns)))
+        widths = {len(c.column_names) for c in candidates}
+        assert max(widths) == MAX_INDEX_WIDTH
+        assert ("protein", columns[:MAX_INDEX_WIDTH]) in {
+            (c.table_name, c.column_names) for c in candidates}
 
     def test_non_select_yields_nothing(self, nref_db):
         advisor = IndexAdvisor(nref_db)
@@ -154,13 +159,36 @@ class TestAdvise:
         assert result.skipped_statements == 1
 
     def test_per_statement_advice_populated(self, nref_db):
+        text = "select name from protein where tax_id = 90"
         advisor = IndexAdvisor(nref_db)
-        result = advisor.advise([self.make_profile(
-            "select name from protein where tax_id = 90")])
-        assert len(result.per_statement) == 1
-        advice = result.per_statement[0]
-        assert advice.virtual_estimated_cost <= advice.estimated_cost
-        assert advice.improved
+        result = advisor.advise([self.make_profile(text)])
+        baseline = what_if_optimize(nref_db, text, []).baseline_cost
+        assert list(result.virtual_costs) == [statement_hash(text)]
+        assert result.virtual_costs[statement_hash(text)] < baseline
+
+    def test_non_selects_and_empty_texts_are_passed_over(self, nref_db):
+        advisor = IndexAdvisor(nref_db)
+        result = advisor.advise([
+            self.make_profile("insert into protein (nref_id) values ('x')"),
+            self.make_profile("insert into protein (nref_id) values ('x'), ("),
+            StatementProfile(text_hash=1, text=""),
+            self.make_profile("select name from protein where tax_id = 90"),
+        ])
+        assert result.skipped_statements == 0
+        assert result.whatif_calls == 1
+        assert list(result.votes) == [("protein", ("tax_id",))]
+
+    def test_a_select_behind_a_comment_is_advised(self, fresh_nref_setup):
+        session = fresh_nref_setup.engine.connect("nref")
+        session.execute("select name from protein where tax_id = 5")
+        session.execute("-- report\nselect name from protein "
+                        "where source_id = 5")
+        fresh_nref_setup.daemon.poll_once()
+        fresh_nref_setup.daemon.flush()
+        report = Analyzer(fresh_nref_setup.engine.database("nref")) \
+            .analyze_workload_db(fresh_nref_setup.workload_db)
+        assert {r.columns for r in report.index_recommendations} == \
+            {("tax_id",), ("source_id",)}
 
 
 class TestRecommendations:

@@ -163,13 +163,6 @@ class TestWorkloadViews:
         top = view.top_statements(count=1)
         assert top[0].text_hash == 2
 
-    def test_select_statements_filter(self):
-        view = WorkloadView()
-        view.statements[1] = StatementProfile(1, "select a from t")
-        view.statements[2] = StatementProfile(2, "insert into t values (1)")
-        view.statements[3] = StatementProfile(3, "")
-        assert [p.text_hash for p in view.select_statements()] == [1]
-
     def test_cost_divergence_property(self):
         p = profile(1, actual=400.0, estimated=100.0)
         assert p.cost_divergence == pytest.approx(4.0)

@@ -1,9 +1,10 @@
-"""The analyzer's one workload-view fold and template-grouped advice.
+"""The analyzer's one workload-view fold, and templates as statements.
 
 The fold must build exactly the view the plain table-by-table loops it
 replaced built (kept here as the oracle), whatever was appended, purged
-or compacted before the scan; the advisor must treat the literal
-variants of one shape as one statement carrying their summed frequency.
+or compacted before the scan.  The monitor records the literal variants
+of one shape as one statement carrying their summed frequency, so each
+profile the advisor reads is one template.
 """
 
 import pytest
@@ -22,9 +23,10 @@ from repro.core.analyzer.workload_view import (
     TableProfile,
     WorkloadView,
     fold,
+    view_from_monitor,
     view_from_workload_db,
 )
-from repro.core.sensors import statement_hash
+from repro.core.sensors import statement_hash, statement_key
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.engine import EngineInstance
 from repro.errors import AnalyzerError, ReproError
@@ -217,18 +219,25 @@ TARGET = target_database()
 # -- hand-written scenarios ----------------------------------------------------
 
 def append_history(workload_db, clock, texts, executions=3):
+    """What the monitor persists after running each text ``executions``
+    times: one statement row per :func:`statement_key`, holding the
+    first text of that shape and the shape's summed frequency."""
     now = clock.now()
+    statements = {}
+    for text in texts:
+        statements.setdefault(statement_key(text), [text, 0])[1] += executions
     workload_db.append("wl_statements", [
-        (statement_hash(text), text, executions, now, now) for text in texts
+        (key, text, frequency, now, now)
+        for key, (text, frequency) in statements.items()
     ], now)
     workload_db.append("wl_workload", [
-        (statement_hash(text), 1, now, 0.0, 0.0, 0.5, 40.0, 2.0,
+        (statement_key(text), 1, now, 0.0, 0.0, 0.5, 40.0, 2.0,
          60.0 + i, 3.0, 5, 1, 200, 1, "", 0.25)
         for i, text in enumerate(texts) for _ in range(executions)
     ], now)
     workload_db.append("wl_references", [
-        (statement_hash(text), kind, name, "t", 1)
-        for text in texts
+        (key, kind, name, "t", 1)
+        for key in statements
         for kind, name in (("table", "t"), ("attribute", "t.b"))
     ], now)
     workload_db.append("wl_statistics", [(now,) + (4,) * 12], now)
@@ -275,11 +284,10 @@ class TestScan:
         workload_db, _clock = recorded
         analyzer = Analyzer(TARGET)
         first = analyzer.analyze_workload_db(workload_db)
-        assert first.templates_analyzed == 2  # two shapes among 7 selects
-        assert first.whatif_calls == 2
+        assert first.whatif_calls == 2  # two shapes among 7 selects
         header = first.render_text().splitlines()[3]
         assert header.startswith(
-            "statements analyzed: 7 in 2 templates, 2 what-if calls, "
+            "statements analyzed: 2, 2 what-if calls, "
             f"{workload_db.total_rows()} rows read")
 
     def test_trends_read_the_sample_timestamps(self, recorded):
@@ -327,7 +335,7 @@ class TestFaults:
         assert report.rows_folded == workload_db.total_rows()
 
 
-# -- template-grouped advice -----------------------------------------------------
+# -- templates are statements ---------------------------------------------------
 
 def profile(text, frequency=1, cost=100.0):
     return StatementProfile(
@@ -347,37 +355,59 @@ def nref_db():
     return database
 
 
+@pytest.fixture
+def recording(fresh_nref_setup):
+    """A monitored NREF setup with statistics, and a function that runs
+    texts through one of its sessions."""
+    database = fresh_nref_setup.engine.database("nref")
+    database.collect_statistics("protein")
+    session = fresh_nref_setup.engine.connect("nref")
+
+    def run(*texts):
+        for text in texts:
+            session.execute(text)
+    return fresh_nref_setup, run
+
+
+def persisted_view(setup):
+    setup.daemon.poll_once()
+    setup.daemon.flush()
+    return view_from_workload_db(setup.workload_db)
+
+
 class TestTemplates:
     def test_variants_advise_like_one_profile_with_their_frequency(
-            self, nref_db):
-        variants = [profile(f"select name from protein where tax_id = {n}",
-                            frequency=n + 1) for n in range(8)]
-        # The representative is the member with the highest total cost:
-        # here the last, most frequent one.
-        summed = profile(variants[-1].text,
-                         frequency=sum(p.frequency for p in variants))
-        grouped = IndexAdvisor(nref_db).advise(variants)
-        single = IndexAdvisor(nref_db).advise([summed])
-        assert grouped.templates == single.templates == 1
-        assert grouped.whatif_calls == single.whatif_calls == 1
-        assert grouped.votes == single.votes
-        assert grouped.votes[("protein", ("tax_id",))] == 36
-        assert grouped.benefits == pytest.approx(single.benefits)
-        assert [(r.kind, r.table_name, r.columns, r.index_name)
-                for r in grouped.recommendations] == \
-            [(r.kind, r.table_name, r.columns, r.index_name)
-             for r in single.recommendations]
-        # Lineage: every member is named, in the votes and per statement.
-        hashes = {p.text_hash for p in variants}
-        assert set(grouped.recommendations[0].statements_affected) == hashes
-        assert {a.text_hash for a in grouped.per_statement} == hashes
+            self, recording):
+        setup, run = recording
+        variants = [f"select name from protein where tax_id = {n}"
+                    for n in range(8)]
+        for n, text in enumerate(variants):
+            run(*[text] * (n + 1))
+        database = setup.engine.database("nref")
+        key = statement_key(variants[0])
+        assert {statement_key(text) for text in variants} == {key}
+        for view in (view_from_monitor(setup.monitor, database),
+                     persisted_view(setup)):
+            (recorded,) = [p for p in view.statements.values()
+                           if "tax_id" in p.text]
+            assert recorded.text_hash == key
+            assert recorded.frequency == recorded.executions == 36
+            result = IndexAdvisor(database).advise(view.statements.values())
+            assert result.whatif_calls == 1
+            assert result.votes == {("protein", ("tax_id",)): 36}
+            (recommendation,) = result.recommendations
+            assert recommendation.statements_affected == (key,)
+            assert list(result.virtual_costs) == [key]
 
-    def test_the_costliest_member_stands_for_the_template(
-            self, nref_db, monkeypatch):
+    def test_the_advisor_costs_the_recorded_text(self, recording,
+                                                monkeypatch):
         from repro.core.analyzer import index_advisor
-        cheap = profile("select name from protein where tax_id = 1", cost=1.0)
-        dear = profile("select name from protein where tax_id = 2",
-                       cost=900.0)
+        setup, run = recording
+        run("select name from protein where tax_id = 1",
+            "select name from protein where tax_id = 2")
+        view = view_from_monitor(setup.monitor)
+        (recorded,) = view.statements.values()
+        assert recorded.text == "select name from protein where tax_id = 1"
         costed = []
         what_if = index_advisor.what_if_optimize
         monkeypatch.setattr(
@@ -385,18 +415,21 @@ class TestTemplates:
             lambda database, statement, *rest: (
                 costed.append(statement),
                 what_if(database, statement, *rest))[1])
-        IndexAdvisor(nref_db).advise([cheap, dear])
-        assert [statement.where.right.value for statement in costed] == [2]
+        IndexAdvisor(setup.engine.database("nref")).advise(
+            view.statements.values())
+        assert [statement.where.right.value for statement in costed] == [1]
 
     def test_a_different_column_or_operator_is_a_different_template(
-            self, nref_db):
-        result = IndexAdvisor(nref_db).advise([
-            profile("select name from protein where tax_id = 90"),
-            profile("select name from protein where tax_id = 91"),
-            profile("select name from protein where source_id = 90"),
-            profile("select name from protein where tax_id < 90"),
-        ])
-        assert result.templates == 3
+            self, recording):
+        setup, run = recording
+        run("select name from protein where tax_id = 90",
+            "select name from protein where tax_id = 91",
+            "select name from protein where source_id = 90",
+            "select name from protein where tax_id < 90")
+        view = view_from_monitor(setup.monitor)
+        assert len(view.statements) == 3
+        result = IndexAdvisor(setup.engine.database("nref")).advise(
+            view.statements.values())
         assert result.whatif_calls == 3
 
     def test_join_column_that_is_also_the_point_column(self, nref_db):

@@ -258,7 +258,7 @@ class TestMonitorSensorsPipeline:
     @staticmethod
     def _parsed_select(sensors, text):
         """One parsed SELECT of ``t`` through the sensors, unplanned."""
-        ctx = sensors.statement_start(text)
+        ctx = sensors.statement_start(statement_key(text))
         sensors.parse_complete(ctx, "select", ("t",))
         sensors.execute_complete(ctx, text, 0, ExecutionMetrics(), 0.0,
                                  4.0, None)

@@ -209,10 +209,10 @@ class TestOneLevelRead:
         start = sensors.statement_start
         started = []
 
-        def statement_start(*args):
-            started.append(args)
+        def statement_start(text_hash):
+            started.append(text_hash)
             monitor.set_degradation(rung)
-            return start(*args)
+            return start(text_hash)
 
         sensors.statement_start = statement_start
         monitor.set_degradation(rung if prepared
@@ -224,7 +224,7 @@ class TestOneLevelRead:
             session.execute(text)
         except ReproError:
             assert kind.startswith("error")
-        assert len(started) == (not prepared)
+        assert started == ([] if prepared else [key])
         assert tuple(after - earlier for after, earlier in zip(
             monitor.degradation_counters(), counters)) == self.COUNTERS[rung]
         assert conservation_violations(monitor) == []

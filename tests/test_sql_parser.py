@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.sql import ast_nodes as ast
-from repro.sql.parser import parse_script, parse_statement
+from repro.sql.parser import parse_script, parse_statement, statement_kind
 
 
 class TestSelect:
@@ -262,6 +262,20 @@ class TestScripts:
         rendered = stmt.where.to_sql()
         reparsed = parse_statement(f"select a from t where {rendered}")
         assert reparsed.where.to_sql() == rendered
+
+
+class TestStatementKind:
+    @pytest.mark.parametrize("text, kind", [
+        ("select 1", "select"),
+        ("  -- report\nSELECT a from t", "select"),
+        ("explain select a from t", "explain"),
+        ("insert into t values (1), (", "insert"),
+        ("(select 1)", None),
+        ("t where a = 1", None),
+        ("", None),
+    ])
+    def test_the_keyword_parse_statement_dispatches_on(self, text, kind):
+        assert statement_kind(text) == kind
 
 
 class TestLiteralSlots:

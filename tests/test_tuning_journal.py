@@ -140,7 +140,6 @@ class TestMidBatchFailure:
             def analyze_workload_db(self, _workload_db):
                 from types import SimpleNamespace
                 return SimpleNamespace(statements_analyzed=0,
-                                       templates_analyzed=0,
                                        whatif_calls=0, rows_folded=0,
                                        recommendations=[stats_rec("t")])
 
