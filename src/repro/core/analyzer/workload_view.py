@@ -39,7 +39,6 @@ class StatementProfile:
     total_estimated_cpu: float = 0.0
     total_wallclock_s: float = 0.0
     total_monitor_s: float = 0.0
-    used_indexes: set[str] = field(default_factory=set)
     referenced_tables: set[str] = field(default_factory=set)
     referenced_attributes: set[tuple[str, str]] = field(default_factory=set)
 
@@ -145,7 +144,7 @@ class _Fold:
     def execution(self, row: tuple) -> None:
         (_captured, text_hash, _session, _ts, _opt, _exec, wallclock,
          est_io, est_cpu, act_io, act_cpu, _lr, _pr, _tp, _rr,
-         used_indexes, monitor_s) = row[:17]
+         _used_indexes, monitor_s) = row[:17]
         profile = self.view.statements.get(text_hash) \
             or self._profile(text_hash)
         profile.executions += 1
@@ -155,8 +154,6 @@ class _Fold:
         profile.total_estimated_cpu += est_cpu
         profile.total_wallclock_s += wallclock
         profile.total_monitor_s += monitor_s
-        if used_indexes:
-            profile.used_indexes.update(used_indexes.split(","))
 
     def reference(self, row: tuple) -> None:
         _captured, text_hash, object_type, object_name = row[:4]

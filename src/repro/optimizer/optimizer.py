@@ -65,7 +65,6 @@ class OptimizationResult:
     """(table name, column name) pairs actually referenced."""
     available_indexes: tuple[str, ...] = ()
     used_indexes: tuple[str, ...] = ()
-    uses_virtual: bool = False
     pinned_slots: tuple[int, ...] = ()
     """Literal slots whose values became structure of the plan (see
     :func:`_structural_slots`); with the statement's own
@@ -214,7 +213,6 @@ class Optimizer:
                 for info in per_binding
             ),
             used_indexes=plan.used_indexes(),
-            uses_virtual=plan.uses_virtual_index(),
             pinned_slots=_structural_slots(
                 stmt, bool(aggregates or group_exprs)),
         )

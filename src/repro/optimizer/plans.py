@@ -52,21 +52,15 @@ class PlanNode:
         for child in self.children:
             yield from child.walk()
 
-    def uses_virtual_index(self) -> bool:
-        """True if any node in the subtree reads a virtual index."""
-        return any(
-            isinstance(node, IndexScanPlan) and node.virtual
-            for node in self.walk()
-        )
+    def own_index(self) -> str | None:
+        """The (real or virtual) index this node itself reads, if any."""
+        return None
 
     def used_indexes(self) -> tuple[str, ...]:
-        """Names of all (real or virtual) indexes read by the subtree."""
-        names = [node.index_name for node in self.walk()
-                 if isinstance(node, IndexScanPlan)]
-        names += [f"{node.table_name}.btree" for node in self.walk()
-                  if isinstance(node, BTreeScanPlan) and node.key_bounded]
-        names += [f"{node.table_name}.hash" for node in self.walk()
-                  if isinstance(node, HashScanPlan)]
+        """Indexes the subtree reads: its own, then its children's, once."""
+        own = self.own_index()
+        names = [own] if own else []
+        names += [n for child in self.children for n in child.used_indexes()]
         return tuple(dict.fromkeys(names))
 
 
@@ -133,6 +127,9 @@ class BTreeScanPlan(_TableScan):
     def key_bounded(self) -> bool:
         return bool(self.key_conditions)
 
+    def own_index(self) -> str | None:
+        return f"{self.table_name}.btree" if self.key_bounded else None
+
     def node_label(self) -> str:
         return self._label("BTreeScan(", self.key_bounded)
 
@@ -140,6 +137,9 @@ class BTreeScanPlan(_TableScan):
 @dataclass
 class HashScanPlan(_TableScan):
     """Equality probe into a HASH-structured table (full key only)."""
+
+    def own_index(self) -> str:
+        return f"{self.table_name}.hash"
 
     def node_label(self) -> str:
         return self._label("HashScan(")
@@ -156,6 +156,9 @@ class IndexScanPlan(_TableScan):
 
     index_name: str = field(kw_only=True)
     virtual: bool = False
+
+    def own_index(self) -> str:
+        return self.index_name
 
     def node_label(self) -> str:
         kind = "VirtualIndexScan" if self.virtual else "IndexScan"
@@ -256,21 +259,17 @@ class IndexLookupJoinPlan(PlanNode):
     def scope(self) -> Scope:
         return self.left.scope + tuple((self.binding, c) for c in self.columns)
 
+    def own_index(self) -> str:
+        return self.via_index or f"{self.table_name}.btree"
+
     def node_label(self) -> str:
-        path = self.via_index or f"{self.table_name}.btree"
+        path = self.own_index()
         if self.virtual:
             path += " (virtual)"
         keys = ", ".join(f"{col}={expr.to_sql()}" for col, expr
                          in zip(self.inner_key_columns, self.outer_keys))
         return (f"IndexLookupJoin -> {self.table_name} as {self.binding} "
                 f"via {path} on [{keys}]")
-
-    def uses_virtual_index(self) -> bool:
-        return self.virtual or super().uses_virtual_index()
-
-    def used_indexes(self) -> tuple[str, ...]:
-        own = self.via_index or f"{self.table_name}.btree"
-        return tuple(dict.fromkeys((own,) + self.left.used_indexes()))
 
 
 @dataclass

@@ -30,6 +30,8 @@ class WhatIfOutcome:
 
     baseline: OptimizationResult
     hypothetical: OptimizationResult
+    virtual_indexes_used: tuple[str, ...]
+    """The candidates the hypothetical plan reads, in plan order."""
 
     @property
     def baseline_cost(self) -> float:
@@ -43,15 +45,6 @@ class WhatIfOutcome:
     def benefit(self) -> float:
         """Estimated cost reduction (>= 0)."""
         return max(0.0, self.baseline_cost - self.hypothetical_cost)
-
-    @property
-    def virtual_indexes_used(self) -> tuple[str, ...]:
-        """Virtual indexes the optimizer actually chose."""
-        if not self.hypothetical.uses_virtual:
-            return ()
-        real = set(self.baseline.used_indexes)
-        return tuple(name for name in self.hypothetical.used_indexes
-                     if name not in real)
 
 
 @contextmanager
@@ -87,4 +80,6 @@ def what_if_optimize(database: "Database", statement: str | ast.Statement,
     with hypothetical_indexes(database, candidates):
         hypothetical = optimizer.optimize_select(statement,
                                                  include_virtual=True)
-    return WhatIfOutcome(baseline=baseline, hypothetical=hypothetical)
+    names = {candidate.name for candidate in candidates}
+    return WhatIfOutcome(baseline, hypothetical, tuple(
+        name for name in hypothetical.used_indexes if name in names))

@@ -12,10 +12,13 @@ from repro.core.analyzer.recommendations import (
 )
 from repro.core.analyzer.workload_view import StatementProfile
 from repro.core.sensors import statement_hash
+from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.plans import IndexLookupJoinPlan, ProjectPlan
 from repro.optimizer.what_if import (
     hypothetical_indexes,
     what_if_optimize,
 )
+from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -189,6 +192,42 @@ class TestAdvise:
             .analyze_workload_db(fresh_nref_setup.workload_db)
         assert {r.columns for r in report.index_recommendations} == \
             {("tax_id",), ("source_id",)}
+
+
+SOURCE_JOIN = ("select p.name from source src join protein p "
+               "on p.source_id = src.source_id where src.source_name = 'PIR'")
+"""A join only an index lookup into ``protein(source_id)`` can speed
+up: the query filters ``source``, not ``protein``."""
+
+
+class TestLookupJoins:
+    def test_session_records_the_join_index(self, fresh_nref_setup):
+        session = fresh_nref_setup.engine.connect("nref")
+        session.execute("create index i_src on protein (source_id)")
+        session.execute("create statistics on protein")
+        db = fresh_nref_setup.engine.database("nref")
+        plan = Optimizer(db).optimize_select(parse_statement(SOURCE_JOIN)).plan
+        assert isinstance(plan, ProjectPlan)
+        assert isinstance(plan.child, IndexLookupJoinPlan)
+        session.execute(SOURCE_JOIN)
+        assert session.execute(
+            "select used_indexes from ima_workload").rows[-1] == ("i_src",)
+        assert session.execute(
+            "select object_name from ima_references "
+            "where object_type = 'index'").rows == [("i_src",)]
+
+    def test_what_if_sees_a_lookup_join_candidate(self, nref_db):
+        outcome = what_if_optimize(nref_db, SOURCE_JOIN, [
+            IndexDef("v_src", "protein", ("source_id",), virtual=True)])
+        assert isinstance(outcome.hypothetical.plan.child,
+                          IndexLookupJoinPlan)
+        assert outcome.virtual_indexes_used == ("v_src",)
+
+    def test_advisor_votes_for_a_lookup_join_candidate(self, nref_db):
+        result = IndexAdvisor(nref_db).advise([StatementProfile(
+            text_hash=statement_hash(SOURCE_JOIN), text=SOURCE_JOIN,
+            frequency=1)])
+        assert result.votes.get(("protein", ("source_id",))) == 1
 
 
 class TestRecommendations:

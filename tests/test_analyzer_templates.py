@@ -79,7 +79,7 @@ def reference_view(workload_db):
     for _rowid, row in database.storage_for("wl_workload").scan():
         (_captured, text_hash, _session, _ts, _opt, _exec, wallclock,
          est_io, est_cpu, act_io, act_cpu, _lr, _pr, _tp, _rr,
-         used_indexes, monitor_s) = row[:17]
+         _used_indexes, monitor_s) = row[:17]
         profile = view.statements.get(text_hash)
         if profile is None:
             profile = StatementProfile(text_hash=text_hash, text="")
@@ -91,8 +91,6 @@ def reference_view(workload_db):
         profile.total_estimated_cpu += est_cpu
         profile.total_wallclock_s += wallclock
         profile.total_monitor_s += monitor_s
-        if used_indexes:
-            profile.used_indexes.update(used_indexes.split(","))
 
     for _rowid, row in database.storage_for("wl_references").scan():
         (_captured, text_hash, object_type, object_name, table_name,

@@ -3,12 +3,18 @@
 import pytest
 
 from repro.optimizer.plans import (
+    AggregatePlan,
     BTreeScanPlan,
+    HashJoinPlan,
     HashScanPlan,
+    IndexLookupJoinPlan,
     IndexScanPlan,
     KeyCondition,
+    LimitPlan,
     NestedLoopJoinPlan,
+    ProjectPlan,
     SeqScanPlan,
+    SortPlan,
 )
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
@@ -100,6 +106,40 @@ class TestToSql:
         assert "subquery" in sub.to_sql()
 
 
+KEY = (KeyCondition("k", "=", 1),)
+SCAN = SeqScanPlan("s", "s", ("k",))
+
+INDEX_READERS = [
+    pytest.param(IndexScanPlan("t", "t", ("a",), KEY, index_name="i_x"),
+                 "i_x", id="index_scan"),
+    pytest.param(BTreeScanPlan("u", "u", ("k",), KEY), "u.btree",
+                 id="btree_scan"),
+    pytest.param(HashScanPlan("v", "v", ("k",), KEY), "v.hash",
+                 id="hash_scan"),
+    pytest.param(IndexLookupJoinPlan(SCAN, "w", "w", ("k",),
+                                     via_index="i_w"),
+                 "i_w", id="lookup_join_secondary"),
+    pytest.param(IndexLookupJoinPlan(SCAN, "w", "w", ("k",)), "w.btree",
+                 id="lookup_join_primary"),
+    pytest.param(IndexLookupJoinPlan(SCAN, "w", "w", ("k",),
+                                     via_index="v_w", virtual=True),
+                 "v_w", id="lookup_join_virtual"),
+]
+"""Every plan node that reads an index, with the name it reports."""
+
+WRAPPERS = {
+    "project": lambda node: ProjectPlan(node, names=("k",)),
+    "sort": SortPlan,
+    "aggregate": AggregatePlan,
+    "limit": lambda node: LimitPlan(node, limit=1),
+    "nested_loop_left": lambda node: NestedLoopJoinPlan(node, SCAN),
+    "nested_loop_right": lambda node: NestedLoopJoinPlan(SCAN, node),
+    "hash_join_left": lambda node: HashJoinPlan(node, SCAN),
+    "hash_join_right": lambda node: HashJoinPlan(SCAN, node),
+}
+"""A parent above the index reader that reads no index itself."""
+
+
 class TestPlanHelpers:
     def make_scan(self):
         return SeqScanPlan("t", "t", ("a", "b"))
@@ -111,17 +151,20 @@ class TestPlanHelpers:
         join = NestedLoopJoinPlan(self.make_scan(), self.make_scan())
         assert len(list(join.walk())) == 3
 
-    def test_used_indexes_collects_all_kinds(self):
-        index_scan = IndexScanPlan("t", "t", ("a",),
-                                   (KeyCondition("a", "=", 1),),
-                                   index_name="i_x")
-        btree = BTreeScanPlan("u", "u", ("k",),
-                              (KeyCondition("k", "=", 2),))
-        hash_scan = HashScanPlan("v", "v", ("k",),
-                                 (KeyCondition("k", "=", 3),))
-        join = NestedLoopJoinPlan(index_scan,
-                                  NestedLoopJoinPlan(btree, hash_scan))
-        assert set(join.used_indexes()) == {"i_x", "u.btree", "v.hash"}
+    @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS)
+    @pytest.mark.parametrize("reader, name", INDEX_READERS)
+    def test_used_indexes_collects_all_kinds(self, reader, name, wrap):
+        assert reader.used_indexes() == (name,)
+        assert wrap(reader).used_indexes() == (name,)
+
+    def test_used_indexes_in_plan_order_once(self):
+        lookup = IndexLookupJoinPlan(
+            IndexScanPlan("t", "t", ("a",), KEY, index_name="i_x"),
+            "w", "w", ("k",), via_index="i_w")
+        plan = HashJoinPlan(lookup, NestedLoopJoinPlan(
+            HashScanPlan("v", "v", ("k",), KEY),
+            IndexScanPlan("t", "t2", ("a",), KEY, index_name="i_x")))
+        assert plan.used_indexes() == ("i_w", "i_x", "v.hash")
 
     def test_unkeyed_btree_scan_not_reported(self):
         btree = BTreeScanPlan("u", "u", ("k",))
@@ -131,10 +174,10 @@ class TestPlanHelpers:
         virtual = IndexScanPlan("t", "t", ("a",), index_name="v_x",
                                 virtual=True)
         real = IndexScanPlan("t", "t", ("a",), index_name="i_x")
-        assert virtual.uses_virtual_index()
-        assert not real.uses_virtual_index()
+        assert virtual.used_indexes() == ("v_x",)
+        assert "v_x" not in real.used_indexes()
         join = NestedLoopJoinPlan(real, virtual)
-        assert join.uses_virtual_index()
+        assert join.used_indexes() == ("i_x", "v_x")
 
     def test_explain_is_indented_tree(self):
         join = NestedLoopJoinPlan(self.make_scan(), self.make_scan())
