@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.analyzer import Analyzer, apply_recommendations
+from repro.core.analyzer import (
+    Analyzer,
+    apply_recommendations,
+    select_recommendations,
+)
 from repro.core.analyzer.recommendations import RecommendationKind
 from repro.setups import daemon_setup, original_setup
 from repro.workloads import (
@@ -90,6 +94,8 @@ def results():
     setup.daemon.poll_once()
     setup.daemon.flush()
     report = Analyzer(db).analyze_workload_db(setup.workload_db)
+    # The arm applies exactly what the autonomous tuner would select.
+    assert select_recommendations(report.recommendations, db).dropped == []
     applied = apply_recommendations(session, report.recommendations)
     index_count = sum(
         1 for a in applied

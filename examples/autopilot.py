@@ -3,8 +3,9 @@
 
 Runs the control loop without a DBA in it: the workload shifts over
 three phases, and after each phase the :class:`AutonomousTuner` polls
-the daemon, analyzes, filters recommendations through the dependency
-graph and the safety policy, and applies the survivors on its own.
+the daemon, analyzes, selects among the recommendations (dropping the
+subsumed and the redundant, fitting indexes to a disk budget), filters
+them through the safety policy, and applies the survivors on its own.
 """
 
 from repro import AutonomousTuner, TuningPolicy, daemon_setup

@@ -153,7 +153,8 @@ def check_invariants(setup: Setup, journal: TuningJournal,
 def _fresh_tuner(setup: Setup, policy: TuningPolicy,
                  ) -> tuple[AutonomousTuner, TuningJournal]:
     """A tuner as a restarted process would build it: nothing carried
-    over in memory, journal and breakers reloaded from persisted rows."""
+    over in memory, journal (and with it the breakers) reloaded from
+    persisted rows."""
     workload_db = setup.workload_db
     assert workload_db is not None
     journal = TuningJournal(workload_db.database, setup.engine.clock)
@@ -293,8 +294,8 @@ def run_soak(config: SoakConfig) -> SoakReport:
             faultsim.reset()
 
             if rng.random() < config.crash_probability:
-                # Kill the tuner: its breakers, history and journal
-                # mirror die here; only persisted state survives.
+                # Kill the tuner: its history and journal mirror die
+                # here; only persisted state survives.
                 tuner, journal = _fresh_tuner(setup, policy)
                 report.crashes += 1
 

@@ -9,8 +9,7 @@ Implements the paper's three analysis levels:
    overflow pages -> MODIFY TO BTREE) and
    :mod:`repro.core.analyzer.index_advisor` (virtual-index what-if);
 3. **trend interpretation** — :mod:`repro.core.analyzer.trends` fits
-   the statistics time series and predicts threshold crossings (the
-   paper's section VI outlook, implemented here).
+   the statistics time series (the paper's section VI outlook).
 
 :class:`~repro.core.analyzer.analyzer.Analyzer` orchestrates all of it
 over a recorded workload database against a live target database, and
@@ -26,9 +25,7 @@ from repro.core.analyzer.recommendations import (
 )
 from repro.core.analyzer.index_advisor import IndexAdvisor
 from repro.core.analyzer.dependencies import (
-    DependencyGraph,
     SelectionResult,
-    build_dependency_graph,
     select_recommendations,
 )
 from repro.core.analyzer.reports import CostDiagram, LocksDiagram
@@ -37,13 +34,11 @@ __all__ = [
     "AnalysisReport",
     "Analyzer",
     "CostDiagram",
-    "DependencyGraph",
     "IndexAdvisor",
     "LocksDiagram",
     "Recommendation",
     "RecommendationKind",
     "SelectionResult",
     "apply_recommendations",
-    "build_dependency_graph",
     "select_recommendations",
 ]

@@ -16,18 +16,8 @@ from repro.core.analyzer.reports import (
     locks_diagram,
 )
 from repro.core.analyzer.rules import RuleFindings, run_rules
-from repro.core.analyzer.trends import (
-    Prediction,
-    Trend,
-    predict_threshold_crossings,
-    trends_from_statistics,
-)
-from repro.core.analyzer.workload_view import (
-    WorkloadView,
-    fold,
-    view_from_monitor,
-)
-from repro.core.monitor import IntegratedMonitor
+from repro.core.analyzer.trends import Trend, trends_from_statistics
+from repro.core.analyzer.workload_view import WorkloadView, fold
 from repro.core.workload_db import WorkloadDatabase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +34,6 @@ class AnalysisReport:
     cost_diagram: CostDiagram
     locks_diagram: LocksDiagram
     trends: dict[str, Trend] = field(default_factory=dict)
-    predictions: list[Prediction] = field(default_factory=list)
     duration_s: float = 0.0
     statements_analyzed: int = 0
     whatif_calls: int = 0
@@ -81,9 +70,6 @@ class AnalysisReport:
             lines.extend(r.describe() for r in self.recommendations)
         else:
             lines.append("(none — the physical design fits the workload)")
-        if self.predictions:
-            lines += ["", "PREDICTIONS", "-" * 72]
-            lines.extend(p.describe() for p in self.predictions)
         lines += ["", "COST DIAGRAM (top statements)", "-" * 72,
                   self.cost_diagram.render()]
         captured = [
@@ -104,10 +90,8 @@ class AnalysisReport:
 class Analyzer:
     """Scans collected monitor data and recommends design changes."""
 
-    def __init__(self, database: "Database",
-                 thresholds: dict[str, float] | None = None) -> None:
+    def __init__(self, database: "Database") -> None:
         self.database = database
-        self.thresholds = thresholds or {}
 
     def analyze_workload_db(self, workload_db: WorkloadDatabase,
                             top_statements: int = 10) -> AnalysisReport:
@@ -119,33 +103,19 @@ class Analyzer:
         """
         faultsim.fire("analyzer.scan", error=AnalyzerError,
                       clock=self.database.clock)
-        view, rows = fold(workload_db)
-        return self._analyze(view, top_statements, rows)
-
-    def analyze_monitor(self, monitor: IntegratedMonitor,
-                        top_statements: int = 10) -> AnalysisReport:
-        """Ad-hoc analysis of the live in-memory monitor window."""
-        view = view_from_monitor(monitor, self.database)
-        return self._analyze(view, top_statements, 0)
-
-    def _analyze(self, view: WorkloadView, top_statements: int,
-                 rows_folded: int) -> AnalysisReport:
+        view, rows_folded = fold(workload_db)
         started = self.database.clock.monotonic()
         findings = run_rules(view, self.database)
         advice = IndexAdvisor(self.database).advise(view.statements.values())
         diagram = cost_diagram(list(view.statements.values()),
                                advice.virtual_costs, top=top_statements)
-        trends = trends_from_statistics(view.statistics)
-        predictions = predict_threshold_crossings(trends, self.thresholds) \
-            if self.thresholds else []
         return AnalysisReport(
             view=view,
             findings=findings,
             index_recommendations=advice.recommendations,
             cost_diagram=diagram,
             locks_diagram=locks_diagram(view.statistics),
-            trends=trends,
-            predictions=predictions,
+            trends=trends_from_statistics(view.statistics),
             duration_s=self.database.clock.monotonic() - started,
             statements_analyzed=len(view.statements),
             whatif_calls=advice.whatif_calls,

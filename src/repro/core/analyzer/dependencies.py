@@ -1,37 +1,41 @@
-"""Dependencies and interactions between recommendations.
+"""Choosing which recommendations to implement.
 
 Section VI of the paper: "Dependencies, not only between the various
 physical structures but between all configuration changes, need to be
 identified.  With a dependency graph, the analyzer could actually
-search for an optimal set of recommendations."  This module implements
-that: it builds an interaction graph over a recommendation set and
-selects an ordered subset under an optional disk budget.
+search for an optimal set of recommendations."  This module is that
+selection step: one function over the recommendation list that drops
+what other recommendations make redundant and fits the remaining index
+creations under an optional disk budget.
 
-Interactions modeled:
+Rules, applied in this order (each dropped recommendation carries its
+reason, in the order it was dropped):
 
 * **subsumption** — an index on ``(a)`` is subsumed by a recommended
   index on ``(a, b)`` for the same table: keep the wider one unless the
-  narrow one has strictly more votes/benefit;
+  narrow one has more than twice its benefit;
 * **redundancy with MODIFY** — an index on exactly the primary key of a
   table that is being MODIFYed TO BTREE duplicates the new primary
   structure;
-* **prerequisites** — statistics collection and structure changes come
-  before index creation on the same table (encoded as ordering edges,
-  honored by the returned application order);
+* **minimum benefit** — index creations below ``min_benefit`` go;
 * **disk budget** — each index's footprint is estimated from table
   statistics; a greedy benefit-per-byte selection enforces the budget.
+
+Statistics collection and structure changes are always kept.  The
+result comes back in
+:data:`~repro.core.analyzer.recommendations.APPLICATION_ORDER`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import IndexDef
 from repro.core.analyzer.recommendations import (
     Recommendation,
     RecommendationKind,
+    order_for_application,
 )
 from repro.optimizer.interfaces import synthesize_index_info
 
@@ -39,198 +43,109 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
 
-class InteractionKind(enum.Enum):
-    SUBSUMES = "subsumes"
-    REDUNDANT_WITH_MODIFY = "redundant-with-modify"
-    PREREQUISITE = "prerequisite"
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """A directed interaction: ``source`` affects ``target``."""
-
-    kind: InteractionKind
-    source: int  # node index
-    target: int
-    note: str = ""
-
-
-@dataclass
-class DependencyGraph:
-    """Recommendations plus their pairwise interactions."""
-
-    nodes: list[Recommendation]
-    interactions: list[Interaction] = field(default_factory=list)
-    index_bytes: dict[int, int] = field(default_factory=dict)
-    """Estimated on-disk footprint per CREATE_INDEX node."""
-
-    def interactions_of(self, kind: InteractionKind) -> list[Interaction]:
-        return [i for i in self.interactions if i.kind is kind]
-
-    def describe(self) -> str:
-        lines = []
-        for interaction in self.interactions:
-            source = self.nodes[interaction.source]
-            target = self.nodes[interaction.target]
-            lines.append(f"{source.to_sql()}  --{interaction.kind.value}-->  "
-                         f"{target.to_sql()}"
-                         + (f"  ({interaction.note})" if interaction.note
-                            else ""))
-        return "\n".join(lines) if lines else "(no interactions)"
-
-
 @dataclass
 class SelectionResult:
     """Outcome of dependency-aware selection."""
 
     selected: list[Recommendation]
+    """The recommendations to implement, in application order."""
     dropped: list[tuple[Recommendation, str]]
     estimated_index_bytes: int = 0
 
-    def describe(self) -> str:
-        lines = ["selected (in application order):"]
-        lines += [f"  {r.describe()}" for r in self.selected] or ["  (none)"]
-        if self.dropped:
-            lines.append("dropped:")
-            lines += [f"  {r.to_sql()}  -- {reason}"
-                      for r, reason in self.dropped]
-        return "\n".join(lines)
 
-
-def build_dependency_graph(recommendations: list[Recommendation],
+def select_recommendations(recommendations: list[Recommendation],
                            database: "Database | None" = None,
-                           ) -> DependencyGraph:
-    """Identify interactions among ``recommendations``."""
-    graph = DependencyGraph(nodes=list(recommendations))
-    nodes = graph.nodes
-    modify_tables = {
-        r.table_name for r in nodes
-        if r.kind is RecommendationKind.MODIFY_TO_BTREE
-    }
-    for i, a in enumerate(nodes):
-        if a.kind is RecommendationKind.CREATE_INDEX and database is not None \
-                and database.catalog.has_table(a.table_name):
-            info = database.table_info(a.table_name)
-            synthesized = synthesize_index_info(
-                IndexDef(a.index_name or f"idx_{i}", a.table_name,
-                         a.columns, virtual=True),
-                info, database.disk.page_size)
-            graph.index_bytes[i] = (
-                synthesized.leaf_pages + synthesized.height
-            ) * database.disk.page_size
-        for j, b in enumerate(nodes):
-            if i == j:
-                continue
-            interaction = _classify(i, a, j, b, modify_tables, database)
-            if interaction is not None:
-                graph.interactions.append(interaction)
-    return graph
-
-
-def _classify(i: int, a: Recommendation, j: int, b: Recommendation,
-              modify_tables: set[str],
-              database: "Database | None") -> Interaction | None:
-    # subsumption among recommended indexes
-    if (a.kind is RecommendationKind.CREATE_INDEX
-            and b.kind is RecommendationKind.CREATE_INDEX
-            and a.table_name == b.table_name
-            and len(a.columns) > len(b.columns)
-            and a.columns[: len(b.columns)] == b.columns):
-        return Interaction(InteractionKind.SUBSUMES, i, j,
-                           note=f"({', '.join(a.columns)}) covers "
-                                f"({', '.join(b.columns)})")
-    # an index on exactly the PK duplicates a MODIFY TO BTREE
-    if (a.kind is RecommendationKind.MODIFY_TO_BTREE
-            and b.kind is RecommendationKind.CREATE_INDEX
-            and a.table_name == b.table_name
-            and database is not None
-            and database.catalog.has_table(a.table_name)):
-        primary_key = database.catalog.table(a.table_name).schema.primary_key
-        if primary_key and b.columns == tuple(primary_key):
-            return Interaction(InteractionKind.REDUNDANT_WITH_MODIFY, i, j,
-                               note="index equals the primary B-Tree key")
-    # ordering prerequisites on the same table
-    order = {RecommendationKind.MODIFY_TO_BTREE: 0,
-             RecommendationKind.CREATE_INDEX: 1,
-             RecommendationKind.CREATE_STATISTICS: 2}
-    if (a.table_name == b.table_name
-            and order[a.kind] < order[b.kind]):
-        return Interaction(InteractionKind.PREREQUISITE, i, j,
-                           note="must be applied first")
-    return None
-
-
-def select_recommendations(graph: DependencyGraph,
                            disk_budget_bytes: int | None = None,
                            min_benefit: float = 0.0) -> SelectionResult:
-    """Pick the subset to actually implement.
+    """Pick the subset of ``recommendations`` to actually implement.
 
-    Non-index recommendations are always kept (they are cheap and
-    prerequisite-like).  Index recommendations are filtered for
-    subsumption/redundancy, then greedily selected by benefit per byte
-    under the disk budget.  The result comes back in safe application
-    order (MODIFY, then indexes, then statistics).
+    Without a ``database`` nothing is redundant with a MODIFY and no
+    index has a footprint, so the budget never binds.
     """
+    nodes = list(recommendations)
     dropped: list[tuple[Recommendation, str]] = []
     excluded: set[int] = set()
 
-    for interaction in graph.interactions_of(InteractionKind.SUBSUMES):
-        wide = graph.nodes[interaction.source]
-        narrow = graph.nodes[interaction.target]
-        if narrow.estimated_benefit > wide.estimated_benefit * 2:
-            continue  # the narrow index earns its keep on its own
-        if interaction.target not in excluded:
-            excluded.add(interaction.target)
-            dropped.append((narrow,
-                            f"subsumed by index on "
-                            f"({', '.join(wide.columns)})"))
+    def drop(i: int, reason: str) -> None:
+        if i not in excluded:
+            excluded.add(i)
+            dropped.append((nodes[i], reason))
 
-    for interaction in graph.interactions_of(
-            InteractionKind.REDUNDANT_WITH_MODIFY):
-        if interaction.target not in excluded:
-            excluded.add(interaction.target)
-            dropped.append((graph.nodes[interaction.target],
-                            "redundant with MODIFY TO BTREE"))
+    indexes = [i for i, r in enumerate(nodes)
+               if r.kind is RecommendationKind.CREATE_INDEX]
+    for w in indexes:
+        wide = nodes[w]
+        for n in indexes:
+            narrow = nodes[n]
+            if (narrow.table_name == wide.table_name
+                    and len(wide.columns) > len(narrow.columns)
+                    and wide.columns[: len(narrow.columns)] == narrow.columns
+                    and narrow.estimated_benefit
+                    <= wide.estimated_benefit * 2):
+                drop(n, f"subsumed by index on ({', '.join(wide.columns)})")
 
-    keep_always: list[tuple[int, Recommendation]] = []
-    index_candidates: list[tuple[int, Recommendation]] = []
-    for i, node in enumerate(graph.nodes):
+    for modify in nodes:
+        if (modify.kind is not RecommendationKind.MODIFY_TO_BTREE
+                or database is None
+                or not database.catalog.has_table(modify.table_name)):
+            continue
+        primary_key = database.catalog.table(
+            modify.table_name).schema.primary_key
+        for i in indexes:
+            if (primary_key and nodes[i].table_name == modify.table_name
+                    and nodes[i].columns == tuple(primary_key)):
+                drop(i, "redundant with MODIFY TO BTREE")
+
+    kept: set[int] = set()
+    candidates: list[int] = []
+    for i, node in enumerate(nodes):
         if i in excluded:
             continue
-        if node.kind is RecommendationKind.CREATE_INDEX:
-            if node.estimated_benefit < min_benefit:
-                dropped.append((node, f"benefit {node.estimated_benefit:.1f} "
-                                      f"below threshold {min_benefit:.1f}"))
-                continue
-            index_candidates.append((i, node))
+        if node.kind is not RecommendationKind.CREATE_INDEX:
+            kept.add(i)
+        elif node.estimated_benefit < min_benefit:
+            dropped.append((node, f"benefit {node.estimated_benefit:.1f} "
+                                  f"below threshold {min_benefit:.1f}"))
         else:
-            keep_always.append((i, node))
+            candidates.append(i)
 
-    selected_indexes: list[tuple[int, Recommendation]] = []
+    index_bytes = {i: _index_bytes(i, nodes[i], database)
+                   for i in candidates}
     spent = 0
-    budget = disk_budget_bytes if disk_budget_bytes is not None else None
-    ranked = sorted(
-        index_candidates,
-        key=lambda pair: pair[1].estimated_benefit
-        / max(1, graph.index_bytes.get(pair[0], 1)),
-        reverse=True,
-    )
-    for i, node in ranked:
-        cost = graph.index_bytes.get(i, 0)
-        if budget is not None and spent + cost > budget:
-            dropped.append((node, f"disk budget exhausted "
-                                  f"({spent + cost:,} > {budget:,} bytes)"))
+    for i in sorted(candidates,
+                    key=lambda i: nodes[i].estimated_benefit
+                    / max(1, index_bytes[i]),
+                    reverse=True):
+        cost = index_bytes[i]
+        if disk_budget_bytes is not None \
+                and spent + cost > disk_budget_bytes:
+            dropped.append((nodes[i], f"disk budget exhausted "
+                                      f"({spent + cost:,} > "
+                                      f"{disk_budget_bytes:,} bytes)"))
             continue
         spent += cost
-        selected_indexes.append((i, node))
+        kept.add(i)
 
-    order = {RecommendationKind.MODIFY_TO_BTREE: 0,
-             RecommendationKind.CREATE_INDEX: 1,
-             RecommendationKind.CREATE_STATISTICS: 2}
-    final = sorted(keep_always + selected_indexes,
-                   key=lambda pair: (order[pair[1].kind], pair[0]))
     return SelectionResult(
-        selected=[node for _i, node in final],
+        selected=order_for_application(
+            [node for i, node in enumerate(nodes) if i in kept]),
         dropped=dropped,
         estimated_index_bytes=spent,
     )
+
+
+def _index_bytes(i: int, recommendation: Recommendation,
+                 database: "Database | None") -> int:
+    """Estimated on-disk footprint of a recommended index (0 when the
+    table is unknown)."""
+    if database is None \
+            or not database.catalog.has_table(recommendation.table_name):
+        return 0
+    synthesized = synthesize_index_info(
+        IndexDef(recommendation.index_name or f"idx_{i}",
+                 recommendation.table_name, recommendation.columns,
+                 virtual=True),
+        database.table_info(recommendation.table_name),
+        database.disk.page_size)
+    return (synthesized.leaf_pages + synthesized.height) \
+        * database.disk.page_size

@@ -3,9 +3,8 @@
 The paper's third analysis level "interprets the data's meaning,
 identifies trends and patterns and starts predicting potential problems
 in advance" (left as an outlook in section VI).  This module implements
-it: least-squares fits over any statistics field, with threshold-
-crossing forecasts ("at the current growth, the session count reaches
-the configured maximum in ~3 hours").
+it: least-squares fits over any statistics field, each able to say when
+its line reaches a given value.
 """
 
 from __future__ import annotations
@@ -100,37 +99,3 @@ def trends_from_statistics(rows: Sequence[tuple],
         if trend is not None:
             fitted[field] = trend
     return fitted
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A forecast threshold crossing."""
-
-    field: str
-    threshold: float
-    seconds_until: float
-    trend: Trend
-
-    def describe(self) -> str:
-        hours = self.seconds_until / 3600.0
-        return (f"{self.field} is rising "
-                f"({self.trend.slope_per_second:+.4f}/s, "
-                f"r2={self.trend.r_squared:.2f}); reaches "
-                f"{self.threshold:g} in ~{hours:.1f}h")
-
-
-def predict_threshold_crossings(trends: dict[str, Trend],
-                                thresholds: dict[str, float],
-                                min_r_squared: float = 0.5,
-                                ) -> list[Prediction]:
-    """Forecast which monitored fields will cross their thresholds."""
-    predictions: list[Prediction] = []
-    for field, threshold in thresholds.items():
-        trend = trends.get(field)
-        if trend is None or trend.r_squared < min_r_squared:
-            continue
-        eta = trend.seconds_until(threshold)
-        if eta is not None:
-            predictions.append(Prediction(field, threshold, eta, trend))
-    predictions.sort(key=lambda p: p.seconds_until)
-    return predictions

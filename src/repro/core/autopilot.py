@@ -4,8 +4,8 @@ The last step of the paper's outlook (section VI): "a next step would
 then be the autonomous implementation of changes without interaction of
 the DBA."  :class:`AutonomousTuner` closes the control loop: each cycle
 it flushes the daemon, analyzes the workload DB, runs the accepted
-recommendations through the dependency graph and a safety policy, and
-applies the surviving set.
+recommendations through one selection function and a safety policy,
+and applies the surviving set in application order.
 
 Safety policy:
 
@@ -32,9 +32,10 @@ extended to the implementation end of the loop):
 * A recommendation that keeps failing is *quarantined* by a
   per-recommendation circuit breaker: after
   ``quarantine_after_failures`` consecutive failures it is benched for
-  ``quarantine_cooldown_s`` and skipped with a reason in the cycle
-  report instead of being retried every cycle.  Failure streaks are
-  persisted in the journal, so quarantine survives a restart.
+  ``quarantine_cooldown_s`` after the last one and skipped with a
+  reason in the cycle report instead of being retried every cycle.
+  The breaker is the journal's failure streaks and nothing else, so
+  quarantine survives a restart.
 * ``start``/``stop`` run ``run_cycle`` on a
   :class:`~repro.core.health.PeriodicWorker`, like the daemon's polls:
   a failed cycle adds ``RETRY_BACKOFF`` (1 s doubling, 60 s cap) to
@@ -45,7 +46,7 @@ extended to the implementation end of the loop):
 Locking is two-level like the daemon's.  ``_cycle_mutex`` serializes
 whole tuning cycles end to end (held across the SQL round trips by
 design; never taken on engine hot paths).  ``_lock`` stays cheap: it
-guards only counters and breaker state and is never held across I/O.
+guards only counters and the history and is never held across I/O.
 Lock order: ``_cycle_mutex`` -> journal ``_write_mutex`` -> ``_lock``.
 """
 
@@ -58,16 +59,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.catalog.schema import StorageStructure
 from repro.clock import Clock
 from repro.core.analyzer.analyzer import Analyzer
-from repro.core.analyzer.dependencies import (
-    build_dependency_graph,
-    select_recommendations,
-)
+from repro.core.analyzer.dependencies import select_recommendations
 from repro.core.analyzer.recommendations import (
     AppliedRecommendation,
     Recommendation,
     RecommendationKind,
     apply_one,
-    order_for_application,
     undo_sql,
 )
 from repro.core.daemon import StorageDaemon
@@ -100,8 +97,8 @@ class TuningPolicy:
     """Consecutive failures before a recommendation is benched."""
 
     quarantine_cooldown_s: float = 600.0
-    """Seconds a quarantined recommendation sits out before one retry
-    is allowed (it re-quarantines immediately on another failure)."""
+    """Seconds after its last failure a benched recommendation sits out
+    before one retry (another failure re-quarantines it at once)."""
 
     cycle_interval_s: float = 300.0
     """Seconds between cycles when running as a background thread."""
@@ -179,7 +176,6 @@ class TunerStatus(WorkerStatus):
 
 
 _MAX_HISTORY = 64
-_MAX_BREAKER_ENTRIES = 256
 
 
 class AutonomousTuner(WorkerOwner):
@@ -205,78 +201,31 @@ class AutonomousTuner(WorkerOwner):
         self._lock = threading.Lock()
         # Recent cycle reports, oldest dropped beyond the cap.
         self.history: list[TuningCycleReport] = []  # staticcheck: shared(_lock)
-        # Circuit-breaker state per recommendation SQL; entries are
-        # cleared on success and expired entries are evicted beyond
-        # _MAX_BREAKER_ENTRIES.
-        self._failures: dict[str, int] = {}  # staticcheck: shared(_lock)
-        self._quarantined_until: dict[str, float] = {}  # staticcheck: shared(_lock)
-        self._breaker_errors: dict[str, str] = {}  # staticcheck: shared(_lock)
         # Journal marks that failed in the current cycle (recovery's
         # included); reset when a cycle starts.
         self._mark_failures = 0  # staticcheck: shared(_lock)
         self.worker = PeriodicWorker(
             "repro-autonomous-tuner", self.policy.cycle_interval_s,
             self.run_cycle, RETRY_BACKOFF, self.clock)
-        self._seed_breakers_from_journal()
 
     # -- circuit breakers ----------------------------------------------------
 
-    def _seed_breakers_from_journal(self) -> None:
-        """Rebuild quarantine state from persisted failure streaks, so
-        a restarted tuner does not immediately retry a poisoned
-        recommendation it had already benched."""
-        threshold = self.policy.quarantine_after_failures
-        cooldown = self.policy.quarantine_cooldown_s
-        with self._lock:
-            for sql, (count, last_ts) in \
-                    self.journal.failure_streaks().items():
-                self._failures[sql] = count
-                if count >= threshold:
-                    self._quarantined_until[sql] = last_ts + cooldown
-                    self._breaker_errors.setdefault(
-                        sql, "failures persisted in the tuning journal")
+    def _quarantined(self) -> dict[str, QuarantineStatus]:
+        """Benched statements, read from the journal's failure streaks.
 
-    def _quarantine_remaining(self, sql: str) -> float | None:
-        """Seconds of cooldown left, or None when the SQL may run."""
+        A cooldown of 0 means half-open: one retry is allowed, and
+        another failure extends the streak and benches it again.
+        """
         now = self.clock.now()
-        with self._lock:
-            until = self._quarantined_until.get(sql)
-            if until is None or now >= until:
-                # Half-open: the cooldown expired, one retry is allowed
-                # (the entry stays until a success clears it, so another
-                # failure re-quarantines immediately).
-                return None
-            return until - now
-
-    def _record_apply_success(self, sql: str) -> None:
-        with self._lock:
-            self._failures.pop(sql, None)
-            self._quarantined_until.pop(sql, None)
-            self._breaker_errors.pop(sql, None)
-
-    def _record_apply_failure(self, sql: str, error: str) -> bool:
-        """Count a failure; returns True when the SQL is now benched."""
-        now = self.clock.now()
-        with self._lock:
-            count = self._failures.get(sql, 0) + 1
-            self._failures[sql] = count
-            self._breaker_errors[sql] = error
-            benched = count >= self.policy.quarantine_after_failures
-            if benched:
-                self._quarantined_until[sql] = \
-                    now + self.policy.quarantine_cooldown_s
-            self._evict_expired_breakers(now)
-            return benched
-
-    # staticcheck: guarded-by(_lock)
-    def _evict_expired_breakers(self, now: float) -> None:
-        if len(self._failures) <= _MAX_BREAKER_ENTRIES:
-            return
-        for sql in [s for s, until in self._quarantined_until.items()
-                    if now >= until]:
-            self._failures.pop(sql, None)
-            self._quarantined_until.pop(sql, None)
-            self._breaker_errors.pop(sql, None)
+        return {
+            sql: QuarantineStatus(
+                sql=sql, failures=streak.count,
+                cooldown_remaining_s=max(
+                    0.0,
+                    streak.last_ts + self.policy.quarantine_cooldown_s - now),
+                last_error=streak.last_error)
+            for sql, streak in self.journal.failure_streaks().items()
+            if streak.count >= self.policy.quarantine_after_failures}
 
     # -- crash recovery ------------------------------------------------------
 
@@ -396,9 +345,8 @@ class AutonomousTuner(WorkerOwner):
         report.considered = list(analysis.recommendations)
 
         database = self.engine.database(self.database_name)
-        graph = build_dependency_graph(report.considered, database)
         selection = select_recommendations(
-            graph,
+            report.considered, database,
             disk_budget_bytes=self.policy.disk_budget_bytes,
             min_benefit=self.policy.min_index_benefit,
         )
@@ -407,7 +355,7 @@ class AutonomousTuner(WorkerOwner):
 
         if not self.policy.dry_run and runnable:
             with self.engine.connect(self.database_name) as session:
-                for recommendation in order_for_application(runnable):
+                for recommendation in runnable:
                     self._apply_journaled(session, database,
                                           recommendation, report,
                                           cycle_no)
@@ -420,6 +368,7 @@ class AutonomousTuner(WorkerOwner):
     def _filter_runnable(self, selected: list[Recommendation],
                          report: TuningCycleReport) -> list[Recommendation]:
         already_applied = self.journal.applied_sqls()
+        quarantined = self._quarantined()
         runnable: list[Recommendation] = []
         for recommendation in selected:
             sql = recommendation.to_sql()
@@ -432,12 +381,10 @@ class AutonomousTuner(WorkerOwner):
                 report.skipped.append(
                     (recommendation, "structure changes disabled by policy"))
                 continue
-            remaining = self._quarantine_remaining(sql)
-            if remaining is not None:
-                with self._lock:
-                    failures = self._failures.get(sql, 0)
-                reason = (f"quarantined after {failures} failures; "
-                          f"retry in {remaining:.0f}s")
+            benched = quarantined.get(sql)
+            if benched is not None and benched.cooldown_remaining_s > 0:
+                reason = (f"quarantined after {benched.failures} failures; "
+                          f"retry in {benched.cooldown_remaining_s:.0f}s")
                 report.skipped.append((recommendation, reason))
                 report.quarantined.append((recommendation, reason))
                 continue
@@ -471,14 +418,13 @@ class AutonomousTuner(WorkerOwner):
         report.applied.append(outcome)
         if outcome.succeeded:
             self._mark(self.journal.mark_applied, entry_id)
-            self._record_apply_success(sql)
-        else:
-            self._mark(self.journal.mark_failed, entry_id, outcome.error)
-            if self._record_apply_failure(sql, outcome.error):
-                report.quarantined.append(
-                    (recommendation,
-                     f"quarantined after "
-                     f"{self.policy.quarantine_after_failures} failures"))
+            return
+        self._mark(self.journal.mark_failed, entry_id, outcome.error)
+        if sql in self._quarantined():
+            report.quarantined.append(
+                (recommendation,
+                 f"quarantined after "
+                 f"{self.policy.quarantine_after_failures} failures"))
 
     # -- health (start/restart/is_alive/stop: WorkerOwner) --------------------
 
@@ -487,22 +433,13 @@ class AutonomousTuner(WorkerOwner):
         journal_health = self.journal.health()
         changes_applied = len(self.journal.applied_sqls())
         worker = asdict(self.worker.status())
-        now = self.clock.now()
-        with self._lock:
-            quarantined = tuple(
-                QuarantineStatus(
-                    sql=sql,
-                    failures=self._failures.get(sql, 0),
-                    cooldown_remaining_s=max(0.0, until - now),
-                    last_error=self._breaker_errors.get(sql, ""),
-                )
-                for sql, until in sorted(self._quarantined_until.items()))
-            return TunerStatus(
-                **worker,
-                changes_applied=changes_applied,
-                quarantined=quarantined,
-                journal=journal_health,
-            )
+        return TunerStatus(
+            **worker,
+            changes_applied=changes_applied,
+            quarantined=tuple(status for _sql, status
+                              in sorted(self._quarantined().items())),
+            journal=journal_health,
+        )
 
     @property
     def total_changes_applied(self) -> int:

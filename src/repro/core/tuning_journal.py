@@ -46,7 +46,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import faultsim
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -104,6 +104,18 @@ class JournalEntry:
     updated_at: float
 
 
+class FailureStreak(NamedTuple):
+    """Consecutive failures of one statement since it last applied or
+    rolled back — the circuit breaker's whole record."""
+
+    count: int
+    last_ts: float
+    last_error: str
+
+
+_NO_STREAK = FailureStreak(0, 0.0, "")
+
+
 @dataclass(frozen=True)
 class JournalHealth:
     """Snapshot for ``\\tuner status`` and the chaos invariants."""
@@ -134,14 +146,16 @@ class TuningJournal:
         # Serializes whole journal writes end to end (see module doc).
         self._write_mutex = threading.Lock()
         self._lock = threading.Lock()
-        # In-memory mirror of the table, one cell per change; bounded
-        # by _prune(), which evicts the oldest terminal entries (and
+        # In-memory mirror of the table, one cell per change, kept in
+        # the order of each change's latest row; bounded by
+        # _prune_locked(), which evicts the oldest terminal entries (and
         # deletes their rows) beyond max_entries.
         self._entries: dict[int, JournalEntry] = {}  # staticcheck: shared(_lock)
         self._rowids: dict[int, list[int]] = {}  # staticcheck: shared(_lock)
-        # Consecutive failure streaks per statement: (count, last ts).
-        # Reset on success/rollback, so bounded by the entries alive.
-        self._streaks: dict[str, tuple[int, float]] = {}  # staticcheck: shared(_lock)
+        # Consecutive failure streaks per statement.  Reset on
+        # success/rollback; a live streak's entries are never pruned, so
+        # bounded by the entries alive.
+        self._streaks: dict[str, FailureStreak] = {}  # staticcheck: shared(_lock)
         self._next_seq = 1  # staticcheck: shared(_lock)
         self._next_entry_id = 1  # staticcheck: shared(_lock)
         self._transitions = 0  # staticcheck: shared(_lock)
@@ -164,24 +178,28 @@ class TuningJournal:
             for row, rowid in rows:
                 (seq, entry_id, cycle, kind, table_name, object_name,
                  sql_text, undo, state_text, error, ts) = row
-                entry = JournalEntry(
+                self._put(JournalEntry(
                     entry_id=entry_id, cycle=cycle, kind=kind,
                     table_name=table_name, object_name=object_name,
                     sql=sql_text, undo_sql=undo,
                     state=JournalState(state_text), error=error,
-                    updated_at=ts)
-                self._entries[entry_id] = entry
-                self._rowids.setdefault(entry_id, []).append(rowid)
-                self._apply_streak(entry)
+                    updated_at=ts), rowid)
                 self._next_seq = max(self._next_seq, seq + 1)
                 self._next_entry_id = max(self._next_entry_id, entry_id + 1)
-                self._transitions += 1
 
     # staticcheck: guarded-by(_lock)
-    def _apply_streak(self, entry: JournalEntry) -> None:
+    def _put(self, entry: JournalEntry, rowid: int) -> None:
+        """Mirror one persisted row, in the order a reload replays it."""
+        # Re-inserting moves the change to the end: _entries stays in
+        # latest-row order, the order _prune_locked evicts in.
+        self._entries.pop(entry.entry_id, None)
+        self._entries[entry.entry_id] = entry
+        self._rowids.setdefault(entry.entry_id, []).append(rowid)
+        self._transitions += 1
         if entry.state is JournalState.FAILED:
-            count, _ts = self._streaks.get(entry.sql, (0, 0.0))
-            self._streaks[entry.sql] = (count + 1, entry.updated_at)
+            count = self._streaks.get(entry.sql, _NO_STREAK).count
+            self._streaks[entry.sql] = FailureStreak(
+                count + 1, entry.updated_at, entry.error)
         elif entry.state in (JournalState.APPLIED,
                              JournalState.ROLLED_BACK):
             self._streaks.pop(entry.sql, None)
@@ -277,10 +295,7 @@ class TuningJournal:
                 f"tuning journal write failed: {error}") from error
         with self._lock:
             self._next_seq = seq + 1
-            self._entries[entry.entry_id] = entry
-            self._rowids.setdefault(entry.entry_id, []).append(rowid)
-            self._apply_streak(entry)
-            self._transitions += 1
+            self._put(entry, rowid)
             self._last_write_at = entry.updated_at
 
     # staticcheck: guarded-by(_write_mutex)
@@ -288,7 +303,11 @@ class TuningJournal:
         """Evict the oldest *terminal* entries beyond ``max_entries``.
 
         Interrupted (``intent``) entries are never pruned — they are
-        exactly what recovery needs.  Prune failures are deliberately
+        exactly what recovery needs — and neither are the failures of
+        a live streak, so a reload counts the same streaks as memory
+        and a pruned journal never lifts a quarantine.  Eviction goes
+        by latest row: a failure that precedes a success goes before
+        that success does.  Prune failures are deliberately
         impossible here: rows are deleted outside any engine lock and
         a failed delete would simply leave the row for the next prune.
         """
@@ -296,13 +315,20 @@ class TuningJournal:
             overflow = len(self._entries) - self.max_entries
             if overflow <= 0:
                 return
-            victims = [entry_id for entry_id, entry
-                       in sorted(self._entries.items())
-                       if entry.state in TERMINAL_STATES][:overflow]
+            streak_ids: dict[str, list[int]] = {}
+            for entry_id, entry in self._entries.items():
+                if entry.state is JournalState.FAILED:
+                    streak_ids.setdefault(entry.sql, []).append(entry_id)
+                elif entry.state in TERMINAL_STATES:
+                    streak_ids.pop(entry.sql, None)
+            live = {entry_id for ids in streak_ids.values()
+                    for entry_id in ids}
+            victims = [entry_id for entry_id, entry in self._entries.items()
+                       if entry.state in TERMINAL_STATES
+                       and entry_id not in live][:overflow]
             doomed: list[tuple[int, list[int]]] = []
             for entry_id in victims:
-                entry = self._entries.pop(entry_id)
-                self._streaks.pop(entry.sql, None)
+                del self._entries[entry_id]
                 doomed.append((entry_id, self._rowids.pop(entry_id, [])))
             self._entries_pruned += len(doomed)
         for _entry_id, rowids in doomed:
@@ -336,11 +362,10 @@ class TuningJournal:
             return frozenset(entry.sql for entry in self._entries.values()
                              if entry.state is JournalState.APPLIED)
 
-    def failure_streaks(self) -> dict[str, tuple[int, float]]:
-        """Per-statement consecutive failures: ``{sql: (count, last_ts)}``.
-
-        Rebuilt from persisted rows on restart, so circuit breakers
-        survive a tuner crash."""
+    def failure_streaks(self) -> dict[str, FailureStreak]:
+        """Per-statement consecutive failures, the tuner's circuit
+        breakers; rebuilt from persisted rows on restart, so a
+        quarantine survives a tuner crash."""
         with self._lock:
             return dict(self._streaks)
 

@@ -146,7 +146,7 @@ class WorkloadDatabase:
 
         Like the workload tables it survives any crash of its writer:
         a restarted :class:`~repro.core.autopilot.AutonomousTuner`
-        rebuilds its applied-set and circuit-breaker state from it.
+        reads its applied-set and circuit breakers from it.
         """
         if self._journal is None:
             # Imported lazily: the journal pulls in the analyzer's

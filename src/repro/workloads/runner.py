@@ -71,19 +71,3 @@ class WorkloadRunner:
                 progress(i + 1, len(statements))
         report.total_wallclock_s = clock.monotonic() - started
         return report
-
-    def run_repeated(self, statements: Sequence[str],
-                     repetitions: int) -> RunReport:
-        """Run the list ``repetitions`` times (warm-cache measurements)."""
-        combined = RunReport()
-        clock = self.session.engine.clock
-        started = clock.monotonic()
-        for _ in range(repetitions):
-            report = self.run(statements)
-            combined.statements += report.statements
-            combined.errors += report.errors
-            combined.rows_returned += report.rows_returned
-            if self.keep_per_statement:
-                combined.per_statement_s.extend(report.per_statement_s)
-        combined.total_wallclock_s = clock.monotonic() - started
-        return combined

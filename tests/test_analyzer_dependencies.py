@@ -1,12 +1,8 @@
-"""Tests for the recommendation dependency graph and autonomous tuner."""
+"""Tests for recommendation selection and the autonomous tuner."""
 
 import pytest
 
-from repro.core.analyzer.dependencies import (
-    InteractionKind,
-    build_dependency_graph,
-    select_recommendations,
-)
+from repro.core.analyzer.dependencies import select_recommendations
 from repro.core.analyzer.recommendations import (
     Recommendation,
     RecommendationKind,
@@ -33,119 +29,141 @@ def modify_rec(table):
 
 
 class TestDependencyGraph:
+    """Interactions between recommendations, judged by what the
+    selection keeps and drops."""
+
     def test_subsumption_detected(self):
-        graph = build_dependency_graph([
-            index_rec("t", ("a", "b")),
-            index_rec("t", ("a",)),
-        ])
-        subsumes = graph.interactions_of(InteractionKind.SUBSUMES)
-        assert len(subsumes) == 1
-        assert graph.nodes[subsumes[0].source].columns == ("a", "b")
+        wide = index_rec("t", ("a", "b"))
+        narrow = index_rec("t", ("a",))
+        result = select_recommendations([wide, narrow])
+        assert result.dropped == [(narrow, "subsumed by index on (a, b)")]
 
     def test_non_prefix_not_subsumed(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             index_rec("t", ("a", "b")),
             index_rec("t", ("b",)),
         ])
-        assert not graph.interactions_of(InteractionKind.SUBSUMES)
+        assert len(result.selected) == 2
+        assert result.dropped == []
+
+    def test_equal_width_not_subsumed(self):
+        result = select_recommendations([
+            index_rec("t", ("a",), name="first"),
+            index_rec("t", ("a",), name="second"),
+        ])
+        assert [r.index_name for r in result.selected] == ["first", "second"]
+        assert result.dropped == []
 
     def test_different_tables_not_subsumed(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             index_rec("t", ("a", "b")),
             index_rec("u", ("a",)),
         ])
-        assert not graph.interactions_of(InteractionKind.SUBSUMES)
+        assert len(result.selected) == 2
+        assert result.dropped == []
 
     def test_pk_index_redundant_with_modify(self, fresh_nref_setup):
         database = fresh_nref_setup.engine.database("nref")
-        graph = build_dependency_graph([
+        pk_index = index_rec("protein", ("nref_id",))
+        result = select_recommendations(
+            [modify_rec("protein"), pk_index], database)
+        assert [r.kind for r in result.selected] == \
+            [RecommendationKind.MODIFY_TO_BTREE]
+        assert result.dropped == [(pk_index,
+                                   "redundant with MODIFY TO BTREE")]
+
+    def test_pk_index_kept_without_database(self):
+        result = select_recommendations([
             modify_rec("protein"),
             index_rec("protein", ("nref_id",)),
-        ], database)
-        redundant = graph.interactions_of(
-            InteractionKind.REDUNDANT_WITH_MODIFY)
-        assert len(redundant) == 1
-
-    def test_prerequisite_ordering_edges(self):
-        graph = build_dependency_graph([
-            stats_rec("t"),
-            modify_rec("t"),
-            index_rec("t", ("a",)),
         ])
-        prerequisites = graph.interactions_of(InteractionKind.PREREQUISITE)
-        pairs = {(graph.nodes[p.source].kind, graph.nodes[p.target].kind)
-                 for p in prerequisites}
-        assert (RecommendationKind.MODIFY_TO_BTREE,
-                RecommendationKind.CREATE_INDEX) in pairs
-        assert (RecommendationKind.CREATE_INDEX,
-                RecommendationKind.CREATE_STATISTICS) in pairs
+        assert len(result.selected) == 2
 
     def test_index_bytes_estimated(self, fresh_nref_setup):
         database = fresh_nref_setup.engine.database("nref")
-        graph = build_dependency_graph(
+        result = select_recommendations(
             [index_rec("protein", ("tax_id",))], database)
-        assert graph.index_bytes[0] > 0
-
-    def test_describe_renders(self):
-        graph = build_dependency_graph([
-            index_rec("t", ("a", "b")),
-            index_rec("t", ("a",)),
-        ])
-        assert "subsumes" in graph.describe()
+        assert len(result.selected) == 1
+        assert result.estimated_index_bytes > 0
+        assert select_recommendations(
+            [index_rec("protein", ("tax_id",))]).estimated_index_bytes == 0
 
 
 class TestSelection:
     def test_subsumed_index_dropped(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             index_rec("t", ("a", "b"), benefit=100.0),
             index_rec("t", ("a",), benefit=50.0),
         ])
-        result = select_recommendations(graph)
         assert [r.columns for r in result.selected] == [("a", "b")]
         assert result.dropped[0][0].columns == ("a",)
 
     def test_high_value_narrow_index_survives(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             index_rec("t", ("a", "b"), benefit=10.0),
             index_rec("t", ("a",), benefit=500.0),
         ])
-        result = select_recommendations(graph)
         assert len(result.selected) == 2
+        assert result.dropped == []
 
     def test_benefit_threshold(self):
-        graph = build_dependency_graph([index_rec("t", ("a",), benefit=5.0)])
-        result = select_recommendations(graph, min_benefit=10.0)
+        result = select_recommendations(
+            [index_rec("t", ("a",), benefit=5.0)], min_benefit=10.0)
         assert not result.selected
-        assert "below threshold" in result.dropped[0][1]
+        assert result.dropped[0][1] == "benefit 5.0 below threshold 10.0"
 
     def test_disk_budget_enforced(self, fresh_nref_setup):
         database = fresh_nref_setup.engine.database("nref")
-        graph = build_dependency_graph([
+        recommendations = [
             index_rec("protein", ("tax_id",), benefit=100.0),
             index_rec("sequence", ("crc",), benefit=1.0),
-        ], database)
-        tight_budget = min(graph.index_bytes.values()) + 1
-        result = select_recommendations(graph,
+        ]
+        footprints = [
+            select_recommendations([r], database).estimated_index_bytes
+            for r in recommendations]
+        tight_budget = min(footprints) + 1
+        result = select_recommendations(recommendations, database,
                                         disk_budget_bytes=tight_budget)
-        assert len(result.selected) == 1
         # the benefit-per-byte winner got the budget
-        assert result.selected[0].table_name == "protein"
-        assert any("budget" in reason for _r, reason in result.dropped)
+        assert [r.table_name for r in result.selected] == ["protein"]
+        assert result.estimated_index_bytes == footprints[0]
+        assert [(r.table_name, reason.startswith("disk budget exhausted"))
+                for r, reason in result.dropped] == [("sequence", True)]
 
     def test_non_index_recommendations_always_kept(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             stats_rec("t"), modify_rec("u"),
-        ])
-        result = select_recommendations(graph, disk_budget_bytes=0)
+        ], disk_budget_bytes=0, min_benefit=1e9)
         assert len(result.selected) == 2
+        assert result.dropped == []
+
+    def test_drop_order_follows_the_rules(self, fresh_nref_setup):
+        """Subsumption, then MODIFY redundancy, then the benefit
+        threshold, then the budget — whatever the input order."""
+        database = fresh_nref_setup.engine.database("nref")
+        cheap = index_rec("organism", ("tax_id",), benefit=2.0)
+        over_budget = index_rec("sequence", ("crc",), benefit=6.0)
+        pk_index = index_rec("protein", ("nref_id",))
+        narrow = index_rec("protein", ("tax_id",), benefit=10.0)
+        wide = index_rec("protein", ("tax_id", "name"), benefit=10.0)
+        result = select_recommendations(
+            [cheap, over_budget, pk_index, narrow, wide,
+             modify_rec("protein")],
+            database, disk_budget_bytes=select_recommendations(
+                [wide], database).estimated_index_bytes,
+            min_benefit=5.0)
+        assert [r for r, _reason in result.dropped] == \
+            [narrow, pk_index, cheap, over_budget]
+        assert [r.kind for r in result.selected] == \
+            [RecommendationKind.MODIFY_TO_BTREE,
+             RecommendationKind.CREATE_INDEX]
 
     def test_application_order_safe(self):
-        graph = build_dependency_graph([
+        result = select_recommendations([
             stats_rec("t"),
             index_rec("t", ("a",)),
             modify_rec("t"),
         ])
-        result = select_recommendations(graph)
         kinds = [r.kind for r in result.selected]
         assert kinds == [RecommendationKind.MODIFY_TO_BTREE,
                          RecommendationKind.CREATE_INDEX,

@@ -8,11 +8,7 @@ from repro.core.analyzer.reports import (
     cost_diagram,
     locks_diagram,
 )
-from repro.core.analyzer.trends import (
-    fit_trend,
-    predict_threshold_crossings,
-    trends_from_statistics,
-)
+from repro.core.analyzer.trends import fit_trend, trends_from_statistics
 from repro.core.analyzer.workload_view import StatementProfile
 from repro.core.records import StatisticsRecord
 from repro.core.sensors import statement_key
@@ -121,24 +117,11 @@ class TestTrends:
         assert trends["current_sessions"].slope_per_second == \
             pytest.approx(0.0)
 
-    def test_predictions_sorted_and_filtered(self):
-        rows = [StatisticsRecord(timestamp=float(t), locks_held=t,
-                                 current_sessions=t * 10).as_row()
-                for t in range(6)]
-        trends = trends_from_statistics(rows)
-        predictions = predict_threshold_crossings(
-            trends, {"locks_held": 100.0, "current_sessions": 100.0})
-        assert [p.field for p in predictions] == ["current_sessions",
-                                                  "locks_held"]
-        assert "rising" in predictions[0].describe()
-
     def test_noisy_trend_filtered_by_r_squared(self):
         points = [(0.0, 0.0), (1.0, 100.0), (2.0, -50.0), (3.0, 80.0),
                   (4.0, 10.0)]
         trend = fit_trend("x", points)
-        predictions = predict_threshold_crossings(
-            {"x": trend}, {"x": 1000.0}, min_r_squared=0.5)
-        assert predictions == []
+        assert trend.r_squared < 0.5
 
 
 class TestAnalyzerOrchestration:
@@ -166,28 +149,6 @@ class TestAnalyzerOrchestration:
         text = report.render_text()
         assert "ANALYZER REPORT" in text
         assert "RECOMMENDATIONS" in text
-
-    def test_analyze_monitor_directly(self, fresh_nref_setup):
-        setup = fresh_nref_setup
-        session = setup.engine.connect("nref")
-        session.execute("select count(*) from protein where tax_id = 1")
-        analyzer = Analyzer(setup.engine.database("nref"))
-        report = analyzer.analyze_monitor(setup.monitor)
-        assert report.statements_analyzed >= 1
-        assert report.cost_diagram.entries
-
-    def test_thresholds_produce_predictions(self, fresh_nref_setup):
-        setup = fresh_nref_setup
-        monitor = setup.monitor
-        for t in range(5):
-            monitor.statistics.append(
-                StatisticsRecord(timestamp=float(t * 60),
-                                 locks_held=t * 10))
-        analyzer = Analyzer(setup.engine.database("nref"),
-                            thresholds={"locks_held": 1000.0})
-        report = analyzer.analyze_monitor(monitor)
-        assert any(p.field == "locks_held" for p in report.predictions)
-        assert "PREDICTIONS" in report.render_text()
 
 
 class TestStatisticsRowShapes:

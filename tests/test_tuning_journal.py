@@ -1,15 +1,19 @@
 """Tests for the tuning journal and the crash-safe autonomous tuner."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro import faultsim
 from repro.clock import VirtualClock
+from repro.config import EngineConfig
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
-from repro.core.tuning_journal import JournalState, TuningJournal
+from repro.core.tuning_journal import FailureStreak, JournalState, TuningJournal
 from repro.core.analyzer.recommendations import (
     Recommendation,
     RecommendationKind,
 )
+from repro.engine import EngineInstance
 from repro.errors import MonitorError
 from repro.setups import daemon_setup
 from repro.workloads import NrefScale, WorkloadRunner, complex_query_set, load_nref
@@ -102,6 +106,73 @@ class TestJournalBasics:
         entry_id = journal.record_intent(rec, "", cycle=2)
         journal.mark_applied(entry_id)
         assert rec.to_sql() not in journal.failure_streaks()
+
+    def test_prune_keeps_a_live_failure_streak(self, engine):
+        """Failures of one statement interleaved with other changes:
+        pruning the older entries neither forgets the streak in memory
+        nor leaves a reload counting fewer failures."""
+        database = engine.create_database("jstreak")
+        journal = TuningJournal(database, engine.clock, max_entries=3)
+        poisoned = stats_rec("x")
+        for i in range(3):
+            entry_id = journal.record_intent(poisoned, "", cycle=i)
+            journal.mark_failed(entry_id, f"boom {i}")
+            entry_id = journal.record_intent(stats_rec(f"t{i}"), "", cycle=i)
+            journal.mark_applied(entry_id)
+        assert journal.health().entries_pruned > 0
+        streak = journal.failure_streaks()[poisoned.to_sql()]
+        assert (streak.count, streak.last_error) == (3, "boom 2")
+        reloaded = TuningJournal(database, engine.clock, max_entries=3)
+        assert reloaded.failure_streaks() == journal.failure_streaks()
+
+
+_JOURNAL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("intent"), st.integers(0, 2)),
+    st.tuples(st.sampled_from([JournalState.APPLIED, JournalState.FAILED,
+                               JournalState.ROLLED_BACK]),
+              st.integers(0, 5)),
+), max_size=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_JOURNAL_OPS)
+# A failure journaled before an older entry's success: the success is
+# the later row, so it must not be pruned while the failure stays.
+@example(ops=[("intent", 0), ("intent", 0), (JournalState.FAILED, 1),
+              (JournalState.APPLIED, 0), ("intent", 1)])
+def test_streaks_survive_prune_and_reload(ops):
+    """Random intents and outcomes over 3 statements in a 2-entry
+    journal: after every write the streaks are exactly what the writes
+    themselves imply (a prune never lifts a quarantine), and a reloaded
+    journal counts the same streaks as the live one."""
+    engine = EngineInstance(EngineConfig())
+    database = engine.create_database("jprop")
+    clock = VirtualClock(1_000.0)
+    journal = TuningJournal(database, clock, max_entries=2)
+    open_entries: list[tuple[int, str]] = []
+    for step, (op, arg) in enumerate(ops):
+        clock.advance(1.0)
+        expected = journal.failure_streaks()
+        if op == "intent":
+            rec = stats_rec(f"t{arg}")
+            open_entries.append(
+                (journal.record_intent(rec, "", cycle=step), rec.to_sql()))
+        elif open_entries:
+            entry_id, sql = open_entries.pop(arg % len(open_entries))
+            if op is JournalState.FAILED:
+                count = expected[sql].count if sql in expected else 0
+                journal.mark_failed(entry_id, f"error {step}")
+                expected[sql] = FailureStreak(count + 1, clock.now(),
+                                              f"error {step}")
+            else:
+                if op is JournalState.APPLIED:
+                    journal.mark_applied(entry_id)
+                else:
+                    journal.mark_rolled_back(entry_id)
+                expected.pop(sql, None)
+        assert journal.failure_streaks() == expected
+        reloaded = TuningJournal(database, clock, max_entries=2)
+        assert reloaded.failure_streaks() == expected
 
 
 class TestMidBatchFailure:
@@ -310,11 +381,34 @@ class TestQuarantine:
         assert report.quarantined
         benched_sql = report.quarantined[0][0].to_sql()
 
+        errors = {a.sql: a.error for a in report.applied if not a.succeeded}
+
         reborn, _journal = reborn_tuner(setup, policy)
+        # The restarted tuner shows the engine's own last error.
+        assert {q.sql: q.last_error for q in reborn.status().quarantined} \
+            == errors
         report = reborn.run_cycle()
         reasons = [reason for r, reason in report.skipped
                    if r.to_sql() == benched_sql]
         assert reasons and "quarantined" in reasons[0]
+
+    def test_failure_with_lost_mark_is_not_counted(self):
+        """The journal is the breaker's only record: a failure whose
+        ``failed`` mark could not be written does not count."""
+        setup, _clock = recorded_nref()
+        tuner = AutonomousTuner(
+            setup.engine, "nref", setup.workload_db, daemon=setup.daemon,
+            policy=TuningPolicy(quarantine_after_failures=1))
+        # The first change fails, and so does its mark (the write after
+        # its intent).
+        faultsim.get_injector().arm("ddl.apply", "once")
+        faultsim.arm_from_spec("journal.write:once,after=1")
+        report = tuner.run_cycle()
+        assert not report.applied[0].succeeded
+        assert report.journal_errors == 1
+        assert report.quarantined == []
+        assert tuner.journal.failure_streaks() == {}
+        assert tuner.status().quarantined == ()
 
 
 class TestLifecycleAndStatus:

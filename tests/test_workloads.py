@@ -148,13 +148,6 @@ class TestRunner:
         with pytest.raises(ReproError):
             runner.run(["select * from missing"])
 
-    def test_run_repeated(self, fresh_nref_setup):
-        session = fresh_nref_setup.engine.connect("nref")
-        runner = WorkloadRunner(session)
-        report = runner.run_repeated(["select count(*) from source"], 3)
-        assert report.statements == 3
-        assert report.rows_returned == 3
-
     def test_progress_callback(self, fresh_nref_setup):
         session = fresh_nref_setup.engine.connect("nref")
         runner = WorkloadRunner(session)
