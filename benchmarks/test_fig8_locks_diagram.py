@@ -100,7 +100,7 @@ def contention_run():
 def test_fig8_locks_diagram(contention_run, benchmark):
     engine, samples = contention_run
     diagram = benchmark.pedantic(
-        lambda: locks_diagram([s.as_row() for s in samples]),
+        lambda: locks_diagram(samples),
         rounds=1, iterations=1)
     rendered = diagram.render()
     stats = engine.lock_manager.statistics()

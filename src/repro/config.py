@@ -149,8 +149,3 @@ class EngineConfig:
     execute), so the paper's 50k distinct texts plan once.  The same
     budget holds the exact-text entries that keep the repeated 1m
     statement at one lookup.  0 disables plan caching."""
-
-    faults: tuple[str, ...] = ()
-    """Fault-injection specs armed when the engine is constructed, e.g.
-    ``("disk.read:every-n=10", "session.execute:p=0.01,seed=7")``; see
-    :mod:`repro.faultsim`.  Empty (the default) injects nothing."""

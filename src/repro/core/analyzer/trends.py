@@ -33,15 +33,6 @@ class Trend:
     def rising(self) -> bool:
         return self.slope_per_second > 0
 
-    def seconds_until(self, threshold: float) -> float | None:
-        """Seconds after the last sample until ``threshold`` is reached,
-        or None if the trend never gets there."""
-        if self.slope_per_second <= 0:
-            return None if self.last_value < threshold else 0.0
-        if self.last_value >= threshold:
-            return 0.0
-        return (threshold - self.last_value) / self.slope_per_second
-
 
 def fit_trend(field: str,
               points: Sequence[tuple[float, float]]) -> Trend | None:

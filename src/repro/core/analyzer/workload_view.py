@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core import records
-from repro.core.ima import STATISTICS_SCHEMA, attribute_facts, table_facts
+from repro.core import ima, records
 from repro.core.monitor import IntegratedMonitor
-from repro.core.workload_db import WL_STATISTICS, WorkloadDatabase
+from repro.core.workload_db import WorkloadDatabase
 from repro.errors import AnalyzerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,13 +189,13 @@ class _Fold:
 
     def sample(self, row: tuple) -> None:
         # Without the capture stamp in front and the source seq behind.
-        self.view.statistics.append(row[1:14])
+        self.view.statistics.append(row[1:-1])
 
 
 _SAMPLE_COLUMNS = ("ts",) + records.STATISTIC_FIELDS
 _SAMPLE_OF = {
     len(schema.columns): itemgetter(*map(schema.column_index, _SAMPLE_COLUMNS))
-    for schema in (STATISTICS_SCHEMA, WL_STATISTICS)
+    for schema in (ima.STATISTICS.ima_schema, ima.STATISTICS.wl_schema)
 }
 
 
@@ -217,22 +216,15 @@ def statistics_sample(row: tuple) -> tuple:
     return sample_of(row)
 
 
-def _fields_of(record: tuple, _database: Any) -> tuple:
-    """A monitor record's fields (``_fields``) are its ``wl_*`` columns."""
-    return record
-
-
-# Per workload table, in the order a fold reads them: how a row folds,
-# and the ``wl_*`` columns of the monitor record it is persisted from.
-_FOLDS: tuple[tuple[str, Callable[[_Fold, tuple], None],
-                    Callable[[Any, Any], tuple]], ...] = (
-    ("wl_statements", _Fold.statement, _fields_of),
-    ("wl_workload", _Fold.execution, _fields_of),
-    ("wl_references", _Fold.reference, _fields_of),
-    ("wl_tables", _Fold.table, table_facts),
-    ("wl_attributes", _Fold.attribute, attribute_facts),
-    ("wl_plans", _Fold.plan, _fields_of),
-    ("wl_statistics", _Fold.sample, _fields_of),
+# How a row of each folded table folds, in the order a fold reads them.
+_FOLDS: tuple[tuple[ima.MonitorTable, Callable[[_Fold, tuple], None]], ...] = (
+    (ima.STATEMENTS, _Fold.statement),
+    (ima.WORKLOAD, _Fold.execution),
+    (ima.REFERENCES, _Fold.reference),
+    (ima.TABLES, _Fold.table),
+    (ima.ATTRIBUTES, _Fold.attribute),
+    (ima.PLANS, _Fold.plan),
+    (ima.STATISTICS, _Fold.sample),
 )
 
 
@@ -241,8 +233,9 @@ def fold(workload_db: WorkloadDatabase) -> tuple[WorkloadView, int]:
     to build it (every row of every ``wl_*`` table)."""
     state = _Fold()
     rows = 0
-    for name, apply, _ in _FOLDS:
-        for _rowid, row in workload_db.database.storage_for(name).scan():
+    for table, apply in _FOLDS:
+        storage = workload_db.database.storage_for(table.wl_schema.name)
+        for _rowid, row in storage.scan():
             apply(state, row)
             rows += 1
     return state.view, rows
@@ -257,9 +250,11 @@ def view_from_monitor(monitor: IntegratedMonitor,
                       database: "Database | None" = None) -> WorkloadView:
     """Build the view straight from the in-memory monitor window;
     ``database`` supplies the live table and histogram facts the
-    monitor's table/attribute records do not carry."""
+    monitor's table/attribute records do not carry.  Each record folds
+    as the ``wl_*`` row it would persist as, stamped 0.0 and without a
+    source seq (0)."""
     state = _Fold()
-    for name, apply, columns in _FOLDS:
-        for record in getattr(monitor, name.removeprefix("wl_")).values():
-            apply(state, (0.0, *columns(record, database)))
+    for table, apply in _FOLDS:
+        for record in getattr(monitor, table.name).values():
+            apply(state, (0.0, *table.facts(record, database), 0))
     return state.view

@@ -49,7 +49,8 @@ from typing import TYPE_CHECKING
 from repro.clock import Clock
 from repro.config import DaemonConfig
 from repro.core.health import Backoff, PeriodicWorker, WorkerOwner, WorkerStatus
-from repro.core.workload_db import TABLE_SOURCES, WorkloadDatabase
+from repro.core.ima import MONITOR_TABLES, WORKLOAD
+from repro.core.workload_db import WorkloadDatabase
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,18 +104,20 @@ class StorageDaemon(WorkerOwner):
         self._poll_mutex = threading.Lock()
         self._session: "Session | None" = None  # staticcheck: shared(_poll_mutex)
         self._lock = threading.Lock()
-        # Key space fixed by TABLE_SOURCES (one entry per IMA table);
-        # each value is the highest ring seq already collected.
+        # Marks, pending rows and poll texts share one fixed key space:
+        # per monitor table, its workload table's name (the key
+        # load_high_water reports and append takes).  A mark is the
+        # highest ring seq already collected.
         self._last_seq: dict[str, int] = {
             # staticcheck: shared(_lock)
-            source: 0 for source in TABLE_SOURCES.values()
+            table.wl_schema.name: 0 for table in MONITOR_TABLES
         }
-        # Same fixed key space; each per-table list is drained by every
-        # flush and capped at max_pending_rows while the workload DB is
-        # down (overflow drops the oldest rows into rows_dropped).
+        # Each pending list is drained by every flush and capped at
+        # max_pending_rows while the workload DB is down (overflow drops
+        # the oldest rows into rows_dropped).
         self._pending: dict[str, list[tuple[int, tuple]]] = {
             # staticcheck: shared(_lock); bounded(max_pending_rows)
-            table: [] for table in TABLE_SOURCES
+            name: [] for name in self._last_seq
         }
         # Poll statements are "constant prefix + high-water seq"; the
         # constant part is formatted once per table here, not per poll
@@ -122,8 +125,9 @@ class StorageDaemon(WorkerOwner):
         # predicate the scan takes the ring's bounded snapshot as it
         # comes.
         self._poll_query_prefix: dict[str, str] = {
-            ima_table: f"select * from {ima_table} where seq > "
-            for ima_table in TABLE_SOURCES.values()
+            table.wl_schema.name:
+                f"select * from {table.ima_schema.name} where seq > "
+            for table in MONITOR_TABLES
         }
         self._polls_since_flush = 0  # staticcheck: shared(_lock)
         self.worker = PeriodicWorker(
@@ -161,10 +165,9 @@ class StorageDaemon(WorkerOwner):
         marks = self.workload_db.load_high_water()
         with self._lock:
             last_seq = self._last_seq
-            for wl_table, seq in marks.items():
-                source = TABLE_SOURCES[wl_table]
-                if seq > last_seq[source]:
-                    last_seq[source] = seq
+            for table, seq in marks.items():
+                if seq > last_seq[table]:
+                    last_seq[table] = seq
 
     # -- polling ------------------------------------------------------------
 
@@ -209,7 +212,7 @@ class StorageDaemon(WorkerOwner):
     # staticcheck: hotpath
     def _poll_locked(self) -> PollStats:
         with self._lock:
-            # Fixed-size snapshot (one mark per IMA table); copying it
+            # Fixed-size snapshot (one mark per monitor table); copying it
             # *is* the poll's consistency mechanism (see poll_once).
             high_water = dict(self._last_seq)  # staticcheck: allocfree(fixed-table-key-space)
         # The SQL round trips run without the daemon's cheap lock held —
@@ -217,9 +220,9 @@ class StorageDaemon(WorkerOwner):
         batches, collected, loss = self._collect(high_water)
         with self._lock:
             last_seq = self._last_seq
-            for ima_table, seq in high_water.items():
-                if seq > last_seq[ima_table]:
-                    last_seq[ima_table] = seq
+            for table, seq in high_water.items():
+                if seq > last_seq[table]:
+                    last_seq[table] = seq
             for wl_table, rows in batches.items():
                 self._admit_pending(wl_table, rows)
             self._last_poll_loss = loss
@@ -262,16 +265,17 @@ class StorageDaemon(WorkerOwner):
         batches: dict[str, list[tuple[int, tuple]]] = {}
         collected = 0
         loss = 0
-        for wl_table, ima_table in TABLE_SOURCES.items():
-            mark = high_water[ima_table]
+        for table in MONITOR_TABLES:
+            name = table.wl_schema.name
+            mark = high_water[name]
             rows = session.execute(  # staticcheck: ignore[LCK004]
-                query_prefix[ima_table] + str(mark)).rows
+                query_prefix[name] + str(mark)).rows
             if not rows:
                 continue
-            if wl_table == "wl_workload" and mark > 0:
+            if table is WORKLOAD and mark > 0:
                 loss = max(0, rows[0][0] - mark - 1)
-            high_water[ima_table] = rows[-1][0]
-            batches[wl_table] = [  # staticcheck: allocfree(row-materialization-is-the-product)
+            high_water[name] = rows[-1][0]
+            batches[name] = [  # staticcheck: allocfree(row-materialization-is-the-product)
                 (row[0], row[1:]) for row in rows]
             collected += len(rows)
         return batches, collected, loss

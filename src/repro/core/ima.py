@@ -12,6 +12,11 @@ number in its ring buffer.  A poller fetches only rows newer than its
 last visit (``where seq > N``); the floor reaches the ring itself, so
 the read costs the new rows only.  The daemon strips ``seq`` before the
 rows reach the workload DB, which keeps it as ``src_seq``.
+
+Each monitor table is declared once, here, as a :class:`MonitorTable`:
+its IMA schema, its workload-DB schema, the daemon's poll and the
+analyzer's fold all come from that one declaration
+(:data:`MONITOR_TABLES`).
 """
 
 from __future__ import annotations
@@ -37,61 +42,29 @@ def _text(name: str) -> Column:
     return Column(name, DataType.TEXT)
 
 
-STATEMENTS_SCHEMA = TableSchema("ima_statements", (
-    _int("seq"), _int("text_hash"), _text("query_text"),
-    _int("frequency"), _float("first_seen"), _float("last_seen"),
-))
-
-WORKLOAD_SCHEMA = TableSchema("ima_workload", (
-    _int("seq"), _int("text_hash"), _int("session_id"),
-    _float("ts"),
-    _float("optimize_time_s"), _float("execute_time_s"),
-    _float("wallclock_s"), _float("estimated_io"), _float("estimated_cpu"),
-    _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
-    _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
-    _text("used_indexes"), _float("monitor_time_s"),
-))
-
-REFERENCES_SCHEMA = TableSchema("ima_references", (
-    _int("seq"), _int("text_hash"),
-    Column("object_type", DataType.VARCHAR, 16),
-    _text("object_name"), _text("table_name"), _int("frequency"),
-))
-
-TABLES_SCHEMA = TableSchema("ima_tables", (
-    _int("seq"), _text("table_name"), _int("frequency"),
-    Column("structure", DataType.VARCHAR, 16), _int("data_pages"),
-    _int("overflow_pages"), _int("row_count"), _int("has_statistics"),
-))
-
-ATTRIBUTES_SCHEMA = TableSchema("ima_attributes", (
-    _int("seq"), _text("table_name"), _text("attribute_name"),
-    _int("frequency"), _int("has_histogram"),
-))
-
-INDEXES_SCHEMA = TableSchema("ima_indexes", (
-    _int("seq"), _text("index_name"), _text("table_name"),
-    _int("frequency"),
-))
-
-PLANS_SCHEMA = TableSchema("ima_plans", (
-    _int("seq"), _int("text_hash"), _float("estimated_cost"),
-    _text("plan_text"), _float("captured_at"),
-))
-
-STATISTICS_SCHEMA = TableSchema("ima_statistics", (
-    _int("seq"), _float("ts"), _int("current_sessions"),
-    _int("peak_sessions"), _int("locks_held"), _int("lock_waiters"),
-    _int("lock_requests"), _int("lock_waits"), _int("deadlocks"),
-    _int("lock_timeouts"), _int("cache_hits"), _int("cache_misses"),
-    _int("physical_reads"), _int("physical_writes"),
-))
+def _own_fields(record: tuple, _source: "Database | None") -> tuple:
+    """A record whose fields, in order, are its table's columns."""
+    return record
 
 
-IMA_TABLE_NAMES = (
-    "ima_statements", "ima_workload", "ima_references", "ima_tables",
-    "ima_attributes", "ima_indexes", "ima_statistics", "ima_plans",
-)
+class MonitorTable:
+    """One monitor table, declared once.
+
+    ``name`` is the monitor's buffer attribute; ``columns`` are what
+    ``facts(record, source)`` returns for one of its records.  The IMA
+    table ``ima_<name>`` leads with the ring's ``seq``; the workload
+    table ``wl_<name>`` is the same columns between a leading
+    ``captured_at`` and a trailing ``src_seq`` (the source ``seq``).
+    """
+
+    def __init__(self, name: str, columns: tuple[Column, ...],
+                 facts: Callable[[Any, "Database | None"], tuple]
+                 = _own_fields) -> None:
+        self.name = name
+        self.facts = facts
+        self.ima_schema = TableSchema(f"ima_{name}", (_int("seq"), *columns))
+        self.wl_schema = TableSchema(
+            f"wl_{name}", (_float("captured_at"), *columns, _int("src_seq")))
 
 
 def table_facts(record: Any, source: "Database | None") -> tuple:
@@ -127,6 +100,61 @@ def attribute_facts(record: Any, source: "Database | None") -> tuple:
             has_histogram)
 
 
+STATEMENTS = MonitorTable("statements", (
+    _int("text_hash"), _text("query_text"),
+    _int("frequency"), _float("first_seen"), _float("last_seen"),
+))
+
+WORKLOAD = MonitorTable("workload", (
+    _int("text_hash"), _int("session_id"),
+    _float("ts"), _float("optimize_time_s"), _float("execute_time_s"),
+    _float("wallclock_s"), _float("estimated_io"), _float("estimated_cpu"),
+    _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
+    _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
+    _text("used_indexes"), _float("monitor_time_s"),
+))
+
+REFERENCES = MonitorTable("references", (
+    _int("text_hash"),
+    Column("object_type", DataType.VARCHAR, 16), _text("object_name"),
+    _text("table_name"), _int("frequency"),
+))
+
+TABLES = MonitorTable("tables", (
+    _text("table_name"), _int("frequency"),
+    Column("structure", DataType.VARCHAR, 16), _int("data_pages"),
+    _int("overflow_pages"), _int("row_count"), _int("has_statistics"),
+), facts=table_facts)
+
+ATTRIBUTES = MonitorTable("attributes", (
+    _text("table_name"), _text("attribute_name"),
+    _int("frequency"), _int("has_histogram"),
+), facts=attribute_facts)
+
+INDEXES = MonitorTable("indexes", (
+    _text("index_name"), _text("table_name"), _int("frequency"),
+))
+
+PLANS = MonitorTable("plans", (
+    _int("text_hash"), _float("estimated_cost"),
+    _text("plan_text"), _float("plan_captured_at"),
+))
+
+STATISTICS = MonitorTable("statistics", (
+    _float("ts"), _int("current_sessions"),
+    _int("peak_sessions"), _int("locks_held"), _int("lock_waiters"),
+    _int("lock_requests"), _int("lock_waits"), _int("deadlocks"),
+    _int("lock_timeouts"), _int("cache_hits"), _int("cache_misses"),
+    _int("physical_reads"), _int("physical_writes"),
+))
+
+#: Every monitor table, in the order the storage daemon polls them.
+MONITOR_TABLES = (
+    STATEMENTS, WORKLOAD, REFERENCES, TABLES, ATTRIBUTES, INDEXES, PLANS,
+    STATISTICS,
+)
+
+
 def register_ima_tables(database: "Database", monitor: "IntegratedMonitor",
                         monitored_database: "Database | None" = None) -> None:
     """Install the IMA virtual tables over ``monitor``'s buffers into
@@ -139,36 +167,20 @@ def register_ima_tables(database: "Database", monitor: "IntegratedMonitor",
     """
     source = monitored_database if monitored_database is not None else database
 
-    def publish(schema: TableSchema, buffer: Any,
-                make_row: Callable[[int, Any], tuple]) -> None:
-        """Register ``schema`` over ``buffer``; ``make_row(seq, record)``
-        builds one row, and rows come in the ring's ascending seq order."""
+    def publish(table: MonitorTable) -> None:
+        """Register ``table``'s IMA schema over its buffer; rows come in
+        the ring's ascending seq order."""
+        buffer = getattr(monitor, table.name)
+        facts = table.facts
+
         def rows(min_seq: int = 0) -> list[tuple]:
             """Rows with ``seq > min_seq`` (the ring filters on it)."""
-            return [make_row(seq, record)
+            return [(seq, *facts(record, source))
                     for seq, record in buffer.snapshot(min_seq)]
 
         database.register_virtual_table(
-            schema, rows, floor_column="seq", row_count=buffer.__len__)
+            table.ima_schema, rows, floor_column="seq",
+            row_count=buffer.__len__)
 
-    publish(STATEMENTS_SCHEMA, monitor.statements, lambda seq, r: (
-        seq, r.text_hash, r.text, r.frequency, r.first_seen, r.last_seen))
-    publish(WORKLOAD_SCHEMA, monitor.workload, lambda seq, r: (
-        seq, r.text_hash, r.session_id, r.timestamp,
-        r.optimize_time_s, r.execute_time_s, r.wallclock_s, r.estimated_io,
-        r.estimated_cpu, r.actual_io, r.actual_cpu, r.logical_reads,
-        r.physical_reads, r.tuples_processed, r.rows_returned,
-        r.used_indexes, r.monitor_time_s))
-    publish(REFERENCES_SCHEMA, monitor.references, lambda seq, r: (
-        seq, r.text_hash, r.object_type, r.object_name, r.table_name,
-        r.frequency))
-    publish(TABLES_SCHEMA, monitor.tables,
-            lambda seq, r: (seq,) + table_facts(r, source))
-    publish(ATTRIBUTES_SCHEMA, monitor.attributes,
-            lambda seq, r: (seq,) + attribute_facts(r, source))
-    publish(INDEXES_SCHEMA, monitor.indexes, lambda seq, r: (
-        seq, r.index_name, r.table_name, r.frequency))
-    publish(STATISTICS_SCHEMA, monitor.statistics,
-            lambda seq, r: (seq,) + r.as_row())
-    publish(PLANS_SCHEMA, monitor.plans, lambda seq, r: (
-        seq, r.text_hash, r.estimated_cost, r.plan_text, r.captured_at))
+    for table in MONITOR_TABLES:
+        publish(table)

@@ -2,9 +2,11 @@
 
 These mirror the IMA virtual-table schema of figure 3 in the paper:
 ``Statements``, ``Workload``, ``References``, ``Tables``, ``Attributes``,
-``Indexes`` and ``Statistics``.  Each is an immutable tuple whose
-fields, in order, are its table's columns — the sensors build one or
-two per statement, positionally.
+``Indexes`` and ``Statistics``.  Each is an immutable tuple the sensors
+build one or two of per statement, positionally.  Its fields are, in
+order, its table's columns as :data:`repro.core.ima.MONITOR_TABLES`
+declares them — except for ``Tables`` and ``Attributes``, whose rows
+add live catalog facts to the record's own fields.
 """
 
 from __future__ import annotations
@@ -112,13 +114,6 @@ class PlanRecord(NamedTuple):
     captured_at: float
 
 
-STATISTIC_FIELDS = (
-    "current_sessions", "peak_sessions", "locks_held", "lock_waiters",
-    "lock_requests", "lock_waits", "deadlocks", "lock_timeouts",
-    "cache_hits", "cache_misses", "physical_reads", "physical_writes",
-)
-
-
 class StatisticsRecord(NamedTuple):
     """One sample of system-wide statistics (figure 3's ``Statistics``)."""
 
@@ -136,5 +131,6 @@ class StatisticsRecord(NamedTuple):
     physical_reads: int = 0
     physical_writes: int = 0
 
-    def as_row(self) -> tuple[float | int, ...]:
-        return tuple(self)
+
+#: The sampled statistics, in record order (all fields but the time).
+STATISTIC_FIELDS = StatisticsRecord._fields[1:]

@@ -23,9 +23,10 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from repro import faultsim
-from repro.catalog.schema import Column, DataType, StorageStructure, TableSchema
+from repro.catalog.schema import StorageStructure
 from repro.clock import Clock, SystemClock
 from repro.config import EngineConfig
+from repro.core.ima import MONITOR_TABLES
 from repro.engine.database import Database
 from repro.errors import MonitorError
 from repro.optimizer.interfaces import estimate_row_bytes
@@ -34,89 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuning_journal import TuningJournal
 
 
-def _int(name: str) -> Column:
-    return Column(name, DataType.INT)
-
-
-def _float(name: str) -> Column:
-    return Column(name, DataType.FLOAT)
-
-
-def _text(name: str) -> Column:
-    return Column(name, DataType.TEXT)
-
-
-def _wl_schema(name: str, columns: tuple[Column, ...]) -> TableSchema:
-    """Workload table: leading capture timestamp, trailing source seq."""
-    return TableSchema(
-        name, (_float("captured_at"),) + columns + (_int("src_seq"),))
-
-
-WL_STATEMENTS = _wl_schema("wl_statements", (
-    _int("text_hash"), _text("query_text"),
-    _int("frequency"), _float("first_seen"), _float("last_seen"),
-))
-
-WL_WORKLOAD = _wl_schema("wl_workload", (
-    _int("text_hash"), _int("session_id"),
-    _float("ts"), _float("optimize_time_s"), _float("execute_time_s"),
-    _float("wallclock_s"), _float("estimated_io"), _float("estimated_cpu"),
-    _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
-    _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
-    _text("used_indexes"), _float("monitor_time_s"),
-))
-
-WL_REFERENCES = _wl_schema("wl_references", (
-    _int("text_hash"),
-    Column("object_type", DataType.VARCHAR, 16), _text("object_name"),
-    _text("table_name"), _int("frequency"),
-))
-
-WL_TABLES = _wl_schema("wl_tables", (
-    _text("table_name"), _int("frequency"),
-    Column("structure", DataType.VARCHAR, 16), _int("data_pages"),
-    _int("overflow_pages"), _int("row_count"), _int("has_statistics"),
-))
-
-WL_ATTRIBUTES = _wl_schema("wl_attributes", (
-    _text("table_name"), _text("attribute_name"),
-    _int("frequency"), _int("has_histogram"),
-))
-
-WL_INDEXES = _wl_schema("wl_indexes", (
-    _text("index_name"), _text("table_name"),
-    _int("frequency"),
-))
-
-WL_PLANS = _wl_schema("wl_plans", (
-    _int("text_hash"), _float("estimated_cost"),
-    _text("plan_text"), _float("plan_captured_at"),
-))
-
-WL_STATISTICS = _wl_schema("wl_statistics", (
-    _float("ts"), _int("current_sessions"),
-    _int("peak_sessions"), _int("locks_held"), _int("lock_waiters"),
-    _int("lock_requests"), _int("lock_waits"), _int("deadlocks"),
-    _int("lock_timeouts"), _int("cache_hits"), _int("cache_misses"),
-    _int("physical_reads"), _int("physical_writes"),
-))
-
-WORKLOAD_TABLES = (
-    WL_STATEMENTS, WL_WORKLOAD, WL_REFERENCES, WL_TABLES, WL_ATTRIBUTES,
-    WL_INDEXES, WL_PLANS, WL_STATISTICS,
-)
-
-# IMA table each workload table is fed from (dropping the seq column).
-TABLE_SOURCES = {
-    "wl_statements": "ima_statements",
-    "wl_workload": "ima_workload",
-    "wl_references": "ima_references",
-    "wl_tables": "ima_tables",
-    "wl_attributes": "ima_attributes",
-    "wl_indexes": "ima_indexes",
-    "wl_plans": "ima_plans",
-    "wl_statistics": "ima_statistics",
-}
+#: One workload table per monitor table (``MonitorTable.wl_schema``).
+WORKLOAD_TABLES = tuple(table.wl_schema for table in MONITOR_TABLES)
 
 
 _EMPTY = (math.inf, 0)  # retention watermark of a table never appended to

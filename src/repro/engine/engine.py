@@ -20,7 +20,6 @@ import itertools
 import threading
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro import faultsim
 from repro.clock import Clock, SystemClock
 from repro.config import EngineConfig
 from repro.engine.database import Database
@@ -51,10 +50,6 @@ class EngineInstance:
         # at setup time; one entry per subsystem, never per request.
         self._health_sources: dict[str, Any] = \
             {}  # staticcheck: shared(_mutex)
-        # Failure points requested by the config (robustness testing);
-        # armed on the process-global injector the seams evaluate.
-        for spec in self.config.faults:
-            faultsim.arm_from_spec(spec, clock=self.clock)
 
     # -- databases -----------------------------------------------------------
 

@@ -12,18 +12,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.ima import MONITOR_TABLES, WORKLOAD
 from repro.core.overload import DETAILED, LEVEL_NAMES, conservation_report
 from repro.core.tuning_journal import JournalState, TuningJournal
-from repro.core.workload_db import WORKLOAD_TABLES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.monitor import IntegratedMonitor
     from repro.engine.database import Database
     from repro.setups import Setup
 
-#: Position of ``session_id`` in a stored ``wl_workload`` row
-#: (``captured_at, text_hash, session_id, ...``).
-_SESSION_COLUMN = 2
+#: Position of ``session_id`` in a stored ``wl_workload`` row.
+_SESSION_COLUMN = WORKLOAD.wl_schema.column_index("session_id")
 
 
 def history_violations(setup: "Setup",
@@ -35,8 +34,8 @@ def history_violations(setup: "Setup",
     database = setup.workload_db.database
     violations: list[str] = []
     persisted_sessions: set[int] = set()
-    for schema in WORKLOAD_TABLES:
-        name = schema.name
+    for table in MONITOR_TABLES:
+        name = table.wl_schema.name
         seen: set[int] = set()
         last = 0
         for _rowid, row in database.storage_for(name).scan():
@@ -51,7 +50,7 @@ def history_violations(setup: "Setup",
                     f"{name}: src_seq {seq} persisted after {last} "
                     "(order broken)")
             last = seq
-            if name == "wl_workload":
+            if table is WORKLOAD:
                 persisted_sessions.add(row[_SESSION_COLUMN])
     missing = set(session_ids) - persisted_sessions
     if missing:

@@ -15,7 +15,7 @@ Annotations are ordinary comments attached to the line they govern:
   names what enforces that — the capacity attribute checked before
   inserts (``bounded(capacity)``), the method that drains it
   (``bounded(flush)``), or the module constant fixing its key space
-  (``bounded(TABLE_SOURCES)``).  Read by the deep GRW001 rule.
+  (``bounded(MONITOR_TABLES)``).  Read by the deep GRW001 rule.
 * ``# staticcheck: hotpath`` — on (or directly above) a ``def`` line:
   the function is a hot-path *root* (a sensor, an execute loop, a
   ring-buffer operation, a daemon flush).  The hot-path analysis

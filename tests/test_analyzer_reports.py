@@ -65,7 +65,7 @@ class TestLocksDiagram:
                 (3.0, 3, 2, 1),
             ]
         ]
-        return [record.as_row() for record in samples]
+        return samples  # a record's fields are its sample's
 
     def test_events_are_differentiated(self):
         diagram = locks_diagram(self.rows())
@@ -100,17 +100,10 @@ class TestTrends:
         assert trend.slope_per_second == pytest.approx(0.0)
         assert not trend.rising
 
-    def test_seconds_until(self):
-        trend = fit_trend("x", [(0.0, 0.0), (10.0, 10.0)])
-        assert trend.seconds_until(15.0) == pytest.approx(5.0)
-        assert trend.seconds_until(5.0) == 0.0  # already crossed
-        falling = fit_trend("x", [(0.0, 10.0), (10.0, 0.0)])
-        assert falling.seconds_until(100.0) is None
-
     def test_trends_from_statistics(self):
         rows = [StatisticsRecord(timestamp=float(t),
                                  locks_held=t * 3,
-                                 current_sessions=2).as_row()
+                                 current_sessions=2)
                 for t in range(6)]
         trends = trends_from_statistics(rows)
         assert trends["locks_held"].slope_per_second == pytest.approx(3.0)

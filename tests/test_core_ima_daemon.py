@@ -10,7 +10,7 @@ from repro.core.alerts import (
     install_standard_alerts,
 )
 from repro.core.daemon import StorageDaemon
-from repro.core.ima import IMA_TABLE_NAMES
+from repro.core.ima import MONITOR_TABLES
 from repro.core.sensors import statement_key
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import MonitorError
@@ -34,8 +34,9 @@ def wired():
 class TestIma:
     def test_all_ima_tables_registered(self, wired):
         setup, session, _clock = wired
-        for name in IMA_TABLE_NAMES:
-            result = session.execute(f"select count(*) from {name}")
+        for table in MONITOR_TABLES:
+            result = session.execute(
+                f"select count(*) from {table.ima_schema.name}")
             assert result.scalar() >= 0
 
     def test_ima_statements_queryable_by_sql(self, wired):
@@ -185,7 +186,7 @@ class TestDaemon:
             return monitor.workload.total_appended + sum(
                 len(ring) + ring.evicted for ring in keyed)
 
-        statements = len(IMA_TABLE_NAMES)
+        statements = len(MONITOR_TABLES)
         for _ in range(3):
             before = ring_rows(), monitor.workload.total_appended
             hits = poller.plan_cache_hits
@@ -197,6 +198,46 @@ class TestDaemon:
             # read back: a workload row and a bumped statement record
             # per poll statement of the *previous* poll
             assert stats.rows_collected <= 2 * statements
+
+    def test_workload_db_holds_what_ima_served(self):
+        """Every persisted ``wl_<name>`` row is the ``ima_<name>`` row it
+        came from, stamped with the flush time in front and its ``seq``
+        behind.  The poll's own statements are monitored too, and a
+        keyed ring re-sequences an entry it bumps, so rows are matched
+        by seq, and only while that seq is still live."""
+        clock = VirtualClock(1_000_000.0)
+        setup = daemon_setup("db", clock=clock)
+        session = setup.engine.connect("db")
+        session.execute(
+            "create table t (a int not null, b int, primary key (a))")
+        session.execute("create index t_b on t (b)")
+        session.execute("insert into t values " + ", ".join(
+            f"({i}, {i % 7})" for i in range(2000)))
+        session.execute("update t set b = 3 where a = 5")
+        session.execute("delete from t where a = 6")
+        session.execute("select a from t where b = 2")
+        # Costly enough for the monitor to capture its plan.
+        session.execute(
+            "select x.a, y.b from t x, t y where x.b = y.a order by y.b")
+        clock.advance(2.0)  # a second statistics sample falls due
+        session.execute("select count(*) from t")
+        captured_at = clock.now()
+        setup.daemon.poll_once()
+        setup.daemon.flush()
+        for table in MONITOR_TABLES:
+            served = {row[0]: row for row in session.execute(
+                f"select * from {table.ima_schema.name}").rows}
+            storage = setup.workload_db.database.storage_for(
+                table.wl_schema.name)
+            matched = 0
+            for _rowid, row in storage.scan():
+                ima_row = served.get(row[-1])
+                if ima_row is None:
+                    continue  # re-sequenced since the poll read it
+                assert row == (captured_at, *ima_row[1:], ima_row[0]), \
+                    table.name
+                matched += 1
+            assert matched, table.name
 
     def test_retention_purges_old_history(self, wired):
         setup, session, clock = wired

@@ -21,7 +21,7 @@ from repro.config import (
 )
 from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.daemon import StorageDaemon
-from repro.core.ima import IMA_TABLE_NAMES, register_ima_tables
+from repro.core.ima import MONITOR_TABLES, register_ima_tables
 from repro.core.records import WorkloadRecord
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import ReproError, StorageError, TypeMismatchError
@@ -361,7 +361,7 @@ def test_floor_only_scan_takes_the_snapshot_as_it_comes(monkeypatch):
 def test_seq_bounded_ima_reads_equal_the_filtered_full_read(sessions):
     monitor, reader_db, reader = _busy_monitor(sessions)
     assert monitor.workload.dropped > 0  # the workload ring wrapped
-    for table in IMA_TABLE_NAMES:
+    for table in (t.ima_schema.name for t in MONITOR_TABLES):
         everything = reader.execute(f"select * from {table}").rows
         assert everything, table
         assert reader_db.table_info(table).row_count == len(everything)

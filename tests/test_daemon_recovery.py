@@ -14,7 +14,7 @@ from repro.clock import VirtualClock
 from repro.config import DaemonConfig
 from repro.core import health
 from repro.core.daemon import StorageDaemon
-from repro.core.workload_db import TABLE_SOURCES
+from repro.core.workload_db import WORKLOAD_TABLES
 from repro.errors import MonitorError
 from repro.setups import daemon_setup
 
@@ -35,11 +35,11 @@ def make_setup(**daemon_overrides):
 
 def assert_no_duplicate_src_seqs(workload_db):
     """Every persisted workload row's source seq is unique per table."""
-    for wl_table in TABLE_SOURCES:
-        storage = workload_db.database.storage_for(wl_table)
+    for schema in WORKLOAD_TABLES:
+        storage = workload_db.database.storage_for(schema.name)
         seqs = [row[-1] for _rid, row in storage.scan()]
         assert len(seqs) == len(set(seqs)), (
-            f"{wl_table} persisted duplicate source rows: {sorted(seqs)}")
+            f"{schema.name} persisted duplicate source rows: {sorted(seqs)}")
 
 
 class PollGate:

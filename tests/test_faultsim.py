@@ -8,7 +8,6 @@ from repro.config import DaemonConfig, EngineConfig
 from repro.core.daemon import POLL_BACKOFF
 from repro.core.health import JOIN_TIMEOUT_S, RETRY_BACKOFF, Backoff
 from repro.core.workload_db import WorkloadDatabase
-from repro.engine.engine import EngineInstance
 from repro.errors import (
     ExecutionError,
     FaultError,
@@ -261,10 +260,6 @@ class TestWiredSeams:
         clock = SystemClock()
         faultsim.arm_from_spec("clock.now:once,jump=-7200")
         assert clock.now() < time.time() - 7000
-
-    def test_engine_config_arms_faults(self):
-        EngineInstance(EngineConfig(faults=("disk.read:once",)))
-        assert "disk.read" in faultsim.get_injector().armed_points()
 
     def test_unarmed_seams_are_free_of_side_effects(self):
         disk = DiskManager()

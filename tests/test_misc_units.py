@@ -68,8 +68,7 @@ class TestErrors:
 
 class TestRecords:
     def test_statistics_record_as_row(self):
-        record = StatisticsRecord(timestamp=5.0, locks_held=3, deadlocks=1)
-        row = record.as_row()
+        row = StatisticsRecord(timestamp=5.0, locks_held=3, deadlocks=1)
         assert row[0] == 5.0
         assert len(row) == 1 + len(STATISTIC_FIELDS)
         assert row[1 + STATISTIC_FIELDS.index("locks_held")] == 3

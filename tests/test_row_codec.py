@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.catalog.schema import Column, DataType, TableSchema
-from repro.core.workload_db import WL_WORKLOAD, WorkloadDatabase
+from repro.core.ima import WORKLOAD
+from repro.core.workload_db import WorkloadDatabase
 from repro.errors import PageError, StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
@@ -354,10 +355,10 @@ class TestWorkloadDbWrittenByTheOldEncoder:
         assert len(page_ids) > 1
         for page_id in page_ids:
             on_disk = database.disk.read(page_id)
-            page = HeapPage.from_bytes(on_disk, WL_WORKLOAD, capacity)
+            page = HeapPage.from_bytes(on_disk, WORKLOAD.wl_schema, capacity)
             entries = [next(remaining) for _ in range(len(page))]
             # what the old encoder would have written for these entries
-            old_bytes = reference_heap_page(WL_WORKLOAD, entries)
+            old_bytes = reference_heap_page(WORKLOAD.wl_schema, entries)
             assert on_disk == old_bytes
             assert list(page.items()) == entries
         assert next(remaining, None) is None

@@ -18,7 +18,7 @@ from repro.config import DaemonConfig, EngineConfig
 from repro.core.daemon import StorageDaemon
 from repro.core.records import WorkloadRecord
 from repro.core.sensors import statement_key
-from repro.core.workload_db import TABLE_SOURCES
+from repro.core.workload_db import WORKLOAD_TABLES
 from repro.errors import MonitorError
 from repro.setups import daemon_setup, monitoring_setup
 
@@ -54,11 +54,11 @@ def _persisted(workload_db, table="wl_workload"):
 
 
 def assert_exactly_once(workload_db):
-    for wl_table in TABLE_SOURCES:
-        seqs = [row[-1] for row in _persisted(workload_db, wl_table)]
+    for schema in WORKLOAD_TABLES:
+        seqs = [row[-1] for row in _persisted(workload_db, schema.name)]
         assert len(seqs) == len(set(seqs)), (
-            f"{wl_table} persisted duplicate source rows: {sorted(seqs)}")
-        assert seqs == sorted(seqs), f"{wl_table} persisted out of order"
+            f"{schema.name} persisted duplicate source rows: {sorted(seqs)}")
+        assert seqs == sorted(seqs), f"{schema.name} persisted out of order"
 
 
 class TestShardedDaemonEndToEnd:
