@@ -313,7 +313,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
             report.rounds += 1
         if config.storm:
             _storm_recovery(setup, report, config)
-        report.health = setup.engine.health()
+        report.health = setup.health()
     finally:
         session.close()
         faultsim.reset()

@@ -226,7 +226,7 @@ class Shell:
 
     def cmd_health(self, _argument: str) -> str:
         """The engine-wide health snapshot, pretty-printed as JSON."""
-        return json.dumps(self.setup.engine.health(), indent=2,
+        return json.dumps(self.setup.health(), indent=2,
                           sort_keys=True, default=str)
 
     def cmd_fault(self, argument: str) -> str:

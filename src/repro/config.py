@@ -114,19 +114,6 @@ class SupervisorConfig:
     check_interval_s: float = 5.0
     """Seconds between supervisor ticks when it runs its own thread."""
 
-    heartbeat_timeout_s: float = 30.0
-    """Seconds a watched worker may stay past its due time (its last
-    wake-up plus interval and backoff) before the supervisor declares
-    it hung and restarts it."""
-
-    park_after_restarts: int = 3
-    """Consecutive restarts (without an intervening healthy tick)
-    before a watch is parked — left alone until ``park_cooldown_s``
-    elapses, then retried half-open (the PR-5 circuit-breaker shape)."""
-
-    park_cooldown_s: float = 120.0
-    """Seconds a parked watch stays quarantined before one retry."""
-
 
 @dataclass(frozen=True)
 class EngineConfig:

@@ -200,10 +200,10 @@ class AutonomousTuner(WorkerOwner):
         self._cycle_mutex = threading.Lock()
         self._lock = threading.Lock()
         # Recent cycle reports, oldest dropped beyond the cap.
-        self.history: list[TuningCycleReport] = []  # staticcheck: shared(_lock)
+        self.history: list[TuningCycleReport] = []
         # Journal marks that failed in the current cycle (recovery's
         # included); reset when a cycle starts.
-        self._mark_failures = 0  # staticcheck: shared(_lock)
+        self._mark_failures = 0
         self.worker = PeriodicWorker(
             "repro-autonomous-tuner", self.policy.cycle_interval_s,
             self.run_cycle, RETRY_BACKOFF, self.clock)

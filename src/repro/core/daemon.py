@@ -102,21 +102,20 @@ class StorageDaemon(WorkerOwner):
         self.clock: Clock = engine.clock
         # Serializes whole polls/flushes end to end (see module doc).
         self._poll_mutex = threading.Lock()
-        self._session: "Session | None" = None  # staticcheck: shared(_poll_mutex)
+        self._session: "Session | None" = None
         self._lock = threading.Lock()
         # Marks, pending rows and poll texts share one fixed key space:
         # per monitor table, its workload table's name (the key
         # load_high_water reports and append takes).  A mark is the
         # highest ring seq already collected.
         self._last_seq: dict[str, int] = {
-            # staticcheck: shared(_lock)
             table.wl_schema.name: 0 for table in MONITOR_TABLES
         }
         # Each pending list is drained by every flush and capped at
         # max_pending_rows while the workload DB is down (overflow drops
         # the oldest rows into rows_dropped).
         self._pending: dict[str, list[tuple[int, tuple]]] = {
-            # staticcheck: shared(_lock); bounded(max_pending_rows)
+            # staticcheck: bounded(max_pending_rows)
             name: [] for name in self._last_seq
         }
         # Poll statements are "constant prefix + high-water seq"; the
@@ -129,22 +128,21 @@ class StorageDaemon(WorkerOwner):
                 f"select * from {table.ima_schema.name} where seq > "
             for table in MONITOR_TABLES
         }
-        self._polls_since_flush = 0  # staticcheck: shared(_lock)
+        self._polls_since_flush = 0
         self.worker = PeriodicWorker(
             "repro-storage-daemon", self.config.poll_interval_s,
             self.poll_once, POLL_BACKOFF, self.clock)
-        self.total_rows_flushed = 0  # staticcheck: shared(_lock)
-        self.total_rows_purged = 0  # staticcheck: shared(_lock)
-        self.rows_dropped = 0  # staticcheck: shared(_lock)
-        self._last_flush_at: float | None = None  # staticcheck: shared(_lock)
+        self.total_rows_flushed = 0
+        self.total_rows_purged = 0
+        self.rows_dropped = 0
+        self._last_flush_at: float | None = None
         # Unread loss observed by the latest poll: workload rows that
         # fell off the ring before the daemon read them (the true
         # overload signal the controller consumes).
-        self._last_poll_loss = 0  # staticcheck: shared(_lock)
+        self._last_poll_loss = 0
         # Overload controller fed after every poll; attached once at
         # setup time, before the daemon thread starts.
-        self.controller: "OverloadController | None" = \
-            None  # staticcheck: shared(_poll_mutex)
+        self.controller: "OverloadController | None" = None
         self.resync()
 
     def attach_controller(self, controller: "OverloadController") -> None:
@@ -171,13 +169,11 @@ class StorageDaemon(WorkerOwner):
 
     # -- polling ------------------------------------------------------------
 
-    # staticcheck: guarded-by(_poll_mutex)
     def _ensure_session(self) -> "Session":
         if self._session is None or self._session.closed:
             # Connecting under _poll_mutex is deliberate: the mutex
             # serializes daemon polls only, never engine hot paths.
-            self._session = self.engine.connect(  # staticcheck: ignore[LCK004]
-                self.ima_database)
+            self._session = self.engine.connect(self.ima_database)
         return self._session
 
     def poll_once(self) -> PollStats:
@@ -197,7 +193,6 @@ class StorageDaemon(WorkerOwner):
             finally:
                 self._notify_controller(time.perf_counter() - started)
 
-    # staticcheck: guarded-by(_poll_mutex)
     def _notify_controller(self, duration_s: float) -> None:
         """Feed the latest poll's signals to the overload controller."""
         controller = self.controller
@@ -240,7 +235,6 @@ class StorageDaemon(WorkerOwner):
         return PollStats(collected, flushed,  # staticcheck: allocfree(one-stats-record-per-poll)
                          rows_flushed, rows_purged)
 
-    # staticcheck: guarded-by(_poll_mutex)
     def _collect(self, high_water: dict[str, int],
                  ) -> tuple[dict[str, list[tuple[int, tuple]]], int, int]:
         """Read every IMA table's rows newer than ``high_water`` into
@@ -260,7 +254,7 @@ class StorageDaemon(WorkerOwner):
         """
         # Reading IMA over SQL under _poll_mutex is the daemon's design
         # (see poll_once); the mutex never touches hot paths.
-        session = self._ensure_session()  # staticcheck: ignore[LCK004]
+        session = self._ensure_session()
         query_prefix = self._poll_query_prefix
         batches: dict[str, list[tuple[int, tuple]]] = {}
         collected = 0
@@ -268,8 +262,7 @@ class StorageDaemon(WorkerOwner):
         for table in MONITOR_TABLES:
             name = table.wl_schema.name
             mark = high_water[name]
-            rows = session.execute(  # staticcheck: ignore[LCK004]
-                query_prefix[name] + str(mark)).rows
+            rows = session.execute(query_prefix[name] + str(mark)).rows
             if not rows:
                 continue
             if table is WORKLOAD and mark > 0:
@@ -357,13 +350,11 @@ class StorageDaemon(WorkerOwner):
                 self._pending[table][:0] = survivors
                 self._enforce_cap(table)
 
-    # staticcheck: guarded-by(_lock)
     def _admit_pending(self, table: str,
                        rows: list[tuple[int, tuple]]) -> None:
         self._pending[table].extend(rows)
         self._enforce_cap(table)
 
-    # staticcheck: guarded-by(_lock)
     def _enforce_cap(self, table: str) -> None:
         rows = self._pending[table]
         overflow = len(rows) - self.config.max_pending_rows

@@ -1,4 +1,4 @@
-"""Background workers, their supervision, and the engine health surface.
+"""Background workers, their supervision, and the health surface.
 
 The pipeline's three background threads — the storage daemon's poll
 loop, the autonomous tuner's cycle loop and the supervisor's check
@@ -12,11 +12,11 @@ stamps a *due time* ``now + interval + backoff``.
 
     RUNNING --(dead or overdue)--> RESTARTING (capped backoff)
     RESTARTING --(restart ok)--> RUNNING
-    RESTARTING --(park_after_restarts consecutive restarts)--> PARKED
-    PARKED --(park_cooldown_s elapsed)--> RESTARTING (half-open retry)
+    RESTARTING --(PARK_AFTER_RESTARTS consecutive restarts)--> PARKED
+    PARKED --(PARK_COOLDOWN_S elapsed)--> RESTARTING (half-open retry)
 
 A watch is unhealthy when its worker is dead or when
-``now > due_at + heartbeat_timeout_s``.  Judging the due time, not the
+``now > due_at + HEARTBEAT_TIMEOUT_S``.  Judging the due time, not the
 age of the last stamp, lets a loop wait out an interval plus backoff
 longer than the timeout (the tuner's 300 s cycle) without being
 restarted.  A healthy tick resets the restart streak, so a watch parks
@@ -24,11 +24,11 @@ only when restarts keep failing.  ``tick()`` is deterministic (tests
 drive it on a virtual clock); ``start()`` runs it on the supervisor's
 own worker.
 
-The engine half is :meth:`repro.engine.engine.EngineInstance.health`:
-subsystems register named snapshot providers and ``health()`` joins
-them — a sick provider reports its error string instead of raising —
-into the JSON of the ``\\health`` shell command and ``repro chaos
---storm --health-report``.
+:meth:`repro.setups.Setup.health` joins the engine's statistics with
+the daemon's, the ladder's and the supervisor's snapshots — a sick
+part reports its error string instead of raising — into the JSON of
+the ``\\health`` shell command and ``repro chaos --storm
+--health-report``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ class Backoff:
 
 #: Extra wait after failed tuning cycles, and between supervisor restarts.
 RETRY_BACKOFF = Backoff(1.0, 2.0, 60.0)
+#: Seconds a watched worker may stay past its due time (its last wake-up
+#: plus interval and backoff) before the supervisor restarts it as hung.
+HEARTBEAT_TIMEOUT_S = 30.0
+#: Consecutive restarts (without a healthy tick in between) before a
+#: watch is parked: left alone until ``PARK_COOLDOWN_S`` elapses, then
+#: retried half-open.
+PARK_AFTER_RESTARTS = 3
+#: Seconds a parked watch stays quarantined before one retry.
+PARK_COOLDOWN_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -103,14 +112,14 @@ class PeriodicWorker:
         self._thread: threading.Thread | None = None
         # The running thread's own stop event (its generation): set under
         # _lock by restart()/stop(), so a superseded thread never stamps.
-        self._stop = threading.Event()  # staticcheck: shared(_lock)
-        self.cycles = 0  # staticcheck: shared(_lock)
-        self.failures = 0  # staticcheck: shared(_lock)
-        self.consecutive_failures = 0  # staticcheck: shared(_lock)
-        self.last_error: str | None = None  # staticcheck: shared(_lock)
-        self.restarts = 0  # staticcheck: shared(_lock)
-        self._last_heartbeat: float | None = None  # staticcheck: shared(_lock)
-        self._due_at: float | None = None  # staticcheck: shared(_lock)
+        self._stop = threading.Event()
+        self.cycles = 0
+        self.failures = 0
+        self.consecutive_failures = 0
+        self.last_error: str | None = None
+        self.restarts = 0
+        self._last_heartbeat: float | None = None
+        self._due_at: float | None = None
 
     # -- accounting ----------------------------------------------------------
 
@@ -163,13 +172,13 @@ class PeriodicWorker:
         if self.is_alive():
             raise MonitorError(f"{self.name} is already running")
         stop = threading.Event()
-        with self._lock:
-            self._stop = stop
         wait = self._wake(stop)
-        self._thread = threading.Thread(
+        thread = threading.Thread(
             target=self._run, args=(stop, wait), name=self.name,
             daemon=True)
-        self._thread.start()
+        with self._lock:
+            self._stop, self._thread = stop, thread
+        thread.start()
 
     def restart(self) -> None:
         """Supersede the thread, live or hung: the handle is dropped
@@ -178,7 +187,7 @@ class PeriodicWorker:
         with self._lock:
             self.restarts += 1
             self._stop.set()
-        thread, self._thread = self._thread, None
+            thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=JOIN_TIMEOUT_S)
         self.start()
@@ -188,7 +197,7 @@ class PeriodicWorker:
         ``start()`` keeps refusing — and raises MonitorError."""
         with self._lock:
             self._stop.set()
-        thread = self._thread
+            thread = self._thread
         if thread is None:
             return
         thread.join(timeout=JOIN_TIMEOUT_S)
@@ -197,7 +206,8 @@ class PeriodicWorker:
                 f"{self.name} thread did not stop within "
                 f"{JOIN_TIMEOUT_S:g}s; thread handle kept, restart "
                 "refused while it lives")
-        self._thread = None
+        with self._lock:
+            self._thread = None
 
     def _wake(self, stop: threading.Event) -> float:
         """Stamp the heartbeat and the next due time; returns the wait."""
@@ -262,14 +272,13 @@ class Supervisor(WorkerOwner):
     never blocks health reads."""
 
     def __init__(self, config: SupervisorConfig, clock: Clock) -> None:
-        self.config = config
         self.clock = clock
         self._lock = threading.Lock()
         # Registered once at setup; never unbounded (one entry per
         # supervised subsystem).
         self._watches: dict[str, _Watch] = \
-            {}  # staticcheck: shared(_lock); bounded(one-per-subsystem-registered-at-setup)
-        self.ticks = 0  # staticcheck: shared(_lock)
+            {}  # staticcheck: bounded(one-per-subsystem-registered-at-setup)
+        self.ticks = 0
         self.worker = PeriodicWorker("repro-supervisor", config.check_interval_s,
                                      self.tick, RETRY_BACKOFF, clock)
 
@@ -291,12 +300,11 @@ class Supervisor(WorkerOwner):
             self._tick_watch(watch, now)
 
     def _tick_watch(self, watch: _Watch, now: float) -> None:
-        cfg = self.config
         worker = watch.worker
         due_at = worker.due_at
         overdue = None if due_at is None else max(0.0, now - due_at)
         healthy = worker.is_alive() and (
-            overdue is None or overdue <= cfg.heartbeat_timeout_s)
+            overdue is None or overdue <= HEARTBEAT_TIMEOUT_S)
         with self._lock:
             watch.overdue_s = overdue
             if healthy:
@@ -308,12 +316,12 @@ class Supervisor(WorkerOwner):
                 return  # still cooling down; past it, retry half-open
             if watch.state == RESTARTING and now < watch.next_restart_at:
                 return
-            if watch.restart_streak >= cfg.park_after_restarts:
+            if watch.restart_streak >= PARK_AFTER_RESTARTS:
                 watch.state = PARKED
-                watch.parked_until = now + cfg.park_cooldown_s
+                watch.parked_until = now + PARK_COOLDOWN_S
                 watch.restart_streak = 0
                 watch.last_error = (
-                    f"parked after {cfg.park_after_restarts} restarts "
+                    f"parked after {PARK_AFTER_RESTARTS} restarts "
                     "without a healthy tick")
                 return
             watch.state = RESTARTING

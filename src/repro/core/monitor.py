@@ -98,21 +98,21 @@ class IntegratedMonitor:
             RingBuffer(STATISTICS_BUFFER_SIZE)
         self.plans: KeyedRingBuffer[int, PlanRecord] = \
             KeyedRingBuffer(self.config.plan_buffer_size)
-        self.sensor_calls = 0  # staticcheck: shared(_lock)
-        self.sensor_time_s = 0.0  # staticcheck: shared(_lock)
-        self._last_statistics_at = float("-inf")  # staticcheck: shared(_lock)
+        self.sensor_calls = 0
+        self.sensor_time_s = 0.0
+        self._last_statistics_at = float("-inf")
         # The one copy of the ladder level, set by the overload
         # controller (repro.core.overload), read once by each
         # statement's terminal sensor.  The conservation counters keep
         # `issued == admitted + sampled_out + shed` exact at
         # quiescence, where admitted is the workload ring's
         # total_appended.
-        self.degradation_level = DETAILED  # staticcheck: shared(_lock)
+        self.degradation_level = DETAILED
         self._sample_k = max(1, self.config.overload.sample_k)
-        self._sample_counter = 0  # staticcheck: shared(_lock)
-        self.issued = 0  # staticcheck: shared(_lock)
-        self.sampled_out = 0  # staticcheck: shared(_lock)
-        self.shed = 0  # staticcheck: shared(_lock)
+        self._sample_counter = 0
+        self.issued = 0
+        self.sampled_out = 0
+        self.shed = 0
 
     # -- recording -------------------------------------------------------
 
@@ -232,7 +232,9 @@ class IntegratedMonitor:
             key: value for key, value in values.items()
             if key in StatisticsRecord._fields
         }
-        self.statistics.append(StatisticsRecord(timestamp=now, **known))
+        # The statistics ring takes its own lock, not the monitor's.
+        self.statistics.append(  # staticcheck: ignore[LCK001]
+            StatisticsRecord(timestamp=now, **known))
         return True
 
     # -- introspection ------------------------------------------------------

@@ -32,7 +32,7 @@ clears (``dropped`` does not), so the first identity is the one
 
 Pressure model
 --------------
-:class:`OverloadController` observes four signals in ``[0, 1]`` and
+:class:`OverloadController` observes three signals in ``[0, 1]`` and
 takes their max:
 
 - **unread loss**: rows that fell off the workload ring before the
@@ -43,9 +43,6 @@ takes their max:
 - **flush backlog**: the daemon's pending-row buffer as a fraction of
   its cap.
 - **poll latency**: an EWMA of poll durations against a budget.
-- **occupancy**: ring fill fraction, weighted weakly
-  (``OCCUPANCY_WEIGHT``) so that a full-but-healthy ring alone can
-  never escalate, and never prevents recovery.
 
 Escalation/de-escalation is hysteresis-controlled (``escalate_dwell``
 consecutive high observations to degrade one rung, ``recover_dwell``
@@ -80,10 +77,6 @@ DEESCALATE_PRESSURE = 0.35
 POLL_LATENCY_BUDGET_S = 5.0
 #: Smoothing factor of the poll-latency EWMA.
 EWMA_ALPHA = 0.3
-#: Weight of raw ring occupancy in the pressure.  Reads never drain a
-#: ring, so a full ring is normal under healthy traffic: it contributes
-#: 0.3, below DEESCALATE_PRESSURE, so recovery is always reachable.
-OCCUPANCY_WEIGHT = 0.3
 #: Degraded-window annotations kept per controller (oldest out).
 WINDOW_HISTORY = 64
 
@@ -124,18 +117,16 @@ class OverloadController:
         self.monitor = monitor
         self.clock = monitor.clock
         self._lock = threading.Lock()
-        self._escalate_streak = 0  # staticcheck: shared(_lock)
-        self._recover_streak = 0  # staticcheck: shared(_lock)
-        self._pressure = 0.0  # staticcheck: shared(_lock)
-        self._loss_component = 0.0  # staticcheck: shared(_lock)
-        self._occupancy = 0.0  # staticcheck: shared(_lock)
-        self._window: DegradedWindow | None = None  # staticcheck: shared(_lock)
-        self._latency_ewma_s = 0.0  # staticcheck: shared(_lock)
-        self._backlog_fraction = 0.0  # staticcheck: shared(_lock)
-        self._observations = 0  # staticcheck: shared(_lock)
-        self._transitions = 0  # staticcheck: shared(_lock)
-        self._windows: list[DegradedWindow] = \
-            []  # staticcheck: shared(_lock)
+        self._escalate_streak = 0
+        self._recover_streak = 0
+        self._pressure = 0.0
+        self._loss_component = 0.0
+        self._window: DegradedWindow | None = None
+        self._latency_ewma_s = 0.0
+        self._backlog_fraction = 0.0
+        self._observations = 0
+        self._transitions = 0
+        self._windows: list[DegradedWindow] = []
 
     # -- daemon feedback ---------------------------------------------------
 
@@ -176,18 +167,16 @@ class OverloadController:
         except InjectedFault:
             flood = True
         cfg = self.config
-        workload = self.monitor.workload
         with self._lock:
             level = self.monitor.degradation_level
             self._observations += 1
-            self._occupancy = len(workload) / workload.capacity
             if flood:
                 pressure = 1.0
             else:
                 latency = min(1.0, self._latency_ewma_s
                               / POLL_LATENCY_BUDGET_S)
                 pressure = max(self._loss_component, self._backlog_fraction,
-                               latency, OCCUPANCY_WEIGHT * self._occupancy)
+                               latency)
             self._pressure = pressure
             if pressure >= ESCALATE_PRESSURE:
                 self._recover_streak = 0
@@ -209,7 +198,6 @@ class OverloadController:
                 self._escalate_streak = 0
                 self._recover_streak = 0
 
-    # staticcheck: guarded-by(_lock)
     def _transition(self, level: int, now: float) -> None:
         """Apply one ladder transition (caller holds the lock)."""
         self._transitions += 1
@@ -249,7 +237,6 @@ class OverloadController:
                 "level_name": LEVEL_NAMES[level],
                 "pressure": round(self._pressure, 6),
                 "loss_component": round(self._loss_component, 6),
-                "occupancy": round(self._occupancy, 6),
                 "escalate_streak": self._escalate_streak,
                 "recover_streak": self._recover_streak,
                 "signals": {

@@ -39,11 +39,11 @@ class RingBuffer(Generic[T]):
             raise ValueError(f"ring buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = lock or threading.Lock()
-        self._items: list[T] = []  # staticcheck: shared(_lock)
+        self._items: list[T] = []
         # _start is the physical index of the oldest element.
-        self._start = 0  # staticcheck: shared(_lock)
-        self._next_seq = 1  # staticcheck: shared(_lock)
-        self._dropped = 0  # staticcheck: shared(_lock)
+        self._start = 0
+        self._next_seq = 1
+        self._dropped = 0
 
     # staticcheck: hotpath
     def append(self, item: T) -> int:
@@ -126,10 +126,9 @@ class KeyedRingBuffer(Generic[K, T]):
             raise ValueError(f"ring buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = lock or threading.Lock()
-        self._items: OrderedDict[K, tuple[int, T]] = \
-            OrderedDict()  # staticcheck: shared(_lock)
-        self._next_seq = 1  # staticcheck: shared(_lock)
-        self._evicted = 0  # staticcheck: shared(_lock)
+        self._items: OrderedDict[K, tuple[int, T]] = OrderedDict()
+        self._next_seq = 1
+        self._evicted = 0
 
     # staticcheck: hotpath
     def get(self, key: K) -> T | None:

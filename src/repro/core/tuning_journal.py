@@ -150,18 +150,18 @@ class TuningJournal:
         # the order of each change's latest row; bounded by
         # _prune_locked(), which evicts the oldest terminal entries (and
         # deletes their rows) beyond max_entries.
-        self._entries: dict[int, JournalEntry] = {}  # staticcheck: shared(_lock)
-        self._rowids: dict[int, list[int]] = {}  # staticcheck: shared(_lock)
+        self._entries: dict[int, JournalEntry] = {}
+        self._rowids: dict[int, list[int]] = {}
         # Consecutive failure streaks per statement.  Reset on
         # success/rollback; a live streak's entries are never pruned, so
         # bounded by the entries alive.
-        self._streaks: dict[str, FailureStreak] = {}  # staticcheck: shared(_lock)
-        self._next_seq = 1  # staticcheck: shared(_lock)
-        self._next_entry_id = 1  # staticcheck: shared(_lock)
-        self._transitions = 0  # staticcheck: shared(_lock)
-        self._write_failures = 0  # staticcheck: shared(_lock)
-        self._entries_pruned = 0  # staticcheck: shared(_lock)
-        self._last_write_at: float | None = None  # staticcheck: shared(_lock)
+        self._streaks: dict[str, FailureStreak] = {}
+        self._next_seq = 1
+        self._next_entry_id = 1
+        self._transitions = 0
+        self._write_failures = 0
+        self._entries_pruned = 0
+        self._last_write_at: float | None = None
         if not database.catalog.has_table(JOURNAL_TABLE):
             database.create_table(JOURNAL_SCHEMA)
         self._load()
@@ -187,7 +187,6 @@ class TuningJournal:
                 self._next_seq = max(self._next_seq, seq + 1)
                 self._next_entry_id = max(self._next_entry_id, entry_id + 1)
 
-    # staticcheck: guarded-by(_lock)
     def _put(self, entry: JournalEntry, rowid: int) -> None:
         """Mirror one persisted row, in the order a reload replays it."""
         # Re-inserting moves the change to the end: _entries stays in
@@ -265,7 +264,6 @@ class TuningJournal:
             self._write_locked(entry)  # staticcheck: ignore[LCK004]
             self._prune_locked()
 
-    # staticcheck: guarded-by(_write_mutex)
     def _write_locked(self, entry: JournalEntry) -> None:
         """Append one transition row and flush it to disk.
 
@@ -287,7 +285,7 @@ class TuningJournal:
             # point: journal rows must hit the table in seq order.
             rowid = self.database.insert_row(
                 JOURNAL_TABLE, row)
-            self.database.pool.flush_all()  # staticcheck: ignore[LCK004]
+            self.database.pool.flush_all()
         except (ReproError, OSError) as error:
             with self._lock:
                 self._write_failures += 1
@@ -298,7 +296,6 @@ class TuningJournal:
             self._put(entry, rowid)
             self._last_write_at = entry.updated_at
 
-    # staticcheck: guarded-by(_write_mutex)
     def _prune_locked(self) -> None:
         """Evict the oldest *terminal* entries beyond ``max_entries``.
 

@@ -45,11 +45,6 @@ class EngineInstance:
         self._session_ids = itertools.count(1)
         self._mutex = threading.Lock()
         self._peak_sessions = 0
-        # Named providers behind health(): subsystems (daemon, overload
-        # controller, supervisor, tuner) register a snapshot callable
-        # at setup time; one entry per subsystem, never per request.
-        self._health_sources: dict[str, Any] = \
-            {}  # staticcheck: shared(_mutex)
 
     # -- databases -----------------------------------------------------------
 
@@ -112,44 +107,6 @@ class EngineInstance:
     def peak_sessions(self) -> int:
         with self._mutex:
             return self._peak_sessions
-
-    # -- the engine-wide health surface -------------------------------------
-
-    def register_health_source(self, name: str,
-                               provider: "Any") -> None:
-        """Register a named snapshot provider for :meth:`health`.
-
-        ``provider`` is a zero-argument callable returning a
-        JSON-shaped value (the daemon's status, the overload
-        controller's snapshot, ...); registering a name again replaces
-        its provider.
-        """
-        with self._mutex:
-            self._health_sources[name] = provider
-
-    def health(self) -> dict[str, Any]:
-        """One engine-wide health snapshot.
-
-        Assembles the engine's own statistics plus every registered
-        subsystem provider.  Never raises: a provider that fails
-        contributes ``{"error": ...}`` under its name instead of
-        breaking the surface — health must stay readable precisely when
-        things are going wrong.
-        """
-        with self._mutex:
-            sources = dict(self._health_sources)
-        snapshot: dict[str, Any] = {
-            "generated_at": self.clock.now(),
-            "engine": dict(self.system_statistics()),
-        }
-        for name, provider in sources.items():
-            try:
-                snapshot[name] = provider()
-            except Exception as error:  # noqa: BLE001 - the health surface
-                # reports sick subsystems, it never propagates them.
-                snapshot[name] = {
-                    "error": f"{type(error).__name__}: {error}"}
-        return snapshot
 
     # -- system-wide statistics (the monitor's third data category) ---------------
 

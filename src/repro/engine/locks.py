@@ -60,14 +60,12 @@ class LockManager:
         self._mutex = threading.Lock()
         self._granted = threading.Condition(self._mutex)
         # _granted wraps _mutex, so holding either guards the state.
-        self._resources: dict[str, _Resource] = \
-            {}  # staticcheck: shared(_granted, _mutex)
-        self._held_by_txn: dict[int, set[str]] = \
-            {}  # staticcheck: shared(_granted, _mutex)
-        self._total_requests = 0  # staticcheck: shared(_granted, _mutex)
-        self._total_waits = 0  # staticcheck: shared(_granted, _mutex)
-        self._total_deadlocks = 0  # staticcheck: shared(_granted, _mutex)
-        self._total_timeouts = 0  # staticcheck: shared(_granted, _mutex)
+        self._resources: dict[str, _Resource] = {}
+        self._held_by_txn: dict[int, set[str]] = {}
+        self._total_requests = 0
+        self._total_waits = 0
+        self._total_deadlocks = 0
+        self._total_timeouts = 0
 
     # -- public API --------------------------------------------------------
 
@@ -159,7 +157,6 @@ class LockManager:
 
     # -- internals -----------------------------------------------------------
 
-    # staticcheck: guarded-by(_granted)
     def _note_held(self, txn_id: int, resource: str) -> None:
         """Bookkeeping for a granted lock; caller holds ``_granted``."""
         held = self._held_by_txn.get(txn_id)

@@ -210,7 +210,7 @@ class FaultInjector:
             self._clock_offset = 0.0
             self._refresh_active()
 
-    def _refresh_active(self) -> None:  # staticcheck: guarded-by(_lock)
+    def _refresh_active(self) -> None:
         self._active = bool(self._points) or self._clock_offset != 0.0
 
     # -- introspection -----------------------------------------------------
@@ -299,7 +299,6 @@ class FaultInjector:
                 self._refresh_active()
             return self._clock_offset
 
-    # staticcheck: guarded-by(_lock)
     def _evaluate(self, spec: _Spec, clock: "Clock | None") -> bool:
         """One evaluation of an armed point; True when it triggers."""
         cell = self._counters[spec.point]

@@ -7,16 +7,15 @@ examples, tests and benchmarks share one definition.
 
 The daemon setup also wires the overload-resilience subsystem
 (:mod:`repro.core.overload`): an :class:`OverloadController` attached
-to the daemon (fed after every poll) plus health-surface registrations
-on the engine, so ``engine.health()`` reports the daemon, the ladder
-and — once :func:`attach_supervisor` is called — the thread
-supervisor.
+to the daemon (fed after every poll).  :meth:`Setup.health` reports the
+engine, the daemon, the ladder and — once :func:`attach_supervisor` is
+called — the thread supervisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.clock import Clock
 from repro.config import DaemonConfig, EngineConfig
@@ -43,6 +42,35 @@ class Setup:
     daemon: StorageDaemon | None = None
     controller: OverloadController | None = None
     supervisor: Supervisor | None = None
+
+    def health(self) -> dict[str, Any]:
+        """One health snapshot: the engine's statistics plus the daemon,
+        the overload ladder and the supervisor, those attached.
+
+        Never raises: a part that fails reports ``{"error": ...}`` under
+        its name instead of breaking the surface — health must stay
+        readable precisely when things are going wrong.
+        """
+        snapshot: dict[str, Any] = {
+            "generated_at": self.engine.clock.now(),
+            "engine": dict(self.engine.system_statistics()),
+        }
+        parts: list[tuple[str, Callable[[], Any]]] = []
+        daemon = self.daemon
+        if daemon is not None:
+            parts.append(("daemon", lambda: asdict(daemon.status())))
+        if self.controller is not None:
+            parts.append(("overload", self.controller.snapshot))
+        if self.supervisor is not None:
+            parts.append(("supervisor", self.supervisor.snapshot))
+        for name, provider in parts:
+            try:
+                snapshot[name] = provider()
+            except Exception as error:  # noqa: BLE001 - the health surface
+                # reports sick subsystems, it never propagates them.
+                snapshot[name] = {
+                    "error": f"{type(error).__name__}: {error}"}
+        return snapshot
 
 
 def original_setup(config: EngineConfig | None = None,
@@ -74,8 +102,7 @@ def daemon_setup(database_name: str,
     ``setup.daemon.start()`` or drive ``poll_once`` manually).
 
     An :class:`OverloadController` over the monitor (with its
-    ``MonitorConfig.overload`` tunables) is attached to the daemon, and
-    both are registered on the engine's health surface."""
+    ``MonitorConfig.overload`` tunables) is attached to the daemon."""
     setup = monitoring_setup(config, clock)
     engine = setup.engine
     database = engine.create_database(database_name)
@@ -87,12 +114,9 @@ def daemon_setup(database_name: str,
     setup.name = "daemon"
     setup.workload_db = workload_db
     setup.daemon = daemon
-    engine.register_health_source(
-        "daemon", lambda: asdict(daemon.status()))
     controller = OverloadController(setup.monitor)
     daemon.attach_controller(controller)
     setup.controller = controller
-    engine.register_health_source("overload", controller.snapshot)
     return setup
 
 
@@ -100,7 +124,7 @@ def attach_supervisor(setup: Setup,
                       tuner: "AutonomousTuner | None" = None) -> Supervisor:
     """Build a :class:`Supervisor` watching the setup's daemon (and
     optionally an :class:`~repro.core.autopilot.AutonomousTuner`),
-    registered on the engine health surface.  Not started — call
+    reported by :meth:`Setup.health`.  Not started — call
     ``supervisor.start()`` or drive ``tick()`` manually."""
     engine = setup.engine
     supervisor = Supervisor(engine.config.supervisor, engine.clock)
@@ -110,5 +134,4 @@ def attach_supervisor(setup: Setup,
     if tuner is not None:
         supervisor.watch("autonomous-tuner", tuner.worker)
     setup.supervisor = supervisor
-    engine.register_health_source("supervisor", supervisor.snapshot)
     return supervisor

@@ -9,10 +9,11 @@ invariants.  Each rule is kept because a defect on the real tree exists
 that only it catches (``tests/test_staticcheck_mutations.py`` seeds one
 per rule):
 
-* **Lock discipline** (``LCK001``) — attributes annotated
-  ``# staticcheck: shared(<lock>)`` may only be mutated inside a
-  ``with self.<lock>:`` block, in ``__init__``, or in a method
-  annotated ``# staticcheck: guarded-by(<lock>)``.
+* **Lock discipline** (``LCK001``) — in a class that owns a lock,
+  every attribute mutated outside ``__init__`` is mutated with one
+  common lock held at every site: inside ``with self.<lock>:``, or in a
+  method that runs under it — a private one whose in-class calls all
+  hold it, or one annotated ``# staticcheck: guarded-by(<lock>)``.
 * **Clock discipline** (``CLK001``) — no ``time.time()`` /
   ``datetime.now()`` style wall-clock calls outside ``clock.py``.
 * **Exception discipline** (``EXC002``) — no broad ``except

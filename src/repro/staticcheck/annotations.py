@@ -2,14 +2,11 @@
 
 Annotations are ordinary comments attached to the line they govern:
 
-* ``# staticcheck: shared(_lock)`` — on an attribute assignment in
-  ``__init__``: the attribute is shared state guarded by
-  ``self._lock``.  Several locks may be listed
-  (``shared(_granted, _mutex)``) for the Condition-wrapping-a-Lock
-  idiom.
 * ``# staticcheck: guarded-by(_lock)`` — on (or directly above) a
   ``def`` line: every caller of the method already holds the lock, so
-  mutations inside the body are considered guarded.
+  mutations inside the body are considered guarded.  LCK001 infers
+  this for a private method whose in-class calls all hold the lock;
+  the directive is for a method whose callers are outside the class.
 * ``# staticcheck: bounded(<witness>)`` — on a container attribute
   assignment: the container cannot grow without bound, and ``witness``
   names what enforces that — the capacity attribute checked before
@@ -37,7 +34,7 @@ Annotations are ordinary comments attached to the line they govern:
   — suppress all / the listed findings reported for this line.
 
 Multiple directives on one line are separated by semicolons:
-``# staticcheck: shared(_lock); ignore[LCK001]``.
+``# staticcheck: hotpath; guarded-by(_lock)``.
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ _DIRECTIVE_RE = re.compile(
     r"^(?P<name>[a-z-]+)\s*(?:[\(\[]\s*(?P<args>[^)\]]*)\s*[\)\]])?$"
 )
 
-KNOWN_DIRECTIVES = ("shared", "guarded-by", "bounded", "hotpath",
-                    "coldpath", "allocfree", "ignore")
+KNOWN_DIRECTIVES = ("guarded-by", "bounded", "hotpath", "coldpath",
+                    "allocfree", "ignore")
 
 
 @dataclass(frozen=True)

@@ -132,40 +132,12 @@ class DeepContext:
     per project, shared by all five performance rules."""
 
 
-def lock_attrs_of(project: ProjectContext,
-                  decl: ClassDecl) -> dict[str, str]:
+def lock_attrs_of(decl: ClassDecl) -> dict[str, str]:
     """Lock attributes of a class, mapped to their canonical name
     (Condition attrs map to the Lock they wrap)."""
-    locks: dict[str, str] = {}
-    for attr, attr_type in decl.attr_types.items():
-        if attr_type in LOCK_TYPES:
-            canonical = decl.condition_wraps.get(attr, attr)
-            locks[attr] = canonical
-    # shared(...) annotations may name locks the inference missed.
-    for directives in decl.module.annotations.values():
-        for directive in directives:
-            if directive.name in ("shared", "guarded-by"):
-                for lock in directive.args:
-                    if _class_assigns(decl, lock):
-                        locks.setdefault(lock,
-                                         decl.condition_wraps.get(lock, lock))
-    return locks
-
-
-def _class_assigns(decl: ClassDecl, attr: str) -> bool:
-    for node in ast.walk(decl.node):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        for target in targets:
-            if (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr == attr):
-                return True
-    return False
+    return {attr: decl.condition_wraps.get(attr, attr)
+            for attr, attr_type in decl.attr_types.items()
+            if attr_type in LOCK_TYPES}
 
 
 def module_locks_of(project: ProjectContext,
@@ -201,7 +173,7 @@ class LockFlow:
         self._class_locks: dict[str, dict[str, str]] = {}
         self._module_locks: dict[str, dict[str, str]] = {}
         for qualname, decl in project.classes.items():
-            self._class_locks[qualname] = lock_attrs_of(project, decl)
+            self._class_locks[qualname] = lock_attrs_of(decl)
         for path in project.modules:
             self._module_locks[path] = module_locks_of(project, path)
         self._regions: dict[str, list[Region]] = {}

@@ -1,155 +1,142 @@
-"""LCK — lock discipline over annotated shared state.
+"""LCK — lock discipline, read from the code.
 
-``LCK001``: an attribute declared ``# staticcheck: shared(<lock>)`` is
-mutated outside ``__init__``, outside any ``with self.<lock>:`` block,
-in a method not annotated ``# staticcheck: guarded-by(<lock>)``.
+``LCK001``: a class owns a lock when one of its attributes is a
+``threading.Lock``, ``RLock`` or ``Condition`` (found by
+:func:`~repro.staticcheck.lockflow.lock_attrs_of`; a Condition counts as
+the lock it wraps).  Every attribute such a class mutates outside
+``__init__`` must be mutated with one common lock of the class held at
+every site — Eraser's lockset refinement (Savage et al., SOSP 1997).
 
-Mutations recognised: plain/augmented/annotated assignment to
-``self.attr`` (including ``self.attr[i] = ...``), ``del self.attr``,
-and calls of known mutating container methods
-(``self.attr.append(...)``, ``.pop``, ``.clear``, ...).
+A site holds lock ``L`` when it is inside ``with self.L:`` or inside a
+method that runs under ``L``: one annotated ``# staticcheck:
+guarded-by(L)``, or a private method (``_name``, not a dunder) whose
+every in-class ``self._name(...)`` call holds ``L`` (a fixpoint).  Each
+site lacking the lock the other sites share is reported; when no site
+holds a lock, every site is.
+
+Mutations recognised are those of
+:func:`~repro.staticcheck.astutil.mutated_attr`: assignment to
+``self.attr`` (including ``self.attr[i] = ...``), ``del self.attr`` and
+calls of known mutating container methods (``self.attr.append(...)``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from collections import Counter
+from typing import Iterable
 
-from repro.staticcheck.astutil import (
-    MUTATOR_METHODS,
-    ancestors,
-    mutated_attr,
-    self_attribute,
-)
+from repro.staticcheck.astutil import ancestors, mutated_attr, self_attribute
 from repro.staticcheck.base import Rule, register
+from repro.staticcheck.callgraph import build_project
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.driver import ModuleContext
 from repro.staticcheck.findings import Finding, Severity
+from repro.staticcheck.lockflow import lock_attrs_of
 
-__all__ = ["MUTATOR_METHODS", "UnguardedSharedMutationRule"]
-
-
-def _class_methods(class_node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
-    for node in class_node.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node  # type: ignore[misc]
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
 
 
-def _self_assignments(class_node: ast.ClassDef) -> dict[str, list[ast.stmt]]:
-    """attr name -> assignment statements of ``self.<attr>`` anywhere
-    in the class body (where ``shared(...)`` declarations sit)."""
-    assigned: dict[str, list[ast.stmt]] = {}
-    for node in ast.walk(class_node):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            for leaf in ast.walk(target):
-                attr = self_attribute(leaf)  # type: ignore[arg-type]
-                if attr is not None:
-                    assigned.setdefault(attr, []).append(node)
-    return assigned
-
-
-def _shared_declarations(module: ModuleContext,
-                         class_node: ast.ClassDef) -> dict[str, tuple[str, ...]]:
-    """Shared attr -> lock names, from ``shared(...)`` annotations on
-    ``self.<attr> = ...`` lines inside the class."""
-    shared: dict[str, tuple[str, ...]] = {}
-    for attr, statements in _self_assignments(class_node).items():
-        for statement in statements:
-            for line in _statement_lines(statement):
-                for directive in module.directives(line, "shared"):
-                    if directive.args:
-                        shared[attr] = directive.args
-    return shared
-
-
-def _statement_lines(statement: ast.stmt) -> range:
-    """All source lines a (possibly multi-line) statement spans."""
-    end = getattr(statement, "end_lineno", None) or statement.lineno
-    return range(statement.lineno, end + 1)
-
-
-def _guarding_locks(node: ast.AST, module: ModuleContext) -> set[str]:
-    """Names of ``self.<lock>`` context managers on enclosing ``with``
-    statements, searched up to the nearest enclosing function."""
-    locks: set[str] = set()
+def _locks_at(node: ast.AST, module: ModuleContext, locks: dict[str, str],
+              runs_under: dict[ast.AST, frozenset[str]]) -> frozenset[str]:
+    """Locks held at ``node``: enclosing ``with self.<lock>:`` blocks up
+    to the nearest function, plus the locks that function runs under."""
+    held: set[str] = set()
     for ancestor in ancestors(node, module.parents):
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            break
+            return frozenset(held) | runs_under.get(ancestor, frozenset())
         if isinstance(ancestor, (ast.With, ast.AsyncWith)):
             for item in ancestor.items:
                 attr = self_attribute(item.context_expr)
-                if attr is not None:
-                    locks.add(attr)
-    return locks
+                if attr in locks:
+                    held.add(locks[attr])
+    return frozenset(held)
 
 
-def _enclosing_method(node: ast.AST, module: ModuleContext,
-                      ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for ancestor in ancestors(node, module.parents):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
+def _runs_under(module: ModuleContext,
+                methods: list[ast.FunctionDef | ast.AsyncFunctionDef],
+                locks: dict[str, str]) -> dict[ast.AST, frozenset[str]]:
+    """Method -> the locks its whole body runs under: its
+    ``guarded-by`` locks, plus — for a private method — the locks every
+    in-class call of it holds.  Starts from the declarations and only
+    grows, so the iteration reaches the least fixpoint."""
+    by_name = {method.name: method for method in methods}
+    runs_under: dict[ast.AST, frozenset[str]] = {}
+    for method in methods:
+        directive = module.function_directive(method, "guarded-by")
+        runs_under[method] = frozenset(
+            locks.get(lock, lock) for lock in (directive.args if directive
+                                               else ()))
+    calls: dict[ast.AST, list[ast.Call]] = {}
+    for method in methods:
+        for node in ast.walk(method):
+            if isinstance(node, ast.Call):
+                name = self_attribute(node.func)
+                if name in by_name and _is_private(name):
+                    calls.setdefault(by_name[name], []).append(node)
+    changed = True
+    while changed:
+        changed = False
+        for method, sites in calls.items():
+            held = frozenset.intersection(*(
+                _locks_at(call, module, locks, runs_under) for call in sites))
+            if not held <= runs_under[method]:
+                runs_under[method] |= held
+                changed = True
+    return runs_under
 
 
 @register
 class UnguardedSharedMutationRule(Rule):
-    """LCK001 — shared attribute mutated without holding its lock."""
+    """LCK001 — attribute of a lock-owning class mutated without the
+    lock its other mutation sites hold."""
 
     rule_id = "LCK001"
-    summary = ("attributes marked shared(<lock>) may only be mutated "
-               "under `with self.<lock>:` or in a guarded-by method")
-    waiver = ("declare with `shared(<lock>)` on the attribute; a deliberate"
-              " lock-free mutation site needs `ignore[LCK001]` on its line")
+    summary = ("an attribute of a lock-owning class is mutated with one "
+               "common lock held at every site outside __init__")
+    waiver = ("`guarded-by(<lock>)` on a method whose callers hold the "
+              "lock but no in-class call shows it; a deliberate lock-free"
+              " mutation site needs `ignore[LCK001]` on its line")
     default_severity = Severity.ERROR
 
     def check(self, module: ModuleContext,
               config: StaticcheckConfig) -> Iterable[Finding]:
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            shared = _shared_declarations(module, class_node)
-            if not shared:
-                continue
-            yield from self._check_class(module, class_node, shared)
+        project = build_project([module])
+        for decl in project.classes.values():
+            locks = lock_attrs_of(decl)
+            if locks:
+                yield from self._check_class(module, decl.node, locks)
 
     def _check_class(self, module: ModuleContext, class_node: ast.ClassDef,
-                     shared: dict[str, tuple[str, ...]],
-                     ) -> Iterable[Finding]:
-        init_methods = {
-            m for m in _class_methods(class_node) if m.name == "__init__"
-        }
-        for node in ast.walk(class_node):
-            mutation = mutated_attr(node)
-            if mutation is None:
+                     locks: dict[str, str]) -> Iterable[Finding]:
+        methods = [node for node in class_node.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        runs_under = _runs_under(module, methods, locks)
+        sites: dict[str, list[tuple[ast.AST, str, frozenset[str]]]] = {}
+        for method in methods:
+            if method.name == "__init__":
+                continue  # construction happens-before publication
+            for node in ast.walk(method):
+                mutation = mutated_attr(node)
+                if mutation is not None:
+                    attr, location = mutation
+                    sites.setdefault(attr, []).append((
+                        location, method.name,
+                        _locks_at(location, module, locks, runs_under)))
+        for attr, found in sites.items():
+            if frozenset.intersection(*(held for *_, held in found)):
                 continue
-            attr, location = mutation
-            locks = shared.get(attr)
-            if locks is None:
-                continue
-            method = _enclosing_method(location, module)
-            if method is None or method in init_methods:
-                continue  # class body / construction happens-before
-            guard = _guarding_locks(location, module)
-            if guard & set(locks):
-                continue
-            directive = module.function_directive(method, "guarded-by")
-            if directive is not None and set(directive.args) & set(locks):
-                continue
-            lock_list = " or ".join(f"self.{lock}" for lock in locks)
-            yield self.finding(
-                module,
-                getattr(location, "lineno", class_node.lineno),
-                getattr(location, "col_offset", 0),
-                f"shared attribute self.{attr} mutated in "
-                f"{class_node.name}.{method.name} without holding "
-                f"{lock_list}; wrap the mutation in "
-                f"`with self.{locks[0]}:` or annotate the method "
-                f"`# staticcheck: guarded-by({locks[0]})` if every "
-                f"caller already holds it",
-            )
-
+            counts = Counter(lock for *_, held in found for lock in held)
+            shared = max(sorted(counts), key=counts.__getitem__, default=None)
+            lock = shared or min(locks.values())
+            why = ("which its other mutation sites hold" if shared
+                   else "and no mutation site holds a lock")
+            for location, method_name, held in found:
+                if lock not in held:
+                    yield self.finding(
+                        module, getattr(location, "lineno", 1),
+                        getattr(location, "col_offset", 0),
+                        f"self.{attr} mutated in {class_node.name}."
+                        f"{method_name} without self.{lock}, {why}; wrap "
+                        f"it in `with self.{lock}:`")

@@ -62,14 +62,12 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         self._lock = threading.RLock()
-        self._frames: OrderedDict[int, Any] = \
-            OrderedDict()  # staticcheck: shared(_lock)
-        self._dirty: set[int] = \
-            set()  # staticcheck: shared(_lock)
-        self._hits = 0  # staticcheck: shared(_lock)
-        self._misses = 0  # staticcheck: shared(_lock)
-        self._evictions = 0  # staticcheck: shared(_lock)
-        self._writebacks = 0  # staticcheck: shared(_lock)
+        self._frames: OrderedDict[int, Any] = OrderedDict()
+        self._dirty: set[int] = set()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._writebacks = 0
 
     def get(self, page_id: int, loader: Callable[[bytes], _Page]) -> Any:
         """Return the page object for ``page_id``, reading it on a miss.
@@ -124,7 +122,6 @@ class BufferPool:
             self._dirty.add(page_id)
             self._frames.move_to_end(page_id)
 
-    # staticcheck: guarded-by(_lock)
     def _admit(self, page_id: int, page: _Page,
                dirty: bool) -> list[tuple[int, _Page, bytes]]:
         """Install ``page``, evicting to capacity; return the dirty
@@ -144,7 +141,6 @@ class BufferPool:
             self._dirty.add(page_id)
         return writebacks
 
-    # staticcheck: guarded-by(_lock)
     def _evict_one(self) -> tuple[int, _Page, bytes] | None:
         """Evict the LRU frame; return its write-back work, if dirty.
 

@@ -1,4 +1,4 @@
-"""Fixture: shared attributes mutated without holding the lock."""
+"""Fixture: attributes of a lock-owning class mutated without the lock."""
 
 import threading
 
@@ -6,8 +6,8 @@ import threading
 class Counter:
     def __init__(self):
         self._lock = threading.Lock()
-        self.count = 0  # staticcheck: shared(_lock)
-        self.events = []  # staticcheck: shared(_lock)
+        self.count = 0
+        self.events = []
 
     def bump(self):
         self.count += 1  # line 13: LCK001

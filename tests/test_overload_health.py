@@ -394,13 +394,12 @@ class TestOverloadController:
         for _ in range(5):
             controller.note_poll(0.0, 0, 100)
         assert controller.level() == DETAILED
-        assert controller.snapshot()["occupancy"] == 1.0
 
     def test_snapshot_shape(self):
         controller, _ = self._controller()
         snapshot = controller.snapshot()
         assert set(snapshot) == {"level", "level_name", "pressure",
-                                 "loss_component", "occupancy",
+                                 "loss_component",
                                  "escalate_streak", "recover_streak",
                                  "signals", "observations", "transitions",
                                  "degraded_windows", "conservation"}
@@ -455,19 +454,22 @@ def slow_restarts(monkeypatch):
     monkeypatch.setattr(health, "RETRY_BACKOFF", Backoff(5.0, 2.0, 60.0))
 
 
-def _supervisor(**overrides):
-    config = SupervisorConfig(**{
-        "heartbeat_timeout_s": 10.0,
-        "park_after_restarts": 2,
-        "park_cooldown_s": 100.0,
-        **overrides})
+@pytest.fixture
+def tight_supervision(monkeypatch):
+    """A 10 s heartbeat timeout, parking after 2 restarts for 100 s."""
+    monkeypatch.setattr(health, "HEARTBEAT_TIMEOUT_S", 10.0)
+    monkeypatch.setattr(health, "PARK_AFTER_RESTARTS", 2)
+    monkeypatch.setattr(health, "PARK_COOLDOWN_S", 100.0)
+
+
+def _supervisor():
     worker = _FakeWorker()
-    supervisor = Supervisor(config, VirtualClock(0.0))
+    supervisor = Supervisor(SupervisorConfig(), VirtualClock(0.0))
     supervisor.watch("w", worker)
     return supervisor, worker
 
 
-@pytest.mark.usefixtures("slow_restarts")
+@pytest.mark.usefixtures("slow_restarts", "tight_supervision")
 class TestSupervisor:
     def test_healthy_watch_stays_running(self):
         supervisor, _worker = _supervisor()
@@ -613,15 +615,15 @@ class TestSupervisorThread:
 
 
 class TestHealthSurface:
-    def test_sick_provider_reports_error_not_raise(self):
-        setup = monitoring_setup(clock=VirtualClock(0.0))
+    def test_sick_provider_reports_error_not_raise(self, monkeypatch):
+        setup = _daemon_setup()
 
         def sick() -> dict:
             raise ValueError("kaput")
 
-        setup.engine.register_health_source("sick", sick)
-        snapshot = setup.engine.health()
-        assert snapshot["sick"] == {"error": "ValueError: kaput"}
+        monkeypatch.setattr(setup.controller, "snapshot", sick)
+        snapshot = setup.health()
+        assert snapshot["overload"] == {"error": "ValueError: kaput"}
         assert "engine" in snapshot and "generated_at" in snapshot
 
     def test_daemon_setup_wires_sources_and_supervisor(self):
@@ -630,7 +632,7 @@ class TestHealthSurface:
         for i in range(3):
             setup.monitor.workload.append(_record(i, 1))
         setup.daemon.poll_once()
-        snapshot = setup.engine.health()
+        snapshot = setup.health()
         assert set(snapshot) >= {"engine", "daemon", "overload",
                                  "supervisor"}
         assert snapshot["daemon"]["cycles"] == 1

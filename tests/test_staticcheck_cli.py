@@ -61,5 +61,5 @@ def test_list_rules_names_all_families(capsys):
     # no coldpath marker).
     assert ("waiver: ignore[LCK004] on the call line that reaches the "
             "blocking callee") in output
-    assert ("directives: shared, guarded-by, bounded, hotpath, "
-            "coldpath, allocfree, ignore") in output
+    assert ("directives: guarded-by, bounded, hotpath, coldpath, "
+            "allocfree, ignore") in output

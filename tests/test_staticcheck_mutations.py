@@ -6,7 +6,8 @@ rule's defect is one the rest of the suite does not catch
 (EXPERIMENTS.md, "The lint earns its keep", runs the suite against
 every row), so a rule whose row cannot be written is a rule that goes.
 The two ``retired-*`` rows are defects whose own rules were deleted
-because a kept rule reports them.
+because a kept rule reports them; ``inferred-lock`` is a defect on
+state no directive names, which LCK001 reads from the code.
 
 The unmutated modules must be clean under the same analysis, so each
 finding is the mutation's.  A row whose snippet no longer occurs exactly
@@ -138,10 +139,24 @@ MUTATIONS = {
             "        from time import time as _wall\n"
             "        now = _wall()  # staticcheck:"),)),
     "retired-unknown-lock": Mutation(
-        # A misspelt lock in shared(...) leaves the mutation unguarded.
+        # A misspelt lock in guarded-by(...) leaves the method's
+        # mutations without the lock the ring's other sites hold.
         "LCK001", "core/ring_buffer.py", ((
-            "self._dropped = 0  # staticcheck: shared(_lock)",
-            "self._dropped = 0  # staticcheck: shared(_lokc)"),)),
+            "    # staticcheck: hotpath; guarded-by(_lock)\n"
+            "    def append_held(",
+            "    # staticcheck: hotpath; guarded-by(_lokc)\n"
+            "    def append_held("),)),
+    "inferred-lock": Mutation(
+        # The session peak is updated after the registry's mutex is
+        # released.  No directive names the attribute: its other
+        # mutation site's `with self._mutex:` does.
+        "LCK001", "engine/engine.py", ((
+            "            self._sessions[session_id] = session\n"
+            "            self._peak_sessions = max(self._peak_sessions,\n"
+            "                                      len(self._sessions))\n",
+            "            self._sessions[session_id] = session\n"
+            "        self._peak_sessions = max(self._peak_sessions,\n"
+            "                                  len(self._sessions))\n"),)),
 }
 
 

@@ -61,7 +61,7 @@ class TestLockRules:
             "class C:\n"
             "    def __init__(self):\n"
             "        self._lock = threading.Lock()\n"
-            "        self.n = 0  # staticcheck: shared(_lock)\n"
+            "        self.n = 0\n"
             "        self.n = 1\n"
         )
         assert analyze_source("demo.py", source) == []
@@ -72,12 +72,103 @@ class TestLockRules:
             "class C:\n"
             "    def __init__(self):\n"
             "        self._lock = threading.Lock()\n"
-            "        self.n = 0  # staticcheck: shared(_lock)\n"
+            "        self.n = 0\n"
             "    def swap(self, other):\n"
             "        self.n, other.n = other.n, self.n\n"
         )
         findings = analyze_source("demo.py", source)
         assert ids_and_lines(findings) == [("LCK001", 7)]
+
+    def test_unannotated_attribute_without_the_lock(self):
+        source = LOCKED_COUNTER + (
+            "    def reset(self):\n"
+            "        self.n = 0\n"
+        )
+        findings = analyze_source("demo.py", source)
+        assert ids_and_lines(findings) == [("LCK001", 10)]
+        assert "without self._lock" in findings[0].message
+
+    def test_two_locks_share_no_common_lock(self):
+        source = (
+            "import threading\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._a = threading.Lock()\n"
+            "        self._b = threading.Lock()\n"
+            "        self.n = 0\n"
+            "    def one(self):\n"
+            "        with self._a:\n"
+            "            self.n += 1\n"
+            "    def two(self):\n"
+            "        with self._b:\n"
+            "            self.n += 1\n"
+        )
+        findings = analyze_source("demo.py", source)
+        assert ids_and_lines(findings) == [("LCK001", 12)]
+        assert "without self._a" in findings[0].message
+
+    def test_private_helper_runs_under_its_callers_lock(self):
+        helper = (
+            "    def locked(self):\n"
+            "        with self._lock:\n"
+            "            self._reset()\n"
+            "    def _reset(self):\n"
+            "        self.n = 0\n"
+        )
+        assert analyze_source("demo.py", LOCKED_COUNTER + helper) == []
+        unlocked_caller = (
+            "    def unlocked(self):\n"
+            "        self._reset()\n"
+        )
+        findings = analyze_source(
+            "demo.py", LOCKED_COUNTER + helper + unlocked_caller)
+        assert ids_and_lines(findings) == [("LCK001", 13)]
+
+    def test_public_method_is_not_inferred(self):
+        source = LOCKED_COUNTER + (
+            "    def locked(self):\n"
+            "        with self._lock:\n"
+            "            self.reset()\n"
+            "    def reset(self):\n"
+            "        self.n = 0\n"
+        )
+        findings = analyze_source("demo.py", source)
+        assert ids_and_lines(findings) == [("LCK001", 13)]
+
+    def test_condition_counts_as_the_lock_it_wraps(self):
+        source = (
+            "import threading\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._mutex = threading.Lock()\n"
+            "        self._ready = threading.Condition(self._mutex)\n"
+            "        self.n = 0\n"
+            "    def by_mutex(self):\n"
+            "        with self._mutex:\n"
+            "            self.n += 1\n"
+            "    def by_condition(self):\n"
+            "        with self._ready:\n"
+            "            self.n = 0\n"
+            "    def unlocked(self):\n"
+            "        self.n -= 1\n"
+        )
+        findings = analyze_source("demo.py", source)
+        assert ids_and_lines(findings) == [("LCK001", 14)]
+        assert "without self._mutex" in findings[0].message
+
+
+#: A lock-owning class whose one attribute is mutated under its lock
+#: (lines 1-8); tests append methods from line 9 on.
+LOCKED_COUNTER = (
+    "import threading\n"
+    "class C:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self.n = 0\n"
+    "    def bump(self):\n"
+    "        with self._lock:\n"
+    "            self.n += 1\n"
+)
 
 
 class TestClockRules:
@@ -139,8 +230,9 @@ class TestSuppression:
         with pytest.raises(AnnotationError):
             parse_annotations("x = 1  # staticcheck: sharde(_lock)\n")
         # A retired directive is unknown too: a leftover fails the gate.
-        with pytest.raises(AnnotationError):
-            parse_annotations("x = 1  # staticcheck: atomic(_mutex)\n")
+        for retired in ("atomic(_mutex)", "shared(_lock)"):
+            with pytest.raises(AnnotationError):
+                parse_annotations(f"x = 1  # staticcheck: {retired}\n")
 
     def test_annotation_error_becomes_finding(self):
         findings = analyze_source(
@@ -149,7 +241,7 @@ class TestSuppression:
 
     def test_annotation_inside_string_is_not_parsed(self):
         annotations = parse_annotations(
-            "x = '# staticcheck: shared(_lock)'\n")
+            "x = '# staticcheck: guarded-by(_lock)'\n")
         assert annotations == {}
 
 
