@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Any, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import CatalogError, TypeMismatchError
 
@@ -44,6 +44,25 @@ _EXACT_TYPES: dict[DataType, type] = {
 }
 
 
+@lru_cache(maxsize=256)
+def row_kernel(source: str, label: str) -> Callable[..., Any]:
+    """The one place row-format code runs: compile ``source``, which
+    defines ``make``, once per text and return ``make``.  Sources hold
+    column positions and sizes only; types, structs and the functions
+    they call reach the code as arguments of ``make``, so no column name
+    or value ever becomes code, and every schema of one shape shares
+    one compiled kernel."""
+    namespace: dict[str, Any] = {"__builtins__": {"len": len, "type": type}}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def target_list(names: Sequence[str]) -> str:
+    """``names`` as an assignment target or a tuple display, one name
+    or none included (``a,`` / ``()``)."""
+    return ", ".join(names) + "," if names else "()"
+
+
 class StorageStructure(enum.Enum):
     """Physical storage structures, as in Ingres' MODIFY statement."""
 
@@ -66,12 +85,6 @@ class Column:
             raise CatalogError(
                 f"varchar column {self.name!r} needs a positive max_length"
             )
-
-    @cached_property
-    def exact_type(self) -> type | None:
-        """The Python type whose instances :meth:`check_value` returns
-        unchanged and unexamined (None for VARCHAR: length matters)."""
-        return _EXACT_TYPES.get(self.data_type)
 
     def check_value(self, value: Any) -> Any:
         """Validate and coerce ``value`` for this column; return it.
@@ -151,21 +164,42 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    def check_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
-        """Validate ``row`` against the schema and return it as a tuple."""
-        if len(row) != len(self.columns):
-            raise TypeMismatchError(
-                f"table {self.name!r} has {len(self.columns)} columns, "
-                f"row has {len(row)} values"
-            )
-        # A value whose type is exactly the column's needs no coercion
-        # and no further check; everything else (NULLs, ints for FLOAT,
-        # bools, varchar lengths, mismatches) goes through check_value.
-        return tuple([
-            value if type(value) is column.exact_type
-            else column.check_value(value)
-            for column, value in zip(self.columns, row)
-        ])
+    @cached_property
+    def check_row(self) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
+        """``check_row(row)``: validate ``row`` against the schema and
+        return it as a tuple (generated on first use, one expression
+        per column).
+
+        A value whose type is exactly the column's needs no coercion
+        and no further check; everything else (NULLs, ints for FLOAT,
+        bools, varchar lengths, mismatches) goes through
+        :meth:`Column.check_value`.
+        """
+        n = len(self.columns)
+        checks = [
+            f"k{i}(v{i})" if column.data_type not in _EXACT_TYPES
+            else f"v{i} if type(v{i}) is T{i} else k{i}(v{i})"
+            for i, column in enumerate(self.columns)]
+        source = "\n".join([
+            "def make(T, k, wrong_length):",
+            f"    {target_list([f'T{i}' for i in range(n)])} = T",
+            f"    {target_list([f'k{i}' for i in range(n)])} = k",
+            "    def check_row(row):",
+            f"        if len(row) != {n}:",
+            "            raise wrong_length(len(row))",
+            f"        {target_list([f'v{i}' for i in range(n)])} = row",
+            f"        return ({target_list(checks)})",
+            "    return check_row"])
+        return row_kernel(source, "row checker")(
+            tuple(_EXACT_TYPES.get(column.data_type) for column in self.columns),
+            tuple(column.check_value for column in self.columns),
+            self._wrong_length)
+
+    def _wrong_length(self, length: int) -> TypeMismatchError:
+        return TypeMismatchError(
+            f"table {self.name!r} has {len(self.columns)} columns, "
+            f"row has {length} values"
+        )
 
     @cached_property
     def column_types(self) -> dict[str, DataType]:

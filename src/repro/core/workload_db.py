@@ -29,7 +29,7 @@ from repro.config import EngineConfig
 from repro.core.ima import MONITOR_TABLES
 from repro.engine.database import Database
 from repro.errors import MonitorError
-from repro.optimizer.interfaces import estimate_row_bytes
+from repro.storage.heap import FILL_FACTOR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuning_journal import TuningJournal
@@ -141,25 +141,29 @@ class WorkloadDatabase:
                 continue  # nothing due: no page of the table is touched
             victims = []
             oldest = math.inf
+            live_bytes = 0
+            size = schema.codec.size
             for rowid, row in storage.scan():
                 if row[0] < cutoff:
                     victims.append(rowid)
-                elif row[0] < oldest:
+                    continue
+                live_bytes += size(row)
+                if row[0] < oldest:
                     oldest = row[0]
             for rowid in victims:
                 self.database.delete_row(schema.name, rowid)
             removed += len(victims)
             self._oldest[schema.name] = (oldest, storage.row_count)
             if victims:
-                self._maybe_compact(schema.name)
+                self._maybe_compact(schema.name, live_bytes)
         return removed
 
-    def _maybe_compact(self, table_name: str) -> None:
+    def _maybe_compact(self, table_name: str, live_bytes: int) -> None:
+        """Rebuild ``table_name`` when its pages are well past what the
+        ``live_bytes`` its surviving rows serialize to need."""
         storage = self.database.storage_for(table_name)
-        page_size = self.database.disk.page_size
         expected_pages = math.ceil(
-            storage.row_count
-            * estimate_row_bytes(storage.schema) / page_size) + 1
+            live_bytes / (FILL_FACTOR * self.database.disk.page_size)) + 1
         if storage.page_count > 1.5 * expected_pages + 4:
             self.database.modify_table(
                 table_name, StorageStructure.HEAP,

@@ -19,6 +19,7 @@ from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
+from repro.storage.heap import FILL_FACTOR
 from repro.storage.page import HeapPage
 
 
@@ -50,7 +51,7 @@ class HashStorage:
     def __init__(self, schema: TableSchema, key_columns: tuple[str, ...],
                  disk: DiskManager, pool: BufferPool,
                  buckets: int = 16, unique: bool = False,
-                 fill_factor: float = 0.9) -> None:
+                 fill_factor: float = FILL_FACTOR) -> None:
         if not key_columns:
             raise StorageError("a hash table needs at least one key column")
         if buckets < 1:

@@ -18,6 +18,10 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
 
+FILL_FACTOR = 0.9
+"""The share of each page a heap or hash table fills before it takes a
+new page."""
+
 
 class HeapStorage:
     """Append-ordered row storage across a chain of heap pages."""
@@ -26,7 +30,7 @@ class HeapStorage:
 
     def __init__(self, schema: TableSchema, disk: DiskManager,
                  pool: BufferPool, main_pages: int = 8,
-                 fill_factor: float = 0.9) -> None:
+                 fill_factor: float = FILL_FACTOR) -> None:
         if main_pages < 1:
             raise StorageError(f"heap needs >= 1 main page, got {main_pages}")
         self.schema = schema

@@ -208,7 +208,8 @@ class TestRetentionWatermark:
         real_compact = workload_db._maybe_compact
         monkeypatch.setattr(
             workload_db, "_maybe_compact",
-            lambda name: (compacted.append(name), real_compact(name)))
+            lambda name, live_bytes: (compacted.append(name),
+                                      real_compact(name, live_bytes)))
         session = setup.engine.connect("db")
         session.execute("create table t (a int not null, primary key (a))")
         setup.daemon.poll_once()  # flushes: captured at 1_000_000

@@ -111,6 +111,37 @@ class TestWorkloadDbCompaction:
         pages_after = wdb.database.storage_for("wl_indexes").page_count
         assert pages_after < pages_before
 
+    def test_wide_rows_are_rebuilt_only_for_real_holes(self):
+        # 600-byte plans: the schema alone guesses ~75 bytes a row, which
+        # made every purge rebuild a table that was never half empty
+        day = 86400.0
+        wdb = WorkloadDatabase(EngineConfig(), VirtualClock(0.0))
+        storage = wdb.database.storage_for("wl_plans")
+        rebuilds = []
+        modify = wdb.database.modify_table
+
+        def spy(name, *args, **kwargs):
+            before = storage.page_count
+            modify(name, *args, **kwargs)
+            rebuilds.append((before, storage.page_count))
+
+        wdb.database.modify_table = spy
+        purged = 0
+        for today in range(12):
+            rows = [(today * 1000 + i, float(i), "p" * 600, today * day)
+                    for i in range(200)]
+            wdb.append("wl_plans", rows, captured_at=today * day)
+            purged += wdb.purge_older_than((today - 3) * day) > 0
+        assert purged == 8
+        # each purge frees 40 of the table's 200 pages; a heap reuses no
+        # hole before a rebuild, so one is due once the holes reach half
+        # of what the rows fill: every other purge, not every purge
+        assert len(rebuilds) <= 4
+        for before, after in rebuilds:
+            assert before >= 1.5 * after
+        assert storage.row_count == 800
+        assert storage.page_count <= 1.5 * 160
+
     def test_purge_keeps_recent(self):
         wdb = WorkloadDatabase(EngineConfig())
         wdb.append("wl_indexes", [("new", "t", 1)], captured_at=500.0)
