@@ -52,8 +52,7 @@ class TestSensorOverhead:
                 ctx = sensors.statement_start(statement_key(text))
                 sensors.parse_complete(ctx, "select", ("protein",))
                 sensors.optimize_complete(ctx, optimized, 0.0)
-                sensors.execute_complete(ctx, text, 0, metrics, 0.0005, 4.0,
-                                         None)
+                sensors.execute_complete(ctx, text, 0, metrics, 0.0005, None)
 
         benchmark.pedantic(drive, rounds=3, iterations=1)
         per_call_us = monitor.average_sensor_call_s * 1e6

@@ -52,7 +52,6 @@ def main() -> None:
     runner = WorkloadRunner(session, keep_per_statement=False)
 
     policy = TuningPolicy(
-        min_index_benefit=1.0,
         disk_budget_bytes=2 * 1024 * 1024,
         max_changes_per_cycle=8,
     )

@@ -25,14 +25,7 @@ Quickstart::
 """
 
 from repro.clock import Clock, SystemClock, VirtualClock
-from repro.config import (
-    CostModelConfig,
-    DaemonConfig,
-    EngineConfig,
-    LockConfig,
-    MonitorConfig,
-    StorageConfig,
-)
+from repro.config import DaemonConfig, EngineConfig, MonitorConfig
 from repro.core.analyzer import Analyzer, apply_recommendations
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.daemon import StorageDaemon
@@ -50,19 +43,16 @@ __all__ = [
     "Analyzer",
     "AutonomousTuner",
     "Clock",
-    "CostModelConfig",
     "DaemonConfig",
     "Database",
     "EngineConfig",
     "EngineInstance",
     "IntegratedMonitor",
-    "LockConfig",
     "MonitorConfig",
     "MonitorSensors",
     "ReproError",
     "Session",
     "Setup",
-    "StorageConfig",
     "StorageDaemon",
     "SystemClock",
     "TuningPolicy",

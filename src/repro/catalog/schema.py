@@ -22,19 +22,6 @@ class DataType(enum.Enum):
     TEXT = "text"
     BOOL = "bool"
 
-    @property
-    def python_types(self) -> tuple[type, ...]:
-        return _PYTHON_TYPES[self]
-
-
-_PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
-    DataType.INT: (int,),
-    DataType.FLOAT: (float, int),
-    DataType.VARCHAR: (str,),
-    DataType.TEXT: (str,),
-    DataType.BOOL: (bool,),
-}
-
 
 _EXACT_TYPES: dict[DataType, type] = {
     DataType.INT: int,

@@ -23,10 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Callable
 
 from repro import faultsim
-from repro.core.autopilot import AutonomousTuner, TuningPolicy
+from repro.core.autopilot import AutonomousTuner
 from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.analyzer import Analyzer
 from repro.core.health import WorkerStatus
@@ -131,7 +132,10 @@ class Shell:
             if command is None:
                 return (f"unknown command \\{name}; "
                         f"try \\help")
-            return command(argument.strip())
+            try:
+                return command(argument.strip())
+            except (ReproError, OSError, ValueError) as error:
+                return f"error: {error}"
         try:
             result = self.session.execute(line)
         except ReproError as error:
@@ -185,10 +189,7 @@ class Shell:
     def cmd_explain(self, argument: str) -> str:
         if not argument:
             return "usage: \\explain <select statement>"
-        try:
-            return self.session.explain(argument)
-        except ReproError as error:
-            return f"error: {error}"
+        return self.session.explain(argument)
 
     def cmd_monitor(self, _argument: str) -> str:
         monitor = self.setup.monitor
@@ -214,11 +215,8 @@ class Shell:
                 f"  rows flushed: {status.total_rows_flushed}, "
                 f"purged: {status.total_rows_purged}",
                 f"  last flush at: {_stamp(status.last_flush_at)}"))
-        try:
-            poll = self.setup.daemon.poll_once()
-            written, purged = self.setup.daemon.flush()
-        except ReproError as error:
-            return f"error: {error} (see \\daemon status)"
+        poll = self.setup.daemon.poll_once()
+        written, purged = self.setup.daemon.flush()
         return (f"collected {poll.rows_collected} rows; wrote {written}, "
                 f"purged {purged}; workload DB now "
                 f"{self.setup.workload_db.total_rows()} rows "
@@ -240,10 +238,7 @@ class Shell:
         if action == "arm":
             if not rest:
                 return usage
-            try:
-                faultsim.arm_from_spec(rest, clock=self.setup.engine.clock)
-            except (FaultError, ValueError) as error:
-                return f"error: {error}"
+            faultsim.arm_from_spec(rest, clock=self.setup.engine.clock)
             return f"armed {rest}"
         if action == "disarm":
             if not rest:
@@ -285,11 +280,14 @@ class Shell:
         return report.render_text()
 
     def cmd_autopilot(self, argument: str) -> str:
-        if argument.lower() == "dry":
-            self.tuner.policy = TuningPolicy(dry_run=True)
-        report = self.tuner.run_cycle()
-        self.tuner.policy = TuningPolicy()
-        return report.describe()
+        if argument.lower() != "dry":
+            return self.tuner.run_cycle().describe()
+        policy = self.tuner.policy
+        self.tuner.policy = replace(policy, dry_run=True)
+        try:
+            return self.tuner.run_cycle().describe()
+        finally:
+            self.tuner.policy = policy
 
     def cmd_tuner(self, argument: str) -> str:
         if argument.lower() not in ("", "status"):
@@ -341,12 +339,7 @@ class Shell:
         if not argument:
             return "usage: \\restore <file>"
         from repro.engine.dump import load_database
-        try:
-            database = load_database(argument,
-                                     self.setup.engine.config,
-                                     self.setup.engine.clock)
-        except (OSError, ReproError, ValueError) as error:
-            return f"error: {error}"
+        database = load_database(argument, self.setup.engine.clock)
         suffix = 1
         name = database.name
         while self.setup.engine.has_database(name):

@@ -93,8 +93,8 @@ class Analyzer:
     def __init__(self, database: "Database") -> None:
         self.database = database
 
-    def analyze_workload_db(self, workload_db: WorkloadDatabase,
-                            top_statements: int = 10) -> AnalysisReport:
+    def analyze_workload_db(self,
+                            workload_db: WorkloadDatabase) -> AnalysisReport:
         """Analyze the persisted workload history (the normal path).
 
         The ``analyzer.scan`` failure point fires before any workload
@@ -108,7 +108,7 @@ class Analyzer:
         findings = run_rules(view, self.database)
         advice = IndexAdvisor(self.database).advise(view.statements.values())
         diagram = cost_diagram(list(view.statements.values()),
-                               advice.virtual_costs, top=top_statements)
+                               advice.virtual_costs)
         return AnalysisReport(
             view=view,
             findings=findings,

@@ -17,7 +17,6 @@ reason, in the order it was dropped):
 * **redundancy with MODIFY** — an index on exactly the primary key of a
   table that is being MODIFYed TO BTREE duplicates the new primary
   structure;
-* **minimum benefit** — index creations below ``min_benefit`` go;
 * **disk budget** — each index's footprint is estimated from table
   statistics; a greedy benefit-per-byte selection enforces the budget.
 
@@ -56,7 +55,7 @@ class SelectionResult:
 def select_recommendations(recommendations: list[Recommendation],
                            database: "Database | None" = None,
                            disk_budget_bytes: int | None = None,
-                           min_benefit: float = 0.0) -> SelectionResult:
+                           ) -> SelectionResult:
     """Pick the subset of ``recommendations`` to actually implement.
 
     Without a ``database`` nothing is redundant with a MODIFY and no
@@ -103,9 +102,6 @@ def select_recommendations(recommendations: list[Recommendation],
             continue
         if node.kind is not RecommendationKind.CREATE_INDEX:
             kept.add(i)
-        elif node.estimated_benefit < min_benefit:
-            dropped.append((node, f"benefit {node.estimated_benefit:.1f} "
-                                  f"below threshold {min_benefit:.1f}"))
         else:
             candidates.append(i)
 
@@ -145,7 +141,6 @@ def _index_bytes(i: int, recommendation: Recommendation,
         IndexDef(recommendation.index_name or f"idx_{i}",
                  recommendation.table_name, recommendation.columns,
                  virtual=True),
-        database.table_info(recommendation.table_name),
-        database.disk.page_size)
+        database.table_info(recommendation.table_name))
     return (synthesized.leaf_pages + synthesized.height) \
         * database.disk.page_size

@@ -200,7 +200,7 @@ class IndexAdvisor:
         profile, whose votes are weighted by its recorded frequency.  A
         profile without text, or whose text is not a SELECT, is passed
         over uncounted, read no further than its first token: a long
-        multi-row INSERT, cut off at ``max_statement_text``, takes
+        multi-row INSERT, cut off at ``MAX_STATEMENT_TEXT``, takes
         milliseconds to parse and then fails.
         """
         result = AdvisorResult()

@@ -25,21 +25,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Thresholds of the rule engine."""
-
-    divergence_ratio: float = 2.0
-    """Flag statements whose actual/estimated cost ratio exceeds this."""
-
-    divergence_min_cost: float = 10.0
-    """Ignore statements cheaper than this (noise floor, in cost units)."""
-
-    overflow_ratio: float = 0.10
-    """The paper's 10 % overflow-page threshold."""
-
-    min_executions: int = 1
-    """Statements must have run at least this often to be considered."""
+#: Flag statements whose actual/estimated cost ratio reaches this.
+DIVERGENCE_RATIO = 2.0
+#: Ignore statements cheaper than this (noise floor, in cost units).
+DIVERGENCE_MIN_COST = 10.0
+#: The paper's 10 % overflow-page threshold.
+OVERFLOW_RATIO = 0.10
+#: Statements must have run at least this often to be considered.
+MIN_EXECUTIONS = 1
 
 
 @dataclass
@@ -53,24 +46,23 @@ class RuleFindings:
     recommendations: list[Recommendation]
 
 
-def run_rules(view: WorkloadView, database: "Database | None" = None,
-              config: RuleConfig | None = None) -> RuleFindings:
+def run_rules(view: WorkloadView,
+              database: "Database | None" = None) -> RuleFindings:
     """Apply the rule set to an aggregated workload view.
 
     ``database`` (optional) lets the rules double-check live catalog
     state — e.g. skip a statistics recommendation when statistics were
     collected after the workload was recorded.
     """
-    config = config or RuleConfig()
     divergent: list[int] = []
     stats_tables: dict[str, list[int]] = {}
 
     for profile in view.statements.values():
-        if profile.executions < config.min_executions:
+        if profile.executions < MIN_EXECUTIONS:
             continue
         expensive = max(profile.avg_actual_cost,
-                        profile.avg_estimated_cost) >= config.divergence_min_cost
-        if expensive and profile.cost_divergence >= config.divergence_ratio:
+                        profile.avg_estimated_cost) >= DIVERGENCE_MIN_COST
+        if expensive and profile.cost_divergence >= DIVERGENCE_RATIO:
             divergent.append(profile.text_hash)
             for table in profile.referenced_tables:
                 stats_tables.setdefault(table, []).append(profile.text_hash)
@@ -100,7 +92,7 @@ def run_rules(view: WorkloadView, database: "Database | None" = None,
 
     overflow = sorted(
         profile.table_name for profile in view.tables.values()
-        if profile.overflow_ratio > config.overflow_ratio
+        if profile.overflow_ratio > OVERFLOW_RATIO
         and profile.structure in ("heap", "hash")
     )
 
@@ -132,7 +124,7 @@ def run_rules(view: WorkloadView, database: "Database | None" = None,
             kind=RecommendationKind.MODIFY_TO_BTREE,
             table_name=table,
             reason=(f"{ratio:.0%} of the table's pages are overflow pages "
-                    f"(threshold {config.overflow_ratio:.0%})"),
+                    f"(threshold {OVERFLOW_RATIO:.0%})"),
         ))
     return RuleFindings(
         divergent_statements=divergent,

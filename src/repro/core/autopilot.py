@@ -9,11 +9,8 @@ and applies the surviving set in application order.
 
 Safety policy:
 
-* minimum estimated benefit for index creations,
 * an optional disk budget for new indexes,
 * a cap on changes per cycle,
-* structure changes (MODIFY) can be disabled for systems that cannot
-  afford offline rebuilds,
 * dry-run mode reports what *would* be applied,
 * changes already applied in an earlier cycle are never repeated.
 
@@ -31,7 +28,8 @@ extended to the implementation end of the loop):
   statistics collection is completed forward instead.
 * A recommendation that keeps failing is *quarantined* by a
   per-recommendation circuit breaker: after
-  ``quarantine_after_failures`` consecutive failures it is benched for
+  :data:`~repro.core.tuning_journal.QUARANTINE_AFTER_FAILURES`
+  consecutive failures it is benched for
   ``quarantine_cooldown_s`` after the last one and skipped with a
   reason in the cycle report instead of being retried every cycle.
   The breaker is the journal's failure streaks and nothing else, so
@@ -83,25 +81,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import Session
 
 
+#: Seconds between cycles when the tuner runs as a background thread.
+CYCLE_INTERVAL_S = 300.0
+
+
 @dataclass(frozen=True)
 class TuningPolicy:
     """Guard rails for autonomous changes."""
 
-    min_index_benefit: float = 0.0
     disk_budget_bytes: int | None = None
     max_changes_per_cycle: int = 16
-    allow_structure_changes: bool = True
     dry_run: bool = False
-
-    quarantine_after_failures: int = 3
-    """Consecutive failures before a recommendation is benched."""
 
     quarantine_cooldown_s: float = 600.0
     """Seconds after its last failure a benched recommendation sits out
     before one retry (another failure re-quarantines it at once)."""
-
-    cycle_interval_s: float = 300.0
-    """Seconds between cycles when running as a background thread."""
 
 
 @dataclass
@@ -205,7 +199,7 @@ class AutonomousTuner(WorkerOwner):
         # included); reset when a cycle starts.
         self._mark_failures = 0
         self.worker = PeriodicWorker(
-            "repro-autonomous-tuner", self.policy.cycle_interval_s,
+            "repro-autonomous-tuner", CYCLE_INTERVAL_S,
             self.run_cycle, RETRY_BACKOFF, self.clock)
 
     # -- circuit breakers ----------------------------------------------------
@@ -225,7 +219,7 @@ class AutonomousTuner(WorkerOwner):
                     streak.last_ts + self.policy.quarantine_cooldown_s - now),
                 last_error=streak.last_error)
             for sql, streak in self.journal.failure_streaks().items()
-            if streak.count >= self.policy.quarantine_after_failures}
+            if streak.quarantined}
 
     # -- crash recovery ------------------------------------------------------
 
@@ -348,7 +342,6 @@ class AutonomousTuner(WorkerOwner):
         selection = select_recommendations(
             report.considered, database,
             disk_budget_bytes=self.policy.disk_budget_bytes,
-            min_benefit=self.policy.min_index_benefit,
         )
         report.skipped.extend(selection.dropped)
         runnable = self._filter_runnable(selection.selected, report)
@@ -375,11 +368,6 @@ class AutonomousTuner(WorkerOwner):
             if sql in already_applied:
                 report.skipped.append(
                     (recommendation, "already applied in an earlier cycle"))
-                continue
-            if (recommendation.kind is RecommendationKind.MODIFY_TO_BTREE
-                    and not self.policy.allow_structure_changes):
-                report.skipped.append(
-                    (recommendation, "structure changes disabled by policy"))
                 continue
             benched = quarantined.get(sql)
             if benched is not None and benched.cooldown_remaining_s > 0:
@@ -420,11 +408,11 @@ class AutonomousTuner(WorkerOwner):
             self._mark(self.journal.mark_applied, entry_id)
             return
         self._mark(self.journal.mark_failed, entry_id, outcome.error)
-        if sql in self._quarantined():
+        benched = self._quarantined().get(sql)
+        if benched is not None:
             report.quarantined.append(
                 (recommendation,
-                 f"quarantined after "
-                 f"{self.policy.quarantine_after_failures} failures"))
+                 f"quarantined after {benched.failures} failures"))
 
     # -- health (start/restart/is_alive/stop: WorkerOwner) --------------------
 

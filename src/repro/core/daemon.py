@@ -27,7 +27,7 @@ The daemon is built to the paper's "never dies, never lies" contract:
 * A failed poll never kills the loop — the next wake-up adds
   :data:`POLL_BACKOFF` (1 s doubling, 300 s cap) to the poll interval.
 * While the workload DB is down the daemon keeps collecting into
-  bounded pending batches (``max_pending_rows`` per table); overflow
+  bounded pending batches (:data:`MAX_PENDING_ROWS` per table); overflow
   drops the oldest rows and *counts* them in ``rows_dropped``.
 * Every workload row carries its source IMA sequence number
   (``src_seq``: the ring's own seq), appended in ascending order, so
@@ -75,6 +75,9 @@ class PollStats:
 
 #: Extra wait after consecutive failed polls or flushes.
 POLL_BACKOFF = Backoff(1.0, 2.0, 300.0)
+#: Per-table cap on rows buffered while the workload DB is down; beyond
+#: it the oldest buffered rows are dropped (and counted).
+MAX_PENDING_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,10 @@ class StorageDaemon(WorkerOwner):
             table.wl_schema.name: 0 for table in MONITOR_TABLES
         }
         # Each pending list is drained by every flush and capped at
-        # max_pending_rows while the workload DB is down (overflow drops
+        # MAX_PENDING_ROWS while the workload DB is down (overflow drops
         # the oldest rows into rows_dropped).
         self._pending: dict[str, list[tuple[int, tuple]]] = {
-            # staticcheck: bounded(max_pending_rows)
+            # staticcheck: bounded(MAX_PENDING_ROWS)
             name: [] for name in self._last_seq
         }
         # Poll statements are "constant prefix + high-water seq"; the
@@ -202,7 +205,7 @@ class StorageDaemon(WorkerOwner):
             pending = sum(len(rows) for rows in self._pending.values())
             loss = self._last_poll_loss
         controller.note_poll(duration_s, pending,
-                             self.config.max_pending_rows, loss)
+                             MAX_PENDING_ROWS, loss)
 
     # staticcheck: hotpath
     def _poll_locked(self) -> PollStats:
@@ -357,7 +360,7 @@ class StorageDaemon(WorkerOwner):
 
     def _enforce_cap(self, table: str) -> None:
         rows = self._pending[table]
-        overflow = len(rows) - self.config.max_pending_rows
+        overflow = len(rows) - MAX_PENDING_ROWS
         if overflow > 0:
             # Degrade by dropping the *oldest* buffered rows — and never
             # silently: the drop is part of the health snapshot.

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.clock import Clock
-from repro.config import SupervisorConfig
 from repro.errors import MonitorError, ReproError
 
 #: Watch states (plain strings so snapshots serialize as-is).
@@ -68,6 +67,8 @@ class Backoff:
 
 #: Extra wait after failed tuning cycles, and between supervisor restarts.
 RETRY_BACKOFF = Backoff(1.0, 2.0, 60.0)
+#: Seconds between supervisor ticks when it runs its own thread.
+CHECK_INTERVAL_S = 5.0
 #: Seconds a watched worker may stay past its due time (its last wake-up
 #: plus interval and backoff) before the supervisor restarts it as hung.
 HEARTBEAT_TIMEOUT_S = 30.0
@@ -271,7 +272,7 @@ class Supervisor(WorkerOwner):
     all supervisor state; restarts run outside it, so a slow restart
     never blocks health reads."""
 
-    def __init__(self, config: SupervisorConfig, clock: Clock) -> None:
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
         self._lock = threading.Lock()
         # Registered once at setup; never unbounded (one entry per
@@ -279,7 +280,7 @@ class Supervisor(WorkerOwner):
         self._watches: dict[str, _Watch] = \
             {}  # staticcheck: bounded(one-per-subsystem-registered-at-setup)
         self.ticks = 0
-        self.worker = PeriodicWorker("repro-supervisor", config.check_interval_s,
+        self.worker = PeriodicWorker("repro-supervisor", CHECK_INTERVAL_S,
                                      self.tick, RETRY_BACKOFF, clock)
 
     def watch(self, name: str, worker: PeriodicWorker) -> None:

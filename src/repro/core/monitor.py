@@ -41,7 +41,7 @@ from repro.core.records import (
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.core.sensors import StatementContext
 from repro.execution.executor import ExecutionMetrics
-from repro.optimizer.cost_model import CPU_TUPLE_COST
+from repro.optimizer.cost_model import CPU_TUPLE_COST, IO_PAGE_COST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.optimizer import OptimizationResult
@@ -53,6 +53,14 @@ STATISTICS_MIN_INTERVAL_S = 1.0
 REFERENCE_BUFFER_SIZE = 8000
 #: Ring capacity for system-wide statistics samples.
 STATISTICS_BUFFER_SIZE = 2000
+#: Ring capacity for captured plans.
+PLAN_BUFFER_SIZE = 200
+#: A SELECT whose estimated cost reaches this has its plan text captured
+#: (AWR-style top-query plans).
+PLAN_CAPTURE_MIN_COST = 100.0
+#: Captured query texts are truncated to this many characters (the
+#: statement hash still covers the full text).
+MAX_STATEMENT_TEXT = 1024
 
 #: Degradation ladder levels (:mod:`repro.core.overload` decides them and
 #: re-exports these names).  Plain ints: the admission gate compares
@@ -97,7 +105,7 @@ class IntegratedMonitor:
         self.statistics: RingBuffer[StatisticsRecord] = \
             RingBuffer(STATISTICS_BUFFER_SIZE)
         self.plans: KeyedRingBuffer[int, PlanRecord] = \
-            KeyedRingBuffer(self.config.plan_buffer_size)
+            KeyedRingBuffer(PLAN_BUFFER_SIZE)
         self.sensor_calls = 0
         self.sensor_time_s = 0.0
         self._last_statistics_at = float("-inf")
@@ -126,12 +134,10 @@ class IntegratedMonitor:
         sessions both see a miss and both report the statement as new,
         double-logging its object references.
         """
-        limit = self.config.max_statement_text
         return self.statements.upsert(
             text_hash,
             create=lambda: StatementRecord(
-                text_hash=text_hash,
-                text=text if len(text) <= limit else text[:limit],
+                text_hash=text_hash, text=text[:MAX_STATEMENT_TEXT],
                 frequency=1, first_seen=now, last_seen=now,
             ),
             update=lambda record: record.bumped(now),
@@ -298,13 +304,12 @@ class MonitorSensors:
     # staticcheck: hotpath
     def execute_complete(self, statement: Any, text: str, session_id: int,
                          metrics: ExecutionMetrics, wallclock_s: float,
-                         io_page_cost: float,
                          statistics: Callable[[], Mapping[str, Any]] | None,
                          ) -> None:
         """Record a statement of session ``session_id`` that ended:
         ``statement`` is its prepared statement or its context, ``text``
         the text it ran, ``metrics`` the executor's (converted to
-        actual costs at ``io_page_cost`` per page read) and
+        actual costs with the cost model's constants) and
         ``wallclock_s`` its time.  ``statistics`` supplies a
         system-wide statistics sample, called only when one is due."""
         t0 = perf_counter()
@@ -335,7 +340,7 @@ class MonitorSensors:
         record = _new_record(WorkloadRecord, (
             text_hash, session_id, now, statement.optimize_time_s,
             wallclock_s, wallclock_s, estimated_io, estimated_cpu,
-            reads * io_page_cost, tuples * CPU_TUPLE_COST,
+            reads * IO_PAGE_COST, tuples * CPU_TUPLE_COST,
             reads, metrics.physical_reads, tuples, metrics.rows_returned,
             used_indexes, perf_counter() - t0))
         with monitor._lock:
@@ -383,10 +388,9 @@ class MonitorSensors:
         monitor.record_references(text_hash, statement.tables,
                                   optimized.referenced_columns,
                                   optimized.used_indexes)
-        threshold = monitor.config.plan_capture_min_cost
         cost = optimized.estimated_cost
         estimated_total = cost.io + cost.cpu
-        if 0 < threshold <= estimated_total:
+        if estimated_total >= PLAN_CAPTURE_MIN_COST:
             monitor.record_plan(text_hash, estimated_total,
                                 optimized.explain(), now)
 
@@ -397,7 +401,7 @@ class MonitorSensors:
         # the statement history shows failing statements; they pass
         # the same gate, so they stay inside the conservation ledger.
         self.execute_complete(statement, text, session_id, _NO_WORK, 0.0,
-                              0.0, None)
+                              None)
 
     # staticcheck: coldpath(rate-limited-1-per-s)
     def sample_statistics(self, supplier: Callable[[], Mapping[str, Any]],

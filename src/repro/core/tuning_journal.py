@@ -59,6 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 JOURNAL_TABLE = "tuning_journal"
 
+#: Changes the journal keeps; beyond it the oldest terminal ones are
+#: pruned (see :meth:`TuningJournal._prune_locked`).
+MAX_ENTRIES = 2048
+#: Consecutive failures that bench a statement.  A streak counts no
+#: higher, and only its newest this-many failures are kept from pruning.
+QUARANTINE_AFTER_FAILURES = 3
+
 JOURNAL_SCHEMA = TableSchema(JOURNAL_TABLE, (
     Column("seq", DataType.INT),
     Column("entry_id", DataType.INT),
@@ -109,8 +116,14 @@ class FailureStreak(NamedTuple):
     rolled back — the circuit breaker's whole record."""
 
     count: int
+    """Capped at :data:`QUARANTINE_AFTER_FAILURES`."""
     last_ts: float
     last_error: str
+
+    @property
+    def quarantined(self) -> bool:
+        """Enough consecutive failures to bench the statement."""
+        return self.count >= QUARANTINE_AFTER_FAILURES
 
 
 _NO_STREAK = FailureStreak(0, 0.0, "")
@@ -138,23 +151,21 @@ class TuningJournal:
     taken while holding an engine or daemon lock.
     """
 
-    def __init__(self, database: "Database", clock: Clock,
-                 max_entries: int = 2048) -> None:
+    def __init__(self, database: "Database", clock: Clock) -> None:
         self.database = database
         self.clock = clock
-        self.max_entries = max_entries
         # Serializes whole journal writes end to end (see module doc).
         self._write_mutex = threading.Lock()
         self._lock = threading.Lock()
         # In-memory mirror of the table, one cell per change, kept in
         # the order of each change's latest row; bounded by
         # _prune_locked(), which evicts the oldest terminal entries (and
-        # deletes their rows) beyond max_entries.
+        # deletes their rows) beyond MAX_ENTRIES.
         self._entries: dict[int, JournalEntry] = {}
         self._rowids: dict[int, list[int]] = {}
         # Consecutive failure streaks per statement.  Reset on
-        # success/rollback; a live streak's entries are never pruned, so
-        # bounded by the entries alive.
+        # success/rollback; one per statement with a failed entry alive,
+        # so bounded by the entries alive.
         self._streaks: dict[str, FailureStreak] = {}
         self._next_seq = 1
         self._next_entry_id = 1
@@ -198,7 +209,8 @@ class TuningJournal:
         if entry.state is JournalState.FAILED:
             count = self._streaks.get(entry.sql, _NO_STREAK).count
             self._streaks[entry.sql] = FailureStreak(
-                count + 1, entry.updated_at, entry.error)
+                min(count + 1, QUARANTINE_AFTER_FAILURES),
+                entry.updated_at, entry.error)
         elif entry.state in (JournalState.APPLIED,
                              JournalState.ROLLED_BACK):
             self._streaks.pop(entry.sql, None)
@@ -297,19 +309,20 @@ class TuningJournal:
             self._last_write_at = entry.updated_at
 
     def _prune_locked(self) -> None:
-        """Evict the oldest *terminal* entries beyond ``max_entries``.
+        """Evict the oldest *terminal* entries beyond :data:`MAX_ENTRIES`.
 
         Interrupted (``intent``) entries are never pruned — they are
-        exactly what recovery needs — and neither are the failures of
-        a live streak, so a reload counts the same streaks as memory
-        and a pruned journal never lifts a quarantine.  Eviction goes
+        exactly what recovery needs — and neither are the newest
+        :data:`QUARANTINE_AFTER_FAILURES` failures of a live streak, the
+        most a streak counts, so a reload counts the same streaks as
+        memory and a pruned journal never lifts a quarantine.  Eviction goes
         by latest row: a failure that precedes a success goes before
         that success does.  Prune failures are deliberately
         impossible here: rows are deleted outside any engine lock and
         a failed delete would simply leave the row for the next prune.
         """
         with self._lock:
-            overflow = len(self._entries) - self.max_entries
+            overflow = len(self._entries) - MAX_ENTRIES
             if overflow <= 0:
                 return
             streak_ids: dict[str, list[int]] = {}
@@ -319,7 +332,7 @@ class TuningJournal:
                 elif entry.state in TERMINAL_STATES:
                     streak_ids.pop(entry.sql, None)
             live = {entry_id for ids in streak_ids.values()
-                    for entry_id in ids}
+                    for entry_id in ids[-QUARANTINE_AFTER_FAILURES:]}
             victims = [entry_id for entry_id, entry in self._entries.items()
                        if entry.state in TERMINAL_STATES
                        and entry_id not in live][:overflow]

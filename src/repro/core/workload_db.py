@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro import faultsim
 from repro.catalog.schema import StorageStructure
 from repro.clock import Clock, SystemClock
-from repro.config import EngineConfig
 from repro.core.ima import MONITOR_TABLES
 from repro.engine.database import Database
 from repro.errors import MonitorError
@@ -45,12 +44,10 @@ _EMPTY = (math.inf, 0)  # retention watermark of a table never appended to
 class WorkloadDatabase:
     """Owns the workload database and its append/retention operations."""
 
-    def __init__(self, config: EngineConfig | None = None,
-                 clock: Clock | None = None,
+    def __init__(self, clock: Clock | None = None,
                  name: str = "workloaddb") -> None:
-        self.config = config or EngineConfig()
         self.clock = clock or SystemClock()
-        self.database = Database(name, self.config, self.clock)
+        self.database = Database(name, self.clock)
         self._journal: "TuningJournal | None" = None
         # Retention watermark: per table, the oldest ``captured_at`` it
         # holds and the row count that was true for.  A count that no

@@ -10,8 +10,7 @@ the IMA mechanism that exposes in-memory monitor data over plain SQL.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import (
@@ -26,7 +25,6 @@ from repro.catalog.statistics import (
     collect_column_statistics,
 )
 from repro.clock import Clock, SystemClock
-from repro.config import EngineConfig
 from repro.errors import (
     CatalogError,
     StorageError,
@@ -45,6 +43,9 @@ from repro.storage.table_storage import TableStorage
 from repro.engine.triggers import TriggerManager
 
 VirtualTableProvider = Callable[..., list[tuple]]
+
+#: Number of pages each database's LRU buffer cache can hold.
+BUFFER_POOL_PAGES = 256
 
 
 class _VirtualTable(NamedTuple):
@@ -69,13 +70,11 @@ class _SecondaryIndex(NamedTuple):
 class Database:
     """Catalog, storage and physical-design operations for one database."""
 
-    def __init__(self, name: str, config: EngineConfig | None = None,
-                 clock: Clock | None = None) -> None:
+    def __init__(self, name: str, clock: Clock | None = None) -> None:
         self.name = name
-        self.config = config or EngineConfig()
         self.clock = clock or SystemClock()
-        self.disk = DiskManager(self.config.storage, self.clock)
-        self.pool = BufferPool(self.disk, self.config.storage.buffer_pool_pages)
+        self.disk = DiskManager(self.clock)
+        self.pool = BufferPool(self.disk, BUFFER_POOL_PAGES)
         self.catalog = Catalog()
         self.triggers = TriggerManager()
         self._storages: dict[str, TableStorage] = {}
@@ -301,8 +300,7 @@ class Database:
     # -- statistics --------------------------------------------------------------
 
     def collect_statistics(self, table_name: str,
-                           columns: Iterable[str] = (),
-                           buckets: int = 20) -> TableStatistics:
+                           columns: Iterable[str] = ()) -> TableStatistics:
         """Scan the table and build statistics (Ingres' optimizedb).
 
         With no explicit column list, all columns are analyzed.  Column
@@ -331,7 +329,7 @@ class Database:
         for column in wanted:
             position = schema.column_index(column)
             stats.columns[column.lower()] = collect_column_statistics(
-                column, (row[position] for row in rows), buckets)
+                column, (row[position] for row in rows))
         entry.statistics = stats
         storage.modifications_since_stats = 0
         self.schema_version += 1
@@ -394,8 +392,7 @@ class Database:
             if definition.virtual:
                 if table is None:
                     table = self.table_info(table_name)
-                result.append(synthesize_index_info(
-                    definition, table, self.config.storage.page_size))
+                result.append(synthesize_index_info(definition, table))
                 continue
             storage = self._index_storages[definition.name.lower()]
             result.append(IndexInfo(

@@ -30,7 +30,6 @@ from repro.catalog.statistics import (
     TableStatistics,
 )
 from repro.clock import Clock
-from repro.config import EngineConfig
 from repro.engine.database import Database
 from repro.errors import StorageError
 
@@ -85,7 +84,6 @@ def dump_database(database: Database, path: str | pathlib.Path) -> int:
 
 
 def load_database(path: str | pathlib.Path,
-                  config: EngineConfig | None = None,
                   clock: Clock | None = None,
                   name: str | None = None) -> Database:
     """Rebuild a database from a dump produced by :func:`dump_database`."""
@@ -95,7 +93,7 @@ def load_database(path: str | pathlib.Path,
         raise StorageError(
             f"unsupported dump format version {version!r} "
             f"(expected {DUMP_FORMAT_VERSION})")
-    database = Database(name or document["database"], config, clock)
+    database = Database(name or document["database"], clock)
     for table in document["tables"]:
         schema = _schema_from_dict(table["schema"])
         structure = StorageStructure(table["structure"])

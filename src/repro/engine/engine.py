@@ -39,7 +39,7 @@ class EngineInstance:
         self.config = config or EngineConfig()
         self.sensors: "MonitorSensors | None" = None
         self.clock = clock or SystemClock()
-        self.lock_manager = LockManager(self.config.locks)
+        self.lock_manager = LockManager()
         self._databases: dict[str, Database] = {}
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
@@ -53,7 +53,7 @@ class EngineInstance:
         with self._mutex:
             if key in self._databases:
                 raise DuplicateObjectError(f"database {name!r} already exists")
-            database = Database(name, self.config, self.clock)
+            database = Database(name, self.clock)
             self._databases[key] = database
             return database
 

@@ -23,8 +23,12 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from repro.config import LockConfig
-from repro.errors import DeadlockError, LockError, LockTimeoutError
+from repro.errors import DeadlockError, LockTimeoutError
+
+#: Seconds a lock request may wait before raising LockTimeoutError.
+WAIT_TIMEOUT_S = 10.0
+#: How often a waiting request re-runs deadlock detection.
+DEADLOCK_CHECK_INTERVAL_S = 0.05
 
 
 class LockMode(enum.Enum):
@@ -55,8 +59,7 @@ class LockStatistics:
 class LockManager:
     """Grants S/X table locks to transactions; detects deadlocks."""
 
-    def __init__(self, config: LockConfig | None = None) -> None:
-        self.config = config or LockConfig()
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._granted = threading.Condition(self._mutex)
         # _granted wraps _mutex, so holding either guards the state.
@@ -70,16 +73,13 @@ class LockManager:
     # -- public API --------------------------------------------------------
 
     # staticcheck: hotpath
-    def acquire(self, txn_id: int, resource: str, mode: LockMode,
-                timeout_s: float | None = None) -> None:
+    def acquire(self, txn_id: int, resource: str, mode: LockMode) -> None:
         """Block until the lock is granted.
 
         Raises :class:`DeadlockError` if this request closes a cycle in
         the waits-for graph (the requester is the victim) and
-        :class:`LockTimeoutError` after ``timeout_s`` seconds.
+        :class:`LockTimeoutError` after :data:`WAIT_TIMEOUT_S` seconds.
         """
-        deadline = timeout_s if timeout_s is not None \
-            else self.config.wait_timeout_s
         with self._granted:
             self._total_requests += 1
             state = self._resources.get(resource)
@@ -92,7 +92,7 @@ class LockManager:
             self._total_waits += 1
             state.waiters.append((txn_id, mode))
             waited = 0.0
-            interval = self.config.deadlock_check_interval_s
+            interval = DEADLOCK_CHECK_INTERVAL_S
             granted_wait = self._granted.wait
             try:
                 while True:
@@ -105,7 +105,7 @@ class LockManager:
                     if self._try_grant(state, txn_id, mode):
                         self._note_held(txn_id, resource)
                         return
-                    if waited >= deadline:
+                    if waited >= WAIT_TIMEOUT_S:
                         self._total_timeouts += 1
                         raise LockTimeoutError(
                             f"transaction {txn_id} timed out after "

@@ -74,7 +74,7 @@ class DeadlockError(LockError):
 
 
 class LockTimeoutError(LockError):
-    """Raised when a lock request waits longer than the configured timeout."""
+    """Raised when a lock request waits longer than ``WAIT_TIMEOUT_S``."""
 
 
 class TransactionError(ReproError):

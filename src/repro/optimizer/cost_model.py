@@ -1,7 +1,7 @@
 """The engine's internal cost model.
 
 Costs split into an I/O component (page accesses, weighted by
-``io_page_cost``) and a CPU component (tuples and predicate
+:data:`IO_PAGE_COST`) and a CPU component (tuples and predicate
 evaluations).  The executor reports *actual* costs in the same units —
 logical page accesses and tuples processed — so estimated and actual
 costs are directly comparable, which is what the analyzer's
@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import CostModelConfig
-
 OVERFLOW_PENALTY = 2.0
 
+#: Cost units charged per page read from disk.
+IO_PAGE_COST = 4.0
 #: Cost units charged per tuple processed by an operator.
 CPU_TUPLE_COST = 0.01
 #: Cost units charged per predicate/expression evaluation.
@@ -52,9 +52,6 @@ class Cost:
 class CostModel:
     """Cost formulas used by the optimizer (and by what-if analysis)."""
 
-    def __init__(self, config: CostModelConfig | None = None) -> None:
-        self.config = config or CostModelConfig()
-
     # -- scans -------------------------------------------------------------
 
     def seq_scan(self, pages: float, overflow_pages: float,
@@ -63,13 +60,13 @@ class CostModel:
         penalty, one CPU charge per row."""
         io = (pages - overflow_pages) + overflow_pages * OVERFLOW_PENALTY
         return Cost(
-            io=io * self.config.io_page_cost,
+            io=io * IO_PAGE_COST,
             cpu=rows * CPU_TUPLE_COST,
         )
 
     def btree_descent(self, height: float) -> Cost:
         """Root-to-leaf traversal."""
-        return Cost(io=max(1.0, height) * self.config.io_page_cost)
+        return Cost(io=max(1.0, height) * IO_PAGE_COST)
 
     def btree_range_scan(self, height: float, leaf_pages: float,
                          selectivity: float, rows: float) -> Cost:
@@ -77,7 +74,7 @@ class CostModel:
         touched_leaves = max(1.0, math.ceil(leaf_pages * selectivity))
         out_rows = rows * selectivity
         return self.btree_descent(height) + Cost(
-            io=touched_leaves * self.config.io_page_cost,
+            io=touched_leaves * IO_PAGE_COST,
             cpu=out_rows * CPU_TUPLE_COST,
         )
 
@@ -95,14 +92,14 @@ class CostModel:
         )
         fetch_io = matches * max(1.0, fetch_height)
         return index_cost + Cost(
-            io=fetch_io * self.config.io_page_cost,
+            io=fetch_io * IO_PAGE_COST,
             cpu=matches * CPU_INDEX_TUPLE_COST,
         )
 
     def hash_lookup(self, chain_pages: float, matches: float) -> Cost:
         """Equality probe into a HASH structure: read one bucket chain."""
         return Cost(
-            io=max(1.0, chain_pages) * self.config.io_page_cost,
+            io=max(1.0, chain_pages) * IO_PAGE_COST,
             cpu=matches * CPU_TUPLE_COST,
         )
 
@@ -130,7 +127,7 @@ class CostModel:
         probe_io = outer_rows * max(1.0, lookup_height)
         fetch_io = outer_rows * matches_per_probe * max(0.0, fetch_height)
         return Cost(
-            io=(probe_io + fetch_io) * self.config.io_page_cost,
+            io=(probe_io + fetch_io) * IO_PAGE_COST,
             cpu=outer_rows * matches_per_probe * CPU_INDEX_TUPLE_COST,
         )
 
@@ -160,6 +157,6 @@ class CostModel:
         """Convert executor counters into the model's cost units so the
         monitor can store actual and estimated costs side by side."""
         return Cost(
-            io=logical_reads * self.config.io_page_cost,
+            io=logical_reads * IO_PAGE_COST,
             cpu=tuples * CPU_TUPLE_COST,
         )

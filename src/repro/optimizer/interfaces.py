@@ -13,27 +13,37 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.catalog.schema import DataType, IndexDef, StorageStructure, TableSchema
+from repro.catalog.schema import (
+    Column,
+    DataType,
+    IndexDef,
+    StorageStructure,
+    TableSchema,
+)
 from repro.catalog.statistics import TableStatistics
+from repro.storage.disk import PAGE_SIZE
+from repro.storage.heap import FILL_FACTOR
 
-_DEFAULT_WIDTHS = {
+_FIXED_WIDTHS = {
     DataType.INT: 8,
     DataType.FLOAT: 8,
     DataType.BOOL: 1,
+    DataType.TEXT: 2 + 32,
 }
+
+
+def column_bytes(column: Column) -> int:
+    """Rough serialized width of one column's value: a VARCHAR is
+    assumed half full behind its 2-byte length, a TEXT 32 characters."""
+    if column.data_type is DataType.VARCHAR:
+        return 2 + max(1, column.max_length // 2)
+    return _FIXED_WIDTHS[column.data_type]
 
 
 def estimate_row_bytes(schema: TableSchema) -> float:
     """Rough serialized row width from the schema alone."""
-    width = (len(schema.columns) + 7) // 8
-    for column in schema.columns:
-        if column.data_type in _DEFAULT_WIDTHS:
-            width += _DEFAULT_WIDTHS[column.data_type]
-        elif column.data_type is DataType.VARCHAR:
-            width += 2 + max(1, column.max_length // 2)
-        else:  # TEXT
-            width += 2 + 32
-    return float(width)
+    return float((len(schema.columns) + 7) // 8
+                 + sum(column_bytes(column) for column in schema.columns))
 
 
 @dataclass(frozen=True)
@@ -85,22 +95,17 @@ class IndexInfo:
         return self.definition.virtual
 
 
-def synthesize_index_info(definition: IndexDef, table: TableInfo,
-                          page_size: int = 4096) -> IndexInfo:
+def synthesize_index_info(definition: IndexDef,
+                          table: TableInfo) -> IndexInfo:
     """Estimate the geometry a hypothetical index would have.
 
     Used for virtual (what-if) indexes: entry width is the key columns'
     widths plus an 8-byte locator; the height assumes the same fanout a
     real B-Tree of that entry size would get.
     """
-    key_width = 8.0 + sum(
-        _DEFAULT_WIDTHS.get(table.schema.column(c).data_type,
-                            2 + max(1, table.schema.column(c).max_length // 2
-                                    if table.schema.column(c).data_type
-                                    is DataType.VARCHAR else 34))
-        for c in definition.column_names
-    )
-    usable = page_size * 0.9
+    key_width = 8.0 + sum(column_bytes(table.schema.column(c))
+                          for c in definition.column_names)
+    usable = PAGE_SIZE * FILL_FACTOR
     entries_per_leaf = max(2.0, usable / (key_width + 8.0))
     leaf_pages = max(1, math.ceil(table.row_count / entries_per_leaf))
     fanout = max(2.0, usable / (key_width + 8.0))

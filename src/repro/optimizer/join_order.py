@@ -1,6 +1,6 @@
 """Join enumeration: dynamic programming with a greedy fallback.
 
-Up to ``join_dp_threshold`` inputs the enumerator runs System-R style
+Up to :data:`JOIN_DP_THRESHOLD` inputs the enumerator runs System-R style
 bitmask DP over connected sub-plans (cross products only when a query
 is genuinely disconnected); beyond that it falls back to a greedy
 left-deep heuristic.  For every pair it considers hash join, (block)
@@ -29,6 +29,10 @@ from repro.optimizer.predicates import JoinEdge, conjoin
 from repro.optimizer.selectivity import SelectivityEstimator, StatsResolver
 from repro.sql import ast_nodes as ast
 
+#: Joins of up to this many inputs are enumerated by dynamic
+#: programming; larger ones fall back to the greedy heuristic.
+JOIN_DP_THRESHOLD = 6
+
 
 @dataclass
 class SubPlan:
@@ -52,15 +56,13 @@ class JoinEnumerator:
                  tables: dict[str, TableInfo],
                  indexes: dict[str, tuple[IndexInfo, ...]],
                  per_binding_predicates: dict[str, list[ast.Expression]],
-                 resolve: StatsResolver,
-                 dp_threshold: int = 6) -> None:
+                 resolve: StatsResolver) -> None:
         self._cost_model = cost_model
         self._estimator = estimator
         self._tables = tables
         self._indexes = indexes
         self._per_binding = per_binding_predicates
         self._resolve = resolve
-        self._dp_threshold = dp_threshold
 
     # -- public ---------------------------------------------------------------
 
@@ -70,7 +72,7 @@ class JoinEnumerator:
             raise OptimizerError("no FROM inputs to join")
         if len(leaves) == 1:
             return next(iter(leaves.values()))
-        if len(leaves) <= self._dp_threshold:
+        if len(leaves) <= JOIN_DP_THRESHOLD:
             return self._dp(leaves, edges)
         return self._greedy(leaves, edges)
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.config import EngineConfig
 from repro.errors import ExecutionError, OptimizerError
 from repro.optimizer.access_paths import AccessPathSelector, _finalize
 from repro.optimizer.cost_model import Cost, CostModel
-from repro.optimizer.interfaces import CatalogView, IndexInfo, TableInfo
+from repro.optimizer.interfaces import CatalogView, TableInfo
 from repro.optimizer.join_order import JoinEnumerator, SubPlan
 from repro.optimizer.plans import (
     AggregatePlan,
@@ -48,6 +47,7 @@ from repro.optimizer.predicates import (
 )
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.sql import ast_nodes as ast
+from repro.storage.disk import PAGE_SIZE
 
 
 @dataclass
@@ -83,11 +83,9 @@ class OptimizationResult:
 class Optimizer:
     """Cost-based optimizer over a :class:`CatalogView`."""
 
-    def __init__(self, view: CatalogView,
-                 config: EngineConfig | None = None) -> None:
+    def __init__(self, view: CatalogView) -> None:
         self._view = view
-        self.config = config or EngineConfig()
-        self.cost_model = CostModel(self.config.cost_model)
+        self.cost_model = CostModel()
         self.estimator = SelectivityEstimator()
         self._paths = AccessPathSelector(self.cost_model, self.estimator)
 
@@ -149,7 +147,6 @@ class Optimizer:
             enumerator = JoinEnumerator(
                 self.cost_model, self.estimator, tables, indexes,
                 classified.per_binding, column_stats,
-                self.config.join_dp_threshold,
             )
             joined = enumerator.enumerate(leaves, classified.edges)
             plan = joined.plan
@@ -456,7 +453,7 @@ class Optimizer:
                   order_items: tuple[ast.OrderItem, ...],
                   row_bytes: float) -> PlanNode:
         pages = max(1.0, child.estimated_rows * row_bytes
-                    / self.config.storage.page_size)
+                    / PAGE_SIZE)
         return self._over(
             SortPlan(child, tuple((i.expression, i.descending)
                                   for i in order_items)),

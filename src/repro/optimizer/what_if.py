@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.catalog.schema import IndexDef
-from repro.config import EngineConfig
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
@@ -67,15 +66,14 @@ def hypothetical_indexes(database: "Database",
 
 
 def what_if_optimize(database: "Database", statement: str | ast.Statement,
-                     candidates: list[IndexDef],
-                     config: EngineConfig | None = None) -> WhatIfOutcome:
+                     candidates: list[IndexDef]) -> WhatIfOutcome:
     """Optimize a SELECT (text, or already parsed) with and without
     ``candidates`` available."""
     if isinstance(statement, str):
         statement = parse_statement(statement)
     if not isinstance(statement, ast.SelectStatement):
         raise ValueError("what-if analysis applies to SELECT statements")
-    optimizer = Optimizer(database, config or database.config)
+    optimizer = Optimizer(database)
     baseline = optimizer.optimize_select(statement, include_virtual=False)
     with hypothetical_indexes(database, candidates):
         hypothetical = optimizer.optimize_select(statement,

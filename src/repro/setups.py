@@ -108,7 +108,7 @@ def daemon_setup(database_name: str,
     database = engine.create_database(database_name)
     assert setup.monitor is not None
     register_ima_tables(database, setup.monitor)
-    workload_db = WorkloadDatabase(engine.config, engine.clock)
+    workload_db = WorkloadDatabase(engine.clock)
     daemon = StorageDaemon(engine, database_name, workload_db,
                            daemon_config or engine.config.daemon)
     setup.name = "daemon"
@@ -127,7 +127,7 @@ def attach_supervisor(setup: Setup,
     reported by :meth:`Setup.health`.  Not started — call
     ``supervisor.start()`` or drive ``tick()`` manually."""
     engine = setup.engine
-    supervisor = Supervisor(engine.config.supervisor, engine.clock)
+    supervisor = Supervisor(engine.clock)
     daemon = setup.daemon
     if daemon is not None:
         supervisor.watch("storage-daemon", daemon.worker)

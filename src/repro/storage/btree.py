@@ -25,6 +25,7 @@ from repro.catalog.schema import Column, DataType, TableSchema
 from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
+from repro.storage.heap import FILL_FACTOR
 from repro.storage.page import NO_PAGE, InternalPage, LeafPage, page_kind, KIND_LEAF
 
 _NULL = (0, None)
@@ -59,7 +60,7 @@ class BTreeStorage:
 
     def __init__(self, schema: TableSchema, key_columns: tuple[str, ...],
                  disk: DiskManager, pool: BufferPool,
-                 unique: bool = False, fill_factor: float = 0.9) -> None:
+                 unique: bool = False) -> None:
         if not key_columns:
             raise StorageError("a B-Tree needs at least one key column")
         self.schema = schema
@@ -68,7 +69,7 @@ class BTreeStorage:
         self._key_positions = tuple(schema.column_index(c) for c in key_columns)
         self._disk = disk
         self._pool = pool
-        self._capacity = int(disk.page_size * fill_factor)
+        self._capacity = int(disk.page_size * FILL_FACTOR)
         # Separator keys append the rowid as an INT column.
         sep_columns = tuple(
             Column(c.name, c.data_type, c.max_length, nullable=True)

@@ -7,7 +7,7 @@ The disk is the ground truth for two measurements the paper reports:
 * **database size on disk** (figure 7 compares the footprint of the
   manually optimized and analyzer-optimized databases).
 
-Pages are byte strings of at most ``page_size`` bytes.
+Pages are byte strings of at most :data:`PAGE_SIZE` bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 from repro import faultsim
 from repro.clock import Clock, SystemClock
-from repro.config import StorageConfig
 from repro.errors import PageError, StorageError
+
+#: Bytes per page; rows are packed into slotted pages of this size.
+PAGE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,8 @@ class IoCounters:
 class DiskManager:
     """In-memory page store that behaves like a disk for accounting."""
 
-    def __init__(self, config: StorageConfig | None = None,
-                 clock: Clock | None = None) -> None:
-        self.config = config or StorageConfig()
+    def __init__(self, clock: Clock | None = None) -> None:
+        self.page_size = PAGE_SIZE
         self._clock = clock or SystemClock()
         self._pages: dict[int, bytes] = {}
         self._next_page_id = 0
@@ -54,10 +55,6 @@ class DiskManager:
         self._writes = 0
         self._allocations = 0
         self._frees = 0
-
-    @property
-    def page_size(self) -> int:
-        return self.config.page_size
 
     def allocate(self) -> int:
         """Allocate a fresh empty page and return its id."""
@@ -84,10 +81,10 @@ class DiskManager:
     def write(self, page_id: int, data: bytes) -> None:
         """Physically write a page (counted)."""
         faultsim.fire("disk.write", error=StorageError, clock=self._clock)
-        if len(data) > self.config.page_size:
+        if len(data) > self.page_size:
             raise PageError(
                 f"page {page_id}: {len(data)} bytes exceed page size "
-                f"{self.config.page_size}"
+                f"{self.page_size}"
             )
         with self._lock:
             if page_id not in self._pages:
@@ -125,7 +122,7 @@ class DiskManager:
         slot regardless of how many bytes of it are used.
         """
         with self._lock:
-            return len(self._pages) * self.config.page_size
+            return len(self._pages) * self.page_size
 
     @property
     def used_bytes(self) -> int:

@@ -50,8 +50,7 @@ class HashStorage:
 
     def __init__(self, schema: TableSchema, key_columns: tuple[str, ...],
                  disk: DiskManager, pool: BufferPool,
-                 buckets: int = 16, unique: bool = False,
-                 fill_factor: float = FILL_FACTOR) -> None:
+                 buckets: int = 16, unique: bool = False) -> None:
         if not key_columns:
             raise StorageError("a hash table needs at least one key column")
         if buckets < 1:
@@ -64,7 +63,7 @@ class HashStorage:
                                     for c in key_columns)
         self._disk = disk
         self._pool = pool
-        self._fill_capacity = int(disk.page_size * fill_factor)
+        self._fill_capacity = int(disk.page_size * FILL_FACTOR)
         # chains[bucket] is the ordered list of page ids (main page first);
         # main pages are allocated lazily but count against the budget.
         self._chains: list[list[int]] = [[] for _ in range(buckets)]

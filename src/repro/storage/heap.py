@@ -19,8 +19,8 @@ from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
 
 FILL_FACTOR = 0.9
-"""The share of each page a heap or hash table fills before it takes a
-new page."""
+"""The share of each page a heap, hash or B-Tree fills before it takes
+a new page."""
 
 
 class HeapStorage:
@@ -29,15 +29,14 @@ class HeapStorage:
     structure_name = "heap"
 
     def __init__(self, schema: TableSchema, disk: DiskManager,
-                 pool: BufferPool, main_pages: int = 8,
-                 fill_factor: float = FILL_FACTOR) -> None:
+                 pool: BufferPool, main_pages: int = 8) -> None:
         if main_pages < 1:
             raise StorageError(f"heap needs >= 1 main page, got {main_pages}")
         self.schema = schema
         self._disk = disk
         self._pool = pool
         self.main_page_budget = main_pages
-        self._fill_capacity = int(disk.page_size * fill_factor)
+        self._fill_capacity = int(disk.page_size * FILL_FACTOR)
         self._page_ids: list[int] = []
         self._rowid_to_page: dict[int, int] = {}
         self._row_count = 0

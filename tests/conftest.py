@@ -7,7 +7,7 @@ import pytest
 from repro import faultsim
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.clock import VirtualClock
-from repro.config import EngineConfig, StorageConfig
+from repro.config import EngineConfig
 from repro.engine import EngineInstance
 from repro.setups import daemon_setup, monitoring_setup, original_setup
 from repro.storage.buffer_pool import BufferPool
@@ -24,7 +24,7 @@ def _reset_faultsim():
 
 @pytest.fixture
 def disk() -> DiskManager:
-    return DiskManager(StorageConfig())
+    return DiskManager()
 
 
 @pytest.fixture

@@ -106,12 +106,6 @@ class TestSelection:
         assert len(result.selected) == 2
         assert result.dropped == []
 
-    def test_benefit_threshold(self):
-        result = select_recommendations(
-            [index_rec("t", ("a",), benefit=5.0)], min_benefit=10.0)
-        assert not result.selected
-        assert result.dropped[0][1] == "benefit 5.0 below threshold 10.0"
-
     def test_disk_budget_enforced(self, fresh_nref_setup):
         database = fresh_nref_setup.engine.database("nref")
         recommendations = [
@@ -133,27 +127,24 @@ class TestSelection:
     def test_non_index_recommendations_always_kept(self):
         result = select_recommendations([
             stats_rec("t"), modify_rec("u"),
-        ], disk_budget_bytes=0, min_benefit=1e9)
+        ], disk_budget_bytes=0)
         assert len(result.selected) == 2
         assert result.dropped == []
 
     def test_drop_order_follows_the_rules(self, fresh_nref_setup):
-        """Subsumption, then MODIFY redundancy, then the benefit
-        threshold, then the budget — whatever the input order."""
+        """Subsumption, then MODIFY redundancy, then the budget —
+        whatever the input order."""
         database = fresh_nref_setup.engine.database("nref")
-        cheap = index_rec("organism", ("tax_id",), benefit=2.0)
         over_budget = index_rec("sequence", ("crc",), benefit=6.0)
         pk_index = index_rec("protein", ("nref_id",))
         narrow = index_rec("protein", ("tax_id",), benefit=10.0)
         wide = index_rec("protein", ("tax_id", "name"), benefit=10.0)
         result = select_recommendations(
-            [cheap, over_budget, pk_index, narrow, wide,
-             modify_rec("protein")],
+            [over_budget, pk_index, narrow, wide, modify_rec("protein")],
             database, disk_budget_bytes=select_recommendations(
-                [wide], database).estimated_index_bytes,
-            min_benefit=5.0)
+                [wide], database).estimated_index_bytes)
         assert [r for r, _reason in result.dropped] == \
-            [narrow, pk_index, cheap, over_budget]
+            [narrow, pk_index, over_budget]
         assert [r.kind for r in result.selected] == \
             [RecommendationKind.MODIFY_TO_BTREE,
              RecommendationKind.CREATE_INDEX]
@@ -211,17 +202,6 @@ class TestAutonomousTuner:
         assert report.considered
         assert report.applied == []
         assert database.schema_version == version_before
-
-    def test_structure_changes_can_be_disabled(self, recorded_setup):
-        setup = recorded_setup
-        tuner = AutonomousTuner(
-            setup.engine, "nref", setup.workload_db, daemon=setup.daemon,
-            policy=TuningPolicy(allow_structure_changes=False))
-        report = tuner.run_cycle()
-        applied_kinds = {a.recommendation.kind for a in report.applied}
-        assert RecommendationKind.MODIFY_TO_BTREE not in applied_kinds
-        assert any("structure changes disabled" in reason
-                   for _r, reason in report.skipped)
 
     def test_change_cap(self, recorded_setup):
         setup = recorded_setup

@@ -1,8 +1,10 @@
 """Tests for captured plans flowing into the analyzer's view/report."""
 
+import math
+
 import pytest
 
-from repro.config import EngineConfig, MonitorConfig
+from repro.core import monitor as monitor_module
 from repro.core.analyzer import Analyzer
 from repro.core.analyzer.workload_view import (
     view_from_monitor,
@@ -13,9 +15,9 @@ from repro.workloads import NrefScale, load_nref
 
 
 @pytest.fixture
-def capturing_setup():
-    config = EngineConfig(monitor=MonitorConfig(plan_capture_min_cost=5.0))
-    setup = daemon_setup("db", config=config)
+def capturing_setup(monkeypatch):
+    monkeypatch.setattr(monitor_module, "PLAN_CAPTURE_MIN_COST", 5.0)
+    setup = daemon_setup("db")
     load_nref(setup.engine.database("db"), NrefScale(proteins=200),
               main_pages=2)
     session = setup.engine.connect("db")
@@ -53,9 +55,9 @@ class TestPlansInViews:
         assert "CAPTURED PLANS" in text
         assert "SeqScan" in text or "Join" in text
 
-    def test_no_plans_section_when_capture_disabled(self):
-        config = EngineConfig(monitor=MonitorConfig(plan_capture_min_cost=0))
-        setup = daemon_setup("db2", config=config)
+    def test_no_plans_section_when_capture_disabled(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "PLAN_CAPTURE_MIN_COST", math.inf)
+        setup = daemon_setup("db2")
         load_nref(setup.engine.database("db2"), NrefScale(proteins=100))
         session = setup.engine.connect("db2")
         session.execute("select count(*) from protein")

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.analyzer.recommendations import RecommendationKind
-from repro.core.analyzer.rules import RuleConfig, run_rules
+from repro.core.analyzer import rules
+from repro.core.analyzer.rules import run_rules
 from repro.core.analyzer.workload_view import (
     StatementProfile,
     TableProfile,
@@ -54,11 +55,12 @@ class TestCostDivergenceRule:
         findings = run_rules(view)
         assert findings.divergent_statements == [1]
 
-    def test_min_executions_threshold(self):
+    def test_min_executions_threshold(self, monkeypatch):
+        monkeypatch.setattr(rules, "MIN_EXECUTIONS", 2)
         view = WorkloadView()
         view.statements[1] = profile(1, actual=1000.0, estimated=10.0,
                                      executions=1, tables=("t",))
-        findings = run_rules(view, config=RuleConfig(min_executions=2))
+        findings = run_rules(view)
         assert findings.divergent_statements == []
 
     def test_fresh_statistics_suppress_recommendation(self, fresh_nref_setup):
@@ -95,13 +97,13 @@ class TestOverflowRule:
                                         data_pages=100, overflow_pages=90)
         assert run_rules(view).overflow_tables == []
 
-    def test_threshold_configurable(self):
+    def test_threshold_configurable(self, monkeypatch):
         view = WorkloadView()
         view.tables["t"] = TableProfile("t", structure="heap",
                                         data_pages=100, overflow_pages=15)
         assert run_rules(view).overflow_tables == ["t"]
-        strict = run_rules(view, config=RuleConfig(overflow_ratio=0.5))
-        assert strict.overflow_tables == []
+        monkeypatch.setattr(rules, "OVERFLOW_RATIO", 0.5)
+        assert run_rules(view).overflow_tables == []
 
 
 class TestHistogramRule:

@@ -7,6 +7,8 @@ of one shape as one statement carrying their summed frequency, so each
 profile the advisor reads is one template.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from repro import faultsim
 from repro.catalog.schema import StorageStructure
 from repro.clock import VirtualClock
-from repro.config import EngineConfig, StorageConfig
+from repro.config import EngineConfig
 from repro.core.analyzer import Analyzer
 from repro.core.analyzer.index_advisor import IndexAdvisor
 from repro.core.analyzer.recommendations import RecommendationKind
@@ -28,6 +30,7 @@ from repro.core.analyzer.workload_view import (
 )
 from repro.core.sensors import statement_hash, statement_key
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
+from repro.engine import database as database_module
 from repro.engine import EngineInstance
 from repro.errors import AnalyzerError, ReproError
 
@@ -52,9 +55,8 @@ def target_database():
 def small_workload_db(clock, pool_pages=4):
     """A workload DB whose pool is far smaller than its tables, so a
     fold reads pages from the (fault-injectable) disk."""
-    return WorkloadDatabase(
-        EngineConfig(storage=StorageConfig(buffer_pool_pages=pool_pages)),
-        clock)
+    with mock.patch.object(database_module, "BUFFER_POOL_PAGES", pool_pages):
+        return WorkloadDatabase(clock)
 
 
 def reference_view(workload_db):

@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from repro import faultsim
 from repro.cli import Shell, format_rows, main, repl
+from repro.core.autopilot import TuningPolicy
 
 
 @pytest.fixture
@@ -118,6 +120,50 @@ class TestShellCommands:
         assert "journal:" in text
         assert "quarantined: (none)" in text
         assert "usage" in shell.handle("\\tuner bogus")
+
+
+class TestCommandErrors:
+    """A command that raises replies ``error: ...``; the shell lives on."""
+
+    def test_failed_dry_autopilot_leaves_the_policy_alone(self, shell):
+        custom = TuningPolicy(max_changes_per_cycle=2)
+        shell.tuner.policy = custom
+        faultsim.arm_from_spec("analyzer.scan:once")
+        text = shell.handle("\\autopilot dry")
+        assert text.startswith("error: injected fault at analyzer.scan")
+        assert shell.tuner.policy == custom
+        assert not shell.tuner.policy.dry_run
+        assert "(live)" in shell.handle("\\autopilot")
+
+    def test_dry_autopilot_keeps_a_custom_policy(self, shell):
+        custom = TuningPolicy(max_changes_per_cycle=2)
+        shell.tuner.policy = custom
+        assert "dry run" in shell.handle("\\autopilot dry")
+        assert shell.tuner.policy == custom
+
+    def test_analyze_fault(self, shell):
+        faultsim.arm_from_spec("analyzer.scan:once")
+        assert shell.handle("\\analyze").startswith(
+            "error: injected fault at analyzer.scan")
+        assert "ANALYZER REPORT" in shell.handle("\\analyze")
+
+    def test_dump_to_a_missing_directory(self, shell, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        assert shell.handle(f"\\dump {target}").startswith("error: ")
+
+    def test_load_with_a_bad_count(self, shell):
+        assert shell.handle("\\load nref abc").startswith("error: ")
+
+    def test_main_survives_a_faulted_autopilot(self, capsys):
+        code = main(["--database", "faultdb",
+                     "--fault", "analyzer.scan:once",
+                     "--execute", "\\autopilot dry",
+                     "--execute", "\\autopilot",
+                     "--execute", "\\tuner status"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "error: injected fault at analyzer.scan" in out
+        assert "cycle failures: 1" in out
 
 
 class TestReplAndMain:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import DaemonConfig, EngineConfig
+from repro.config import DaemonConfig
 from repro.core.alerts import (
     add_alert_listener,
     fired_alerts,
@@ -90,13 +90,13 @@ class TestIma:
 
 class TestWorkloadDatabase:
     def test_tables_created(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         for schema in WORKLOAD_TABLES:
             assert wdb.database.catalog.has_table(schema.name)
         assert wdb.total_rows() == 0
 
     def test_append_stamps_capture_time(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         wdb.append("wl_indexes", [("idx", "t", 3)], captured_at=123.0)
         rows = [row for _rid, row in
                 wdb.database.storage_for("wl_indexes").scan()]
@@ -104,7 +104,7 @@ class TestWorkloadDatabase:
         assert rows == [(123.0, "idx", "t", 3, 0)]
 
     def test_append_records_source_seqs(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         wdb.append("wl_indexes", [("a", "t", 1), ("b", "t", 2)],
                    captured_at=5.0, seqs=[7, 9])
         rows = [row for _rid, row in
@@ -115,7 +115,7 @@ class TestWorkloadDatabase:
         assert marks["wl_plans"] == 0
 
     def test_purge_retention(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         wdb.append("wl_indexes", [("old", "t", 1)], captured_at=100.0)
         wdb.append("wl_indexes", [("new", "t", 1)], captured_at=200.0)
         removed = wdb.purge_older_than(150.0)

@@ -4,6 +4,7 @@ import ast
 import inspect
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core import monitor as monitor_module
 from repro.core import sensors as sensors_module
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.sensors import statement_hash, statement_key
+from repro.engine import session as session_module
 from repro.errors import ReproError
 from repro.execution.executor import ExecutionMetrics
 from repro.setups import monitoring_setup, original_setup
@@ -57,8 +59,9 @@ class TestMonitorRecording:
             monitor.record_statement(f"q{i}", statement_hash(f"q{i}"), 1.0)
         assert len(monitor.statements) == 5  # paper's moving window
 
-    def test_long_text_truncated(self):
-        monitor = IntegratedMonitor(MonitorConfig(max_statement_text=10))
+    def test_long_text_truncated(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "MAX_STATEMENT_TEXT", 10)
+        monitor = IntegratedMonitor()
         text = "select " + "x" * 100
         monitor.record_statement(text, statement_hash(text), 1.0)
         record = monitor.statements.get(statement_hash(text))
@@ -207,12 +210,13 @@ class TestMonitorSensorsPipeline:
             planned.used_indexes)
         assert monitor.statements.get(planned.text_hash).frequency == 2
 
-    def test_literal_distinct_texts_are_one_known_statement(self):
+    def test_literal_distinct_texts_are_one_known_statement(self,
+                                                            monkeypatch):
         """A new literal vector of a known shape takes the
         known-statement path in all three keyed rings, and still
         leaves one workload row per execution."""
-        setup = monitoring_setup(EngineConfig(monitor=MonitorConfig(
-            plan_capture_min_cost=1e-9)))
+        monkeypatch.setattr(monitor_module, "PLAN_CAPTURE_MIN_COST", 1e-9)
+        setup = monitoring_setup()
         engine, monitor = setup.engine, setup.monitor
         engine.create_database("db")
         session = engine.connect("db")
@@ -261,7 +265,7 @@ class TestMonitorSensorsPipeline:
         ctx = sensors.statement_start(statement_key(text))
         sensors.parse_complete(ctx, "select", ("t",))
         sensors.execute_complete(ctx, text, 0, ExecutionMetrics(), 0.0,
-                                 4.0, None)
+                                 None)
 
     def test_statement_cache_skips_rereferencing(self):
         monitor = IntegratedMonitor(MonitorConfig())
@@ -414,17 +418,19 @@ class TestPlannedAndPreparedPathsAgree:
 
     @staticmethod
     def _run(plan_cache_size, statement_buffer_size):
-        setup = monitoring_setup(EngineConfig(
-            plan_cache_size=plan_cache_size,
-            monitor=MonitorConfig(plan_capture_min_cost=1e-9,
-                                  statement_buffer_size=statement_buffer_size)),
+        setup = monitoring_setup(EngineConfig(monitor=MonitorConfig(
+            statement_buffer_size=statement_buffer_size)),
             clock=VirtualClock(1000.0))
-        session = _session(setup)
-        for text in TestPlannedAndPreparedPathsAgree.STREAM:
-            try:
-                session.execute(text)
-            except ReproError:
-                pass
+        with mock.patch.object(session_module, "PLAN_CACHE_SIZE",
+                               plan_cache_size), \
+                mock.patch.object(monitor_module, "PLAN_CAPTURE_MIN_COST",
+                                  1e-9):
+            session = _session(setup)
+            for text in TestPlannedAndPreparedPathsAgree.STREAM:
+                try:
+                    session.execute(text)
+                except ReproError:
+                    pass
         return setup.monitor, session
 
     # A one-statement ring evicts a statement whenever the next one

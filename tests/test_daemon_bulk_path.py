@@ -8,6 +8,7 @@ contents, no sleeps.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -17,13 +18,14 @@ from repro.config import (
     DaemonConfig,
     EngineConfig,
     MonitorConfig,
-    StorageConfig,
 )
+from repro.core import monitor as monitor_module
 from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.daemon import StorageDaemon
 from repro.core.ima import MONITOR_TABLES, register_ima_tables
 from repro.core.records import WorkloadRecord
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
+from repro.engine import database as database_module
 from repro.errors import ReproError, StorageError, TypeMismatchError
 from repro.setups import daemon_setup, monitoring_setup, original_setup
 
@@ -50,14 +52,13 @@ RECORDS = 400
 WIDE_AT = 230  # position (in append order) of the one wide record
 
 
+@mock.patch.object(database_module, "BUFFER_POOL_PAGES", 3)
 def _flooded_setup(sessions):
     """A daemon with ``RECORDS`` workload records polled into pending,
     spread round-robin over ``sessions`` sessions; record ``WIDE_AT``
     is ~700 bytes wide, the others ~150.  The three-page pool makes
     every flush evict (and write back) pages mid-batch."""
-    config = EngineConfig(
-        storage=StorageConfig(buffer_pool_pages=3),
-        daemon=DaemonConfig(flush_every_polls=2 ** 31))
+    config = EngineConfig(daemon=DaemonConfig(flush_every_polls=2 ** 31))
     setup = daemon_setup("db", config=config, clock=VirtualClock(1_000_000.0))
     for index in range(RECORDS):
         setup.monitor.workload.append(_record(
@@ -118,7 +119,7 @@ def _statistics_row(sessions):
 
 def test_triggers_fire_once_per_row_in_order_under_the_bulk_path(
         monkeypatch):
-    workload_db = WorkloadDatabase(EngineConfig())
+    workload_db = WorkloadDatabase()
     install_standard_alerts(workload_db, max_sessions=32)
     # Prove the batch takes the bulk path, not one insert_row per row.
     monkeypatch.setattr(workload_db.database, "insert_row", None)
@@ -147,10 +148,10 @@ def test_bulk_and_row_at_a_time_build_identical_pages():
     rows = [(rng.randrange(10 ** 9), 3, 1.5, 0.0, 0.25, 0.5, 10.0, 1.0, 12.0,
              2.0, 40, 3, 100, 7, "idx_é" * rng.randrange(0, 40), 1e-5)
             for _ in range(500)]
-    bulk = WorkloadDatabase(EngineConfig())
+    bulk = WorkloadDatabase()
     bulk.append("wl_workload", rows[:200], 5.0, seqs=range(1, 201))
     bulk.append("wl_workload", rows[200:], 6.0, seqs=range(201, 501))
-    single = WorkloadDatabase(EngineConfig())
+    single = WorkloadDatabase()
     for index, row in enumerate(rows):
         single.database.insert_row(
             "wl_workload",
@@ -176,7 +177,7 @@ def _pool_reads(workload_db):
 
 class TestRetentionWatermark:
     def test_nothing_due_touches_no_page(self):
-        workload_db = WorkloadDatabase(EngineConfig())
+        workload_db = WorkloadDatabase()
         for table, row in (("wl_tables", ("t", 1, "heap", 1, 0, 3, 0)),
                            ("wl_attributes", ("t", "a", 1, 0)),
                            ("wl_indexes", ("i", "t", 1))):
@@ -190,7 +191,7 @@ class TestRetentionWatermark:
         assert _pool_reads(workload_db) > before
 
     def test_purge_fault_point_fires_once_per_call(self):
-        workload_db = WorkloadDatabase(EngineConfig())
+        workload_db = WorkloadDatabase()
         workload_db.append("wl_indexes", [("i", "t", 1)], captured_at=9.0)
         faultsim.get_injector().arm("workload_db.purge", "once",
                                     after=10 ** 9)
@@ -237,7 +238,7 @@ class TestRetentionWatermark:
 
     def test_rows_the_watermark_never_saw_are_still_purged(self):
         # Restart case: tables filled before any watermark existed.
-        workload_db = WorkloadDatabase(EngineConfig())
+        workload_db = WorkloadDatabase()
         workload_db.database.insert_rows("wl_indexes", [
             (stamp, "i", "t", 1, 0) for stamp in (10.0, 500.0, 20.0, 600.0)])
         assert workload_db.purge_older_than(100.0) == 2
@@ -257,6 +258,8 @@ class TestRetentionWatermark:
 
 # -- read side --------------------------------------------------------------
 
+@mock.patch.multiple(monitor_module, PLAN_BUFFER_SIZE=5,
+                     PLAN_CAPTURE_MIN_COST=1e-9)
 def _busy_monitor(session_count):
     """A monitored engine whose rings have wrapped (workload, plans),
     evicted (statements) and been re-sequenced by repeats (every keyed
@@ -266,8 +269,7 @@ def _busy_monitor(session_count):
     clock = VirtualClock(1_000_000.0)
     setup = monitoring_setup(
         EngineConfig(monitor=MonitorConfig(
-            workload_buffer_size=12, statement_buffer_size=9,
-            plan_buffer_size=5, plan_capture_min_cost=1e-9)),
+            workload_buffer_size=12, statement_buffer_size=9)),
         clock=clock)
     database = setup.engine.create_database("db")
     sessions = [setup.engine.connect("db") for _ in range(session_count + 1)]

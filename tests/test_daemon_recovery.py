@@ -12,6 +12,7 @@ import pytest
 from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig
+from repro.core import daemon as daemon_module
 from repro.core import health
 from repro.core.daemon import StorageDaemon
 from repro.core.workload_db import WORKLOAD_TABLES
@@ -160,9 +161,9 @@ class TestBackoff:
 
 
 class TestDegradation:
-    def test_pending_overflow_drops_oldest_and_counts(self):
-        setup, session, _clock = make_setup(flush_every_polls=1_000_000,
-                                            max_pending_rows=5)
+    def test_pending_overflow_drops_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_PENDING_ROWS", 5)
+        setup, session, _clock = make_setup(flush_every_polls=1_000_000)
         daemon = setup.daemon
         for i in range(10):
             session.execute(f"select a from t where a = {i}")

@@ -2,7 +2,7 @@
 
 Hypothesis draws streams of INSERT / UPDATE / DELETE and transaction
 control; each stream runs on this engine with its plan cache on, on
-this engine with ``plan_cache_size=0`` and on SQLite.  After every
+this engine with ``PLAN_CACHE_SIZE`` patched to 0 and on SQLite.  After every
 statement the three must agree on whether it failed, on its row count
 and on the table's contents — so a failing statement leaves nothing
 behind, inside a transaction or outside one, and a statement that runs
@@ -19,13 +19,14 @@ visited in, which is the one thing the engines may differ in.
 from __future__ import annotations
 
 import sqlite3
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EngineConfig
 from repro.engine import EngineInstance
+from repro.engine import session as session_module
 from repro.errors import ReproError
 
 STRUCTURES = ("heap", "btree", "hash")
@@ -39,9 +40,10 @@ class Trio:
     def __init__(self, structure: str, index: str) -> None:
         self.sessions = []
         for size in (256, 0):
-            engine = EngineInstance(EngineConfig(plan_cache_size=size))
+            engine = EngineInstance()
             engine.create_database("d")
-            session = engine.connect("d")
+            with mock.patch.object(session_module, "PLAN_CACHE_SIZE", size):
+                session = engine.connect("d")
             session.execute("create table t (id int not null, k int, "
                             "n varchar(12), v float, primary key (id))")
             if structure != "heap":

@@ -5,15 +5,23 @@ import time
 
 import pytest
 
-from repro.config import LockConfig
+from repro.engine import locks
 from repro.engine.locks import LockGuard, LockManager, LockMode
 from repro.errors import DeadlockError, LockTimeoutError
 
 
 @pytest.fixture
-def manager():
-    return LockManager(LockConfig(wait_timeout_s=2.0,
-                                  deadlock_check_interval_s=0.01))
+def manager(monkeypatch):
+    monkeypatch.setattr(locks, "WAIT_TIMEOUT_S", 2.0)
+    monkeypatch.setattr(locks, "DEADLOCK_CHECK_INTERVAL_S", 0.01)
+    return LockManager()
+
+
+@pytest.fixture
+def impatient(manager, monkeypatch):
+    """The manager, with requests that give up after 50 ms."""
+    monkeypatch.setattr(locks, "WAIT_TIMEOUT_S", 0.05)
+    return manager
 
 
 class TestGrants:
@@ -23,15 +31,15 @@ class TestGrants:
         assert manager.holds(1, "t", LockMode.SHARED)
         assert manager.holds(2, "t", LockMode.SHARED)
 
-    def test_exclusive_blocks_shared(self, manager):
-        manager.acquire(1, "t", LockMode.EXCLUSIVE)
+    def test_exclusive_blocks_shared(self, impatient):
+        impatient.acquire(1, "t", LockMode.EXCLUSIVE)
         with pytest.raises(LockTimeoutError):
-            manager.acquire(2, "t", LockMode.SHARED, timeout_s=0.05)
+            impatient.acquire(2, "t", LockMode.SHARED)
 
-    def test_shared_blocks_exclusive(self, manager):
-        manager.acquire(1, "t", LockMode.SHARED)
+    def test_shared_blocks_exclusive(self, impatient):
+        impatient.acquire(1, "t", LockMode.SHARED)
         with pytest.raises(LockTimeoutError):
-            manager.acquire(2, "t", LockMode.EXCLUSIVE, timeout_s=0.05)
+            impatient.acquire(2, "t", LockMode.EXCLUSIVE)
 
     def test_reentrant(self, manager):
         manager.acquire(1, "t", LockMode.SHARED)
@@ -44,18 +52,18 @@ class TestGrants:
         manager.acquire(1, "t", LockMode.SHARED)  # no downgrade, no block
         assert manager.holds(1, "t", LockMode.EXCLUSIVE)
 
-    def test_upgrade_blocked_by_other_reader(self, manager):
-        manager.acquire(1, "t", LockMode.SHARED)
-        manager.acquire(2, "t", LockMode.SHARED)
+    def test_upgrade_blocked_by_other_reader(self, impatient):
+        impatient.acquire(1, "t", LockMode.SHARED)
+        impatient.acquire(2, "t", LockMode.SHARED)
         with pytest.raises(LockTimeoutError):
-            manager.acquire(1, "t", LockMode.EXCLUSIVE, timeout_s=0.05)
+            impatient.acquire(1, "t", LockMode.EXCLUSIVE)
 
     def test_release_all_unblocks(self, manager):
         manager.acquire(1, "t", LockMode.EXCLUSIVE)
         acquired = threading.Event()
 
         def waiter():
-            manager.acquire(2, "t", LockMode.EXCLUSIVE, timeout_s=2.0)
+            manager.acquire(2, "t", LockMode.EXCLUSIVE)
             acquired.set()
 
         thread = threading.Thread(target=waiter)
@@ -83,7 +91,7 @@ class TestDeadlocks:
 
         def txn1():
             try:
-                manager.acquire(1, "b", LockMode.EXCLUSIVE, timeout_s=3.0)
+                manager.acquire(1, "b", LockMode.EXCLUSIVE)
             except (DeadlockError, LockTimeoutError) as e:
                 errors.append(e)
                 manager.release_all(1)
@@ -92,7 +100,7 @@ class TestDeadlocks:
         thread.start()
         time.sleep(0.05)
         try:
-            manager.acquire(2, "a", LockMode.EXCLUSIVE, timeout_s=3.0)
+            manager.acquire(2, "a", LockMode.EXCLUSIVE)
         except (DeadlockError, LockTimeoutError) as e:
             errors.append(e)
             manager.release_all(2)
@@ -102,12 +110,12 @@ class TestDeadlocks:
         manager.release_all(1)
         manager.release_all(2)
 
-    def test_no_false_deadlock_on_plain_wait(self, manager):
-        manager.acquire(1, "t", LockMode.EXCLUSIVE)
+    def test_no_false_deadlock_on_plain_wait(self, impatient):
+        impatient.acquire(1, "t", LockMode.EXCLUSIVE)
         with pytest.raises(LockTimeoutError):
             # waiting on a holder that isn't waiting on us: not a deadlock
-            manager.acquire(2, "t", LockMode.EXCLUSIVE, timeout_s=0.1)
-        stats = manager.statistics()
+            impatient.acquire(2, "t", LockMode.EXCLUSIVE)
+        stats = impatient.statistics()
         assert stats.total_deadlocks == 0
         assert stats.total_timeouts == 1
 
@@ -123,11 +131,11 @@ class TestStatistics:
         manager.release_all(1)
         assert manager.statistics().locks_held == 0
 
-    def test_waits_counted(self, manager):
-        manager.acquire(1, "t", LockMode.EXCLUSIVE)
+    def test_waits_counted(self, impatient):
+        impatient.acquire(1, "t", LockMode.EXCLUSIVE)
         with pytest.raises(LockTimeoutError):
-            manager.acquire(2, "t", LockMode.SHARED, timeout_s=0.05)
-        assert manager.statistics().total_waits == 1
+            impatient.acquire(2, "t", LockMode.SHARED)
+        assert impatient.statistics().total_waits == 1
 
 
 class TestLockGuard:

@@ -1,6 +1,8 @@
 """Tests for the per-session, shape-keyed plan cache and the setup
 factories."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,7 +190,7 @@ class TestPlanCache:
         engine.create_database("pc2")
         session = engine.connect("pc2")
         session.execute("create table t (a int)")
-        capacity = engine.config.plan_cache_size
+        capacity = session_module.PLAN_CACHE_SIZE
         for i in range(capacity + 10):
             session.execute(f"select a from t where a = {i}")
         # one shape entry, the rest exact-text entries in front of it
@@ -196,10 +198,9 @@ class TestPlanCache:
         assert session.plan_cache_misses == 1
 
     def test_disabled_by_config(self):
-        from repro.engine import EngineInstance
-        engine = EngineInstance(EngineConfig(plan_cache_size=0))
+        engine = EngineInstance()
         engine.create_database("pc3")
-        session = engine.connect("pc3")
+        session = _connect(engine, "pc3", 0)
         session.execute("create table t (a int)")
         session.execute("select a from t")
         session.execute("select a from t")
@@ -310,10 +311,18 @@ def _outcome(session, text):
     return result.columns, sorted(result.rows, key=repr)
 
 
+def _connect(engine, name, plan_cache_size):
+    """A session whose plan cache holds ``plan_cache_size`` entries; at
+    0 it plans every statement afresh."""
+    with mock.patch.object(session_module, "PLAN_CACHE_SIZE",
+                           plan_cache_size):
+        return engine.connect(name)
+
+
 @pytest.fixture(scope="module")
 def reuse_engines():
-    engines = (EngineInstance(EngineConfig()),
-               EngineInstance(EngineConfig(plan_cache_size=0)))
+    """A preparing and a never-preparing engine over the same data."""
+    engines = (EngineInstance(), EngineInstance())
     for engine in engines:
         _load(engine)
     return engines
@@ -324,13 +333,13 @@ def reuse_engines():
 @given(texts=_shape_and_vectors())
 def test_reuse_is_invisible(reuse_engines, texts):
     """A session warmed with other literal vectors of a shape returns
-    exactly what a fresh ``plan_cache_size=0`` session returns for the
+    exactly what a fresh session with no plan cache returns for the
     last one, errors included."""
     cached, uncached = reuse_engines
     with cached.connect("reuse") as warmed:
         for text in texts[:-1]:
             _outcome(warmed, text)
-        with uncached.connect("reuse") as fresh:
+        with _connect(uncached, "reuse", 0) as fresh:
             assert _outcome(warmed, texts[-1]) == _outcome(fresh, texts[-1])
             assert fresh.plan_cache_hits == fresh.plan_cache_misses == 0
 
@@ -357,7 +366,7 @@ _DML_SHAPES = [
 @given(data=st.data())
 def test_dml_reuse_is_invisible(reuse_engines, data):
     """The same DML texts — several literal vectors of a few shapes —
-    on a session that prepares and on a ``plan_cache_size=0`` one: the
+    on a session that prepares and on one with no plan cache: the
     same outcome statement by statement (errors included) and the same
     table afterwards."""
     texts = []
@@ -367,8 +376,8 @@ def test_dml_reuse_is_invisible(reuse_engines, data):
                 st.lists(st.tuples(*slots), min_size=2, max_size=4)):
             texts.append(template.format(*map(_render, vector)))
     seen = []
-    for engine in reuse_engines:
-        with engine.connect("reuse") as session:
+    for engine, size in zip(reuse_engines, (256, 0)):
+        with _connect(engine, "reuse", size) as session:
             session.execute("begin")
             seen.append([_dml_outcome(session, text) for text in texts]
                         + [_outcome(session, "select * from t")])

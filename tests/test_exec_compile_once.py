@@ -2,16 +2,18 @@
 compiled at its first execution and never again while its cache entry
 and schema version live; every later text of the shape only binds its
 literals.  Reuse stays invisible (rows and work counters equal a
-``plan_cache_size=0`` engine's) and DDL retires the program."""
+session's with ``PLAN_CACHE_SIZE`` patched to 0) and DDL retires
+the program."""
 
 import random
 import sqlite3
 from functools import partial
+from unittest import mock
 
 import pytest
 
-from repro.config import EngineConfig
 from repro.engine import EngineInstance
+from repro.engine import session as session_module
 from repro.engine.session import DmlResult
 from repro.execution import evaluator, executor, joins, scan
 from repro.optimizer.plans import ProjectPlan
@@ -47,10 +49,11 @@ def _engines():
     """A preparing and a never-preparing engine over the same data."""
     sessions = []
     for size in (256, 0):
-        engine = EngineInstance(EngineConfig(plan_cache_size=size))
+        engine = EngineInstance()
         database = engine.create_database("nref")
         load_nref(database, NrefScale(proteins=PROTEINS))
-        session = engine.connect("nref")
+        with mock.patch.object(session_module, "PLAN_CACHE_SIZE", size):
+            session = engine.connect("nref")
         session.execute("create table bench_events (id int not null, "
                         "nref_id varchar(11), score float, "
                         "note varchar(40), primary key (id))")
@@ -148,7 +151,7 @@ _ROWS = [(i, i % 7 if i % 5 else None, f"s{i % 3}") for i in range(60)]
     "modify t to btree", "create index t_b on t (b)", "drop index t_s",
     "create statistics on t", "drop table t + recreate"])
 def test_schema_changes_invalidate_the_program(ddl, compile_calls):
-    engine = EngineInstance(EngineConfig())
+    engine = EngineInstance()
     engine.create_database("d")
     session = engine.connect("d")
     oracle = sqlite3.connect(":memory:")
@@ -191,9 +194,10 @@ def test_schema_changes_invalidate_the_program(ddl, compile_calls):
 def _limited_join_results(size):
     """Three literal vectors of a LIMIT over a nested-loop join, on an
     engine with plan cache ``size``: rows and ``tuples_processed``."""
-    engine = EngineInstance(EngineConfig(plan_cache_size=size))
+    engine = EngineInstance()
     engine.create_database("d")
-    session = engine.connect("d")
+    with mock.patch.object(session_module, "PLAN_CACHE_SIZE", size):
+        session = engine.connect("d")
     session.execute("create table t (a int, pad varchar(60))")
     session.execute("create table u (x int, pad varchar(60))")
     for table in ("t", "u"):

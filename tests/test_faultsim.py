@@ -4,8 +4,7 @@ import pytest
 
 from repro import faultsim
 from repro.clock import SystemClock, VirtualClock
-from repro.config import DaemonConfig, EngineConfig
-from repro.core.daemon import POLL_BACKOFF
+from repro.core.daemon import MAX_PENDING_ROWS, POLL_BACKOFF
 from repro.core.health import JOIN_TIMEOUT_S, RETRY_BACKOFF, Backoff
 from repro.core.workload_db import WorkloadDatabase
 from repro.errors import (
@@ -233,7 +232,7 @@ class TestWiredSeams:
         assert session.execute("select a from t").rows == []
 
     def test_workload_db_append_fault(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         faultsim.arm_from_spec("workload_db.append:once")
         with pytest.raises(MonitorError):
             wdb.append("wl_indexes", [("i", "t", 1)], captured_at=1.0)
@@ -241,7 +240,7 @@ class TestWiredSeams:
         assert wdb.row_count("wl_indexes") == 1
 
     def test_workload_db_purge_fault(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         wdb.append("wl_indexes", [("i", "t", 1)], captured_at=1.0)
         faultsim.arm_from_spec("workload_db.purge:once")
         with pytest.raises(MonitorError):
@@ -271,8 +270,7 @@ class TestWiredSeams:
 
 class TestDefaultDaemonConfig:
     def test_new_fields_have_sane_defaults(self):
-        config = DaemonConfig()
-        assert config.max_pending_rows > 0
+        assert MAX_PENDING_ROWS > 0
         # Retry timings are module constants, not config fields.
         assert POLL_BACKOFF == Backoff(1.0, 2.0, 300.0)
         assert RETRY_BACKOFF == Backoff(1.0, 2.0, 60.0)

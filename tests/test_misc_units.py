@@ -1,18 +1,13 @@
 """Unit tests for configs, errors, records and workload-DB compaction."""
 
 import dataclasses
+import typing
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import (
-    CostModelConfig,
-    DaemonConfig,
-    EngineConfig,
-    LockConfig,
-    MonitorConfig,
-    StorageConfig,
-)
+from repro.config import DaemonConfig, EngineConfig
+from repro.core.autopilot import TuningPolicy
 from repro.core.records import STATISTIC_FIELDS, StatisticsRecord, WorkloadRecord
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import (
@@ -36,20 +31,43 @@ class TestConfig:
     def test_configs_frozen(self):
         config = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.join_dp_threshold = 3
+            config.daemon = DaemonConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.monitor.statement_buffer_size = 5
 
-    def test_sub_configs_composable(self):
-        config = EngineConfig(
-            storage=StorageConfig(page_size=1024),
-            cost_model=CostModelConfig(io_page_cost=10.0),
-            locks=LockConfig(wait_timeout_s=1.0),
-            monitor=MonitorConfig(statement_buffer_size=5),
-            daemon=DaemonConfig(poll_interval_s=1.0),
-        )
-        assert config.storage.page_size == 1024
-        assert config.cost_model.io_page_cost == 10.0
+    @staticmethod
+    def _settable(cls, prefix=""):
+        hints = typing.get_type_hints(cls)
+        names = []
+        for field in dataclasses.fields(cls):
+            name = prefix + field.name
+            names.append(name)
+            if dataclasses.is_dataclass(hints[field.name]):
+                names += TestConfig._settable(hints[field.name], name + ".")
+        return names
+
+    def test_settable_surface(self):
+        """A value is settable only if something outside the tests runs
+        it at another value; a new knob is added here on purpose."""
+        assert sorted(self._settable(EngineConfig)) == [
+            "daemon",
+            "daemon.flush_every_polls",
+            "daemon.poll_interval_s",
+            "daemon.retention_s",
+            "monitor",
+            "monitor.overload",
+            "monitor.overload.escalate_dwell",
+            "monitor.overload.recover_dwell",
+            "monitor.overload.sample_k",
+            "monitor.statement_buffer_size",
+            "monitor.workload_buffer_size",
+        ]
+        assert sorted(self._settable(TuningPolicy)) == [
+            "disk_budget_bytes",
+            "dry_run",
+            "max_changes_per_cycle",
+            "quarantine_cooldown_s",
+        ]
 
 
 class TestErrors:
@@ -100,7 +118,7 @@ class TestRecords:
 class TestWorkloadDbCompaction:
     def test_purge_compacts_bloated_tables(self):
         clock = VirtualClock(1000.0)
-        wdb = WorkloadDatabase(EngineConfig(), clock)
+        wdb = WorkloadDatabase(clock)
         # write a lot of history, all of it old
         for batch in range(50):
             rows = [(f"idx{batch}_{i}", "t", i) for i in range(40)]
@@ -115,7 +133,7 @@ class TestWorkloadDbCompaction:
         # 600-byte plans: the schema alone guesses ~75 bytes a row, which
         # made every purge rebuild a table that was never half empty
         day = 86400.0
-        wdb = WorkloadDatabase(EngineConfig(), VirtualClock(0.0))
+        wdb = WorkloadDatabase(VirtualClock(0.0))
         storage = wdb.database.storage_for("wl_plans")
         rebuilds = []
         modify = wdb.database.modify_table
@@ -143,7 +161,7 @@ class TestWorkloadDbCompaction:
         assert storage.page_count <= 1.5 * 160
 
     def test_purge_keeps_recent(self):
-        wdb = WorkloadDatabase(EngineConfig())
+        wdb = WorkloadDatabase()
         wdb.append("wl_indexes", [("new", "t", 1)], captured_at=500.0)
         assert wdb.purge_older_than(100.0) == 0
         assert wdb.row_count("wl_indexes") == 1

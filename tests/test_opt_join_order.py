@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.catalog.schema import IndexDef, StorageStructure
-from repro.config import EngineConfig
-from repro.optimizer import plans
+from repro.catalog.schema import IndexDef
+from repro.optimizer import join_order, plans
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.parser import parse_statement
 
@@ -30,9 +29,8 @@ def star_db(engine):
     return engine.database("star"), session
 
 
-def optimize(db, sql, config=None):
-    return Optimizer(db, config or db.config).optimize_select(
-        parse_statement(sql))
+def optimize(db, sql):
+    return Optimizer(db).optimize_select(parse_statement(sql))
 
 
 class TestJoinMethods:
@@ -99,28 +97,26 @@ class TestJoinMethods:
         if lookups:  # the optimizer may still prefer hash at this scale
             assert lookups[0].via_index == "i_d1"
 
-    def test_greedy_fallback_beyond_threshold(self, star_db):
+    def test_greedy_fallback_beyond_threshold(self, star_db, monkeypatch):
         db, _session = star_db
-        config = EngineConfig(join_dp_threshold=2)
+        monkeypatch.setattr(join_order, "JOIN_DP_THRESHOLD", 2)
         result = optimize(
             db,
             "select count(*) from fact f "
             "join dim1 a on f.d1 = a.id "
             "join dim2 b on f.d2 = b.id "
-            "join dim3 c on f.d3 = c.id",
-            config)
+            "join dim3 c on f.d3 = c.id")
         assert result.estimated_rows >= 1
 
-    def test_greedy_matches_dp_result_volume(self, star_db):
+    def test_greedy_matches_dp_result_volume(self, star_db, monkeypatch):
         db, session = star_db
         sql = ("select count(*) from fact f "
                "join dim1 a on f.d1 = a.id "
                "join dim2 b on f.d2 = b.id "
                "join dim3 c on f.d3 = c.id")
         dp_rows = session.execute(sql).scalar()
-        greedy_engine_config = EngineConfig(join_dp_threshold=1)
-        greedy = Optimizer(db, greedy_engine_config).optimize_select(
-            parse_statement(sql))
+        monkeypatch.setattr(join_order, "JOIN_DP_THRESHOLD", 1)
+        greedy = optimize(db, sql)
         from repro.execution.executor import Executor
         executor = Executor(db, db.pool, db.disk)
         greedy_rows = executor.execute(greedy.plan,

@@ -1,10 +1,23 @@
 """Tests for predicate analysis and the optimizer's plan choices."""
 
+import math
+
 import pytest
 
-from repro.catalog.schema import IndexDef, StorageStructure
+from repro.catalog.schema import (
+    Column,
+    DataType,
+    IndexDef,
+    StorageStructure,
+    TableSchema,
+)
 from repro.errors import OptimizerError
 from repro.optimizer import plans
+from repro.optimizer.interfaces import (
+    TableInfo,
+    estimate_row_bytes,
+    synthesize_index_info,
+)
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.predicates import (
     BindingResolver,
@@ -18,6 +31,25 @@ from repro.sql.parser import parse_statement
 
 def where(text):
     return parse_statement(f"select x from t where {text}").where
+
+
+class TestWidthEstimates:
+    SCHEMA = TableSchema("w", (
+        Column("i", DataType.INT), Column("f", DataType.FLOAT),
+        Column("b", DataType.BOOL), Column("v", DataType.VARCHAR, 40),
+        Column("t", DataType.TEXT)))
+    WIDTHS = {"i": 8, "f": 8, "b": 1, "v": 22, "t": 34}
+
+    def test_rows_and_index_keys_share_column_widths(self):
+        """A column is as wide in a virtual index's key as in a row."""
+        assert estimate_row_bytes(self.SCHEMA) == 1 + sum(self.WIDTHS.values())
+        table = TableInfo("w", self.SCHEMA, StorageStructure.HEAP,
+                          row_count=10_000, page_count=100, overflow_pages=0)
+        for name, width in self.WIDTHS.items():
+            info = synthesize_index_info(
+                IndexDef(f"w_{name}", "w", (name,), virtual=True), table)
+            per_leaf = 4096 * 0.9 / (8 + width + 8)
+            assert info.leaf_pages == math.ceil(10_000 / per_leaf), name
 
 
 class TestConjuncts:
@@ -107,8 +139,7 @@ def nref_db(nref_setup):
 
 def optimize(db, sql, include_virtual=False):
     statement = parse_statement(sql)
-    return Optimizer(db, db.config).optimize_select(statement,
-                                                    include_virtual)
+    return Optimizer(db).optimize_select(statement, include_virtual)
 
 
 class TestPlanChoices:

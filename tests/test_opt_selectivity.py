@@ -3,8 +3,7 @@
 import pytest
 
 from repro.catalog.statistics import collect_column_statistics
-from repro.config import CostModelConfig
-from repro.optimizer.cost_model import CPU_TUPLE_COST, Cost, CostModel
+from repro.optimizer.cost_model import CPU_TUPLE_COST, IO_PAGE_COST, Cost, CostModel
 from repro.optimizer.selectivity import (
     DEFAULT_SELECTIVITY_EQ,
     DEFAULT_SELECTIVITY_RANGE,
@@ -143,7 +142,7 @@ class TestWithStatistics:
 class TestCostModel:
     @pytest.fixture
     def model(self):
-        return CostModel(CostModelConfig())
+        return CostModel()
 
     def test_cost_addition_and_total(self):
         cost = Cost(io=2.0, cpu=1.0) + Cost(io=3.0, cpu=0.5)
@@ -181,7 +180,6 @@ class TestCostModel:
         assert hash_cost.total < nlj_cost.total
 
     def test_actual_cost_units_match(self, model):
-        config = CostModelConfig()
         actual = model.actual_cost(logical_reads=10, tuples=100)
-        assert actual.io == pytest.approx(10 * config.io_page_cost)
+        assert actual.io == pytest.approx(10 * IO_PAGE_COST)
         assert actual.cpu == pytest.approx(100 * CPU_TUPLE_COST)

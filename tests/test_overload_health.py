@@ -20,10 +20,9 @@ from repro.config import (
     EngineConfig,
     MonitorConfig,
     OverloadConfig,
-    SupervisorConfig,
 )
-from repro.core import health, overload
-from repro.core.autopilot import AutonomousTuner, TuningPolicy
+from repro.core import autopilot, health, overload
+from repro.core.autopilot import AutonomousTuner
 from repro.core.health import PARKED, RESTARTING, RUNNING, Backoff, Supervisor
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import (
@@ -464,7 +463,7 @@ def tight_supervision(monkeypatch):
 
 def _supervisor():
     worker = _FakeWorker()
-    supervisor = Supervisor(SupervisorConfig(), VirtualClock(0.0))
+    supervisor = Supervisor(VirtualClock(0.0))
     supervisor.watch("w", worker)
     return supervisor, worker
 
@@ -544,14 +543,14 @@ class TestDueTimeSupervision:
     age of its last stamp: a loop waiting out a long interval or a
     backoff is healthy while it waits."""
 
-    def test_long_interval_tuner_is_left_alone(self):
+    def test_long_interval_tuner_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(autopilot, "CYCLE_INTERVAL_S", 3600.0)
         clock = VirtualClock(1_000.0)
         setup = daemon_setup(
             "db", clock=clock,
             daemon_config=DaemonConfig(poll_interval_s=3600.0))
         tuner = AutonomousTuner(
-            setup.engine, "db", setup.workload_db, daemon=setup.daemon,
-            policy=TuningPolicy(cycle_interval_s=3600.0))
+            setup.engine, "db", setup.workload_db, daemon=setup.daemon)
         supervisor = attach_supervisor(setup, tuner)
         setup.daemon.start()
         tuner.start()
@@ -587,12 +586,12 @@ class TestDueTimeSupervision:
 
 
 class TestSupervisorThread:
-    def test_supervisor_thread_restarts_a_stopped_daemon(self):
+    def test_supervisor_thread_restarts_a_stopped_daemon(self,
+                                                         monkeypatch):
         """On a real clock, a started supervisor restarts a poll
         thread that stopped."""
-        config = EngineConfig(supervisor=SupervisorConfig(
-            check_interval_s=0.01))
-        setup = daemon_setup("db", config=config)
+        monkeypatch.setattr(health, "CHECK_INTERVAL_S", 0.01)
+        setup = daemon_setup("db")
         daemon = setup.daemon
         supervisor = attach_supervisor(setup)
         daemon.start()

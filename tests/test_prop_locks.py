@@ -1,11 +1,12 @@
 """Property/stress tests for the lock manager."""
 
 import threading
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.config import LockConfig
+from repro.engine import locks
 from repro.engine.locks import LockManager, LockMode
 from repro.errors import LockError
 
@@ -17,10 +18,11 @@ class TestLockManagerProperties:
                   st.booleans()),                    # exclusive?
         max_size=40))
     @settings(max_examples=60, deadline=None)
+    @mock.patch.multiple(locks, WAIT_TIMEOUT_S=0.01,
+                         DEADLOCK_CHECK_INTERVAL_S=0.005)
     def test_single_threaded_invariants(self, ops):
         """Serialized acquire/release keeps counters and state sane."""
-        manager = LockManager(LockConfig(wait_timeout_s=0.01,
-                                         deadlock_check_interval_s=0.005))
+        manager = LockManager()
         held: dict[str, dict[int, bool]] = {}
         for txn, resource, exclusive in ops:
             mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
@@ -50,11 +52,11 @@ class TestLockManagerProperties:
         assert stats.locks_held == 0
         assert stats.transactions_waiting == 0
 
-    def test_stress_no_lost_updates(self):
+    def test_stress_no_lost_updates(self, monkeypatch):
         """Many writer threads over two resources: the manager never
         grants conflicting exclusives (checked via a guarded counter)."""
-        manager = LockManager(LockConfig(wait_timeout_s=10.0,
-                                         deadlock_check_interval_s=0.002))
+        monkeypatch.setattr(locks, "DEADLOCK_CHECK_INTERVAL_S", 0.002)
+        manager = LockManager()
         unsafe_counter = {"a": 0, "b": 0}
         iterations = 60
 

@@ -1,12 +1,14 @@
 """Property-based tests for storage structures (hypothesis)."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.catalog.schema import Column, DataType, TableSchema
-from repro.config import StorageConfig
 from repro.storage.btree import BTreeStorage
 from repro.storage.buffer_pool import BufferPool
+from repro.storage import disk as disk_module
 from repro.storage.disk import DiskManager
 from repro.storage.heap import HeapStorage
 
@@ -61,8 +63,14 @@ operations = st.lists(
 )
 
 
+def small_disk(page_size):
+    """A disk of ``page_size``-byte pages, so a few rows fill one."""
+    with mock.patch.object(disk_module, "PAGE_SIZE", page_size):
+        return DiskManager()
+
+
 def build_pool(capacity=6):
-    disk = DiskManager(StorageConfig(page_size=512))
+    disk = small_disk(512)
     return disk, BufferPool(disk, capacity)
 
 
@@ -222,7 +230,7 @@ class TestBTreePageKeys:
     def test_page_keys_are_never_stale(self, ops, width):
         # 256-byte pages: a leaf holds ~4 of these rows and an internal
         # node ~9 separators, so 40 inserts split both kinds.
-        disk = DiskManager(StorageConfig(page_size=256))
+        disk = small_disk(256)
         pool = BufferPool(disk, 5)
         key = ("k", "s")[:width]
         tree = BTreeStorage(KEYED_SCHEMA, key, disk, pool)

@@ -1,7 +1,7 @@
 """An independent oracle: the engine against stdlib ``sqlite3``.
 
 A small NREF instance is loaded into three engines — this one with its
-plan cache on, this one with ``plan_cache_size=0``, and SQLite — and
+plan cache on, this one with ``PLAN_CACHE_SIZE`` patched to 0, and SQLite — and
 the 50 NREF queries plus reduced ``perf.workloads`` streams (all four,
 DML included) run on each.  Results are compared as order-free
 canonical rows, floats rounded to nine significant digits.
@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import re
 import sqlite3
+from unittest import mock
 
 import pytest
 
 from perf import workloads
 from repro.catalog.schema import DataType
-from repro.config import EngineConfig
 from repro.engine import EngineInstance
+from repro.engine import session as session_module
 from repro.workloads import NrefScale, complex_query_set, load_nref
 from repro.workloads.nref import NREF_SCHEMAS, generate_rows
 
@@ -62,10 +63,11 @@ class Engines:
     def __init__(self) -> None:
         self.sessions = {}
         for name, size in (("cached", 256), ("uncached", 0)):
-            engine = EngineInstance(EngineConfig(plan_cache_size=size))
+            engine = EngineInstance()
             engine.create_database("nref")
             load_nref(engine.database("nref"), SCALE)
-            self.sessions[name] = engine.connect("nref")
+            with mock.patch.object(session_module, "PLAN_CACHE_SIZE", size):
+                self.sessions[name] = engine.connect("nref")
         # isolation_level=None: BEGIN/COMMIT are the stream's own.
         self.sqlite = sqlite3.connect(":memory:", isolation_level=None)
         self.sqlite.execute("pragma case_sensitive_like = on")

@@ -4,9 +4,9 @@ import pytest
 
 from repro import faultsim
 from repro.catalog.schema import Column, DataType, TableSchema
-from repro.config import StorageConfig
 from repro.errors import BufferPoolError, PageError, StorageError
 from repro.storage.buffer_pool import BufferPool
+from repro.storage import disk as disk_module
 from repro.storage.disk import DiskManager, ScopedIoMeter
 from repro.storage.page import HeapPage, InternalPage, LeafPage, page_kind
 
@@ -86,8 +86,9 @@ class TestDiskManager:
         with pytest.raises(PageError):
             disk.free(page)
 
-    def test_oversized_write_rejected(self):
-        disk = DiskManager(StorageConfig(page_size=64))
+    def test_oversized_write_rejected(self, monkeypatch):
+        monkeypatch.setattr(disk_module, "PAGE_SIZE", 64)
+        disk = DiskManager()
         page = disk.allocate()
         with pytest.raises(PageError):
             disk.write(page, b"x" * 65)
@@ -100,7 +101,7 @@ class TestDiskManager:
             disk.write(99, b"")
 
     def test_total_bytes_counts_page_slots(self):
-        disk = DiskManager(StorageConfig(page_size=4096))
+        disk = DiskManager()
         disk.allocate()
         disk.allocate()
         assert disk.total_bytes == 8192

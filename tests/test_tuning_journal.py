@@ -1,12 +1,14 @@
 """Tests for the tuning journal and the crash-safe autonomous tuner."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from repro import faultsim
 from repro.clock import VirtualClock
-from repro.config import EngineConfig
+from repro.core import autopilot, tuning_journal
 from repro.core.autopilot import AutonomousTuner, TuningPolicy
 from repro.core.tuning_journal import FailureStreak, JournalState, TuningJournal
 from repro.core.analyzer.recommendations import (
@@ -82,15 +84,16 @@ class TestJournalBasics:
         assert journal.health().write_failures == 1
         assert journal.entries() == ()  # memory never ran ahead of disk
 
-    def test_prune_evicts_terminal_keeps_intent(self, engine):
+    def test_prune_evicts_terminal_keeps_intent(self, engine, monkeypatch):
+        monkeypatch.setattr(tuning_journal, "MAX_ENTRIES", 2)
         database = engine.create_database("jprune")
-        journal = TuningJournal(database, engine.clock, max_entries=2)
+        journal = TuningJournal(database, engine.clock)
         dangling = journal.record_intent(stats_rec("t0"), "", cycle=1)
         for i in range(1, 5):
             entry_id = journal.record_intent(stats_rec(f"t{i}"), "", cycle=1)
             journal.mark_applied(entry_id)
         entries = journal.entries()
-        assert len(entries) <= 3  # max_entries terminal + the intent
+        assert len(entries) <= 3  # MAX_ENTRIES terminal + the intent
         assert any(e.entry_id == dangling for e in entries)
         assert journal.health().entries_pruned > 0
         # the pruned transitions are gone from the table too
@@ -107,12 +110,13 @@ class TestJournalBasics:
         journal.mark_applied(entry_id)
         assert rec.to_sql() not in journal.failure_streaks()
 
-    def test_prune_keeps_a_live_failure_streak(self, engine):
+    def test_prune_keeps_a_live_failure_streak(self, engine, monkeypatch):
         """Failures of one statement interleaved with other changes:
         pruning the older entries neither forgets the streak in memory
         nor leaves a reload counting fewer failures."""
+        monkeypatch.setattr(tuning_journal, "MAX_ENTRIES", 3)
         database = engine.create_database("jstreak")
-        journal = TuningJournal(database, engine.clock, max_entries=3)
+        journal = TuningJournal(database, engine.clock)
         poisoned = stats_rec("x")
         for i in range(3):
             entry_id = journal.record_intent(poisoned, "", cycle=i)
@@ -122,7 +126,32 @@ class TestJournalBasics:
         assert journal.health().entries_pruned > 0
         streak = journal.failure_streaks()[poisoned.to_sql()]
         assert (streak.count, streak.last_error) == (3, "boom 2")
-        reloaded = TuningJournal(database, engine.clock, max_entries=3)
+        reloaded = TuningJournal(database, engine.clock)
+        assert reloaded.failure_streaks() == journal.failure_streaks()
+
+    def test_a_failing_statement_does_not_grow_the_journal(self, engine,
+                                                            monkeypatch):
+        """One statement failing once per cooldown, forever: its streak
+        counts up to the quarantine threshold and stops, and only that
+        many of its failures are kept from pruning, so the journal stays
+        within MAX_ENTRIES and a reload counts what memory counts."""
+        monkeypatch.setattr(tuning_journal, "MAX_ENTRIES", 4)
+        database = engine.create_database("jforever")
+        clock = VirtualClock(1_000.0)
+        journal = TuningJournal(database, clock)
+        poisoned = stats_rec("x")
+        for i in range(20):
+            clock.advance(600.0)
+            entry_id = journal.record_intent(poisoned, "", cycle=i)
+            journal.mark_failed(entry_id, f"boom {i}")
+        assert len(journal.entries()) <= 4
+        storage = database.storage_for("tuning_journal")
+        assert sum(1 for _ in storage.scan()) <= 8
+        streak = journal.failure_streaks()[poisoned.to_sql()]
+        assert streak == FailureStreak(
+            tuning_journal.QUARANTINE_AFTER_FAILURES, clock.now(), "boom 19")
+        assert streak.quarantined
+        reloaded = TuningJournal(database, clock)
         assert reloaded.failure_streaks() == journal.failure_streaks()
 
 
@@ -134,6 +163,7 @@ _JOURNAL_OPS = st.lists(st.one_of(
 ), max_size=24)
 
 
+@mock.patch.object(tuning_journal, "MAX_ENTRIES", 2)
 @settings(max_examples=150, deadline=None)
 @given(ops=_JOURNAL_OPS)
 # A failure journaled before an older entry's success: the success is
@@ -145,10 +175,10 @@ def test_streaks_survive_prune_and_reload(ops):
     journal: after every write the streaks are exactly what the writes
     themselves imply (a prune never lifts a quarantine), and a reloaded
     journal counts the same streaks as the live one."""
-    engine = EngineInstance(EngineConfig())
+    engine = EngineInstance()
     database = engine.create_database("jprop")
     clock = VirtualClock(1_000.0)
-    journal = TuningJournal(database, clock, max_entries=2)
+    journal = TuningJournal(database, clock)
     open_entries: list[tuple[int, str]] = []
     for step, (op, arg) in enumerate(ops):
         clock.advance(1.0)
@@ -162,8 +192,9 @@ def test_streaks_survive_prune_and_reload(ops):
             if op is JournalState.FAILED:
                 count = expected[sql].count if sql in expected else 0
                 journal.mark_failed(entry_id, f"error {step}")
-                expected[sql] = FailureStreak(count + 1, clock.now(),
-                                              f"error {step}")
+                expected[sql] = FailureStreak(
+                    min(count + 1, tuning_journal.QUARANTINE_AFTER_FAILURES),
+                    clock.now(), f"error {step}")
             else:
                 if op is JournalState.APPLIED:
                     journal.mark_applied(entry_id)
@@ -171,7 +202,7 @@ def test_streaks_survive_prune_and_reload(ops):
                     journal.mark_rolled_back(entry_id)
                 expected.pop(sql, None)
         assert journal.failure_streaks() == expected
-        reloaded = TuningJournal(database, clock, max_entries=2)
+        reloaded = TuningJournal(database, clock)
         assert reloaded.failure_streaks() == expected
 
 
@@ -215,7 +246,7 @@ class TestMidBatchFailure:
                                        recommendations=[stats_rec("t")])
 
         tuner = AutonomousTuner(
-            engine, "adb", WorkloadDatabase(engine.config, engine.clock),
+            engine, "adb", WorkloadDatabase(engine.clock),
             analyzer=StubAnalyzer())
         first = tuner.run_cycle()
         assert [a.succeeded for a in first.applied] == [True]
@@ -299,7 +330,7 @@ class TestCrashRecovery:
         # itself touches just the engine and the journal.
         from repro.core.workload_db import WorkloadDatabase
         tuner = AutonomousTuner(engine, "sdb",
-                                WorkloadDatabase(engine.config, engine.clock),
+                                WorkloadDatabase(engine.clock),
                                 journal=journal)
         actions = tuner.recover()
         assert actions == [("create statistics on t",
@@ -331,8 +362,7 @@ class TestCrashRecovery:
 class TestQuarantine:
     def test_three_failures_quarantine_then_cooldown_retry(self):
         setup, clock = recorded_nref()
-        policy = TuningPolicy(quarantine_after_failures=3,
-                              quarantine_cooldown_s=500.0)
+        policy = TuningPolicy(quarantine_cooldown_s=500.0)
         tuner = AutonomousTuner(setup.engine, "nref", setup.workload_db,
                                 daemon=setup.daemon, policy=policy)
         faultsim.arm_from_spec("ddl.apply:every-n,n=1")
@@ -368,10 +398,10 @@ class TestQuarantine:
         assert failed_sqls <= applied
         assert tuner.status().quarantined == ()
 
-    def test_quarantine_survives_restart(self):
+    def test_quarantine_survives_restart(self, monkeypatch):
+        monkeypatch.setattr(tuning_journal, "QUARANTINE_AFTER_FAILURES", 2)
         setup, _clock = recorded_nref()
-        policy = TuningPolicy(quarantine_after_failures=2,
-                              quarantine_cooldown_s=10_000.0)
+        policy = TuningPolicy(quarantine_cooldown_s=10_000.0)
         tuner = AutonomousTuner(setup.engine, "nref", setup.workload_db,
                                 daemon=setup.daemon, policy=policy)
         faultsim.arm_from_spec("ddl.apply:every-n,n=1")
@@ -392,13 +422,13 @@ class TestQuarantine:
                    if r.to_sql() == benched_sql]
         assert reasons and "quarantined" in reasons[0]
 
-    def test_failure_with_lost_mark_is_not_counted(self):
+    def test_failure_with_lost_mark_is_not_counted(self, monkeypatch):
         """The journal is the breaker's only record: a failure whose
         ``failed`` mark could not be written does not count."""
+        monkeypatch.setattr(tuning_journal, "QUARANTINE_AFTER_FAILURES", 1)
         setup, _clock = recorded_nref()
         tuner = AutonomousTuner(
-            setup.engine, "nref", setup.workload_db, daemon=setup.daemon,
-            policy=TuningPolicy(quarantine_after_failures=1))
+            setup.engine, "nref", setup.workload_db, daemon=setup.daemon)
         # The first change fails, and so does its mark (the write after
         # its intent).
         faultsim.get_injector().arm("ddl.apply", "once")
@@ -412,14 +442,14 @@ class TestQuarantine:
 
 
 class TestLifecycleAndStatus:
-    def test_start_stop_and_double_start_refused(self):
+    def test_start_stop_and_double_start_refused(self, monkeypatch):
+        monkeypatch.setattr(autopilot, "CYCLE_INTERVAL_S", 3600.0)
         clock_setup = daemon_setup("db")
         session = clock_setup.engine.connect("db")
         session.execute("create table t (a int not null, primary key (a))")
-        policy = TuningPolicy(cycle_interval_s=3600.0)
         tuner = AutonomousTuner(clock_setup.engine, "db",
                                 clock_setup.workload_db,
-                                daemon=clock_setup.daemon, policy=policy)
+                                daemon=clock_setup.daemon)
         tuner.start()
         with pytest.raises(MonitorError):
             tuner.start()
