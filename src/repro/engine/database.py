@@ -44,7 +44,7 @@ from repro.engine.triggers import TriggerManager
 
 VirtualTableProvider = Callable[..., list[tuple]]
 
-#: Number of pages each database's LRU buffer cache can hold.
+#: Number of pages each database's 2Q buffer cache can hold.
 BUFFER_POOL_PAGES = 256
 
 

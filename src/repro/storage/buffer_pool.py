@@ -1,4 +1,4 @@
-"""LRU buffer cache between storage structures and the simulated disk.
+"""2Q buffer cache between storage structures and the simulated disk.
 
 The pool caches *deserialized* page objects, so a hit avoids both the
 physical read and the decode cost — mirroring how the paper's 1m test
@@ -10,13 +10,28 @@ that turns raw bytes into a page object on a miss, and call
 :meth:`mark_dirty` after mutating a page.  Dirty pages are written back
 on eviction or on :meth:`flush_all`.
 
+Replacement is 2Q (Johnson & Shasha, VLDB 1994) with that paper's
+recommended queue sizes, fixed.  A page read once waits in a FIFO
+(``A1in``) of at most :data:`A1IN_FRACTION` of the pool; when that FIFO
+evicts it, its id (not the page) is remembered in a ghost FIFO
+(``A1out``) of :data:`A1OUT_FRACTION` of the pool.  Only a page
+requested again while its id is a ghost enters the LRU main queue
+(``Am``).  A victim is taken from the FIFO while it is over its share,
+otherwise from the LRU end of ``Am``.  So a one-off scan cannot flush
+the pages that are re-used, and a loop slightly larger than the pool
+keeps nearly all of itself resident where LRU would miss on every page;
+a loop of twice the pool still misses on every access, as it does under
+LRU.  A hit costs what an LRU hit did, two dictionary operations: a hit
+in ``Am`` is a lookup and one ``move_to_end``, a hit in ``A1in`` two
+lookups and no reordering.
+
 Lock order
 ----------
 
 ``BufferPool._lock`` is a *leaf* latch: it is never held across a call
 into another locked component, and in particular never across
-:class:`~repro.storage.disk.DiskManager` I/O (which charges simulated
-latency).  Every method snapshots what must be read or written while
+:class:`~repro.storage.disk.DiskManager` I/O (which an injected fault
+may delay).  Every method snapshots what must be read or written while
 holding the latch, releases it, and performs the physical I/O outside —
 so a slow disk stalls only the caller, not every thread contending for
 the pool.  Code acquiring both this latch and any engine lock must take
@@ -53,16 +68,28 @@ class BufferPoolStats:
         return self.hits / total if total else 0.0
 
 
+#: ``A1in``'s share of the pool: pages read once wait here, in FIFO order.
+A1IN_FRACTION = 0.25
+#: ``A1out``'s size relative to the pool: ids of pages ``A1in`` evicted.
+A1OUT_FRACTION = 0.5
+
+
 class BufferPool:
-    """A fixed-capacity LRU cache of page objects keyed by page id."""
+    """A fixed-capacity 2Q cache of page objects keyed by page id."""
 
     def __init__(self, disk: DiskManager, capacity: int) -> None:
         if capacity < 1:
             raise BufferPoolError(f"buffer pool needs capacity >= 1, got {capacity}")
         self.disk = disk
         self.capacity = capacity
+        self._a1in_limit = int(capacity * A1IN_FRACTION)
+        self._a1out_limit = int(capacity * A1OUT_FRACTION)
         self._lock = threading.RLock()
-        self._frames: OrderedDict[int, Any] = OrderedDict()
+        # A resident page is in exactly one of A1in / Am; a ghost id is
+        # in A1out only while its page is not resident.
+        self._a1in: OrderedDict[int, Any] = OrderedDict()
+        self._am: OrderedDict[int, Any] = OrderedDict()
+        self._a1out: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
         self._hits = 0
         self._misses = 0
@@ -73,26 +100,35 @@ class BufferPool:
         """Return the page object for ``page_id``, reading it on a miss.
 
         The physical read happens with the latch released; on re-entry
-        the frame table is re-checked, so a page admitted concurrently
-        wins over our freshly loaded copy.
+        the queues are re-checked, so a page admitted concurrently wins
+        over our freshly loaded copy.
         """
         with self._lock:
-            page = self._frames.get(page_id)
+            page = self._am.get(page_id)
             if page is not None:
-                self._frames.move_to_end(page_id)
+                self._am.move_to_end(page_id)
+                self._hits += 1
+                return page
+            page = self._a1in.get(page_id)
+            if page is not None:
                 self._hits += 1
                 return page
             self._misses += 1
         raw = self.disk.read(page_id)
         loaded = loader(raw)
         with self._lock:
-            page = self._frames.get(page_id)
+            page = self._touch(page_id)
             if page is not None:
-                self._frames.move_to_end(page_id)
                 return page
             writebacks = self._admit(page_id, loaded, dirty=False)
         self._write_back(writebacks)
         return loaded
+
+    def peek(self, page_id: int) -> Any | None:
+        """Return the cached page object for ``page_id``, or ``None``;
+        neither counts a hit nor reorders a queue."""
+        with self._lock:
+            return self._resident(page_id)
 
     def put_new(self, page_id: int, page: _Page) -> None:
         """Install a freshly created page object (dirty by definition)."""
@@ -105,8 +141,8 @@ class BufferPool:
 
         Safe even if the frame was evicted since the caller obtained the
         page object — the caller's reference is the newest state, so
-        re-admitting it cannot lose data under the engine's single-writer
-        discipline.
+        re-admitting it (as a miss would) cannot lose data under the
+        engine's single-writer discipline.
         """
         with self._lock:
             writebacks = self._admit(page_id, page, dirty=True)
@@ -115,39 +151,67 @@ class BufferPool:
     def mark_dirty(self, page_id: int) -> None:
         """Record that a cached page was mutated and must be written back."""
         with self._lock:
-            if page_id not in self._frames:
+            if self._touch(page_id) is None:
                 raise BufferPoolError(
                     f"mark_dirty on page {page_id} that is not cached"
                 )
             self._dirty.add(page_id)
-            self._frames.move_to_end(page_id)
+
+    def _resident(self, page_id: int) -> Any | None:
+        page = self._a1in.get(page_id)
+        return self._am.get(page_id) if page is None else page
+
+    def _touch(self, page_id: int) -> Any | None:
+        """The resident page for ``page_id`` or ``None``, moving an
+        ``Am`` page to its MRU end as a hit does."""
+        page = self._am.get(page_id)
+        if page is None:
+            return self._a1in.get(page_id)
+        self._am.move_to_end(page_id)
+        return page
 
     def _admit(self, page_id: int, page: _Page,
                dirty: bool) -> list[tuple[int, _Page, bytes]]:
         """Install ``page``, evicting to capacity; return the dirty
         victims ``(page_id, page, serialized bytes)`` the caller must
-        write back *after releasing the latch*."""
+        write back *after releasing the latch*.
+
+        A resident page is replaced in its queue; a page whose id is a
+        ghost enters ``Am``; any other page enters ``A1in``."""
         writebacks: list[tuple[int, _Page, bytes]] = []
-        if page_id in self._frames:
-            self._frames[page_id] = page
-            self._frames.move_to_end(page_id)
+        if page_id in self._a1in:
+            self._a1in[page_id] = page
+        elif page_id in self._am:
+            self._am[page_id] = page
+            self._am.move_to_end(page_id)
         else:
-            while len(self._frames) >= self.capacity:
+            ghost = page_id in self._a1out
+            if ghost:
+                del self._a1out[page_id]
+            while len(self._a1in) + len(self._am) >= self.capacity:
                 victim = self._evict_one()
                 if victim is not None:
                     writebacks.append(victim)
-            self._frames[page_id] = page
+            (self._am if ghost else self._a1in)[page_id] = page
         if dirty:
             self._dirty.add(page_id)
         return writebacks
 
     def _evict_one(self) -> tuple[int, _Page, bytes] | None:
-        """Evict the LRU frame; return its write-back work, if dirty.
+        """Evict the head of ``A1in`` while it is over its share (its id
+        becomes a ghost), otherwise the LRU end of ``Am``; return the
+        victim's write-back work, if dirty.
 
         Serialization happens here, under the latch, so the snapshot is
         consistent; the physical write is the caller's job once the
         latch is released."""
-        victim_id, victim = self._frames.popitem(last=False)
+        if len(self._a1in) > self._a1in_limit:
+            victim_id, victim = self._a1in.popitem(last=False)
+            self._a1out[victim_id] = None
+            if len(self._a1out) > self._a1out_limit:
+                self._a1out.popitem(last=False)
+        else:
+            victim_id, victim = self._am.popitem(last=False)
         self._evictions += 1
         if victim_id in self._dirty:
             self._dirty.discard(victim_id)
@@ -161,7 +225,7 @@ class BufferPool:
         latch held — that is the whole point of deferring them.
 
         If a write fails, the pages not yet written are the only copy
-        of their rows: they go back into the cache, dirty, before the
+        of their rows: they go back into ``A1in``, dirty, before the
         error propagates (the pool may sit over capacity until the next
         admission evicts it back down)."""
         written = 0
@@ -173,51 +237,59 @@ class BufferPool:
             with self._lock:
                 for page_id, page, _raw in writebacks[written:]:
                     # A copy admitted meanwhile is newer: keep it.
-                    self._frames.setdefault(page_id, page)
+                    if self._resident(page_id) is None:
+                        self._a1out.pop(page_id, None)
+                        self._a1in[page_id] = page
                     self._dirty.add(page_id)
             raise
+
+    def _snapshot_dirty(self) -> list[tuple[int, _Page, bytes]]:
+        """Serialize every dirty page and forget that it is dirty; the
+        caller writes the snapshot back outside the latch."""
+        writebacks = []
+        for page_id in list(self._dirty):
+            page = self._resident(page_id)
+            writebacks.append((page_id, page, page.to_bytes()))
+            self._writebacks += 1
+        self._dirty.clear()
+        return writebacks
 
     def flush_all(self) -> int:
         """Write back every dirty page; return how many were written.
 
         The dirty set is snapshotted (and serialized) under the latch;
-        the writes happen outside it.  A page re-dirtied concurrently
-        simply lands in the next flush — the engine's single-writer
-        discipline rules out lost updates.
+        the writes happen outside it, and neither queue is reordered.
+        A page re-dirtied concurrently simply lands in the next flush —
+        the engine's single-writer discipline rules out lost updates.
         """
         with self._lock:
-            writebacks = []
-            for page_id in list(self._dirty):
-                page = self._frames[page_id]
-                writebacks.append((page_id, page, page.to_bytes()))
-                self._writebacks += 1
-            self._dirty.clear()
+            writebacks = self._snapshot_dirty()
         self._write_back(writebacks)
         return len(writebacks)
 
     def invalidate(self, page_id: int) -> None:
-        """Drop a page from the cache without writing it back (used when
-        the page is freed on disk)."""
+        """Drop a page (and its ghost) from the cache without writing it
+        back (used when the page is freed on disk)."""
         with self._lock:
-            self._frames.pop(page_id, None)
+            self._a1in.pop(page_id, None)
+            self._am.pop(page_id, None)
+            self._a1out.pop(page_id, None)
             self._dirty.discard(page_id)
 
     def clear(self) -> None:
-        """Flush dirty pages and empty the cache (cold-cache experiments)."""
+        """Flush dirty pages and empty the cache, ghosts included
+        (cold-cache experiments)."""
         with self._lock:
-            writebacks = []
-            for page_id in list(self._dirty):
-                page = self._frames[page_id]
-                writebacks.append((page_id, page, page.to_bytes()))
-                self._writebacks += 1
-            self._dirty.clear()
-            self._frames.clear()
+            writebacks = self._snapshot_dirty()
+            self._a1in.clear()
+            self._am.clear()
+            self._a1out.clear()
         self._write_back(writebacks)
 
     @property
     def cached_page_count(self) -> int:
         with self._lock:
-            return len(self._frames)
+            return len(self._a1in) + len(self._am)
 
     def stats(self) -> BufferPoolStats:
         with self._lock:

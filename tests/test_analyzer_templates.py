@@ -321,8 +321,9 @@ class TestFaults:
     def test_fault_in_the_middle_of_a_fold(self, recorded, after):
         workload_db, clock = recorded
         analyzer = Analyzer(TARGET)
-        for round_no in range(4):  # enough pages to read from disk
-            append_history(workload_db, clock, TEXTS[round_no:round_no + 5])
+        for round_no in range(8):  # enough pages to read from disk
+            append_history(workload_db, clock,
+                           TEXTS[round_no % 5:round_no % 5 + 5])
         workload_db.flush()
         faultsim.arm_from_spec(f"disk.read:once,after={after}")
         with pytest.raises(ReproError):
@@ -330,7 +331,12 @@ class TestFaults:
         (fault,) = faultsim.get_injector().stats("disk.read")
         assert fault.errors_raised == 1
         # The failed scan left nothing behind.
+        disk = workload_db.database.disk
+        reads_before = disk.counters().reads
         report = analyzer.analyze_workload_db(workload_db)
+        # A clean fold reads more pages than the fault skips: the fault
+        # really lands in the middle of the fold.
+        assert disk.counters().reads - reads_before > after
         assert report.view == reference_view(workload_db)
         assert report.rows_folded == workload_db.total_rows()
 

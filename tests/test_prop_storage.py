@@ -3,9 +3,11 @@
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.catalog.schema import Column, DataType, TableSchema
+from repro.errors import BufferPoolError
 from repro.storage.btree import BTreeStorage
 from repro.storage.buffer_pool import BufferPool
 from repro.storage import disk as disk_module
@@ -212,7 +214,7 @@ class TestBTreePageKeys:
         from repro.storage import btree
         keyed = 0
         for page_id in tree.page_ids():
-            page = pool._frames.get(page_id)
+            page = pool.peek(page_id)
             if page is None or page.ekeys is None:
                 continue
             keyed += 1
@@ -309,6 +311,98 @@ class TestBTreePageKeys:
         assert self._check_pages(tree, pool) == 0
         assert [r for r, _ in tree.seek((150,))] == [151]
         assert self._check_pages(tree, pool) == tree.height
+
+
+class _VersionedPage:
+    """A page whose whole content is one version number."""
+
+    def __init__(self, version):
+        self.version = version
+
+    @classmethod
+    def load(cls, raw):
+        return cls(int(raw) if raw else 0)
+
+    def to_bytes(self):
+        return str(self.version).encode()
+
+
+class _RecordingDisk(DiskManager):
+    """A disk that remembers what was last written to each page."""
+
+    def __init__(self):
+        super().__init__()
+        self.written: dict[int, bytes] = {}
+
+    def write(self, page_id, data):
+        super().write(page_id, data)
+        self.written[page_id] = data
+
+    def version(self, page_id):
+        return _VersionedPage.load(self.written.get(page_id, b"")).version
+
+
+POOL_PAGES = 9
+
+# Mostly reads, so that pages come back as ghosts and enter Am; the
+# page index is ignored by flush_all and clear.
+pool_ops = st.lists(
+    st.tuples(st.sampled_from(["get"] * 6 + [
+        "put_new", "put", "mark_dirty", "invalidate", "flush_all", "clear"]),
+        st.integers(0, POOL_PAGES - 1)),
+    min_size=40, max_size=150,
+)
+
+
+class TestBufferPoolModel:
+    """The pool against a dict of each page's newest version: whatever
+    the replacement policy evicts, a read sees the newest content and a
+    flush puts it on disk."""
+
+    @given(ops=pool_ops, capacity=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_dict_model(self, ops, capacity):
+        disk = _RecordingDisk()
+        page_ids = [disk.allocate() for _ in range(POOL_PAGES)]
+        pool = BufferPool(disk, capacity)
+        newest = dict.fromkeys(page_ids, 0)
+        next_version = 1
+        for op, index in ops:
+            page_id = page_ids[index]
+            if op == "get":
+                page = pool.get(page_id, _VersionedPage.load)
+                assert page.version == newest[page_id]
+            elif op in ("put_new", "put"):
+                getattr(pool, op)(page_id, _VersionedPage(next_version))
+                newest[page_id] = next_version
+                next_version += 1
+            elif op == "mark_dirty":
+                page = pool.peek(page_id)
+                if page is None:
+                    with pytest.raises(BufferPoolError):
+                        pool.mark_dirty(page_id)
+                else:
+                    page.version = newest[page_id] = next_version
+                    next_version += 1
+                    pool.mark_dirty(page_id)
+            elif op == "invalidate":
+                # The page is freed and its id reused with new content:
+                # the pool must not serve what it held.
+                pool.invalidate(page_id)
+                disk.write(page_id, _VersionedPage(next_version).to_bytes())
+                newest[page_id] = next_version
+                next_version += 1
+            else:
+                getattr(pool, op)()
+                assert {p: disk.version(p) for p in page_ids} == newest
+                if op == "clear":
+                    assert pool.cached_page_count == 0
+            resident = {p: page.version for p in page_ids
+                        if (page := pool.peek(p)) is not None}
+            assert resident == {p: newest[p] for p in resident}
+            assert pool.cached_page_count == len(resident) <= capacity
+            assert pool.stats().misses == disk.counters().reads
 
 
 def test_keyed_update_is_logarithmic_and_unparsed(monkeypatch):

@@ -70,9 +70,8 @@ MUTATIONS = {
             "        raw = self.disk.read(page_id)\n"
             "        loaded = loader(raw)\n"
             "        with self._lock:\n"
-            "            page = self._frames.get(page_id)\n"
+            "            page = self._touch(page_id)\n"
             "            if page is not None:\n"
-            "                self._frames.move_to_end(page_id)\n"
             "                return page\n"
             "            writebacks",
             "            self._misses += 1\n"

@@ -328,3 +328,101 @@ class TestBufferPool:
         pool.get(page_id, loader)
         pool.get(page_id, loader)
         assert pool.stats().hit_ratio == pytest.approx(0.5)
+
+    # -- 2Q replacement: what LRU gets wrong ----------------------------------
+
+    CAPACITY = 16
+
+    @staticmethod
+    def _pool(pages):
+        disk = DiskManager()
+        page_ids = [disk.allocate() for _ in range(pages)]
+        return BufferPool(disk, TestBufferPool.CAPACITY), page_ids
+
+    @staticmethod
+    def _misses(pool, page_ids):
+        """Read ``page_ids`` in order; return how many were misses."""
+        before = pool.stats().misses
+        for page_id in page_ids:
+            pool.get(page_id, _Blob)
+        return pool.stats().misses - before
+
+    def test_loop_one_page_over_capacity_stays_resident(self):
+        # LRU evicts each page just before the loop comes back to it:
+        # capacity + 1 misses per pass, forever.
+        pool, loop = self._pool(self.CAPACITY + 1)
+        self._misses(pool, loop)
+        self._misses(pool, loop)
+        for _ in range(6):
+            assert self._misses(pool, loop) <= 4
+
+    def test_hot_set_survives_a_one_off_scan(self):
+        # The hot set is touched after every `capacity` scan pages; LRU
+        # has evicted all of it by then, every time.
+        capacity = self.CAPACITY
+        pool, page_ids = self._pool(capacity // 2 + 3 * capacity)
+        hot, scan = page_ids[:capacity // 2], page_ids[capacity // 2:]
+        self._misses(pool, hot)
+        self._misses(pool, scan[:capacity])
+        self._misses(pool, hot)  # read again as ghosts: now in Am
+        for start in range(capacity, len(scan), capacity):
+            self._misses(pool, scan[start:start + capacity])
+            assert self._misses(pool, hot) == 0
+
+    def test_working_set_within_capacity_never_misses_again(self):
+        pool, page_ids = self._pool(self.CAPACITY)
+        assert self._misses(pool, page_ids) == self.CAPACITY
+        for order in (page_ids, page_ids[::-1],
+                      page_ids[1::2] + page_ids[::2]):
+            assert self._misses(pool, order) == 0
+        assert pool.stats().evictions == 0
+
+    def test_loop_of_twice_the_capacity_misses_every_access(self):
+        # The documented limit, and no worse than LRU, which also misses
+        # every access of such a loop.
+        pool, loop = self._pool(2 * self.CAPACITY)
+        for _ in range(4):
+            assert self._misses(pool, loop) == len(loop)
+
+    def test_invalidated_page_read_again_enters_a1in(self):
+        capacity = self.CAPACITY
+        pool, page_ids = self._pool(2 * capacity + 2)
+        gone, ghost, scan = page_ids[0], page_ids[1], page_ids[2:]
+        self._misses(pool, [gone, ghost] + scan[:capacity])
+        assert pool.peek(gone) is None and pool.peek(ghost) is None
+        pool.invalidate(gone)  # forgets its ghost too
+        assert self._misses(pool, [gone, ghost]) == 2
+        self._misses(pool, scan[capacity:])
+        assert pool.peek(ghost) is not None  # was a ghost: entered Am
+        assert pool.peek(gone) is None  # a first read: A1in, scanned out
+
+    def test_peek_neither_counts_nor_reorders(self):
+        # Twelve pages in Am and A1in at its share, so the next miss
+        # evicts Am's LRU end: the oldest page, unless a hit moved it.
+        capacity = self.CAPACITY
+
+        def evicted_after(touch):
+            pool, page_ids = self._pool(capacity + capacity // 2 + 1)
+            self._misses(pool, page_ids[:capacity + capacity // 2])
+            self._misses(pool, page_ids[:capacity * 3 // 4])  # ghosts: Am
+            before = pool.stats()
+            touch(pool, page_ids[0])
+            counted = pool.stats() != before
+            resident = {p for p in page_ids if pool.peek(p) is not None}
+            self._misses(pool, page_ids[-1:])
+            return counted, {page_ids.index(p) for p in resident
+                             if pool.peek(p) is None}
+
+        assert evicted_after(BufferPool.peek) == (False, {0})
+        assert evicted_after(lambda pool, p: pool.get(p, _Blob)) == \
+            (True, {1})
+
+
+class _Blob:
+    """The smallest page object: its bytes are its content."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def to_bytes(self):
+        return self.raw
