@@ -4,6 +4,8 @@ A native database (with its own disk and buffer pool, like an ordinary
 user database in Ingres) holding timestamped history of everything the
 monitor collects.  The storage daemon appends batches here; entries are
 kept for seven days by default so a typical work week can be analyzed.
+Appends arrive in ``captured_at`` order, so retention deletes a prefix
+of each table's pages and frees the pages it empties.
 
 Because it is a regular database, the collected data is queryable with
 standard SQL and triggers on its tables provide active alerting.
@@ -18,17 +20,14 @@ resumes without duplicating or losing rows.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from repro import faultsim
-from repro.catalog.schema import StorageStructure
 from repro.clock import Clock, SystemClock
 from repro.core.ima import MONITOR_TABLES
 from repro.engine.database import Database
 from repro.errors import MonitorError
-from repro.storage.heap import FILL_FACTOR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuning_journal import TuningJournal
@@ -36,9 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: One workload table per monitor table (``MonitorTable.wl_schema``).
 WORKLOAD_TABLES = tuple(table.wl_schema for table in MONITOR_TABLES)
-
-
-_EMPTY = (math.inf, 0)  # retention watermark of a table never appended to
 
 
 class WorkloadDatabase:
@@ -49,11 +45,6 @@ class WorkloadDatabase:
         self.clock = clock or SystemClock()
         self.database = Database(name, self.clock)
         self._journal: "TuningJournal | None" = None
-        # Retention watermark: per table, the oldest ``captured_at`` it
-        # holds and the row count that was true for.  A count that no
-        # longer matches (rows written around ``append``, a failed
-        # append, a restart) makes the next purge scan and re-derive it.
-        self._oldest: dict[str, tuple[float, int]] = {}
         for schema in WORKLOAD_TABLES:
             self.database.create_table(schema)
 
@@ -90,16 +81,9 @@ class WorkloadDatabase:
         """
         faultsim.fire("workload_db.append", error=MonitorError,
                       clock=self.clock)
-        storage = self.database.storage_for(table_name)
-        oldest, counted = self._oldest.get(table_name, _EMPTY)
-        known = counted == storage.row_count
-        written = self.database.insert_rows(
+        return self.database.insert_rows(
             table_name, ((captured_at, *row, seq) for row, seq
                          in zip(rows, repeat(0) if seqs is None else seqs)))
-        if known:  # a failed append leaves the count, hence the mark, stale
-            self._oldest[table_name] = (min(oldest, captured_at),
-                                        storage.row_count)
-        return written
 
     def load_high_water(self) -> dict[str, int]:
         """Per-table max persisted ``src_seq``: ``{workload_table:
@@ -123,48 +107,34 @@ class WorkloadDatabase:
     def purge_older_than(self, cutoff: float) -> int:
         """Delete history captured before ``cutoff``; returns rows removed.
 
-        Purging leaves holes in the heap pages; when a table's allocated
-        pages grow well past what its live rows need, the table is
-        compacted with a MODIFY rebuild — the maintenance that keeps the
-        workload DB at its steady-state size (the paper's ~4.7 GB cap).
+        Each append stamps its batch with the daemon's clock, so a
+        table's expired rows are a prefix of its pages.  The purge reads
+        pages from the front, deletes their expired rows and stops at
+        the first page holding a row it keeps; a heap then frees the
+        leading pages it emptied.  Where that order breaks (a clock
+        stepped back, rows written around :meth:`append`, a HASH table)
+        the purge is late, never early: it deletes no row captured at
+        or after ``cutoff``, and an expired row stored behind a live one
+        goes once the rows ahead of it expire.
         """
         faultsim.fire("workload_db.purge", error=MonitorError,
                       clock=self.clock)
         removed = 0
         for schema in WORKLOAD_TABLES:
             storage = self.database.storage_for(schema.name)
-            oldest, counted = self._oldest.get(schema.name, _EMPTY)
-            if counted == storage.row_count and oldest >= cutoff:
-                continue  # nothing due: no page of the table is touched
-            victims = []
-            oldest = math.inf
-            live_bytes = 0
-            size = schema.codec.size
-            for rowid, row in storage.scan():
-                if row[0] < cutoff:
-                    victims.append(rowid)
-                    continue
-                live_bytes += size(row)
-                if row[0] < oldest:
-                    oldest = row[0]
-            for rowid in victims:
+            expired: list[int] = []
+            for rowids, rows in storage.pages():
+                on_page = [rowid for rowid, row in zip(rowids, rows)
+                           if row[0] < cutoff]
+                expired += on_page
+                if len(on_page) < len(rowids):
+                    break
+            for rowid in expired:
                 self.database.delete_row(schema.name, rowid)
-            removed += len(victims)
-            self._oldest[schema.name] = (oldest, storage.row_count)
-            if victims:
-                self._maybe_compact(schema.name, live_bytes)
+            if expired:
+                storage.free_empty_prefix()
+            removed += len(expired)
         return removed
-
-    def _maybe_compact(self, table_name: str, live_bytes: int) -> None:
-        """Rebuild ``table_name`` when its pages are well past what the
-        ``live_bytes`` its surviving rows serialize to need."""
-        storage = self.database.storage_for(table_name)
-        expected_pages = math.ceil(
-            live_bytes / (FILL_FACTOR * self.database.disk.page_size)) + 1
-        if storage.page_count > 1.5 * expected_pages + 4:
-            self.database.modify_table(
-                table_name, StorageStructure.HEAP,
-                main_pages=max(8, expected_pages * 2))
 
     # -- introspection ------------------------------------------------------------
 

@@ -190,6 +190,20 @@ class HeapStorage:
             raise StorageError("bulk_load requires an empty heap")
         self.insert_many(entries)
 
+    def free_empty_prefix(self) -> int:
+        """Free the leading pages that hold no row, up to the first one
+        that does; returns how many were freed.  :meth:`delete` alone
+        frees nothing: the workload DB's retention, which deletes a
+        prefix of the rows, calls this after it."""
+        page_ids = self._page_ids
+        freed = 0
+        while page_ids and not self._load(page_ids[0]).entries:
+            page_id = page_ids.pop(0)
+            self._pool.invalidate(page_id)
+            self._disk.free(page_id)
+            freed += 1
+        return freed
+
     def drop(self) -> None:
         """Free every page of this heap."""
         for page_id in self._page_ids:

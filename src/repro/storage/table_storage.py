@@ -235,6 +235,11 @@ class TableStorage:
         """Full scan a page at a time: each page's rowids and rows."""
         return self._store.pages()
 
+    def free_empty_prefix(self) -> int:
+        """A heap's :meth:`HeapStorage.free_empty_prefix`; other
+        structures free nothing."""
+        return self._store.free_empty_prefix() if isinstance(self._store, HeapStorage) else 0
+
     # -- physical reorganization ---------------------------------------------
 
     def modify_to(self, structure: StorageStructure,

@@ -1,7 +1,8 @@
-"""The storage daemon's bulk write path, retention watermark and
-seq-bounded IMA reads: each must be indistinguishable — in what is
-persisted, in what a crash leaves behind, in what a query returns —
-from the row-at-a-time / scan-everything code it replaced.
+"""The storage daemon's bulk write path and seq-bounded IMA reads: each
+must be indistinguishable — in what is persisted, in what a crash
+leaves behind, in what a query returns — from the row-at-a-time /
+scan-everything code it replaced.  Retention reads only the expired
+prefix of each table.
 
 Deterministic like ``test_daemon_recovery.py``: virtual clocks, seeded
 contents, no sleeps.
@@ -176,26 +177,36 @@ def _pool_reads(workload_db):
 
 
 class TestRetentionWatermark:
-    def test_nothing_due_touches_no_page(self):
+    """Retention reads each table's pages from the front and stops at
+    the first one holding a row it keeps (the cutoff is the only
+    watermark; nothing about it is kept in memory)."""
+
+    def test_nothing_due_reads_one_page_per_table(self):
         workload_db = WorkloadDatabase()
         for table, row in (("wl_tables", ("t", 1, "heap", 1, 0, 3, 0)),
                            ("wl_attributes", ("t", "a", 1, 0)),
                            ("wl_indexes", ("i", "t", 1))):
             workload_db.append(table, [row] * 50, captured_at=100.0)
         workload_db.flush()
+        # Exactly one page request per non-empty table, none for the
+        # five empty ones.
         before = _pool_reads(workload_db)
         assert workload_db.purge_older_than(50.0) == 0
+        assert _pool_reads(workload_db) == before + 3
         assert workload_db.purge_older_than(100.0) == 0  # not *older* than
+        assert _pool_reads(workload_db) == before + 6
+        assert workload_db.purge_older_than(100.5) == 150  # now due
+        assert workload_db.total_bytes == 0  # every emptied page freed
+        before = _pool_reads(workload_db)
+        assert workload_db.purge_older_than(200.0) == 0
         assert _pool_reads(workload_db) == before
-        assert workload_db.purge_older_than(100.5) == 150  # now due: scanned
-        assert _pool_reads(workload_db) > before
 
     def test_purge_fault_point_fires_once_per_call(self):
         workload_db = WorkloadDatabase()
         workload_db.append("wl_indexes", [("i", "t", 1)], captured_at=9.0)
         faultsim.get_injector().arm("workload_db.purge", "once",
                                     after=10 ** 9)
-        for _ in range(3):  # every table skipped by its watermark
+        for _ in range(3):  # nothing due
             assert workload_db.purge_older_than(1.0) == 0
         (stats,) = faultsim.get_injector().stats("workload_db.purge")
         assert stats.evaluations == 3
@@ -205,12 +216,9 @@ class TestRetentionWatermark:
         setup = daemon_setup("db", clock=clock, daemon_config=DaemonConfig(
             flush_every_polls=1, retention_s=1000.0))
         workload_db = setup.workload_db
-        compacted = []
-        real_compact = workload_db._maybe_compact
-        monkeypatch.setattr(
-            workload_db, "_maybe_compact",
-            lambda name, live_bytes: (compacted.append(name),
-                                      real_compact(name, live_bytes)))
+        rebuilds = []
+        monkeypatch.setattr(workload_db.database, "modify_table",
+                            lambda *args, **kwargs: rebuilds.append(args))
         session = setup.engine.connect("db")
         session.execute("create table t (a int not null, primary key (a))")
         setup.daemon.poll_once()  # flushes: captured at 1_000_000
@@ -219,41 +227,61 @@ class TestRetentionWatermark:
         clock.advance(600.0)
         session.execute("select a from t")
         stats = setup.daemon.poll_once()  # captured at 1_000_600
-        assert stats.rows_purged == 0 and not compacted
+        assert stats.rows_purged == 0
         second = {name: workload_db.row_count(name) - count
                   for name, count in first.items()}
         clock.advance(600.0)  # the first batch is 1200 s old, the second 600
         stats = setup.daemon.poll_once()
         assert stats.rows_purged == sum(first.values())
-        assert sorted(compacted) == sorted(
-            name for name, count in first.items() if count)
+        assert rebuilds == []
         for schema in WORKLOAD_TABLES:
             stamps = [row[0] for _rowid, row in
                       workload_db.database.storage_for(schema.name).scan()]
             assert 1_000_000.0 not in stamps
             assert stamps.count(1_000_600.0) == second[schema.name]
-            if stamps:  # the watermark is the oldest survivor
-                assert workload_db._oldest[schema.name] == \
-                    (min(stamps), len(stamps))
 
     def test_rows_the_watermark_never_saw_are_still_purged(self):
-        # Restart case: tables filled before any watermark existed.
+        # Restart case: a fresh WorkloadDatabase over rows it never
+        # appended.
         workload_db = WorkloadDatabase()
         workload_db.database.insert_rows("wl_indexes", [
-            (stamp, "i", "t", 1, 0) for stamp in (10.0, 500.0, 20.0, 600.0)])
+            (stamp, "i", "t", 1, 0) for stamp in (10.0, 20.0, 500.0, 600.0)])
         assert workload_db.purge_older_than(100.0) == 2
-        assert workload_db._oldest["wl_indexes"] == (500.0, 2)
-        # Rows written around append() after the mark is known make its
-        # row count stale, so the next purge scans again.
+        # A row written around append(), stamped 30, and the first row
+        # of an append that failed part-way, stamped 40, are stored
+        # behind the live ones, on the page the purge reads.
         workload_db.database.insert_row("wl_indexes", (30.0, "i", "t", 1, 0))
         assert workload_db.purge_older_than(100.0) == 1
-        # So does an append that failed part-way.
         with pytest.raises(ReproError):
             workload_db.append("wl_indexes", [("i", "t", 1), ("i", "t", "x")],
                                captured_at=40.0)
         assert workload_db.purge_older_than(100.0) == 1
         assert sorted(row[0] for _rowid, row in workload_db.database
                       .storage_for("wl_indexes").scan()) == [500.0, 600.0]
+
+    def test_out_of_order_rows_go_late_never_early(self):
+        # A clock that stepped back: 20 is stored behind 500, 40 behind
+        # 600, each batch spanning pages.
+        workload_db = WorkloadDatabase()
+        storage = workload_db.database.storage_for("wl_indexes")
+
+        def stamps():
+            return sorted({row[0] for _rowid, row in storage.scan()})
+
+        for stamp in (10.0, 500.0, 20.0, 600.0, 40.0):
+            workload_db.append("wl_indexes", [("i" * 100, "t", 1)] * 300,
+                               captured_at=stamp)
+        assert storage.page_count > 10
+        # Only the 10s lead the table; the expired 20s and 40s wait
+        # behind live rows.
+        assert workload_db.purge_older_than(100.0) == 300
+        assert stamps() == [20.0, 40.0, 500.0, 600.0]
+        # Once the 500s expire, the 20s behind them go too.
+        assert workload_db.purge_older_than(550.0) == 600
+        assert stamps() == [40.0, 600.0]
+        assert workload_db.purge_older_than(600.0) == 0
+        assert workload_db.purge_older_than(601.0) == 600
+        assert storage.row_count == storage.page_count == 0
 
 
 # -- read side --------------------------------------------------------------

@@ -248,3 +248,41 @@ class TestCrashRecovery:
                 .storage_for("wl_workload").scan()
                 if row[1] == statement_key(target)]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("failing_table", [0, 2, 5])
+    def test_appends_stay_in_captured_at_order_across_recovery(
+            self, failing_table):
+        """Retention deletes the expired prefix of each table's pages,
+        which needs every ``wl_*`` table stored in ``captured_at``
+        order: through a part-way failed flush, its requeue, the next
+        flush and a fresh daemon's resync over the same workload DB."""
+        setup, session, clock = make_setup(flush_every_polls=1)
+        daemon = setup.daemon
+        daemon.poll_once()
+        clock.advance(60.0)
+        session.execute("select a from t where a = 2")
+        faultsim.get_injector().arm("workload_db.append", "once",
+                                    after=failing_table)
+        with pytest.raises(MonitorError):
+            daemon.poll_once()
+        assert daemon.pending_rows > 0  # requeued
+        clock.advance(60.0)
+        session.execute("insert into t values (4)")
+        daemon.poll_once()
+        assert daemon.pending_rows == 0
+        clock.advance(60.0)
+        session.execute("select a from t where a = 3")
+        reborn = StorageDaemon(setup.engine, "db", setup.workload_db,
+                               config=daemon.config)  # resyncs
+        reborn.poll_once()
+        reborn.flush()
+        assert_no_duplicate_src_seqs(setup.workload_db)
+        seen = set()
+        for schema in WORKLOAD_TABLES:
+            stamps = [row[0] for _rid, row in setup.workload_db.database
+                      .storage_for(schema.name).scan()]
+            assert stamps == sorted(stamps), schema.name
+            seen.update(stamps)
+        # The first flush, the one after the failure (requeued rows)
+        # and the reborn daemon's each persisted rows.
+        assert {1_000_000.0, 1_000_120.0, 1_000_180.0} <= seen

@@ -115,6 +115,15 @@ class TestRecords:
         assert record.frequency == 1  # immutable original
 
 
+def _fresh_pages(wdb, table):
+    """The pages ``table``'s live rows fill when appended, in storage
+    order, to an empty table."""
+    fresh = WorkloadDatabase()
+    fresh.database.insert_rows(
+        table, [row for _rid, row in wdb.database.storage_for(table).scan()])
+    return fresh.database.storage_for(table).page_count
+
+
 class TestWorkloadDbCompaction:
     def test_purge_compacts_bloated_tables(self):
         clock = VirtualClock(1000.0)
@@ -123,42 +132,35 @@ class TestWorkloadDbCompaction:
         for batch in range(50):
             rows = [(f"idx{batch}_{i}", "t", i) for i in range(40)]
             wdb.append("wl_indexes", rows, captured_at=float(batch))
-        pages_before = wdb.database.storage_for("wl_indexes").page_count
-        removed = wdb.purge_older_than(cutoff=100.0)
-        assert removed == 2000
-        pages_after = wdb.database.storage_for("wl_indexes").page_count
-        assert pages_after < pages_before
+        storage = wdb.database.storage_for("wl_indexes")
+        pages_before = storage.page_count
+        # the older half goes: the table shrinks to what its rows fill
+        assert wdb.purge_older_than(cutoff=25.0) == 1000
+        fresh = _fresh_pages(wdb, "wl_indexes")
+        assert fresh <= storage.page_count <= fresh + 1 < pages_before
+        assert wdb.purge_older_than(cutoff=100.0) == 1000
+        assert storage.page_count == 0
 
-    def test_wide_rows_are_rebuilt_only_for_real_holes(self):
-        # 600-byte plans: the schema alone guesses ~75 bytes a row, which
-        # made every purge rebuild a table that was never half empty
+    def test_wide_rows_are_never_rebuilt(self):
+        # 600-byte plans, purged daily: each purge frees the leading
+        # pages the expired day filled, so no rebuild is ever due
         day = 86400.0
         wdb = WorkloadDatabase(VirtualClock(0.0))
         storage = wdb.database.storage_for("wl_plans")
         rebuilds = []
-        modify = wdb.database.modify_table
-
-        def spy(name, *args, **kwargs):
-            before = storage.page_count
-            modify(name, *args, **kwargs)
-            rebuilds.append((before, storage.page_count))
-
-        wdb.database.modify_table = spy
+        wdb.database.modify_table = \
+            lambda *args, **kwargs: rebuilds.append(args)
         purged = 0
         for today in range(12):
             rows = [(today * 1000 + i, float(i), "p" * 600, today * day)
                     for i in range(200)]
             wdb.append("wl_plans", rows, captured_at=today * day)
             purged += wdb.purge_older_than((today - 3) * day) > 0
+            fresh = _fresh_pages(wdb, "wl_plans")
+            assert fresh <= storage.page_count <= fresh + 1
         assert purged == 8
-        # each purge frees 40 of the table's 200 pages; a heap reuses no
-        # hole before a rebuild, so one is due once the holes reach half
-        # of what the rows fill: every other purge, not every purge
-        assert len(rebuilds) <= 4
-        for before, after in rebuilds:
-            assert before >= 1.5 * after
+        assert rebuilds == []
         assert storage.row_count == 800
-        assert storage.page_count <= 1.5 * 160
 
     def test_purge_keeps_recent(self):
         wdb = WorkloadDatabase()
