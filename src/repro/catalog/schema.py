@@ -55,7 +55,6 @@ class StorageStructure(enum.Enum):
 
     HEAP = "heap"
     BTREE = "btree"
-    HASH = "hash"
 
 
 @dataclass(frozen=True)
@@ -236,12 +235,3 @@ class IndexDef:
         wanted = set(columns)
         prefix = self.column_names[: len(wanted)]
         return set(prefix) == wanted
-
-
-@dataclass
-class TableOptions:
-    """Physical options attached to a table at creation/MODIFY time."""
-
-    structure: StorageStructure = StorageStructure.HEAP
-    main_pages: int = 8
-    """Main data pages a heap allocates before growing overflow chains."""

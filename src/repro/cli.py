@@ -115,8 +115,6 @@ class Shell:
             "autopilot": self.cmd_autopilot,
             "tuner": self.cmd_tuner,
             "load": self.cmd_load,
-            "dump": self.cmd_dump,
-            "restore": self.cmd_restore,
         }
 
     # -- dispatch ----------------------------------------------------------
@@ -165,8 +163,6 @@ class Shell:
             "  \\autopilot [dry]     one autonomous tuning cycle",
             "  \\tuner status        tuner health: cycles, quarantine, journal",
             "  \\load nref [n]       load the synthetic NREF database",
-            "  \\dump <file>         logical dump (unloaddb) to a file",
-            "  \\restore <file>      restore a dump as a new database",
             "  \\quit                leave",
         ])
 
@@ -325,29 +321,6 @@ class Shell:
         counts = load_nref(database, NrefScale(proteins=proteins))
         total = sum(counts.values())
         return (f"loaded {total:,} rows into {len(counts)} tables "
-                f"({database.total_bytes / 1e6:.1f} MB)")
-
-    def cmd_dump(self, argument: str) -> str:
-        if not argument:
-            return "usage: \\dump <file>"
-        from repro.engine.dump import dump_database
-        rows = dump_database(
-            self.setup.engine.database(self.database_name), argument)
-        return f"dumped {rows:,} rows to {argument}"
-
-    def cmd_restore(self, argument: str) -> str:
-        if not argument:
-            return "usage: \\restore <file>"
-        from repro.engine.dump import load_database
-        database = load_database(argument, self.setup.engine.clock)
-        suffix = 1
-        name = database.name
-        while self.setup.engine.has_database(name):
-            suffix += 1
-            name = f"{database.name}_{suffix}"
-        database.name = name
-        self.setup.engine.attach_database(database)
-        return (f"restored as database {name!r} "
                 f"({database.total_bytes / 1e6:.1f} MB)")
 
     def close(self) -> None:

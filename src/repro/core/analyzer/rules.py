@@ -93,7 +93,7 @@ def run_rules(view: WorkloadView,
     overflow = sorted(
         profile.table_name for profile in view.tables.values()
         if profile.overflow_ratio > OVERFLOW_RATIO
-        and profile.structure in ("heap", "hash")
+        and profile.structure == "heap"
     )
 
     recommendations: list[Recommendation] = []

@@ -112,10 +112,10 @@ class WorkloadDatabase:
         pages from the front, deletes their expired rows and stops at
         the first page holding a row it keeps; a heap then frees the
         leading pages it emptied.  Where that order breaks (a clock
-        stepped back, rows written around :meth:`append`, a HASH table)
-        the purge is late, never early: it deletes no row captured at
-        or after ``cutoff``, and an expired row stored behind a live one
-        goes once the rows ahead of it expire.
+        stepped back, rows written around :meth:`append`) the purge is
+        late, never early: it deletes no row captured at or after
+        ``cutoff``, and an expired row stored behind a live one goes
+        once the rows ahead of it expire.
         """
         faultsim.fire("workload_db.purge", error=MonitorError,
                       clock=self.clock)

@@ -358,15 +358,11 @@ class Database:
             stats.rows_modified_since = storage.modifications_since_stats
         btree_height = 0
         btree_leaf_pages = 0
-        hash_chain_pages = 0.0
         key_columns: tuple[str, ...] = ()
         if entry.structure is StorageStructure.BTREE:
             btree_height = storage.btree.height
             btree_leaf_pages = storage.btree.leaf_page_count
-            key_columns = storage.key_columns
-        elif entry.structure is StorageStructure.HASH:
-            hash_chain_pages = storage.hash.average_chain_length
-            key_columns = storage.key_columns
+            key_columns = storage.btree.key_columns
         return TableInfo(
             name=entry.schema.name,
             schema=entry.schema,
@@ -377,7 +373,6 @@ class Database:
             btree_height=btree_height,
             btree_leaf_pages=btree_leaf_pages,
             key_columns=key_columns,
-            hash_chain_pages=hash_chain_pages,
             statistics=stats,
             avg_row_bytes=estimate_row_bytes(entry.schema),
         )

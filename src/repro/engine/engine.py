@@ -58,8 +58,8 @@ class EngineInstance:
             return database
 
     def attach_database(self, database: Database) -> Database:
-        """Attach an existing Database object (e.g. one restored from a
-        dump) to this instance so sessions can connect to it."""
+        """Attach a Database object built outside this instance so
+        sessions can connect to it."""
         key = database.name.lower()
         with self._mutex:
             if key in self._databases:

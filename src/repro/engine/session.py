@@ -114,7 +114,6 @@ _TYPE_MAP = {
 _STRUCTURES = {
     "heap": StorageStructure.HEAP,
     "btree": StorageStructure.BTREE,
-    "hash": StorageStructure.HASH,
 }
 
 

@@ -134,7 +134,7 @@ def _index_lookup(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
         )
     storage = catalog.storage_for(plan.table_name)
     if plan.via_index is None:
-        seek = storage.seek  # primary structure: B-Tree or hash
+        seek = storage.btree.seek
         fetch_base = None
     else:
         seek = catalog.index_storage_for(plan.via_index).seek

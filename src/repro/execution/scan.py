@@ -12,7 +12,6 @@ from repro.execution.evaluator import (BatchFilter, Binder, ColumnTypes,
                                       Params, prepare_filter)
 from repro.optimizer.plans import (
     BTreeScanPlan,
-    HashScanPlan,
     IndexLookupJoinPlan,
     IndexScanPlan,
     KeyCondition,
@@ -144,15 +143,6 @@ def _btree_pages(plan: BTreeScanPlan, catalog: StorageCatalog,
         *key_bounds(plan.key_conditions, params))
 
 
-def _hash_pages(plan: HashScanPlan, catalog: StorageCatalog,
-                params: Sequence[Any] | None) -> Iterator[Page]:
-    """Full-key equality probe into a HASH-structured table, one page
-    per entry found (as :func:`_index_pages`)."""
-    for rowid, row in catalog.storage_for(plan.table_name).hash.seek(tuple(
-            [condition.bound(params) for condition in plan.key_conditions])):
-        yield (rowid,), (row,)
-
-
 def _index_pages(plan: IndexScanPlan, catalog: StorageCatalog,
                  params: Sequence[Any] | None) -> Iterator[Page]:
     """One page per index entry: a probe reads pages as it goes, so a
@@ -176,10 +166,9 @@ def _index_pages(plan: IndexScanPlan, catalog: StorageCatalog,
 ACCESS_PATHS = {
     SeqScanPlan: _seq_pages,
     BTreeScanPlan: _btree_pages,
-    HashScanPlan: _hash_pages,
     IndexScanPlan: _index_pages,
 }
-ScanPlan = SeqScanPlan | BTreeScanPlan | HashScanPlan | IndexScanPlan
+ScanPlan = SeqScanPlan | BTreeScanPlan | IndexScanPlan
 
 
 def column_types(plan: PlanNode, catalog: StorageCatalog) -> ColumnTypes:

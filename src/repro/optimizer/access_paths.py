@@ -22,7 +22,6 @@ from repro.optimizer.interfaces import IndexInfo, TableInfo
 from repro.catalog.schema import StorageStructure
 from repro.optimizer.plans import (
     BTreeScanPlan,
-    HashScanPlan,
     IndexScanPlan,
     KeyCondition,
     PlanNode,
@@ -173,11 +172,6 @@ class AccessPathSelector:
                                     sargs, out_rows, resolve)
             if plan is not None:
                 candidates.append(plan)
-        if table.key_columns and table.structure is StorageStructure.HASH:
-            plan = self._hash_scan(binding, table, columns, predicates,
-                                   sargs, out_rows, resolve)
-            if plan is not None:
-                candidates.append(plan)
         for index in indexes:
             plan = self._index_scan(binding, table, index, columns,
                                     predicates, sargs, out_rows, resolve)
@@ -221,37 +215,6 @@ class AccessPathSelector:
             rows=table.row_count,
         ) + self._cost_model.filter(table.row_count * key_selectivity,
                                     max(1, len(residual)))
-        _finalize(plan, out_rows, cost)
-        return plan
-
-    def _hash_scan(self, binding: str, table: TableInfo,
-                   columns: tuple[str, ...],
-                   predicates: list[ast.Expression],
-                   sargs: list[_Sarg], out_rows: float,
-                   resolve: StatsResolver) -> HashScanPlan | None:
-        """Hash structures support only full-key equality probes."""
-        conditions: list[KeyCondition] = []
-        consumed: set[int] = set()
-        for column in table.key_columns:
-            eq = next((s for s in sargs
-                       if s.column == column and s.op == "="), None)
-            if eq is None:
-                return None
-            conditions.append(KeyCondition(column, "=", eq.value, eq.slot))
-            consumed.add(eq.source_index)
-        key_selectivity = self._key_selectivity(
-            binding,
-            KeyMatch(tuple(conditions), frozenset(consumed),
-                     len(conditions), False),
-            resolve)
-        residual = [p for i, p in enumerate(predicates)
-                    if i not in consumed]
-        plan = HashScanPlan(table.name, binding, columns, tuple(conditions),
-                            conjoin(residual))
-        matches = table.row_count * key_selectivity
-        cost = self._cost_model.hash_lookup(
-            chain_pages=table.hash_chain_pages, matches=matches,
-        ) + self._cost_model.filter(matches, max(1, len(residual)))
         _finalize(plan, out_rows, cost)
         return plan
 

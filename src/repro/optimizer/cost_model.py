@@ -96,13 +96,6 @@ class CostModel:
             cpu=matches * CPU_INDEX_TUPLE_COST,
         )
 
-    def hash_lookup(self, chain_pages: float, matches: float) -> Cost:
-        """Equality probe into a HASH structure: read one bucket chain."""
-        return Cost(
-            io=max(1.0, chain_pages) * IO_PAGE_COST,
-            cpu=matches * CPU_TUPLE_COST,
-        )
-
     # -- joins --------------------------------------------------------------
 
     def nested_loop_join(self, outer_rows: float, inner_rows: float,

@@ -59,8 +59,6 @@ class TableInfo:
     btree_height: int = 0
     btree_leaf_pages: int = 0
     key_columns: tuple[str, ...] = ()
-    hash_chain_pages: float = 0.0
-    """HASH structures: average pages per bucket chain (lookup cost)."""
     statistics: TableStatistics | None = None
     avg_row_bytes: float = 64.0
 
@@ -70,16 +68,6 @@ class TableInfo:
         if self.structure is StorageStructure.BTREE:
             return float(max(1, self.btree_height))
         return 1.0
-
-    @property
-    def lookup_pages(self) -> float:
-        """Page accesses per keyed lookup through the primary structure."""
-        if self.structure is StorageStructure.BTREE:
-            return float(max(1, self.btree_height))
-        if self.structure is StorageStructure.HASH:
-            return max(1.0, self.hash_chain_pages)
-        return float(max(1, self.page_count))
-
 
 @dataclass(frozen=True)
 class IndexInfo:

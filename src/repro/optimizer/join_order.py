@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.catalog.schema import StorageStructure
 from repro.errors import OptimizerError
 from repro.optimizer.access_paths import _finalize
 from repro.optimizer.cost_model import Cost, CostModel
@@ -250,17 +249,12 @@ class JoinEnumerator:
         if not edge_by_column:
             return []
         plans: list[PlanNode] = []
-        # Primary-structure lookup (B-Tree prefix or full-key hash probe).
-        if table.key_columns:
-            hash_primary = table.structure is StorageStructure.HASH
-            covered = all(c in edge_by_column for c in table.key_columns)
-            if not hash_primary or covered:
-                plans.extend(self._lookup_via(
-                    outer, binding, table, None, table.key_columns,
-                    table.lookup_pages, 0.0, edge_by_column, between,
-                    inner_predicates, out_rows,
-                    require_full_key=hash_primary,
-                ))
+        if table.key_columns:  # primary B-Tree, probed by a key prefix
+            plans.extend(self._lookup_via(
+                outer, binding, table, None, table.key_columns,
+                table.fetch_height, 0.0, edge_by_column, between,
+                inner_predicates, out_rows,
+            ))
         for index in self._indexes.get(binding, ()):  # secondary indexes
             plans.extend(self._lookup_via(
                 outer, binding, table, index, index.definition.column_names,
@@ -275,8 +269,7 @@ class JoinEnumerator:
                     edge_by_column: dict[str, JoinEdge],
                     between: list[JoinEdge],
                     inner_predicates: list[ast.Expression],
-                    out_rows: float,
-                    require_full_key: bool = False) -> list[PlanNode]:
+                    out_rows: float) -> list[PlanNode]:
         prefix: list[str] = []
         for column in key_columns:
             if column in edge_by_column:
@@ -284,8 +277,6 @@ class JoinEnumerator:
             else:
                 break
         if not prefix:
-            return []
-        if require_full_key and len(prefix) != len(key_columns):
             return []
         used_edges = [edge_by_column[c] for c in prefix]
         outer_keys = tuple(e.other(binding) for e in used_edges)

@@ -135,17 +135,6 @@ class BTreeScanPlan(_TableScan):
 
 
 @dataclass
-class HashScanPlan(_TableScan):
-    """Equality probe into a HASH-structured table (full key only)."""
-
-    def own_index(self) -> str:
-        return f"{self.table_name}.hash"
-
-    def node_label(self) -> str:
-        return self._label("HashScan(")
-
-
-@dataclass
 class IndexScanPlan(_TableScan):
     """Secondary-index access: probe the index B-Tree, fetch base rows.
 

@@ -13,13 +13,11 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heap import HeapStorage
 from repro.storage.btree import BTreeStorage
-from repro.storage.hash import HashStorage
 from repro.storage.table_storage import TableStorage
 
 __all__ = [
     "BufferPool",
     "DiskManager",
-    "HashStorage",
     "HeapStorage",
     "BTreeStorage",
     "TableStorage",

@@ -3,7 +3,7 @@
 Ingres' default structure is heap; the paper's analyzer flags tables
 whose overflow-page share exceeds 10 % and recommends MODIFY ... TO
 BTREE.  We model the same geometry: a heap is created with a fixed
-budget of *main* pages (``TableOptions.main_pages``); once rows no
+budget of *main* pages (:class:`TableStorage` defaults to 8); once rows no
 longer fit there, further pages are *overflow* pages chained at the end.
 The :func:`overflow_ratio` of a table is what the analyzer rule reads.
 """
@@ -19,8 +19,8 @@ from repro.storage.disk import DiskManager
 from repro.storage.page import HeapPage
 
 FILL_FACTOR = 0.9
-"""The share of each page a heap, hash or B-Tree fills before it takes
-a new page."""
+"""The share of each page a heap or B-Tree fills before it takes a new
+page."""
 
 
 class HeapStorage:

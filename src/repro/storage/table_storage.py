@@ -1,7 +1,7 @@
 """Per-table storage facade: one table, one current storage structure.
 
-Owns the rowid counter and delegates to the active structure (heap,
-B-Tree or hash).  ``modify_to`` implements Ingres' ``MODIFY <table> TO
+Owns the rowid counter and delegates to the active structure (heap or
+B-Tree).  ``modify_to`` implements Ingres' ``MODIFY <table> TO
 <structure>``: the table is rebuilt into a fresh structure, which also
 compacts away heap holes and overflow chains.
 """
@@ -16,7 +16,6 @@ from repro.errors import StorageError
 from repro.storage.btree import BTreeStorage
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
-from repro.storage.hash import HashStorage
 from repro.storage.heap import HeapStorage
 
 
@@ -33,8 +32,7 @@ class TableStorage:
         self._next_rowid = 1
         self.modifications_since_stats = 0
         self._main_pages = main_pages or 8
-        self._store: HeapStorage | BTreeStorage | HashStorage = \
-            self._build(structure)
+        self._store: HeapStorage | BTreeStorage = self._build(structure)
         self.structure = structure
         # Declared primary keys are enforced through an in-memory key map
         # (the moral equivalent of the PK index a real engine maintains),
@@ -43,19 +41,13 @@ class TableStorage:
         self._pk_map: dict[tuple, int] = {}
 
     def _build(self, structure: StorageStructure,
-               ) -> HeapStorage | BTreeStorage | HashStorage:
+               ) -> HeapStorage | BTreeStorage:
         if structure is StorageStructure.HEAP:
             return HeapStorage(
                 self.schema, self._disk, self._pool,
                 main_pages=self._main_pages,
             )
         key = self.schema.primary_key or (self.schema.columns[0].name,)
-        if structure is StorageStructure.HASH:
-            return HashStorage(
-                self.schema, tuple(key), self._disk, self._pool,
-                buckets=self._main_pages,
-                unique=bool(self.schema.primary_key),
-            )
         return BTreeStorage(
             self.schema, tuple(key), self._disk, self._pool,
             unique=bool(self.schema.primary_key),
@@ -91,44 +83,6 @@ class TableStorage:
                 f"table {self.schema.name!r} is not stored as a B-Tree"
             )
         return self._store
-
-    @property
-    def hash(self) -> HashStorage:
-        """The underlying hash structure (for equality access paths)."""
-        if not isinstance(self._store, HashStorage):
-            raise StorageError(
-                f"table {self.schema.name!r} is not stored as a hash table"
-            )
-        return self._store
-
-    @property
-    def supports_keyed_access(self) -> bool:
-        """True if the structure offers any keyed access path."""
-        return isinstance(self._store, (BTreeStorage, HashStorage))
-
-    @property
-    def supports_prefix_access(self) -> bool:
-        """True if keyed access works on key *prefixes* and ranges
-        (B-Tree); hash structures need the full key with equality."""
-        return isinstance(self._store, BTreeStorage)
-
-    @property
-    def key_columns(self) -> tuple[str, ...]:
-        if isinstance(self._store, (BTreeStorage, HashStorage)):
-            return self._store.key_columns
-        return ()
-
-    def seek(self, key: tuple[Any, ...]) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Keyed equality lookup through the current structure.
-
-        For a B-Tree ``key`` may be a prefix of the key columns; for a
-        hash structure it must cover all of them.
-        """
-        if isinstance(self._store, (BTreeStorage, HashStorage)):
-            return self._store.seek(key)
-        raise StorageError(
-            f"table {self.schema.name!r} has no keyed access path"
-        )
 
     # -- row operations -----------------------------------------------------
 

@@ -6,7 +6,6 @@ from repro.optimizer.plans import (
     AggregatePlan,
     BTreeScanPlan,
     HashJoinPlan,
-    HashScanPlan,
     IndexLookupJoinPlan,
     IndexScanPlan,
     KeyCondition,
@@ -114,8 +113,6 @@ INDEX_READERS = [
                  "i_x", id="index_scan"),
     pytest.param(BTreeScanPlan("u", "u", ("k",), KEY), "u.btree",
                  id="btree_scan"),
-    pytest.param(HashScanPlan("v", "v", ("k",), KEY), "v.hash",
-                 id="hash_scan"),
     pytest.param(IndexLookupJoinPlan(SCAN, "w", "w", ("k",),
                                      via_index="i_w"),
                  "i_w", id="lookup_join_secondary"),
@@ -162,9 +159,9 @@ class TestPlanHelpers:
             IndexScanPlan("t", "t", ("a",), KEY, index_name="i_x"),
             "w", "w", ("k",), via_index="i_w")
         plan = HashJoinPlan(lookup, NestedLoopJoinPlan(
-            HashScanPlan("v", "v", ("k",), KEY),
+            BTreeScanPlan("v", "v", ("k",), KEY),
             IndexScanPlan("t", "t2", ("a",), KEY, index_name="i_x")))
-        assert plan.used_indexes() == ("i_w", "i_x", "v.hash")
+        assert plan.used_indexes() == ("i_w", "i_x", "v.btree")
 
     def test_unkeyed_btree_scan_not_reported(self):
         btree = BTreeScanPlan("u", "u", ("k",))

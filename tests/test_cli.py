@@ -147,10 +147,6 @@ class TestCommandErrors:
             "error: injected fault at analyzer.scan")
         assert "ANALYZER REPORT" in shell.handle("\\analyze")
 
-    def test_dump_to_a_missing_directory(self, shell, tmp_path):
-        target = tmp_path / "missing" / "x.json"
-        assert shell.handle(f"\\dump {target}").startswith("error: ")
-
     def test_load_with_a_bad_count(self, shell):
         assert shell.handle("\\load nref abc").startswith("error: ")
 

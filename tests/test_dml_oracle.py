@@ -8,9 +8,8 @@ and on the table's contents — so a failing statement leaves nothing
 behind, inside a transaction or outside one, and a statement that runs
 another text's prepared plan does what planning it afresh does.
 
-The table is a heap, a B-Tree or a hash table, without a secondary
-index, with one, or with a unique one (NULL keys in it are distinct,
-in both engines).
+The table is a heap or a B-Tree, without a secondary index, with one,
+or with a unique one (NULL keys in it are distinct, in both engines).
 Statements that change a key column of several rows do it by negation:
 an involution collides the same way whatever order the rows are
 visited in, which is the one thing the engines may differ in.
@@ -29,7 +28,7 @@ from repro.engine import EngineInstance
 from repro.engine import session as session_module
 from repro.errors import ReproError
 
-STRUCTURES = ("heap", "btree", "hash")
+STRUCTURES = ("heap", "btree")
 INDEXES = ("", "index", "unique index")
 ALL_ROWS = "select id, k, n, v from t"
 

@@ -61,7 +61,7 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("ddl", [
         "create index i_b on t (b)", "create statistics on t",
-        "modify t to btree", "modify t to hash"])
+        "modify t to btree", "modify t to heap"])
     def test_ddl_between_two_literal_vectors_replans(self, cached_session,
                                                      ddl):
         assert cached_session.execute(
@@ -160,7 +160,7 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("ddl", [
         "create index i_b on t (b)", "drop index i_old",
-        "create statistics on t", "modify t to btree", "modify t to hash"])
+        "create statistics on t", "modify t to btree", "modify t to heap"])
     def test_ddl_between_two_dml_literal_vectors_replans(
             self, cached_session, ddl):
         cached_session.execute("create index i_old on t (b)")
@@ -244,7 +244,7 @@ def _load(engine: EngineInstance) -> None:
                     "primary key (a))")
     session.execute("insert into u values " + ", ".join(
         f"({i}, 'c{i % 4}')" for i in range(0, 40, 2)))
-    session.execute("modify u to hash")
+    session.execute("modify u to heap")
     session.execute("create statistics on t")
 
 

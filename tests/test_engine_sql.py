@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog.schema import StorageStructure
 from repro.errors import (
     ExecutionError,
     ReproError,
@@ -287,9 +288,20 @@ class TestDdl:
         assert stats.column("age").histogram is not None
         assert stats.column("name") is None
 
-    def test_unknown_structure(self, people_session):
-        with pytest.raises(SqlError):
-            people_session.execute("modify people to quadtree")
+    @pytest.mark.parametrize("statement", [
+        "modify people to hash",
+        "create table pets (id int not null, primary key (id)) "
+        "with structure = hash",
+    ], ids=["modify", "create"])
+    def test_unknown_structure(self, people_session, statement):
+        people_session.execute("modify people to btree")
+        catalog = people_session.database.catalog
+        with pytest.raises(SqlError, match="unknown storage structure"):
+            people_session.execute(statement)
+        assert catalog.table("people").structure is StorageStructure.BTREE
+        assert people_session.execute(
+            "select sum(id) from people").scalar() == 20100
+        assert not catalog.has_table("pets")
 
 
 class TestTransactions:

@@ -159,8 +159,8 @@ def test_off_type_value_falls_back_to_the_closures_error():
 
 @pytest.fixture(scope="module")
 def kernel_engine():
-    """``t`` as a heap, ``tb`` as a B-Tree and ``th`` hash-structured,
-    each several pages of the same rows; ``u`` a small join partner."""
+    """``t`` as a heap and ``tb`` as a B-Tree, each several pages of
+    the same rows; ``u`` a small join partner."""
     engine = EngineInstance(EngineConfig())
     engine.create_database("k")
     rng = random.Random(7)
@@ -170,12 +170,11 @@ def kernel_engine():
         f"{rng.choice(['null', repr(rng.choice(['a', 'b', 'c']))])})"
         for a in range(300))
     with engine.connect("k") as session:
-        for table in ("t", "tb", "th"):
+        for table in ("t", "tb"):
             session.execute(f"create table {table} (a int not null, b int, "
                             "f float, s varchar(60), primary key (a))")
             session.execute(f"insert into {table} values {values}")
         session.execute("modify tb to btree")
-        session.execute("modify th to hash")
         session.execute("create table u (x int, y varchar(10))")
         session.execute("insert into u values (1, 'a'), (null, 'b'), "
                         "(5, null), (2, 'c'), (7, 'a')")
@@ -226,10 +225,9 @@ def _result(session, text):
 
 _QUERIES = st.one_of(
     st.builds("select * from {} t where {}".format,
-              st.sampled_from(["t", "tb", "th"]), _filters(["a", "b", "f",
-                                                            "s"])),
+              st.sampled_from(["t", "tb"]), _filters(["a", "b", "f", "s"])),
     st.builds("select * from {} t where {} limit {}".format,
-              st.sampled_from(["t", "tb", "th"]),
+              st.sampled_from(["t", "tb"]),
               _filters(["a", "b", "f", "s"]), st.integers(0, 4)),
     st.builds("select a, b from t limit {}".format, st.integers(0, 60)),
     st.builds("select t.a, u.x from t {}join u on {}".format,

@@ -144,7 +144,7 @@ class TestScanPathsAgree:
     @pytest.fixture
     def variants(self, engine):
         results = {}
-        for layout in ("heap", "btree", "hash"):
+        for layout in ("heap", "btree", "indexed"):
             engine_db = f"db_{layout}"
             engine.create_database(engine_db)
             session = engine.connect(engine_db)
@@ -154,8 +154,10 @@ class TestScanPathsAgree:
             values = ", ".join(
                 f"({i}, {i % 7}, 'v{i % 13}')" for i in range(500))
             session.execute(f"insert into t values {values}")
-            if layout != "heap":
-                session.execute(f"modify t to {layout}")
+            if layout == "btree":
+                session.execute("modify t to btree")
+            elif layout == "indexed":
+                session.execute("create index i_k on t (k)")
             session.execute("create statistics on t")
             results[layout] = session
         return results
@@ -170,7 +172,15 @@ class TestScanPathsAgree:
     def test_layouts_agree(self, variants, query):
         answers = {layout: session.execute(query).rows
                    for layout, session in variants.items()}
-        assert answers["heap"] == answers["btree"] == answers["hash"]
+        assert answers["heap"] == answers["btree"] == answers["indexed"]
+
+    def test_each_layout_reads_its_own_path(self, variants):
+        plans = {layout: " ".join(row[0] for row in session.execute(
+                     "explain select k from t where k = 250").rows)
+                 for layout, session in variants.items()}
+        assert "SeqScan(t" in plans["heap"]
+        assert "BTreeScan(t" in plans["btree"]
+        assert "IndexScan(i_k" in plans["indexed"]
 
 
 class TestColumnOnlyProjection:

@@ -3,7 +3,7 @@
 Random single-table and two-table queries are executed both by the full
 engine (parser -> optimizer -> executor over real storage) and by a
 deliberately simple in-Python evaluator.  Results must agree as
-multisets — across heap, B-Tree and hash layouts, with and without
+multisets — across heap and B-Tree layouts, with and without
 secondary indexes, so every access path is cross-checked against the
 same oracle.
 """
@@ -69,8 +69,6 @@ class _Database:
             self.session.execute(f"insert into t values {values}")
         if layout == "btree":
             self.session.execute("modify t to btree")
-        elif layout == "hash":
-            self.session.execute("modify t to hash with main_pages = 3")
         elif layout == "indexed":
             self.session.execute("create index i_a on t (a)")
             self.session.execute("create statistics on t")
@@ -79,7 +77,7 @@ class _Database:
 @st.composite
 def query_case(draw):
     rows = draw(rows_strategy)
-    layout = draw(st.sampled_from(["heap", "btree", "hash", "indexed"]))
+    layout = draw(st.sampled_from(["heap", "btree", "indexed"]))
     spec = draw(comparison)
     return rows, layout, spec
 
@@ -156,7 +154,7 @@ class TestJoinDifferential:
                           min_size=0, max_size=20)
 
     @given(left=left_rows, right=right_rows,
-           layout=st.sampled_from(["heap", "btree", "hash", "indexed"]))
+           layout=st.sampled_from(["heap", "btree", "indexed"]))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_equi_join_matches_oracle(self, left, right, layout):
@@ -179,8 +177,6 @@ class TestJoinDifferential:
             session.execute(f"insert into r values {values}")
         if layout == "btree":
             session.execute("modify l to btree")
-        elif layout == "hash":
-            session.execute("modify l to hash with main_pages = 2")
         elif layout == "indexed":
             session.execute("create index i_lk on r (lk)")
             session.execute("create statistics on l")

@@ -14,7 +14,6 @@ from repro.core.workload_db import WorkloadDatabase
 from repro.errors import PageError, StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
-from repro.storage.hash import HashStorage
 from repro.storage.heap import HeapStorage
 from repro.storage.page import HeapPage, InternalPage, LeafPage
 from repro.storage.record import MAX_NULL_LAYOUTS, MAX_STRING_BYTES, RowCodec
@@ -189,8 +188,6 @@ class TestSizeRefusesWhatPackRefuses:
         heap.insert(1, fits[:4] + ("ok",) + fits[5:])
         with pytest.raises(StorageError, match="storage limit"):
             heap.insert(2, row)
-        with pytest.raises(StorageError, match="storage limit"):
-            HashStorage(MIXED, ("id",), disk, pool).insert(2, row)
         leaf = LeafPage(MIXED, 4096)
         with pytest.raises(StorageError, match="storage limit"):
             leaf.insert_at(0, 2, row)

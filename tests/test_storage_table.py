@@ -42,8 +42,6 @@ class TestTableStorage:
         assert table.modifications_since_stats == 8
 
     def test_heap_has_no_keyed_access(self, table):
-        assert not table.supports_keyed_access
-        assert table.key_columns == ()
         with pytest.raises(StorageError):
             _ = table.btree
 
@@ -55,8 +53,7 @@ class TestModify:
         table.modify_to(StorageStructure.BTREE)
         assert table.structure is StorageStructure.BTREE
         assert dict(table.scan()) == before
-        assert table.supports_keyed_access
-        assert table.key_columns == ("id",)
+        assert table.btree.key_columns == ("id",)
 
     def test_modify_clears_overflow(self, table):
         fill(table, 300)

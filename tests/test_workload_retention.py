@@ -65,7 +65,7 @@ a_purge = st.tuples(st.just("purge"), st.floats(-50.0, 400.0),
 a_flush = st.tuples(st.just("flush"))
 
 
-@pytest.mark.parametrize("structure", ["heap", "indexed", "btree", "hash"])
+@pytest.mark.parametrize("structure", ["heap", "indexed", "btree"])
 @settings(max_examples=100, deadline=None)
 @given(in_order=st.booleans(),
        steps=st.lists(st.one_of(an_append, an_append, a_purge, a_flush),
@@ -81,8 +81,8 @@ def test_purge_removes_only_expired_rows(structure, in_order, steps):
         database.modify_table(TABLE, StorageStructure(structure))
     storage = database.storage_for(TABLE)
     # Storage order is captured_at order on a heap fed in order and on
-    # a B-Tree keyed on captured_at; a hash's is bucket order.
-    exact = structure == "btree" or (in_order and structure != "hash")
+    # a B-Tree keyed on captured_at.
+    exact = structure == "btree" or in_order
     stamp = 100.0
     stamps = []
     seq = 0
