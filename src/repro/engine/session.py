@@ -127,7 +127,7 @@ class Session:
         self.session_id = session_id
         self.sensors: "MonitorSensors | None" = engine.sensors
         self.optimizer = Optimizer(database)
-        self.executor = Executor(database, database.pool, database.disk)
+        self.executor = Executor(database, database.pool)
         self._explicit_txn: Transaction | None = None
         self.closed = False
         # Plan cache: ``(shape, literal types...) -> PreparedStatement``

@@ -4,12 +4,13 @@ Compiling turns a plan into a tree of steps once: per node its scope,
 ``ScopeIndex``, declared column types, filter kernel factory (with the
 ``Literal`` nodes it binds), projection positions and join / sort /
 aggregate getters.  Running binds one execution's literal vector to
-those steps and pulls the rows.
+those steps and pulls the row batches, flattened once at the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
@@ -18,16 +19,16 @@ from repro.execution.evaluator import Params
 from repro.execution.scan import Counters, Step, StorageCatalog
 from repro.optimizer import plans
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import DiskManager
 
 
 @dataclass(frozen=True)
 class ExecutionMetrics:
     """Work performed by one statement, in engine units.
 
-    ``logical_reads`` counts buffer-pool page accesses (hits + misses):
-    this is the I/O measure comparable with the optimizer's estimates.
-    ``physical_reads``/``physical_writes`` count actual disk traffic.
+    ``logical_reads`` counts buffer-pool page requests (hits + misses),
+    the I/O measure comparable with the optimizer's estimates, and
+    ``physical_reads``/``physical_writes`` its disk traffic: each the
+    statement's own, counted by the thread that ran it.
     """
 
     logical_reads: int = 0
@@ -80,11 +81,9 @@ class Program:
 class Executor:
     """Runs physical plans against a storage catalog."""
 
-    def __init__(self, catalog: StorageCatalog, pool: BufferPool,
-                 disk: DiskManager) -> None:
+    def __init__(self, catalog: StorageCatalog, pool: BufferPool) -> None:
         self._catalog = catalog
         self._pool = pool
-        self._disk = disk
 
     # staticcheck: hotpath
     def execute(self, program: Program | plans.PlanNode,
@@ -105,44 +104,57 @@ class Executor:
         if step is None:
             step = program.step = compile_plan(program.plan, self._catalog,
                                                params)
-        pool_before = self._pool.stats()
-        disk_before = self._disk.counters()
+        tally = self._pool.tally
+        requests, misses, writes = \
+            tally.requests, tally.misses, tally.writes
         counters = Counters(params, undo)
-        rows = list(step(counters))
-        pool_after = self._pool.stats()
-        disk_after = self._disk.counters()
+        rows = [*chain.from_iterable(step(counters))]
         metrics = ExecutionMetrics(
-            logical_reads=(pool_after.hits - pool_before.hits)
-            + (pool_after.misses - pool_before.misses),
-            physical_reads=disk_after.reads - disk_before.reads,
-            physical_writes=disk_after.writes - disk_before.writes,
+            logical_reads=tally.requests - requests,
+            physical_reads=tally.misses - misses,
+            physical_writes=tally.writes - writes,
             tuples_processed=counters.tuples,
             rows_returned=len(rows),
         )
         return QueryResult(columns=output_names, rows=rows, metrics=metrics)
 
 
-# staticcheck: hotpath
 def compile_plan(plan: plans.PlanNode, catalog: StorageCatalog,
                  params: Params) -> Step:
     """Compile ``plan`` into its root step; ``params`` decides literal
     kinds only (see :class:`Program`)."""
-    compiler = _COMPILERS.get(type(plan))
+    return _compile(plan, catalog, params, False)
+
+
+# staticcheck: hotpath
+def _compile(plan: plans.PlanNode, catalog: StorageCatalog, params: Params,
+             single: bool) -> Step:
+    """``single`` (see :data:`~repro.execution.scan.Step`): a LIMIT's
+    input, the one consumer that stops early, down to the first operator
+    that takes all of its input first (sort, aggregate, a join's inner)."""
+    kind = type(plan)
+    compiler = _COMPILERS.get(kind)
     if compiler is None:
         raise ExecutionError(f"no executor for plan node {plan!r}")
     # A writing plan reads its access path itself, as (rowid, row) pairs.
-    children = () if type(plan) is plans.ModifyPlan else plan.children
-    return compiler(plan, catalog, params, *[
-        compile_plan(child, catalog, params) for child in children])
+    children = () if kind is plans.ModifyPlan else plan.children
+    blocking = kind in (plans.SortPlan, plans.AggregatePlan)
+    first = (single or kind is plans.LimitPlan) and not blocking
+    step = compiler(plan, catalog, params, single, *[
+        _compile(child, catalog, params, first and position == 0)
+        for position, child in enumerate(children)])
+    if single and blocking:
+        # What it outputs counts nothing: hand it over a row at a time.
+        return lambda counters: chain.from_iterable(map(zip, step(counters)))
+    return step
 
 
-# Plan node type -> step compiler: ``compiler(plan, catalog, params,
-# *children's steps)``.
+# Plan node type -> ``compiler(plan, catalog, params, single, *children's steps)``.
 _COMPILERS: dict[type, Callable[..., Step]] = {
-    **dict.fromkeys(scan.ACCESS_PATHS, scan.ScanStep),
+    **dict.fromkeys(scan.ACCESS_PATHS, scan.scan_step),
     plans.ModifyPlan: modify.modify_step,
     plans.InsertPlan: modify.insert_step,
-    plans.EmptySourcePlan: lambda *_: lambda counters: iter([()]),
+    plans.EmptySourcePlan: lambda *_: lambda counters: iter([[()]]),
     plans.FilterPlan: shaping.filter_step,
     plans.ProjectPlan: shaping.project_step,
     plans.AggregatePlan: shaping.aggregate_step,

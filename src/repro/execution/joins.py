@@ -2,150 +2,169 @@
 
 Each ``*_step`` compiles its plan node once (key getters, residual,
 the nested loop's filter kernel) and returns the step that binds an
-execution's literal vector to them.  The materialised side — the
-nested loop's inner rows, a hash join's build rows — is taken a page
-at a time when it is a scan (:func:`~repro.execution.scan.inner_rows`).
+execution's literal vector to them.  The nested loop's inner side and
+a hash join's build side are taken whole when the join starts; the
+outer side is joined a batch at a time (see :data:`~.scan.Step`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import chain, repeat
+from typing import Any
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import (BatchFilter, Binder, Getter, Params,
-                                      ScopeIndex, prepare_expression,
-                                      prepare_filter)
-from repro.execution.scan import (Counters, Step, StorageCatalog,
-                                  column_types, emit, inner_rows)
+from repro.execution.evaluator import (Binder, Getter, Params, ScopeIndex,
+                                      prepare_expression, prepare_filter)
+from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
+                                  column_types, positions, singles)
 from repro.optimizer.plans import (HashJoinPlan, IndexLookupJoinPlan,
                                    LeftOuterJoinPlan, NestedLoopJoinPlan)
 from repro.sql import ast_nodes as ast
 
-RowIterator = Iterator[tuple]
-Rows = Callable[[], list[tuple]]
-KeyOf = Callable[[tuple], tuple]
-
 
 def _prepare_key(keys: tuple[ast.Expression, ...],
-                 index: ScopeIndex) -> Binder[KeyOf]:
-    """``bind(params)`` is the function from a row to its join key."""
+                 index: ScopeIndex) -> Binder[Getter]:
+    """``bind(params)``: a row's join key, a one-column key's bare value
+    or else the values' tuple; None if NULL, which never equi-joins."""
     binders = [prepare_expression(key, index) for key in keys]
 
-    def bind(params: Params) -> KeyOf:
+    def bind(params: Params) -> Getter:
         getters = [binder(params) for binder in binders]
         if len(getters) == 1:
-            getter = getters[0]
-            return lambda row: (getter(row),)
-        return lambda row: tuple([getter(row) for getter in getters])
+            return getters[0]
+
+        def key_of(row: tuple) -> tuple | None:
+            key = tuple([getter(row) for getter in getters])
+            return None if None in key else key
+
+        return key_of
 
     return bind
 
 
 def join_step(plan: NestedLoopJoinPlan | HashJoinPlan | LeftOuterJoinPlan,
-              catalog: StorageCatalog, params: Params, left: Step,
-              right: Step) -> Step:
+              catalog: StorageCatalog, params: Params, single: bool,
+              left: Step, right: Step) -> Step:
     """A nested loop over the join condition, or — with equi-join keys —
     a hash join; a LEFT OUTER JOIN pads the left rows nothing matched."""
     nulls = (None,) * len(plan.right.scope) \
         if isinstance(plan, LeftOuterJoinPlan) else None
-    if not getattr(plan, "left_keys", ()):
-        bind = prepare_filter(plan.condition, plan.right.scope, params,
-                              column_types(plan, catalog), plan.left.scope)
-        return lambda counters: _nested_loop(
-            bind(counters.params), left(counters),
-            inner_rows(right, counters), nulls, counters)
+    if getattr(plan, "left_keys", ()):
+        return _hash_join_step(plan, single, left, right, nulls)  # type: ignore[arg-type]
+    bind = prepare_filter(plan.condition, plan.right.scope, params,
+                          column_types(plan, catalog), plan.left.scope)
+
+    def nested_loop(counters: Counters) -> Batches:
+        """Filter all of the inner side per outer row, its values bound
+        as the filter's arguments; every inner row tested counts."""
+        keep = bind(counters.params)
+        inner = [*chain.from_iterable(right(counters))]
+        width = len(inner)
+        for batch in left(counters):
+            out: list[tuple] = []
+            for outer in batch:
+                matched = keep(inner, outer)
+                joined = [outer + row for row in matched] \
+                    if matched or nulls is None else [outer + nulls]
+                if single:
+                    yield from singles(joined, positions(inner, matched) if matched
+                                       else [width], width, counters)
+                else:
+                    out += joined
+            if not single:
+                counters.tuples += len(batch) * width
+                if out:
+                    yield out
+
+    return nested_loop
+
+
+def _hash_join_step(plan: HashJoinPlan | LeftOuterJoinPlan, single: bool,
+                    left: Step, right: Step, nulls: tuple | None) -> Step:
+    """Build on the right input, probe with the left input a batch at a
+    time: every probe row counts, and an inner join counts the rows it
+    outputs too."""
     left_key = _prepare_key(plan.left_keys, ScopeIndex(plan.left.scope))
     right_key = _prepare_key(plan.right_keys, ScopeIndex(plan.right.scope))
-    residual = prepare_expression(plan.residual, ScopeIndex(plan.scope),
-                                  predicate=True)
-
-    def run(counters: Counters) -> RowIterator:
-        params = counters.params
-        return _hash_join(left_key(params), right_key(params),
-                          residual(params), left(counters),
-                          inner_rows(right, counters), nulls, counters)
-
-    return run
-
-
-def _nested_loop(keep: BatchFilter, left_rows: RowIterator, take: Rows,
-                 nulls: tuple | None, counters: Counters) -> RowIterator:
-    """Materialize the inner side once, then filter all of it per outer
-    row, the outer row's values bound as the filter's arguments."""
-    inner = take()
-    for left in left_rows:
-        matched = keep(inner, left)
-        if matched:
-            for right in emit(inner, matched, counters):
-                yield left + right
-        else:
-            counters.tuples += len(inner)
-            if nulls is not None:
-                yield left + nulls
-
-
-def _hash_join(left_key: KeyOf, right_key: KeyOf, residual: Getter,
-               left_rows: RowIterator, take: Rows, nulls: tuple | None,
-               counters: Counters) -> RowIterator:
-    """Build on the right input, probe with the left input; an inner
-    join counts the rows it outputs too."""
-    build = take()
-    counters.tuples += len(build)
-    table: dict[tuple, list[tuple]] = {}
-    for row in build:
-        key = right_key(row)
-        if None not in key:  # NULL never equi-joins
-            table.setdefault(key, []).append(row)
+    bind_residual = None if plan.residual is None else prepare_expression(
+        plan.residual, ScopeIndex(plan.scope), predicate=True)
     inner = nulls is None
-    for left in left_rows:
-        counters.tuples += 1
-        key = left_key(left)
-        matched = False
-        if None not in key:
-            for right in table.get(key, ()):
-                combined = left + right
-                if residual(combined):
-                    matched = True
-                    counters.tuples += inner
-                    yield combined
-        if not (matched or inner):
-            yield left + nulls  # type: ignore[operator]
+
+    def hash_join(counters: Counters) -> Batches:
+        params = counters.params
+        key_of = left_key(params)
+        residual = bind_residual and bind_residual(params)
+        build = [*chain.from_iterable(right(counters))]
+        counters.tuples += len(build)
+        table: dict[Any, list[tuple]] = {}
+        for row, key in zip(build, map(right_key(params), build)):
+            if key is not None:  # NULL never equi-joins
+                table.setdefault(key, []).append(row)
+        get = table.get
+        for batch in left(counters):
+            if inner and residual is None:
+                out = [outer + row for outer in batch
+                       for row in get(key_of(outer), ())]
+            else:
+                out = []
+                for outer in batch:
+                    matched = [outer + row for row in get(key_of(outer), ())]
+                    if residual is not None:
+                        matched = list(filter(residual, matched))
+                    out += matched if matched or inner \
+                        else [outer + nulls]  # type: ignore[operator]
+            if single:  # one probe row: it counts before its first output
+                yield from singles(out, range(2, len(out) + 2) if inner else repeat(1),
+                                   1 + inner * len(out), counters)
+                continue
+            counters.tuples += len(batch) + inner * len(out)
+            if out:
+                yield out
+
+    return hash_join
 
 
 def index_lookup_step(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
-                      params: Params, left: Step) -> Step:
+                      params: Params, single: bool, left: Step) -> Step:
+    """Per outer row, probe the inner table's B-Tree or secondary index
+    a page at a time; every inner row reached counts."""
     outer_key = _prepare_key(plan.outer_keys, ScopeIndex(plan.left.scope))
-    residual = prepare_expression(plan.residual, ScopeIndex(plan.scope),
-                                  predicate=True)
-    return lambda counters: _index_lookup(
-        plan, catalog, outer_key(counters.params),
-        residual(counters.params), left(counters), counters)
+    bind_residual = None if plan.residual is None else prepare_expression(
+        plan.residual, ScopeIndex(plan.scope), predicate=True)
+    bare = len(plan.outer_keys) == 1
 
+    def index_lookup(counters: Counters) -> Batches:
+        if plan.virtual:
+            raise ExecutionError(
+                f"plan probes virtual index {plan.via_index!r}; virtual "
+                f"indexes can be costed but not executed")
+        key_of = outer_key(counters.params)
+        residual = bind_residual and bind_residual(counters.params)
+        storage = catalog.storage_for(plan.table_name)
+        index = None if plan.via_index is None \
+            else catalog.index_storage_for(plan.via_index)
+        for batch in left(counters):
+            out: list[tuple] = []
+            for outer in batch:
+                probe = key_of(outer)
+                if probe is None:
+                    continue
+                probe = (probe,) if bare else probe
+                # A secondary index: a page per entry, as an index scan.
+                for rows in (page for _, page in storage.btree.pages(
+                        probe, probe)) if index is None else (
+                        (storage.fetch(entry[-1]),)
+                        for _, entry in index.scan_range(probe, probe)):
+                    units = [outer + row for row in rows]
+                    kept = units if residual is None \
+                        else list(filter(residual, units))
+                    if single:
+                        yield from singles(kept, positions(units, kept),
+                                           len(units), counters)
+                    else:
+                        counters.tuples += len(units)
+                        out += kept
+            if out:
+                yield out
 
-def _index_lookup(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
-                  outer_key: KeyOf, residual: Getter,
-                  left_rows: RowIterator,
-                  counters: Counters) -> RowIterator:
-    """Per outer row, probe the inner table's B-Tree or secondary index."""
-    if plan.virtual:
-        raise ExecutionError(
-            f"plan probes virtual index {plan.via_index!r}; virtual indexes "
-            f"can be costed but not executed"
-        )
-    storage = catalog.storage_for(plan.table_name)
-    if plan.via_index is None:
-        seek = storage.btree.seek
-        fetch_base = None
-    else:
-        seek = catalog.index_storage_for(plan.via_index).seek
-        fetch_base = storage.fetch
-    for left in left_rows:
-        probe = outer_key(left)
-        if None in probe:
-            continue
-        for _rowid, entry in seek(probe):
-            counters.tuples += 1
-            inner_row = entry if fetch_base is None else fetch_base(entry[-1])
-            combined = left + inner_row
-            if residual(combined):
-                yield combined
+    return index_lookup

@@ -10,18 +10,18 @@ statement out is the caller's job — it owns the log.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.execution.evaluator import (Binder, Params, ScopeIndex,
                                       prepare_expression)
-from repro.execution.scan import (Counters, Step, StorageCatalog,
+from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
                                   prepare_entries)
 from repro.optimizer.plans import InsertPlan, ModifyPlan
 from repro.sql import ast_nodes as ast
 
 
 def modify_step(plan: ModifyPlan, catalog: StorageCatalog,
-                params: Params) -> Step:
+                params: Params, single: bool) -> Step:
     read = prepare_entries(plan.child, catalog, params)
     index = ScopeIndex(plan.child.scope)
     setters = None if plan.assignments is None else [
@@ -34,7 +34,7 @@ def modify_step(plan: ModifyPlan, catalog: StorageCatalog,
 # staticcheck: hotpath
 def _modify(table: str, read: Binder[list[tuple[int, tuple]]],
             setters: list[tuple[int, Binder[Any]]] | None,
-            catalog: StorageCatalog, counters: Counters) -> Iterator[tuple]:
+            catalog: StorageCatalog, counters: Counters) -> Batches:
     """UPDATE or DELETE what the child access path matches.  Every
     match is read before the first write, so a row the statement moves
     within its own scan order is not visited twice; the old row in hand
@@ -53,11 +53,11 @@ def _modify(table: str, read: Binder[list[tuple[int, tuple]]],
                 new_row[position] = value_of(row)
             catalog.update_row(table, rowid, tuple(new_row), row)
             undo(partial(catalog.update_row, table, rowid, row))
-    yield (len(matches),)
+    yield [(len(matches),)]
 
 
 def insert_step(plan: InsertPlan, catalog: StorageCatalog,
-                params: Params) -> Step:
+                params: Params, single: bool) -> Step:
     empty = ScopeIndex(())
     rows = [[(position, expr.bound if type(expr) is ast.Literal
               else _evaluated(prepare_expression(expr, empty)))
@@ -74,7 +74,7 @@ def _evaluated(bind: Binder[Any]) -> Callable[[Params], Any]:
 # staticcheck: hotpath
 def _insert(table: str, width: int,
             rows: list[list[tuple[int, Callable[[Params], Any]]]],
-            catalog: StorageCatalog, counters: Counters) -> Iterator[tuple]:
+            catalog: StorageCatalog, counters: Counters) -> Batches:
     params, undo = counters.params, counters.undo
     for values in rows:
         row = [None] * width
@@ -82,4 +82,4 @@ def _insert(table: str, width: int,
             row[position] = value_of(params)
         rowid = catalog.insert_row(table, tuple(row))
         undo(partial(catalog.undo_insert, table, rowid))
-    yield (len(rows),)
+    yield [(len(rows),)]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import partial
+from itertools import repeat
 from typing import (Any, Callable, Collection, Iterable, Iterator, Mapping,
                     Protocol, Sequence)
 
@@ -73,15 +73,16 @@ class Counters:
     def __init__(self, params: Sequence[Any] | None = None,
                  undo: Callable[[Callable[[], None]], None] | None = None,
                  ) -> None:
-        self.tuples = 0
-        self.params = params
-        self.undo = undo
+        self.tuples, self.params, self.undo = 0, params, undo
 
 
-Step = Callable[[Counters], Iterator[tuple]]
-"""A compiled plan node: ``step(counters)`` is one execution's row
-iterator, built the way the executor always built its operators (an
-eager one, a sort, consumes its input here)."""
+Batches = Iterator[Sequence[tuple]]
+Step = Callable[[Counters], Batches]
+"""A compiled plan node: ``step(counters)`` is one execution's iterator
+of non-empty row batches, a scan's one per page and every other
+operator's one per input batch; compiled ``single`` (below a LIMIT, see
+:func:`~repro.execution.executor.compile_plan`), one row per batch,
+counted as a row-at-a-time operator counts it (:func:`singles`)."""
 
 
 def key_bounds(conditions: tuple[KeyCondition, ...],
@@ -161,7 +162,7 @@ def _index_pages(plan: IndexScanPlan, catalog: StorageCatalog,
 
 # Access path -> the pages of ``(rowid, row)`` entries it reaches in a
 # stored table, before the plan's filter.  The one body each path has:
-# SELECT (:class:`ScanStep`) and UPDATE / DELETE (:func:`prepare_entries`)
+# SELECT (:func:`scan_step`) and UPDATE / DELETE (:func:`prepare_entries`)
 # both read through it.
 ACCESS_PATHS = {
     SeqScanPlan: _seq_pages,
@@ -180,99 +181,65 @@ def column_types(plan: PlanNode, catalog: StorageCatalog) -> ColumnTypes:
 _READERS = (*ACCESS_PATHS, IndexLookupJoinPlan)
 
 
-def emit(batch: Collection[tuple], matched: list[tuple],
-         counters: Counters) -> Iterator[tuple]:
-    """Yield ``matched``, the rows of ``batch`` a filter kept, and count
-    ``batch`` as processed: all of it once the last match is taken or,
-    when the consumer stops early (a LIMIT), up to the match it took
-    last, as a filter testing one row at a time would have counted."""
-    taken = 0
-    try:
-        for row in matched:
-            yield row
-            taken += 1
-    except GeneratorExit:
-        # Kept rows are the batch's own objects, in order.
-        wanted = 0
-        for position, row in enumerate(batch):
-            if row is matched[wanted]:
-                if wanted == taken:
-                    counters.tuples += position + 1
-                    break
-                wanted += 1
-        raise
-    counters.tuples += len(batch)
+def positions(units: Iterable[tuple], kept: Iterable[tuple]) -> list[int]:
+    """The 1-based position in ``units`` of each row of ``kept``, the
+    rows of ``units`` a filter kept, in order (the same objects)."""
+    walk = enumerate(units, 1)
+    return [next(p for p, unit in walk if unit is row) for row in kept]
 
 
-class ScanStep:
-    """A compiled access path: its filter prepared once (kernel or
-    closure, see :func:`~repro.execution.evaluator.prepare_filter`),
-    bound to each execution's literal vector.  Calling it yields the
-    rows that pass, tested a page at a time; an operator that
-    materialises it takes them a page at a time (:meth:`materialize`)."""
+def singles(rows: Sequence[tuple], marks: Iterable[int], total: int,
+            counters: Counters) -> Batches:
+    """Each of ``rows`` as a batch of its own, the count raised first to
+    ``marks[i]`` in all (the work a row-at-a-time operator had done when
+    it handed the row over) and to ``total`` after the last row."""
+    counted = 0
+    for row, mark in zip(rows, marks):
+        counters.tuples += mark - counted
+        counted = mark
+        yield (row,)
+    counters.tuples += total - counted
 
-    __slots__ = ("plan", "catalog", "virtual", "bind")
 
-    def __init__(self, plan: ScanPlan, catalog: StorageCatalog,
-                 params: Params) -> None:
-        self.plan, self.catalog = plan, catalog
-        self.virtual = catalog.is_virtual_table(plan.table_name)
-        expr = plan.filter_expr
-        # A filter that is the pushed floor and nothing else tests
-        # nothing (None): the provider returns exactly the rows it
-        # accepts, and the floor is an integer in every literal vector
-        # of the prepared statement's types.
-        self.bind: Binder[BatchFilter] | None = None if self.virtual and len(
-            split_conjuncts(expr)) == 1 and catalog.virtual_floor_column(
-            plan.table_name) in lower_bounds(expr, params) else prepare_filter(
-            expr, plan.scope, params,
-            {plan.binding: catalog.column_types(plan.table_name)})
+def scan_step(plan: ScanPlan, catalog: StorageCatalog, params: Params,
+              single: bool) -> Step:
+    """A compiled access path: its filter prepared once (kernel or closure,
+    see :func:`~.evaluator.prepare_filter`) and bound per execution.  The
+    step yields the rows of each page that pass, counting the page whole;
+    ``single``, one row at a time, counting the page up to it."""
+    virtual = catalog.is_virtual_table(plan.table_name)
+    expr = plan.filter_expr
+    # A filter that is the pushed floor and nothing else tests nothing
+    # (None): the provider returns exactly the rows it accepts, and the
+    # floor is an integer in every literal vector of the prepared
+    # statement's types.
+    bind: Binder[BatchFilter] | None = None if virtual and len(
+        split_conjuncts(expr)) == 1 and catalog.virtual_floor_column(
+        plan.table_name) in lower_bounds(expr, params) else prepare_filter(
+        expr, plan.scope, params,
+        {plan.binding: catalog.column_types(plan.table_name)})
 
-    def open(self, counters: Counters) -> tuple[Iterable[Page],
-                                                BatchFilter | None]:
-        """This execution's pages and bound filter (None: take the rows
-        as they come)."""
-        plan, params = self.plan, counters.params
-        if self.virtual:
+    def scan(counters: Counters) -> Batches:
+        literals = counters.params
+        if virtual:
             # A floor that is not the whole filter only spares the
             # provider building rows the filter rejects.
-            pages: Iterable[Page] = (((), self.catalog.virtual_rows(
-                plan.table_name, lower_bounds(plan.filter_expr, params))),)
+            pages: Iterable[Page] = (((), catalog.virtual_rows(
+                plan.table_name, lower_bounds(expr, literals))),)
         else:
-            pages = ACCESS_PATHS[type(plan)](plan, self.catalog, params)
-        return pages, None if self.bind is None else self.bind(params)
-
-    def __call__(self, counters: Counters) -> Iterator[tuple]:
-        pages, keep = self.open(counters)
+            pages = ACCESS_PATHS[type(plan)](plan, catalog, literals)
+        keep = None if bind is None else bind(literals)
         for _rowids, rows in pages:
-            if keep is None:
-                counters.tuples += len(rows)
-                yield from rows
+            kept = list(rows) if keep is None else keep(rows, ())
+            if single:  # unfiltered, a page counts whole before its first row
+                yield from singles(kept, repeat(len(rows)) if keep is None
+                                   else positions(rows, kept), len(rows), counters)
                 continue
-            matched = keep(rows, ())
-            if matched:
-                yield from emit(rows, matched, counters)
-            else:
-                counters.tuples += len(rows)
-
-    def materialize(self, counters: Counters) -> list[tuple]:
-        """Every row that passes, the same pages in the same order as
-        the row iterator reads, each counted whole."""
-        pages, keep = self.open(counters)
-        kept: list[tuple] = []
-        for _rowids, rows in pages:
             counters.tuples += len(rows)
-            kept += rows if keep is None else keep(rows, ())
-        return kept
+            if kept:
+                yield kept
 
-
-def inner_rows(step: Step, counters: Counters) -> Callable[[], list[tuple]]:
-    """How an operator that materialises ``step`` takes its rows when it
-    starts: a scan a page at a time, anything else from the iterator
-    built here (children are built before their parent runs)."""
-    if isinstance(step, ScanStep):
-        return partial(step.materialize, counters)
-    return partial(list, step(counters))
+    return scan
 
 
 # staticcheck: hotpath

@@ -1,227 +1,229 @@
 """Row-shaping operators: filter, project, aggregate, sort, distinct, limit.
 
-Each ``*_step`` compiles its plan node once (positions, getters) and
-returns the step that binds an execution's literal vector to them.
+Each ``*_step`` compiles its plan node once (positions, getters, each
+aggregate's fold) and returns the step that binds an execution's
+literal vector to them and takes its input a batch at a time (see
+:data:`~repro.execution.scan.Step`); sort and aggregate consume all of
+it before they output their one batch.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Callable, Iterator
+from collections import defaultdict
+from functools import partial, reduce
+from itertools import chain
+from operator import add, attrgetter, itemgetter
+from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import (Getter, Params, ScopeIndex,
+from repro.execution.evaluator import (Binder, Getter, Params, ScopeIndex,
                                       column_position, prepare_expression,
                                       sort_key)
-from repro.execution.scan import Counters, Step
+from repro.execution.scan import Batches, Counters, Step
 from repro.optimizer.plans import (AggregatePlan, DistinctPlan, FilterPlan,
                                    LimitPlan, ProjectPlan, SortPlan)
 from repro.sql import ast_nodes as ast
 
-RowIterator = Iterator[tuple]
-
 
 def filter_step(plan: FilterPlan, catalog: Any, params: Params,
-                child: Step) -> Step:
+                single: bool, child: Step) -> Step:
     bind = prepare_expression(plan.condition, ScopeIndex(plan.child.scope),
                               predicate=True)
-    return lambda counters: _filter(bind(counters.params), child(counters),
-                                    counters)
 
-
-def _filter(predicate: Getter, rows: RowIterator,
-            counters: Counters) -> RowIterator:
-    for row in rows:
-        counters.tuples += 1
-        if predicate(row):
-            yield row
-
-
-def project_step(plan: ProjectPlan, catalog: Any, params: Params,
-                 child: Step) -> Step:
-    scope = plan.child.scope
-    index = ScopeIndex(scope)
-    positions = [column_position(e, index) for e in plan.expressions]
-    if positions == list(range(len(scope))):
-        # Every child column in order: rows pass through.
-        return lambda counters: _project(None, child(counters), counters)
-    if None not in positions and len(positions) > 1:
-        project = itemgetter(*positions)
-        return lambda counters: _project(project, child(counters), counters)
-    binders = [prepare_expression(e, index) for e in plan.expressions]
-
-    def run(counters: Counters) -> RowIterator:
-        getters = [bind(counters.params) for bind in binders]
-        return _project(lambda row: tuple([getter(row) for getter in getters]),
-                        child(counters), counters)
+    def run(counters: Counters) -> Batches:
+        predicate = bind(counters.params)
+        for batch in child(counters):
+            counters.tuples += len(batch)
+            kept = list(filter(predicate, batch))
+            if kept:
+                yield kept
 
     return run
 
 
-def _project(project: Callable[[tuple], tuple] | None, rows: RowIterator,
-             counters: Counters) -> RowIterator:
-    for row in rows:
-        counters.tuples += 1
-        yield row if project is None else project(row)
+def project_step(plan: ProjectPlan, catalog: Any, params: Params,
+                 single: bool, child: Step) -> Step:
+    scope = plan.child.scope
+    index = ScopeIndex(scope)
+    positions = [column_position(e, index) for e in plan.expressions]
+    if positions == list(range(len(scope))):
+        # Every child column in order: batches pass through.
+        return lambda counters: _project(None, child(counters), counters)
+    if None not in positions and len(positions) > 1:
+        get = itemgetter(*positions)
+        return lambda counters: _project(lambda batch: list(map(get, batch)),
+                                         child(counters), counters)
+    binders = [prepare_expression(e, index) for e in plan.expressions]
+
+    def run(counters: Counters) -> Batches:
+        getters = [bind(counters.params) for bind in binders]
+        return _project(lambda batch: [
+            tuple([getter(row) for getter in getters]) for row in batch],
+            child(counters), counters)
+
+    return run
+
+
+def _project(convert: Callable[[Sequence[tuple]], list[tuple]] | None,
+             batches: Batches, counters: Counters) -> Batches:
+    for batch in batches:
+        counters.tuples += len(batch)
+        yield batch if convert is None else convert(batch)
 
 
 def distinct_step(plan: DistinctPlan, catalog: Any, params: Params,
-                  child: Step) -> Step:
-    return lambda counters: _distinct(child(counters), counters)
+                  single: bool, child: Step) -> Step:
+    """A row is its own key: NULL equals NULL in a tuple, and values
+    that compare equal (1 and 1.0) are one; the first one seen stays."""
 
+    def run(counters: Counters) -> Batches:
+        seen: set[tuple] = set()
+        for batch in child(counters):
+            counters.tuples += len(batch)
+            fresh = [row for row in dict.fromkeys(batch) if row not in seen]
+            seen.update(fresh)
+            if fresh:
+                yield fresh
 
-def _distinct(rows: RowIterator, counters: Counters) -> RowIterator:
-    seen: set = set()
-    for row in rows:
-        counters.tuples += 1
-        key = sort_key(row)
-        if key not in seen:
-            seen.add(key)
-            yield row
+    return run
 
 
 def limit_step(plan: LimitPlan, catalog: Any, params: Params,
-               child: Step) -> Step:
-    return lambda counters: _limit(plan.limit, plan.offset or 0,
-                                   child(counters), counters)
+               single: bool, child: Step) -> Step:
+    """Its input is compiled ``single``: the steps below count the work
+    up to the row after the last one it outputs, which finds it done."""
 
+    def run(counters: Counters) -> Batches:
+        skip, remaining = plan.offset or 0, plan.limit
+        for batch in child(counters):
+            taken = batch[skip:]
+            skip -= len(batch) - len(taken)
+            if not taken:
+                continue
+            if remaining is not None:
+                if remaining <= 0:
+                    return
+                taken = taken[:remaining]
+                remaining -= len(taken)
+            counters.tuples += len(taken)
+            yield taken
 
-def _limit(remaining: int | None, offset: int, rows: RowIterator,
-           counters: Counters) -> RowIterator:
-    for i, row in enumerate(rows):
-        if i < offset:
-            continue
-        if remaining is not None:
-            if remaining <= 0:
-                return
-            remaining -= 1
-        counters.tuples += 1
-        yield row
+    return run
 
 
 def sort_step(plan: SortPlan, catalog: Any, params: Params,
-              child: Step) -> Step:
+              single: bool, child: Step) -> Step:
     index = ScopeIndex(plan.child.scope)
     binders = [(prepare_expression(e, index), descending)
                for e, descending in plan.sort_keys]
 
-    def run(counters: Counters) -> RowIterator:
-        # Eager: the input is consumed as the step is built.
-        materialized = list(child(counters))
-        counters.tuples += len(materialized)
+    def run(counters: Counters) -> Batches:
+        rows = [*chain.from_iterable(child(counters))]
+        counters.tuples += len(rows)
         # Stable multi-key sort: apply keys right-to-left.
         for bind, descending in reversed(binders):
             getter = bind(counters.params)
-            materialized.sort(key=lambda row: sort_key((getter(row),)),
-                              reverse=descending)
-        return iter(materialized)
+            rows.sort(key=lambda row: sort_key((getter(row),)),
+                      reverse=descending)
+        if rows:
+            yield rows
 
     return run
 
 
 class _Accumulator:
-    """State of one aggregate function for one group."""
+    """One aggregate's state in one group: its non-NULL values' count
+    (distinct ones only, with ``seen``) and sum, minimum or maximum."""
 
-    __slots__ = ("function", "distinct", "count", "total", "minimum",
-                 "maximum", "seen")
+    __slots__ = ("count", "value", "seen")
 
-    def __init__(self, function: str, distinct: bool) -> None:
-        self.function = function
-        self.distinct = distinct
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
+    def __init__(self, distinct: bool) -> None:
+        self.count, self.value = 0, None
         self.seen: set | None = set() if distinct else None
 
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            marker = (type(value).__name__, value)
-            if marker in self.seen:
-                return
-            self.seen.add(marker)
-        self.count += 1
-        if self.function in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.function == "min":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.function == "max":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
 
-    def result(self) -> Any:
-        if self.function == "count":
-            return self.count
-        if self.function == "sum":
-            return self.total
-        if self.function == "avg":
-            return None if self.count == 0 else self.total / self.count
-        if self.function == "min":
-            return self.minimum
-        if self.function == "max":
-            return self.maximum
-        raise ExecutionError(f"unknown aggregate {self.function!r}")
+Fold = Callable[[list], Any]
+# Function name -> (fold of a group's values, led by its running value;
+# result).  Folds keep row order: ``reduce(add)`` adds left to right,
+# ``min`` / ``max`` keep the first of equal values, as one row at a time.
+_FUNCTIONS: dict[str, tuple[Fold | None, Callable[[_Accumulator], Any]]] = {
+    "count": (None, attrgetter("count")),
+    "sum": (partial(reduce, add), attrgetter("value")),
+    "avg": (partial(reduce, add), lambda accumulator: None
+            if accumulator.count == 0 else accumulator.value / accumulator.count),
+    "min": (min, attrgetter("value")),
+    "max": (max, attrgetter("value")),
+}
 
 
 def aggregate_step(plan: AggregatePlan, catalog: Any, params: Params,
-                   child: Step) -> Step:
-    """Hash aggregation; output = group expressions then aggregates."""
+                   single: bool, child: Step) -> Step:
+    """Hash aggregation; output = group expressions then aggregates.  A
+    batch is split by group, keyed by the values (NULL groups with NULL,
+    1 with 1.0), and each group's rows fold an aggregate at a time."""
     index = ScopeIndex(plan.child.scope)
     group_binders = [prepare_expression(e, index)
                      for e in plan.group_expressions]
-    agg_binders: list[tuple[str, bool, Any]] = []
+    # Per aggregate: its argument (None: a row), DISTINCT, fold, result.
+    specs: list[tuple[Binder[Getter] | None, bool, Fold | None, Any]] = []
     for call in plan.aggregates:
-        if call.name == "count" and (
-                not call.args or isinstance(call.args[0], ast.Star)):
-            agg_binders.append(("count", call.distinct, None))
-        else:
-            if len(call.args) != 1:
-                raise ExecutionError(
-                    f"aggregate {call.name}() takes exactly one argument")
-            agg_binders.append((call.name, call.distinct,
-                                prepare_expression(call.args[0], index)))
-    grouped = bool(plan.group_expressions)
+        if call.name not in _FUNCTIONS:
+            raise ExecutionError(f"unknown aggregate {call.name!r}")
+        star = call.name == "count" and (
+            not call.args or isinstance(call.args[0], ast.Star))
+        if not star and len(call.args) != 1:
+            raise ExecutionError(
+                f"aggregate {call.name}() takes exactly one argument")
+        specs.append((None if star else prepare_expression(
+            call.args[0], index), call.distinct, *_FUNCTIONS[call.name]))
 
-    def run(counters: Counters) -> RowIterator:
-        params = counters.params
-        return _aggregate(
-            [bind(params) for bind in group_binders],
-            [(name, distinct, None if bind is None else bind(params))
-             for name, distinct, bind in agg_binders],
-            grouped, child(counters), counters)
+    def run(counters: Counters) -> Batches:
+        getters = [bind(counters.params) for bind in group_binders]
+        bare = len(getters) == 1  # the key is the one value
+        key_of = getters[0] if bare else lambda row: tuple(
+            [getter(row) for getter in getters])
+        folds = [(bind and bind(counters.params), fold)
+                 for bind, _distinct, fold, _result in specs]
+        groups: dict[Any, list[_Accumulator]] = {}
+        for batch in child(counters):
+            counters.tuples += len(batch)
+            parts: dict[Any, list[tuple]] = defaultdict(list)
+            if getters:
+                for key, row in zip(map(key_of, batch), batch):
+                    parts[key].append(row)
+            else:
+                parts[()] = list(batch)
+            for key, rows in parts.items():
+                accumulators = groups.get(key)
+                if accumulators is None:
+                    accumulators = groups[key] = [
+                        _Accumulator(spec[1]) for spec in specs]
+                for (getter, fold), accumulator in zip(folds, accumulators):
+                    if getter is None:  # COUNT(*)
+                        accumulator.count += len(rows)
+                        continue
+                    values = [value for value in map(getter, rows)
+                              if value is not None]
+                    if accumulator.seen is not None:
+                        # Told apart by type too: 1 and 1.0 are two.
+                        markers = dict.fromkeys(
+                            [(type(value).__name__, value) for value in values])
+                        values = [marker[1] for marker in markers
+                                  if marker not in accumulator.seen]
+                        accumulator.seen.update(markers)
+                    if values:
+                        accumulator.count += len(values)
+                        if fold is not None:
+                            accumulator.value = fold(
+                                values if accumulator.value is None
+                                else [accumulator.value, *values])
+        if not groups and not getters:
+            # Global aggregate over an empty input still yields one row.
+            groups[()] = [_Accumulator(spec[1]) for spec in specs]
+        out = [((key,) if bare else key) + tuple([
+            spec[3](accumulator) for spec, accumulator in zip(specs, accumulators)])
+            for key, accumulators in groups.items()]
+        if out:
+            yield out
 
     return run
-
-
-def _aggregate(group_getters: list[Getter],
-               agg_specs: list[tuple[str, bool, Getter | None]],
-               grouped: bool, rows: RowIterator,
-               counters: Counters) -> RowIterator:
-    groups: dict[tuple, tuple[tuple, list[_Accumulator]]] = {}
-    for row in rows:
-        counters.tuples += 1
-        values = tuple([getter(row) for getter in group_getters])
-        key = sort_key(values)
-        entry = groups.get(key)
-        if entry is None:
-            entry = (values, [_Accumulator(name, distinct)
-                              for name, distinct, _ in agg_specs])
-            groups[key] = entry
-        for (_name, _distinct, getter), accumulator in zip(agg_specs,
-                                                           entry[1]):
-            if getter is None:  # COUNT(*)
-                accumulator.count += 1
-            else:
-                accumulator.add(getter(row))
-
-    if not groups and not grouped:
-        # Global aggregate over an empty input still yields one row.
-        empty = [_Accumulator(name, distinct)
-                 for name, distinct, _ in agg_specs]
-        yield tuple(acc.result() for acc in empty)
-        return
-    for values, accumulators in groups.values():
-        yield values + tuple(acc.result() for acc in accumulators)

@@ -68,6 +68,18 @@ class BufferPoolStats:
         return self.hits / total if total else 0.0
 
 
+class IoTally(threading.local):
+    """One thread's page requests (hits and misses), misses (physical
+    reads) and write-backs (physical writes) through one pool.  Read
+    before and after a statement, the difference is that statement's
+    own I/O, whatever other sessions do meanwhile; :meth:`BufferPool.stats`
+    and the disk's counters stay the whole pool's."""
+
+    requests = 0
+    misses = 0
+    writes = 0
+
+
 #: ``A1in``'s share of the pool: pages read once wait here, in FIFO order.
 A1IN_FRACTION = 0.25
 #: ``A1out``'s size relative to the pool: ids of pages ``A1in`` evicted.
@@ -95,6 +107,7 @@ class BufferPool:
         self._misses = 0
         self._evictions = 0
         self._writebacks = 0
+        self.tally = IoTally()
 
     def get(self, page_id: int, loader: Callable[[bytes], _Page]) -> Any:
         """Return the page object for ``page_id``, reading it on a miss.
@@ -103,6 +116,8 @@ class BufferPool:
         the queues are re-checked, so a page admitted concurrently wins
         over our freshly loaded copy.
         """
+        tally = self.tally
+        tally.requests += 1
         with self._lock:
             page = self._am.get(page_id)
             if page is not None:
@@ -113,6 +128,7 @@ class BufferPool:
             if page is not None:
                 self._hits += 1
                 return page
+            tally.misses += 1
             self._misses += 1
         raw = self.disk.read(page_id)
         loaded = loader(raw)
@@ -216,6 +232,7 @@ class BufferPool:
         if victim_id in self._dirty:
             self._dirty.discard(victim_id)
             self._writebacks += 1
+            self.tally.writes += 1
             return victim_id, victim, victim.to_bytes()
         return None
 
@@ -251,6 +268,7 @@ class BufferPool:
             page = self._resident(page_id)
             writebacks.append((page_id, page, page.to_bytes()))
             self._writebacks += 1
+            self.tally.writes += 1
         self._dirty.clear()
         return writebacks
 

@@ -7,7 +7,6 @@ the program."""
 
 import random
 import sqlite3
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from repro.engine import EngineInstance
 from repro.engine import session as session_module
 from repro.engine.session import DmlResult
-from repro.execution import evaluator, executor, joins, scan
+from repro.execution import evaluator, executor
 from repro.optimizer.plans import ProjectPlan
 from repro.workloads.nref import NrefScale, load_nref
 
@@ -210,20 +209,10 @@ def _limited_join_results(size):
             for r in map(session.execute, texts)]
 
 
-def test_limit_over_a_page_pulled_join_counts_as_unprepared(monkeypatch):
-    """The inner side of a nested-loop join is pulled a page at a time;
-    a LIMIT above stops the outer side early.  The work counted matches
-    an engine that prepares nothing, and one that takes the inner side
-    through its row iterator."""
-    pulled = []
-    real = scan.ScanStep.materialize
-    monkeypatch.setattr(scan.ScanStep, "materialize",
-                        lambda step, counters: pulled.append(step)
-                        or real(step, counters))
+def test_limit_over_a_page_pulled_join_counts_as_unprepared():
+    """The inner side of a nested-loop join is taken whole when the join
+    starts; a LIMIT above stops the outer side early.  The work counted
+    matches an engine that prepares nothing, and equals what the
+    row-at-a-time pipeline counted (418, recorded before batches)."""
     prepared, unprepared = (_limited_join_results(size) for size in (256, 0))
-    assert len(pulled) == 6  # one inner side per execution
-    monkeypatch.setattr(joins, "inner_rows", lambda step, counters: partial(
-        list, step(counters)))
-    assert prepared == unprepared == _limited_join_results(0)
-    assert len(pulled) == 6
-    assert all(count > 3 for _rows, count in prepared)
+    assert prepared == unprepared == [([(0, 1), (0, 2), (0, 3)], 418)] * 3

@@ -1,5 +1,7 @@
 """Direct tests of executor operators and scan helpers."""
 
+from itertools import chain
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -201,9 +203,10 @@ class TestColumnOnlyProjection:
             child=SimpleNamespace(scope=self.SCOPE),
             expressions=tuple(i.expression for i in select.select_items))
         counters = Counters()
-        step = project_step(plan, None, None,
-                            lambda counters: iter(self.ROWS))
-        return step(counters), counters
+        # One row per batch, as below a LIMIT; the rows come out flat.
+        step = project_step(plan, None, None, True, lambda counters: iter(
+            [[row] for row in self.ROWS]))
+        return chain.from_iterable(step(counters)), counters
 
     def test_identity_passes_the_child_rows_through(self):
         rows, counters = self.project("a", "t.b", "count(*)")

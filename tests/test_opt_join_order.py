@@ -118,7 +118,7 @@ class TestJoinMethods:
         monkeypatch.setattr(join_order, "JOIN_DP_THRESHOLD", 1)
         greedy = optimize(db, sql)
         from repro.execution.executor import Executor
-        executor = Executor(db, db.pool, db.disk)
+        executor = Executor(db, db.pool)
         greedy_rows = executor.execute(greedy.plan,
                                        greedy.output_names).rows[0][0]
         assert greedy_rows == dp_rows
