@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.records import WorkloadRecord
 from repro.setups import monitoring_setup
 from repro.workloads import WorkloadRunner, complex_query_set, load_nref
 from repro.workloads.nref import nref_id
@@ -44,6 +45,11 @@ def setup():
     return setup
 
 
+def last_record(monitor) -> WorkloadRecord:
+    """The newest execution in the monitor's workload ring."""
+    return WorkloadRecord._make(monitor.workload.values()[-1])
+
+
 def monitor_share(record) -> float:
     if record.wallclock_s <= 0:
         return 0.0
@@ -59,7 +65,7 @@ def test_fig5_monitoring_share(setup, benchmark):
     for i, query in enumerate(complex_query_set(BENCH_SCALE, count=5),
                               start=1):
         session.execute(query)
-        record = list(monitor.workload.values())[-1]
+        record = last_record(monitor)
         complex_rows.append(
             [f"Q{i}", f"{record.wallclock_s * 1e3:8.2f}ms",
              f"{record.monitor_time_s * 1e6:8.1f}us",
@@ -80,7 +86,7 @@ def test_fig5_monitoring_share(setup, benchmark):
         for i in range(1, REPEATS + 1):
             session.execute(TRIVIAL)
             if i in CHECKPOINTS:
-                record = list(monitor.workload.values())[-1]
+                record = last_record(monitor)
                 shares_at[i] = monitor_share(record)
 
     benchmark.pedantic(run_trivia, rounds=1, iterations=1)
@@ -115,5 +121,5 @@ def test_fig5_monitoring_share(setup, benchmark):
     assert steady >= shares_at[1]
     # 4) monitoring time per statement is roughly constant: its absolute
     #    cost at steady state stays microseconds-scale.
-    last = list(setup.monitor.workload.values())[-1]
+    last = last_record(setup.monitor)
     assert last.monitor_time_s < 1e-3

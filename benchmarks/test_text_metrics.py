@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import DaemonConfig, MonitorConfig
+from repro.config import DaemonConfig, EngineConfig, MonitorConfig
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.sensors import statement_key
 from repro.execution.executor import ExecutionMetrics
@@ -78,13 +78,12 @@ class TestDaemonLoggingRateCap:
         the same number of workload rows per poll no matter how many
         statements ran."""
         clock = VirtualClock(1_000_000.0)
+        # a 200-entry workload window makes the cap easy to exceed
         setup = daemon_setup(
-            "db", clock=clock,
+            "db", EngineConfig(monitor=MonitorConfig(
+                workload_buffer_size=200)), clock=clock,
             daemon_config=DaemonConfig(poll_interval_s=30.0,
                                        flush_every_polls=1))
-        # shrink the workload window to make the cap easy to exceed
-        setup.monitor.workload.capacity = 200
-        setup.monitor.workload._items = []
         session = setup.engine.connect("db")
         session.execute("create table t (a int not null, primary key (a))")
         session.execute("insert into t values (1)")

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.catalog.schema import Column, DataType, TableSchema
+from repro.optimizer.cost_model import CPU_TUPLE_COST, IO_PAGE_COST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.monitor import IntegratedMonitor
@@ -100,6 +101,19 @@ def attribute_facts(record: Any, source: "Database | None") -> tuple:
             has_histogram)
 
 
+def workload_facts(record: Any, _source: "Database | None") -> tuple:
+    """``ima_workload`` columns of an execution record: its estimate's
+    io and cpu, its metrics priced at the cost model's constants as
+    actual io and cpu, and its wallclock as the execute time too."""
+    (text_hash, session_id, ts, optimize_s, wallclock_s, estimate,
+     used_indexes, metrics, monitor_s) = record
+    reads, tuples = metrics.logical_reads, metrics.tuples_processed
+    return (text_hash, session_id, ts, optimize_s, wallclock_s, wallclock_s,
+            estimate.io, estimate.cpu, reads * IO_PAGE_COST,
+            tuples * CPU_TUPLE_COST, reads, metrics.physical_reads, tuples,
+            metrics.rows_returned, used_indexes, monitor_s)
+
+
 STATEMENTS = MonitorTable("statements", (
     _int("text_hash"), _text("query_text"),
     _int("frequency"), _float("first_seen"), _float("last_seen"),
@@ -112,7 +126,7 @@ WORKLOAD = MonitorTable("workload", (
     _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
     _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
     _text("used_indexes"), _float("monitor_time_s"),
-))
+), facts=workload_facts)
 
 REFERENCES = MonitorTable("references", (
     _int("text_hash"),

@@ -14,10 +14,13 @@ A statement is recorded once, at its end, by its terminal sensor
 (:meth:`MonitorSensors.execute_complete`): one read of the ladder
 level decides everything the statement records, one clock read stamps
 it, and one acquisition of the monitor's lock bumps its statement
-record, passes the admission gate and appends its workload record.
-Only the execution that inserts the statement's record logs its
-references and plan — the "better caching strategy" the paper proposes
-to shrink the 1m-test overhead.
+entry in place, passes the admission gate and appends its workload
+record.  That record keeps what the sensor holds — the plan's
+estimate, the executor's metrics, the times — and ``ima_workload``
+derives the row's costs when the daemon reads it, in one batch off the
+statement path.  Only the execution that inserts the statement's
+entry logs its references and plan — the "better caching strategy"
+the paper proposes to shrink the 1m-test overhead.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from repro.core.records import (
     StatementRecord,
     StatisticsRecord,
     TableUsageRecord,
-    WorkloadRecord,
 )
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.core.sensors import StatementContext
 from repro.execution.executor import ExecutionMetrics
-from repro.optimizer.cost_model import CPU_TUPLE_COST, IO_PAGE_COST
+from repro.optimizer.cost_model import Cost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.optimizer import OptimizationResult
@@ -71,12 +73,10 @@ SAMPLED = 1
 COUNTS_ONLY = 2
 SHED = 3
 
-# What a failed statement's workload record reports: no work done.
+# What a failed statement's workload record reports: no work done;
+# and a statement without a plan: no estimate.
 _NO_WORK = ExecutionMetrics()
-
-# Builds a record from its fields in order, without the NamedTuple's
-# ``__new__`` frame (the per-statement workload record).
-_new_record = tuple.__new__
+_NO_ESTIMATE = Cost()
 
 
 class IntegratedMonitor:
@@ -91,21 +91,26 @@ class IntegratedMonitor:
         # below, so a statement is recorded in one critical section.
         self._lock = threading.Lock()
         self.statements: KeyedRingBuffer[int, StatementRecord] = \
-            KeyedRingBuffer(self.config.statement_buffer_size, self._lock)
-        self.workload: RingBuffer[WorkloadRecord] = \
+            KeyedRingBuffer(StatementRecord,
+                            self.config.statement_buffer_size, self._lock,
+                            refresh="last_seen")
+        # Executions, each a bare tuple in WorkloadRecord's field order.
+        self.workload: RingBuffer[tuple] = \
             RingBuffer(self.config.workload_buffer_size, self._lock)
         self.references: KeyedRingBuffer[tuple, ReferenceRecord] = \
-            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
+            KeyedRingBuffer(ReferenceRecord, REFERENCE_BUFFER_SIZE)
         self.tables: KeyedRingBuffer[str, TableUsageRecord] = \
-            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
+            KeyedRingBuffer(TableUsageRecord, REFERENCE_BUFFER_SIZE)
         self.attributes: KeyedRingBuffer[tuple, AttributeUsageRecord] = \
-            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
+            KeyedRingBuffer(AttributeUsageRecord, REFERENCE_BUFFER_SIZE)
         self.indexes: KeyedRingBuffer[tuple, IndexUsageRecord] = \
-            KeyedRingBuffer(REFERENCE_BUFFER_SIZE)
+            KeyedRingBuffer(IndexUsageRecord, REFERENCE_BUFFER_SIZE)
         self.statistics: RingBuffer[StatisticsRecord] = \
             RingBuffer(STATISTICS_BUFFER_SIZE)
+        # A plan captured again replaces the one kept.
         self.plans: KeyedRingBuffer[int, PlanRecord] = \
-            KeyedRingBuffer(PLAN_BUFFER_SIZE)
+            KeyedRingBuffer(PlanRecord, PLAN_BUFFER_SIZE,
+                            refresh="estimated_cost")
         self.sensor_calls = 0
         self.sensor_time_s = 0.0
         self._last_statistics_at = float("-inf")
@@ -134,14 +139,10 @@ class IntegratedMonitor:
         sessions both see a miss and both report the statement as new,
         double-logging its object references.
         """
-        return self.statements.upsert(
-            text_hash,
-            create=lambda: StatementRecord(
-                text_hash=text_hash, text=text[:MAX_STATEMENT_TEXT],
-                frequency=1, first_seen=now, last_seen=now,
-            ),
-            update=lambda record: record.bumped(now),
-        )
+        return self.statements.upsert(text_hash, StatementRecord(
+            text_hash=text_hash, text=text[:MAX_STATEMENT_TEXT],
+            frequency=1, first_seen=now, last_seen=now,
+        ))
 
     # staticcheck: coldpath(statement-cache-miss-only)
     def record_references(self, text_hash: int,
@@ -152,37 +153,22 @@ class IntegratedMonitor:
         names are already in hand from parsing/optimizing)."""
         for table in table_names:
             self._reference(text_hash, "table", table, table)
-            self.tables.upsert(
-                table,
-                create=lambda t=table: TableUsageRecord(t, 1),
-                update=lambda record: record.bumped(),
-            )
+            self.tables.upsert(table, TableUsageRecord(table, 1))
         for table, column in columns:
             qualified = f"{table}.{column}"
             self._reference(text_hash, "attribute", qualified, table)
-            self.attributes.upsert(
-                (table, column),
-                create=lambda t=table, c=column: AttributeUsageRecord(t, c, 1),
-                update=lambda record: record.bumped(),
-            )
+            self.attributes.upsert((table, column),
+                                   AttributeUsageRecord(table, column, 1))
         for index in index_names:
             self._reference(text_hash, "index", index, "")
-            self.indexes.upsert(
-                (index, ""),
-                create=lambda i=index: IndexUsageRecord(i, "", 1),
-                update=lambda record: record.bumped(),
-            )
+            self.indexes.upsert((index, ""), IndexUsageRecord(index, "", 1))
 
     def _reference(self, text_hash: int, object_type: str,
                    object_name: str, table_name: str) -> None:
         self.references.upsert(
             (text_hash, object_type, object_name),
-            create=lambda: ReferenceRecord(
-                text_hash=text_hash, object_type=object_type,
-                object_name=object_name, table_name=table_name, frequency=1,
-            ),
-            update=lambda record: record.bumped(),
-        )
+            ReferenceRecord(text_hash, object_type, object_name, table_name,
+                            1))
 
     # -- degradation ladder (repro.core.overload) --------------------------
 
@@ -217,13 +203,8 @@ class IntegratedMonitor:
     def record_plan(self, text_hash: int, estimated_cost: float,
                     plan_text: str, now: float) -> None:
         """Keep the latest captured plan per statement hash."""
-        self.plans.upsert(
-            text_hash,
-            create=lambda: PlanRecord(text_hash, estimated_cost,
-                                      plan_text, now),
-            update=lambda _old: PlanRecord(text_hash, estimated_cost,
-                                           plan_text, now),
-        )
+        self.plans.upsert(text_hash, PlanRecord(text_hash, estimated_cost,
+                                                plan_text, now))
 
     # staticcheck: coldpath(rate-limited-1-per-s)
     def record_statistics(self, values: Mapping[str, Any],
@@ -308,10 +289,9 @@ class MonitorSensors:
                          ) -> None:
         """Record a statement of session ``session_id`` that ended:
         ``statement`` is its prepared statement or its context, ``text``
-        the text it ran, ``metrics`` the executor's (converted to
-        actual costs with the cost model's constants) and
-        ``wallclock_s`` its time.  ``statistics`` supplies a
-        system-wide statistics sample, called only when one is due."""
+        the text it ran, ``metrics`` the executor's and ``wallclock_s``
+        its time.  ``statistics`` supplies a system-wide statistics
+        sample, called only when one is due."""
         t0 = perf_counter()
         monitor = self.monitor
         # The statement's one read of the ladder level, without the
@@ -328,26 +308,21 @@ class MonitorSensors:
         # DML records no estimate, prepared or not.
         optimized = statement.optimized if kind == "select" else None
         if optimized is None:
-            estimated_io = estimated_cpu = 0.0
-            used_indexes = ""
+            estimate, used_indexes = _NO_ESTIMATE, ""
         else:
-            cost = optimized.estimated_cost
-            estimated_io, estimated_cpu = cost.io, cost.cpu
+            estimate = optimized.estimated_cost
             used_indexes = optimized.used_indexes_text
         text_hash = statement.shape_hash
-        reads, tuples = metrics.logical_reads, metrics.tuples_processed
-        # Positional, in the record's field order.
-        record = _new_record(WorkloadRecord, (
-            text_hash, session_id, now, statement.optimize_time_s,
-            wallclock_s, wallclock_s, estimated_io, estimated_cpu,
-            reads * IO_PAGE_COST, tuples * CPU_TUPLE_COST,
-            reads, metrics.physical_reads, tuples, metrics.rows_returned,
-            used_indexes, perf_counter() - t0))
+        # WorkloadRecord's fields as a bare tuple (the NamedTuple would
+        # cost an allocation and a call more): what is in hand, never
+        # the plan; ima_workload derives the row's columns.
+        record = (text_hash, session_id, now, statement.optimize_time_s,
+                  wallclock_s, estimate, used_indexes, metrics,
+                  perf_counter() - t0)
         with monitor._lock:
             # A statement that failed before its parse has no record.
             known = (kind is None or level == SHED
-                     or self._statements.bump_held(
-                         text_hash, StatementRecord.bumped, now))
+                     or self._statements.bump_held(text_hash, (now,)))
             # The admission gate: every statement is issued, and
             # admitted, sampled out or shed, so conservation stays
             # exact under every ladder state.

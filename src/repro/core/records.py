@@ -5,13 +5,19 @@ These mirror the IMA virtual-table schema of figure 3 in the paper:
 ``Indexes`` and ``Statistics``.  Each is an immutable tuple the sensors
 build one or two of per statement, positionally.  Its fields are, in
 order, its table's columns as :data:`repro.core.ima.MONITOR_TABLES`
-declares them — except for ``Tables`` and ``Attributes``, whose rows
-add live catalog facts to the record's own fields.
+declares them — except for ``Workload``, whose record keeps the facts
+the terminal sensor holds and whose row derives the columns, and
+``Tables`` and ``Attributes``, whose rows add live catalog facts to
+the record's own fields.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.execution.executor import ExecutionMetrics
+    from repro.optimizer.cost_model import Cost
 
 
 class StatementRecord(NamedTuple):
@@ -23,41 +29,24 @@ class StatementRecord(NamedTuple):
     first_seen: float
     last_seen: float
 
-    def bumped(self, now: float) -> "StatementRecord":
-        """Seen once more, at ``now`` (per statement: no ``__new__``
-        frame, no keywords)."""
-        return tuple.__new__(StatementRecord, (
-            self[0], self[1], self[2] + 1, self[3], now))
-
 
 class WorkloadRecord(NamedTuple):
-    """One execution of a statement: times and costs (figure 3's
-    ``Workload`` table)."""
+    """One execution of a statement (figure 3's ``Workload`` table),
+    as its terminal sensor holds the facts: the plan's estimate and
+    the executor's metrics, not the plan.  The sensor appends these
+    fields as a bare tuple; ``ima_workload`` reads them by position
+    and derives the row's times and costs
+    (:func:`repro.core.ima.workload_facts`)."""
 
     text_hash: int
     session_id: int
     timestamp: float
     optimize_time_s: float
-    execute_time_s: float
     wallclock_s: float
-    estimated_io: float
-    estimated_cpu: float
-    actual_io: float
-    actual_cpu: float
-    logical_reads: int
-    physical_reads: int
-    tuples_processed: int
-    rows_returned: int
+    estimate: "Cost"
     used_indexes: str
+    metrics: "ExecutionMetrics"
     monitor_time_s: float
-
-    @property
-    def estimated_cost(self) -> float:
-        return self.estimated_io + self.estimated_cpu
-
-    @property
-    def actual_cost(self) -> float:
-        return self.actual_io + self.actual_cpu
 
 
 class ReferenceRecord(NamedTuple):
@@ -69,18 +58,12 @@ class ReferenceRecord(NamedTuple):
     table_name: str
     frequency: int
 
-    def bumped(self) -> "ReferenceRecord":
-        return self._replace(frequency=self.frequency + 1)
-
 
 class TableUsageRecord(NamedTuple):
     """Aggregated per-table usage (figure 3's ``Tables``)."""
 
     table_name: str
     frequency: int
-
-    def bumped(self) -> "TableUsageRecord":
-        return self._replace(frequency=self.frequency + 1)
 
 
 class AttributeUsageRecord(NamedTuple):
@@ -90,9 +73,6 @@ class AttributeUsageRecord(NamedTuple):
     attribute_name: str
     frequency: int
 
-    def bumped(self) -> "AttributeUsageRecord":
-        return self._replace(frequency=self.frequency + 1)
-
 
 class IndexUsageRecord(NamedTuple):
     """Aggregated per-index usage (figure 3's ``Indexes``)."""
@@ -100,9 +80,6 @@ class IndexUsageRecord(NamedTuple):
     index_name: str
     table_name: str
     frequency: int
-
-    def bumped(self) -> "IndexUsageRecord":
-        return self._replace(frequency=self.frequency + 1)
 
 
 class PlanRecord(NamedTuple):

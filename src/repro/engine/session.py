@@ -7,8 +7,8 @@ table locks and the undo log.  The engine's
 :class:`~repro.core.monitor.MonitorSensors` fire exactly where figure 2
 of the paper places them.  Without sensors (the *Original* setup) each
 sensor site is one skipped ``if``, and the work only sensors read —
-the shape hash, the optimize timer, the actual-cost conversion — is
-skipped with it.
+the shape hash, the statement and optimize timers — is skipped with
+it.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ class Session:
         self.database = database
         self.session_id = session_id
         self.sensors: "MonitorSensors | None" = engine.sensors
+        # What the terminal sensor samples when a sample is due.
+        self._statistics = engine.system_statistics
         self.optimizer = Optimizer(database)
         self.executor = Executor(database, database.pool)
         self._explicit_txn: Transaction | None = None
@@ -188,7 +190,7 @@ class Session:
         if the engine has them."""
         sensors = self.sensors
         clock = self.engine.clock
-        started = clock.monotonic()
+        started = clock.monotonic() if sensors is not None else 0.0
         prepared, key, values = self._lookup(text)
         # A prepared statement fires no sensor before its terminal one.
         ctx = prepared
@@ -230,7 +232,7 @@ class Session:
             sensors.execute_complete(
                 ctx, text, self.session_id,
                 getattr(result, "metrics", _NO_WORK),
-                clock.monotonic() - started, self.engine.system_statistics)
+                clock.monotonic() - started, self._statistics)
         return result
 
     def explain(self, text: str) -> str:

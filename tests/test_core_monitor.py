@@ -3,6 +3,7 @@
 import ast
 import inspect
 import sys
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -12,12 +13,24 @@ from repro.clock import VirtualClock
 from repro.config import EngineConfig, MonitorConfig
 from repro.core import monitor as monitor_module
 from repro.core import sensors as sensors_module
+from repro.core.ima import WORKLOAD
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.sensors import statement_hash, statement_key
 from repro.engine import session as session_module
 from repro.errors import ReproError
 from repro.execution.executor import ExecutionMetrics
 from repro.setups import monitoring_setup, original_setup
+
+#: An ``ima_workload`` row without its leading seq, by column name.
+WorkloadRow = namedtuple(
+    "WorkloadRow", [column.name for column in WORKLOAD.ima_schema.columns[1:]])
+
+
+def workload_rows(monitor):
+    """The monitor's workload window as the ``ima_workload`` rows its
+    records derive (without their seq)."""
+    return [WorkloadRow(*WORKLOAD.facts(record, None))
+            for record in monitor.workload.values()]
 
 
 class TestStatementHash:
@@ -107,12 +120,12 @@ class TestMonitorSensorsPipeline:
         statement = monitor.statements.get(text_hash)
         assert statement is not None
         assert statement.frequency == 1
-        workload = [w for w in monitor.workload.values()
+        workload = [w for w in workload_rows(monitor)
                     if w.text_hash == text_hash]
         assert len(workload) == 1
         record = workload[0]
-        assert record.actual_cost > 0
-        assert record.estimated_cost > 0
+        assert record.actual_io + record.actual_cpu > 0
+        assert record.estimated_io + record.estimated_cpu > 0
         assert record.wallclock_s >= 0
         assert record.rows_returned == 1
 
@@ -126,7 +139,7 @@ class TestMonitorSensorsPipeline:
             session.execute("select a from t")
         text_hash = statement_key("select a from t")
         assert monitor.statements.get(text_hash).frequency == 5
-        executions = [w for w in monitor.workload.values()
+        executions = [w for w in workload_rows(monitor)
                       if w.text_hash == text_hash]
         assert len(executions) == 5
 
@@ -151,10 +164,10 @@ class TestMonitorSensorsPipeline:
             session.execute("select * from missing_table")
         text_hash = statement_key("select * from missing_table")
         assert monitor.statements.get(text_hash) is not None
-        errored = [w for w in monitor.workload.values()
+        errored = [w for w in workload_rows(monitor)
                    if w.text_hash == text_hash]
         assert len(errored) == 1
-        assert errored[0].actual_cost == 0.0
+        assert errored[0].actual_io + errored[0].actual_cpu == 0.0
 
     def test_sensor_calls_counted_and_timed(self):
         setup = monitoring_setup()
@@ -200,7 +213,7 @@ class TestMonitorSensorsPipeline:
             calls = monitor.sensor_calls
             session.execute(text)
             assert monitor.sensor_calls - calls == logical_sensors
-            records.append(list(monitor.workload.values())[-1])
+            records.append(workload_rows(monitor)[-1])
         assert fired == []  # the second run was prepared
         planned, prepared = records
         assert prepared.text_hash == planned.text_hash
@@ -240,11 +253,12 @@ class TestMonitorSensorsPipeline:
         assert monitor.plans.get(key) is not None
         # The estimate is the prepared plan's (costed for a < 3); the
         # actuals are each execution's own, so they can diverge.
-        executions = [w for w in monitor.workload.values()
+        executions = [w for w in workload_rows(monitor)
                       if w.text_hash == key]
-        assert len({w.estimated_cost for w in executions}) == 1
+        assert len({(w.estimated_io, w.estimated_cpu)
+                    for w in executions}) == 1
         assert [w.rows_returned for w in executions] == [3, 50, 7, 99, 0]
-        assert len({w.actual_cost for w in executions}) > 1
+        assert len({(w.actual_io, w.actual_cpu) for w in executions}) > 1
 
     def test_unlexable_text_is_its_own_statement(self):
         setup = monitoring_setup()
@@ -256,7 +270,7 @@ class TestMonitorSensorsPipeline:
         # never parsed, so never in the statement ring; counted twice
         key = statement_hash("select 'open")
         assert setup.monitor.statements.get(key) is None
-        assert [w.text_hash for w in setup.monitor.workload.values()] \
+        assert [w.text_hash for w in workload_rows(setup.monitor)] \
             == [key, key]
 
     @staticmethod
@@ -299,7 +313,7 @@ class TestMonitorSensorsPipeline:
         session.execute("create index i_b on t (b)")
         session.execute("create statistics on t")
         session.execute("select a from t where b = 3")
-        records = [w for w in monitor.workload.values() if w.used_indexes]
+        records = [w for w in workload_rows(monitor) if w.used_indexes]
         assert any("i_b" in w.used_indexes for w in records)
 
 
@@ -445,7 +459,7 @@ class TestPlannedAndPreparedPathsAgree:
         assert prepared_session.plan_cache_hits > 0
 
         def contents(monitor):
-            timing = {"timestamp", "optimize_time_s", "execute_time_s",
+            timing = {"ts", "optimize_time_s", "execute_time_s",
                       "wallclock_s", "monitor_time_s"}
             return {
                 "statements": [(r.text_hash, r.frequency)
@@ -459,7 +473,7 @@ class TestPlannedAndPreparedPathsAgree:
                 "workload": [
                     {field: value for field, value in r._asdict().items()
                      if field not in timing}
-                    for r in monitor.workload.values()],
+                    for r in workload_rows(monitor)],
             }
 
         assert contents(prepared) == contents(planned)

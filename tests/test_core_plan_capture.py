@@ -37,10 +37,11 @@ class TestPlanCapture:
         session = setup.engine.connect("db")
         sql = "select count(*) from protein"
         session.execute(sql)
-        first = setup.monitor.plans.get(statement_key(sql))
+        first = setup.monitor.plans.snapshot()
         session.execute(sql)
-        second = setup.monitor.plans.get(statement_key(sql))
-        assert first is second  # statement cache short-circuits
+        # statement cache short-circuits: not even the seq moves
+        assert setup.monitor.plans.snapshot() == first
+        assert first[0][1].text_hash == statement_key(sql)
 
     def test_plans_queryable_via_ima_and_persisted(self, monkeypatch):
         monkeypatch.setattr(monitor_module, "PLAN_CAPTURE_MIN_COST", 10.0)

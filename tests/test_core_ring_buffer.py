@@ -1,8 +1,17 @@
 """Tests for the monitor's ring buffers."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
+
+
+class Use(NamedTuple):
+    """A keyed-ring record: a name and how often it was used."""
+
+    name: object
+    frequency: int
 
 
 class TestRingBuffer:
@@ -88,62 +97,61 @@ class TestRingBuffer:
 
 class TestKeyedRingBuffer:
     def test_upsert_create_and_update(self):
-        buffer = KeyedRingBuffer(10)
-        assert buffer.upsert("a", create=lambda: 1)
-        assert not buffer.upsert("a", create=lambda: 99,
-                                 update=lambda v: v + 1)
-        assert buffer.get("a") == 2
+        buffer = KeyedRingBuffer(Use, 10)
+        assert buffer.upsert("a", Use("a", 1))
+        assert not buffer.upsert("a", Use("a", 99))
+        assert buffer.get("a") == Use("a", 2)  # counted, not replaced
         assert len(buffer) == 1
 
     def test_get_missing(self):
-        assert KeyedRingBuffer(2).get("x") is None
+        assert KeyedRingBuffer(Use, 2).get("x") is None
 
     def test_lru_eviction(self):
-        buffer = KeyedRingBuffer(3)
+        buffer = KeyedRingBuffer(Use, 3)
         for key in "abc":
-            buffer.upsert(key, create=lambda k=key: k)
-        buffer.upsert("a", create=lambda: "a")  # refresh 'a'
-        buffer.upsert("d", create=lambda: "d")  # evicts 'b'
+            buffer.upsert(key, Use(key, 1))
+        buffer.upsert("a", Use("a", 1))  # refresh 'a'
+        buffer.upsert("d", Use("d", 1))  # evicts 'b'
         assert "b" not in buffer
         assert "a" in buffer
         assert buffer.evicted == 1
 
     def test_update_refreshes_seq(self):
-        buffer = KeyedRingBuffer(10)
-        buffer.upsert("a", create=lambda: 1)
-        buffer.upsert("b", create=lambda: 2)
+        buffer = KeyedRingBuffer(Use, 10)
+        buffer.upsert("a", Use("a", 1))
+        buffer.upsert("b", Use("b", 1))
         first_snapshot = dict()
         for seq, value in buffer.snapshot():
-            first_snapshot[value] = seq
-        buffer.upsert("a", create=lambda: 0, update=lambda v: v)
-        refreshed = {value: seq for seq, value in buffer.snapshot()}
-        assert refreshed[1] > first_snapshot[1]
+            first_snapshot[value.name] = seq
+        buffer.upsert("a", Use("a", 1))
+        refreshed = {value.name: seq for seq, value in buffer.snapshot()}
+        assert refreshed["a"] > first_snapshot["a"]
 
     def test_snapshot_min_seq_only_changed(self):
-        buffer = KeyedRingBuffer(10)
-        buffer.upsert("a", create=lambda: "a")
-        buffer.upsert("b", create=lambda: "b")
+        buffer = KeyedRingBuffer(Use, 10)
+        buffer.upsert("a", Use("a", 1))
+        buffer.upsert("b", Use("b", 1))
         high_water = max(seq for seq, _ in buffer.snapshot())
-        buffer.upsert("a", create=lambda: "a", update=lambda v: v)
+        buffer.upsert("a", Use("a", 1))
         changed = buffer.snapshot(min_seq=high_water)
-        assert [value for _seq, value in changed] == ["a"]
+        assert [value for _seq, value in changed] == [Use("a", 2)]
 
     def test_contains(self):
-        buffer = KeyedRingBuffer(4)
-        buffer.upsert(("x", 1), create=lambda: "v")
+        buffer = KeyedRingBuffer(Use, 4)
+        buffer.upsert(("x", 1), Use("v", 1))
         assert ("x", 1) in buffer
         assert ("x", 2) not in buffer
 
     def test_clear(self):
-        buffer = KeyedRingBuffer(4)
-        buffer.upsert("a", create=lambda: 1)
+        buffer = KeyedRingBuffer(Use, 4)
+        buffer.upsert("a", Use("a", 1))
         buffer.clear()
         assert len(buffer) == 0
 
     def test_clear_resets_eviction_accounting(self):
-        buffer = KeyedRingBuffer(2)
+        buffer = KeyedRingBuffer(Use, 2)
         for key in "abc":
-            buffer.upsert(key, create=lambda k=key: k)
+            buffer.upsert(key, Use(key, 1))
         assert buffer.evicted == 1
         buffer.clear()
         assert buffer.evicted == 0

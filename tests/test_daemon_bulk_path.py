@@ -28,6 +28,8 @@ from repro.core.records import WorkloadRecord
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.engine import database as database_module
 from repro.errors import ReproError, StorageError, TypeMismatchError
+from repro.execution.executor import ExecutionMetrics
+from repro.optimizer.cost_model import Cost
 from repro.setups import daemon_setup, monitoring_setup, original_setup
 
 
@@ -35,10 +37,8 @@ def _record(text_hash: int, session_id: int,
             used_indexes: str = "") -> WorkloadRecord:
     return WorkloadRecord(
         text_hash=text_hash, session_id=session_id, timestamp=0.0,
-        optimize_time_s=0.0, execute_time_s=0.0, wallclock_s=0.0,
-        estimated_io=0.0, estimated_cpu=0.0, actual_io=0.0, actual_cpu=0.0,
-        logical_reads=0, physical_reads=0, tuples_processed=0,
-        rows_returned=0, used_indexes=used_indexes, monitor_time_s=0.0)
+        optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
+        used_indexes=used_indexes, metrics=ExecutionMetrics(), monitor_time_s=0.0)
 
 
 def _workload_seqs(workload_db):

@@ -15,6 +15,7 @@ from repro.workloads import (
     reference_indexes,
 )
 from repro.setups import daemon_setup, monitoring_setup
+from tests.test_core_monitor import workload_rows
 
 
 SCALE = NrefScale(proteins=400)
@@ -60,8 +61,8 @@ class TestTuningLoop:
     @staticmethod
     def _workload_actual_cost(setup):
         total = 0.0
-        for record in setup.monitor.workload.values():
-            total += record.actual_cost
+        for record in workload_rows(setup.monitor):
+            total += record.actual_io + record.actual_cpu
         return total
 
     def test_estimates_converge_after_tuning(self):
@@ -76,10 +77,11 @@ class TestTuningLoop:
                "on p.nref_id = o.nref_id where p.tax_id = 1")
 
         def divergence():
-            record = list(setup.monitor.workload.values())[-1]
-            return max(
-                record.actual_cost / max(record.estimated_cost, 1e-9),
-                record.estimated_cost / max(record.actual_cost, 1e-9))
+            record = workload_rows(setup.monitor)[-1]
+            actual = record.actual_io + record.actual_cpu
+            estimated = record.estimated_io + record.estimated_cpu
+            return max(actual / max(estimated, 1e-9),
+                       estimated / max(actual, 1e-9))
 
         session.execute(sql)
         divergence_before = divergence()

@@ -8,7 +8,9 @@ import pytest
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig, EngineConfig
 from repro.core.autopilot import TuningPolicy
+from repro.core.ima import WORKLOAD
 from repro.core.records import STATISTIC_FIELDS, StatisticsRecord, WorkloadRecord
+from repro.core.ring_buffer import KeyedRingBuffer
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import (
     DeadlockError,
@@ -19,6 +21,8 @@ from repro.errors import (
     SqlError,
     StorageError,
 )
+from repro.execution.executor import ExecutionMetrics
+from repro.optimizer.cost_model import CPU_TUPLE_COST, IO_PAGE_COST, Cost
 
 
 class TestConfig:
@@ -93,22 +97,34 @@ class TestRecords:
         assert row[1 + STATISTIC_FIELDS.index("deadlocks")] == 1
 
     def test_workload_record_cost_properties(self):
+        # The record keeps the estimate and the metrics; its row prices
+        # the metrics at the cost model's constants.
         record = WorkloadRecord(
             text_hash=1, session_id=1, timestamp=0.0,
-            optimize_time_s=0.0, execute_time_s=0.0, wallclock_s=0.0,
-            estimated_io=10.0, estimated_cpu=2.0,
-            actual_io=20.0, actual_cpu=3.0,
-            logical_reads=5, physical_reads=1, tuples_processed=9,
-            rows_returned=4, used_indexes="", monitor_time_s=0.0,
+            optimize_time_s=0.0, wallclock_s=0.5,
+            estimate=Cost(10.0, 2.0), used_indexes="",
+            metrics=ExecutionMetrics(logical_reads=5, physical_reads=1,
+                                     tuples_processed=9, rows_returned=4),
+            monitor_time_s=0.0,
         )
-        assert record.estimated_cost == 12.0
-        assert record.actual_cost == 23.0
+        row = dict(zip((c.name for c in WORKLOAD.ima_schema.columns[1:]),
+                       WORKLOAD.facts(record, None)))
+        assert (row["estimated_io"], row["estimated_cpu"]) == (10.0, 2.0)
+        assert row["actual_io"] == 5 * IO_PAGE_COST
+        assert row["actual_cpu"] == 9 * CPU_TUPLE_COST
+        assert row["execute_time_s"] == row["wallclock_s"] == 0.5
+        assert (row["logical_reads"], row["physical_reads"],
+                row["tuples_processed"], row["rows_returned"]) == (5, 1, 9, 4)
 
     def test_statement_record_bump(self):
         from repro.core.records import StatementRecord
-        record = StatementRecord(1, "q", frequency=1, first_seen=1.0,
-                                 last_seen=1.0)
-        bumped = record.bumped(9.0)
+        ring = KeyedRingBuffer(StatementRecord, 4, refresh="last_seen")
+        ring.upsert(1, StatementRecord(1, "q", frequency=1, first_seen=1.0,
+                                       last_seen=1.0))
+        record = ring.get(1)
+        with ring._lock:
+            assert ring.bump_held(1, (9.0,))
+        bumped = ring.get(1)
         assert bumped.frequency == 2
         assert bumped.last_seen == 9.0
         assert bumped.first_seen == 1.0

@@ -48,8 +48,8 @@ class TestThreadedDriver:
         driver = ThreadedDriver(setup.engine, "nref", lists)
         try:
             driver.run_pass()
-            recorded = [r.session_id
-                        for r in setup.monitor.workload.values()]
+            recorded = [session_id for _text_hash, session_id, *_rest
+                        in setup.monitor.workload.values()]
             for session in driver.sessions:
                 assert recorded.count(session.session_id) == 6
         finally:

@@ -37,7 +37,9 @@ from repro.core.overload import (
 from repro.core.records import WorkloadRecord
 from repro.core.sensors import StatementContext, statement_key
 from repro.errors import InjectedFault, MonitorError, ReproError
+from repro.execution.executor import ExecutionMetrics
 from repro.invariants import conservation_violations
+from repro.optimizer.cost_model import Cost
 from repro.setups import attach_supervisor, daemon_setup, monitoring_setup
 from repro.workloads import (
     NrefScale,
@@ -58,10 +60,8 @@ def _record(text_hash: int, session_id: int,
             ts: float = 0.0) -> WorkloadRecord:
     return WorkloadRecord(
         text_hash=text_hash, session_id=session_id, timestamp=ts,
-        optimize_time_s=0.0, execute_time_s=0.0, wallclock_s=0.0,
-        estimated_io=0.0, estimated_cpu=0.0, actual_io=0.0, actual_cpu=0.0,
-        logical_reads=0, physical_reads=0, tuples_processed=0,
-        rows_returned=0, used_indexes="", monitor_time_s=0.0)
+        optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
+        used_indexes="", metrics=ExecutionMetrics(), monitor_time_s=0.0)
 
 
 def _complete(monitor: IntegratedMonitor, text_hash: int = 0) -> bool:
@@ -236,7 +236,8 @@ class TestOneLevelRead:
         assert len(monitor.statistics) - samples == (
             rung != SHED and not kind.startswith("error"))
         if rung == DETAILED:
-            assert monitor.workload.values()[-1].timestamp == 1002.0
+            assert WorkloadRecord._make(
+                monitor.workload.values()[-1]).timestamp == 1002.0
         after = monitor.statements.get(key)
         if kind == "error before parse":
             assert after is None

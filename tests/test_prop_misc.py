@@ -8,6 +8,7 @@ from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.execution.evaluator import compile_expression, compile_predicate
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
+from tests.test_core_ring_buffer import Use
 
 
 class TestRingBufferProperties:
@@ -36,10 +37,9 @@ class TestRingBufferProperties:
     @given(capacity=st.integers(1, 10),
            keys=st.lists(st.integers(0, 30), max_size=80))
     def test_keyed_buffer_bounded_and_keeps_recent(self, capacity, keys):
-        buffer = KeyedRingBuffer(capacity)
+        buffer = KeyedRingBuffer(Use, capacity)
         for key in keys:
-            buffer.upsert(key, create=lambda k=key: k,
-                          update=lambda v: v)
+            buffer.upsert(key, Use(key, 1))
         assert len(buffer) <= capacity
         # the most recently touched distinct keys survive
         recent = list(dict.fromkeys(reversed(keys)))[:capacity]

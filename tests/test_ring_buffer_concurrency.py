@@ -16,11 +16,12 @@ import random
 import threading
 
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
+from tests.test_core_ring_buffer import Use
 
 
 class TestUpsertTrackedRace:
     def test_two_threads_exactly_one_creation_per_key(self):
-        buffer: KeyedRingBuffer[int, int] = KeyedRingBuffer(capacity=4096)
+        buffer: KeyedRingBuffer[int, Use] = KeyedRingBuffer(Use, 4096)
         keys = list(range(400))
         created_counts = [0, 0]
         barrier = threading.Barrier(2)
@@ -29,10 +30,7 @@ class TestUpsertTrackedRace:
             barrier.wait()
             wins = 0
             for key in keys:
-                created = buffer.upsert(
-                    key,
-                    create=lambda k=key: k,
-                    update=lambda value: value + 1000)
+                created = buffer.upsert(key, Use(key, 1))
                 if created:
                     wins += 1
             created_counts[slot] = wins
@@ -44,21 +42,19 @@ class TestUpsertTrackedRace:
         for thread in threads:
             thread.join()
         # Every key was created exactly once across both threads; the
-        # loser's update path refreshed the winner's record instead.
+        # loser's upsert counted on the winner's record instead.
         assert sum(created_counts) == len(keys)
         for key in keys:
-            value = buffer.get(key)
-            assert value is not None and value == key + 1000
+            assert buffer.get(key) == Use(key, 2)
 
     def test_upsert_reports_creation(self):
-        buffer: KeyedRingBuffer[int, str] = KeyedRingBuffer(capacity=4)
-        assert buffer.upsert(1, create=lambda: "a")
-        assert buffer.get(1) == "a"
-        assert not buffer.upsert(1, create=lambda: "b",
-                                 update=lambda v: v + "!")
-        assert buffer.get(1) == "a!"
-        assert not buffer.upsert(1, create=lambda: "c")
-        assert buffer.get(1) == "a!"
+        buffer: KeyedRingBuffer[int, Use] = KeyedRingBuffer(Use, 4)
+        assert buffer.upsert(1, Use("a", 1))
+        assert buffer.get(1) == Use("a", 1)
+        assert not buffer.upsert(1, Use("b", 1))
+        assert buffer.get(1) == Use("a", 2)
+        assert not buffer.upsert(1, Use("c", 1))
+        assert buffer.get(1) == Use("a", 3)
 
 
 class TestClearSnapshotUnderAppenders:

@@ -20,6 +20,8 @@ from repro.core.records import WorkloadRecord
 from repro.core.sensors import statement_key
 from repro.core.workload_db import WORKLOAD_TABLES
 from repro.errors import MonitorError
+from repro.execution.executor import ExecutionMetrics
+from repro.optimizer.cost_model import Cost
 from repro.setups import daemon_setup, monitoring_setup
 
 _CONFIG = EngineConfig(daemon=DaemonConfig(flush_every_polls=1))
@@ -28,10 +30,8 @@ _CONFIG = EngineConfig(daemon=DaemonConfig(flush_every_polls=1))
 def _record(text_hash: int, session_id: int, ts: float = 0.0) -> WorkloadRecord:
     return WorkloadRecord(
         text_hash=text_hash, session_id=session_id, timestamp=ts,
-        optimize_time_s=0.0, execute_time_s=0.0, wallclock_s=0.0,
-        estimated_io=0.0, estimated_cpu=0.0, actual_io=0.0, actual_cpu=0.0,
-        logical_reads=0, physical_reads=0, tuples_processed=0,
-        rows_returned=0, used_indexes="", monitor_time_s=0.0)
+        optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
+        used_indexes="", metrics=ExecutionMetrics(), monitor_time_s=0.0)
 
 
 class TestShardRouting:

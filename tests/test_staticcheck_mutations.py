@@ -46,16 +46,17 @@ class Mutation:
 
 MUTATIONS = {
     "LCK001": Mutation(
-        # The sequence number is taken before the ring's lock.
+        # An inserted entry's sequence number is taken after the
+        # ring's lock is released.
         "LCK001", "core/ring_buffer.py", ((
-            "        with self._lock:\n"
             "            seq = self._next_seq\n"
             "            self._next_seq += 1\n"
-            "            items = self._items\n",
-            "        seq = self._next_seq\n"
+            "            items[key] = [seq, *record]\n"
+            "            return True\n",
+            "            items[key] = entry = [0, *record]\n"
+            "        entry[0] = self._next_seq\n"
             "        self._next_seq += 1\n"
-            "        with self._lock:\n"
-            "            items = self._items\n"),)),
+            "        return True\n"),)),
     "LCK003": Mutation(
         # The pending-row cap flushes while holding _lock, which the
         # flush takes again: a self-deadlock.
@@ -84,7 +85,7 @@ MUTATIONS = {
         "GRW001", "core/monitor.py", (
             ("        self._workload = monitor.workload\n",
              "        self._workload = monitor.workload\n"
-             "        self.history: list[WorkloadRecord] = []\n"),
+             "        self.history: list[tuple] = []\n"),
             ("                self._workload.append_held(record)\n",
              "                self._workload.append_held(record)\n"
              "                self.history.append(record)\n"))),
