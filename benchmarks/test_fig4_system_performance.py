@@ -13,10 +13,11 @@ the daemon adding on top of the in-core monitoring.
 Methodology: every (setup, workload) cell runs in a **fresh
 subprocess** (see ``fig4_driver.py``), min-of-2 inside the process —
 so neither heap growth nor GC state from one measurement can bleed
-into another.  The ``50`` cell lasts about 0.2 s, short enough that a
-single original/monitoring pair swings by tens of percent, so it is
-measured as ``PAIRS_50`` rounds of original, monitoring and daemon
-runs; each relative cell is the median of its per-round ratios to that
+into another.  A cell short enough that a single original/monitoring
+pair swings by tens of percent — ``50`` lasts about 0.2 s, and ``1m``
+failed its shape assertion as one run per setup — is measured as
+``ROUNDS[workload]`` rounds of original, monitoring and daemon runs;
+each relative cell is the median of its per-round ratios to that
 round's original.
 """
 
@@ -35,7 +36,7 @@ from conftest import format_table, write_result
 DRIVER = pathlib.Path(__file__).parent / "fig4_driver.py"
 SETUPS = ("original", "monitoring", "daemon")
 WORKLOAD_NAMES = ("50", "50k", "1m")
-PAIRS_50 = 5
+ROUNDS = {"50": 5, "50k": 1, "1m": 3}
 
 
 def run_cell(setup: str, workload: str) -> float:
@@ -53,22 +54,17 @@ def run_cell(setup: str, workload: str) -> float:
 @pytest.fixture(scope="module")
 def measurements():
     """Per workload: the original's seconds and each setup's runtime
-    relative to it.  For ``50`` the seconds are the median original
-    over ``PAIRS_50`` rounds and each relative cell the median of the
-    per-round ratios; the other workloads are one run per setup."""
-    rounds = [{kind: run_cell(kind, "50") for kind in SETUPS}
-              for _round in range(PAIRS_50)]
-    results = {"50": {
-        "seconds": statistics.median(r["original"] for r in rounds),
-        "relative": {kind: statistics.median(r[kind] / r["original"]
-                                             for r in rounds)
-                     for kind in SETUPS},
-    }}
-    for workload in WORKLOAD_NAMES[1:]:
-        seconds = {kind: run_cell(kind, workload) for kind in SETUPS}
+    relative to it, over ``ROUNDS[workload]`` rounds: the seconds are
+    the median original and each relative cell the median of the
+    per-round ratios."""
+    results = {}
+    for workload in WORKLOAD_NAMES:
+        rounds = [{kind: run_cell(kind, workload) for kind in SETUPS}
+                  for _round in range(ROUNDS[workload])]
         results[workload] = {
-            "seconds": seconds["original"],
-            "relative": {kind: seconds[kind] / seconds["original"]
+            "seconds": statistics.median(r["original"] for r in rounds),
+            "relative": {kind: statistics.median(r[kind] / r["original"]
+                                                 for r in rounds)
                          for kind in SETUPS},
         }
     return results

@@ -43,33 +43,40 @@ def _text(name: str) -> Column:
     return Column(name, DataType.TEXT)
 
 
-def _own_fields(record: tuple, _source: "Database | None") -> tuple:
-    """A record whose fields, in order, are its table's columns."""
-    return record
+def _own_row(seq: int, record: tuple, _source: "Database | None") -> tuple:
+    """The row of a record whose fields, in order, are its table's
+    columns."""
+    return (seq, *record)
 
 
 class MonitorTable:
     """One monitor table, declared once.
 
     ``name`` is the monitor's buffer attribute; ``columns`` are what
-    ``facts(record, source)`` returns for one of its records.  The IMA
-    table ``ima_<name>`` leads with the ring's ``seq``; the workload
-    table ``wl_<name>`` is the same columns between a leading
-    ``captured_at`` and a trailing ``src_seq`` (the source ``seq``).
+    :meth:`facts` returns for one of its records.  The IMA table
+    ``ima_<name>`` leads with the ring's ``seq``: ``row(seq, record,
+    source)`` builds a record's IMA row, seq in front, in one tuple.
+    The workload table ``wl_<name>`` is the same columns between a
+    leading ``captured_at`` and a trailing ``src_seq`` (the source
+    ``seq``).
     """
 
     def __init__(self, name: str, columns: tuple[Column, ...],
-                 facts: Callable[[Any, "Database | None"], tuple]
-                 = _own_fields) -> None:
+                 row: Callable[[int, Any, "Database | None"], tuple]
+                 = _own_row) -> None:
         self.name = name
-        self.facts = facts
+        self.row = row
         self.ima_schema = TableSchema(f"ima_{name}", (_int("seq"), *columns))
         self.wl_schema = TableSchema(
             f"wl_{name}", (_float("captured_at"), *columns, _int("src_seq")))
 
+    def facts(self, record: Any, source: "Database | None") -> tuple:
+        """``columns`` of one record: its IMA row without the seq."""
+        return self.row(0, record, source)[1:]
 
-def table_facts(record: Any, source: "Database | None") -> tuple:
-    """``ima_tables`` columns of a table-usage record: its own, then
+
+def table_row(seq: int, record: Any, source: "Database | None") -> tuple:
+    """``ima_tables`` row of a table-usage record: its own columns, then
     the table's structure, page counts, row count and whether it has
     statistics, as ``source``'s catalog has them now (blank without)."""
     structure = ""
@@ -83,13 +90,14 @@ def table_facts(record: Any, source: "Database | None") -> tuple:
             pages = storage.page_count
             overflow = storage.overflow_page_count
             row_count = storage.row_count
-    return (record.table_name, record.frequency, structure, pages,
+    return (seq, record.table_name, record.frequency, structure, pages,
             overflow, row_count, has_stats)
 
 
-def attribute_facts(record: Any, source: "Database | None") -> tuple:
-    """``ima_attributes`` columns of an attribute-usage record: its
-    own, then whether ``source`` holds a histogram for it now."""
+def attribute_row(seq: int, record: Any,
+                  source: "Database | None") -> tuple:
+    """``ima_attributes`` row of an attribute-usage record: its own
+    columns, then whether ``source`` holds a histogram for it now."""
     has_histogram = 0
     if source is not None and source.catalog.has_table(record.table_name):
         stats = source.catalog.table(record.table_name).statistics
@@ -97,19 +105,21 @@ def attribute_facts(record: Any, source: "Database | None") -> tuple:
             column = stats.column(record.attribute_name)
             has_histogram = int(
                 column is not None and column.histogram is not None)
-    return (record.table_name, record.attribute_name, record.frequency,
+    return (seq, record.table_name, record.attribute_name, record.frequency,
             has_histogram)
 
 
-def workload_facts(record: Any, _source: "Database | None") -> tuple:
-    """``ima_workload`` columns of an execution record: its estimate's
-    io and cpu, its metrics priced at the cost model's constants as
-    actual io and cpu, and its wallclock as the execute time too."""
+def workload_row(seq: int, record: Any,
+                 _source: "Database | None") -> tuple:
+    """``ima_workload`` row of an execution record: ``seq``, its
+    estimate's io and cpu, its metrics priced at the cost model's
+    constants as actual io and cpu, and its wallclock as the execute
+    time too."""
     (text_hash, session_id, ts, optimize_s, wallclock_s, estimate,
      used_indexes, metrics, monitor_s) = record
     reads, tuples = metrics.logical_reads, metrics.tuples_processed
-    return (text_hash, session_id, ts, optimize_s, wallclock_s, wallclock_s,
-            estimate.io, estimate.cpu, reads * IO_PAGE_COST,
+    return (seq, text_hash, session_id, ts, optimize_s, wallclock_s,
+            wallclock_s, estimate.io, estimate.cpu, reads * IO_PAGE_COST,
             tuples * CPU_TUPLE_COST, reads, metrics.physical_reads, tuples,
             metrics.rows_returned, used_indexes, monitor_s)
 
@@ -126,7 +136,7 @@ WORKLOAD = MonitorTable("workload", (
     _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
     _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
     _text("used_indexes"), _float("monitor_time_s"),
-), facts=workload_facts)
+), row=workload_row)
 
 REFERENCES = MonitorTable("references", (
     _int("text_hash"),
@@ -138,12 +148,12 @@ TABLES = MonitorTable("tables", (
     _text("table_name"), _int("frequency"),
     Column("structure", DataType.VARCHAR, 16), _int("data_pages"),
     _int("overflow_pages"), _int("row_count"), _int("has_statistics"),
-), facts=table_facts)
+), row=table_row)
 
 ATTRIBUTES = MonitorTable("attributes", (
     _text("table_name"), _text("attribute_name"),
     _int("frequency"), _int("has_histogram"),
-), facts=attribute_facts)
+), row=attribute_row)
 
 INDEXES = MonitorTable("indexes", (
     _text("index_name"), _text("table_name"), _int("frequency"),
@@ -185,11 +195,11 @@ def register_ima_tables(database: "Database", monitor: "IntegratedMonitor",
         """Register ``table``'s IMA schema over its buffer; rows come in
         the ring's ascending seq order."""
         buffer = getattr(monitor, table.name)
-        facts = table.facts
+        row = table.row
 
         def rows(min_seq: int = 0) -> list[tuple]:
             """Rows with ``seq > min_seq`` (the ring filters on it)."""
-            return [(seq, *facts(record, source))
+            return [row(seq, record, source)
                     for seq, record in buffer.snapshot(min_seq)]
 
         database.register_virtual_table(

@@ -36,7 +36,7 @@ class WorkloadRecord(NamedTuple):
     the executor's metrics, not the plan.  The sensor appends these
     fields as a bare tuple; ``ima_workload`` reads them by position
     and derives the row's times and costs
-    (:func:`repro.core.ima.workload_facts`)."""
+    (:func:`repro.core.ima.workload_row`)."""
 
     text_hash: int
     session_id: int

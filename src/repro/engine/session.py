@@ -14,7 +14,7 @@ it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
@@ -313,9 +313,6 @@ class Session:
         literal vector."""
         txn, autocommit = self._current_txn()
         try:
-            if prepared is None and _has_subqueries(statement):
-                statement = self._materialize_subqueries(statement, txn)
-                origin = None  # data-dependent: never prepared
             for table_name in tables:
                 if not self.database.is_virtual_table(table_name):
                     self.engine.lock_manager.acquire(
@@ -340,93 +337,6 @@ class Session:
             if autocommit:
                 self.engine.lock_manager.release_all(txn.txn_id)
 
-    # -- subqueries ---------------------------------------------------------------------
-
-    def _materialize_subqueries(self, statement: ast.SelectStatement,
-                                txn: Transaction) -> ast.SelectStatement:
-        """Evaluate every (uncorrelated) subquery and splice the results
-        in as literals; correlated references raise OptimizerError."""
-
-        def rewrite(expr: ast.Expression | None) -> ast.Expression | None:
-            return self._rewrite_subquery_expression(expr, txn)
-
-        return replace(
-            statement,
-            select_items=tuple(ast.SelectItem(rewrite(i.expression), i.alias)
-                               for i in statement.select_items),
-            joins=tuple(ast.Join(j.right, rewrite(j.condition), j.kind)
-                        for j in statement.joins),
-            where=rewrite(statement.where),
-            group_by=tuple(rewrite(e) for e in statement.group_by),
-            having=rewrite(statement.having),
-            order_by=tuple(ast.OrderItem(rewrite(o.expression), o.descending)
-                           for o in statement.order_by))
-
-    def _rewrite_subquery_expression(self, expr: ast.Expression | None,
-                                     txn: Transaction,
-                                     ) -> ast.Expression | None:
-        """Replace subqueries with their evaluated results: one directly
-        under IN by its rows (first, before a bottom-up pass would take
-        it for a scalar), any other by its value."""
-        if expr is None:
-            return None
-
-        def lists(node: ast.Expression) -> ast.Expression:
-            if not isinstance(node, ast.InList) or not any(
-                    isinstance(item, ast.Subquery) for item in node.items):
-                return node
-            items: list[ast.Expression] = []
-            for item in node.items:
-                if isinstance(item, ast.Subquery):
-                    items.extend(self._list_subquery(item, txn))
-                else:
-                    items.append(item)
-            if not items:  # IN against an empty result matches nothing
-                return ast.Literal(node.negated)
-            return ast.InList(node.operand, tuple(items), node.negated)
-
-        def scalars(node: ast.Expression) -> ast.Expression:
-            if isinstance(node, ast.Subquery):
-                return self._scalar_subquery(node, txn)
-            return node
-
-        return ast.transform_expression(
-            ast.transform_expression(expr, lists), scalars)
-
-    def _run_subquery(self, subquery: ast.Subquery,
-                      txn: Transaction) -> QueryResult:
-        inner = subquery.statement
-        if _has_subqueries(inner):
-            inner = self._materialize_subqueries(inner, txn)
-        for table_name in _statement_tables(inner):
-            if not self.database.is_virtual_table(table_name):
-                self.engine.lock_manager.acquire(
-                    txn.txn_id, table_name.lower(), LockMode.SHARED)
-        optimized = self.optimizer.optimize_select(inner)
-        return self.executor.execute(optimized.plan, optimized.output_names)
-
-    def _scalar_subquery(self, subquery: ast.Subquery,
-                         txn: Transaction) -> ast.Literal:
-        result = self._run_subquery(subquery, txn)
-        if len(result.columns) != 1:
-            raise ExecutionError(
-                f"scalar subquery must return one column, got "
-                f"{len(result.columns)}")
-        if len(result.rows) > 1:
-            raise ExecutionError(
-                f"scalar subquery returned {len(result.rows)} rows")
-        value = result.rows[0][0] if result.rows else None
-        return ast.Literal(value)
-
-    def _list_subquery(self, subquery: ast.Subquery,
-                       txn: Transaction) -> list[ast.Literal]:
-        result = self._run_subquery(subquery, txn)
-        if len(result.columns) != 1:
-            raise ExecutionError(
-                f"IN subquery must return one column, got "
-                f"{len(result.columns)}")
-        return [ast.Literal(row[0]) for row in result.rows]
-
     # -- DML ---------------------------------------------------------------------------
 
     # staticcheck: hotpath
@@ -447,12 +357,6 @@ class Session:
             if prepared is not None:
                 optimized, program = prepared.optimized, prepared.program
             else:
-                where = getattr(statement, "where", None)
-                if where is not None and ast.contains_subquery(where):
-                    statement = replace(
-                        statement,
-                        where=self._rewrite_subquery_expression(where, txn))
-                    origin = None  # data-dependent: never prepared
                 optimized = self.optimizer.optimize_modify(statement)
                 program = Program(optimized.plan)
                 if origin is not None:
@@ -589,20 +493,6 @@ def _kind(statement: ast.Statement) -> str:
     """``select``, ``insert``, ``createtable``, ...: what the sensors
     record as the statement's kind."""
     return type(statement).__name__.removesuffix("Statement").lower()
-
-
-def _has_subqueries(statement: ast.SelectStatement) -> bool:
-    sources: list[ast.Expression] = [i.expression
-                                     for i in statement.select_items]
-    sources += [j.condition for j in statement.joins
-                if j.condition is not None]
-    if statement.where is not None:
-        sources.append(statement.where)
-    sources.extend(statement.group_by)
-    if statement.having is not None:
-        sources.append(statement.having)
-    sources.extend(o.expression for o in statement.order_by)
-    return any(ast.contains_subquery(source) for source in sources)
 
 
 def _parse_structure(name: str) -> StorageStructure:

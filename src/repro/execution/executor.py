@@ -161,7 +161,7 @@ _COMPILERS: dict[type, Callable[..., Step]] = {
     plans.SortPlan: shaping.sort_step,
     plans.DistinctPlan: shaping.distinct_step,
     plans.LimitPlan: shaping.limit_step,
-    **dict.fromkeys((plans.NestedLoopJoinPlan, plans.HashJoinPlan,
-                     plans.LeftOuterJoinPlan), joins.join_step),
+    plans.NestedLoopJoinPlan: joins.nested_loop_step,
+    plans.HashJoinPlan: joins.hash_join_step,
     plans.IndexLookupJoinPlan: joins.index_lookup_step,
 }

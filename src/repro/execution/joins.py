@@ -1,15 +1,15 @@
 """Join operators: nested loop, hash and index-lookup joins.
 
-Each ``*_step`` compiles its plan node once (key getters, residual,
-the nested loop's filter kernel) and returns the step that binds an
-execution's literal vector to them.  The nested loop's inner side and
+Each ``*_step`` compiles its plan node once (key getters, the lookup
+join's residual, the nested loop's filter kernel) and returns the step
+that binds an execution's literal vector to them.  The nested loop's inner side and
 a hash join's build side are taken whole when the join starts; the
 outer side is joined a batch at a time (see :data:`~.scan.Step`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any
 
 from repro.errors import ExecutionError
@@ -18,7 +18,7 @@ from repro.execution.evaluator import (Binder, Getter, Params, ScopeIndex,
 from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
                                   column_types, positions, singles)
 from repro.optimizer.plans import (HashJoinPlan, IndexLookupJoinPlan,
-                                   LeftOuterJoinPlan, NestedLoopJoinPlan)
+                                   NestedLoopJoinPlan)
 from repro.sql import ast_nodes as ast
 
 
@@ -42,15 +42,10 @@ def _prepare_key(keys: tuple[ast.Expression, ...],
     return bind
 
 
-def join_step(plan: NestedLoopJoinPlan | HashJoinPlan | LeftOuterJoinPlan,
-              catalog: StorageCatalog, params: Params, single: bool,
-              left: Step, right: Step) -> Step:
-    """A nested loop over the join condition, or — with equi-join keys —
-    a hash join; a LEFT OUTER JOIN pads the left rows nothing matched."""
-    nulls = (None,) * len(plan.right.scope) \
-        if isinstance(plan, LeftOuterJoinPlan) else None
-    if getattr(plan, "left_keys", ()):
-        return _hash_join_step(plan, single, left, right, nulls)  # type: ignore[arg-type]
+def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
+                     params: Params, single: bool, left: Step,
+                     right: Step) -> Step:
+    """A nested loop over the join condition."""
     bind = prepare_filter(plan.condition, plan.right.scope, params,
                           column_types(plan, catalog), plan.left.scope)
 
@@ -64,11 +59,10 @@ def join_step(plan: NestedLoopJoinPlan | HashJoinPlan | LeftOuterJoinPlan,
             out: list[tuple] = []
             for outer in batch:
                 matched = keep(inner, outer)
-                joined = [outer + row for row in matched] \
-                    if matched or nulls is None else [outer + nulls]
+                joined = [outer + row for row in matched]
                 if single:
-                    yield from singles(joined, positions(inner, matched) if matched
-                                       else [width], width, counters)
+                    yield from singles(joined, positions(inner, matched),
+                                       width, counters)
                 else:
                     out += joined
             if not single:
@@ -79,21 +73,18 @@ def join_step(plan: NestedLoopJoinPlan | HashJoinPlan | LeftOuterJoinPlan,
     return nested_loop
 
 
-def _hash_join_step(plan: HashJoinPlan | LeftOuterJoinPlan, single: bool,
-                    left: Step, right: Step, nulls: tuple | None) -> Step:
-    """Build on the right input, probe with the left input a batch at a
-    time: every probe row counts, and an inner join counts the rows it
-    outputs too."""
+def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
+                   params: Params, single: bool, left: Step,
+                   right: Step) -> Step:
+    """An equi-join: build on the right input, probe with the left input
+    a batch at a time; every probe row counts, and so does every row it
+    outputs."""
     left_key = _prepare_key(plan.left_keys, ScopeIndex(plan.left.scope))
     right_key = _prepare_key(plan.right_keys, ScopeIndex(plan.right.scope))
-    bind_residual = None if plan.residual is None else prepare_expression(
-        plan.residual, ScopeIndex(plan.scope), predicate=True)
-    inner = nulls is None
 
     def hash_join(counters: Counters) -> Batches:
         params = counters.params
         key_of = left_key(params)
-        residual = bind_residual and bind_residual(params)
         build = [*chain.from_iterable(right(counters))]
         counters.tuples += len(build)
         table: dict[Any, list[tuple]] = {}
@@ -102,22 +93,13 @@ def _hash_join_step(plan: HashJoinPlan | LeftOuterJoinPlan, single: bool,
                 table.setdefault(key, []).append(row)
         get = table.get
         for batch in left(counters):
-            if inner and residual is None:
-                out = [outer + row for outer in batch
-                       for row in get(key_of(outer), ())]
-            else:
-                out = []
-                for outer in batch:
-                    matched = [outer + row for row in get(key_of(outer), ())]
-                    if residual is not None:
-                        matched = list(filter(residual, matched))
-                    out += matched if matched or inner \
-                        else [outer + nulls]  # type: ignore[operator]
+            out = [outer + row for outer in batch
+                   for row in get(key_of(outer), ())]
             if single:  # one probe row: it counts before its first output
-                yield from singles(out, range(2, len(out) + 2) if inner else repeat(1),
-                                   1 + inner * len(out), counters)
+                yield from singles(out, range(2, len(out) + 2),
+                                   1 + len(out), counters)
                 continue
-            counters.tuples += len(batch) + inner * len(out)
+            counters.tuples += len(batch) + len(out)
             if out:
                 yield out
 

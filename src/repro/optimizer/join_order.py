@@ -1,12 +1,12 @@
-"""Join enumeration: dynamic programming with a greedy fallback.
+"""Join enumeration by dynamic programming.
 
-Up to :data:`JOIN_DP_THRESHOLD` inputs the enumerator runs System-R style
-bitmask DP over connected sub-plans (cross products only when a query
-is genuinely disconnected); beyond that it falls back to a greedy
-left-deep heuristic.  For every pair it considers hash join, (block)
-nested loops and — when the inner side is a single base table reachable
-through a B-Tree or a (possibly virtual) secondary index on the join
-columns — an index-lookup join.
+The enumerator runs System-R style bitmask DP over connected sub-plans
+(cross products only when a query is genuinely disconnected) for a FROM
+of up to :data:`MAX_JOIN_INPUTS` inputs; a larger FROM is rejected.  For
+every pair it considers hash join, (block) nested loops and — when the
+inner side is a single base table reachable through a B-Tree or a
+(possibly virtual) secondary index on the join columns — an
+index-lookup join.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from repro.optimizer.predicates import JoinEdge, conjoin
 from repro.optimizer.selectivity import SelectivityEstimator, StatsResolver
 from repro.sql import ast_nodes as ast
 
-#: Joins of up to this many inputs are enumerated by dynamic
-#: programming; larger ones fall back to the greedy heuristic.
-JOIN_DP_THRESHOLD = 6
+#: The most FROM inputs a query may join: dynamic programming over
+#: every subset stays cheap up to here.
+MAX_JOIN_INPUTS = 6
 
 
 @dataclass
@@ -71,9 +71,11 @@ class JoinEnumerator:
             raise OptimizerError("no FROM inputs to join")
         if len(leaves) == 1:
             return next(iter(leaves.values()))
-        if len(leaves) <= JOIN_DP_THRESHOLD:
-            return self._dp(leaves, edges)
-        return self._greedy(leaves, edges)
+        if len(leaves) > MAX_JOIN_INPUTS:
+            raise OptimizerError(
+                f"a FROM of {len(leaves)} tables is not supported (joins "
+                f"of at most {MAX_JOIN_INPUTS} tables are planned)")
+        return self._dp(leaves, edges)
 
     # -- DP ----------------------------------------------------------------------
 
@@ -131,59 +133,6 @@ class JoinEnumerator:
                                 winner = candidate
             sub = (sub - 1) & mask
         return winner
-
-    # -- greedy -----------------------------------------------------------------
-
-    def _greedy(self, leaves: dict[str, SubPlan],
-                edges: list[JoinEdge]) -> SubPlan:
-        remaining = dict(leaves)
-        current = self._cheapest_pair(remaining, edges)
-        for binding in current.bindings:
-            remaining.pop(binding)
-        while remaining:
-            best_candidate: SubPlan | None = None
-            best_binding: str | None = None
-            for binding, leaf in remaining.items():
-                between = self._edges_between(edges, current.bindings,
-                                              leaf.bindings)
-                for candidate in self._join_candidates(current, leaf, between):
-                    if best_candidate is None \
-                            or candidate.cost < best_candidate.cost:
-                        best_candidate = candidate
-                        best_binding = binding
-            assert best_candidate is not None and best_binding is not None
-            current = best_candidate
-            remaining.pop(best_binding)
-        return current
-
-    def _cheapest_pair(self, leaves: dict[str, SubPlan],
-                       edges: list[JoinEdge]) -> SubPlan:
-        best: SubPlan | None = None
-        names = sorted(leaves)
-        for a, b in combinations(names, 2):
-            between = self._edges_between(edges, leaves[a].bindings,
-                                          leaves[b].bindings)
-            if not between:
-                continue
-            for candidate in self._join_candidates(leaves[a], leaves[b],
-                                                   between):
-                if best is None or candidate.cost < best.cost:
-                    best = candidate
-        if best is None:  # fully disconnected workload: allow a cross pair
-            a, b = names[0], names[1]
-            candidates = self._join_candidates(leaves[a], leaves[b], [])
-            best = min(candidates, key=lambda c: c.cost)
-        return best
-
-    @staticmethod
-    def _edges_between(edges: list[JoinEdge], left: frozenset[str],
-                       right: frozenset[str]) -> list[JoinEdge]:
-        result = []
-        for edge in edges:
-            bindings = edge.bindings
-            if (bindings & left) and (bindings & right):
-                result.append(edge)
-        return result
 
     # -- join method candidates ------------------------------------------------------
 

@@ -29,12 +29,9 @@ from repro.optimizer.plans import (
     DistinctPlan,
     EmptySourcePlan,
     FilterPlan,
-    HashJoinPlan,
     InsertPlan,
-    LeftOuterJoinPlan,
     LimitPlan,
     ModifyPlan,
-    NestedLoopJoinPlan,
     PlanNode,
     ProjectPlan,
     SortPlan,
@@ -111,48 +108,32 @@ class Optimizer:
                 return None
             return info.statistics.column(ref.name)
 
-        where_conjuncts = [resolver.qualify(c)
-                           for c in split_conjuncts(stmt.where)]
-        on_conjuncts: list[ast.Expression] = []
+        conjuncts = [resolver.qualify(c)
+                     for c in split_conjuncts(stmt.where)]
         for join in stmt.joins:
-            if join.condition is not None:
-                on_conjuncts.extend(
-                    resolver.qualify(c)
-                    for c in split_conjuncts(join.condition)
-                )
-        conjuncts = where_conjuncts + on_conjuncts
+            conjuncts.extend(resolver.qualify(c)
+                             for c in split_conjuncts(join.condition))
         row_bytes = sum(info.avg_row_bytes for info in tables.values())
-        if any(join.kind == "left" for join in stmt.joins):
-            # Outer joins pin the join order and WHERE placement: joins
-            # run in FROM order and the WHERE filter applies after them
-            # (SQL semantics for the NULL-padded side).
-            plan = self._plan_with_outer_joins(stmt, bindings, tables,
-                                               indexes, resolver,
-                                               column_stats)
-            plan = self._add_filter(plan, conjoin(where_conjuncts),
-                                    column_stats)
-        else:
-            classified = classify_conjuncts(conjuncts)
-            leaves = {
-                binding: SubPlan(
-                    self._paths.best_path(
-                        binding, tables[binding], indexes[binding],
-                        classified.per_binding.get(binding, []),
-                        column_stats,
-                    ),
-                    frozenset((binding,)),
-                )
-                for binding in bindings
-            }
-            enumerator = JoinEnumerator(
-                self.cost_model, self.estimator, tables, indexes,
-                classified.per_binding, column_stats,
+        classified = classify_conjuncts(conjuncts)
+        leaves = {
+            binding: SubPlan(
+                self._paths.best_path(
+                    binding, tables[binding], indexes[binding],
+                    classified.per_binding.get(binding, []),
+                    column_stats,
+                ),
+                frozenset((binding,)),
             )
-            joined = enumerator.enumerate(leaves, classified.edges)
-            plan = joined.plan
-            if classified.residual:
-                plan = self._add_filter(plan, conjoin(classified.residual),
-                                        column_stats)
+            for binding in bindings
+        }
+        enumerator = JoinEnumerator(
+            self.cost_model, self.estimator, tables, indexes,
+            classified.per_binding, column_stats,
+        )
+        plan = enumerator.enumerate(leaves, classified.edges).plan
+        if classified.residual:
+            plan = self._add_filter(plan, conjoin(classified.residual),
+                                    column_stats)
 
         select_items = self._expand_select_items(stmt, resolver)
         qualified_items = [
@@ -336,89 +317,6 @@ class Optimizer:
                 if isinstance(node, ast.FunctionCall) and node.is_aggregate:
                     seen.setdefault(node.to_sql(), node)
         return tuple(seen.values())
-
-    # -- outer-join planning ------------------------------------------------------
-
-    def _plan_with_outer_joins(self, stmt: ast.SelectStatement,
-                               bindings: dict[str, str],
-                               tables: dict[str, TableInfo],
-                               indexes, resolver, resolve) -> PlanNode:
-        """Left-deep, FROM-order join tree for queries with LEFT JOINs.
-
-        Predicates are not pushed into the scans (WHERE is applied by
-        the caller after the join tree), so every leaf is a plain
-        cheapest-path scan without filters."""
-        first = stmt.from_table.binding
-        plan = self._paths.best_path(first, tables[first], indexes[first],
-                                     [], resolve)
-        covered = [first]
-        for join in stmt.joins:
-            binding = join.right.binding
-            right = self._paths.best_path(binding, tables[binding],
-                                          indexes[binding], [], resolve)
-            condition = (resolver.qualify(join.condition)
-                         if join.condition is not None else None)
-            left_keys, right_keys, residual = self._split_equi_condition(
-                condition, set(covered), binding)
-            edge_selectivity = 0.1 if condition is not None else 1.0
-            inner_rows = max(1.0, plan.estimated_rows
-                             * right.estimated_rows * edge_selectivity)
-            if join.kind == "left":
-                out_rows = max(plan.estimated_rows, inner_rows)
-                joined = LeftOuterJoinPlan(
-                    plan, right, None if left_keys else condition, left_keys,
-                    right_keys, residual if left_keys else None)
-                cost = (self._cumulative(plan) + self._cumulative(right)
-                        + self.cost_model.hash_join(right.estimated_rows,
-                                                    plan.estimated_rows))
-            elif left_keys:
-                joined = HashJoinPlan(plan, right, left_keys, right_keys,
-                                      residual)
-                out_rows = inner_rows
-                cost = (self._cumulative(plan) + self._cumulative(right)
-                        + self.cost_model.hash_join(right.estimated_rows,
-                                                    plan.estimated_rows))
-            else:
-                joined = NestedLoopJoinPlan(plan, right, condition)
-                out_rows = inner_rows if condition is not None else max(
-                    1.0, plan.estimated_rows * right.estimated_rows)
-                cost = (self._cumulative(plan) + self._cumulative(right)
-                        + self.cost_model.nested_loop_join(
-                            plan.estimated_rows, right.estimated_rows,
-                            Cost()))
-            _finalize(joined, out_rows, cost)
-            plan = joined
-            covered.append(binding)
-        return plan
-
-    @staticmethod
-    def _split_equi_condition(condition: ast.Expression | None,
-                              left_bindings: set[str], right_binding: str):
-        """Split an ON condition into hash-join keys plus a residual."""
-        if condition is None:
-            return (), (), None
-        left_keys: list[ast.Expression] = []
-        right_keys: list[ast.Expression] = []
-        residual: list[ast.Expression] = []
-        for conjunct in split_conjuncts(condition):
-            if (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
-                    and isinstance(conjunct.left, ast.ColumnRef)
-                    and isinstance(conjunct.right, ast.ColumnRef)):
-                sides = {conjunct.left.table, conjunct.right.table}
-                if (conjunct.left.table in left_bindings
-                        and conjunct.right.table == right_binding):
-                    left_keys.append(conjunct.left)
-                    right_keys.append(conjunct.right)
-                    continue
-                if (conjunct.right.table in left_bindings
-                        and conjunct.left.table == right_binding):
-                    left_keys.append(conjunct.right)
-                    right_keys.append(conjunct.left)
-                    continue
-            residual.append(conjunct)
-        if not left_keys:
-            return (), (), condition
-        return tuple(left_keys), tuple(right_keys), conjoin(residual)
 
     # -- operator layering -------------------------------------------------------
 

@@ -181,44 +181,17 @@ class NestedLoopJoinPlan(_Binary):
         return f"NestedLoopJoin on {cond}"
 
 
-def _pairs(left_keys: tuple[ast.Expression, ...],
-           right_keys: tuple[ast.Expression, ...]) -> str:
-    return ", ".join(f"{l.to_sql()}={r.to_sql()}"
-                     for l, r in zip(left_keys, right_keys))
-
-
 @dataclass
 class HashJoinPlan(_Binary):
     """Equi-join: build a hash table on the right side, probe with left."""
 
     left_keys: tuple[ast.Expression, ...] = ()
     right_keys: tuple[ast.Expression, ...] = ()
-    residual: ast.Expression | None = None
 
     def node_label(self) -> str:
-        return f"HashJoin on [{_pairs(self.left_keys, self.right_keys)}]"
-
-
-@dataclass
-class LeftOuterJoinPlan(_Binary):
-    """LEFT OUTER JOIN: every left row survives; unmatched rows are
-    padded with NULLs on the right side.
-
-    When ``left_keys``/``right_keys`` are set the executor matches via a
-    hash table; otherwise it evaluates ``condition`` per pair.
-    """
-
-    condition: ast.Expression | None = None
-    left_keys: tuple[ast.Expression, ...] = ()
-    right_keys: tuple[ast.Expression, ...] = ()
-    residual: ast.Expression | None = None
-
-    def node_label(self) -> str:
-        if self.left_keys:
-            return (f"LeftOuterJoin (hash) on "
-                    f"[{_pairs(self.left_keys, self.right_keys)}]")
-        cond = self.condition.to_sql() if self.condition else "TRUE"
-        return f"LeftOuterJoin on {cond}"
+        pairs = ", ".join(f"{l.to_sql()}={r.to_sql()}"
+                          for l, r in zip(self.left_keys, self.right_keys))
+        return f"HashJoin on [{pairs}]"
 
 
 @dataclass

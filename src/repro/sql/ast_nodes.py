@@ -128,20 +128,6 @@ class Between(Expression):
 
 
 @dataclass(frozen=True)
-class Subquery(Expression):
-    """A parenthesized SELECT used as an expression.
-
-    Only *uncorrelated* subqueries are supported: the session evaluates
-    them up front and splices the result in as literals before the outer
-    statement is optimized."""
-
-    statement: "SelectStatement"
-
-    def to_sql(self) -> str:
-        return "(<subquery>)"
-
-
-@dataclass(frozen=True)
 class FunctionCall(Expression):
     """A scalar or aggregate function call."""
 
@@ -196,11 +182,11 @@ class TableRef:
 
 @dataclass(frozen=True)
 class Join:
-    """One JOIN step: ``<left> JOIN right ON condition``."""
+    """One inner JOIN step: ``<left> JOIN right ON condition``, or a
+    cross join (``,`` or CROSS JOIN) without a condition."""
 
     right: TableRef
     condition: Expression | None
-    kind: str = "inner"  # "inner", "cross" or "left"
 
 
 @dataclass(frozen=True)
@@ -385,52 +371,6 @@ def walk_expression(expr: Expression):
     elif isinstance(expr, FunctionCall):
         for arg in expr.args:
             yield from walk_expression(arg)
-
-
-def transform_expression(expr: Expression, fn) -> Expression:
-    """Rebuild ``expr`` bottom-up, mapping every node through ``fn``.
-
-    ``fn`` receives each (already-transformed-children) node and returns
-    the node to use in its place.  Subquery nodes are treated as opaque
-    leaves — their inner statement is not descended into.
-    """
-    if isinstance(expr, UnaryOp):
-        rebuilt: Expression = UnaryOp(expr.op,
-                                      transform_expression(expr.operand, fn))
-    elif isinstance(expr, BinaryOp):
-        rebuilt = BinaryOp(expr.op,
-                           transform_expression(expr.left, fn),
-                           transform_expression(expr.right, fn))
-    elif isinstance(expr, IsNull):
-        rebuilt = IsNull(transform_expression(expr.operand, fn),
-                         expr.negated)
-    elif isinstance(expr, InList):
-        rebuilt = InList(
-            transform_expression(expr.operand, fn),
-            tuple(transform_expression(i, fn) for i in expr.items),
-            expr.negated,
-        )
-    elif isinstance(expr, Between):
-        rebuilt = Between(
-            transform_expression(expr.operand, fn),
-            transform_expression(expr.low, fn),
-            transform_expression(expr.high, fn),
-            expr.negated,
-        )
-    elif isinstance(expr, FunctionCall):
-        rebuilt = FunctionCall(
-            expr.name,
-            tuple(transform_expression(a, fn) for a in expr.args),
-            expr.distinct,
-        )
-    else:
-        rebuilt = expr
-    return fn(rebuilt)
-
-
-def contains_subquery(expr: Expression) -> bool:
-    """True if ``expr`` contains a Subquery node at any depth."""
-    return any(isinstance(node, Subquery) for node in walk_expression(expr))
 
 
 def referenced_columns(expr: Expression) -> tuple[ColumnRef, ...]:

@@ -130,6 +130,11 @@ class _Parser:
         if not self.at_eof():
             raise self.error("unexpected trailing input")
 
+    def reject_subquery(self) -> None:
+        """After a '(': a SELECT there would be a subquery."""
+        if self.current.is_keyword("select"):
+            raise self.error("subqueries are not supported")
+
     # -- statements ----------------------------------------------------------
 
     def statement(self) -> ast.Statement:
@@ -180,27 +185,20 @@ class _Parser:
             from_table = self.table_ref()
             while True:
                 if self.accept_punct(","):
-                    joins.append(ast.Join(self.table_ref(), None, "cross"))
+                    joins.append(ast.Join(self.table_ref(), None))
                     continue
                 if self.accept_keyword("cross"):
                     self.expect_keyword("join")
-                    joins.append(ast.Join(self.table_ref(), None, "cross"))
+                    joins.append(ast.Join(self.table_ref(), None))
                     continue
-                if self.accept_keyword("left"):
-                    self.accept_keyword("outer")
-                    self.expect_keyword("join")
-                    right = self.table_ref()
-                    self.expect_keyword("on")
-                    condition = self.expression()
-                    joins.append(ast.Join(right, condition, "left"))
-                    continue
+                if self.current.is_keyword("left"):
+                    raise self.error("LEFT [OUTER] JOIN is not supported")
                 if self.current.is_keyword("join", "inner"):
                     self.accept_keyword("inner")
                     self.expect_keyword("join")
                     right = self.table_ref()
                     self.expect_keyword("on")
-                    condition = self.expression()
-                    joins.append(ast.Join(right, condition, "inner"))
+                    joins.append(ast.Join(right, self.expression()))
                     continue
                 break
 
@@ -493,10 +491,7 @@ class _Parser:
                 negated = True
         if self.accept_keyword("in"):
             self.expect_punct("(")
-            if self.current.is_keyword("select"):
-                subquery = ast.Subquery(self.select_statement())
-                self.expect_punct(")")
-                return ast.InList(left, (subquery,), negated)
+            self.reject_subquery()
             items = [self.expression()]
             while self.accept_punct(","):
                 items.append(self.expression())
@@ -565,10 +560,7 @@ class _Parser:
             return ast.Star()
         if token.type is TokenType.PUNCT and token.value == "(":
             self.advance()
-            if self.current.is_keyword("select"):
-                subquery = ast.Subquery(self.select_statement())
-                self.expect_punct(")")
-                return subquery
+            self.reject_subquery()
             inner = self.expression()
             self.expect_punct(")")
             return inner

@@ -40,40 +40,6 @@ class TestWalkExpression:
         assert not ast.contains_aggregate(expr_of("length(a) > 1"))
 
 
-class TestTransformExpression:
-    def test_identity_transform(self):
-        expr = expr_of("a = 1 and b between 2 and 3")
-        same = ast.transform_expression(expr, lambda node: node)
-        assert same.to_sql() == expr.to_sql()
-
-    def test_literal_replacement(self):
-        expr = expr_of("a = 1 + 2")
-
-        def fold(node):
-            if (isinstance(node, ast.BinaryOp) and node.op == "+"
-                    and isinstance(node.left, ast.Literal)
-                    and isinstance(node.right, ast.Literal)):
-                return ast.Literal(node.left.value + node.right.value)
-            return node
-
-        folded = ast.transform_expression(expr, fold)
-        assert folded == ast.BinaryOp("=", ast.ColumnRef("a"),
-                                      ast.Literal(3))
-
-    def test_subquery_treated_as_leaf(self):
-        expr = expr_of("a = (select max(b) from u)")
-        seen = []
-        ast.transform_expression(expr, lambda n: seen.append(n) or n)
-        assert any(isinstance(n, ast.Subquery) for n in seen)
-        # inner statement is NOT walked into
-        assert not any(isinstance(n, ast.FunctionCall) for n in seen)
-
-    def test_contains_subquery(self):
-        assert ast.contains_subquery(expr_of("a in (select b from u)"))
-        assert ast.contains_subquery(expr_of("a = (select b from u)"))
-        assert not ast.contains_subquery(expr_of("a in (1, 2)"))
-
-
 class TestToSql:
     @pytest.mark.parametrize("text", [
         "a = 1",
@@ -99,10 +65,6 @@ class TestToSql:
     def test_star_rendering(self):
         assert ast.Star().to_sql() == "*"
         assert ast.Star("t").to_sql() == "t.*"
-
-    def test_subquery_placeholder(self):
-        sub = expr_of("a = (select b from u)").right
-        assert "subquery" in sub.to_sql()
 
 
 KEY = (KeyCondition("k", "=", 1),)

