@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ParseError
 from repro.optimizer.plans import (
     AggregatePlan,
     BTreeScanPlan,
@@ -16,6 +17,7 @@ from repro.optimizer.plans import (
     SortPlan,
 )
 from repro.sql import ast_nodes as ast
+from repro.sql.lexer import parameterize
 from repro.sql.parser import parse_statement
 
 
@@ -38,6 +40,44 @@ class TestWalkExpression:
     def test_contains_aggregate(self):
         assert ast.contains_aggregate(expr_of("count(a) > 1"))
         assert not ast.contains_aggregate(expr_of("length(a) > 1"))
+
+
+class TestTransformExpression:
+    """No expression is rewritten per execution: a plan reused for
+    another text of the same shape reads each literal from that text's
+    literal vector (``Literal.bound``).  No expression holds a subquery,
+    since the parser rejects one."""
+
+    @staticmethod
+    def bound_literals(text, values):
+        where = parse_statement(text).where
+        return [node.bound(values) for node in ast.walk_expression(where)
+                if isinstance(node, ast.Literal)]
+
+    def test_identity_transform(self):
+        text = "select x from t where a = 1 and b between 2 and 3"
+        _shape, values = parameterize(text)
+        assert self.bound_literals(text, values) == [1, 2, 3]
+        assert self.bound_literals(text, None) == [1, 2, 3]
+
+    def test_literal_replacement(self):
+        text = "select x from t where a = 1 + 2"
+        shape, _values = parameterize(text)
+        other_shape, other = parameterize("select x from t where a = 4 + 5")
+        assert other_shape == shape
+        assert self.bound_literals(text, other) == [4, 5]
+        assert ast.Literal(3).bound(other) == 3  # synthesized: no slot
+
+    def test_subquery_treated_as_leaf(self):
+        with pytest.raises(ParseError, match="subqueries are not supported"):
+            expr_of("a = (select max(b) from u)")
+
+    def test_contains_subquery(self):
+        for text in ("a in (select b from u)", "a = (select b from u)"):
+            with pytest.raises(ParseError, match="subqueries"):
+                expr_of(text)
+        assert expr_of("a in (1, 2)") == ast.InList(
+            ast.ColumnRef("a"), (ast.Literal(1), ast.Literal(2)))
 
 
 class TestToSql:

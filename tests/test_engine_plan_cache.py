@@ -11,7 +11,7 @@ from repro.config import EngineConfig, MonitorConfig
 from repro.core.monitor import MonitorSensors
 from repro.engine import EngineInstance
 from repro.engine import session as session_module
-from repro.errors import ReproError
+from repro.errors import ParseError, ReproError
 from repro.setups import daemon_setup, monitoring_setup, original_setup
 
 
@@ -128,6 +128,15 @@ class TestPlanCache:
         assert cached_session.plan_cache_misses == 2
         assert cached_session.execute(first).rows != rows
         assert cached_session.plan_cache_hits == 1  # its text is in front
+
+    def test_subqueries_are_never_prepared(self, cached_session):
+        for bound in (5, 10, 5):
+            with pytest.raises(ParseError, match="subqueries"):
+                cached_session.execute(
+                    "select a from t where b > "
+                    f"(select min(b) from t where b > {bound})")
+        assert cached_session.plan_cache_hits == 0
+        assert cached_session.plan_cache_misses == 0
 
     def test_dml_is_prepared(self, cached_session):
         cached_session.execute("update t set b = b + 1 where a = 1")

@@ -107,6 +107,199 @@ class TestRejectedConstructs:
         assert session.execute(_self_joins(6)).scalar() == 3
 
 
+_OUTER_JOIN = re.escape("LEFT [OUTER] JOIN is not supported")
+_SUBQUERY = "subqueries are not supported"
+
+
+def _contents(session):
+    return (session.execute("select * from customer order by id").rows,
+            session.execute("select * from orders order by id").rows)
+
+
+def _rejected(session, text, message):
+    """``text`` fails to parse with ``message`` and changes no row."""
+    before = _contents(session)
+    with pytest.raises(ParseError, match=message):
+        session.execute(text)
+    assert _contents(session) == before
+
+
+class TestLeftJoin:
+    """LEFT [OUTER] JOIN is rejected wherever it appears.  Each text is
+    one the removed outer-join planner answered; where a test's point
+    holds for inner joins too, the inner form is checked as well."""
+
+    def test_unmatched_rows_null_padded(self, orders_session):
+        _rejected(orders_session,
+                  "select c.name, o.total from customer c "
+                  "left join orders o on c.id = o.cust order by c.id, o.id",
+                  _OUTER_JOIN)
+        result = orders_session.execute(
+            "select c.name, o.total from customer c "
+            "join orders o on c.id = o.cust order by c.id, o.id")
+        assert result.rows == [("ann", 100), ("ann", 50), ("bob", 75)]
+
+    def test_left_outer_keyword(self, orders_session):
+        _rejected(orders_session,
+                  "select count(*) from customer c "
+                  "left outer join orders o on c.id = o.cust", _OUTER_JOIN)
+
+    def test_anti_join_pattern(self, orders_session):
+        _rejected(orders_session,
+                  "select c.name from customer c "
+                  "left join orders o on c.id = o.cust where o.id is null",
+                  _OUTER_JOIN)
+
+    def test_where_applies_after_join(self, orders_session):
+        _rejected(orders_session,
+                  "select c.name from customer c "
+                  "left join orders o on c.id = o.cust where o.total > 60 "
+                  "order by c.name", _OUTER_JOIN)
+        result = orders_session.execute(
+            "select c.name from customer c "
+            "join orders o on c.id = o.cust where o.total > 60 "
+            "order by c.name")
+        assert result.rows == [("ann",), ("bob",)]
+
+    def test_null_join_keys_never_match(self, orders_session):
+        _rejected(orders_session,
+                  "select count(*) from orders o "
+                  "left join customer c on o.cust = c.id where c.id is null",
+                  _OUTER_JOIN)
+        result = orders_session.execute(
+            "select count(*) from orders o join customer c on o.cust = c.id")
+        assert result.scalar() == 3  # cust=99 and cust=NULL match nothing
+
+    def test_non_equi_left_join(self, orders_session):
+        _rejected(orders_session,
+                  "select c.id, o.id from customer c "
+                  "left join orders o on o.total > 70 and c.id = o.cust "
+                  "order by c.id", _OUTER_JOIN)
+        result = orders_session.execute(
+            "select c.id, o.id from customer c "
+            "join orders o on o.total > 70 and c.id = o.cust order by c.id")
+        assert result.rows == [(1, 10), (2, 12)]
+
+    def test_chained_left_joins(self, orders_session):
+        orders_session.execute(
+            "create table shipment (order_id int, carrier varchar(8))")
+        orders_session.execute("insert into shipment values (10, 'dhl')")
+        _rejected(orders_session,
+                  "select c.name, o.id, s.carrier from customer c "
+                  "left join orders o on c.id = o.cust "
+                  "left join shipment s on o.id = s.order_id "
+                  "order by c.id, o.id", _OUTER_JOIN)
+
+    def test_mixed_inner_then_left(self, orders_session):
+        text = ("select c.name, o.id from customer c "
+                "join orders o on c.id = o.cust "
+                "left join customer c2 on o.total = c2.id order by o.id")
+        _rejected(orders_session, text, re.escape(
+            f"(near 'left' at offset {text.index('left')})"))
+
+    def test_aggregation_over_left_join(self, orders_session):
+        _rejected(orders_session,
+                  "select c.name, count(o.id) from customer c "
+                  "left join orders o on c.id = o.cust "
+                  "group by c.name order by c.name", _OUTER_JOIN)
+        result = orders_session.execute(
+            "select c.name, count(o.id) from customer c "
+            "join orders o on c.id = o.cust group by c.name order by c.name")
+        assert result.rows == [("ann", 2), ("bob", 1)]
+
+    def test_explain_shows_outer_join(self, orders_session):
+        text = ("select c.name from customer c "
+                "left join orders o on c.id = o.cust")
+        with pytest.raises(ParseError, match=_OUTER_JOIN):
+            orders_session.explain(text)
+        _rejected(orders_session, f"explain {text}", _OUTER_JOIN)
+
+
+class TestSubqueries:
+    """A subquery is rejected wherever it sits: in a comparison, a select
+    list, an IN list, a BETWEEN bound, another subquery, and in UPDATE
+    and DELETE.  Each text is one the removed subquery materialisation
+    answered."""
+
+    def test_scalar_in_comparison(self, orders_session):
+        _rejected(orders_session, "select id from orders where total = "
+                  "(select max(total) from orders)", _SUBQUERY)
+
+    def test_scalar_in_select_list(self, orders_session):
+        _rejected(orders_session, "select (select count(*) from orders)",
+                  _SUBQUERY)
+
+    def test_in_subquery(self, orders_session):
+        _rejected(orders_session, "select name from customer where id in "
+                  "(select cust from orders) order by name", _SUBQUERY)
+
+    def test_not_in_subquery_with_null_is_empty(self, orders_session):
+        _rejected(orders_session, "select count(*) from customer "
+                  "where id not in (select cust from orders)", _SUBQUERY)
+
+    def test_not_in_subquery_without_nulls(self, orders_session):
+        _rejected(orders_session, "select name from customer where id "
+                  "not in (select cust from orders where cust is not null)",
+                  _SUBQUERY)
+
+    def test_empty_in_subquery(self, orders_session):
+        _rejected(orders_session, "select count(*) from customer where id "
+                  "in (select cust from orders where total > 10000)",
+                  _SUBQUERY)
+
+    def test_empty_not_in_subquery_matches_all(self, orders_session):
+        _rejected(orders_session, "select count(*) from customer where id "
+                  "not in (select cust from orders where total > 10000)",
+                  _SUBQUERY)
+
+    def test_scalar_subquery_zero_rows_is_null(self, orders_session):
+        _rejected(orders_session, "select count(*) from customer where id "
+                  "= (select cust from orders where total > 10000)",
+                  _SUBQUERY)
+
+    def test_scalar_subquery_multiple_rows_rejected(self, orders_session):
+        _rejected(orders_session, "select id from customer where id = "
+                  "(select cust from orders)", _SUBQUERY)
+
+    def test_multi_column_subquery_rejected(self, orders_session):
+        _rejected(orders_session, "select id from customer where id in "
+                  "(select id, cust from orders)", _SUBQUERY)
+
+    def test_correlated_subquery_rejected(self, orders_session):
+        _rejected(orders_session, "select name from customer c where "
+                  "c.id = (select max(cust) from orders where cust = c.id)",
+                  _SUBQUERY)
+
+    def test_nested_subqueries(self, orders_session):
+        _rejected(orders_session, "select name from customer where id in "
+                  "(select cust from orders where total = "
+                  "(select max(total) from orders))", _SUBQUERY)
+
+    def test_update_with_subquery(self, orders_session):
+        _rejected(orders_session, "update orders set total = 0 where "
+                  "total < (select avg(total) from orders)", _SUBQUERY)
+
+    def test_delete_with_subquery(self, orders_session):
+        _rejected(orders_session, "delete from orders where total = "
+                  "(select min(total) from orders)", _SUBQUERY)
+
+    def test_subquery_statements_not_plan_cached(self, orders_session):
+        text = ("select id from orders where total = "
+                "(select max(total) from orders)")
+        counters = (orders_session.plan_cache_hits,
+                    orders_session.plan_cache_misses)
+        for _ in range(2):
+            with pytest.raises(ParseError, match=_SUBQUERY):
+                orders_session.execute(text)
+        assert (orders_session.plan_cache_hits,
+                orders_session.plan_cache_misses) == counters
+
+    def test_subquery_inside_plain_in_list_mix(self, orders_session):
+        _rejected(orders_session, "select count(*) from orders where total "
+                  "between (select min(total) from orders) and 75",
+                  _SUBQUERY)
+
+
 class TestExplainStatement:
     def test_explain_returns_plan_rows(self, orders_session):
         result = orders_session.execute(

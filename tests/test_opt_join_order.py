@@ -3,7 +3,9 @@
 import pytest
 
 from repro.catalog.schema import IndexDef
-from repro.optimizer import plans
+from repro.errors import OptimizerError
+from repro.execution.executor import Executor
+from repro.optimizer import join_order, plans
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.parser import parse_statement
 
@@ -29,6 +31,12 @@ def star_db(engine):
     return engine.database("star"), session
 
 
+STAR_JOIN = ("select count(*) from fact f "
+             "join dim1 a on f.d1 = a.id "
+             "join dim2 b on f.d2 = b.id "
+             "join dim3 c on f.d3 = c.id")
+
+
 def optimize(db, sql):
     return Optimizer(db).optimize_select(parse_statement(sql))
 
@@ -36,12 +44,7 @@ def optimize(db, sql):
 class TestJoinMethods:
     def test_star_join_covers_all(self, star_db):
         db, _session = star_db
-        result = optimize(
-            db,
-            "select count(*) from fact f "
-            "join dim1 a on f.d1 = a.id "
-            "join dim2 b on f.d2 = b.id "
-            "join dim3 c on f.d3 = c.id")
+        result = optimize(db, STAR_JOIN)
         assert set(result.referenced_tables) == {"fact", "dim1", "dim2",
                                                  "dim3"}
         joins = [n for n in result.plan.walk()
@@ -96,6 +99,25 @@ class TestJoinMethods:
                    if isinstance(n, plans.IndexLookupJoinPlan)]
         if lookups:  # the optimizer may still prefer hash at this scale
             assert lookups[0].via_index == "i_d1"
+
+    def test_greedy_fallback_beyond_threshold(self, star_db, monkeypatch):
+        """Beyond the DP limit there is no fallback: the FROM is rejected."""
+        db, _session = star_db
+        monkeypatch.setattr(join_order, "MAX_JOIN_INPUTS", 3)
+        with pytest.raises(OptimizerError, match="a FROM of 4 tables"):
+            optimize(db, STAR_JOIN)
+
+    def test_greedy_matches_dp_result_volume(self, star_db, monkeypatch):
+        """The limit is inclusive: a FROM of exactly MAX_JOIN_INPUTS
+        tables is planned by DP and counts what the session counts."""
+        db, session = star_db
+        rows = session.execute(STAR_JOIN).scalar()
+        monkeypatch.setattr(join_order, "MAX_JOIN_INPUTS", 4)
+        result = optimize(db, STAR_JOIN)
+        executor = Executor(db, db.pool)
+        assert executor.execute(
+            result.plan, result.output_names).rows == [(rows,)]
+        assert rows == 600
 
     def test_disconnected_tables_cross_join(self, star_db):
         db, session = star_db
