@@ -1,74 +1,77 @@
 """Join operators: nested loop, hash and index-lookup joins.
 
 Each ``*_step`` compiles its plan node once (key getters, the lookup
-join's residual, the nested loop's filter kernel) and returns the step
-that binds an execution's literal vector to them.  The nested loop's inner side and
-a hash join's build side are taken whole when the join starts; the
-outer side is joined a batch at a time (see :data:`~.scan.Step`).
+join's residual, the filter kernel of a nested loop or of a hash join's
+first probe rows) and returns the step that binds an execution's literal
+vector to them.  The inner or build side is taken whole when the join
+starts; the outer side is joined a batch at a time (see :data:`~.scan.Step`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Sequence
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import (Binder, Getter, Params, ScopeIndex,
+from repro.execution.evaluator import (BatchFilter, Getter, Params,
+                                      ScopeIndex, column_position,
                                       prepare_expression, prepare_filter)
 from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
                                   column_types, positions, singles)
+from repro.optimizer.cost_model import CPU_OPERATOR_COST, CPU_TUPLE_COST
 from repro.optimizer.plans import (HashJoinPlan, IndexLookupJoinPlan,
                                    NestedLoopJoinPlan)
+from repro.optimizer.predicates import conjoin
 from repro.sql import ast_nodes as ast
 
 
-def _prepare_key(keys: tuple[ast.Expression, ...],
-                 index: ScopeIndex) -> Binder[Getter]:
-    """``bind(params)``: a row's join key, a one-column key's bare value
-    or else the values' tuple; None if NULL, which never equi-joins."""
-    binders = [prepare_expression(key, index) for key in keys]
+def _join_key(keys: tuple[ast.Expression, ...], index: ScopeIndex) -> Getter:
+    """A row's join key, read from the key columns (a plan's keys are
+    columns of its input): a one-column key's bare value or else the
+    values' tuple; None if NULL, which never equi-joins."""
+    get = itemgetter(*[column_position(key, index) for key in keys])
+    if len(keys) == 1:
+        return get
 
-    def bind(params: Params) -> Getter:
-        getters = [binder(params) for binder in binders]
-        if len(getters) == 1:
-            return getters[0]
+    def key_of(row: tuple) -> tuple | None:
+        key = get(row)
+        return None if None in key else key
 
-        def key_of(row: tuple) -> tuple | None:
-            key = tuple([getter(row) for getter in getters])
-            return None if None in key else key
+    return key_of
 
-        return key_of
 
-    return bind
+def _filter_join(keep: BatchFilter, inner: list[tuple], batch: Sequence[tuple],
+                 single: bool, counters: Counters) -> Batches:
+    """Each row of ``batch`` joined with the rows of ``inner`` that ``keep``
+    accepts with it, as the filter's arguments; every row tested counts."""
+    out: list[tuple] = []
+    for outer in batch:
+        matched = keep(inner, outer)
+        joined = [outer + row for row in matched]
+        if single:
+            yield from singles(joined, positions(inner, matched),
+                               len(inner), counters)
+        else:
+            out += joined
+    if not single:
+        counters.tuples += len(batch) * len(inner)
+        if out:
+            yield out
 
 
 def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
                      params: Params, single: bool, left: Step,
                      right: Step) -> Step:
-    """A nested loop over the join condition."""
+    """A join with no equi-condition: each outer row filters the inner side."""
     bind = prepare_filter(plan.condition, plan.right.scope, params,
                           column_types(plan, catalog), plan.left.scope)
 
     def nested_loop(counters: Counters) -> Batches:
-        """Filter all of the inner side per outer row, its values bound
-        as the filter's arguments; every inner row tested counts."""
         keep = bind(counters.params)
         inner = [*chain.from_iterable(right(counters))]
-        width = len(inner)
         for batch in left(counters):
-            out: list[tuple] = []
-            for outer in batch:
-                matched = keep(inner, outer)
-                joined = [outer + row for row in matched]
-                if single:
-                    yield from singles(joined, positions(inner, matched),
-                                       width, counters)
-                else:
-                    out += joined
-            if not single:
-                counters.tuples += len(batch) * width
-                if out:
-                    yield out
+            yield from _filter_join(keep, inner, batch, single, counters)
 
     return nested_loop
 
@@ -76,25 +79,37 @@ def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
 def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
                    params: Params, single: bool, left: Step,
                    right: Step) -> Step:
-    """An equi-join: build on the right input, probe with the left input
-    a batch at a time; every probe row counts, and so does every row it
-    outputs."""
-    left_key = _prepare_key(plan.left_keys, ScopeIndex(plan.left.scope))
-    right_key = _prepare_key(plan.right_keys, ScopeIndex(plan.right.scope))
+    """An equi-join built on the right input.  While the probe rows seen,
+    the batch in hand included, are at most the cost model's break-even
+    between testing each build row and hashing it (4), each filters the
+    build side as a nested loop's outer row does; past it, the build side
+    is hashed once and counted, and each probe row counts with its output.
+    A probe row's matches come in build order; NULL keys match nothing."""
+    left_key = _join_key(plan.left_keys, ScopeIndex(plan.left.scope))
+    right_key = _join_key(plan.right_keys, ScopeIndex(plan.right.scope))
+    bind = prepare_filter(conjoin([*map(ast.BinaryOp, repeat("="),
+                                        plan.left_keys, plan.right_keys)]),
+                          plan.right.scope, params,
+                          column_types(plan, catalog), plan.left.scope)
 
     def hash_join(counters: Counters) -> Batches:
-        params = counters.params
-        key_of = left_key(params)
+        keep = bind(counters.params)
         build = [*chain.from_iterable(right(counters))]
-        counters.tuples += len(build)
-        table: dict[Any, list[tuple]] = {}
-        for row, key in zip(build, map(right_key(params), build)):
-            if key is not None:  # NULL never equi-joins
-                table.setdefault(key, []).append(row)
-        get = table.get
+        seen, get = 0, None
         for batch in left(counters):
+            seen += len(batch)
+            if seen <= CPU_TUPLE_COST / CPU_OPERATOR_COST:
+                yield from _filter_join(keep, build, batch, single, counters)
+                continue
+            if get is None:
+                counters.tuples += len(build)
+                table: dict[Any, list[tuple]] = {}
+                for row, key in zip(build, map(right_key, build)):
+                    if key is not None:  # NULL never equi-joins
+                        table.setdefault(key, []).append(row)
+                get = table.get
             out = [outer + row for outer in batch
-                   for row in get(key_of(outer), ())]
+                   for row in get(left_key(outer), ())]
             if single:  # one probe row: it counts before its first output
                 yield from singles(out, range(2, len(out) + 2),
                                    1 + len(out), counters)
@@ -110,7 +125,7 @@ def index_lookup_step(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
                       params: Params, single: bool, left: Step) -> Step:
     """Per outer row, probe the inner table's B-Tree or secondary index
     a page at a time; every inner row reached counts."""
-    outer_key = _prepare_key(plan.outer_keys, ScopeIndex(plan.left.scope))
+    key_of = _join_key(plan.outer_keys, ScopeIndex(plan.left.scope))
     bind_residual = None if plan.residual is None else prepare_expression(
         plan.residual, ScopeIndex(plan.scope), predicate=True)
     bare = len(plan.outer_keys) == 1
@@ -120,7 +135,6 @@ def index_lookup_step(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
             raise ExecutionError(
                 f"plan probes virtual index {plan.via_index!r}; virtual "
                 f"indexes can be costed but not executed")
-        key_of = outer_key(counters.params)
         residual = bind_residual and bind_residual(counters.params)
         storage = catalog.storage_for(plan.table_name)
         index = None if plan.via_index is None \

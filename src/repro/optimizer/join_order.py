@@ -3,10 +3,10 @@
 The enumerator runs System-R style bitmask DP over connected sub-plans
 (cross products only when a query is genuinely disconnected) for a FROM
 of up to :data:`MAX_JOIN_INPUTS` inputs; a larger FROM is rejected.  For
-every pair it considers hash join, (block) nested loops and — when the
-inner side is a single base table reachable through a B-Tree or a
-(possibly virtual) secondary index on the join columns — an
-index-lookup join.
+every pair joined by an equality it considers hash join and — when the
+inner side is a single base table reachable through a B-Tree or a (possibly
+virtual) secondary index on the join columns — an index-lookup join; for
+a pair with no equality between them, only a nested loop.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ class JoinEnumerator:
         if between:
             candidates.append(self._hash_join(left, right, between, out_rows))
             candidates.append(self._hash_join(right, left, between, out_rows))
-        candidates.append(self._nested_loop(left, right, between, out_rows))
-        candidates.append(self._nested_loop(right, left, between, out_rows))
+        else:  # an equi-join is never a nested loop
+            candidates.append(self._nested_loop(left, right, out_rows))
+            candidates.append(self._nested_loop(right, left, out_rows))
         for outer, inner in ((left, right), (right, left)):
             if len(inner.bindings) == 1:
                 lookup = self._index_lookup(outer, inner, between, out_rows)
@@ -177,9 +178,8 @@ class JoinEnumerator:
         return plan
 
     def _nested_loop(self, outer: SubPlan, inner: SubPlan,
-                     between: list[JoinEdge], out_rows: float) -> PlanNode:
-        condition = conjoin([edge.to_expression() for edge in between])
-        plan = NestedLoopJoinPlan(outer.plan, inner.plan, condition)
+                     out_rows: float) -> PlanNode:
+        plan = NestedLoopJoinPlan(outer.plan, inner.plan)
         cost = _spent(outer.plan) + _spent(inner.plan) \
             + self._cost_model.nested_loop_join(outer.rows, inner.rows, Cost())
         _finalize(plan, out_rows, cost)

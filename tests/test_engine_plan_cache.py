@@ -5,7 +5,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.config import EngineConfig, MonitorConfig
 from repro.core.monitor import MonitorSensors
@@ -256,6 +256,10 @@ _TEXT = st.sampled_from(["ab0", "abc1", "b'c2", "it's0", "", "ab%", "%c_",
 _ANY = st.one_of(_INT, _FLOAT, _TEXT)
 _COUNT = st.one_of(st.integers(0, 6), st.sampled_from([1.0, 2.0]))
 
+# A hash join whose probe side, ``t.a < {}`` rows of ``t``, crosses at 4
+# rows from filtering the build side to hashing it.
+_SWITCH = "select t.a, u.c from t join u on t.b = u.a where t.a < {}"
+
 # (template, one strategy per ``{}``)
 _SHAPES = [
     ("select a, b from t where a = {}", [_INT]),
@@ -284,8 +288,7 @@ _SHAPES = [
      [_INT, _INT, _FLOAT]),
     ("select t.a, u.c from t join u on t.a = u.a "
      "where u.a = {} and t.b < {}", [_INT, _INT]),
-    ("select t.a, u.c from t left join u on t.a = u.a and u.c = {} "
-     "where t.a < {}", [_TEXT, _INT]),
+    (_SWITCH, [_INT]),
     ("select distinct b from t where a > {} order by b", [_INT]),
     ("select a from t where a = {} or s = {}", [_INT, _TEXT]),
 ]
@@ -332,6 +335,8 @@ def reuse_engines():
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(texts=_shape_and_vectors())
+@example(texts=[_SWITCH.format(2), _SWITCH.format(30)])
+@example(texts=[_SWITCH.format(30), _SWITCH.format(4), _SWITCH.format(5)])
 def test_reuse_is_invisible(reuse_engines, texts):
     """A session warmed with other literal vectors of a shape returns
     exactly what a fresh session with no plan cache returns for the

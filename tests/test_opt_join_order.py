@@ -1,13 +1,19 @@
 """Tests for join enumeration: DP and method choice."""
 
+import re
+
 import pytest
 
+from perf import workloads
 from repro.catalog.schema import IndexDef
+from repro.engine import EngineInstance
 from repro.errors import OptimizerError
 from repro.execution.executor import Executor
 from repro.optimizer import join_order, plans
 from repro.optimizer.optimizer import Optimizer
 from repro.sql.parser import parse_statement
+from repro.workloads import (NREF_TABLE_NAMES, NrefScale, complex_query_set,
+                             load_nref)
 
 
 @pytest.fixture
@@ -136,3 +142,67 @@ class TestJoinMethods:
         large = optimize(
             db, "select count(*) from fact f join dim1 a on f.d1 = a.id")
         assert large.estimated_cost.total > small.estimated_cost.total
+
+
+# -- the workloads' joins -----------------------------------------------------
+
+# Figure 7's scale (benchmarks/conftest.py's BENCH_SCALE) and its queries.
+FIG7_SCALE = NrefScale(proteins=2000)
+FIG7_QUERIES = complex_query_set(FIG7_SCALE, count=50)
+EQUALITY = re.compile(r"\b([a-z_]\w*)\.\w+ = ([a-z_]\w*)\.\w+")
+
+
+def _nref_engine(proteins):
+    engine = EngineInstance()
+    engine.create_database("nref")
+    load_nref(engine.database("nref"), NrefScale(proteins=proteins))
+    return engine
+
+
+def _equi_nested_loops(db, text):
+    """The equalities of ``text`` between two bindings that some nested
+    loop of its plan has on opposite sides."""
+    edges = {frozenset(pair) for pair in EQUALITY.findall(text)}
+    found = []
+    for node in optimize(db, text).plan.walk():
+        if isinstance(node, plans.NestedLoopJoinPlan):
+            left = {binding for binding, _ in node.left.scope}
+            right = {binding for binding, _ in node.right.scope}
+            found += [edge for edge in edges if edge & left and edge & right]
+    return found
+
+
+@pytest.mark.parametrize("statistics", [False, True],
+                         ids=["no-statistics", "statistics"])
+def test_no_workload_join_is_an_equi_nested_loop(statistics):
+    """Figure 7's 50 queries and the 12 ``complex_joins`` templates, each
+    on its own database, with and without statistics on all six tables."""
+    cases = [(_nref_engine(FIG7_SCALE.proteins), FIG7_QUERIES),
+             (_nref_engine(workloads.SIZES["complex_joins"].proteins),
+              workloads.build("complex_joins", 1, 1).chunks[0][:12])]
+    for engine, texts in cases:
+        with engine.connect("nref") as session:
+            for table in NREF_TABLE_NAMES if statistics else ():
+                session.execute(f"create statistics on {table}")
+        db = engine.database("nref")
+        assert len([text for text in texts if EQUALITY.search(text)]) >= 10
+        assert [text for text in texts if _equi_nested_loops(db, text)] == []
+
+
+def test_a_prepared_plan_reused_for_a_heavy_literal():
+    """Figure 7's queries 4, 16, 28 and 40 are one shape, ``p.tax_id = ?``,
+    planned for query 4's light literal (3 rows estimated with
+    statistics) and reused for query 28's heavy one (1 096 proteins).
+    The reused plan does no more work than a fresh plan for it."""
+    engine = _nref_engine(FIG7_SCALE.proteins)
+    with engine.connect("nref") as session:
+        for table in NREF_TABLE_NAMES:
+            session.execute(f"create statistics on {table}")
+        reused = {i: session.execute(FIG7_QUERIES[i]).metrics
+                  for i in (4, 16, 28, 40)}
+        assert session.plan_cache_hits == 3
+    with engine.connect("nref") as fresh:
+        planned = fresh.execute(FIG7_QUERIES[28]).metrics
+    assert planned.tuples_processed == 17_538
+    assert reused[28].tuples_processed <= planned.tuples_processed
+    assert reused[28].rows_returned == planned.rows_returned
