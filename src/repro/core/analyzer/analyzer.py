@@ -56,7 +56,7 @@ class AnalysisReport:
             f"{self.whatif_calls} what-if calls, {self.rows_folded} rows read "
             f"(analysis took {self.duration_s:.1f}s)",
             "",
-            f"statements with significant cost divergence: "
+            f"statements with significant cost or row divergence: "
             f"{len(self.findings.divergent_statements)}",
             f"tables with missing/stale statistics: "
             f"{', '.join(self.findings.tables_needing_statistics) or '-'}",
@@ -108,7 +108,8 @@ class Analyzer:
         findings = run_rules(view, self.database)
         advice = IndexAdvisor(self.database).advise(view.statements.values())
         diagram = cost_diagram(list(view.statements.values()),
-                               advice.virtual_costs)
+                               advice.virtual_costs,
+                               misestimated=findings.misestimated)
         return AnalysisReport(
             view=view,
             findings=findings,

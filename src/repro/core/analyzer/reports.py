@@ -27,9 +27,16 @@ class CostDiagramEntry:
     actual_cost: float
     estimated_cost: float
     virtual_estimated_cost: float
+    misestimated: tuple[str, ...] | None = None
+    """The ``table.column`` pairs whose row estimates missed, if the
+    statement's captured plan counted its nodes' rows (see
+    :class:`~repro.core.analyzer.rules.RuleFindings`); None: not counted,
+    and the costs decide."""
 
     @property
     def divergent(self) -> bool:
+        if self.misestimated is not None:
+            return bool(self.misestimated)
         if self.actual_cost <= 0 or self.estimated_cost <= 0:
             return False
         ratio = max(self.actual_cost / self.estimated_cost,
@@ -58,7 +65,11 @@ class CostDiagram:
                 bar = "#" * max(1, round(width * value / peak)) if value > 0 \
                     else ""
                 lines.append(f"  {name} |{bar:<{width}}| {value:12.1f}")
-            if entry.divergent:
+            if entry.misestimated:
+                lines.append(f"  ! row estimates miss on "
+                             f"{', '.join(entry.misestimated)} — "
+                             f"collect statistics")
+            elif entry.divergent:
                 lines.append("  ! actual and estimated costs diverge — "
                              "collect statistics")
         return "\n".join(lines)
@@ -66,11 +77,15 @@ class CostDiagram:
 
 def cost_diagram(profiles: Sequence[StatementProfile],
                  virtual_costs: dict[int, float] | None = None,
-                 top: int = 10) -> CostDiagram:
+                 top: int = 10,
+                 misestimated: dict[int, tuple[str, ...]] | None = None,
+                 ) -> CostDiagram:
     """Build the figure-6 diagram for the ``top`` most expensive
     statements; ``virtual_costs`` maps statement hash to the estimated
-    cost with recommended virtual indexes."""
+    cost with recommended virtual indexes, ``misestimated`` to the
+    columns whose row estimates missed (see :class:`CostDiagramEntry`)."""
     virtual_costs = virtual_costs or {}
+    misestimated = misestimated or {}
     ranked = sorted(profiles, key=lambda p: p.avg_actual_cost, reverse=True)
     diagram = CostDiagram()
     for i, profile in enumerate(ranked[:top], start=1):
@@ -81,6 +96,7 @@ def cost_diagram(profiles: Sequence[StatementProfile],
             estimated_cost=profile.avg_estimated_cost,
             virtual_estimated_cost=virtual_costs.get(
                 profile.text_hash, profile.avg_estimated_cost),
+            misestimated=misestimated.get(profile.text_hash),
         ))
     return diagram
 

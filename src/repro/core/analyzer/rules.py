@@ -3,6 +3,9 @@
 * **Cost divergence** — "actual and estimated costs of a statement
   differ significantly: may be caused by missing or outdated
   statistics" -> recommend CREATE STATISTICS on the referenced tables.
+  A statement whose captured plan counted its nodes' rows is judged
+  by them instead: divergent if a node's row estimate missed, and then
+  only the tables of the columns that estimate rests on.
 * **Missing histograms** — "one or more attributes of a table have no
   statistics: histograms should be created".
 * **Overflow pages** — "a table with a fixed amount of main data pages
@@ -12,7 +15,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.analyzer.recommendations import (
@@ -44,6 +47,9 @@ class RuleFindings:
     attributes_needing_histograms: list[tuple[str, str]]
     overflow_tables: list[str]
     recommendations: list[Recommendation]
+    misestimated: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    """Per statement whose captured plan counted its nodes' rows, the
+    ``table.column`` pairs whose row estimates missed (none: empty)."""
 
 
 def run_rules(view: WorkloadView,
@@ -56,16 +62,26 @@ def run_rules(view: WorkloadView,
     """
     divergent: list[int] = []
     stats_tables: dict[str, list[int]] = {}
+    misestimated = view.misses()
 
     for profile in view.statements.values():
         if profile.executions < MIN_EXECUTIONS:
             continue
+        text_hash = profile.text_hash
         expensive = max(profile.avg_actual_cost,
                         profile.avg_estimated_cost) >= DIVERGENCE_MIN_COST
-        if expensive and profile.cost_divergence >= DIVERGENCE_RATIO:
-            divergent.append(profile.text_hash)
-            for table in profile.referenced_tables:
-                stats_tables.setdefault(table, []).append(profile.text_hash)
+        if text_hash in misestimated:
+            tables = {column.partition(".")[0]
+                      for column in misestimated[text_hash]}
+            if not tables:
+                continue
+        elif expensive and profile.cost_divergence >= DIVERGENCE_RATIO:
+            tables = profile.referenced_tables
+        else:
+            continue
+        divergent.append(text_hash)
+        for table in tables:
+            stats_tables.setdefault(table, []).append(text_hash)
 
     # Drop tables whose statistics are already fresh in the live catalog.
     def needs_statistics(table: str) -> bool:
@@ -101,7 +117,7 @@ def run_rules(view: WorkloadView,
         recommendations.append(Recommendation(
             kind=RecommendationKind.CREATE_STATISTICS,
             table_name=table,
-            reason=(f"estimated and actual costs diverge for "
+            reason=(f"estimated and actual costs or rows diverge for "
                     f"{len(stats_tables[table])} statement(s) referencing "
                     f"this table"),
             statements_affected=tuple(stats_tables[table]),
@@ -132,4 +148,5 @@ def run_rules(view: WorkloadView,
         attributes_needing_histograms=attributes_needing,
         overflow_tables=overflow,
         recommendations=recommendations,
+        misestimated=misestimated,
     )

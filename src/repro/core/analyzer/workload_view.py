@@ -19,6 +19,7 @@ from repro.core import ima, records
 from repro.core.monitor import IntegratedMonitor
 from repro.core.workload_db import WorkloadDatabase
 from repro.errors import AnalyzerError
+from repro.optimizer.plans import parse_misses
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
@@ -99,6 +100,15 @@ class WorkloadView:
     """Captured plan text per statement hash (expensive statements)."""
     statistics: list[tuple] = field(default_factory=list)
     """System-statistics samples as recorded: ``(ts, *STATISTIC_FIELDS)``."""
+
+    def misses(self) -> dict[int, tuple[str, ...]]:
+        """Per statement whose captured plan counted its nodes' rows, the
+        columns of the row estimates that missed
+        (:func:`~repro.optimizer.plans.parse_misses`)."""
+        parsed = {text_hash: parse_misses(text)
+                  for text_hash, text in self.plans.items()}
+        return {text_hash: columns for text_hash, columns in parsed.items()
+                if columns is not None}
 
     def top_statements(self, count: int = 10) -> list[StatementProfile]:
         """The statements with the highest total actual cost."""

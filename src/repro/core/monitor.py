@@ -44,6 +44,7 @@ from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.core.sensors import StatementContext
 from repro.execution.executor import ExecutionMetrics
 from repro.optimizer.cost_model import Cost
+from repro.optimizer.plans import format_misses, misses_line, node_estimates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.optimizer import OptimizationResult
@@ -60,6 +61,9 @@ PLAN_BUFFER_SIZE = 200
 #: A SELECT whose estimated cost reaches this has its plan text captured
 #: (AWR-style top-query plans).
 PLAN_CAPTURE_MIN_COST = 100.0
+#: A node of a captured plan whose own row estimate missed its actual
+#: rows by this factor is named in the plan's text.
+ROW_MISS_FACTOR = 4.0
 #: Captured query texts are truncated to this many characters (the
 #: statement hash still covers the full text).
 MAX_STATEMENT_TEXT = 1024
@@ -201,8 +205,19 @@ class IntegratedMonitor:
 
     # staticcheck: coldpath(plan-capture-miss-only)
     def record_plan(self, text_hash: int, estimated_cost: float,
-                    plan_text: str, now: float) -> None:
-        """Keep the latest captured plan per statement hash."""
+                    nodes: Sequence[tuple], plan_text: str,
+                    now: float) -> None:
+        """Keep the latest captured plan per statement hash.  Its text ends
+        with the nodes whose estimate missed by :data:`ROW_MISS_FACTOR`
+        on the execution of its first capture, the one that counted the
+        rows of its ``nodes`` (:func:`~repro.optimizer.plans.
+        node_estimates`); a later capture keeps that line."""
+        if nodes:
+            plan_text += format_misses(nodes, ROW_MISS_FACTOR)
+        else:
+            kept = self.plans.get(text_hash)
+            if kept is not None:
+                plan_text += misses_line(kept.plan_text)
         self.plans.upsert(text_hash, PlanRecord(text_hash, estimated_cost,
                                                 plan_text, now))
 
@@ -278,9 +293,15 @@ class MonitorSensors:
                           optimized: "OptimizationResult",
                           optimize_time_s: float) -> None:
         """Called with the optimizer's result for a SELECT the session
-        planned."""
+        planned: one expensive enough to have its plan captured, and
+        with none captured yet, runs counting its nodes' rows, into
+        ``ctx.counted``."""
         ctx.optimized = optimized
         ctx.optimize_time_s = optimize_time_s
+        cost = optimized.estimated_cost
+        if (cost.io + cost.cpu >= PLAN_CAPTURE_MIN_COST
+                and ctx.shape_hash not in self.monitor.plans):
+            ctx.counted = {}
 
     # staticcheck: hotpath
     def execute_complete(self, statement: Any, text: str, session_id: int,
@@ -366,7 +387,10 @@ class MonitorSensors:
         cost = optimized.estimated_cost
         estimated_total = cost.io + cost.cpu
         if estimated_total >= PLAN_CAPTURE_MIN_COST:
-            monitor.record_plan(text_hash, estimated_total,
+            # A plan the session just made ran counting its nodes' rows.
+            counted = getattr(statement, "counted", None)
+            nodes = node_estimates(optimized.plan, counted) if counted else ()
+            monitor.record_plan(text_hash, estimated_total, nodes,
                                 optimized.explain(), now)
 
     def statement_error(self, statement: Any, text: str, session_id: int,

@@ -55,3 +55,5 @@ class StatementContext:
     optimized: Any = None
     """The optimizer's result, for a SELECT the session planned."""
     optimize_time_s: float = 0.0
+    counted: dict[int, int] | None = None
+    """Rows per plan node (by ``id``), for an execution that counts them."""

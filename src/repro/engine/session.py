@@ -331,8 +331,9 @@ class Session:
             program = Program(optimized.plan)
             if origin is not None:
                 self._store(*origin, statement, optimized, program)
-            return self.executor.execute(program, optimized.output_names,
-                                         values)
+            return self.executor.execute(
+                program, optimized.output_names, values,
+                counted=None if ctx is None else ctx.counted)
         finally:
             if autocommit:
                 self.engine.lock_manager.release_all(txn.txn_id)

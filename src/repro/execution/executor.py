@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 from repro.errors import ExecutionError
 from repro.execution import joins, modify, scan, shaping
 from repro.execution.evaluator import Params
-from repro.execution.scan import Counters, Step, StorageCatalog
+from repro.execution.scan import Batches, Counters, Step, StorageCatalog
 from repro.optimizer import plans
 from repro.storage.buffer_pool import BufferPool
 
@@ -90,18 +90,24 @@ class Executor:
                 output_names: tuple[str, ...],
                 params: Sequence[Any] | None = None,
                 undo: Callable[[Callable[[], None]], None] | None = None,
-                ) -> QueryResult:
+                counted: dict[int, int] | None = None) -> QueryResult:
         """Materialize the program's output and measure the work done.
 
         A bare plan is compiled for this execution only.  ``params`` is
         the literal vector of the text being executed when the plan was
         built for another text of the same shape; ``undo`` receives the
         inverse of every change a writing plan applies (the
-        transaction's undo log)."""
+        transaction's undo log).  Given ``counted``, the execution runs a
+        variant compiled for it alone that fills ``counted`` with the rows
+        each plan node put out, by ``id`` of the node (see
+        :func:`_compile`)."""
         if not isinstance(program, Program):
             program = Program(program)
         step = program.step
-        if step is None:
+        if counted is not None:
+            step = _compile(program.plan, self._catalog, params, False,
+                            counted)
+        elif step is None:
             step = program.step = compile_plan(program.plan, self._catalog,
                                                params)
         tally = self._pool.tally
@@ -128,10 +134,12 @@ def compile_plan(plan: plans.PlanNode, catalog: StorageCatalog,
 
 # staticcheck: hotpath
 def _compile(plan: plans.PlanNode, catalog: StorageCatalog, params: Params,
-             single: bool) -> Step:
+             single: bool, counted: dict[int, int] | None = None) -> Step:
     """``single`` (see :data:`~repro.execution.scan.Step`): a LIMIT's
     input, the one consumer that stops early, down to the first operator
-    that takes all of its input first (sort, aggregate, a join's inner)."""
+    that takes all of its input first (sort, aggregate, a join's inner).
+    ``counted`` (None: not counting) receives the output rows of every
+    node not ``single`` (whose output is cut short), keyed by its ``id``."""
     kind = type(plan)
     compiler = _COMPILERS.get(kind)
     if compiler is None:
@@ -141,12 +149,26 @@ def _compile(plan: plans.PlanNode, catalog: StorageCatalog, params: Params,
     blocking = kind in (plans.SortPlan, plans.AggregatePlan)
     first = (single or kind is plans.LimitPlan) and not blocking
     step = compiler(plan, catalog, params, single, *[
-        _compile(child, catalog, params, first and position == 0)
+        _compile(child, catalog, params, first and position == 0, counted)
         for position, child in enumerate(children)])
+    if counted is not None and not single:
+        return _counting(step, id(plan), counted)
     if single and blocking:
         # What it outputs counts nothing: hand it over a row at a time.
         return lambda counters: chain.from_iterable(map(zip, step(counters)))
     return step
+
+
+def _counting(step: Step, key: int, counted: dict[int, int]) -> Step:
+    """``step``, adding the rows of each batch it yields to ``counted[key]``."""
+    counted[key] = 0
+
+    def counting(counters: Counters) -> Batches:
+        for batch in step(counters):
+            counted[key] += len(batch)
+            yield batch
+
+    return counting
 
 
 # Plan node type -> ``compiler(plan, catalog, params, single, *children's steps)``.

@@ -1,8 +1,8 @@
 """Join operators: nested loop, hash and index-lookup joins.
 
 Each ``*_step`` compiles its plan node once (key getters, the lookup
-join's residual, the filter kernel of a nested loop or of a hash join's
-first probe rows) and returns the step that binds an execution's literal
+join's residual, the filter kernel a nested loop and a hash join's lone
+first probe row share) and returns the step that binds an execution's literal
 vector to them.  The inner or build side is taken whole when the join
 starts; the outer side is joined a batch at a time (see :data:`~.scan.Step`).
 """
@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import (BatchFilter, Getter, Params,
+from repro.execution.evaluator import (Getter, Params,
                                       ScopeIndex, column_position,
                                       prepare_expression, prepare_filter)
 from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
                                   column_types, positions, singles)
-from repro.optimizer.cost_model import CPU_OPERATOR_COST, CPU_TUPLE_COST
 from repro.optimizer.plans import (HashJoinPlan, IndexLookupJoinPlan,
                                    NestedLoopJoinPlan)
 from repro.optimizer.predicates import conjoin
@@ -41,25 +40,6 @@ def _join_key(keys: tuple[ast.Expression, ...], index: ScopeIndex) -> Getter:
     return key_of
 
 
-def _filter_join(keep: BatchFilter, inner: list[tuple], batch: Sequence[tuple],
-                 single: bool, counters: Counters) -> Batches:
-    """Each row of ``batch`` joined with the rows of ``inner`` that ``keep``
-    accepts with it, as the filter's arguments; every row tested counts."""
-    out: list[tuple] = []
-    for outer in batch:
-        matched = keep(inner, outer)
-        joined = [outer + row for row in matched]
-        if single:
-            yield from singles(joined, positions(inner, matched),
-                               len(inner), counters)
-        else:
-            out += joined
-    if not single:
-        counters.tuples += len(batch) * len(inner)
-        if out:
-            yield out
-
-
 def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
                      params: Params, single: bool, left: Step,
                      right: Step) -> Step:
@@ -68,10 +48,25 @@ def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
                           column_types(plan, catalog), plan.left.scope)
 
     def nested_loop(counters: Counters) -> Batches:
+        """Filter all of the inner side per outer row, its values bound
+        as the filter's arguments; every inner row tested counts."""
         keep = bind(counters.params)
         inner = [*chain.from_iterable(right(counters))]
+        width = len(inner)
         for batch in left(counters):
-            yield from _filter_join(keep, inner, batch, single, counters)
+            out: list[tuple] = []
+            for outer in batch:
+                matched = keep(inner, outer)
+                joined = [outer + row for row in matched]
+                if single:
+                    yield from singles(joined, positions(inner, matched),
+                                       width, counters)
+                else:
+                    out += joined
+            if not single:
+                counters.tuples += len(batch) * width
+                if out:
+                    yield out
 
     return nested_loop
 
@@ -79,12 +74,13 @@ def nested_loop_step(plan: NestedLoopJoinPlan, catalog: StorageCatalog,
 def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
                    params: Params, single: bool, left: Step,
                    right: Step) -> Step:
-    """An equi-join built on the right input.  While the probe rows seen,
-    the batch in hand included, are at most the cost model's break-even
-    between testing each build row and hashing it (4), each filters the
-    build side as a nested loop's outer row does; past it, the build side
-    is hashed once and counted, and each probe row counts with its output.
-    A probe row's matches come in build order; NULL keys match nothing."""
+    """An equi-join built on the right input.  A first probe batch of one
+    row finds its matches by filtering the build side, as a nested loop's
+    outer row does: for one row that beats hashing the build side, which
+    every later probe row does once.  Either way the join counts as the
+    plan prices it: the build side once, then each probe row with its
+    output.  A probe row's matches come in build order; NULL keys match
+    nothing."""
     left_key = _join_key(plan.left_keys, ScopeIndex(plan.left.scope))
     right_key = _join_key(plan.right_keys, ScopeIndex(plan.right.scope))
     bind = prepare_filter(conjoin([*map(ast.BinaryOp, repeat("="),
@@ -95,21 +91,22 @@ def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
     def hash_join(counters: Counters) -> Batches:
         keep = bind(counters.params)
         build = [*chain.from_iterable(right(counters))]
+        counters.tuples += len(build)
         seen, get = 0, None
         for batch in left(counters):
             seen += len(batch)
-            if seen <= CPU_TUPLE_COST / CPU_OPERATOR_COST:
-                yield from _filter_join(keep, build, batch, single, counters)
-                continue
-            if get is None:
-                counters.tuples += len(build)
-                table: dict[Any, list[tuple]] = {}
-                for row, key in zip(build, map(right_key, build)):
-                    if key is not None:  # NULL never equi-joins
-                        table.setdefault(key, []).append(row)
-                get = table.get
-            out = [outer + row for outer in batch
-                   for row in get(left_key(outer), ())]
+            if seen == 1:
+                out = [outer + row for outer in batch
+                       for row in keep(build, outer)]
+            else:
+                if get is None:
+                    table: dict[Any, list[tuple]] = {}
+                    for row, key in zip(build, map(right_key, build)):
+                        if key is not None:  # NULL never equi-joins
+                            table.setdefault(key, []).append(row)
+                    get = table.get
+                out = [outer + row for outer in batch
+                       for row in get(left_key(outer), ())]
             if single:  # one probe row: it counts before its first output
                 yield from singles(out, range(2, len(out) + 2),
                                    1 + len(out), counters)

@@ -56,6 +56,12 @@ class PlanNode:
         """The (real or virtual) index this node itself reads, if any."""
         return None
 
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        """What the node's own row estimate is a selectivity of (its
+        filter or join keys); empty for a node that passes its input's
+        estimate on or, as an aggregate, estimates a distinct count."""
+        return ()
+
     def used_indexes(self) -> tuple[str, ...]:
         """Indexes the subtree reads: its own, then its children's, once."""
         own = self.own_index()
@@ -99,6 +105,11 @@ class _TableScan(PlanNode):
     @property
     def scope(self) -> Scope:
         return tuple((self.binding, c) for c in self.columns)
+
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        keys = tuple(ast.ColumnRef(c.column, table=self.binding)
+                     for c in self.key_conditions)
+        return keys if self.filter_expr is None else keys + (self.filter_expr,)
 
     def _label(self, path: str, keyed: bool = True) -> str:
         """``path`` opens the label: ``SeqScan(``, ``IndexScan(i on ``."""
@@ -176,6 +187,9 @@ class NestedLoopJoinPlan(_Binary):
 
     condition: ast.Expression | None = None
 
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        return () if self.condition is None else (self.condition,)
+
     def node_label(self) -> str:
         cond = self.condition.to_sql() if self.condition else "TRUE"
         return f"NestedLoopJoin on {cond}"
@@ -187,6 +201,9 @@ class HashJoinPlan(_Binary):
 
     left_keys: tuple[ast.Expression, ...] = ()
     right_keys: tuple[ast.Expression, ...] = ()
+
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        return self.left_keys + self.right_keys
 
     def node_label(self) -> str:
         pairs = ", ".join(f"{l.to_sql()}={r.to_sql()}"
@@ -224,6 +241,12 @@ class IndexLookupJoinPlan(PlanNode):
     def own_index(self) -> str:
         return self.via_index or f"{self.table_name}.btree"
 
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        inner = tuple(ast.ColumnRef(column, table=self.binding)
+                      for column in self.inner_key_columns)
+        residual = () if self.residual is None else (self.residual,)
+        return self.outer_keys + inner + residual
+
     def node_label(self) -> str:
         path = self.own_index()
         if self.virtual:
@@ -253,6 +276,9 @@ class _Unary(PlanNode):
 @dataclass
 class FilterPlan(_Unary):
     condition: ast.Expression | None = None
+
+    def estimated_on(self) -> tuple[ast.Expression, ...]:
+        return () if self.condition is None else (self.condition,)
 
     def node_label(self) -> str:
         cond = self.condition.to_sql() if self.condition else "TRUE"
@@ -371,3 +397,78 @@ class EmptySourcePlan(PlanNode):
 
     def node_label(self) -> str:
         return "SingleRow"
+
+
+def q_error(estimate: float, actual: int) -> float:
+    """``max(e/a, a/e)``: how many times an estimate missed; an empty
+    output misses only an estimate above one row."""
+    if actual == 0:
+        return max(estimate, 1.0)
+    estimate = max(estimate, 1e-9)
+    return max(estimate / actual, actual / estimate)
+
+
+def node_estimates(plan: PlanNode, counted: dict[int, int]
+                   ) -> list[tuple[str, str, float, int, float]]:
+    """``(operator, columns, estimated rows, actual rows, miss)`` of each
+    node of ``plan``, in preorder, that estimates its own rows and whose
+    output and inputs ``counted`` holds (rows by node ``id``, see
+    :meth:`~repro.execution.executor.Executor.execute`).  ``columns``
+    names the ``table.column`` pairs the estimate rests on.  The miss is
+    the node's own q-error: its estimate scaled by how far each input's
+    estimate missed, so a miss is charged to the node that made it."""
+    tables = {node.binding: node.table_name for node in plan.walk()
+              if isinstance(node, (_TableScan, IndexLookupJoinPlan))}
+    rows = []
+    for node in plan.walk():
+        actual = counted.get(id(node))
+        inputs = node.estimated_on()
+        if actual is None or not inputs:
+            continue
+        estimate = node.estimated_rows
+        for child in node.children:
+            child_actual = counted.get(id(child))
+            if child_actual is None or child.estimated_rows <= 0:
+                break
+            estimate *= child_actual / child.estimated_rows
+        else:
+            columns = sorted({f"{tables[ref.table]}.{ref.name}"
+                              for expr in inputs
+                              for ref in ast.referenced_columns(expr)
+                              if ref.table in tables})
+            rows.append((type(node).__name__.removesuffix("Plan"),
+                         ",".join(columns), node.estimated_rows, actual,
+                         q_error(estimate, actual)))
+    return rows
+
+
+#: What a captured plan's text ends with, after a newline, once its
+#: execution counted its nodes' rows (see :func:`format_misses`).
+MISSES = "row misses:"
+
+
+def format_misses(rows: Sequence[tuple[str, str, float, int, float]],
+                  factor: float) -> str:
+    """The line that ends a counted plan's text: :data:`MISSES`, then
+    ``<columns>:<miss>`` for each of :func:`node_estimates` that missed
+    by ``factor`` or more and names columns."""
+    return "\n" + " ".join([MISSES] + [
+        f"{columns}:{miss:.0f}" for _operator, columns, _estimate, _actual,
+        miss in rows if miss >= factor and columns])
+
+
+def misses_line(plan_text: str) -> str:
+    """The :data:`MISSES` line ``plan_text`` ends with, its newline
+    first; empty if it has none (its nodes were not counted)."""
+    _head, found, tail = plan_text.rpartition("\n" + MISSES)
+    return "" if not found or "\n" in tail else found + tail
+
+
+def parse_misses(plan_text: str) -> tuple[str, ...] | None:
+    """The ``table.column`` pairs the :data:`MISSES` line of ``plan_text``
+    names, sorted; None if it has none."""
+    line = misses_line(plan_text)
+    if not line:
+        return None
+    return tuple(sorted({column for word in line.split()[2:]
+                         for column in word.rpartition(":")[0].split(",")}))

@@ -43,6 +43,19 @@ class TestCostDiagram:
         ok = CostDiagramEntry("Q2", "q", 100.0, 90.0, 90.0)
         assert not ok.divergent
 
+    def test_counted_rows_decide_the_marker(self):
+        """A statement whose plan counted its nodes' rows diverges where a
+        row estimate missed, whatever its costs say."""
+        missed = CostDiagramEntry("Q1", "q", 100.0, 90.0, 90.0,
+                                  misestimated=("t.a",))
+        assert missed.divergent
+        within = CostDiagramEntry("Q2", "q", 100.0, 10.0, 10.0,
+                                  misestimated=())
+        assert not within.divergent
+        diagram = cost_diagram([profile(1, 100.0, 90.0)],
+                               misestimated={1: ("t.a", "u.b")})
+        assert "row estimates miss on t.a, u.b" in diagram.render()
+
     def test_render(self):
         diagram = cost_diagram([profile(1, 100.0, 10.0)])
         text = diagram.render()

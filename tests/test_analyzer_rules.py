@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.analyzer.recommendations import RecommendationKind
+from repro.core import monitor as monitor_module
 from repro.core.analyzer import rules
 from repro.core.analyzer.rules import run_rules
 from repro.core.analyzer.workload_view import (
@@ -72,6 +73,59 @@ class TestCostDivergenceRule:
         findings = run_rules(view, database=db)
         assert findings.divergent_statements == [1]
         assert "protein" not in findings.tables_needing_statistics
+
+
+class TestMisestimatedNodes:
+    """A statement whose captured plan counted its nodes' rows is judged
+    by them: divergent for the columns whose estimate missed ≥ 4×."""
+
+    def test_a_missed_node_names_its_columns_and_table(self):
+        view = WorkloadView()
+        view.statements[1] = profile(1, actual=100.0, estimated=100.0,
+                                     tables=("protein", "source"))
+        view.plans[1] = "HashJoin ...\nrow misses: source.source_name:20"
+        findings = run_rules(view)
+        assert findings.divergent_statements == [1]
+        assert findings.misestimated == {1: ("source.source_name",)}
+        assert findings.tables_needing_statistics == ["source"]
+
+    def test_nodes_within_bounds_outweigh_the_costs(self):
+        view = WorkloadView()
+        view.statements[1] = profile(1, actual=1000.0, estimated=100.0,
+                                     tables=("protein",))
+        view.plans[1] = "SeqScan ...\nrow misses:"
+        findings = run_rules(view)
+        assert findings.divergent_statements == []
+        assert findings.misestimated == {1: ()}
+        assert findings.tables_needing_statistics == []
+
+    def test_the_workload_names_its_misestimates(self, fresh_nref_setup,
+                                                 monkeypatch):
+        """On NREF without statistics, a filter on ``source_name`` and one
+        on ``rank`` miss, while the joins estimate within 4×: statistics
+        are recommended for ``source`` and ``taxonomy``, not for the
+        other tables the statements read."""
+        monkeypatch.setattr(monitor_module, "PLAN_CAPTURE_MIN_COST", 1.0)
+        setup = fresh_nref_setup
+        session = setup.engine.connect("nref")
+        for text in (
+                "select p.name, p.length from protein p join source src "
+                "on p.source_id = src.source_id where src.source_name = "
+                "'PDB' and p.length > 104 order by p.length desc",
+                "select t.lineage, count(*) cnt from organism o join "
+                "taxonomy t on o.tax_id = t.tax_id where t.rank = 'genus' "
+                "group by t.lineage"):
+            session.execute(text)
+        setup.daemon.poll_once()
+        setup.daemon.flush()
+        view = view_from_workload_db(setup.workload_db)
+        findings = run_rules(view, setup.engine.database("nref"))
+        missed = {name for names in findings.misestimated.values()
+                  for name in names}
+        assert {"source.source_name", "taxonomy.rank"} <= missed
+        assert not any(name.startswith(("organism.", "protein."))
+                       for name in missed)
+        assert findings.tables_needing_statistics == ["source", "taxonomy"]
 
 
 class TestOverflowRule:
