@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.records import WorkloadRecord
+from repro.core.ima import WORKLOAD
 from repro.setups import monitoring_setup
 from repro.workloads import WorkloadRunner, complex_query_set, load_nref
 from repro.workloads.nref import nref_id
@@ -45,9 +45,9 @@ def setup():
     return setup
 
 
-def last_record(monitor) -> WorkloadRecord:
+def last_record(monitor) -> tuple:
     """The newest execution in the monitor's workload ring."""
-    return WorkloadRecord._make(monitor.workload.values()[-1])
+    return WORKLOAD.record._make(monitor.workload.values()[-1])
 
 
 def monitor_share(record) -> float:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.core.analyzer.reports import locks_diagram
-from repro.core.records import StatisticsRecord
+from repro.core.ima import STATISTIC_FIELDS, STATISTICS
 from repro.errors import ReproError
 from repro.setups import monitoring_setup
 
@@ -40,16 +40,15 @@ def contention_run():
     bootstrap.execute("insert into acct_b values (1, 0)")
 
     stop = threading.Event()
-    samples: list[StatisticsRecord] = []
+    samples: list[tuple] = []
 
     def sampler():
         start = time.monotonic()
         while not stop.is_set():
             stats = engine.system_statistics()
-            samples.append(StatisticsRecord(
-                timestamp=round(time.monotonic() - start, 3),
-                **{k: v for k, v in stats.items()
-                   if k in StatisticsRecord._fields}))
+            samples.append(STATISTICS.record(
+                round(time.monotonic() - start, 3),
+                *[stats.get(name, 0) for name in STATISTIC_FIELDS]))
             time.sleep(SAMPLE_INTERVAL)
 
     def transfer(first: str, second: str):

@@ -73,9 +73,6 @@ class Catalog:
     def tables(self) -> Iterator[TableEntry]:
         return iter(self._tables.values())
 
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(self._tables)
-
     # -- indexes ---------------------------------------------------------
 
     def create_index(self, index: IndexDef) -> IndexDef:

@@ -190,7 +190,7 @@ class Shell:
     def cmd_monitor(self, _argument: str) -> str:
         monitor = self.setup.monitor
         records = monitor.statements.values()[-15:]
-        rows = [(str(r.frequency), r.text[:70]) for r in records]
+        rows = [(str(r.frequency), r.query_text[:70]) for r in records]
         header = (f"{len(monitor.statements)} distinct statements in the "
                   f"window; {monitor.workload.total_appended} executions "
                   f"logged\n")

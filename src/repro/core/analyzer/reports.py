@@ -15,7 +15,7 @@ from repro.core.analyzer.workload_view import (
     StatementProfile,
     statistics_sample,
 )
-from repro.core.records import STATISTIC_FIELDS
+from repro.core.ima import STATISTIC_FIELDS
 
 
 @dataclass(frozen=True)

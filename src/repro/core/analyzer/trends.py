@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.analyzer.workload_view import statistics_sample
-from repro.core.records import STATISTIC_FIELDS
+from repro.core.ima import STATISTIC_FIELDS
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core import ima, records
+from repro.core import ima
 from repro.core.monitor import IntegratedMonitor
 from repro.core.workload_db import WorkloadDatabase
 from repro.errors import AnalyzerError
@@ -202,7 +202,7 @@ class _Fold:
         self.view.statistics.append(row[1:-1])
 
 
-_SAMPLE_COLUMNS = ("ts",) + records.STATISTIC_FIELDS
+_SAMPLE_COLUMNS = ("ts",) + ima.STATISTIC_FIELDS
 _SAMPLE_OF = {
     len(schema.columns): itemgetter(*map(schema.column_index, _SAMPLE_COLUMNS))
     for schema in (ima.STATISTICS.ima_schema, ima.STATISTICS.wl_schema)

@@ -21,6 +21,7 @@ analyzer's fold all come from that one declaration
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -52,26 +53,33 @@ def _own_row(seq: int, record: tuple, _source: "Database | None") -> tuple:
 class MonitorTable:
     """One monitor table, declared once.
 
-    ``name`` is the monitor's buffer attribute; ``columns`` are what
-    :meth:`facts` returns for one of its records.  The IMA table
-    ``ima_<name>`` leads with the ring's ``seq``: ``row(seq, record,
-    source)`` builds a record's IMA row, seq in front, in one tuple.
-    The workload table ``wl_<name>`` is the same columns between a
-    leading ``captured_at`` and a trailing ``src_seq`` (the source
-    ``seq``).
+    ``name`` is the monitor's buffer attribute.  Its ring holds
+    ``record`` tuples, by default a namedtuple whose fields are
+    ``columns``' names; ``derived`` are the columns ``row`` adds after
+    them from the live catalog.  A ring whose records are not its
+    columns names its ``record``, and its ``row`` derives every column.
+    The IMA table ``ima_<name>`` leads with the ring's ``seq``:
+    ``row(seq, record, source)`` builds a record's IMA row, seq in
+    front, in one tuple.  The workload table ``wl_<name>`` is the same
+    columns between a leading ``captured_at`` and a trailing
+    ``src_seq`` (the source ``seq``).
     """
 
     def __init__(self, name: str, columns: tuple[Column, ...],
                  row: Callable[[int, Any, "Database | None"], tuple]
-                 = _own_row) -> None:
+                 = _own_row, derived: tuple[Column, ...] = (),
+                 record: type[Any] | None = None) -> None:
         self.name = name
         self.row = row
+        self.record: type[Any] = record or namedtuple(  # type: ignore[misc]
+            f"{name.capitalize()}Record", [column.name for column in columns])
+        columns += derived
         self.ima_schema = TableSchema(f"ima_{name}", (_int("seq"), *columns))
         self.wl_schema = TableSchema(
             f"wl_{name}", (_float("captured_at"), *columns, _int("src_seq")))
 
     def facts(self, record: Any, source: "Database | None") -> tuple:
-        """``columns`` of one record: its IMA row without the seq."""
+        """The columns of one record: its IMA row without the seq."""
         return self.row(0, record, source)[1:]
 
 
@@ -90,8 +98,7 @@ def table_row(seq: int, record: Any, source: "Database | None") -> tuple:
             pages = storage.page_count
             overflow = storage.overflow_page_count
             row_count = storage.row_count
-    return (seq, record.table_name, record.frequency, structure, pages,
-            overflow, row_count, has_stats)
+    return (seq, *record, structure, pages, overflow, row_count, has_stats)
 
 
 def attribute_row(seq: int, record: Any,
@@ -105,23 +112,7 @@ def attribute_row(seq: int, record: Any,
             column = stats.column(record.attribute_name)
             has_histogram = int(
                 column is not None and column.histogram is not None)
-    return (seq, record.table_name, record.attribute_name, record.frequency,
-            has_histogram)
-
-
-def workload_row(seq: int, record: Any,
-                 _source: "Database | None") -> tuple:
-    """``ima_workload`` row of an execution record: ``seq``, its
-    estimate's io and cpu, its metrics priced at the cost model's
-    constants as actual io and cpu, and its wallclock as the execute
-    time too."""
-    (text_hash, session_id, ts, optimize_s, wallclock_s, estimate,
-     used_indexes, metrics, monitor_s) = record
-    reads, tuples = metrics.logical_reads, metrics.tuples_processed
-    return (seq, text_hash, session_id, ts, optimize_s, wallclock_s,
-            wallclock_s, estimate.io, estimate.cpu, reads * IO_PAGE_COST,
-            tuples * CPU_TUPLE_COST, reads, metrics.physical_reads, tuples,
-            metrics.rows_returned, used_indexes, monitor_s)
+    return (seq, *record, has_histogram)
 
 
 STATEMENTS = MonitorTable("statements", (
@@ -129,6 +120,25 @@ STATEMENTS = MonitorTable("statements", (
     _int("frequency"), _float("first_seen"), _float("last_seen"),
 ))
 
+
+def workload_row(seq: int, record: tuple,
+                 _source: "Database | None") -> tuple:
+    """``ima_workload`` row of an execution record (``WORKLOAD.record``,
+    which the terminal sensor appends as a bare tuple): ``seq``, its
+    estimate's io and cpu, its metrics priced at the cost model's
+    constants as actual io and cpu, and its wallclock as the execute
+    time too."""
+    (text_hash, session_id, ts, optimize_time_s, wallclock_s, estimate,
+     used_indexes, metrics, monitor_time_s) = record
+    reads, tuples = metrics.logical_reads, metrics.tuples_processed
+    return (seq, text_hash, session_id, ts, optimize_time_s, wallclock_s,
+            wallclock_s, estimate.io, estimate.cpu, reads * IO_PAGE_COST,
+            tuples * CPU_TUPLE_COST, reads, metrics.physical_reads, tuples,
+            metrics.rows_returned, used_indexes, monitor_time_s)
+
+
+# An execution as its terminal sensor holds the facts: the plan's
+# estimate (a Cost) and the executor's ExecutionMetrics, not the plan.
 WORKLOAD = MonitorTable("workload", (
     _int("text_hash"), _int("session_id"),
     _float("ts"), _float("optimize_time_s"), _float("execute_time_s"),
@@ -136,7 +146,9 @@ WORKLOAD = MonitorTable("workload", (
     _float("actual_io"), _float("actual_cpu"), _int("logical_reads"),
     _int("physical_reads"), _int("tuples_processed"), _int("rows_returned"),
     _text("used_indexes"), _float("monitor_time_s"),
-), row=workload_row)
+), row=workload_row, record=namedtuple("WorkloadRecord", (
+    "text_hash", "session_id", "ts", "optimize_time_s", "wallclock_s",
+    "estimate", "used_indexes", "metrics", "monitor_time_s")))
 
 REFERENCES = MonitorTable("references", (
     _int("text_hash"),
@@ -146,14 +158,14 @@ REFERENCES = MonitorTable("references", (
 
 TABLES = MonitorTable("tables", (
     _text("table_name"), _int("frequency"),
+), row=table_row, derived=(
     Column("structure", DataType.VARCHAR, 16), _int("data_pages"),
     _int("overflow_pages"), _int("row_count"), _int("has_statistics"),
-), row=table_row)
+))
 
 ATTRIBUTES = MonitorTable("attributes", (
-    _text("table_name"), _text("attribute_name"),
-    _int("frequency"), _int("has_histogram"),
-), row=attribute_row)
+    _text("table_name"), _text("attribute_name"), _int("frequency"),
+), row=attribute_row, derived=(_int("has_histogram"),))
 
 INDEXES = MonitorTable("indexes", (
     _text("index_name"), _text("table_name"), _int("frequency"),
@@ -171,6 +183,9 @@ STATISTICS = MonitorTable("statistics", (
     _int("lock_timeouts"), _int("cache_hits"), _int("cache_misses"),
     _int("physical_reads"), _int("physical_writes"),
 ))
+
+#: The sampled statistics, in record order (all fields but the time).
+STATISTIC_FIELDS: tuple[str, ...] = STATISTICS.record._fields[1:]
 
 #: Every monitor table, in the order the storage daemon polls them.
 MONITOR_TABLES = (

@@ -31,14 +31,15 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.clock import Clock, SystemClock
 from repro.config import MonitorConfig
-from repro.core.records import (
-    AttributeUsageRecord,
-    IndexUsageRecord,
-    PlanRecord,
-    ReferenceRecord,
-    StatementRecord,
-    StatisticsRecord,
-    TableUsageRecord,
+from repro.core.ima import (
+    ATTRIBUTES,
+    INDEXES,
+    PLANS,
+    REFERENCES,
+    STATEMENTS,
+    STATISTIC_FIELDS,
+    STATISTICS,
+    TABLES,
 )
 from repro.core.ring_buffer import KeyedRingBuffer, RingBuffer
 from repro.core.sensors import StatementContext
@@ -94,26 +95,27 @@ class IntegratedMonitor:
         # the statement and workload rings share it with the counters
         # below, so a statement is recorded in one critical section.
         self._lock = threading.Lock()
-        self.statements: KeyedRingBuffer[int, StatementRecord] = \
-            KeyedRingBuffer(StatementRecord,
+        # Each ring holds its table's records (repro.core.ima).
+        self.statements: KeyedRingBuffer[int, Any] = \
+            KeyedRingBuffer(STATEMENTS.record,
                             self.config.statement_buffer_size, self._lock,
                             refresh="last_seen")
-        # Executions, each a bare tuple in WorkloadRecord's field order.
+        # Executions, each a bare tuple in WORKLOAD.record's field order.
         self.workload: RingBuffer[tuple] = \
             RingBuffer(self.config.workload_buffer_size, self._lock)
-        self.references: KeyedRingBuffer[tuple, ReferenceRecord] = \
-            KeyedRingBuffer(ReferenceRecord, REFERENCE_BUFFER_SIZE)
-        self.tables: KeyedRingBuffer[str, TableUsageRecord] = \
-            KeyedRingBuffer(TableUsageRecord, REFERENCE_BUFFER_SIZE)
-        self.attributes: KeyedRingBuffer[tuple, AttributeUsageRecord] = \
-            KeyedRingBuffer(AttributeUsageRecord, REFERENCE_BUFFER_SIZE)
-        self.indexes: KeyedRingBuffer[tuple, IndexUsageRecord] = \
-            KeyedRingBuffer(IndexUsageRecord, REFERENCE_BUFFER_SIZE)
-        self.statistics: RingBuffer[StatisticsRecord] = \
+        self.references: KeyedRingBuffer[tuple, Any] = \
+            KeyedRingBuffer(REFERENCES.record, REFERENCE_BUFFER_SIZE)
+        self.tables: KeyedRingBuffer[str, Any] = \
+            KeyedRingBuffer(TABLES.record, REFERENCE_BUFFER_SIZE)
+        self.attributes: KeyedRingBuffer[tuple, Any] = \
+            KeyedRingBuffer(ATTRIBUTES.record, REFERENCE_BUFFER_SIZE)
+        self.indexes: KeyedRingBuffer[tuple, Any] = \
+            KeyedRingBuffer(INDEXES.record, REFERENCE_BUFFER_SIZE)
+        self.statistics: RingBuffer[tuple] = \
             RingBuffer(STATISTICS_BUFFER_SIZE)
         # A plan captured again replaces the one kept.
-        self.plans: KeyedRingBuffer[int, PlanRecord] = \
-            KeyedRingBuffer(PlanRecord, PLAN_BUFFER_SIZE,
+        self.plans: KeyedRingBuffer[int, Any] = \
+            KeyedRingBuffer(PLANS.record, PLAN_BUFFER_SIZE,
                             refresh="estimated_cost")
         self.sensor_calls = 0
         self.sensor_time_s = 0.0
@@ -143,8 +145,8 @@ class IntegratedMonitor:
         sessions both see a miss and both report the statement as new,
         double-logging its object references.
         """
-        return self.statements.upsert(text_hash, StatementRecord(
-            text_hash=text_hash, text=text[:MAX_STATEMENT_TEXT],
+        return self.statements.upsert(text_hash, STATEMENTS.record(
+            text_hash=text_hash, query_text=text[:MAX_STATEMENT_TEXT],
             frequency=1, first_seen=now, last_seen=now,
         ))
 
@@ -157,22 +159,22 @@ class IntegratedMonitor:
         names are already in hand from parsing/optimizing)."""
         for table in table_names:
             self._reference(text_hash, "table", table, table)
-            self.tables.upsert(table, TableUsageRecord(table, 1))
+            self.tables.upsert(table, TABLES.record(table, 1))
         for table, column in columns:
             qualified = f"{table}.{column}"
             self._reference(text_hash, "attribute", qualified, table)
             self.attributes.upsert((table, column),
-                                   AttributeUsageRecord(table, column, 1))
+                                   ATTRIBUTES.record(table, column, 1))
         for index in index_names:
             self._reference(text_hash, "index", index, "")
-            self.indexes.upsert((index, ""), IndexUsageRecord(index, "", 1))
+            self.indexes.upsert((index, ""), INDEXES.record(index, "", 1))
 
     def _reference(self, text_hash: int, object_type: str,
                    object_name: str, table_name: str) -> None:
         self.references.upsert(
             (text_hash, object_type, object_name),
-            ReferenceRecord(text_hash, object_type, object_name, table_name,
-                            1))
+            REFERENCES.record(text_hash, object_type, object_name,
+                              table_name, 1))
 
     # -- degradation ladder (repro.core.overload) --------------------------
 
@@ -218,25 +220,24 @@ class IntegratedMonitor:
             kept = self.plans.get(text_hash)
             if kept is not None:
                 plan_text += misses_line(kept.plan_text)
-        self.plans.upsert(text_hash, PlanRecord(text_hash, estimated_cost,
-                                                plan_text, now))
+        self.plans.upsert(text_hash, PLANS.record(text_hash, estimated_cost,
+                                                  plan_text, now))
 
     # staticcheck: coldpath(rate-limited-1-per-s)
     def record_statistics(self, values: Mapping[str, Any],
                           now: float) -> bool:
         """Append a statistics sample, rate-limited so per-statement
-        sampling does not flood the buffer."""
+        sampling does not flood the buffer: ``values`` of the
+        :data:`~repro.core.ima.STATISTIC_FIELDS`, a missing one read as
+        0, others ignored."""
         with self._lock:
             if now - self._last_statistics_at < STATISTICS_MIN_INTERVAL_S:
                 return False
             self._last_statistics_at = now
-        known = {
-            key: value for key, value in values.items()
-            if key in StatisticsRecord._fields
-        }
+        sample = STATISTICS.record(
+            now, *[values.get(name, 0) for name in STATISTIC_FIELDS])
         # The statistics ring takes its own lock, not the monitor's.
-        self.statistics.append(  # staticcheck: ignore[LCK001]
-            StatisticsRecord(timestamp=now, **known))
+        self.statistics.append(sample)  # staticcheck: ignore[LCK001]
         return True
 
     # -- introspection ------------------------------------------------------
@@ -334,7 +335,7 @@ class MonitorSensors:
             estimate = optimized.estimated_cost
             used_indexes = optimized.used_indexes_text
         text_hash = statement.shape_hash
-        # WorkloadRecord's fields as a bare tuple (the NamedTuple would
+        # WORKLOAD.record's fields as a bare tuple (the namedtuple would
         # cost an allocation and a call more): what is in hand, never
         # the plan; ima_workload derives the row's columns.
         record = (text_hash, session_id, now, statement.optimize_time_s,

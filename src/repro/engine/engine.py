@@ -78,9 +78,6 @@ class EngineInstance:
     def has_database(self, name: str) -> bool:
         return name.lower() in self._databases
 
-    def database_names(self) -> tuple[str, ...]:
-        return tuple(self._databases)
-
     # -- sessions ---------------------------------------------------------------
 
     def connect(self, database_name: str) -> Session:

@@ -45,9 +45,6 @@ class Cost:
     def __add__(self, other: "Cost") -> "Cost":
         return Cost(self.io + other.io, self.cpu + other.cpu)
 
-    def scaled(self, factor: float) -> "Cost":
-        return Cost(self.io * factor, self.cpu * factor)
-
 
 class CostModel:
     """Cost formulas used by the optimizer (and by what-if analysis)."""

@@ -292,9 +292,6 @@ class BTreeStorage:
         path, pos, _ekey = self._find(rowid)
         return path[-1][1].rows[pos]
 
-    def contains(self, rowid: int) -> bool:
-        return rowid in self._rowid_key
-
     # -- scans ---------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:

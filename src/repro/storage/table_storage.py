@@ -68,10 +68,6 @@ class TableStorage:
         return self._store.overflow_page_count
 
     @property
-    def overflow_ratio(self) -> float:
-        return self._store.overflow_ratio
-
-    @property
     def data_bytes(self) -> int:
         return self._store.page_count * self._disk.page_size
 
@@ -177,9 +173,6 @@ class TableStorage:
 
     def fetch(self, rowid: int) -> tuple[Any, ...]:
         return self._store.fetch(rowid)
-
-    def contains(self, rowid: int) -> bool:
-        return self._store.contains(rowid)
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         return self._store.scan()

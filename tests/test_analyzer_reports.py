@@ -10,8 +10,14 @@ from repro.core.analyzer.reports import (
 )
 from repro.core.analyzer.trends import fit_trend, trends_from_statistics
 from repro.core.analyzer.workload_view import StatementProfile
-from repro.core.records import StatisticsRecord
+from repro.core.ima import STATISTIC_FIELDS, STATISTICS
 from repro.core.sensors import statement_key
+
+
+def sample(ts, **values):
+    """A statistics record at ``ts``; the fields not given read 0."""
+    return STATISTICS.record(
+        ts, *[values.get(name, 0) for name in STATISTIC_FIELDS])
 
 
 def profile(text_hash, actual, estimated):
@@ -70,8 +76,8 @@ class TestCostDiagram:
 class TestLocksDiagram:
     def rows(self):
         samples = [
-            StatisticsRecord(timestamp=t, locks_held=held,
-                             lock_waits=waits, deadlocks=deadlocks)
+            sample(t, locks_held=held, lock_waits=waits,
+                   deadlocks=deadlocks)
             for t, held, waits, deadlocks in [
                 (1.0, 5, 0, 0),
                 (2.0, 10, 2, 0),
@@ -114,9 +120,7 @@ class TestTrends:
         assert not trend.rising
 
     def test_trends_from_statistics(self):
-        rows = [StatisticsRecord(timestamp=float(t),
-                                 locks_held=t * 3,
-                                 current_sessions=2)
+        rows = [sample(float(t), locks_held=t * 3, current_sessions=2)
                 for t in range(6)]
         trends = trends_from_statistics(rows)
         assert trends["locks_held"].slope_per_second == pytest.approx(3.0)

@@ -121,6 +121,32 @@ class TestShellCommands:
         assert "quarantined: (none)" in text
         assert "usage" in shell.handle("\\tuner bogus")
 
+    def test_fault(self, shell):
+        points = shell.handle("\\fault points").split()
+        assert points == list(faultsim.FAIL_POINTS)
+        assert shell.handle("\\fault status") == \
+            "(no failure point has been armed)"
+        assert shell.handle("\\fault arm analyzer.scan:once") == \
+            "armed analyzer.scan:once"
+        header, _rule, row, count = shell.handle(
+            "\\fault status").splitlines()
+        assert [cell.strip() for cell in header.split("|")] == [
+            "point", "armed", "evals", "triggers", "errors", "latency_s",
+            "jumps_s"]
+        assert [cell.strip() for cell in row.split("|")] == [
+            "analyzer.scan", "once", "0", "0", "0", "0", "0"]
+        assert count == "(1 rows)"
+        assert shell.handle("\\fault disarm analyzer.scan") == \
+            "disarmed analyzer.scan"
+        assert "ANALYZER REPORT" in shell.handle("\\analyze")
+        assert shell.handle("\\fault reset") == \
+            "all failure points disarmed, counters cleared"
+        assert faultsim.get_injector().stats() == ()
+        usage = shell.handle("\\fault bogus")
+        assert usage.startswith("usage: \\fault arm")
+        assert shell.handle("\\fault arm") == usage
+        assert shell.handle("\\fault disarm") == usage
+
 
 class TestCommandErrors:
     """A command that raises replies ``error: ...``; the shell lives on."""

@@ -4,13 +4,14 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig
+from repro.core import ima
 from repro.core.alerts import (
     add_alert_listener,
     fired_alerts,
     install_standard_alerts,
 )
 from repro.core.daemon import StorageDaemon
-from repro.core.ima import MONITOR_TABLES
+from repro.core.ima import MONITOR_TABLES, WORKLOAD
 from repro.core.sensors import statement_key
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import MonitorError
@@ -86,6 +87,48 @@ class TestIma:
         assert monitor.workload.snapshot(min_seq=top) == []
         older = monitor.workload.snapshot(min_seq=0)
         assert len(older) >= 1
+
+
+@pytest.fixture(scope="module")
+def every_ring():
+    """A monitored database whose statements fill all eight rings: an
+    index read, a captured plan and a statistics sample included."""
+    setup = daemon_setup("db", clock=VirtualClock(1_000_000.0))
+    session = setup.engine.connect("db")
+    session.execute("create table t (a int not null, b int, primary key (a))")
+    session.execute("create index t_b on t (b)")
+    session.execute("insert into t values " + ", ".join(
+        f"({i}, {i % 7})" for i in range(500)))
+    session.execute("select a from t where b = 2")
+    session.execute(
+        "select x.a, y.b from t x, t y where x.b = y.a order by y.b")
+    return setup.monitor, setup.engine.database("db")
+
+
+class TestCatalogueRecords:
+    @pytest.mark.parametrize("table", MONITOR_TABLES, ids=lambda t: t.name)
+    def test_ring_holds_the_declared_record(self, every_ring, table):
+        """Each ring holds its table's ``record``, the workload ring as
+        the bare tuple of its fields; each record's row has the IMA
+        columns, and a record its row extends is its leading columns,
+        in their order."""
+        monitor, database = every_ring
+        entries = getattr(monitor, table.name).snapshot()
+        assert entries
+        fields = table.record._fields
+        names = tuple(c.name for c in table.ima_schema.columns[1:])
+        for seq, record in entries:
+            assert type(record) is (tuple if table is WORKLOAD
+                                    else table.record)
+            assert len(record) == len(fields)
+            row = table.row(seq, record, database)
+            assert len(row) == len(table.ima_schema.columns)
+            if table is not WORKLOAD:
+                assert row[:1 + len(record)] == (seq, *record)
+        if table.row is ima._own_row:
+            assert fields == names
+        elif table is not WORKLOAD:
+            assert fields == names[:len(fields)]
 
 
 class TestWorkloadDatabase:

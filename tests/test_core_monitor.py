@@ -78,7 +78,7 @@ class TestMonitorRecording:
         text = "select " + "x" * 100
         monitor.record_statement(text, statement_hash(text), 1.0)
         record = monitor.statements.get(statement_hash(text))
-        assert len(record.text) == 10
+        assert len(record.query_text) == 10
 
     def test_record_references(self, monitor):
         text_hash = statement_hash("q")
@@ -249,7 +249,7 @@ class TestMonitorSensorsPipeline:
         key = statement_key("select b from t where a < 1000")
         record = monitor.statements.get(key)
         assert record.frequency == 5
-        assert record.text == "select b from t where a < 3"  # first seen
+        assert record.query_text == "select b from t where a < 3"  # first seen
         assert monitor.plans.get(key) is not None
         # The estimate is the prepared plan's (costed for a < 3); the
         # actuals are each execution's own, so they can diverge.

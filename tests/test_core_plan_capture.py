@@ -125,7 +125,7 @@ class TestPlanNodes:
         session.execute("select count(*) from source")
         session.execute(self.SQL.replace("'PDB'", "'TrEMBL'"))
         again = setup.monitor.plans.get(statement_key(self.SQL))
-        assert again.captured_at >= first.captured_at
+        assert again.plan_captured_at >= first.plan_captured_at
         assert again.plan_text == first.plan_text
         assert parse_misses(again.plan_text)
 

@@ -23,8 +23,7 @@ from repro.config import (
 from repro.core import monitor as monitor_module
 from repro.core.alerts import fired_alerts, install_standard_alerts
 from repro.core.daemon import StorageDaemon
-from repro.core.ima import MONITOR_TABLES, register_ima_tables
-from repro.core.records import WorkloadRecord
+from repro.core.ima import MONITOR_TABLES, WORKLOAD, register_ima_tables
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.engine import database as database_module
 from repro.errors import ReproError, StorageError, TypeMismatchError
@@ -34,9 +33,9 @@ from repro.setups import daemon_setup, monitoring_setup, original_setup
 
 
 def _record(text_hash: int, session_id: int,
-            used_indexes: str = "") -> WorkloadRecord:
-    return WorkloadRecord(
-        text_hash=text_hash, session_id=session_id, timestamp=0.0,
+            used_indexes: str = "") -> tuple:
+    return WORKLOAD.record(
+        text_hash=text_hash, session_id=session_id, ts=0.0,
         optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
         used_indexes=used_indexes, metrics=ExecutionMetrics(), monitor_time_s=0.0)
 

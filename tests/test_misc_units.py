@@ -8,8 +8,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig, EngineConfig
 from repro.core.autopilot import TuningPolicy
-from repro.core.ima import WORKLOAD
-from repro.core.records import STATISTIC_FIELDS, StatisticsRecord, WorkloadRecord
+from repro.core.ima import STATEMENTS, STATISTIC_FIELDS, STATISTICS, WORKLOAD
 from repro.core.ring_buffer import KeyedRingBuffer
 from repro.core.workload_db import WORKLOAD_TABLES, WorkloadDatabase
 from repro.errors import (
@@ -90,7 +89,9 @@ class TestErrors:
 
 class TestRecords:
     def test_statistics_record_as_row(self):
-        row = StatisticsRecord(timestamp=5.0, locks_held=3, deadlocks=1)
+        values = {"locks_held": 3, "deadlocks": 1}
+        row = STATISTICS.record(
+            5.0, *[values.get(name, 0) for name in STATISTIC_FIELDS])
         assert row[0] == 5.0
         assert len(row) == 1 + len(STATISTIC_FIELDS)
         assert row[1 + STATISTIC_FIELDS.index("locks_held")] == 3
@@ -99,8 +100,8 @@ class TestRecords:
     def test_workload_record_cost_properties(self):
         # The record keeps the estimate and the metrics; its row prices
         # the metrics at the cost model's constants.
-        record = WorkloadRecord(
-            text_hash=1, session_id=1, timestamp=0.0,
+        record = WORKLOAD.record(
+            text_hash=1, session_id=1, ts=0.0,
             optimize_time_s=0.0, wallclock_s=0.5,
             estimate=Cost(10.0, 2.0), used_indexes="",
             metrics=ExecutionMetrics(logical_reads=5, physical_reads=1,
@@ -117,10 +118,9 @@ class TestRecords:
                 row["tuples_processed"], row["rows_returned"]) == (5, 1, 9, 4)
 
     def test_statement_record_bump(self):
-        from repro.core.records import StatementRecord
-        ring = KeyedRingBuffer(StatementRecord, 4, refresh="last_seen")
-        ring.upsert(1, StatementRecord(1, "q", frequency=1, first_seen=1.0,
-                                       last_seen=1.0))
+        ring = KeyedRingBuffer(STATEMENTS.record, 4, refresh="last_seen")
+        ring.upsert(1, STATEMENTS.record(1, "q", frequency=1, first_seen=1.0,
+                                         last_seen=1.0))
         record = ring.get(1)
         with ring._lock:
             assert ring.bump_held(1, (9.0,))

@@ -24,6 +24,7 @@ from repro.config import (
 from repro.core import autopilot, health, overload
 from repro.core.autopilot import AutonomousTuner
 from repro.core.health import PARKED, RESTARTING, RUNNING, Backoff, Supervisor
+from repro.core.ima import WORKLOAD
 from repro.core.monitor import IntegratedMonitor, MonitorSensors
 from repro.core.overload import (
     COUNTS_ONLY,
@@ -34,7 +35,6 @@ from repro.core.overload import (
     OverloadController,
     conservation_report,
 )
-from repro.core.records import WorkloadRecord
 from repro.core.sensors import StatementContext, statement_key
 from repro.errors import InjectedFault, MonitorError, ReproError
 from repro.execution.executor import ExecutionMetrics
@@ -57,9 +57,9 @@ def _clean_faults():
 
 
 def _record(text_hash: int, session_id: int,
-            ts: float = 0.0) -> WorkloadRecord:
-    return WorkloadRecord(
-        text_hash=text_hash, session_id=session_id, timestamp=ts,
+            ts: float = 0.0) -> tuple:
+    return WORKLOAD.record(
+        text_hash=text_hash, session_id=session_id, ts=ts,
         optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
         used_indexes="", metrics=ExecutionMetrics(), monitor_time_s=0.0)
 
@@ -236,8 +236,8 @@ class TestOneLevelRead:
         assert len(monitor.statistics) - samples == (
             rung != SHED and not kind.startswith("error"))
         if rung == DETAILED:
-            assert WorkloadRecord._make(
-                monitor.workload.values()[-1]).timestamp == 1002.0
+            assert WORKLOAD.record._make(
+                monitor.workload.values()[-1]).ts == 1002.0
         after = monitor.statements.get(key)
         if kind == "error before parse":
             assert after is None

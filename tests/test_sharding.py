@@ -16,7 +16,7 @@ from repro import faultsim
 from repro.clock import VirtualClock
 from repro.config import DaemonConfig, EngineConfig
 from repro.core.daemon import StorageDaemon
-from repro.core.records import WorkloadRecord
+from repro.core.ima import WORKLOAD
 from repro.core.sensors import statement_key
 from repro.core.workload_db import WORKLOAD_TABLES
 from repro.errors import MonitorError
@@ -27,9 +27,9 @@ from repro.setups import daemon_setup, monitoring_setup
 _CONFIG = EngineConfig(daemon=DaemonConfig(flush_every_polls=1))
 
 
-def _record(text_hash: int, session_id: int, ts: float = 0.0) -> WorkloadRecord:
-    return WorkloadRecord(
-        text_hash=text_hash, session_id=session_id, timestamp=ts,
+def _record(text_hash: int, session_id: int, ts: float = 0.0) -> tuple:
+    return WORKLOAD.record(
+        text_hash=text_hash, session_id=session_id, ts=ts,
         optimize_time_s=0.0, wallclock_s=0.0, estimate=Cost(),
         used_indexes="", metrics=ExecutionMetrics(), monitor_time_s=0.0)
 
