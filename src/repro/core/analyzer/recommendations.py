@@ -15,7 +15,7 @@ change can be rolled back after a crash.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import faultsim

@@ -10,7 +10,7 @@ its condition over each inserted row, and emits an :class:`Alert`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.catalog.schema import TableSchema
 from repro.errors import DuplicateObjectError, UnknownObjectError

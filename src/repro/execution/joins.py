@@ -4,14 +4,14 @@ Each ``*_step`` compiles its plan node once (key getters, the lookup
 join's residual, the filter kernel a nested loop and a hash join's lone
 first probe row share) and returns the step that binds an execution's literal
 vector to them.  The inner or build side is taken whole when the join
-starts; the outer side is joined a batch at a time (see :data:`~.scan.Step`).
+starts; the outer side is joined a batch at a time (see :data:`~.scan.Step`),
+a hash join's through one ``map`` over its table if its build keys are unique.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any
 
 from repro.errors import ExecutionError
 from repro.execution.evaluator import (Getter, Params,
@@ -77,10 +77,11 @@ def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
     """An equi-join built on the right input.  A first probe batch of one
     row finds its matches by filtering the build side, as a nested loop's
     outer row does: for one row that beats hashing the build side, which
-    every later probe row does once.  Either way the join counts as the
-    plan prices it: the build side once, then each probe row with its
-    output.  A probe row's matches come in build order; NULL keys match
-    nothing."""
+    every later probe row does once.  The table is one ``dict`` pass over
+    the build side; if that kept every row, the keys are unique and each
+    maps to its row, else each to its rows, in build order.  Either way
+    the join counts as the plan prices it: the build side once, then each
+    probe row with its output.  NULL keys match nothing."""
     left_key = _join_key(plan.left_keys, ScopeIndex(plan.left.scope))
     right_key = _join_key(plan.right_keys, ScopeIndex(plan.right.scope))
     bind = prepare_filter(conjoin([*map(ast.BinaryOp, repeat("="),
@@ -100,13 +101,21 @@ def hash_join_step(plan: HashJoinPlan, catalog: StorageCatalog,
                        for row in keep(build, outer)]
             else:
                 if get is None:
-                    table: dict[Any, list[tuple]] = {}
-                    for row, key in zip(build, map(right_key, build)):
-                        if key is not None:  # NULL never equi-joins
+                    table: dict = dict(zip(map(right_key, build), build))
+                    unique = len(table) == len(build)
+                    if not unique:  # a key's rows, in build order
+                        table = {}
+                        for row, key in zip(build, map(right_key, build)):
                             table.setdefault(key, []).append(row)
+                    table.pop(None, None)  # NULL never equi-joins
                     get = table.get
-                out = [outer + row for outer in batch
-                       for row in get(left_key(outer), ())]
+                if unique:  # None: no build row has the probe row's key
+                    out = [outer + row for outer, row in zip(
+                        batch, map(get, map(left_key, batch)))
+                        if row is not None]
+                else:
+                    out = [outer + row for outer in batch
+                           for row in get(left_key(outer), ())]
             if single:  # one probe row: it counts before its first output
                 yield from singles(out, range(2, len(out) + 2),
                                    1 + len(out), counters)

@@ -14,9 +14,7 @@ cost each with the engine's cost model and return the cheapest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.catalog.statistics import ColumnStatistics
 from repro.optimizer.cost_model import Cost, CostModel
 from repro.optimizer.interfaces import IndexInfo, TableInfo
 from repro.catalog.schema import StorageStructure

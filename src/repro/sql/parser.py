@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import ParseError
 from repro.sql import ast_nodes as ast
 from repro.sql.lexer import Token, TokenType, first_token, tokenize

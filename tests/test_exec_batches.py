@@ -179,16 +179,16 @@ class _Types:
         return {"k": DataType.INT, "j": DataType.INT, "v": DataType.VARCHAR}
 
 
-def _join(compiler, plan, sizes, single, limit):
+def _join(compiler, plan, sizes, single, limit, build):
     """``plan`` compiled by ``compiler`` over the probe rows in batches of
-    ``sizes`` (one row each, ``single``) and BUILD, under a LIMIT if
+    ``sizes`` (one row each, ``single``) and ``build``, under a LIMIT if
     ``limit``: the rows it returns and the tuples it counts."""
     probe = iter(PROBE)
     batches = [[next(probe) for _ in range(size)] for size in sizes]
     if single:
         batches = [[row] for batch in batches for row in batch]
     step = compiler(plan, _Types(), None, single, lambda _: iter(batches),
-                    lambda _: iter([BUILD]))
+                    lambda _: iter([build]))
     if limit is not None:
         step = limit_step(LimitPlan(plan, limit), None, None, False, step)
     counters = Counters()
@@ -218,20 +218,55 @@ def test_hash_join_switch(sizes, width, single, limit, tuples):
     """The rows and their order are a nested loop's over the same inputs;
     the work counted is a hash join's whichever way a probe row found its
     matches: the build side, then each probe row and each output."""
+    _check_switch(BUILD, sizes, width, single, limit, tuples)
+
+
+def _check_switch(rows, sizes, width, single, limit, tuples):
     probe = SeqScanPlan("p", "p", ("k", "j", "v"))
     build = SeqScanPlan("b", "b", ("k", "j", "v"))
     left = tuple(ast.ColumnRef(c, "p") for c in ("k", "j")[:width])
     right = tuple(ast.ColumnRef(c, "b") for c in ("k", "j")[:width])
     hashed = _join(joins.hash_join_step,
                    HashJoinPlan(probe, build, left, right), sizes, single,
-                   limit)
+                   limit, rows)
     looped = _join(joins.nested_loop_step, NestedLoopJoinPlan(
         probe, build, conjoin([*map(ast.BinaryOp, repeat("="), left, right)])),
-        sizes, single, limit)
+        sizes, single, limit, rows)
     assert hashed[0] == looped[0]
     assert hashed[1] == tuples
     if not single:
-        assert tuples == len(BUILD) + sum(sizes) + len(hashed[0])
+        assert tuples == len(rows) + sum(sizes) + len(hashed[0])
+
+
+# Build sides with unique keys but one NULL (in ``k``, so the two-column
+# key has a NULL part too), and ones whose keys collapse: two NULLs, or
+# ``1`` and ``1.0``.  Each key of the first maps to its one row; the
+# others group their rows per key, as BUILD does.
+UNIQUE = [(2, 1, "u0"), (None, 0, "u1"), (1, 0, "u2"), (3, 1, "u3"),
+          (4, 0, "u4")]
+TWO_NULLS = [(2, 1, "n0"), (None, 0, "n1"), (1, 0, "n2"), (None, 1, "n3")]
+ONE_AND_ONE_POINT_ZERO = [(1, 0, "f0"), (2, 1, "f1"), (1.0, 0, "f2")]
+
+# (id, build rows, probe batch sizes, key columns, single, limit, tuples)
+BUILD_KEYS = [
+    ("unique", UNIQUE, [1, 3, 4], 1, False, None, 19),
+    ("unique-one-batch", UNIQUE, [8], 1, False, None, 19),
+    ("unique-two-column-key", UNIQUE, [1, 3, 4], 2, False, None, 18),
+    ("two-null-keys", TWO_NULLS, [1, 3, 4], 1, False, None, 17),
+    ("1-and-1.0", ONE_AND_ONE_POINT_ZERO, [1, 3, 4], 1, False, None, 19),
+    ("unique-limit-at-first-row", UNIQUE, [8], 1, True, 1, 11),
+    ("unique-limit-after-switch", UNIQUE, [8], 1, True, 4, 20),
+]
+
+
+@pytest.mark.parametrize("rows, sizes, width, single, limit, tuples",
+                         [case[1:] for case in BUILD_KEYS],
+                         ids=[case[0] for case in BUILD_KEYS])
+def test_hash_join_switch_by_build_keys(rows, sizes, width, single, limit,
+                                        tuples):
+    """As above, over build sides whose keys are unique and ones whose
+    keys collide, so a probe row finds its one row or its rows' group."""
+    _check_switch(rows, sizes, width, single, limit, tuples)
 
 
 @pytest.mark.parametrize("tail, tuples", [

@@ -2,8 +2,6 @@
 
 import threading
 
-import pytest
-
 from repro.core.analyzer import Analyzer, apply_recommendations
 from repro.core.analyzer.recommendations import RecommendationKind
 from repro.errors import ReproError

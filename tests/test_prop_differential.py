@@ -11,7 +11,6 @@ same oracle.
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.setups import original_setup
