@@ -337,13 +337,18 @@ def _compile_between(expr: ast.Between, index: ScopeIndex,
     negated = expr.negated
 
     def between(row: Row) -> Any:
+        """``lo <= value AND value <= hi``, NOT-ed if negated: a NULL
+        bound leaves the other one to decide."""
         value = operand(row)
         lo = low(row)
         hi = high(row)
-        if value is None or lo is None or hi is None:
+        if value is None:
             return None
-        result = lo <= value <= hi
-        return (not result) if negated else result
+        if (lo is not None and value < lo) or (hi is not None and hi < value):
+            return negated
+        if lo is None or hi is None:
+            return None
+        return not negated
 
     return between
 
@@ -467,9 +472,15 @@ class _KernelSource:
         elif isinstance(expr, ast.Between):
             x, low, high = (self.operand(e)
                             for e in (expr.operand, expr.low, expr.high))
-            test = f"{low.code} <= {x.code} <= {high.code}"
-            self.compared((x, low, high), (x, low, high),
-                          f"not ({test})" if expr.negated else test)
+            if expr.negated:  # a NULL bound leaves the other to decide
+                self.compared((x,), (x,), "(" + " or ".join(
+                    f"{bound.code} is not None and {test}"
+                    for bound, test in ((low, f"{x.code} < {low.code}"),
+                                        (high, f"{high.code} < {x.code}")))
+                    + ")", (low, high))
+            else:
+                self.compared((x, low, high), (x, low, high),
+                              f"{low.code} <= {x.code} <= {high.code}")
         elif isinstance(expr, ast.InList) and expr.items:
             x = self.operand(expr.operand)
             items = [self.operand(item) for item in expr.items]

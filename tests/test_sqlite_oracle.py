@@ -22,11 +22,14 @@ engine configurations.
 from __future__ import annotations
 
 import math
+import random
 import re
 import sqlite3
 from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from perf import workloads
 from repro.catalog.schema import DataType
@@ -147,3 +150,175 @@ def test_reduced_benchmark_stream(engines, name):
         assert cached == uncached == expected, query
         assert canonical(theirs) == canonical(expected), query
     assert engines.sessions["cached"].plan_cache_hits > hits
+
+
+# -- generated expressions -------------------------------------------------------
+#
+# WHERE clauses and select lists drawn from every expression node, run
+# on this engine (plan cache on and off) and on SQLite over the same
+# rows.  Each comparison has operands of one kind (mixed kinds raise
+# here and sort in SQLite); there is no ``/`` or ``%`` (SQLite truncates
+# integer division); a boolean result reads as 0/1.
+
+_TEXTS = ["a", "ab", "b", "abc", "B", "ba", ""]
+_FLOATS = [-2.75, -1.0, 0.5, 1.25, 3.0]
+
+
+def _expression_rows(count: int, seed: int) -> list[tuple]:
+    """``(id, a, b, f, s, u)``: INT, INT, FLOAT, VARCHAR, VARCHAR, each
+    NULL now and then."""
+    rng = random.Random(seed)
+
+    def maybe(values):
+        return None if rng.random() < 0.2 else rng.choice(values)
+
+    return [(i, maybe(range(-4, 6)), maybe(range(-4, 6)), maybe(_FLOATS),
+             maybe(_TEXTS), maybe(_TEXTS)) for i in range(count)]
+
+
+def _sql_value(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+class ExpressionEngines:
+    """``th`` a heap and ``tb`` a B-Tree of the same rows, ``v`` a join
+    partner (``k`` INT, ``g`` FLOAT, ``w`` VARCHAR), on two engines
+    (plan cache on and ``PLAN_CACHE_SIZE`` 0) and on SQLite."""
+
+    TABLES = {
+        "th": "id int not null, a int, b int, f float, s varchar(8), "
+              "u varchar(8), primary key (id)",
+        "tb": "id int not null, a int, b int, f float, s varchar(8), "
+              "u varchar(8), primary key (id)",
+        "v": "vid int not null, k int, g float, w varchar(8), "
+             "primary key (vid)",
+    }
+
+    def __init__(self) -> None:
+        rows = _expression_rows(40, 3)
+        data = {"th": rows, "tb": rows,
+                "v": [row[:2] + row[3:5] for row in _expression_rows(25, 4)]}
+        self.sqlite = sqlite3.connect(":memory:")
+        self.sqlite.execute("pragma case_sensitive_like = on")
+        self.sessions = []
+        for size in (256, 0):
+            engine = EngineInstance()
+            engine.create_database("x")
+            with mock.patch.object(session_module, "PLAN_CACHE_SIZE", size):
+                self.sessions.append(engine.connect("x"))
+        for table, columns in self.TABLES.items():
+            values = ", ".join("(" + ", ".join(map(_sql_value, row)) + ")"
+                               for row in data[table])
+            for session in self.sessions:
+                session.execute(f"create table {table} ({columns})")
+                session.execute(f"insert into {table} values {values}")
+                if table == "tb":
+                    session.execute("modify tb to btree")
+            self.sqlite.execute(
+                f"create table {table} ({columns.replace('float', 'real')})")
+            self.sqlite.execute(f"insert into {table} values {values}")
+
+    def check(self, text: str) -> None:
+        theirs = _as_sqlite(self.sqlite.execute(text).fetchall())
+        for session in self.sessions:
+            assert _as_sqlite(session.execute(text).rows) == theirs, text
+
+
+def _as_sqlite(rows) -> list[str]:
+    """Order-free canonical rows; booleans as 0/1, -0.0 as 0.0."""
+    return canonical(tuple(int(v) if isinstance(v, bool)
+                           else v + 0.0 if isinstance(v, float) else v
+                           for v in row) for row in rows)
+
+
+def _parenthesized(template):
+    return lambda *parts: "(" + template.format(*parts) + ")"
+
+
+def _numbers(columns):
+    leaf = st.one_of(
+        st.sampled_from(columns),
+        st.one_of(st.integers(-4, 6), st.sampled_from(_FLOATS)).map(
+            lambda value: f"({value!r})" if value < 0 else repr(value)),
+        st.just("null"))
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.builds(_parenthesized("-{}"), inner),
+        st.builds(_parenthesized("{} {} {}"), inner,
+                  st.sampled_from(["+", "-", "*"]), inner),
+        st.builds(_parenthesized("abs({})"), inner),
+        st.builds(_parenthesized("coalesce({}, {})"), inner, inner),
+    ), max_leaves=4)
+
+
+def _texts(columns):
+    leaf = st.one_of(st.sampled_from(columns),
+                     st.sampled_from(_TEXTS).map(_sql_value), st.just("null"))
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.builds(_parenthesized("upper({})"), inner),
+        st.builds(_parenthesized("lower({})"), inner),
+        st.builds(_parenthesized("coalesce({}, {})"), inner, inner),
+    ), max_leaves=3)
+
+
+def _conditions(numbers, texts):
+    op = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+    negated = st.sampled_from(["", "not "])
+
+    def of_kind(values):
+        return st.one_of(
+            st.builds(_parenthesized("{} {} {}"), values, op, values),
+            st.builds(_parenthesized("{} {}between {} and {}"),
+                      values, negated, values, values),
+            st.builds(lambda x, neg, items: f"({x} {neg}in "
+                      f"({', '.join(items)}))", values, negated,
+                      st.lists(values, min_size=1, max_size=3)),
+            st.builds(_parenthesized("{} is {}null"), values, negated))
+
+    atom = st.one_of(
+        of_kind(numbers), of_kind(texts),
+        st.builds(_parenthesized("{} {}like {}"), texts, negated,
+                  st.sampled_from(["'a%'", "'%b'", "'_'", "'a_c'", "'%'",
+                                   "''", "null"])))
+    return st.recursive(atom, lambda inner: st.one_of(
+        st.builds(_parenthesized("{} and {}"), inner, inner),
+        st.builds(_parenthesized("{} or {}"), inner, inner),
+        st.builds(_parenthesized("not {}"), inner),
+    ), max_leaves=4)
+
+
+_T_COLUMNS = (["t.id", "a", "b", "f"], ["s", "u"])
+_JOINED_COLUMNS = (["a", "b", "f", "k", "g"], ["s", "u", "w"])
+
+
+@st.composite
+def _expression_queries(draw):
+    join = draw(st.booleans())
+    numbers, texts = (_numbers(c) for c in (
+        _JOINED_COLUMNS if join else _T_COLUMNS))
+    texts = _texts((_JOINED_COLUMNS if join else _T_COLUMNS)[1])
+    condition = _conditions(numbers, texts)
+    items = draw(st.lists(st.one_of(
+        numbers, texts, st.builds("length({})".format, texts), condition),
+        min_size=1, max_size=3))
+    table = draw(st.sampled_from(["th", "tb"]))
+    source = f"{table} t join v on t.a = v.k" if join else f"{table} t"
+    where = draw(st.one_of(st.none(), condition))
+    return (f"select {', '.join(items)} from {source}"
+            + ("" if where is None else f" where {where}"))
+
+
+@pytest.fixture(scope="module")
+def expression_engines() -> ExpressionEngines:
+    return ExpressionEngines()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(text=_expression_queries())
+def test_generated_expressions_match_sqlite(expression_engines, text):
+    expression_engines.check(text)
