@@ -58,7 +58,8 @@ class TriggerManager:
             table_name=schema.name.lower(),
             condition=condition,
             message=message,
-            predicate=compile_predicate(condition, scope),
+            predicate=compile_predicate(condition, scope, None,
+                                        {schema.name: schema.column_types}),
         )
         self._triggers[key] = trigger
         self._by_table.setdefault(trigger.table_name, []).append(trigger)

@@ -1,32 +1,27 @@
-"""Expression compilation: AST -> Python closures over row tuples.
+"""Expression compilation: AST -> generated Python code over row tuples.
 
 Expressions are compiled against a *scope* (the ordered output columns
 of the input plan) once per plan (``prepare_*``) and bound to each
-execution's literal vector (``bind(params)``): an expression that reads
-no literal slot is compiled once, any other per execution, so a closure
-never carries one text's literal into another text's run.  Scans and
-nested-loop joins filter a batch of rows at a time
-(:func:`prepare_filter`): the common filter shapes become one generated
-list comprehension per batch, anything else the per-row closure under
-the same batch API.
-
-NULL semantics follow SQL: comparisons and arithmetic propagate NULL,
-AND/OR use three-valued logic, and predicates treat a NULL outcome as
-not-satisfied.
+execution's literal vector (``bind(params)``).  One generator writes
+every expression's source, as a batch filter ``keep(rows, outer)``
+(scans, joins, FilterPlan, triggers) or as a row getter (projections,
+sort keys, aggregate arguments, DML values).  NULL semantics follow
+SQL: comparisons and arithmetic propagate NULL, AND/OR use three-valued
+logic, and a filter keeps the rows where its condition is TRUE.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from repro.catalog.schema import DataType
 from repro.errors import ExecutionError
 from repro.optimizer.plans import Scope
-from repro.optimizer.predicates import split_conjuncts
 from repro.sql import ast_nodes as ast
 
 Row = tuple
@@ -36,8 +31,7 @@ Params = Sequence[Any] | None
 parsed with."""
 BatchFilter = Callable[[Sequence[Row], Row], list]
 """``keep(rows, outer)``: the rows of one batch that pass a filter, in
-order.  ``outer`` is the outer row of a nested-loop join, ``()`` for a
-scan."""
+order; ``outer`` is a nested-loop join's outer row, ``()`` for a scan."""
 ColumnTypes = Mapping[str, Mapping[str, DataType]]
 """Binding -> column name -> declared type."""
 T = TypeVar("T")
@@ -79,66 +73,6 @@ class ScopeIndex:
         return positions[0]
 
 
-@lru_cache(maxsize=4096)
-def like_to_regex(pattern: str) -> re.Pattern[str]:
-    """Translate a SQL LIKE pattern into a compiled regex."""
-    regex = "".join(".*" if char == "%" else "." if char == "_"
-                    else re.escape(char) for char in pattern)
-    return re.compile(f"^{regex}$", re.DOTALL)
-
-
-_SCALAR_FUNCTIONS: dict[str, Callable[..., Any] | None] = {
-    "upper": lambda s: s.upper(),
-    "lower": lambda s: s.lower(),
-    "length": len,
-    "abs": abs,
-    "round": round,
-    "coalesce": None,  # special-cased: needs lazy NULL handling
-    "substr": lambda s, start, count=None: (
-        s[start - 1 : start - 1 + count] if count is not None
-        else s[start - 1 :]
-    ),
-}
-
-
-def compile_expression(expr: ast.Expression, scope: Scope,
-                       params: Params = None) -> Getter:
-    """Compile ``expr`` into a callable evaluating it for one row under
-    the literal vector ``params``."""
-    return _compile(expr, ScopeIndex(scope), params)
-
-
-def compile_predicate(expr: ast.Expression | None, scope: Scope,
-                      params: Params = None) -> Getter:
-    """Compile a boolean predicate; NULL results count as False."""
-    return _predicate(expr, ScopeIndex(scope), params)
-
-
-def _reads_slots(expr: ast.Expression) -> bool:
-    return any(isinstance(node, ast.Literal) and node.slot is not None
-               for node in ast.walk_expression(expr))
-
-
-def _predicate(expr: ast.Expression | None, index: ScopeIndex,
-               params: Params = None) -> Getter:
-    if expr is None:
-        return lambda row: True
-    inner = _compile(expr, index, params)
-    return lambda row: inner(row) is True
-
-
-def prepare_expression(expr: ast.Expression | None, index: ScopeIndex,
-                       predicate: bool = False) -> Binder[Getter]:
-    """``expr`` compiled now if it reads no literal slot, else per
-    execution: ``bind(params)`` is its getter under ``params``.  A
-    ``predicate`` counts NULL as False (and no expression as True)."""
-    compile_ = partial(_predicate if predicate else _compile, expr, index)
-    if expr is not None and _reads_slots(expr):
-        return compile_
-    getter = compile_()
-    return lambda params: getter
-
-
 def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
     """The scope position ``expr`` merely reads, or None if it has to be
     computed.  Named sub-expressions first: this is how aggregate
@@ -149,66 +83,38 @@ def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
     return pos
 
 
-def _compile(expr: ast.Expression, index: ScopeIndex,
-             params: Params = None) -> Getter:
-    pos = column_position(expr, index)
-    if pos is not None:
-        return itemgetter(pos)
-    if isinstance(expr, ast.Literal):
-        value = expr.bound(params)
-        return lambda row: value
-    if isinstance(expr, ast.UnaryOp):
-        return _compile_unary(expr, index, params)
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, index, params)
-    if isinstance(expr, ast.IsNull):
-        operand = _compile(expr.operand, index, params)
-        if expr.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-    if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, index, params)
-    if isinstance(expr, ast.Between):
-        return _compile_between(expr, index, params)
-    if isinstance(expr, ast.FunctionCall):
-        return _compile_function(expr, index, params)
-    if isinstance(expr, ast.Star):
-        raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
-    raise ExecutionError(f"cannot compile expression {expr!r}")
+@lru_cache(maxsize=4096)
+def like_to_regex(pattern: str) -> re.Pattern[str]:
+    """Translate a SQL LIKE pattern into a compiled regex."""
+    regex = "".join(".*" if char == "%" else "." if char == "_"
+                    else re.escape(char) for char in pattern)
+    return re.compile(f"^{regex}$", re.DOTALL)
 
 
-def _compile_unary(expr: ast.UnaryOp, index: ScopeIndex,
-                   params: Params) -> Getter:
-    operand = _compile(expr.operand, index, params)
-    if expr.op == "-":
-        def negate(row: Row) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                raise ExecutionError(
-                    f"cannot negate non-numeric value {value!r}")
-            return -value
+# -- what generated code calls for an operation it does not inline -------------
 
-        return negate
-    if expr.op == "not":
-        def negation(row: Row) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            return not value
+_COMPARE = "cannot compare {!r} with {!r}"
 
-        return negation
-    raise ExecutionError(f"unknown unary operator {expr.op!r}")
+
+def _strict(operate: Callable[[Any, Any], Any],
+            failure: str = _COMPARE) -> Callable[[Any, Any], Any]:
+    def strict(a: Any, b: Any) -> Any:
+        """NULL in, NULL out; mismatched types are an error."""
+        if a is None or b is None:
+            return None
+        try:
+            return operate(a, b)
+        except TypeError:
+            raise ExecutionError(failure.format(a, b)) from None
+
+    return strict
 
 
 def _divide(a: Any, b: Any) -> Any:
     if b == 0:
         raise ExecutionError("division by zero")
-    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-        return a // b
-    return a / b
+    exact = isinstance(a, int) and isinstance(b, int) and a % b == 0
+    return a // b if exact else a / b
 
 
 def _modulo(a: Any, b: Any) -> Any:
@@ -217,166 +123,34 @@ def _modulo(a: Any, b: Any) -> Any:
     return a % b
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _divide, "%": _modulo,
-}
+def _negate(value: Any) -> Any:
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ExecutionError(f"cannot negate non-numeric value {value!r}")
+    return -value
 
 
-def _compile_binary(expr: ast.BinaryOp, index: ScopeIndex,
-                    params: Params) -> Getter:
-    left = _compile(expr.left, index, params)
-    right = _compile(expr.right, index, params)
-    op = expr.op
-    if op == "and":
-        def logical_and(row: Row) -> Any:
-            a = left(row)
-            if a is False:
-                return False
-            b = right(row)
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-
-        return logical_and
-    if op == "or":
-        def logical_or(row: Row) -> Any:
-            a = left(row)
-            if a is True:
-                return True
-            b = right(row)
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-
-        return logical_or
-    operate = _COMPARATORS.get(op) or _ARITHMETIC.get(op)
-    if operate is not None:
-        failure = "cannot compare {!r} with {!r}" if op in _COMPARATORS \
-            else f"cannot apply {op!r} to {{!r}} and {{!r}}"
-
-        def strict(row: Row) -> Any:
-            """NULL in, NULL out; mismatched types are an error."""
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return operate(a, b)
-            except TypeError:
-                raise ExecutionError(failure.format(a, b)) from None
-
-        return strict
-    if op == "like":
-        pattern = (expr.right.bound(params)
-                   if isinstance(expr.right, ast.Literal) else None)
-        if isinstance(pattern, str):
-            # A literal pattern: one regex per execution, not per row.
-            matches = like_to_regex(pattern).match
-
-            def like_literal(row: Row) -> Any:
-                value = left(row)
-                if value is None:
-                    return None
-                return matches(value) is not None
-
-            return like_literal
-
-        def like(row: Row) -> Any:
-            value = left(row)
-            pattern = right(row)
-            if value is None or pattern is None:
-                return None
-            return like_to_regex(pattern).match(value) is not None
-
-        return like
-    raise ExecutionError(f"unknown binary operator {op!r}")
+def _matcher(pattern: Any) -> Callable[[str], Any] | None:
+    """A LIKE pattern's regex test; None for NULL."""
+    if pattern is None:
+        return None
+    if not isinstance(pattern, str):
+        raise ExecutionError(f"LIKE pattern {pattern!r} is not text")
+    return like_to_regex(pattern).match
 
 
-def _compile_in_list(expr: ast.InList, index: ScopeIndex,
-                     params: Params) -> Getter:
-    operand = _compile(expr.operand, index, params)
-    items = [_compile(item, index, params) for item in expr.items]
-    negated = expr.negated
-
-    def contains(row: Row) -> Any:
-        value = operand(row)
-        if value is None:
-            return None
-        found = False
-        saw_null = False
-        for item in items:
-            candidate = item(row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                found = True
-                break
-        if found:
-            return not negated
-        if saw_null:
-            return None
-        return negated
-
-    return contains
+def _like(value: Any, match: Callable[[str], Any] | None) -> Any:
+    if value is None or match is None:
+        return None
+    if not isinstance(value, str):
+        raise ExecutionError(f"cannot apply LIKE to {value!r}")
+    return match(value) is not None
 
 
-def _compile_between(expr: ast.Between, index: ScopeIndex,
-                     params: Params) -> Getter:
-    operand = _compile(expr.operand, index, params)
-    low = _compile(expr.low, index, params)
-    high = _compile(expr.high, index, params)
-    negated = expr.negated
-
-    def between(row: Row) -> Any:
-        """``lo <= value AND value <= hi``, NOT-ed if negated: a NULL
-        bound leaves the other one to decide."""
-        value = operand(row)
-        lo = low(row)
-        hi = high(row)
-        if value is None:
-            return None
-        if (lo is not None and value < lo) or (hi is not None and hi < value):
-            return negated
-        if lo is None or hi is None:
-            return None
-        return not negated
-
-    return between
-
-
-def _compile_function(expr: ast.FunctionCall, index: ScopeIndex,
-                      params: Params) -> Getter:
-    if expr.is_aggregate:
-        raise ExecutionError(
-            f"aggregate {expr.name}() used outside an aggregation context"
-        )
-    name = expr.name
-    args = [_compile(arg, index, params) for arg in expr.args]
-    if name == "coalesce":
-        def coalesce(row: Row) -> Any:
-            for arg in args:
-                value = arg(row)
-                if value is not None:
-                    return value
-            return None
-
-        return coalesce
-    function = _SCALAR_FUNCTIONS.get(name)
-    if function is None:
-        raise ExecutionError(f"unknown function {name!r}")
-
-    def call(row: Row) -> Any:
-        values = [arg(row) for arg in args]
-        if any(value is None for value in values):
+def _scalar(name: str, function: Callable[..., Any]) -> Callable[..., Any]:
+    def call(*values: Any) -> Any:
+        if None in values:
             return None
         try:
             return function(*values)
@@ -386,219 +160,292 @@ def _compile_function(expr: ast.FunctionCall, index: ScopeIndex,
     return call
 
 
-# -- batch filters -------------------------------------------------------------
+_SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
+    "upper": str.upper, "lower": str.lower, "length": len, "abs": abs,
+    "round": round, "substr": lambda s, start, count=None: s[start - 1:]
+    if count is None else s[start - 1:start - 1 + count],
+}  # and coalesce, generated inline: it evaluates its arguments lazily
+_COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
+                ">=": ">="}
+_OPERATORS = {"=": ("eq", operator.eq), "!=": ("ne", operator.ne),
+              "<": ("lt", operator.lt), "<=": ("le", operator.le),
+              ">": ("gt", operator.gt), ">=": ("ge", operator.ge),
+              "+": ("add", operator.add), "-": ("sub", operator.sub),
+              "*": ("mul", operator.mul), "/": ("div", _divide),
+              "%": ("mod", _modulo)}
+_HELPERS: dict[str, Any] = {
+    **{name: _strict(operate, _COMPARE if op in _COMPARISONS else
+                     f"cannot apply {op!r} to {{!r}} and {{!r}}")
+       for op, (name, operate) in _OPERATORS.items()},
+    **{f"fn_{name}": _scalar(name, function)
+       for name, function in _SCALAR_FUNCTIONS.items()},
+    "neg": _negate, "like": _like, "matcher": _matcher,
+    "not_": lambda x: None if x is None else not x,
+    # ``a AND b`` / ``a OR b`` once ``a`` is known not to decide it.
+    "and_": lambda a, b: False if b is False else None
+    if a is None or b is None else True,
+    "or_": lambda a, b: True if b is True else None
+    if a is None or b is None else False,
+}
+
+
+# -- the generator ---------------------------------------------------------------
 
 # Values of one kind compare with each other without a TypeError.
-_KIND_OF_TYPE = {
-    DataType.INT: "number", DataType.FLOAT: "number",
-    DataType.VARCHAR: "text", DataType.TEXT: "text", DataType.BOOL: "bool",
-}
+_KIND_OF_TYPE = {DataType.INT: "number", DataType.FLOAT: "number",
+                 DataType.VARCHAR: "text", DataType.TEXT: "text",
+                 DataType.BOOL: "bool"}
 _KIND_OF_VALUE = {int: "number", float: "number", str: "text", bool: "bool"}
-_PY_OPERATORS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
-                 ">=": ">="}
 
 
-class _Ineligible(Exception):
-    """The filter has a shape no kernel covers."""
+class _Code(NamedTuple):
+    """Code for an expression's SQL value (None for NULL); ``safe`` if
+    no row makes it raise.  A ``leaf`` (a column or a literal: cheap to
+    read twice) has a comparable ``kind`` ("?": unknown, None: NULL) and
+    is ``fixed`` if one value serves the whole batch (a literal or an
+    outer-row column); only a non-NULL literal is not ``nullable``.
+    ``inline`` is code true exactly where the value is TRUE, once the
+    fixed values ``needs`` names are known non-NULL."""
+
+    text: str
+    safe: bool
+    kind: str | None = "?"
+    fixed: bool = False
+    leaf: bool = False
+    nullable: bool = True
+    inline: str | None = None
+    needs: tuple[str, ...] = ()
+
+    @property
+    def test(self) -> str:
+        return self.inline or f"{self.text} is True"
 
 
-class _Operand(NamedTuple):
-    code: str
-    kind: str | None
-    """Comparable kind: None for a NULL literal, "?" if unknown."""
-    per_row: bool
-    """Read from the tested row, so NULL in any row; otherwise an
-    argument, fixed for the whole batch."""
+def _inlined(op: str, *codes: _Code) -> bool:
+    """Whether ``op`` over ``codes`` is a Python operator no row makes
+    raise: ``=`` or ``!=`` over leaves, or leaves of one kind."""
+    kinds = {code.kind for code in codes} - {None}
+    return all(code.leaf for code in codes) and (op in ("=", "!=") or (
+        op in _COMPARISONS and len(kinds) <= 1 and "?" not in kinds))
 
 
-class _KernelSource:
-    """The text of one filter's kernel, built conjunct by conjunct.
+def _tested(text: str, test: str, *operands: _Code,
+            guard: Sequence[_Code] | None = None) -> _Code:
+    """``text`` with the inlined ``test``, valid once the ``operands``
+    (per row: only those of ``guard``, if given) are non-NULL."""
+    return _Code(text, True, inline=" and ".join(
+        [f"{op.text} is not None" for op in (
+            operands if guard is None else guard)
+         if op.nullable and not op.fixed] + [test]),
+        needs=tuple(op.text for op in operands if op.nullable and op.fixed))
 
-    Tested-row columns become ``r[i]``, outer-row columns the locals
-    ``o0, o1, ...`` and literals the arguments ``v0, v1, ...`` of the
-    factory, so the text depends on the filter's shape only.  A shape
-    is eligible when all operands of each comparison are of one kind:
-    then no test raises, and Python's ``and`` over the guarded tests
-    keeps exactly the rows SQL's three-valued AND finds true.
-    """
 
-    def __init__(self, index: ScopeIndex, params: Params, width: int,
-                 types: ColumnTypes, row: str) -> None:
+class _Source:
+    """The text of one expression's code.  Tested-row columns become
+    ``r[i]``, outer-row columns the locals ``o0, o1, ...`` and literals
+    the arguments ``v0, v1, ...`` of the factory, so the text depends on
+    the expression's shape only.  A comparison of operands of one kind
+    is inlined, as are ``=`` and ``!=`` on any (they never raise); any
+    other operation calls a helper of ``_HELPERS``."""
+
+    def __init__(self, index: ScopeIndex, params: Params,
+                 types: ColumnTypes | None = None, width: int = 0,
+                 row: str = "r") -> None:
         self.index = index
-        self.params = params
-        """Decides each literal's kind: a prepared statement's literal
-        vectors all have one type per slot."""
-        self.width = width
-        """Leading scope positions that are the outer row's."""
-        self.types = types
+        self.params = params  # a literal's kind: one type per slot
+        self.types = types or {}
+        self.width = width  # leading scope positions: the outer row's
         self.row = row
-        self.literals: list[ast.Literal] = []
-        """The nodes the factory's arguments ``v0, v1, ...`` are bound
-        from, per execution."""
+        self.literals: list[ast.Literal] = []  # bound to ``v0, v1, ...``
+        self.bound: list[str] = []  # lines run once per binding
         self.outer: list[str] = []
-        self.strict: list[str] = []
-        """Arguments that, NULL, leave every test of theirs unknown."""
-        self.tests: list[str] = []
+        self.temps = count()
 
-    def operand(self, expr: ast.Expression) -> _Operand:
+    def code(self, expr: ast.Expression) -> _Code:
         pos = column_position(expr, self.index)
-        if pos is None:
-            if not isinstance(expr, ast.Literal):
-                raise _Ineligible
+        if pos is not None:
+            binding, column = self.index.scope[pos]
+            kind = _KIND_OF_TYPE.get(
+                self.types.get(binding, {}).get(column), "?")  # type: ignore[arg-type]
+            if pos >= self.width:
+                return _Code(f"{self.row}[{pos - self.width}]", True, kind,
+                             False, True)
+            self.outer.append(f"o{len(self.outer)} = o[{pos}]")
+            return _Code(f"o{len(self.outer) - 1}", True, kind, True, True)
+        if isinstance(expr, ast.Literal):
             value = expr.bound(self.params)
-            name = f"v{len(self.literals)}"
             self.literals.append(expr)
-            kind = None if value is None else _KIND_OF_VALUE.get(type(value))
-            if value is not None and kind is None:
-                raise _Ineligible
-            return _Operand(name, kind, False)
-        binding, column = self.index.scope[pos]
-        kind = _KIND_OF_TYPE.get(
-            self.types.get(binding, {}).get(column), "?")  # type: ignore[arg-type]
-        if pos < self.width:
-            name = f"o{len(self.outer)}"
-            self.outer.append(f"{name} = o[{pos}]")
-            return _Operand(name, kind, False)
-        return _Operand(f"{self.row}[{pos - self.width}]", kind, True)
+            return _Code(f"v{len(self.literals) - 1}", True, None
+                         if value is None else _KIND_OF_VALUE.get(
+                             type(value), "?"), True, True, value is None)
+        if isinstance(expr, ast.BinaryOp):
+            a, b = self.code(expr.left), self.code(expr.right)
+            if expr.op in ("and", "or"):
+                return self.logical(expr.op, a, b)
+            return self.like(a, b) if expr.op == "like" \
+                else self.binary(expr.op, a, b)
+        if isinstance(expr, ast.UnaryOp) and expr.op in ("-", "not"):
+            x = self.code(expr.operand)
+            return _Code(f"neg({x.text})", False) if expr.op == "-" \
+                else self.negation(x)
+        if isinstance(expr, ast.IsNull):
+            x = self.code(expr.operand)
+            text = f"({x.text} is {'not ' * expr.negated}None)"
+            return _Code(text, x.safe, inline=text)
+        if isinstance(expr, ast.InList):  # an OR of =, or an AND of !=
+            x = self.code(expr.operand)
+            op, joint = ("!=", "and") if expr.negated else ("=", "or")
+            return reduce(partial(self.logical, joint), [
+                self.binary(op, x, self.code(item)) for item in expr.items])
+        if isinstance(expr, ast.Between):  # low <= x AND x <= high
+            x, low, high = map(self.code, (expr.operand, expr.low, expr.high))
+            inside = self.logical("and", self.binary("<=", low, x),
+                                  self.binary("<=", x, high))
+            if expr.negated or not _inlined("<", x, low, high):
+                return self.negation(inside) if expr.negated else inside
+            return _tested(inside.text, f"{low.text} <= {x.text} <= "
+                           f"{high.text}", x, low, high)
+        if isinstance(expr, ast.FunctionCall):
+            return self.function(expr)
+        if isinstance(expr, ast.UnaryOp):
+            raise ExecutionError(f"unknown unary operator {expr.op!r}")
+        if isinstance(expr, ast.Star):
+            raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
+        raise ExecutionError(f"cannot compile expression {expr!r}")
 
-    def add(self, expr: ast.Expression) -> None:
-        if isinstance(expr, ast.BinaryOp) and expr.op in _PY_OPERATORS:
-            a, b = self.operand(expr.left), self.operand(expr.right)
-            # ``x == v`` is False for a NULL x once v is known non-NULL.
-            guarded = (a, b) if expr.op != "=" else \
-                (a,) if a.per_row and b.per_row else ()
-            self.compared(
-                (a, b), guarded, f"{a.code} {_PY_OPERATORS[expr.op]} {b.code}")
-        elif isinstance(expr, ast.Between):
-            x, low, high = (self.operand(e)
-                            for e in (expr.operand, expr.low, expr.high))
-            if expr.negated:  # a NULL bound leaves the other to decide
-                self.compared((x,), (x,), "(" + " or ".join(
-                    f"{bound.code} is not None and {test}"
-                    for bound, test in ((low, f"{x.code} < {low.code}"),
-                                        (high, f"{high.code} < {x.code}")))
-                    + ")", (low, high))
-            else:
-                self.compared((x, low, high), (x, low, high),
-                              f"{low.code} <= {x.code} <= {high.code}")
-        elif isinstance(expr, ast.InList) and expr.items:
-            x = self.operand(expr.operand)
-            items = [self.operand(item) for item in expr.items]
-            if expr.negated:  # any NULL item: never true
-                self.compared((x, *items), (x, *items), " and ".join(
-                    f"{x.code} != {item.code}" for item in items))
-            else:  # NULL items never match
-                self.compared((x,), (x,), "(" + " or ".join(
-                    f"{x.code} == {item.code}" for item in items) + ")",
-                    items)
-        elif isinstance(expr, ast.IsNull):
-            x = self.operand(expr.operand)
-            self.tests.append(
-                f"{x.code} is {'not ' if expr.negated else ''}None")
-        else:
-            raise _Ineligible
+    def logical(self, op: str, a: _Code, b: _Code) -> _Code:
+        """``b`` is evaluated only if ``a`` leaves the outcome open."""
+        t, stop = f"t{next(self.temps)}", "False" if op == "and" else "True"
+        code = _Code(f"({stop} if ({t} := {a.text}) is {stop} "
+                     f"else {op}_({t}, {b.text}))", a.safe and b.safe)
+        if op == "and":
+            return code._replace(inline=f"{a.test} and {b.test}",
+                                 needs=a.needs + b.needs)
+        if a.needs or b.needs:  # not hoisted out of an OR
+            return code
+        return code._replace(inline=f"({a.test} or {b.test})")
 
-    def compared(self, strict: Sequence[_Operand],
-                 guarded: Sequence[_Operand], test: str,
-                 also: Sequence[_Operand] = ()) -> None:
-        kinds = {op.kind for op in (*strict, *also) if op.kind is not None}
-        if len(kinds) > 1 or "?" in kinds:
-            raise _Ineligible
-        self.strict += [op.code for op in strict if not op.per_row]
-        self.tests += [f"{op.code} is not None"
-                       for op in guarded if op.per_row]
-        self.tests.append(test)
+    @staticmethod
+    def negation(x: _Code) -> _Code:
+        return _Code(f"not_({x.text})", x.safe, inline=f"{x.text} is False")
 
-    def text(self) -> str:
-        names = [f"v{i}" for i in range(len(self.literals))]
-        lines = [f"def make({', '.join(names + ['fallback'])}):",
-                 "    def kernel(rows, o):"]
-        lines += [f"        {line}" for line in self.outer]
-        if self.strict:
-            lines += ["        if " + " or ".join(
-                f"{name} is None" for name in self.strict) + ":",
-                "            return []"]
-        lines += ["        try:",
-                  "            return [r for r in rows if "
-                  + " and ".join(self.tests) + "]",
-                  "        except TypeError:  # a value off its declared type",
-                  "            return fallback(rows, o)",
-                  "    return kernel"]
-        return "\n".join(lines)
+    @staticmethod
+    def binary(op: str, a: _Code, b: _Code) -> _Code:
+        if op not in _OPERATORS:
+            raise ExecutionError(f"unknown binary operator {op!r}")
+        if not _inlined(op, a, b):
+            return _Code(f"{_OPERATORS[op][0]}({a.text}, {b.text})", False)
+        test = f"{a.text} {_COMPARISONS[op]} {b.text}"
+        nulls = " or ".join(f"{x.text} is None" for x in (a, b) if x.nullable)
+        # ``x == y`` is False for a NULL x once y is known non-NULL.
+        return _tested(f"(None if {nulls} else {test})" if nulls
+                       else f"({test})", test, a, b, guard=None if op != "="
+                       else () if a.fixed or b.fixed else (a,))
+
+    def like(self, x: _Code, pattern: _Code) -> _Code:
+        if pattern.nullable or pattern.kind != "text":  # per row
+            return _Code(f"like({x.text}, matcher({pattern.text}))", False)
+        match = f"m{len(self.bound)}"  # a literal pattern's regex
+        self.bound.append(f"{match} = matcher({pattern.text})")
+        if x.kind != "text" or not x.leaf:
+            return _Code(f"like({x.text}, {match})", False)
+        return _tested(f"like({x.text}, {match})", f"{match}({x.text})", x)
+
+    def function(self, expr: ast.FunctionCall) -> _Code:
+        if expr.is_aggregate:
+            raise ExecutionError(
+                f"aggregate {expr.name}() used outside an aggregation context")
+        if expr.name != "coalesce" and expr.name not in _SCALAR_FUNCTIONS:
+            raise ExecutionError(f"unknown function {expr.name!r}")
+        args = [self.code(arg) for arg in expr.args]
+        if expr.name != "coalesce":
+            return _Code(f"fn_{expr.name}({', '.join(a.text for a in args)})",
+                         False)
+        text = "None"  # the first non-NULL argument; no later one runs
+        for arg in reversed(args):
+            t = f"t{next(self.temps)}"
+            text = f"({t} if ({t} := {arg.text}) is not None else {text})"
+        return _Code(text, all(arg.safe for arg in args))
+
+    def factory(self, body: list[str]) -> Binder[Any]:
+        """``bind(params)``: what ``body`` returns, made with the
+        literals' values under ``params``."""
+        names = ", ".join(f"v{i}" for i in range(len(self.literals)))
+        make = _kernel_factory("\n".join(
+            [f"def make({names}):"]
+            + [f"    {line}" for line in self.bound + body]))
+        literals = tuple(self.literals)
+        if not literals:
+            made = make()
+            return lambda params: made
+
+        # staticcheck: hotpath
+        def bind(params: Params) -> Any:
+            return make(*[literal.bound(params) for literal in literals])
+
+        return bind
 
 
 @lru_cache(maxsize=1024)
-def _kernel_factory(source: str) -> Callable[..., BatchFilter]:
+def _kernel_factory(source: str) -> Callable[..., Any]:
     """The one place generated code runs.  ``source`` is assembled from
-    column positions, operators of ``_PY_OPERATORS`` and argument names
-    only: literal values reach a kernel as arguments of the factory this
-    returns, never as text, so no value can alter the code that runs,
-    and every text of one filter shape shares one compiled kernel."""
-    namespace: dict[str, Any] = {"__builtins__": {"TypeError": TypeError}}
-    exec(compile(source, "<filter kernel>", "exec"), namespace)
+    column positions, Python operators, the names of ``_HELPERS`` and
+    argument names only: literal values reach the code as arguments of
+    the factory this returns, never as text, so no value can alter the
+    code that runs, and every text of one shape shares one compiled
+    function.  The code sees no builtins, only the helpers."""
+    namespace: dict[str, Any] = {"__builtins__": {}, **_HELPERS}
+    exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["make"]
+
+
+def prepare_expression(expr: ast.Expression, index: ScopeIndex,
+                       params: Params = None) -> Binder[Getter]:
+    """``expr`` compiled now for every literal vector of the types
+    ``params`` has: ``bind(params)`` is its getter under ``params``."""
+    pos = column_position(expr, index)
+    if pos is not None:
+        getter = itemgetter(pos)
+        return lambda params: getter
+    source = _Source(index, params)
+    return source.factory([f"return lambda r: {source.code(expr).text}"])
+
+
+def compile_expression(expr: ast.Expression, scope: Scope,
+                       params: Params = None) -> Getter:
+    """``expr``'s getter under the literal vector ``params``."""
+    return prepare_expression(expr, ScopeIndex(scope), params)(params)
 
 
 def _keep_all(rows: Sequence[Row], outer: Row) -> list:
     return list(rows)
 
 
-def _bind_keep_all(params: Params) -> BatchFilter:
-    return _keep_all
-
-
-def _closure_filter(expr: ast.Expression, index: ScopeIndex, width: int,
-                    entries: bool, params: Params) -> BatchFilter:
-    """The per-row closure under the batch API: every other shape."""
-    predicate = _predicate(expr, index, params)
-    if entries:
-        return lambda rows, outer: [e for e in rows if predicate(e[1])]
-    if width:
-        return lambda rows, outer: [r for r in rows
-                                    if predicate(outer + r)]
-    return lambda rows, outer: [r for r in rows if predicate(r)]
-
-
-# staticcheck: hotpath
 def prepare_filter(expr: ast.Expression | None, scope: Scope,
                    params: Params = None, types: ColumnTypes | None = None,
                    outer: Scope = (), entries: bool = False,
                    ) -> Binder[BatchFilter]:
-    """Compile the filter ``expr`` over batches of rows of ``scope``
-    for every literal vector of the types ``params`` has; bind one
-    with the result: ``keep = bind(params)``.
-
-    ``types`` are the declared column types by binding; comparisons
-    with a column of unknown type keep the per-row closure.  A join
-    passes its outer side's scope as ``outer``: ``expr`` then sees the
-    outer row's columns followed by the tested row's, as over the
-    joined row.  With ``entries`` the batch holds ``(rowid, row)``
-    pairs and whole pairs are kept.
+    """The filter ``expr`` over batches of rows of ``scope``, compiled
+    for every literal vector of the types ``params`` has: bind one with
+    ``keep = bind(params)``.  ``types`` are the declared column types by
+    binding.  A join passes its outer side's scope as ``outer``: ``expr``
+    then sees the outer row's columns followed by the tested row's.
+    With ``entries`` the batch holds ``(rowid, row)`` pairs, kept whole.
     """
     if expr is None:
-        return _bind_keep_all
-    scope = outer + scope
-    width = len(outer)
-    index = ScopeIndex(scope)
-    closure = partial(_closure_filter, expr, index, width, entries)
-    try:
-        source = _KernelSource(index, params, width, types or {},
-                               "r[1]" if entries else "r")
-        for conjunct in split_conjuncts(expr):
-            source.add(conjunct)
-    except (_Ineligible, ExecutionError):
-        return closure
-    make = _kernel_factory(source.text())
-    literals = tuple(source.literals)
-
-    def bind(params: Params) -> BatchFilter:
-        def fallback(rows: Sequence[Row], outer_row: Row) -> list:
-            return closure(params)(rows, outer_row)
-
-        return make(*[literal.bound(params) for literal in literals],
-                    fallback)
-
-    return bind
+        return lambda params: _keep_all
+    source = _Source(ScopeIndex(outer + scope), params, types, len(outer),
+                     "r[1]" if entries else "r")
+    code = source.code(expr)
+    # Unsafe, SQL's evaluation order decides which error shows.
+    test = code.test if code.safe else f"{code.text} is True"
+    body = ["def keep(rows, o):"] + [f"    {line}" for line in source.outer]
+    if code.safe and code.needs:  # NULL, they leave every row unknown
+        body += ["    if " + " or ".join(
+            f"{name} is None" for name in code.needs) + ":",
+            "        return []"]
+    return source.factory(
+        body + [f"    return [r for r in rows if {test}]", "return keep"])
 
 
 def compile_filter(expr: ast.Expression | None, scope: Scope,
@@ -606,6 +453,15 @@ def compile_filter(expr: ast.Expression | None, scope: Scope,
                    outer: Scope = (), entries: bool = False) -> BatchFilter:
     """:func:`prepare_filter` and bind ``params`` in one call."""
     return prepare_filter(expr, scope, params, types, outer, entries)(params)
+
+
+def compile_predicate(expr: ast.Expression | None, scope: Scope,
+                      params: Params = None,
+                      types: ColumnTypes | None = None) -> Getter:
+    """A predicate over one row, through the batch filter: NULL counts
+    as False."""
+    keep = compile_filter(expr, scope, params, types)
+    return lambda row: bool(keep((row,), ()))
 
 
 def sort_key(values: Sequence[Any]) -> tuple:

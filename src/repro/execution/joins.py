@@ -14,9 +14,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from repro.errors import ExecutionError
-from repro.execution.evaluator import (Getter, Params,
-                                      ScopeIndex, column_position,
-                                      prepare_expression, prepare_filter)
+from repro.execution.evaluator import (Getter, Params, ScopeIndex,
+                                      column_position, prepare_filter)
 from repro.execution.scan import (Batches, Counters, Step, StorageCatalog,
                                   column_types, positions, singles)
 from repro.optimizer.plans import (HashJoinPlan, IndexLookupJoinPlan,
@@ -132,8 +131,8 @@ def index_lookup_step(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
     """Per outer row, probe the inner table's B-Tree or secondary index
     a page at a time; every inner row reached counts."""
     key_of = _join_key(plan.outer_keys, ScopeIndex(plan.left.scope))
-    bind_residual = None if plan.residual is None else prepare_expression(
-        plan.residual, ScopeIndex(plan.scope), predicate=True)
+    bind_residual = None if plan.residual is None else prepare_filter(
+        plan.residual, plan.scope, params, column_types(plan, catalog))
     bare = len(plan.outer_keys) == 1
 
     def index_lookup(counters: Counters) -> Batches:
@@ -159,7 +158,7 @@ def index_lookup_step(plan: IndexLookupJoinPlan, catalog: StorageCatalog,
                         for _, entry in index.scan_range(probe, probe)):
                     units = [outer + row for row in rows]
                     kept = units if residual is None \
-                        else list(filter(residual, units))
+                        else residual(units, ())
                     if single:
                         yield from singles(kept, positions(units, kept),
                                            len(units), counters)

@@ -25,7 +25,7 @@ def modify_step(plan: ModifyPlan, catalog: StorageCatalog,
     read = prepare_entries(plan.child, catalog, params)
     index = ScopeIndex(plan.child.scope)
     setters = None if plan.assignments is None else [
-        (position, prepare_expression(expr, index))
+        (position, prepare_expression(expr, index, params))
         for position, expr in plan.assignments]
     return lambda counters: _modify(plan.table_name, read, setters, catalog,
                                     counters)
@@ -60,7 +60,7 @@ def insert_step(plan: InsertPlan, catalog: StorageCatalog,
                 params: Params, single: bool) -> Step:
     empty = ScopeIndex(())
     rows = [[(position, expr.bound if type(expr) is ast.Literal
-              else _evaluated(prepare_expression(expr, empty)))
+              else _evaluated(prepare_expression(expr, empty, params)))
              for position, expr in zip(plan.positions, values)]
             for values in plan.rows]
     return lambda counters: _insert(plan.table_name, plan.width, rows,

@@ -18,8 +18,8 @@ from typing import Any, Callable, Sequence
 from repro.errors import ExecutionError
 from repro.execution.evaluator import (Binder, Getter, Params, ScopeIndex,
                                       column_position, prepare_expression,
-                                      sort_key)
-from repro.execution.scan import Batches, Counters, Step
+                                      prepare_filter, sort_key)
+from repro.execution.scan import Batches, Counters, Step, column_types
 from repro.optimizer.plans import (AggregatePlan, DistinctPlan, FilterPlan,
                                    LimitPlan, ProjectPlan, SortPlan)
 from repro.sql import ast_nodes as ast
@@ -27,14 +27,14 @@ from repro.sql import ast_nodes as ast
 
 def filter_step(plan: FilterPlan, catalog: Any, params: Params,
                 single: bool, child: Step) -> Step:
-    bind = prepare_expression(plan.condition, ScopeIndex(plan.child.scope),
-                              predicate=True)
+    bind = prepare_filter(plan.condition, plan.child.scope, params,
+                          column_types(plan, catalog))
 
     def run(counters: Counters) -> Batches:
-        predicate = bind(counters.params)
+        keep = bind(counters.params)
         for batch in child(counters):
             counters.tuples += len(batch)
-            kept = list(filter(predicate, batch))
+            kept = keep(batch, ())
             if kept:
                 yield kept
 
@@ -53,7 +53,8 @@ def project_step(plan: ProjectPlan, catalog: Any, params: Params,
         get = itemgetter(*positions)
         return lambda counters: _project(lambda batch: list(map(get, batch)),
                                          child(counters), counters)
-    binders = [prepare_expression(e, index) for e in plan.expressions]
+    binders = [prepare_expression(e, index, params)
+               for e in plan.expressions]
 
     def run(counters: Counters) -> Batches:
         getters = [bind(counters.params) for bind in binders]
@@ -114,7 +115,7 @@ def limit_step(plan: LimitPlan, catalog: Any, params: Params,
 def sort_step(plan: SortPlan, catalog: Any, params: Params,
               single: bool, child: Step) -> Step:
     index = ScopeIndex(plan.child.scope)
-    binders = [(prepare_expression(e, index), descending)
+    binders = [(prepare_expression(e, index, params), descending)
                for e, descending in plan.sort_keys]
 
     def run(counters: Counters) -> Batches:
@@ -162,7 +163,7 @@ def aggregate_step(plan: AggregatePlan, catalog: Any, params: Params,
     batch is split by group, keyed by the values (NULL groups with NULL,
     1 with 1.0), and each group's rows fold an aggregate at a time."""
     index = ScopeIndex(plan.child.scope)
-    group_binders = [prepare_expression(e, index)
+    group_binders = [prepare_expression(e, index, params)
                      for e in plan.group_expressions]
     # Per aggregate: its argument (None: a row), DISTINCT, fold, result.
     specs: list[tuple[Binder[Getter] | None, bool, Fold | None, Any]] = []
@@ -175,7 +176,7 @@ def aggregate_step(plan: AggregatePlan, catalog: Any, params: Params,
             raise ExecutionError(
                 f"aggregate {call.name}() takes exactly one argument")
         specs.append((None if star else prepare_expression(
-            call.args[0], index), call.distinct, *_FUNCTIONS[call.name]))
+            call.args[0], index, params), call.distinct, *_FUNCTIONS[call.name]))
 
     def run(counters: Counters) -> Batches:
         getters = [bind(counters.params) for bind in group_binders]

@@ -28,7 +28,7 @@ def nref_id(i: int) -> str:
 @pytest.fixture
 def compiles(monkeypatch):
     """Calls of the three compile-time constructors while a test runs."""
-    counts = {"_KernelSource": 0, "ScopeIndex": 0, "_kernel_factory": 0}
+    counts = {"_Source": 0, "ScopeIndex": 0, "_kernel_factory": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -36,7 +36,7 @@ def compiles(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    for cls in (evaluator._KernelSource, evaluator.ScopeIndex):
+    for cls in (evaluator._Source, evaluator.ScopeIndex):
         monkeypatch.setattr(cls, "__init__",
                             counting(cls.__name__, cls.__init__))
     monkeypatch.setattr(evaluator, "_kernel_factory", counting(

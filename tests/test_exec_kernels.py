@@ -1,11 +1,12 @@
-"""Predicate kernels: the batch filters of
-:func:`repro.execution.evaluator.compile_filter` against the per-row
-closure they stand in for — same rows, same order, same errors and, in
-the engine, the same ``tuples_processed``."""
+"""Generated filters: the batch filters of
+:func:`repro.execution.evaluator.compile_filter` against a per-row
+reference evaluator written here, which shares no code with the
+compiler — same rows, same order, same errors and, in the engine, the
+same ``tuples_processed``."""
 
+import operator
 import random
 from contextlib import contextmanager
-from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -15,10 +16,9 @@ from repro.catalog.schema import DataType
 from repro.config import EngineConfig
 from repro.engine import EngineInstance
 from repro.engine.session import DmlResult
-from repro.errors import ReproError
-from repro.execution import evaluator, joins, scan
-from repro.execution.evaluator import (compile_filter, compile_predicate,
-                                      prepare_filter)
+from repro.errors import ExecutionError, ReproError
+from repro.execution import evaluator, joins, scan, shaping
+from repro.execution.evaluator import compile_filter
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
 
@@ -35,9 +35,9 @@ _OP = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 
 
 def _filters(columns):
-    """SQL filter texts over ``columns``: conjunctions of the kernel
-    shapes, mismatched literal types among them, and now and then a
-    shape no kernel covers."""
+    """SQL filter texts over ``columns``: conjunctions of comparisons,
+    BETWEEN, IN and IS NULL, mismatched literal types among them, and
+    now and then arithmetic, OR or NOT."""
     column = st.sampled_from(columns)
     operand = st.one_of(column, _LITERAL)
     atom = st.one_of(
@@ -50,9 +50,10 @@ def _filters(columns):
                   st.lists(operand, min_size=1, max_size=3)),
         st.builds("{} is {}null".format, column,
                   st.sampled_from(["", "not "])),
-        st.builds("{} + 1 > {}".format, column, _NUMBERS),  # no kernel
+        st.builds("{} + 1 > {}".format, column, _NUMBERS),
         st.builds("({} = {} or {} is null)".format, column, operand,
-                  column),  # no kernel
+                  column),
+        st.builds("not ({} {} {})".format, column, _OP, operand),
     )
     return st.lists(atom, min_size=1, max_size=3).map(" and ".join)
 
@@ -61,11 +62,82 @@ def _where(text):
     return parse_statement(f"select * from t where {text}").where
 
 
+# -- the reference: SQL's row-at-a-time semantics, written out -------------------
+
+_KINDS = {int: "number", float: "number", str: "text", bool: "bool"}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "+": operator.add}
+
+
+def _sql(expr, scope, row, params=None):
+    """``expr``'s SQL value over ``row`` of ``scope``; an order
+    comparison or sum of values of two kinds raises ExecutionError."""
+    def value(node):
+        return _sql(node, scope, row, params)
+
+    def order(op, a, b):
+        if a is None or b is None:
+            return None
+        if _KINDS[type(a)] != _KINDS[type(b)]:
+            raise ExecutionError(f"cannot compare {a!r} with {b!r}")
+        return _ORDER[op](a, b)
+
+    if isinstance(expr, ast.ColumnRef):
+        return row[next(i for i, (binding, name) in enumerate(scope)
+                        if name == expr.name
+                        and expr.table in (None, binding))]
+    if isinstance(expr, ast.Literal):
+        return expr.bound(params)
+    if isinstance(expr, ast.UnaryOp):  # NOT
+        x = value(expr.operand)
+        return None if x is None else not x
+    if isinstance(expr, ast.IsNull):
+        return (value(expr.operand) is None) != expr.negated
+    if isinstance(expr, ast.BinaryOp) and expr.op in ("and", "or"):
+        stop = expr.op == "or"
+        a = value(expr.left)
+        if a is stop:
+            return stop
+        b = value(expr.right)
+        if b is stop:
+            return stop
+        return None if a is None or b is None else not stop
+    if isinstance(expr, ast.BinaryOp):
+        a, b = value(expr.left), value(expr.right)
+        if expr.op in ("=", "!="):
+            return None if a is None or b is None \
+                else (a == b) == (expr.op == "=")
+        return order(expr.op, a, b)
+    if isinstance(expr, ast.Between):
+        inside = value(ast.BinaryOp(
+            "and", ast.BinaryOp(">=", expr.operand, expr.low),
+            ast.BinaryOp("<=", expr.operand, expr.high)))
+        return None if inside is None else inside != expr.negated
+    assert isinstance(expr, ast.InList), expr
+    x = value(expr.operand)
+    if x is None:
+        return None
+    items = [value(item) for item in expr.items]
+    if x in [item for item in items if item is not None]:
+        return not expr.negated
+    return None if None in items else expr.negated
+
+
+def _reference(expr, scope, params=None, outer=(), entries=False):
+    """The batch filter the reference makes of ``expr``."""
+    def keep(rows, outer_row):
+        return [r for r in rows if expr is None or _sql(
+            expr, outer + scope, outer_row + (r[1] if entries else r),
+            params) is True]
+
+    return keep
+
+
 def _attempt(run):
     try:
         return run()
     except (ReproError, TypeError) as error:
-        return type(error).__name__, str(error)
+        return type(error).__name__
 
 
 _INT_OR_NULL = st.one_of(st.none(), st.integers(-3, 7))
@@ -79,18 +151,16 @@ _ROWS = st.lists(st.tuples(
 @settings(max_examples=400, deadline=None)
 @given(text=_filters(["a", "b", "f", "s"]), rows=_ROWS)
 def test_scan_kernel_matches_closure(text, rows):
+    """The closure is the reference's per-row function."""
     expr = _where(text)
     kept = _attempt(lambda: compile_filter(expr, SCOPE, None, TYPES)(
         rows, ()))
-    reference = _attempt(lambda: [
-        row for row in rows if compile_predicate(expr, SCOPE)(row)])
-    assert kept == reference
+    assert kept == _attempt(lambda: _reference(expr, SCOPE)(rows, ()))
     entries = [(rowid, row) for rowid, row in enumerate(rows)]
     kept_entries = _attempt(lambda: compile_filter(
         expr, SCOPE, None, TYPES, entries=True)(entries, ()))
-    assert kept_entries == _attempt(lambda: [
-        entry for entry in entries
-        if compile_predicate(expr, SCOPE)(entry[1])])
+    assert kept_entries == _attempt(lambda: _reference(
+        expr, SCOPE, entries=True)(entries, ()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,18 +168,16 @@ def test_scan_kernel_matches_closure(text, rows):
        outer=st.tuples(_INT_OR_NULL,
                        st.one_of(st.none(), st.sampled_from(["a", "b"]))))
 def test_join_kernel_matches_closure(text, rows, outer):
-    """The outer row's values are the kernel's arguments."""
+    """The outer row's values are the filter's locals."""
     expr = _where(text)
     kept = _attempt(lambda: compile_filter(
         expr, SCOPE, None, TYPES, OUTER)(rows, outer))
-    reference = _attempt(lambda: [
-        row for row in rows
-        if compile_predicate(expr, OUTER + SCOPE)(outer + row)])
-    assert kept == reference
+    assert kept == _attempt(lambda: _reference(
+        expr, SCOPE, outer=OUTER)(rows, outer))
 
 
 def _is_kernel(keep):
-    return keep.__code__.co_filename == "<filter kernel>"
+    return keep.__code__.co_filename == "<expression>"
 
 
 @pytest.mark.parametrize("text", [
@@ -126,12 +194,12 @@ def test_common_shapes_compile_to_kernels(text):
     "a = s",  # columns of different kinds
     "a + 1 > 2", "s like 'a%'", "a = 1 or b = 2", "not a = 1",
     "a in (1, 'x')"])
-def test_other_shapes_keep_the_closure(text):
-    assert not _is_kernel(compile_filter(_where(text), SCOPE, None, TYPES))
+def test_other_shapes_compile_to_generated_code(text):
+    assert _is_kernel(compile_filter(_where(text), SCOPE, None, TYPES))
 
 
-def test_unknown_types_keep_the_closure():
-    assert not _is_kernel(compile_filter(_where("a = 1"), SCOPE))
+def test_unknown_types_compile_to_generated_code():
+    assert _is_kernel(compile_filter(_where("a = 1"), SCOPE))
 
 
 def test_null_literal_matches_nothing():
@@ -142,16 +210,6 @@ def test_null_literal_matches_nothing():
             rows, ()) == []
     assert compile_filter(_where("a in (null, 1)"), SCOPE, None, TYPES)(
         rows, ()) == [rows[1]]
-
-
-def test_off_type_value_falls_back_to_the_closures_error():
-    """A stored value off its column's declared type makes the kernel
-    hand the batch to the closure, which reports it as always."""
-    keep = compile_filter(_where("a < 3"), SCOPE, None, TYPES)
-    assert _is_kernel(keep)
-    assert keep([(1, 0, 0.0, "")], ()) == [(1, 0, 0.0, "")]
-    with pytest.raises(ReproError, match="cannot compare"):
-        keep([(1, 0, 0.0, ""), ("x", 0, 0.0, "")], ())
 
 
 # -- in the engine --------------------------------------------------------------
@@ -182,39 +240,35 @@ def kernel_engine():
 
 
 @contextmanager
-def _closures_only():
-    """Every operator compiled meanwhile filters through the per-row
-    closure under the batch API; yields the filters those operators
-    bound.  A prepared statement compiled earlier is not compiled
-    again: run the closure side in a fresh session."""
+def _reference_filters():
+    """Every operator compiled meanwhile filters through the reference
+    under the batch API; yields the filters those operators bound.  A
+    prepared statement compiled earlier is not compiled again: run the
+    reference side in a fresh session."""
     bound = []
 
-    def closure(expr, scope, params=None, types=None, outer=(),
-                entries=False):
-        bind = prepare_filter(None, scope) if expr is None else partial(
-            evaluator._closure_filter, expr,
-            evaluator.ScopeIndex(outer + scope), len(outer), entries)
-
-        def recording(params):
-            bound.append(bind(params))
+    def reference(expr, scope, params=None, types=None, outer=(),
+                  entries=False):
+        def bind(params):
+            bound.append(_reference(expr, scope, params, outer, entries))
             return bound[-1]
 
-        return recording
+        return bind
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (scan, joins):
-            patch.setattr(module, "prepare_filter", closure)
+        for module in (scan, joins, shaping):
+            patch.setattr(module, "prepare_filter", reference)
         yield bound
 
 
-def _closures_compiled(bound, outcome):
-    """The closure side bound filters, none a kernel (unless the
-    statement failed before it compiled)."""
-    failed = isinstance(outcome, tuple) and isinstance(outcome[0], str)
-    return (bound or failed) and not any(map(_is_kernel, bound))
+def _reference_compiled(bound, outcome):
+    """The reference side bound filters (unless the statement failed
+    before it compiled)."""
+    return bool(bound) or isinstance(outcome, str)
 
 
 def _result(session, text):
+    """Rows and ``tuples_processed``, a row count, or the error's type."""
     def run():
         result = session.execute(text)
         if isinstance(result, DmlResult):
@@ -242,14 +296,15 @@ _QUERIES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_QUERIES)
 def test_kernels_are_invisible_in_the_engine(kernel_engine, text):
-    """Kernels on and off: the same rows in the same order, the same
-    ``tuples_processed`` (a LIMIT counts only up to the row it stopped
-    at) and the same errors, on every stored structure and join."""
+    """Generated filters and the reference: the same rows in the same
+    order, the same ``tuples_processed`` (a LIMIT counts only up to the
+    row it stopped at) and the same errors, on every stored structure
+    and join."""
     with kernel_engine.connect("k") as session:
-        with_kernels = _result(session, text)
-    with kernel_engine.connect("k") as fresh, _closures_only() as bound:
-        assert _result(fresh, text) == with_kernels
-        assert _closures_compiled(bound, with_kernels)
+        generated = _result(session, text)
+    with kernel_engine.connect("k") as fresh, _reference_filters() as bound:
+        assert _result(fresh, text) == generated
+        assert _reference_compiled(bound, generated)
 
 
 def test_limit_stops_inside_the_page(kernel_engine):
@@ -258,10 +313,10 @@ def test_limit_stops_inside_the_page(kernel_engine):
     text = "select a from t where a >= 0 limit 3"
     with kernel_engine.connect("k") as session:
         result = session.execute(text)
-    with kernel_engine.connect("k") as fresh, _closures_only() as bound:
+    with kernel_engine.connect("k") as fresh, _reference_filters() as bound:
         assert _result(fresh, text) == (
             result.rows, result.metrics.tuples_processed)
-        assert _closures_compiled(bound, result)
+        assert _reference_compiled(bound, result)
     assert result.rows == [(0,), (1,), (2,)]
     assert result.metrics.tuples_processed == 4 + 4 + 3  # scan, project, limit
 
@@ -324,8 +379,8 @@ def test_kernel_cache_stays_bounded_past_its_size():
         keep = compile_filter(ast.BinaryOp(
             op, ast.ColumnRef(f"c{i}"), ast.ColumnRef(f"c{j}")), scope,
             None, types)
-        expected = compile_predicate(ast.BinaryOp(
-            op, ast.ColumnRef(f"c{i}"), ast.ColumnRef(f"c{j}")), scope)(row)
+        expected = _sql(ast.BinaryOp(
+            op, ast.ColumnRef(f"c{i}"), ast.ColumnRef(f"c{j}")), scope, row)
         assert keep([row], ()) == ([row] if expected else [])
     info = factory.cache_info()
     assert info.misses == len(shapes)
