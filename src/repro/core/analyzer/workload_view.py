@@ -117,6 +117,26 @@ class WorkloadView:
         return ranked[:count]
 
 
+def _columns(table: ima.MonitorTable, *names: str) -> Callable[[tuple], tuple]:
+    """The named columns of a ``wl_*`` row of ``table``, found by name."""
+    return itemgetter(*map(table.wl_schema.column_index, names))
+
+
+_STATEMENT = _columns(ima.STATEMENTS, "captured_at", "text_hash",
+                      "query_text", "frequency")
+_EXECUTION = _columns(ima.WORKLOAD, "text_hash", "wallclock_s",
+                      "estimated_io", "estimated_cpu", "actual_io",
+                      "actual_cpu", "monitor_time_s")
+_REFERENCE = _columns(ima.REFERENCES, "text_hash", "object_type",
+                      "object_name")
+_TABLE = _columns(ima.TABLES, "captured_at", "table_name", "frequency",
+                  "structure", "data_pages", "overflow_pages", "row_count",
+                  "has_statistics")
+_ATTRIBUTE = _columns(ima.ATTRIBUTES, "captured_at", "table_name",
+                      "attribute_name", "has_histogram")
+_PLAN = _columns(ima.PLANS, "captured_at", "text_hash", "plan_text")
+
+
 @dataclass
 class _Fold:
     """One pass of rows (``wl_*`` layout: ``captured_at`` first) into a
@@ -144,16 +164,15 @@ class _Fold:
         return profile
 
     def statement(self, row: tuple) -> None:
-        captured_at, text_hash, text, frequency = row[:4]
+        captured_at, text_hash, text, frequency = _STATEMENT(row)
         if self._takes_over("wl_statements", text_hash, captured_at):
             profile = self._profile(text_hash)
             profile.text = text
             profile.frequency = frequency
 
     def execution(self, row: tuple) -> None:
-        (_captured, text_hash, _session, _ts, _opt, _exec, wallclock,
-         est_io, est_cpu, act_io, act_cpu, _lr, _pr, _tp, _rr,
-         _used_indexes, monitor_s) = row[:17]
+        (text_hash, wallclock, est_io, est_cpu, act_io, act_cpu,
+         monitor_s) = _EXECUTION(row)
         profile = self.view.statements.get(text_hash) \
             or self._profile(text_hash)
         profile.executions += 1
@@ -165,7 +184,7 @@ class _Fold:
         profile.total_monitor_s += monitor_s
 
     def reference(self, row: tuple) -> None:
-        _captured, text_hash, object_type, object_name = row[:4]
+        text_hash, object_type, object_name = _REFERENCE(row)
         profile = self.view.statements.get(text_hash)
         if profile is None:
             return
@@ -177,14 +196,14 @@ class _Fold:
 
     def table(self, row: tuple) -> None:
         (captured_at, table_name, frequency, structure, data_pages,
-         overflow_pages, row_count, has_statistics) = row[:8]
+         overflow_pages, row_count, has_statistics) = _TABLE(row)
         if self._takes_over("wl_tables", table_name, captured_at):
             self.view.tables[table_name] = TableProfile(
                 table_name, frequency, structure, data_pages,
                 overflow_pages, row_count, bool(has_statistics))
 
     def attribute(self, row: tuple) -> None:
-        captured_at, table_name, attribute, _frequency, has_histogram = row[:5]
+        captured_at, table_name, attribute, has_histogram = _ATTRIBUTE(row)
         key = (table_name, attribute)
         if self._takes_over("wl_attributes", key, captured_at):
             if has_histogram:
@@ -193,7 +212,7 @@ class _Fold:
                 self.view.attributes_without_histograms.add(key)
 
     def plan(self, row: tuple) -> None:
-        captured_at, text_hash, _estimated_cost, plan_text = row[:4]
+        captured_at, text_hash, plan_text = _PLAN(row)
         if self._takes_over("wl_plans", text_hash, captured_at):
             self.view.plans[text_hash] = plan_text
 
