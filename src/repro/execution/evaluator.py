@@ -1,20 +1,15 @@
 """Expression compilation: AST -> generated Python code over row tuples.
 
-Expressions are compiled against a *scope* (the ordered output columns
-of the input plan) once per plan (``prepare_*``) and bound to each
-execution's literal vector (``bind(params)``).  One generator writes
-every expression's source, as a batch filter ``keep(rows, outer)``
-(scans, joins, FilterPlan, triggers) or as a row getter (projections,
-sort keys, aggregate arguments, DML values).  NULL semantics follow
-SQL: comparisons and arithmetic propagate NULL, AND/OR use three-valued
-logic, and a filter keeps the rows where its condition is TRUE.
-"""
+One generator writes every expression's code against a *scope* (the
+ordered output columns of the input plan), once per plan (``prepare_*``),
+and binds it to each execution's literals (``bind(params)``): as a batch
+filter ``keep(rows, outer)`` or as a row getter.  NULL follows SQL."""
 
 from __future__ import annotations
 
 import operator
 import re
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
@@ -33,54 +28,41 @@ BatchFilter = Callable[[Sequence[Row], Row], list]
 """``keep(rows, outer)``: the rows of one batch that pass a filter, in
 order; ``outer`` is a nested-loop join's outer row, ``()`` for a scan."""
 ColumnTypes = Mapping[str, Mapping[str, DataType]]
-"""Binding -> column name -> declared type."""
 T = TypeVar("T")
 Binder = Callable[[Params], T]
 """What compiling once leaves for each execution: ``bind(params)``."""
 
 
 class ScopeIndex:
-    """Resolves column references and named expressions to positions."""
+    """A scope's positions by the text of a named expression or of a
+    qualified column (the named expression first), and by column name."""
 
     def __init__(self, scope: Scope) -> None:
         self.scope = scope
-        self._by_qualified: dict[str, int] = {}
-        self._by_name: dict[str, list[int]] = {}
-        self._by_text: dict[str, int] = {}
+        self.by_name: dict[str, list[int]] = {}
+        named: dict[str, int] = {}
+        qualified: dict[str, int] = {}
         for pos, (binding, name) in enumerate(scope):
-            self._by_name.setdefault(name, []).append(pos)
+            self.by_name.setdefault(name, []).append(pos)
             if binding is None:
-                self._by_text.setdefault(name, pos)
+                named.setdefault(name, pos)
             else:
-                self._by_qualified.setdefault(f"{binding}.{name}", pos)
-
-    def position_of_text(self, text: str) -> int | None:
-        return self._by_text.get(text)
-
-    def position_of_ref(self, ref: ast.ColumnRef) -> int:
-        if ref.table is not None:
-            pos = self._by_qualified.get(f"{ref.table}.{ref.name}")
-            if pos is None:
-                raise ExecutionError(
-                    f"column {ref.table}.{ref.name} is not in scope"
-                )
-            return pos
-        positions = self._by_name.get(ref.name, [])
-        if not positions:
-            raise ExecutionError(f"column {ref.name!r} is not in scope")
-        if len(positions) > 1:
-            raise ExecutionError(f"column {ref.name!r} is ambiguous")
-        return positions[0]
+                qualified.setdefault(f"{binding}.{name}", pos)
+        self.by_text = {**qualified, **named}
 
 
 def column_position(expr: ast.Expression, index: ScopeIndex) -> int | None:
     """The scope position ``expr`` merely reads, or None if it has to be
     computed.  Named sub-expressions first: this is how aggregate
     outputs and group expressions are referenced above an AggregatePlan."""
-    pos = index.position_of_text(expr.to_sql())
-    if pos is None and isinstance(expr, ast.ColumnRef):
-        pos = index.position_of_ref(expr)
-    return pos
+    pos = index.by_text.get(expr.to_sql())
+    if pos is not None or not isinstance(expr, ast.ColumnRef):
+        return pos
+    positions = [] if expr.table else index.by_name.get(expr.name, [])
+    if len(positions) != 1:
+        problem = "ambiguous" if positions else "not in scope"
+        raise ExecutionError(f"column {expr.to_sql()!r} is {problem}")
+    return positions[0]
 
 
 @lru_cache(maxsize=4096)
@@ -93,19 +75,15 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
 
 # -- what generated code calls for an operation it does not inline -------------
 
-_COMPARE = "cannot compare {!r} with {!r}"
-
-
-def _strict(operate: Callable[[Any, Any], Any],
-            failure: str = _COMPARE) -> Callable[[Any, Any], Any]:
-    def strict(a: Any, b: Any) -> Any:
+def _strict(operate: Callable[..., Any], failure: str) -> Callable[..., Any]:
+    def strict(*values: Any) -> Any:
         """NULL in, NULL out; mismatched types are an error."""
-        if a is None or b is None:
+        if None in values:
             return None
         try:
-            return operate(a, b)
+            return operate(*values)
         except TypeError:
-            raise ExecutionError(failure.format(a, b)) from None
+            raise ExecutionError(failure.format(*values)) from None
 
     return strict
 
@@ -123,69 +101,37 @@ def _modulo(a: Any, b: Any) -> Any:
     return a % b
 
 
+def _substr(text: str, start: int, length: int | None = None) -> str:
+    return text[start - 1:None if length is None else start - 1 + length]
+
+
 def _negate(value: Any) -> Any:
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ExecutionError(f"cannot negate non-numeric value {value!r}")
+    if isinstance(value, bool):  # a number to Python, not to SQL
+        raise TypeError
     return -value
 
 
-def _matcher(pattern: Any) -> Callable[[str], Any] | None:
-    """A LIKE pattern's regex test; None for NULL."""
-    if pattern is None:
-        return None
-    if not isinstance(pattern, str):
-        raise ExecutionError(f"LIKE pattern {pattern!r} is not text")
-    return like_to_regex(pattern).match
-
-
-def _like(value: Any, match: Callable[[str], Any] | None) -> Any:
-    if value is None or match is None:
-        return None
-    if not isinstance(value, str):
-        raise ExecutionError(f"cannot apply LIKE to {value!r}")
-    return match(value) is not None
-
-
-def _scalar(name: str, function: Callable[..., Any]) -> Callable[..., Any]:
-    def call(*values: Any) -> Any:
-        if None in values:
-            return None
-        try:
-            return function(*values)
-        except TypeError as exc:
-            raise ExecutionError(f"{name}(): {exc}") from None
-
-    return call
-
-
-_SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add,
+    "-": operator.sub, "*": operator.mul, "/": _divide, "%": _modulo}
+_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "upper": str.upper, "lower": str.lower, "length": len, "abs": abs,
-    "round": round, "substr": lambda s, start, count=None: s[start - 1:]
-    if count is None else s[start - 1:start - 1 + count],
+    "round": round, "substr": _substr,
 }  # and coalesce, generated inline: it evaluates its arguments lazily
-_COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
-                ">=": ">="}
-_OPERATORS = {"=": ("eq", operator.eq), "!=": ("ne", operator.ne),
-              "<": ("lt", operator.lt), "<=": ("le", operator.le),
-              ">": ("gt", operator.gt), ">=": ("ge", operator.ge),
-              "+": ("add", operator.add), "-": ("sub", operator.sub),
-              "*": ("mul", operator.mul), "/": ("div", _divide),
-              "%": ("mod", _modulo)}
 _HELPERS: dict[str, Any] = {
-    **{name: _strict(operate, _COMPARE if op in _COMPARISONS else
-                     f"cannot apply {op!r} to {{!r}} and {{!r}}")
-       for op, (name, operate) in _OPERATORS.items()},
-    **{f"fn_{name}": _scalar(name, function)
-       for name, function in _SCALAR_FUNCTIONS.items()},
-    "neg": _negate, "like": _like, "matcher": _matcher,
-    "not_": lambda x: None if x is None else not x,
-    # ``a AND b`` / ``a OR b`` once ``a`` is known not to decide it.
-    "and_": lambda a, b: False if b is False else None
-    if a is None or b is None else True,
-    "or_": lambda a, b: True if b is True else None
-    if a is None or b is None else False,
+    **{operate.__name__: _strict(operate, "cannot compare {!r} with {!r}"
+                                 if op in _COMPARISONS
+                                 else f"cannot apply {op!r} to {{!r}} and {{!r}}")
+       for op, operate in _OPERATORS.items()},
+    **{f"fn_{name}": _strict(function, f"{name}() cannot take {{!r}}")
+       for name, function in _FUNCTIONS.items()},
+    "neg": _strict(_negate, "cannot negate non-numeric value {!r}"),
+    "matcher": _strict(lambda pattern: like_to_regex(pattern).match,
+                       "LIKE pattern {!r} is not text"),
+    "like": _strict(lambda value, match: match(value) is not None,
+                    "cannot apply LIKE to {!r}"),
 }
 
 
@@ -199,13 +145,12 @@ _KIND_OF_VALUE = {int: "number", float: "number", str: "text", bool: "bool"}
 
 
 class _Code(NamedTuple):
-    """Code for an expression's SQL value (None for NULL); ``safe`` if
-    no row makes it raise.  A ``leaf`` (a column or a literal: cheap to
-    read twice) has a comparable ``kind`` ("?": unknown, None: NULL) and
-    is ``fixed`` if one value serves the whole batch (a literal or an
-    outer-row column); only a non-NULL literal is not ``nullable``.
-    ``inline`` is code true exactly where the value is TRUE, once the
-    fixed values ``needs`` names are known non-NULL."""
+    """Code for an expression's SQL value; ``safe`` if no row makes it
+    raise.  A ``leaf`` (a column or a literal: cheap to read twice) has
+    a comparable ``kind`` ("?": unknown, None: NULL), is ``fixed`` if one
+    value serves the batch (a literal or an outer-row column), and is
+    ``nullable`` unless a non-NULL literal.  ``inline`` is true exactly
+    where the value is TRUE, once the ``needs`` are known non-NULL."""
 
     text: str
     safe: bool
@@ -241,12 +186,8 @@ def _tested(text: str, test: str, *operands: _Code,
 
 
 class _Source:
-    """The text of one expression's code.  Tested-row columns become
-    ``r[i]``, outer-row columns the locals ``o0, o1, ...`` and literals
-    the arguments ``v0, v1, ...`` of the factory, so the text depends on
-    the expression's shape only.  A comparison of operands of one kind
-    is inlined, as are ``=`` and ``!=`` on any (they never raise); any
-    other operation calls a helper of ``_HELPERS``."""
+    """One expression's code: tested-row columns read ``r[i]``, outer-row
+    columns ``o0, o1, ...`` and literals ``v0, v1, ...`` (arguments)."""
 
     def __init__(self, index: ScopeIndex, params: Params,
                  types: ColumnTypes | None = None, width: int = 0,
@@ -269,25 +210,27 @@ class _Source:
                 self.types.get(binding, {}).get(column), "?")  # type: ignore[arg-type]
             if pos >= self.width:
                 return _Code(f"{self.row}[{pos - self.width}]", True, kind,
-                             False, True)
+                             leaf=True)
             self.outer.append(f"o{len(self.outer)} = o[{pos}]")
-            return _Code(f"o{len(self.outer) - 1}", True, kind, True, True)
+            return _Code(f"o{len(self.outer) - 1}", True, kind, fixed=True,
+                         leaf=True)
         if isinstance(expr, ast.Literal):
             value = expr.bound(self.params)
             self.literals.append(expr)
-            return _Code(f"v{len(self.literals) - 1}", True, None
-                         if value is None else _KIND_OF_VALUE.get(
-                             type(value), "?"), True, True, value is None)
-        if isinstance(expr, ast.BinaryOp):
-            a, b = self.code(expr.left), self.code(expr.right)
-            if expr.op in ("and", "or"):
-                return self.logical(expr.op, a, b)
-            return self.like(a, b) if expr.op == "like" \
-                else self.binary(expr.op, a, b)
-        if isinstance(expr, ast.UnaryOp) and expr.op in ("-", "not"):
-            x = self.code(expr.operand)
-            return _Code(f"neg({x.text})", False) if expr.op == "-" \
-                else self.negation(x)
+            kind = None if value is None else _KIND_OF_VALUE.get(type(value), "?")
+            return _Code(f"v{len(self.literals) - 1}", True, kind, fixed=True,
+                         leaf=True, nullable=value is None)
+        if isinstance(expr, ast.BinaryOp) and expr.op in ("and", "or"):
+            return self.logical(expr.op, self.terms(expr, expr.op))
+        if isinstance(expr, ast.BinaryOp) and expr.op == "like":
+            return self.like(self.code(expr.left), self.code(expr.right))
+        if isinstance(expr, ast.BinaryOp) and expr.op in _OPERATORS:
+            return self.binary(expr.op, self.code(expr.left),
+                               self.code(expr.right))
+        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+            return _Code(f"neg({self.code(expr.operand).text})", False)
+        if isinstance(expr, ast.UnaryOp) and expr.op == "not":
+            return self.negation(self.code(expr.operand))
         if isinstance(expr, ast.IsNull):
             x = self.code(expr.operand)
             text = f"({x.text} is {'not ' * expr.negated}None)"
@@ -295,47 +238,58 @@ class _Source:
         if isinstance(expr, ast.InList):  # an OR of =, or an AND of !=
             x = self.code(expr.operand)
             op, joint = ("!=", "and") if expr.negated else ("=", "or")
-            return reduce(partial(self.logical, joint), [
-                self.binary(op, x, self.code(item)) for item in expr.items])
+            return self.logical(joint, [self.binary(op, x, self.code(item))
+                                        for item in expr.items])
         if isinstance(expr, ast.Between):  # low <= x AND x <= high
             x, low, high = map(self.code, (expr.operand, expr.low, expr.high))
-            inside = self.logical("and", self.binary("<=", low, x),
-                                  self.binary("<=", x, high))
+            inside = self.logical("and", [self.binary("<=", low, x),
+                                          self.binary("<=", x, high)])
             if expr.negated or not _inlined("<", x, low, high):
                 return self.negation(inside) if expr.negated else inside
             return _tested(inside.text, f"{low.text} <= {x.text} <= "
                            f"{high.text}", x, low, high)
         if isinstance(expr, ast.FunctionCall):
             return self.function(expr)
-        if isinstance(expr, ast.UnaryOp):
-            raise ExecutionError(f"unknown unary operator {expr.op!r}")
         if isinstance(expr, ast.Star):
             raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
         raise ExecutionError(f"cannot compile expression {expr!r}")
 
-    def logical(self, op: str, a: _Code, b: _Code) -> _Code:
-        """``b`` is evaluated only if ``a`` leaves the outcome open."""
-        t, stop = f"t{next(self.temps)}", "False" if op == "and" else "True"
-        code = _Code(f"({stop} if ({t} := {a.text}) is {stop} "
-                     f"else {op}_({t}, {b.text}))", a.safe and b.safe)
-        if op == "and":
-            return code._replace(inline=f"{a.test} and {b.test}",
-                                 needs=a.needs + b.needs)
-        if a.needs or b.needs:  # not hoisted out of an OR
-            return code
-        return code._replace(inline=f"({a.test} or {b.test})")
+    def terms(self, expr: ast.Expression, op: str) -> list[_Code]:
+        """The codes of a chain of ``op`` (AND or OR), in order."""
+        terms: list[ast.Expression] = []
+        while isinstance(expr, ast.BinaryOp) and expr.op == op \
+                and column_position(expr, self.index) is None:
+            terms.append(expr.right)
+            expr = expr.left
+        return [self.code(term) for term in (expr, *reversed(terms))]
 
-    @staticmethod
-    def negation(x: _Code) -> _Code:
-        return _Code(f"not_({x.text})", x.safe, inline=f"{x.text} is False")
+    def logical(self, op: str, terms: list[_Code]) -> _Code:
+        """SQL's AND/OR: the terms run in order until one decides."""
+        stop, other = ("False", "True") if op == "and" else ("True", "False")
+        names = [f"t{next(self.temps)}" for _ in terms]
+        code = _Code(f"({stop} if " + " or ".join(
+            f"({t} := {term.text}) is {stop}" for t, term in zip(names, terms))
+            + " else None if " + " or ".join(f"{t} is None" for t in names)
+            + f" else {other})",
+            all(term.safe for term in terms))
+        if op == "and":
+            return code._replace(inline=" and ".join(t.test for t in terms),
+                                 needs=sum((t.needs for t in terms), ()))
+        if any(term.needs for term in terms):  # not hoisted out of an OR
+            return code
+        return code._replace(
+            inline="(" + " or ".join(t.test for t in terms) + ")")
+
+    def negation(self, x: _Code) -> _Code:
+        t = f"t{next(self.temps)}"
+        return _Code(f"(None if ({t} := {x.text}) is None else not {t})",
+                     x.safe, inline=f"{x.text} is False")
 
     @staticmethod
     def binary(op: str, a: _Code, b: _Code) -> _Code:
-        if op not in _OPERATORS:
-            raise ExecutionError(f"unknown binary operator {op!r}")
-        if not _inlined(op, a, b):
-            return _Code(f"{_OPERATORS[op][0]}({a.text}, {b.text})", False)
-        test = f"{a.text} {_COMPARISONS[op]} {b.text}"
+        if not _inlined(op, a, b):  # e.g. ``lt(r[0], v0)``
+            return _Code(f"{_OPERATORS[op].__name__}({a.text}, {b.text})", False)
+        test = f"{a.text} {'==' if op == '=' else op} {b.text}"
         nulls = " or ".join(f"{x.text} is None" for x in (a, b) if x.nullable)
         # ``x == y`` is False for a NULL x once y is known non-NULL.
         return _tested(f"(None if {nulls} else {test})" if nulls
@@ -355,7 +309,7 @@ class _Source:
         if expr.is_aggregate:
             raise ExecutionError(
                 f"aggregate {expr.name}() used outside an aggregation context")
-        if expr.name != "coalesce" and expr.name not in _SCALAR_FUNCTIONS:
+        if expr.name != "coalesce" and expr.name not in _FUNCTIONS:
             raise ExecutionError(f"unknown function {expr.name!r}")
         args = [self.code(arg) for arg in expr.args]
         if expr.name != "coalesce":
@@ -368,8 +322,7 @@ class _Source:
         return _Code(text, all(arg.safe for arg in args))
 
     def factory(self, body: list[str]) -> Binder[Any]:
-        """``bind(params)``: what ``body`` returns, made with the
-        literals' values under ``params``."""
+        """``bind(params)``: what ``body`` returns, given the literals."""
         names = ", ".join(f"v{i}" for i in range(len(self.literals)))
         make = _kernel_factory("\n".join(
             [f"def make({names}):"]
@@ -388,12 +341,11 @@ class _Source:
 
 @lru_cache(maxsize=1024)
 def _kernel_factory(source: str) -> Callable[..., Any]:
-    """The one place generated code runs.  ``source`` is assembled from
-    column positions, Python operators, the names of ``_HELPERS`` and
-    argument names only: literal values reach the code as arguments of
-    the factory this returns, never as text, so no value can alter the
-    code that runs, and every text of one shape shares one compiled
-    function.  The code sees no builtins, only the helpers."""
+    """The one place generated code runs.  ``source`` holds column
+    positions, Python operators and the names of arguments and of
+    ``_HELPERS`` only, and sees no builtins: literal values reach the
+    code as arguments of the ``make`` this returns, never as text, so no
+    value can alter the code that runs, and one shape compiles once."""
     namespace: dict[str, Any] = {"__builtins__": {}, **_HELPERS}
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["make"]
@@ -430,8 +382,7 @@ def prepare_filter(expr: ast.Expression | None, scope: Scope,
     ``keep = bind(params)``.  ``types`` are the declared column types by
     binding.  A join passes its outer side's scope as ``outer``: ``expr``
     then sees the outer row's columns followed by the tested row's.
-    With ``entries`` the batch holds ``(rowid, row)`` pairs, kept whole.
-    """
+    With ``entries`` the batch holds ``(rowid, row)`` pairs, kept whole."""
     if expr is None:
         return lambda params: _keep_all
     source = _Source(ScopeIndex(outer + scope), params, types, len(outer),
@@ -458,8 +409,7 @@ def compile_filter(expr: ast.Expression | None, scope: Scope,
 def compile_predicate(expr: ast.Expression | None, scope: Scope,
                       params: Params = None,
                       types: ColumnTypes | None = None) -> Getter:
-    """A predicate over one row, through the batch filter: NULL counts
-    as False."""
+    """A predicate over one row, through the batch filter: NULL is False."""
     keep = compile_filter(expr, scope, params, types)
     return lambda row: bool(keep((row,), ()))
 

@@ -203,7 +203,7 @@ def singles(rows: Sequence[tuple], marks: Iterable[int], total: int,
 
 def scan_step(plan: ScanPlan, catalog: StorageCatalog, params: Params,
               single: bool) -> Step:
-    """A compiled access path: its filter prepared once (kernel or closure,
+    """A compiled access path: its filter prepared once (generated code,
     see :func:`~.evaluator.prepare_filter`) and bound per execution.  The
     step yields the rows of each page that pass, counting the page whole;
     ``single``, one row at a time, counting the page up to it."""

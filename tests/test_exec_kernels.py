@@ -71,7 +71,8 @@ _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 def _sql(expr, scope, row, params=None):
     """``expr``'s SQL value over ``row`` of ``scope``; an order
-    comparison or sum of values of two kinds raises ExecutionError."""
+    comparison or sum of values of two kinds raises the engine's
+    ExecutionError."""
     def value(node):
         return _sql(node, scope, row, params)
 
@@ -79,7 +80,9 @@ def _sql(expr, scope, row, params=None):
         if a is None or b is None:
             return None
         if _KINDS[type(a)] != _KINDS[type(b)]:
-            raise ExecutionError(f"cannot compare {a!r} with {b!r}")
+            raise ExecutionError(f"cannot apply '+' to {a!r} and {b!r}"
+                                 if op == "+" else
+                                 f"cannot compare {a!r} with {b!r}")
         return _ORDER[op](a, b)
 
     if isinstance(expr, ast.ColumnRef):
@@ -109,8 +112,8 @@ def _sql(expr, scope, row, params=None):
                 else (a == b) == (expr.op == "=")
         return order(expr.op, a, b)
     if isinstance(expr, ast.Between):
-        inside = value(ast.BinaryOp(
-            "and", ast.BinaryOp(">=", expr.operand, expr.low),
+        inside = value(ast.BinaryOp(  # low <= x, as the engine reads it
+            "and", ast.BinaryOp("<=", expr.low, expr.operand),
             ast.BinaryOp("<=", expr.operand, expr.high)))
         return None if inside is None else inside != expr.negated
     assert isinstance(expr, ast.InList), expr
@@ -137,7 +140,7 @@ def _attempt(run):
     try:
         return run()
     except (ReproError, TypeError) as error:
-        return type(error).__name__
+        return type(error).__name__, str(error)
 
 
 _INT_OR_NULL = st.one_of(st.none(), st.integers(-3, 7))
@@ -151,7 +154,8 @@ _ROWS = st.lists(st.tuples(
 @settings(max_examples=400, deadline=None)
 @given(text=_filters(["a", "b", "f", "s"]), rows=_ROWS)
 def test_scan_kernel_matches_closure(text, rows):
-    """The closure is the reference's per-row function."""
+    """The generated filter keeps what the closure :func:`_reference`
+    returns keeps, and raises what it raises."""
     expr = _where(text)
     kept = _attempt(lambda: compile_filter(expr, SCOPE, None, TYPES)(
         rows, ()))
@@ -264,11 +268,12 @@ def _reference_filters():
 def _reference_compiled(bound, outcome):
     """The reference side bound filters (unless the statement failed
     before it compiled)."""
-    return bool(bound) or isinstance(outcome, str)
+    failed = isinstance(outcome, tuple) and isinstance(outcome[0], str)
+    return bool(bound) or failed
 
 
 def _result(session, text):
-    """Rows and ``tuples_processed``, a row count, or the error's type."""
+    """Rows and ``tuples_processed``, a row count, or the error."""
     def run():
         result = session.execute(text)
         if isinstance(result, DmlResult):

@@ -12,12 +12,16 @@ def test_live_ima_rows_pass_their_schema():
     setup = daemon_setup("db", clock=clock)
     with setup.engine.connect("db") as session:
         session.execute("create table t (a int, s varchar(10))")
+        session.execute("insert into t values " + ", ".join(
+            f"({i}, 'x{i}')" for i in range(2000)))
         session.execute("create index t_a on t (a)")
-        for i in range(20):
-            session.execute(f"insert into t values ({i}, 'x{i}')")
+        for i in range(20):  # index lookups: ima_indexes
             session.execute(f"select s from t where a = {i}")
             clock.advance(1.0)
         session.execute("select count(*) from t where s like 'x1%'")
+        # A hash join over 2 000 rows costs past PLAN_CAPTURE_MIN_COST.
+        session.execute("select t1.s from t t1, t t2 "
+                        "where t1.a = t2.a and t2.s like 'x1%'")
         setup.daemon.poll_once()
         filled = 0
         for table in ima.MONITOR_TABLES:
@@ -26,4 +30,4 @@ def test_live_ima_rows_pass_their_schema():
             for row in rows:
                 assert table.ima_schema.check_row(row) == tuple(row)
             filled += bool(rows)
-    assert filled >= 6  # all but ima_indexes and ima_plans
+    assert filled == len(ima.MONITOR_TABLES)
