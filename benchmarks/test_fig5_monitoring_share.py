@@ -13,7 +13,7 @@ to the warm steady state.  The absolute ~98 % is out of reach here —
 the substrate's per-statement baseline (Python parse/optimize) is
 orders of magnitude heavier than compiled Ingres — which is exactly the
 "lower boundary of execution time" effect the paper describes, just
-with a different constant.  See EXPERIMENTS.md.
+with a different constant.  See EXPERIMENTS.md, "Figure 5".
 """
 
 from __future__ import annotations

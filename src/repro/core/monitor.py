@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.clock import Clock, SystemClock
 from repro.config import MonitorConfig
@@ -154,7 +154,7 @@ class IntegratedMonitor:
     def record_references(self, text_hash: int,
                           table_names: Sequence[str],
                           columns: Sequence[tuple[str, str]] = (),
-                          index_names: Sequence[str] = ()) -> None:
+                          indexes: Iterable[tuple[str, str]] = ()) -> None:
         """Log statement-to-object references (logged at the source: the
         names are already in hand from parsing/optimizing)."""
         for table in table_names:
@@ -165,9 +165,10 @@ class IntegratedMonitor:
             self._reference(text_hash, "attribute", qualified, table)
             self.attributes.upsert((table, column),
                                    ATTRIBUTES.record(table, column, 1))
-        for index in index_names:
-            self._reference(text_hash, "index", index, "")
-            self.indexes.upsert((index, ""), INDEXES.record(index, "", 1))
+        for index, table in indexes:
+            self._reference(text_hash, "index", index, table)
+            self.indexes.upsert((index, table),
+                                INDEXES.record(index, table, 1))
 
     def _reference(self, text_hash: int, object_type: str,
                    object_name: str, table_name: str) -> None:
@@ -384,7 +385,7 @@ class MonitorSensors:
             return
         monitor.record_references(text_hash, statement.tables,
                                   optimized.referenced_columns,
-                                  optimized.used_indexes)
+                                  optimized.plan.index_tables().items())
         cost = optimized.estimated_cost
         estimated_total = cost.io + cost.cpu
         if estimated_total >= PLAN_CAPTURE_MIN_COST:

@@ -70,8 +70,8 @@ class PreparedStatement:
     Reuse must be invisible: a text may run this plan only where
     planning it fresh would have the same effect.  The plan is compiled
     once (``program``) and each execution's literal vector is bound to
-    it; the ``pinned`` literals became structure (DESIGN.md §5,
-    "Prepared statements"), so the text must agree on their values, on
+    it; the ``pinned`` literals became structure (DESIGN.md §6,
+    "When reuse is allowed"), so the text must agree on their values, on
     the types of all its literals (part of the cache key) and on the
     schema version.  The estimate the sensors record is this plan's;
     actual costs are per execution.

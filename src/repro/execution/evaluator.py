@@ -88,6 +88,17 @@ def _strict(operate: Callable[..., Any], failure: str) -> Callable[..., Any]:
     return strict
 
 
+def _numeric(operate: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def arithmetic(a: Any, b: Any) -> Any:
+        """SQL arithmetic: numbers only, never text or a boolean."""
+        if type(a) not in (int, float) or type(b) not in (int, float):
+            raise TypeError
+        return operate(a, b)
+
+    arithmetic.__name__ = operate.__name__
+    return arithmetic
+
+
 def _divide(a: Any, b: Any) -> Any:
     if b == 0:
         raise ExecutionError("division by zero")
@@ -114,8 +125,9 @@ def _negate(value: Any) -> Any:
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 _OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge, "+": operator.add,
-    "-": operator.sub, "*": operator.mul, "/": _divide, "%": _modulo}
+    ">": operator.gt, ">=": operator.ge, "+": _numeric(operator.add),
+    "-": _numeric(operator.sub), "*": _numeric(operator.mul),
+    "/": _numeric(_divide), "%": _numeric(_modulo)}
 _FUNCTIONS: dict[str, Callable[..., Any]] = {
     "upper": str.upper, "lower": str.lower, "length": len, "abs": abs,
     "round": round, "substr": _substr,

@@ -62,12 +62,16 @@ class PlanNode:
         estimate on or, as an aggregate, estimates a distinct count."""
         return ()
 
+    def index_tables(self) -> dict[str, str]:
+        """Each index the subtree reads, with the table it indexes: its
+        own, then its children's, once (only a node with a
+        ``table_name`` reads one)."""
+        return {index: node.table_name  # type: ignore[attr-defined]
+                for node in self.walk() if (index := node.own_index())}
+
     def used_indexes(self) -> tuple[str, ...]:
         """Indexes the subtree reads: its own, then its children's, once."""
-        own = self.own_index()
-        names = [own] if own else []
-        names += [n for child in self.children for n in child.used_indexes()]
-        return tuple(dict.fromkeys(names))
+        return tuple(self.index_tables())
 
 
 @dataclass(frozen=True)

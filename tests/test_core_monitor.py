@@ -83,9 +83,11 @@ class TestMonitorRecording:
     def test_record_references(self, monitor):
         text_hash = statement_hash("q")
         monitor.record_references(text_hash, ("protein",),
-                                  [("protein", "tax_id")], ("idx_tax",))
+                                  [("protein", "tax_id")],
+                                  [("idx_tax", "protein")])
         types = {r.object_type for r in monitor.references.values()}
         assert types == {"table", "attribute", "index"}
+        assert monitor.indexes.get(("idx_tax", "protein")).frequency == 1
         assert monitor.tables.get("protein").frequency == 1
         assert monitor.attributes.get(("protein", "tax_id")) is not None
         monitor.record_references(text_hash, ("protein",))

@@ -69,6 +69,7 @@ class TestArithmetic:
 
     def test_modulo(self):
         assert evaluate("a % b", (7, 3, "", 0)) == 1
+        assert evaluate("a % 2.5", (1, 0, "", 0)) == 1.0
 
     def test_unary_minus(self):
         assert evaluate("-a", (5, 0, "", 0)) == -5
@@ -80,6 +81,14 @@ class TestArithmetic:
     def test_string_concat_not_allowed_with_plus_mixed(self):
         with pytest.raises(ExecutionError):
             evaluate("a + name", (1, 0, "x", 0))
+
+    @pytest.mark.parametrize("text, op", [
+        ("name % 5", "%"), ("name * 3", "*"), ("3 * name", "*"),
+        ("name + name", "+")])
+    def test_arithmetic_takes_numbers_only(self, text, op):
+        # Python formats, repeats or joins text here; SQL does not.
+        with pytest.raises(ExecutionError, match=f"cannot apply '\\{op}'"):
+            evaluate(text, (7, 0, "%d", 0))
 
 
 class TestComparisons:

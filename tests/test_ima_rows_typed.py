@@ -23,6 +23,11 @@ def test_live_ima_rows_pass_their_schema():
         session.execute("select t1.s from t t1, t t2 "
                         "where t1.a = t2.a and t2.s like 'x1%'")
         setup.daemon.poll_once()
+        # The plan node that reads an index names the index's table.
+        assert ("t_a", "t") in {row[1:3] for row in session.execute(
+            "select * from ima_indexes").rows}
+        assert ("index", "t_a", "t") in {row[2:5] for row in session.execute(
+            "select * from ima_references").rows}
         filled = 0
         for table in ima.MONITOR_TABLES:
             rows = session.execute(

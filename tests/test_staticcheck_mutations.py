@@ -2,9 +2,9 @@
 
 Every row plants a plausible defect in a real ``src/repro`` module and
 asserts that the lint reports it under exactly the row's rule.  A kept
-rule's defect is one the rest of the suite does not catch
-(EXPERIMENTS.md, "The lint earns its keep", runs the suite against
-every row), so a rule whose row cannot be written is a rule that goes.
+rule's defect is one the rest of the suite does not catch (DESIGN.md
+§14 names each row's defect), so a rule whose row cannot be written is
+a rule that goes.
 The two ``retired-*`` rows are defects whose own rules were deleted
 because a kept rule reports them; ``inferred-lock`` is a defect on
 state no directive names, which LCK001 reads from the code.
